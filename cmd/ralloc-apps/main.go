@@ -25,11 +25,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -42,13 +40,11 @@ import (
 
 func main() {
 	var (
-		app       = flag.String("app", "vacation", "vacation | memcached | benchjson")
+		app       = flag.String("app", "vacation", "vacation | memcached")
 		workload  = flag.String("workload", "a", "YCSB workload: a (50/50), b (95/5), c (read-only), t (expiring records) or h (hash fields)")
 		ttlFrac   = flag.Float64("ttlfrac", -1, "fraction of updates that attach a TTL (-1: workload default)")
 		ttlMillis = flag.Int64("ttlms", 0, "TTL upper bound in ms for expiring updates (0: workload default)")
 		fields    = flag.Int("fields", 0, "hash fields per record for workload h (0: workload default, 16)")
-		jsonOut   = flag.String("out", "BENCH_10.json", "output path for -app benchjson")
-		p99Gate   = flag.Float64("p99-save-gate", 0, "benchjson: fail if workload-a p99 under background SAVE exceeds this multiple of the steady-state p99; 0 disables")
 		threadStr = flag.String("threads", "", "comma-separated thread counts")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		records   = flag.Int("records", 100_000, "memcached record count (paper: 100K)")
@@ -142,187 +138,10 @@ func main() {
 				func(a alloc.Allocator, t int) bench.Result { return bench.MemcachedNet(a, t, cfg, *pipeline) },
 				func(r bench.Result) float64 { return r.Kops() })
 		}
-	case "benchjson":
-		// CI perf-trajectory baseline: pipelined network-mode K ops/s for
-		// the GET-only, GET/SET, and HGET/HSET workloads on ralloc — each
-		// also measured under a background online SAVE loop — plus the
-		// shard-scaling axes (workload-a throughput and post-crash recovery
-		// by shard count), written as one JSON document (BENCH_10.json) so
-		// every future PR can diff against it.
-		if err := benchJSON(factories, pcfg, *records, scaleN(20000), *pipeline, *heapMB<<20, *jsonOut, *p99Gate); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
 		os.Exit(2)
 	}
-}
-
-// benchJSON runs the three pipelined serving workloads — c (pure GET), a
-// (GET/SET 50/50), h (HGET/HSET 50/50 over hash objects) — against the
-// ralloc-backed server and writes K ops/s plus server-side p50/p99 command
-// latency (from the per-command histograms) per workload as JSON, and then
-// the workload-C read fan-out over 1 and 2 feed-bootstrapped replicas. Each
-// workload also runs under a continuous background online SAVE loop; the
-// p99 under that checkpoint pressure is recorded per workload, and with
-// gateFactor > 0 a workload-A p99-under-save worse than gateFactor× the
-// steady-state p99 fails the run — the regression gate for the online
-// checkpoint's "don't stop the world" promise.
-//
-// Two shard-scaling axes close the document: workload-A K ops/s and
-// post-crash recovery wall time at 1, 2, and 4 shards, total footprint held
-// constant across the rows. Both scale with available cores (independent
-// heaps recover and serve in parallel); on a single-core runner the rows
-// record the sharding overhead instead of its win — the numbers are honest
-// either way, and the recovery row still reports the parallel wall clock
-// next to the summed per-shard work.
-func benchJSON(factories map[string]bench.Factory, pcfg pmem.Config, records, opsPerTh, pipeline int, heap uint64, out string, gateFactor float64) error {
-	threads := runtime.GOMAXPROCS(0)
-	if threads > 4 {
-		threads = 4
-	}
-	workloads := []ycsb.Workload{
-		ycsb.WorkloadC(records),
-		ycsb.WorkloadA(records),
-		ycsb.WorkloadH(records),
-	}
-	kops := map[string]float64{}
-	p50 := map[string]float64{}
-	p99 := map[string]float64{}
-	p99save := map[string]float64{}
-	saves := map[string]uint64{}
-	for _, w := range workloads {
-		cfg := bench.MemcachedConfig{Workload: w, OpsPerTh: opsPerTh}
-		series, err := bench.Sweep(factories["ralloc"], "ralloc", heap, []int{threads},
-			func(a alloc.Allocator, t int) bench.Result { return bench.MemcachedNet(a, t, cfg, pipeline) })
-		if err != nil {
-			return err
-		}
-		res := series.Points[0].Result
-		kops[w.Name] = res.Kops()
-		p50[w.Name] = res.P50us
-		p99[w.Name] = res.P99us
-
-		// The save variant runs on a right-sized region and a longer
-		// operation phase: the checkpoint loop must complete several full
-		// copy + fence cycles *during* traffic so the measured p99
-		// actually contains fence stalls — on a multi-GB region a single
-		// streaming pass outlives the whole benchmark and the cut-over
-		// never happens. The region is sized to ~2x the workload's record
-		// footprint (min 64MB) and the op count scales with it so the run
-		// outlasts the copy. Its throughput is not recorded, so the extra
-		// ops don't skew the kops baseline.
-		fields := w.Fields
-		if fields < 1 {
-			fields = 1
-		}
-		saveHeap := uint64(w.Records) * uint64(fields) * uint64(w.ValueSize+160) * 2
-		if saveHeap < 64<<20 {
-			saveHeap = 64 << 20
-		}
-		if saveHeap > heap {
-			saveHeap = heap
-		}
-		mult := 8 * int((saveHeap+64<<20-1)/(64<<20))
-		if mult > 64 {
-			mult = 64
-		}
-		saveCfg := cfg
-		saveCfg.OpsPerTh = cfg.OpsPerTh * mult
-		series, err = bench.Sweep(factories["ralloc"], "ralloc", saveHeap, []int{threads},
-			func(a alloc.Allocator, t int) bench.Result { return bench.MemcachedNetSave(a, t, saveCfg, pipeline) })
-		if err != nil {
-			return err
-		}
-		sres := series.Points[0].Result
-		p99save[w.Name] = sres.P99us
-		saves[w.Name] = sres.Saves
-		fmt.Printf("benchjson: workload %s: %.1f K ops/s, p50=%.1fus p99=%.1fus, p99-under-save=%.1fus (%d saves; threads=%d pipeline=%d)\n",
-			w.Name, kops[w.Name], p50[w.Name], p99[w.Name], p99save[w.Name], saves[w.Name], threads, pipeline)
-	}
-
-	// Read fan-out: workload C served by 1 vs 2 replicas of one primary,
-	// each replica bootstrapped through the replication feed. The pair of
-	// rows is the scaling claim — the second replica should buy real read
-	// throughput because replicas serve from their own heaps.
-	replKops := map[string]float64{}
-	for _, n := range []int{1, 2} {
-		cfg := bench.MemcachedConfig{Workload: ycsb.WorkloadC(records), OpsPerTh: opsPerTh}
-		// At least one client thread per replica, or round-robin never
-		// reaches the second node and the scaling row measures nothing.
-		rthreads := threads
-		if rthreads < n {
-			rthreads = n
-		}
-		res, err := bench.MemcachedNetReplicas(factories["ralloc"], heap, rthreads, cfg, pipeline, n)
-		if err != nil {
-			return fmt.Errorf("workload-c-replicas (%d): %w", n, err)
-		}
-		replKops[strconv.Itoa(n)] = res.Kops()
-		fmt.Printf("benchjson: workload c x%d replica(s): %.1f K ops/s, p50=%.1fus p99=%.1fus (threads=%d pipeline=%d)\n",
-			n, res.Kops(), res.P50us, res.P99us, rthreads, pipeline)
-	}
-	// Shard scaling: the same workload-A traffic against 1, 2, and 4 shards,
-	// and post-crash recovery of the same record set held as 1, 2, and 4
-	// shards. Total heap footprint is constant across each row set.
-	shardKops := map[string]float64{}
-	recoveryMs := map[string]float64{}
-	recHeap := heap
-	if recHeap > 256<<20 {
-		// Recovery rows run in crash-sim mode, whose shadow image doubles
-		// the region's memory; cap the footprint so the 1-shard row (one
-		// region of the full size) fits small runners.
-		recHeap = 256 << 20
-	}
-	for _, n := range []int{1, 2, 4} {
-		cfg := bench.MemcachedConfig{Workload: ycsb.WorkloadA(records), OpsPerTh: opsPerTh}
-		res, err := bench.MemcachedNetShards(threads, cfg, pipeline, n, heap, pcfg)
-		if err != nil {
-			return fmt.Errorf("workload-a-shards (%d): %w", n, err)
-		}
-		shardKops[strconv.Itoa(n)] = res.Kops()
-		rec, err := bench.RecoveryByShards(n, records, recHeap, pcfg)
-		if err != nil {
-			return fmt.Errorf("recovery-shards (%d): %w", n, err)
-		}
-		recoveryMs[strconv.Itoa(n)] = float64(rec.Wall) / 1e6
-		fmt.Printf("benchjson: %d shard(s): workload a %.1f K ops/s, p50=%.1fus p99=%.1fus; recovery %.1fms wall (%.1fms summed shard time, %d records)\n",
-			n, res.Kops(), res.P50us, res.P99us, float64(rec.Wall)/1e6, float64(rec.Work)/1e6, rec.Records)
-	}
-	doc := struct {
-		Schema     string             `json:"schema"`
-		App        string             `json:"app"`
-		Records    int                `json:"records"`
-		OpsPerTh   int                `json:"ops_per_thread"`
-		Threads    int                `json:"threads"`
-		Pipeline   int                `json:"pipeline"`
-		Kops       map[string]float64 `json:"kops_per_workload"`
-		P50us      map[string]float64 `json:"p50_us_per_workload"`
-		P99us      map[string]float64 `json:"p99_us_per_workload"`
-		P99SaveUs  map[string]float64 `json:"p99_save_us_per_workload"`
-		Saves      map[string]uint64  `json:"saves_per_workload"`
-		ReplKops   map[string]float64 `json:"kops_workload_c_by_replicas"`
-		ShardKops  map[string]float64 `json:"kops_workload_a_by_shards"`
-		RecoveryMs map[string]float64 `json:"recovery_ms_by_shards"`
-	}{"ralloc-bench-10", "memcached-net", records, opsPerTh, threads, pipeline, kops, p50, p99, p99save, saves, replKops, shardKops, recoveryMs}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if gateFactor > 0 {
-		limit := p99["a"] * gateFactor
-		if p99save["a"] > limit {
-			return fmt.Errorf("p99 gate: workload a p99 under background SAVE %.1fus exceeds %.1fx steady-state p99 (%.1fus limit)",
-				p99save["a"], gateFactor, limit)
-		}
-		fmt.Printf("benchjson: p99 gate ok: workload a under-save %.1fus <= %.1fus (%.1fx of %.1fus)\n",
-			p99save["a"], limit, gateFactor, p99["a"])
-	}
-	return nil
 }
 
 func printSweep(factories map[string]bench.Factory, allocs []string, threads []int,

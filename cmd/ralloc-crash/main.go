@@ -39,7 +39,7 @@ func main() {
 	fmt.Printf("building store with %d records...\n", *keys)
 	store, root := kvstore.Open(a, hd, *keys)
 	for i := 0; i < *keys; i++ {
-		if !store.Set(hd, fmt.Sprintf("key-%08d", i), fmt.Sprintf("value-%08d", i)) {
+		if !store.SetBytes(hd, []byte(fmt.Sprintf("key-%08d", i)), []byte(fmt.Sprintf("value-%08d", i))) {
 			fmt.Fprintln(os.Stderr, "out of memory")
 			os.Exit(1)
 		}
@@ -73,8 +73,8 @@ func main() {
 	fmt.Println("verifying every record...")
 	s2 := kvstore.Attach(a, root)
 	for i := 0; i < *keys; i++ {
-		v, ok := s2.Get(fmt.Sprintf("key-%08d", i))
-		if !ok || v != fmt.Sprintf("value-%08d", i) {
+		v, ok, _ := s2.GetBytes([]byte(fmt.Sprintf("key-%08d", i)))
+		if !ok || string(v) != fmt.Sprintf("value-%08d", i) {
 			fmt.Fprintf(os.Stderr, "record %d lost or corrupt: (%q,%v)\n", i, v, ok)
 			os.Exit(1)
 		}

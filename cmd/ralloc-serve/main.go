@@ -9,14 +9,18 @@
 //	ralloc-serve -heap /tmp/kv.heap -tcp :6379
 //	ralloc-serve -heap /tmp/kv.heap -unix /tmp/kv.sock -boundmb 64 -checkpoint 30s
 //	ralloc-serve -heap /tmp/kv.heap -expire-cycle 50ms -expire-sample 100
-//	ralloc-serve -heap /tmp/kv.heap -save-online=false   # stop-the-world SAVE
 //	ralloc-serve -heap /tmp/kv.heap -cluster-shards 4    # 4 heaps, one keyspace
 //	ralloc-serve -heap /tmp/replica.heap -tcp :6380 -replicaof localhost:6379
 //
-// SAVE checkpoints online by default: a write barrier tracks lines dirtied
-// while the image streams out, dirty lines are re-copied, and commands are
-// excluded only for the final cut-over delta (-save-online=false restores
-// the quiesced stop-the-world path).
+// SAVE checkpoints online: a write barrier tracks lines dirtied while the
+// image streams out, dirty lines are re-copied, and commands are excluded
+// only for the final cut-over delta. The regions run pmem.ModeFast — flushes
+// and fences are issued and counted, but the process keeps no shadow copy of
+// the heap: the image file is the only thing a kill -9 leaves behind.
+//
+// This file is flag parsing, listeners, signals and the checkpoint ticker;
+// opening, recovering, reporting on and closing the heaps is
+// internal/cluster, and the heap-to-backend wiring is server.RegionBackend.
 //
 // -cluster-shards N splits the keyspace across N independent heaps routed by
 // Redis-cluster hash slot (internal/cluster): shard 0 lives at -heap, shard
@@ -25,9 +29,7 @@
 // restart recovers all shards in parallel, and a SAVE fence stalls only 1/N
 // of the keyspace at a time. Multi-key commands whose keys hash to different
 // shards answer -CROSSSLOT (use hash tags, "user:{42}:a", to co-locate).
-// The default -cluster-shards 1 is byte-compatible with every image a
-// pre-cluster build wrote. -heapmb and -boundmb are TOTAL budgets, divided
-// evenly across shards.
+// -heapmb and -boundmb are TOTAL budgets, divided evenly across shards.
 //
 // Keys may carry TTLs (EXPIRE/PEXPIRE/SETEX/PSETEX/TTL/PTTL/PERSIST): the
 // deadline is persisted inside the record itself, so expiration survives
@@ -53,7 +55,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -67,34 +68,31 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
-	"repro/internal/repl"
 	"repro/internal/server"
 )
 
 // options is the parsed flag set, carried whole through the serve/resync
 // loop so every iteration runs with identical configuration.
 type options struct {
-	heapPath       string
-	heapMB         uint64
-	allocShards    int
-	allocShardsOld int // deprecated -shards alias
-	clusterShards  int
-	buckets        int
-	boundMB        uint64
-	tcpAddr        string
-	unixAddr       string
-	maxConns       int
-	checkpoint     time.Duration
-	saveOnline     bool
-	drain          time.Duration
-	expireTick     time.Duration
-	expireN        int
-	metricsAddr    string
-	slowerThan     time.Duration
-	slowlogLen     int
-	latThresh      time.Duration
-	replicaOf      string
-	replBacklog    int
+	heapPath      string
+	heapMB        uint64
+	allocShards   int
+	clusterShards int
+	buckets       int
+	boundMB       uint64
+	tcpAddr       string
+	unixAddr      string
+	maxConns      int
+	checkpoint    time.Duration
+	drain         time.Duration
+	expireTick    time.Duration
+	expireN       int
+	metricsAddr   string
+	slowerThan    time.Duration
+	slowlogLen    int
+	latThresh     time.Duration
+	replicaOf     string
+	replBacklog   int
 }
 
 func main() {
@@ -102,7 +100,6 @@ func main() {
 	flag.StringVar(&o.heapPath, "heap", "", "heap image path (empty: volatile, data dies with the process)")
 	flag.Uint64Var(&o.heapMB, "heapmb", 256, "total superblock region size (MB), divided evenly across -cluster-shards")
 	flag.IntVar(&o.allocShards, "alloc-shards", 0, "allocator partial-list shards per size class within each heap (0: near GOMAXPROCS)")
-	flag.IntVar(&o.allocShardsOld, "shards", 0, "deprecated alias for -alloc-shards")
 	flag.IntVar(&o.clusterShards, "cluster-shards", 1, "keyspace shards: independent persistent heaps behind one hash-slot-routed keyspace")
 	flag.IntVar(&o.buckets, "buckets", 65536, "total hash buckets for a freshly created store, divided across -cluster-shards")
 	flag.Uint64Var(&o.boundMB, "boundmb", 0, "total LRU memory budget (MB), divided across -cluster-shards; 0 = unbounded")
@@ -110,7 +107,6 @@ func main() {
 	flag.StringVar(&o.unixAddr, "unix", "", "unix socket path")
 	flag.IntVar(&o.maxConns, "maxconns", 0, "max simultaneous connections; 0 = unlimited")
 	flag.DurationVar(&o.checkpoint, "checkpoint", 0, "periodic checkpoint interval (file-backed heaps); 0 disables")
-	flag.BoolVar(&o.saveOnline, "save-online", true, "checkpoint online (write barrier + short cut-over fence) instead of stopping the world for the whole image write")
 	flag.DurationVar(&o.drain, "drain", 5*time.Second, "graceful shutdown drain timeout")
 	flag.DurationVar(&o.expireTick, "expire-cycle", 100*time.Millisecond, "active expiry cycle interval; 0 disables (lazy expiry only)")
 	flag.IntVar(&o.expireN, "expire-sample", 20, "max expired keys reclaimed per expiry cycle (per shard)")
@@ -121,12 +117,6 @@ func main() {
 	flag.StringVar(&o.replicaOf, "replicaof", "", "start as a replica of this primary (host:port or unix socket path); bootstraps the heaps from the primary's checkpoints")
 	flag.IntVar(&o.replBacklog, "repl-backlog", 1<<20, "replication backlog capacity in bytes")
 	flag.Parse()
-	if shardsFlagSet() {
-		fmt.Fprintln(os.Stderr, "warning: -shards is deprecated and will be removed; use -alloc-shards")
-		if o.allocShards == 0 {
-			o.allocShards = o.allocShardsOld
-		}
-	}
 	if o.tcpAddr == "" && o.unixAddr == "" {
 		o.tcpAddr = ":6379"
 	}
@@ -155,35 +145,13 @@ func main() {
 	}
 }
 
-// shardsFlagSet reports whether the deprecated -shards flag appeared on the
-// command line (so the alias warning fires only when it was actually used).
-func shardsFlagSet() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			set = true
-		}
-	})
-	return set
-}
-
-// shardPaths returns every shard's image path (empty slice elements for a
-// volatile cluster never occur: callers gate on heapPath != "").
-func shardPaths(o *options) []string {
-	paths := make([]string, o.clusterShards)
-	for i := range paths {
-		paths[i] = cluster.ShardPath(o.heapPath, i)
-	}
-	return paths
-}
-
 // run serves one server lifetime and reports whether the process should
 // re-bootstrap and serve again (replica full-resync path).
 func run(o *options) (resync bool) {
 	// Replica bootstrap happens before the heaps open: with no usable local
 	// images the primary's checkpoints become our initial heap state.
 	if o.replicaOf != "" {
-		if err := bootstrapReplica(o); err != nil {
+		if err := cluster.BootstrapReplica(os.Stdout, o.heapPath, o.clusterShards, o.replicaOf); err != nil {
 			fatal(fmt.Errorf("replica bootstrap: %w", err))
 		}
 	}
@@ -198,7 +166,7 @@ func run(o *options) (resync bool) {
 		Ralloc: ralloc.Config{
 			SBRegion: (o.heapMB << 20) / uint64(n),
 			Shards:   o.allocShards,
-			Pmem:     pmem.Config{Mode: pmem.ModeCrashSim},
+			Pmem:     pmem.Config{Mode: pmem.ModeFast},
 		},
 		Buckets: perBuckets,
 		Bound:   (o.boundMB << 20) / uint64(n),
@@ -207,7 +175,7 @@ func run(o *options) (resync bool) {
 	if err != nil {
 		fatal(err)
 	}
-	reportOpen(o, clus, perBuckets)
+	clus.Report(os.Stdout, o.buckets, o.boundMB)
 
 	shutdownCh := make(chan os.Signal, 2)
 	signal.Notify(shutdownCh, syscall.SIGINT, syscall.SIGTERM)
@@ -222,10 +190,6 @@ func run(o *options) (resync bool) {
 	}
 	resyncCh := make(chan struct{}, 1)
 
-	anyDirty := false
-	for _, sh := range clus.Shards {
-		anyDirty = anyDirty || sh.Dirty
-	}
 	srvCfg := server.Config{
 		MaxConns:             o.maxConns,
 		OnShutdown:           requestShutdown,
@@ -235,21 +199,13 @@ func run(o *options) (resync bool) {
 		SlowlogMaxLen:        o.slowlogLen,
 		LatencyThreshold:     o.latThresh,
 		InfoSections: []server.InfoSection{
-			{Name: "heap", Render: func() string {
-				var used uint64
-				for _, sh := range clus.Shards {
-					used += sh.Heap.SBUsed()
-				}
-				return fmt.Sprintf("sb_used_bytes:%d\r\nheap_dirty_at_open:%v\r\n", used, anyDirty)
-			}},
-			{Name: "allocator", Render: func() string { return clusterAllocatorInfo(clus) }},
-			{Name: "persistence", Render: func() string {
-				return persistenceInfo(clus.Recovered, clus.RecStats, clus.RecoveryWall)
-			}},
+			{Name: "heap", Render: clus.HeapInfo},
+			{Name: "allocator", Render: clus.AllocatorInfo},
+			{Name: "persistence", Render: clus.PersistenceInfo},
 		},
 	}
-	bound := (o.boundMB << 20) / uint64(n)
-	if o.heapPath != "" && bound == 0 {
+	replicated := o.heapPath != "" && ccfg.Bound == 0
+	if replicated {
 		// Replication rides on file-backed checkpoints: each image header
 		// carries the feed position (SetReplMeta, stamped inside every
 		// cut-over fence — one global fence at N>1, so all images carry the
@@ -269,7 +225,7 @@ func run(o *options) (resync bool) {
 
 	backends := make([]server.ShardBackend, n)
 	for i, sh := range clus.Shards {
-		backends[i] = shardBackend(o, sh, bound)
+		backends[i] = server.RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, replicated)
 	}
 	srv := server.NewSharded(backends, srvCfg)
 	fmt.Printf("serving %d commands (COMMAND / COMMAND INFO for introspection, INFO commandstats for per-command counters)\n",
@@ -278,33 +234,17 @@ func run(o *options) (resync bool) {
 		fmt.Printf("replica of %s (writes answer -READONLY; promote with REPLICAOF NO ONE)\n", o.replicaOf)
 	}
 
-	// Startup timeline events: recovery phases (when GC recovery ran on any
-	// shard) and the attach duration land in the same LATENCY surface as
-	// checkpoints, so `LATENCY LATEST` after a crash-restart shows what
-	// recovery cost.
-	startupAt := time.Now()
-	if clus.Recovered {
-		srv.Events().Record("recovery-trace", startupAt, clus.RecStats.TraceTime)
-		srv.Events().Record("recovery-sweep", startupAt, clus.RecStats.SweepTime)
-		srv.Events().Record("recovery", startupAt, clus.RecStats.Duration)
-	}
-	srv.Events().Record("attach", startupAt, clus.RecoveryWall)
+	clus.RecordStartup(srv.Events())
 
 	// Optional observability listener: /metrics (Prometheus text, no
 	// dependencies) plus /debug/pprof on a private mux. The registry draws
 	// from the server (commands, checkpoints, replication, keyspace, the
-	// ralloc_shard_* cluster families) and the heaps (allocator counters —
-	// aggregated across cluster shards, since the per-heap series share the
-	// same "shard" label space).
+	// ralloc_shard_* cluster families) and the heaps (allocator counters).
 	var metricsSrv *http.Server
 	if o.metricsAddr != "" {
 		reg := obs.NewRegistry()
 		reg.Register(srv)
-		if len(clus.Shards) == 1 {
-			reg.Register(clus.Shards[0].Heap)
-		} else {
-			reg.Register(obs.CollectorFunc(func(e *obs.Emitter) { collectHeaps(e, clus) }))
-		}
+		reg.Register(clus)
 		ml, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			fatal(fmt.Errorf("metrics listener: %w", err))
@@ -367,14 +307,7 @@ func run(o *options) (resync bool) {
 	if o.unixAddr != "" {
 		os.Remove(o.unixAddr)
 	}
-	// Stamp the final feed position into every region before the clean-close
-	// save, so each written image records exactly where the stream stopped —
-	// a restart resumes with a partial resync from here.
-	if id, off := srv.ReplMeta(); id != 0 {
-		for _, sh := range clus.Shards {
-			sh.Heap.Region().SetReplMeta(id, off)
-		}
-	}
+	clus.StampReplMeta(srv.ReplMeta())
 	if err := clus.Close(); err != nil {
 		fatal(err)
 	}
@@ -387,302 +320,6 @@ func run(o *options) (resync bool) {
 	default:
 		return false
 	}
-}
-
-// shardBackend builds one shard's checkpoint surface over its heap. Each
-// closure captures that shard's region and image path, so SAVE on shard i
-// touches only shard i's file.
-func shardBackend(o *options, sh *cluster.Shard, bound uint64) server.ShardBackend {
-	be := server.ShardBackend{Alloc: sh.Alloc, Store: sh.Store}
-	if o.heapPath == "" {
-		return be
-	}
-	region, path := sh.Heap.Region(), sh.Path
-	if o.saveOnline {
-		// Online checkpoint: the copy phases run while commands keep
-		// executing; only the final delta happens under the shard's cut-over
-		// fence. The image captures the volatile words at the fence — with
-		// the shard's commands drained, that is exactly the state every
-		// acknowledged write reached (the dirty flag rides along still set,
-		// so a SIGKILL after this point recovers from here).
-		be.CheckpointOnline = func(fence func(cut func() error) error) (server.CheckpointStats, error) {
-			st, err := region.SaveFileOnline(path, fence)
-			return checkpointStats(st), err
-		}
-		// The step-split form of the same snapshot, for the multi-shard
-		// global cut (every shard cut under ONE fence so all images carry
-		// one feed position).
-		be.CheckpointSteps = func() (func() error, func() (server.CheckpointStats, error), func(), error) {
-			save, err := region.BeginOnlineSave(path)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			publish := func() (server.CheckpointStats, error) {
-				st, err := save.Publish()
-				return checkpointStats(st), err
-			}
-			return save.Cut, publish, save.Abort, nil
-		}
-	} else {
-		be.Checkpoint = func() error {
-			// With this shard's command execution quiesced, a full
-			// write-back makes the shadow image consistent; SaveFile then
-			// checkpoints exactly the survivable state (the dirty flag rides
-			// along still set, so a SIGKILL after this point recovers from
-			// here).
-			region.Persist()
-			return region.SaveFile(path)
-		}
-	}
-	if bound == 0 {
-		be.CheckpointOffset = func(id, off uint64) { region.SetReplMeta(id, off) }
-		be.OpenCheckpoint = func() (*server.CheckpointImage, error) { return openCheckpoint(path) }
-	}
-	return be
-}
-
-func checkpointStats(st pmem.SnapshotStats) server.CheckpointStats {
-	return server.CheckpointStats{
-		Lines:         st.Lines,
-		Recopied:      st.Recopied,
-		FenceRecopied: st.FenceRecopied,
-		Rounds:        st.Rounds,
-	}
-}
-
-// reportOpen prints the startup summary. The single-shard lines are kept
-// byte-identical to the pre-cluster output (scripts and the e2e harness
-// parse them); multi-shard opens report the merged picture plus the wall
-// clock the parallel recovery actually took.
-func reportOpen(o *options, clus *cluster.Cluster, perBuckets int) {
-	n := len(clus.Shards)
-	switch {
-	case clus.Recovered:
-		if n == 1 {
-			sh := clus.Shards[0]
-			fmt.Printf("recovered after crash: %d reachable blocks (%d KB) in %v; %d records\n",
-				sh.RecStats.ReachableBlocks, sh.RecStats.ReachableBytes/1024, sh.RecStats.Duration, sh.Store.Len())
-			return
-		}
-		fmt.Printf("recovered %d shards in parallel after crash: %d reachable blocks (%d KB), %v total recovery work in %v wall; %d records\n",
-			n, clus.RecStats.ReachableBlocks, clus.RecStats.ReachableBytes/1024,
-			clus.RecStats.Duration, clus.RecoveryWall, clus.Records())
-	case clus.Shards[0].Created:
-		if n == 1 {
-			fmt.Printf("created store (%d buckets, bound %d MB)\n", o.buckets, o.boundMB)
-			return
-		}
-		fmt.Printf("created %d-shard store (%d buckets/shard, bound %d MB total)\n", n, perBuckets, o.boundMB)
-	default:
-		fmt.Printf("reopened after clean shutdown: %d records\n", clus.Records())
-	}
-}
-
-// bootstrapReplica ensures the local heap images are a usable starting point
-// for following the primary: with no images it downloads the primary's
-// checkpoints (one per shard, verifying the primary's shard count matches);
-// with images it probes whether the stream position stamped in shard 0's
-// header is still inside the primary's backlog — re-downloading (on the same
-// connection, consuming the checkpoints the probe already produced) only
-// when it is not. Transient dial failures retry briefly so a replica and its
-// primary can be started in either order.
-func bootstrapReplica(o *options) error {
-	paths := shardPaths(o)
-	var id, off uint64
-	havImage := false
-	if _, err := os.Stat(o.heapPath); err == nil {
-		rid, roff, err := pmem.ReadImageMeta(o.heapPath)
-		if err != nil {
-			return fmt.Errorf("reading local image header: %w", err)
-		}
-		id, off = rid, roff
-		havImage = id != 0
-	}
-	var lastErr error
-	for attempt, backoff := 0, 200*time.Millisecond; attempt < 10; attempt++ {
-		if havImage {
-			partial, nid, noff, err := repl.ProbeSyncN(o.replicaOf, paths, id, off)
-			if err == nil {
-				if partial {
-					fmt.Printf("resuming replication at offset %d (stream %016x)\n", noff, nid)
-				} else {
-					fmt.Printf("stream position no longer covered: downloaded fresh images (stream %016x, offset %d)\n", nid, noff)
-				}
-				return nil
-			}
-			lastErr = err
-		} else {
-			nid, noff, err := repl.BootstrapImages(o.replicaOf, paths)
-			if err == nil {
-				// The downloaded images are slot-partitioned by the primary;
-				// record the layout so a later open (or a different shard
-				// count) can't silently misroute them.
-				if o.clusterShards > 1 {
-					if err := cluster.EnsureMeta(o.heapPath, o.clusterShards); err != nil {
-						return err
-					}
-				}
-				fmt.Printf("bootstrapped %d image(s) from %s (stream %016x, offset %d)\n", len(paths), o.replicaOf, nid, noff)
-				return nil
-			}
-			lastErr = err
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
-	}
-	return lastErr
-}
-
-// openCheckpoint opens one shard's checkpoint image for streaming to a
-// replica, reading the stamped stream position from the opened descriptor
-// itself — not a separate path read, which could race a concurrent
-// checkpoint's rename and return a different image's header.
-func openCheckpoint(path string) (*server.CheckpointImage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, pmem.ImageMetaLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	id, off, err := pmem.ParseImageMeta(hdr)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &server.CheckpointImage{R: f, ReplID: id, ReplOffset: off}, nil
-}
-
-// clusterAllocatorInfo renders the INFO allocator section. One cluster
-// shard: the pre-cluster per-alloc-shard breakdown, unchanged. Several:
-// totals summed across heaps plus one rolled-up line per heap (the full
-// N×alloc-shards matrix would drown the section).
-func clusterAllocatorInfo(clus *cluster.Cluster) string {
-	if len(clus.Shards) == 1 {
-		return allocatorInfo(clus.Shards[0].Heap)
-	}
-	var b []byte
-	var refills, refillBlocks, steals, grows, drains, batches, freeBlocks uint64
-	var partial, allocShards int
-	for j, csh := range clus.Shards {
-		var hr, hrb, hs, hg, hd, hb, hf uint64
-		var hp int
-		stats := csh.Heap.ShardStats()
-		allocShards = len(stats)
-		for _, s := range stats {
-			hr += s.Refills
-			hrb += s.RefillBlocks
-			hs += s.Steals
-			hg += s.Grows
-			hd += s.Drains
-			hb += s.FreeBatches
-			hf += s.FreeBlocks
-			hp += s.PartialSBs
-		}
-		refills += hr
-		refillBlocks += hrb
-		steals += hs
-		grows += hg
-		drains += hd
-		batches += hb
-		freeBlocks += hf
-		partial += hp
-		b = fmt.Appendf(b, "heap%d:refills=%d,refill_blocks=%d,steals=%d,grows=%d,drains=%d,free_batches=%d,free_blocks=%d,partial_sbs=%d\r\n",
-			j, hr, hrb, hs, hg, hd, hb, hf, hp)
-	}
-	head := fmt.Sprintf("shards:%d\r\nrefills:%d\r\nrefill_blocks:%d\r\nsteals:%d\r\ngrows:%d\r\ndrains:%d\r\nfree_batches:%d\r\nfree_blocks:%d\r\npartial_sbs:%d\r\n",
-		allocShards, refills, refillBlocks, steals, grows, drains, batches, freeBlocks, partial)
-	return head + string(b)
-}
-
-// allocatorInfo renders the INFO allocator section from one heap's
-// per-shard slow-path counters.
-func allocatorInfo(heap *ralloc.Heap) string {
-	var b []byte
-	var refills, refillBlocks, steals, grows, drains, batches, freeBlocks uint64
-	var partial int
-	shards := heap.ShardStats()
-	for i, s := range shards {
-		refills += s.Refills
-		refillBlocks += s.RefillBlocks
-		steals += s.Steals
-		grows += s.Grows
-		drains += s.Drains
-		batches += s.FreeBatches
-		freeBlocks += s.FreeBlocks
-		partial += s.PartialSBs
-		b = fmt.Appendf(b, "shard%d:refills=%d,refill_blocks=%d,steals=%d,grows=%d,drains=%d,free_batches=%d,free_blocks=%d,partial_sbs=%d\r\n",
-			i, s.Refills, s.RefillBlocks, s.Steals, s.Grows, s.Drains, s.FreeBatches, s.FreeBlocks, s.PartialSBs)
-	}
-	head := fmt.Sprintf("shards:%d\r\nrefills:%d\r\nrefill_blocks:%d\r\nsteals:%d\r\ngrows:%d\r\ndrains:%d\r\nfree_batches:%d\r\nfree_blocks:%d\r\npartial_sbs:%d\r\n",
-		len(shards), refills, refillBlocks, steals, grows, drains, batches, freeBlocks, partial)
-	return head + string(b)
-}
-
-// collectHeaps emits the allocator metric families summed elementwise
-// across the cluster's heaps: each heap labels its series by alloc-shard
-// index, so registering the heaps individually would emit colliding series.
-func collectHeaps(e *obs.Emitter, clus *cluster.Cluster) {
-	e.Family("ralloc_allocator_refills_total", "counter", "Thread-cache refills per shard (summed across cluster heaps).")
-	e.Family("ralloc_allocator_refill_blocks_total", "counter", "Blocks acquired from global lists per shard (summed across cluster heaps).")
-	e.Family("ralloc_allocator_steals_total", "counter", "Refills served by stealing from another shard (summed across cluster heaps).")
-	e.Family("ralloc_allocator_grows_total", "counter", "Superblock-region expansions per shard (summed across cluster heaps).")
-	e.Family("ralloc_allocator_drains_total", "counter", "Thread-cache overflow drains per shard (summed across cluster heaps).")
-	e.Family("ralloc_allocator_free_batches_total", "counter", "Batched remote frees (summed across cluster heaps).")
-	e.Family("ralloc_allocator_free_blocks_total", "counter", "Blocks returned via remote-free batches (summed across cluster heaps).")
-	e.Family("ralloc_allocator_partial_superblocks", "gauge", "Partial-list descriptors per shard (summed across cluster heaps).")
-	var agg []ralloc.ShardStats
-	var used uint64
-	for _, csh := range clus.Shards {
-		used += csh.Heap.SBUsed()
-		for i, s := range csh.Heap.ShardStats() {
-			if i >= len(agg) {
-				agg = append(agg, ralloc.ShardStats{})
-			}
-			agg[i].Refills += s.Refills
-			agg[i].RefillBlocks += s.RefillBlocks
-			agg[i].Steals += s.Steals
-			agg[i].Grows += s.Grows
-			agg[i].Drains += s.Drains
-			agg[i].FreeBatches += s.FreeBatches
-			agg[i].FreeBlocks += s.FreeBlocks
-			agg[i].PartialSBs += s.PartialSBs
-		}
-	}
-	for i, s := range agg {
-		shard := fmt.Sprintf("%d", i)
-		e.Value("ralloc_allocator_refills_total", float64(s.Refills), "shard", shard)
-		e.Value("ralloc_allocator_refill_blocks_total", float64(s.RefillBlocks), "shard", shard)
-		e.Value("ralloc_allocator_steals_total", float64(s.Steals), "shard", shard)
-		e.Value("ralloc_allocator_grows_total", float64(s.Grows), "shard", shard)
-		e.Value("ralloc_allocator_drains_total", float64(s.Drains), "shard", shard)
-		e.Value("ralloc_allocator_free_batches_total", float64(s.FreeBatches), "shard", shard)
-		e.Value("ralloc_allocator_free_blocks_total", float64(s.FreeBlocks), "shard", shard)
-		e.Value("ralloc_allocator_partial_superblocks", float64(s.PartialSBs), "shard", shard)
-	}
-	e.Family("ralloc_allocator_sb_used_bytes", "gauge", "Used portion of the superblock regions (summed).")
-	e.Value("ralloc_allocator_sb_used_bytes", float64(used))
-}
-
-// persistenceInfo renders this process's contribution to INFO persistence:
-// the retained startup recovery statistics and attach duration (the server
-// splices these lines into its builtin Persistence section).
-func persistenceInfo(recovered bool, rs ralloc.RecoveryStats, attach time.Duration) string {
-	s := fmt.Sprintf("recovered_at_start:%v\r\nlast_attach_us:%d\r\n", recovered, attach.Microseconds())
-	if recovered {
-		s += fmt.Sprintf("recovery_reachable_blocks:%d\r\nrecovery_reachable_bytes:%d\r\nrecovery_trace_work:%d\r\nrecovery_sweep_units:%d\r\nrecovery_trace_us:%d\r\nrecovery_sweep_us:%d\r\nrecovery_total_us:%d\r\n",
-			rs.ReachableBlocks, rs.ReachableBytes, rs.TraceWork, rs.SweepUnits,
-			rs.TraceTime.Microseconds(), rs.SweepTime.Microseconds(), rs.Duration.Microseconds())
-	}
-	return s
 }
 
 // listen opens the configured listeners, removing a stale unix socket first.

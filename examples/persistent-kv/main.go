@@ -56,16 +56,16 @@ func main() {
 	}
 
 	// Show what survived from previous runs, then add to it.
-	if v, ok := store.Get("runs"); ok {
+	if v, ok, _ := store.GetBytes([]byte("runs")); ok {
 		fmt.Printf("store remembers: runs=%s, greeting=%q\n", v, firstOr(store, "greeting"))
 	}
 	runs := 0
-	if v, ok := store.Get("runs"); ok {
-		fmt.Sscanf(v, "%d", &runs)
+	if v, ok, _ := store.GetBytes([]byte("runs")); ok {
+		fmt.Sscanf(string(v), "%d", &runs)
 	}
 	runs++
-	if !store.Set(hd, "runs", fmt.Sprintf("%d", runs)) ||
-		!store.Set(hd, "greeting", "hello from persistent memory") {
+	if !store.SetBytes(hd, []byte("runs"), []byte(fmt.Sprintf("%d", runs))) ||
+		!store.SetBytes(hd, []byte("greeting"), []byte("hello from persistent memory")) {
 		log.Fatal("out of memory")
 	}
 	fmt.Printf("this is run #%d; store holds %d records\n", runs, store.Len())
@@ -78,6 +78,6 @@ func main() {
 }
 
 func firstOr(s *kvstore.Store, key string) string {
-	v, _ := s.Get(key)
-	return v
+	v, _, _ := s.GetBytes([]byte(key))
+	return string(v)
 }

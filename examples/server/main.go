@@ -18,55 +18,35 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/kvstore"
+	"repro/internal/cluster"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 	"repro/internal/server"
 )
 
-const rootKV = 0
-
 func main() {
 	heapPath := filepath.Join(os.TempDir(), "ralloc-example-server.heap")
 	sock := filepath.Join(os.TempDir(), "ralloc-example-server.sock")
 
-	// 1. Open (or recover) the persistent heap and the store inside it.
-	cfg := ralloc.Config{
-		SBRegion: 64 << 20,
-		Pmem:     pmem.Config{Mode: pmem.ModeCrashSim},
-	}
-	heap, dirty, err := ralloc.Open(heapPath, cfg)
+	// 1. Open (or recover) the persistent heap and the store inside it —
+	// the same routine ralloc-serve uses, with one shard. The region runs
+	// ModeFast like the server's: the image file is what survives a kill.
+	clus, err := cluster.Open(heapPath, cluster.Config{
+		Shards:  1,
+		Ralloc:  ralloc.Config{SBRegion: 64 << 20, Pmem: pmem.Config{Mode: pmem.ModeFast}},
+		Buckets: 1024,
+		Bound:   32 << 20,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := heap.AsAllocator()
-	const bound = 32 << 20
-	var store *kvstore.Store
-	root := heap.GetRoot(rootKV, nil)
-	switch {
-	case root == 0:
-		store, root = kvstore.OpenBounded(a, heap.NewHandle(), 1024, bound)
-		heap.SetRoot(rootKV, root)
-		fmt.Println("created a fresh store")
-	case dirty:
-		heap.GetRoot(rootKV, kvstore.Filter(a, root))
-		if _, err := heap.Recover(); err != nil {
-			log.Fatal(err)
-		}
-		store = kvstore.AttachBounded(a, root, bound)
-		fmt.Println("recovered store after a crash")
-	default:
-		store = kvstore.AttachBounded(a, root, bound)
-		fmt.Println("reopened store after clean shutdown")
-	}
+	clus.Report(os.Stdout, 1024, 32)
 
-	// 2. Serve it on a unix socket.
-	srv := server.New(a, store, server.Config{
-		Checkpoint: func() error {
-			heap.Region().Persist()
-			return heap.Region().SaveFile(heapPath)
-		},
-	})
+	// 2. Serve it on a unix socket. SAVE snapshots the region online.
+	sh := clus.Shards[0]
+	srv := server.NewSharded([]server.ShardBackend{
+		server.RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, false),
+	}, server.Config{})
 	os.Remove(sock)
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -114,7 +94,7 @@ func main() {
 		log.Print(err)
 	}
 	os.Remove(sock)
-	if err := heap.Close(); err != nil {
+	if err := clus.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("clean shutdown; heap saved to %s\n", heapPath)

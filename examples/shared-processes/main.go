@@ -34,7 +34,7 @@ func main() {
 	hdA := alice.NewHandle()
 	store, root := kvstore.Open(a, hdA, 1024)
 	for i := 0; i < 5000; i++ {
-		if !store.Set(hdA, fmt.Sprintf("alice-%04d", i), "survives") {
+		if !store.SetBytes(hdA, []byte(fmt.Sprintf("alice-%04d", i)), []byte("survives")) {
 			log.Fatal("out of memory")
 		}
 	}
@@ -64,11 +64,11 @@ func main() {
 
 	// Alice continues without interruption — same handle, same cache.
 	for i := 0; i < 1000; i++ {
-		if !store.Set(hdA, fmt.Sprintf("alice-post-%04d", i), "still here") {
+		if !store.SetBytes(hdA, []byte(fmt.Sprintf("alice-post-%04d", i)), []byte("still here")) {
 			log.Fatal("out of memory")
 		}
 	}
-	if v, ok := store.Get("alice-0000"); !ok || v != "survives" {
+	if v, ok, _ := store.GetBytes([]byte("alice-0000")); !ok || string(v) != "survives" {
 		log.Fatal("alice's data damaged")
 	}
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -163,21 +162,6 @@ var netSockSeq atomic.Uint64
 // stack and protocol. pipeline is the number of commands in flight per
 // client batch (1 = strict request/response).
 func MemcachedNet(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int) Result {
-	return memcachedNet(a, t, cfg, pipeline, false)
-}
-
-// MemcachedNetSave is MemcachedNet with a continuous background online SAVE:
-// while the YCSB traffic runs, a checkpoint loop snapshots the whole region
-// to a temp file over and over (write barrier + cut-over fence per cycle).
-// The returned P99us is therefore the p99 command latency *under checkpoint
-// pressure* — the number the online snapshot exists to keep close to the
-// steady-state p99, where the quiesced path would stretch it by whole
-// stop-the-world image writes.
-func MemcachedNetSave(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int) Result {
-	return memcachedNet(a, t, cfg, pipeline, true)
-}
-
-func memcachedNet(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int, bgSave bool) Result {
 	if pipeline < 1 {
 		pipeline = 1
 	}
@@ -199,52 +183,12 @@ func memcachedNet(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int, b
 		srvCfg.ActiveExpiryInterval = 50 * time.Millisecond
 		srvCfg.ActiveExpirySample = 128
 	}
-	var savePath string
-	if bgSave {
-		savePath = sock + ".img"
-		srvCfg.CheckpointOnline = func(fence func(cut func() error) error) (server.CheckpointStats, error) {
-			st, err := a.Region().SaveFileOnline(savePath, fence)
-			return server.CheckpointStats{
-				Lines:         st.Lines,
-				Recopied:      st.Recopied,
-				FenceRecopied: st.FenceRecopied,
-				Rounds:        st.Rounds,
-			}, err
-		}
-	}
 	srv := server.New(a, store, srvCfg)
 	go srv.Serve(l)
 	defer func() {
 		srv.Shutdown(5 * time.Second)
 		os.Remove(sock)
 	}()
-
-	var saves atomic.Uint64
-	if bgSave {
-		stopSave := make(chan struct{})
-		var saveWG sync.WaitGroup
-		saveWG.Add(1)
-		go func() {
-			defer saveWG.Done()
-			for {
-				select {
-				case <-stopSave:
-					return
-				default:
-				}
-				if err := srv.Save(); err != nil {
-					panic(fmt.Sprintf("%s: background SAVE: %v", a.Name(), err))
-				}
-				saves.Add(1)
-			}
-		}()
-		defer func() {
-			close(stopSave)
-			saveWG.Wait()
-			os.Remove(savePath)
-			os.Remove(savePath + ".tmp")
-		}()
-	}
 
 	elapsed := runThreads(t, func(id int) {
 		c, err := server.Dial("unix", sock)
@@ -300,165 +244,5 @@ func memcachedNet(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int, b
 		}
 	})
 	ops := uint64(t) * uint64(cfg.OpsPerTh)
-	res := Result{Allocator: a.Name(), Threads: t, Ops: ops, Elapsed: elapsed, Saves: saves.Load()}
-	// Server-side command latency percentiles from the merged per-command
-	// histograms: what the server spent executing each command, free of
-	// client-side pipelining slack.
-	if snap := srv.LatencySnapshot(); snap.Count > 0 {
-		res.P50us = snap.Quantile(0.50) / 1e3
-		res.P99us = snap.Quantile(0.99) / 1e3
-	}
-	return res
-}
-
-// MemcachedNetReplicas measures read fan-out across a replication group: one
-// primary plus `replicas` read-only replicas, each on its own allocator and
-// socket. Every replica starts empty with the primary's stream ID at offset
-// zero and partial-resyncs the entire record load through the feed (the
-// primary's backlog is sized to retain offset 0), so the state each replica
-// serves is the replicated one — applied through its own dispatch pipeline —
-// not a shared heap. The record load itself goes through a client connection
-// for the same reason: direct store writes would bypass the feed. Threads
-// then run the read-only traffic round-robin across the replicas; the
-// primary serves nothing but the feed. Reported latency percentiles come
-// from the worst replica's server-side histograms.
-func MemcachedNetReplicas(factory Factory, heapSize uint64, t int, cfg MemcachedConfig, pipeline, replicas int) (Result, error) {
-	if pipeline < 1 {
-		pipeline = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	backlog := 64 << 20 // must retain the whole load phase for offset-0 resyncs
-
-	newNode := func(scfg server.Config) (alloc.Allocator, *server.Server, string, error) {
-		a, err := factory(heapSize)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		setup := a.NewHandle()
-		store, _ := kvstore.Open(a, setup, cfg.Workload.Records)
-		srv := server.New(a, store, scfg)
-		sock := filepath.Join(os.TempDir(),
-			fmt.Sprintf("ralloc-repl-%d-%d.sock", os.Getpid(), netSockSeq.Add(1)))
-		os.Remove(sock)
-		l, err := net.Listen("unix", sock)
-		if err != nil {
-			a.Close()
-			return nil, nil, "", fmt.Errorf("replica bench listen: %w", err)
-		}
-		go srv.Serve(l)
-		return a, srv, sock, nil
-	}
-
-	pa, psrv, psock, err := newNode(server.Config{ReplBacklogBytes: backlog})
-	if err != nil {
-		return Result{}, err
-	}
-	defer func() {
-		psrv.Shutdown(5 * time.Second)
-		pa.Close()
-		os.Remove(psock)
-	}()
-	primaryID, _ := psrv.ReplMeta()
-
-	var (
-		rsocks      []string
-		replicaSrvs []*server.Server
-	)
-	for i := 0; i < replicas; i++ {
-		ra, rsrv, rsock, err := newNode(server.Config{
-			ReplBacklogBytes: backlog,
-			ReplicaOf:        psock,
-			ReplID:           primaryID,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		defer func() {
-			rsrv.Shutdown(5 * time.Second)
-			ra.Close()
-			os.Remove(rsock)
-		}()
-		rsocks = append(rsocks, rsock)
-		replicaSrvs = append(replicaSrvs, rsrv)
-	}
-
-	// Load through the wire so every record rides the feed to the replicas.
-	lc, err := server.Dial("unix", psock)
-	if err != nil {
-		return Result{}, fmt.Errorf("replica bench dial primary: %w", err)
-	}
-	defer lc.Close()
-	loader := ycsb.NewGenerator(cfg.Workload, 999)
-	var buf []byte
-	for i := 0; i < cfg.Workload.Records; {
-		batch := pipeline
-		if rest := cfg.Workload.Records - i; batch > rest {
-			batch = rest
-		}
-		for j := 0; j < batch; j++ {
-			buf = loader.Value(buf)
-			if err := lc.SendBytes([]byte("SET"), []byte(ycsb.KeyAt(i+j)), buf); err != nil {
-				return Result{}, fmt.Errorf("replica bench load: %w", err)
-			}
-		}
-		if err := lc.Flush(); err != nil {
-			return Result{}, fmt.Errorf("replica bench load flush: %w", err)
-		}
-		for j := 0; j < batch; j++ {
-			if rp, err := lc.Recv(); err != nil || rp.Err() != nil {
-				return Result{}, fmt.Errorf("replica bench load reply: %v / %v", err, rp.Err())
-			}
-		}
-		i += batch
-	}
-	if n, err := lc.Wait(replicas, 60*time.Second); err != nil || n < int64(replicas) {
-		return Result{}, fmt.Errorf("replica bench: %d/%d replicas caught up (%v)", n, replicas, err)
-	}
-
-	elapsed := runThreads(t, func(id int) {
-		c, err := server.Dial("unix", rsocks[id%len(rsocks)])
-		if err != nil {
-			panic(fmt.Sprintf("replica bench dial: %v", err))
-		}
-		defer c.Close()
-		gen := ycsb.NewGenerator(cfg.Workload, int64(id)+1)
-		for done := 0; done < cfg.OpsPerTh; {
-			batch := pipeline
-			if rest := cfg.OpsPerTh - done; batch > rest {
-				batch = rest
-			}
-			for i := 0; i < batch; i++ {
-				op := gen.Next()
-				if err := c.SendBytes([]byte("GET"), []byte(op.Key)); err != nil {
-					panic(fmt.Sprintf("replica bench send: %v", err))
-				}
-			}
-			if err := c.Flush(); err != nil {
-				panic(fmt.Sprintf("replica bench flush: %v", err))
-			}
-			for i := 0; i < batch; i++ {
-				rp, err := c.Recv()
-				if err != nil {
-					panic(fmt.Sprintf("replica bench recv: %v", err))
-				}
-				if err := rp.Err(); err != nil {
-					panic(fmt.Sprintf("replica bench reply: %v", err))
-				}
-			}
-			done += batch
-		}
-	})
-
-	res := Result{Allocator: "ralloc", Threads: t, Ops: uint64(t) * uint64(cfg.OpsPerTh), Elapsed: elapsed}
-	for _, rsrv := range replicaSrvs {
-		if snap := rsrv.LatencySnapshot(); snap.Count > 0 {
-			if p := snap.Quantile(0.99) / 1e3; p > res.P99us {
-				res.P99us = p
-				res.P50us = snap.Quantile(0.50) / 1e3
-			}
-		}
-	}
-	return res, nil
+	return Result{Allocator: a.Name(), Threads: t, Ops: ops, Elapsed: elapsed}
 }

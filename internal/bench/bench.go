@@ -70,20 +70,12 @@ func Factories(pcfg pmem.Config) map[string]Factory {
 // this constant only sets the scale.
 var DefaultNVM = pmem.Config{FlushLatency: 120 * time.Nanosecond, FenceLatency: 30 * time.Nanosecond}
 
-// Result is one benchmark sample. P50us/P99us are per-command server-side
-// latency percentiles (microseconds) and are populated only by benchmarks
-// that run through internal/server, where every command execution feeds a
-// latency histogram; library-mode benchmarks leave them zero.
+// Result is one benchmark sample.
 type Result struct {
 	Allocator string
 	Threads   int
 	Ops       uint64
 	Elapsed   time.Duration
-	P50us     float64
-	P99us     float64
-	// Saves counts background online checkpoints completed during the
-	// operation phase (MemcachedNetSave only; zero elsewhere).
-	Saves uint64
 }
 
 // Seconds returns the elapsed wall time in seconds (the paper's unit for

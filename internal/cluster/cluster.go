@@ -4,7 +4,9 @@
 // one logical database. The routing side — CRC16 hash slots, per-command key
 // confinement — lives in internal/cluster/slot and internal/server; this
 // package covers what happens before and after serving: opening every shard,
-// recovering them in parallel after a crash, and closing them.
+// recovering them in parallel after a crash, and closing them — the one
+// open → recover → attach → close routine every served heap goes through —
+// plus what a serving process reports about its heaps (serve.go).
 //
 // Why shards recover in parallel: Ralloc's recovery is a heap traversal
 // (trace reachable blocks, sweep the rest), and its cost grows with one
@@ -14,13 +16,13 @@
 // recovery half of the PR's scaling story (the throughput half is the
 // per-shard lock blocks in internal/server).
 //
-// On-disk layout: shard 0 lives at the base path (so -cluster-shards 1 is
-// byte-compatible with every image a single-heap build ever wrote), shard
-// i>0 at "<base>.shard<i>", and a sidecar "<base>.cluster" records the shard
-// count. The sidecar is what makes layout mistakes loud: reopening a
-// 4-shard dataset with -cluster-shards 2 would route keys differently and
-// silently lose 3/4 of the keyspace, so Open refuses any mismatch between
-// the sidecar and the requested count before touching a heap.
+// On-disk layout: shard 0 lives at the base path (a single-shard dataset is
+// one plain image file, no sidecar), shard i>0 at "<base>.shard<i>", and a
+// sidecar "<base>.cluster" records the shard count. The sidecar is what
+// makes layout mistakes loud: reopening a 4-shard dataset with
+// -cluster-shards 2 would route keys differently and silently lose 3/4 of
+// the keyspace, so Open refuses any mismatch between the sidecar and the
+// requested count before touching a heap.
 package cluster
 
 import (
@@ -92,10 +94,11 @@ type Cluster struct {
 	// RecoveryWall is the wall-clock duration of the parallel open+recover
 	// of all shards: what a client actually waits after kill -9.
 	RecoveryWall time.Duration
+
+	buckets int // Config.Buckets, for Report
 }
 
-// ShardPath returns shard i's image path: the base path itself for shard 0
-// (single-shard images stay byte-compatible with pre-cluster builds),
+// ShardPath returns shard i's image path: the base path itself for shard 0,
 // "<base>.shard<i>" above. A volatile cluster (base "") has no paths.
 func ShardPath(base string, i int) string {
 	if base == "" || i == 0 {
@@ -232,7 +235,7 @@ func Open(base string, cfg Config) (*Cluster, error) {
 	}
 	wg.Wait()
 
-	c := &Cluster{Base: base, Shards: shards, RecoveryWall: time.Since(t0)}
+	c := &Cluster{Base: base, Shards: shards, RecoveryWall: time.Since(t0), buckets: cfg.Buckets}
 	for i, err := range errs {
 		if err != nil {
 			c.abandon()

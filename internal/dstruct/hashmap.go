@@ -36,18 +36,14 @@ type HashMap struct {
 // allocation as the record, so one GC pass over the chains recovers both the
 // data and the expiration metadata — there is no separate TTL log to replay.
 //
-// The type tag occupies the top three bits of the lengths word, which were
-// always zero before typed objects existed: a heap written by the all-string
-// code (heapVersion 3) therefore reads back as TagString records verbatim,
-// which is what lets v3 images attach under v4 without a migration pass. For
+// The type tag occupies the top three bits of the lengths word. For
 // TagHash and TagList records the "value" is a fixed 8-byte payload holding
 // one off-holder to the secondary structure's header (object.go); vlen is 8.
 const hmNodeHdr = 24
 
 // Value type tags (node lens word, bits 63..61).
 const (
-	// TagString marks a plain byte-string record — the zero value, so every
-	// pre-object record is a string by construction.
+	// TagString marks a plain byte-string record (the zero value).
 	TagString = uint8(0)
 	// TagHash marks a record whose payload points at a persistent field
 	// hash (hashObj in object.go).

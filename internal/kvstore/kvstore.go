@@ -204,23 +204,8 @@ func (s *Store) SetClock(now func() int64) { s.now = now }
 // Now returns the store's current clock reading in unix milliseconds.
 func (s *Store) Now() int64 { return s.now() }
 
-// Get fetches a string value. Missing, expired, and non-string keys all
-// report ok=false; use GetBytes to distinguish a WRONGTYPE record.
-func (s *Store) Get(key string) (string, bool) {
-	v, ok, _ := s.GetBytes([]byte(key))
-	if !ok {
-		return "", false
-	}
-	return string(v), true
-}
-
-// Set inserts or replaces a value; false reports heap exhaustion.
-func (s *Store) Set(h alloc.Handle, key, value string) bool {
-	return s.SetBytes(h, []byte(key), []byte(value))
-}
-
-// SetBytes avoids string conversion on hot update paths. Like Redis SET, it
-// clears any previous deadline on the key.
+// SetBytes inserts or replaces a string value; false reports heap
+// exhaustion. Like Redis SET, it clears any previous deadline on the key.
 func (s *Store) SetBytes(h alloc.Handle, key, value []byte) bool {
 	return s.SetBytesExpire(h, key, value, 0)
 }
@@ -253,10 +238,10 @@ func (s *Store) SetBytesExpire(h alloc.Handle, key, value []byte, deadline int64
 	return true
 }
 
-// GetBytes avoids string conversion on hot read paths. Expiry is lazy: a
-// record past its persisted deadline is reported missing — without deleting
-// it (no allocation, no frees on the read path); the active expiry cycle
-// reclaims the space later. A key holding a hash or list reports
+// GetBytes fetches a string value. Expiry is lazy: a record past its
+// persisted deadline is reported missing — without deleting it (no
+// allocation, no frees on the read path); the active expiry cycle reclaims
+// the space later. A key holding a hash or list reports
 // ErrWrongType (ok=false): string reads never expose object payloads.
 func (s *Store) GetBytes(key []byte) ([]byte, bool, error) {
 	v, _, ok, err := s.GetBytesExpire(key)
@@ -306,20 +291,20 @@ func (s *Store) TypeOf(key []byte) Type {
 // immediately. The stamp is updated in place — one word, flushed and fenced
 // before Expire returns — so an acknowledged EXPIRE is durable and a crash
 // can only leave the old or the new deadline, never a torn state.
-func (s *Store) Expire(key string, deadline int64) bool {
-	_, ok := s.m.UpdateExpire([]byte(key), uint64(deadline), uint64(s.now()))
+func (s *Store) Expire(key []byte, deadline int64) bool {
+	_, ok := s.m.UpdateExpire(key, uint64(deadline), uint64(s.now()))
 	if ok {
-		s.exp.set(key, deadline)
+		s.exp.set(string(key), deadline)
 	}
 	return ok
 }
 
 // Persist clears key's deadline, reporting whether a live key actually had
 // one (Redis PERSIST semantics).
-func (s *Store) Persist(key string) bool {
-	prev, ok := s.m.UpdateExpire([]byte(key), 0, uint64(s.now()))
+func (s *Store) Persist(key []byte) bool {
+	prev, ok := s.m.UpdateExpire(key, 0, uint64(s.now()))
 	if ok {
-		s.exp.remove(key)
+		s.exp.remove(string(key))
 	}
 	return ok && prev != 0
 }
@@ -327,8 +312,8 @@ func (s *Store) Persist(key string) bool {
 // PTTL returns key's remaining lifetime in milliseconds, TTLNone (-1) for a
 // live key with no deadline, or TTLMissing (-2) for a missing or expired
 // key.
-func (s *Store) PTTL(key string) int64 {
-	_, at, ok := s.m.GetExpire([]byte(key))
+func (s *Store) PTTL(key []byte) int64 {
+	_, at, ok := s.m.GetExpire(key)
 	if !ok {
 		return TTLMissing
 	}
@@ -420,16 +405,17 @@ func (s *Store) ReclaimIfExpired(h alloc.Handle, key string, hintAt int64) bool 
 // record frees its space but returns false, since reads already reported
 // the key gone. Callers wanting same-key atomicity with read-modify-write
 // sequences must serialize externally (the server's keyLock).
-func (s *Store) Delete(h alloc.Handle, key string) bool {
-	_, at, ok := s.m.GetExpire([]byte(key))
+func (s *Store) Delete(h alloc.Handle, key []byte) bool {
+	_, at, ok := s.m.GetExpire(key)
 	live := ok && (at == 0 || int64(at) > s.now())
-	if !s.m.Delete(h, []byte(key)) {
+	if !s.m.Delete(h, key) {
 		return false
 	}
 	s.deletes.Add(1)
-	s.exp.remove(key)
+	k := string(key)
+	s.exp.remove(k)
 	if s.lru != nil {
-		s.lru.remove(key)
+		s.lru.remove(k)
 	}
 	return live
 }
@@ -528,9 +514,9 @@ func (s *Store) CountTypes() TypeCounts {
 // Range-based sweep would now skip — freeing whole object graphs. It
 // returns how many observably-live keys were removed (FLUSHALL's walk).
 func (s *Store) DeleteAll(h alloc.Handle) int {
-	var keys []string
+	var keys [][]byte
 	s.m.RangeTyped(func(key, _ []byte, _ uint8, _ uint64) bool {
-		keys = append(keys, string(key))
+		keys = append(keys, key) // nodeKey hands out a fresh slice per record
 		return true
 	})
 	n := 0

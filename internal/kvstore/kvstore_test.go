@@ -30,20 +30,20 @@ func TestSetGetDelete(t *testing.T) {
 	_ = h
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	if !s.Set(hd, "hello", "world") {
+	if !s.SetBytes(hd, []byte("hello"), []byte("world")) {
 		t.Fatal("Set failed")
 	}
-	v, ok := s.Get("hello")
-	if !ok || v != "world" {
+	v, ok, _ := s.GetBytes([]byte("hello"))
+	if !ok || string(v) != "world" {
 		t.Fatalf("Get = (%q,%v)", v, ok)
 	}
-	if _, ok := s.Get("nope"); ok {
+	if _, ok, _ := s.GetBytes([]byte("nope")); ok {
 		t.Fatal("missing key found")
 	}
-	if !s.Delete(hd, "hello") {
+	if !s.Delete(hd, []byte("hello")) {
 		t.Fatal("Delete failed")
 	}
-	if _, ok := s.Get("hello"); ok {
+	if _, ok, _ := s.GetBytes([]byte("hello")); ok {
 		t.Fatal("deleted key still present")
 	}
 	st := s.Stats()
@@ -98,11 +98,11 @@ func TestConcurrentClients(t *testing.T) {
 			hd := a.NewHandle()
 			for i := 0; i < 3000; i++ {
 				key := fmt.Sprintf("w%d-%d", w, i%100)
-				if !s.Set(hd, key, fmt.Sprintf("v%d", i)) {
+				if !s.SetBytes(hd, []byte(key), []byte(fmt.Sprintf("v%d", i))) {
 					t.Error("OOM")
 					return
 				}
-				if _, ok := s.Get(key); !ok {
+				if _, ok, _ := s.GetBytes([]byte(key)); !ok {
 					t.Errorf("own write to %q not visible", key)
 					return
 				}
@@ -127,7 +127,7 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 	s, _ := OpenBounded(a, hd, 256, budget)
 	val := make([]byte, 100)
 	for i := 0; i < 300; i++ {
-		if !s.Set(hd, fmt.Sprintf("key-%05d", i), string(val)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("key-%05d", i)), val) {
 			t.Fatal("OOM")
 		}
 	}
@@ -139,10 +139,10 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 		t.Fatalf("footprint %d above budget %d", st.Bytes, budget)
 	}
 	// The most recent keys survive, the oldest are gone.
-	if _, ok := s.Get("key-00299"); !ok {
+	if _, ok, _ := s.GetBytes([]byte("key-00299")); !ok {
 		t.Fatal("newest key evicted")
 	}
-	if _, ok := s.Get("key-00000"); ok {
+	if _, ok, _ := s.GetBytes([]byte("key-00000")); ok {
 		t.Fatal("oldest key survived a full eviction cycle")
 	}
 	if _, err := h.CheckInvariants(); err != nil {
@@ -160,16 +160,16 @@ func TestBoundedStoreTouchProtectsHotKeys(t *testing.T) {
 	budget := 50 * footprint(10, 100)
 	s, _ := OpenBounded(a, hd, 256, budget)
 	val := make([]byte, 100)
-	if !s.Set(hd, "hot-key", string(val)) {
+	if !s.SetBytes(hd, []byte("hot-key"), val) {
 		t.Fatal("OOM")
 	}
 	for i := 0; i < 500; i++ {
-		if !s.Set(hd, fmt.Sprintf("cold-%05d", i), string(val)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("cold-%05d", i)), val) {
 			t.Fatal("OOM")
 		}
-		s.Get("hot-key") // keep it recent
+		s.GetBytes([]byte("hot-key")) // keep it recent
 	}
-	if _, ok := s.Get("hot-key"); !ok {
+	if _, ok, _ := s.GetBytes([]byte("hot-key")); !ok {
 		t.Fatal("hot key evicted despite constant touching")
 	}
 }
@@ -186,11 +186,11 @@ func TestBoundedStoreEvictionFreesMemory(t *testing.T) {
 	s, _ := OpenBounded(a, hd, 256, 100*footprint(10, 100))
 	val := make([]byte, 100)
 	for i := 0; i < 500; i++ {
-		s.Set(hd, fmt.Sprintf("w-%06d", i), string(val))
+		s.SetBytes(hd, []byte(fmt.Sprintf("w-%06d", i)), val)
 	}
 	used := h.SBUsed()
 	for i := 500; i < 5000; i++ {
-		if !s.Set(hd, fmt.Sprintf("w-%06d", i), string(val)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("w-%06d", i)), val) {
 			t.Fatal("OOM")
 		}
 	}
@@ -219,14 +219,14 @@ func TestLRUConcurrentSetGet(t *testing.T) {
 			hd := a.NewHandle()
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("w%d-%05d", w, i)
-				if !s.Set(hd, key, string(val)) {
+				if !s.SetBytes(hd, []byte(key), val) {
 					t.Error("OOM")
 					return
 				}
 				// Touch a mix of own-recent and foreign keys so reads
 				// race with evictions of the same entries.
-				s.Get(key)
-				s.Get(fmt.Sprintf("w%d-%05d", (w+1)%8, i/2))
+				s.GetBytes([]byte(key))
+				s.GetBytes([]byte(fmt.Sprintf("w%d-%05d", (w+1)%8, i/2)))
 			}
 		}(w)
 	}
@@ -276,7 +276,7 @@ func TestAttachBoundedRebuildsBudget(t *testing.T) {
 	h.SetRoot(0, root)
 	val := make([]byte, 100)
 	for i := 0; i < 90; i++ {
-		if !s.Set(hd, fmt.Sprintf("key-%05d", i), string(val)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("key-%05d", i)), val) {
 			t.Fatal("OOM")
 		}
 	}
@@ -300,7 +300,7 @@ func TestAttachBoundedRebuildsBudget(t *testing.T) {
 	// The budget is live again: flooding far past it evicts.
 	hd2 := a.NewHandle()
 	for i := 0; i < 400; i++ {
-		if !s2.Set(hd2, fmt.Sprintf("new-%05d", i), string(val)) {
+		if !s2.SetBytes(hd2, []byte(fmt.Sprintf("new-%05d", i)), val) {
 			t.Fatal("OOM")
 		}
 	}
@@ -327,7 +327,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 	a := h.AsAllocator()
 	hd := a.NewHandle()
 	for i := 0; i < 1000; i++ {
-		if !s.Set(hd, fmt.Sprintf("key%04d", i), fmt.Sprintf("value%04d", i)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("value%04d", i))) {
 			t.Fatal("OOM")
 		}
 	}
@@ -344,8 +344,8 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Fatalf("Len after recovery = %d, want 1000", s2.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		v, ok := s2.Get(fmt.Sprintf("key%04d", i))
-		if !ok || v != fmt.Sprintf("value%04d", i) {
+		v, ok, _ := s2.GetBytes([]byte(fmt.Sprintf("key%04d", i)))
+		if !ok || string(v) != fmt.Sprintf("value%04d", i) {
 			t.Fatalf("key%04d = (%q,%v) after recovery", i, v, ok)
 		}
 	}

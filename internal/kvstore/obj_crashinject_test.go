@@ -110,7 +110,7 @@ func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, 
 			acked.lists[lk] = append(acked.lists[lk], ev)
 		}
 		sk := fmt.Sprintf("s-%02d", i)
-		if !s.Set(hd, sk, "sv-"+sk) {
+		if !s.SetBytes(hd, []byte(sk), []byte("sv-"+sk)) {
 			t.Fatal("OOM")
 		}
 		acked.strings[sk] = "sv-" + sk
@@ -196,7 +196,7 @@ func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, 
 				ok := fmt.Sprintf("hc-%02d", i-2)
 				if !step(func(w *objWorld) { delete(w.hashes, ok); w.strings[ok] = "overwritten" },
 					func() error {
-						if !s.Set(hd, ok, "overwritten") {
+						if !s.SetBytes(hd, []byte(ok), []byte("overwritten")) {
 							return ErrNoMemory
 						}
 						return nil
@@ -209,7 +209,7 @@ func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, 
 			if i == 5 {
 				dk := "l-05"
 				if !step(func(w *objWorld) { delete(w.lists, dk) },
-					func() error { s.Delete(hd, dk); return nil }) {
+					func() error { s.Delete(hd, []byte(dk)); return nil }) {
 					return false
 				}
 			}
@@ -273,8 +273,8 @@ func worldDiff(t *testing.T, s *Store, w *objWorld) string {
 		}
 	}
 	for sk, want := range w.strings {
-		v, ok := s.Get(sk)
-		if !ok || v != want {
+		v, ok, _ := s.GetBytes([]byte(sk))
+		if !ok || string(v) != want {
 			return fmt.Sprintf("string %s = (%q,%v), want %q", sk, v, ok, want)
 		}
 	}

@@ -126,7 +126,7 @@ func TestWrongTypeErrors(t *testing.T) {
 	h, s, _ := newStore(t)
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	s.Set(hd, "str", "v")
+	s.SetBytes(hd, []byte("str"), []byte("v"))
 	s.HSet(hd, []byte("hash"), []byte("f"), []byte("v"))
 	s.RPush(hd, []byte("list"), []byte("e"))
 
@@ -152,14 +152,14 @@ func TestWrongTypeErrors(t *testing.T) {
 	}
 
 	// SET overwrites any type, Redis-style, freeing the old graph.
-	if !s.Set(hd, "hash", "now-a-string") {
+	if !s.SetBytes(hd, []byte("hash"), []byte("now-a-string")) {
 		t.Fatal("SET over hash failed")
 	}
 	if typ := s.TypeOf([]byte("hash")); typ != TypeString {
 		t.Fatalf("TypeOf after overwrite = %v", typ)
 	}
 	// DEL works on any type and frees the graph.
-	if !s.Delete(hd, "list") {
+	if !s.Delete(hd, []byte("list")) {
 		t.Fatal("DEL list failed")
 	}
 	if _, err := h.CheckInvariants(); err != nil {
@@ -173,10 +173,10 @@ func TestObjectTTLAndReap(t *testing.T) {
 	hd := a.NewHandle()
 
 	s.HSet(hd, []byte("h"), []byte("secret"), []byte("old"))
-	if !s.Expire("h", clk.now()+100) {
+	if !s.Expire([]byte("h"), clk.now()+100) {
 		t.Fatal("Expire on hash failed")
 	}
-	if got := s.PTTL("h"); got <= 0 || got > 100 {
+	if got := s.PTTL([]byte("h")); got <= 0 || got > 100 {
 		t.Fatalf("PTTL = %d", got)
 	}
 	clk.advance(200)
@@ -200,13 +200,13 @@ func TestObjectTTLAndReap(t *testing.T) {
 	if _, ok, _ := s.HGet([]byte("h"), []byte("secret")); ok {
 		t.Fatal("dead field resurrected")
 	}
-	if got := s.PTTL("h"); got != TTLNone {
+	if got := s.PTTL([]byte("h")); got != TTLNone {
 		t.Fatalf("recreated hash PTTL = %d, want TTLNone", got)
 	}
 
 	// Same for lists, and ReclaimExpired frees whole graphs.
 	s.RPush(hd, []byte("l"), []byte("a"), []byte("b"))
-	s.Expire("l", clk.now()+50)
+	s.Expire([]byte("l"), clk.now()+50)
 	clk.advance(100)
 	if n := s.ReclaimExpired(hd, 16); n != 1 {
 		t.Fatalf("ReclaimExpired = %d, want 1 (the list)", n)
@@ -226,7 +226,7 @@ func TestRangeSkipsExpiredAndObjects(t *testing.T) {
 	h, s, _, clk := newTTLStore(t)
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	s.Set(hd, "live", "v")
+	s.SetBytes(hd, []byte("live"), []byte("v"))
 	s.SetBytesExpire(hd, []byte("dead"), []byte("corpse"), clk.now()+10)
 	s.HSet(hd, []byte("h"), []byte("f"), []byte("v"))
 	s.RPush(hd, []byte("l"), []byte("e"))
@@ -288,7 +288,7 @@ func TestObjectCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.Set(hd, fmt.Sprintf("str-%03d", i), fmt.Sprintf("s%03d", i))
+		s.SetBytes(hd, []byte(fmt.Sprintf("str-%03d", i)), []byte(fmt.Sprintf("s%03d", i)))
 	}
 	h.SetRoot(0, root)
 	if err := h.Region().Crash(); err != nil {

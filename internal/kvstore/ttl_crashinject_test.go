@@ -56,7 +56,7 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 	// Quiet phase: a fully-acknowledged population. live-* are immortal,
 	// keep-* carry a far-future deadline, dead-* a near one.
 	for i := 0; i < 30; i++ {
-		if !s.Set(hd, fmt.Sprintf("live-%02d", i), fmt.Sprintf("lv-%02d", i)) {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("live-%02d", i)), []byte(fmt.Sprintf("lv-%02d", i))) {
 			t.Fatal("OOM")
 		}
 		if !s.SetBytesExpire(hd, []byte(fmt.Sprintf("keep-%02d", i)),
@@ -74,7 +74,7 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 	expireAcked = map[string]bool{}
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("dead-%02d", i)
-		if _, ok := s.Get(key); ok {
+		if _, ok, _ := s.GetBytes([]byte(key)); ok {
 			t.Fatalf("%s not expired before the armed phase", key)
 		}
 		expireAcked[key] = true
@@ -99,7 +99,7 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 		armed = true
 		for i := 0; i < 15; i++ {
 			key := fmt.Sprintf("keep-%02d", i)
-			if !s.Expire(key, clk.now()-1) {
+			if !s.Expire([]byte(key), clk.now()-1) {
 				t.Errorf("Expire(%s) on live key failed", key)
 				return
 			}
@@ -135,10 +135,10 @@ func TestTTLCrashInjectionSweep(t *testing.T) {
 		// reclaimed, is still present with the past stamp, or an in-flight
 		// unlink half-landed, the read path must report it gone.
 		for key := range expireAcked {
-			if v, ok := s.Get(key); ok {
+			if v, ok, _ := s.GetBytes([]byte(key)); ok {
 				t.Fatalf("k=%d: acked-expired key %s resurrected as %q", k, key, v)
 			}
-			if got := s.PTTL(key); got != TTLMissing {
+			if got := s.PTTL([]byte(key)); got != TTLMissing {
 				t.Fatalf("k=%d: acked-expired key %s PTTL = %d", k, key, got)
 			}
 		}
@@ -146,22 +146,22 @@ func TestTTLCrashInjectionSweep(t *testing.T) {
 		// that were never EXPIREd, and every acknowledged new-* record.
 		for i := 0; i < 30; i++ {
 			key := fmt.Sprintf("live-%02d", i)
-			if v, ok := s.Get(key); !ok || v != fmt.Sprintf("lv-%02d", i) {
+			if v, ok, _ := s.GetBytes([]byte(key)); !ok || string(v) != fmt.Sprintf("lv-%02d", i) {
 				t.Fatalf("k=%d: live key %s = (%q,%v)", k, key, v, ok)
 			}
 		}
 		for i := 15; i < 30; i++ {
 			key := fmt.Sprintf("keep-%02d", i)
-			if v, ok := s.Get(key); !ok || v != fmt.Sprintf("kv-%02d", i) {
+			if v, ok, _ := s.GetBytes([]byte(key)); !ok || string(v) != fmt.Sprintf("kv-%02d", i) {
 				t.Fatalf("k=%d: untouched TTL'd key %s = (%q,%v)", k, key, v, ok)
 			}
-			if got := s.PTTL(key); got <= 0 {
+			if got := s.PTTL([]byte(key)); got <= 0 {
 				t.Fatalf("k=%d: untouched TTL'd key %s lost its deadline (PTTL %d)", k, key, got)
 			}
 		}
 		for key := range newAcked {
 			want := "nv-" + key[len(key)-2:]
-			if v, ok := s.Get(key); !ok || v != want {
+			if v, ok, _ := s.GetBytes([]byte(key)); !ok || string(v) != want {
 				t.Fatalf("k=%d: acked new record %s = (%q,%v), want %q", k, key, v, ok, want)
 			}
 		}
@@ -172,7 +172,7 @@ func TestTTLCrashInjectionSweep(t *testing.T) {
 		for s.ReclaimExpired(hd, 16) > 0 {
 		}
 		for key := range expireAcked {
-			if _, ok := s.Get(key); ok {
+			if _, ok, _ := s.GetBytes([]byte(key)); ok {
 				t.Fatalf("k=%d: %s resurrected after reclaim drain", k, key)
 			}
 		}

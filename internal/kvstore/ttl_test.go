@@ -30,21 +30,21 @@ func TestLazyExpiry(t *testing.T) {
 	if !s.SetBytesExpire(hd, []byte("k"), []byte("v"), clk.now()+100) {
 		t.Fatal("SetBytesExpire failed")
 	}
-	if v, ok := s.Get("k"); !ok || v != "v" {
+	if v, ok, _ := s.GetBytes([]byte("k")); !ok || string(v) != "v" {
 		t.Fatalf("live TTL'd key = (%q,%v)", v, ok)
 	}
-	if got := s.PTTL("k"); got != 100 {
+	if got := s.PTTL([]byte("k")); got != 100 {
 		t.Fatalf("PTTL = %d, want 100", got)
 	}
 	clk.advance(99)
-	if _, ok := s.Get("k"); !ok {
+	if _, ok, _ := s.GetBytes([]byte("k")); !ok {
 		t.Fatal("key expired 1ms early")
 	}
 	clk.advance(1) // deadline reached: at <= now expires
-	if v, ok := s.Get("k"); ok {
+	if v, ok, _ := s.GetBytes([]byte("k")); ok {
 		t.Fatalf("expired key still served: %q", v)
 	}
-	if got := s.PTTL("k"); got != TTLMissing {
+	if got := s.PTTL([]byte("k")); got != TTLMissing {
 		t.Fatalf("PTTL of expired key = %d, want %d", got, TTLMissing)
 	}
 	// Lazy: the record still occupies the map until reclaimed.
@@ -70,35 +70,35 @@ func TestExpirePersistSemantics(t *testing.T) {
 	h, s, _, clk := newTTLStore(t)
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	s.Set(hd, "k", "v")
-	if got := s.PTTL("k"); got != TTLNone {
+	s.SetBytes(hd, []byte("k"), []byte("v"))
+	if got := s.PTTL([]byte("k")); got != TTLNone {
 		t.Fatalf("PTTL of immortal key = %d, want %d", got, TTLNone)
 	}
-	if s.Expire("missing", clk.now()+50) {
+	if s.Expire([]byte("missing"), clk.now()+50) {
 		t.Fatal("Expire on missing key succeeded")
 	}
-	if !s.Expire("k", clk.now()+50) {
+	if !s.Expire([]byte("k"), clk.now()+50) {
 		t.Fatal("Expire on live key failed")
 	}
-	if got := s.PTTL("k"); got != 50 {
+	if got := s.PTTL([]byte("k")); got != 50 {
 		t.Fatalf("PTTL = %d, want 50", got)
 	}
 	// PERSIST removes the deadline and reports it did.
-	if !s.Persist("k") {
+	if !s.Persist([]byte("k")) {
 		t.Fatal("Persist with a TTL returned false")
 	}
-	if s.Persist("k") {
+	if s.Persist([]byte("k")) {
 		t.Fatal("Persist without a TTL returned true")
 	}
 	clk.advance(1000)
-	if _, ok := s.Get("k"); !ok {
+	if _, ok, _ := s.GetBytes([]byte("k")); !ok {
 		t.Fatal("persisted key expired anyway")
 	}
 
 	// Redis SET clears TTLs.
-	s.Expire("k", clk.now()+50)
-	s.Set(hd, "k", "v2")
-	if got := s.PTTL("k"); got != TTLNone {
+	s.Expire([]byte("k"), clk.now()+50)
+	s.SetBytes(hd, []byte("k"), []byte("v2"))
+	if got := s.PTTL([]byte("k")); got != TTLNone {
 		t.Fatalf("PTTL after plain SET = %d, want %d", got, TTLNone)
 	}
 	if s.Stats().TTLd != 0 {
@@ -114,25 +114,25 @@ func TestNoResurrection(t *testing.T) {
 	hd := a.NewHandle()
 	s.SetBytesExpire(hd, []byte("k"), []byte("v"), clk.now()+10)
 	clk.advance(10)
-	if s.Expire("k", clk.now()+1000) {
+	if s.Expire([]byte("k"), clk.now()+1000) {
 		t.Fatal("EXPIRE resurrected an expired key")
 	}
-	if s.Persist("k") {
+	if s.Persist([]byte("k")) {
 		t.Fatal("PERSIST resurrected an expired key")
 	}
-	if _, ok := s.Get("k"); ok {
+	if _, ok, _ := s.GetBytes([]byte("k")); ok {
 		t.Fatal("expired key visible")
 	}
 	// A fresh SET legitimately revives the name with a new record.
-	s.Set(hd, "k", "new")
-	if v, ok := s.Get("k"); !ok || v != "new" {
+	s.SetBytes(hd, []byte("k"), []byte("new"))
+	if v, ok, _ := s.GetBytes([]byte("k")); !ok || string(v) != "new" {
 		t.Fatalf("re-SET key = (%q,%v)", v, ok)
 	}
 	// And reclaim must not sweep the fresh record using the stale deadline.
 	if n := s.ReclaimExpired(hd, 10); n != 0 {
 		t.Fatalf("ReclaimExpired swept %d fresh records", n)
 	}
-	if _, ok := s.Get("k"); !ok {
+	if _, ok, _ := s.GetBytes([]byte("k")); !ok {
 		t.Fatal("fresh record swept by stale reclaim")
 	}
 }
@@ -148,7 +148,7 @@ func TestTTLSurvivesCrashRecovery(t *testing.T) {
 		key, val := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i)
 		switch i % 3 {
 		case 0: // immortal
-			s.Set(hd, key, val)
+			s.SetBytes(hd, []byte(key), []byte(val))
 		case 1: // long TTL: must survive the outage
 			s.SetBytesExpire(hd, []byte(key), []byte(val), clk.now()+1_000_000)
 		case 2: // short TTL: passes while "down"
@@ -173,20 +173,20 @@ func TestTTLSurvivesCrashRecovery(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		key, val := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i)
-		v, ok := s2.Get(key)
+		v, ok, _ := s2.GetBytes([]byte(key))
 		switch i % 3 {
 		case 0:
-			if !ok || v != val {
+			if !ok || string(v) != val {
 				t.Fatalf("immortal %s = (%q,%v)", key, v, ok)
 			}
-			if got := s2.PTTL(key); got != TTLNone {
+			if got := s2.PTTL([]byte(key)); got != TTLNone {
 				t.Fatalf("immortal %s PTTL = %d", key, got)
 			}
 		case 1:
-			if !ok || v != val {
+			if !ok || string(v) != val {
 				t.Fatalf("long-TTL %s = (%q,%v)", key, v, ok)
 			}
-			if got := s2.PTTL(key); got <= 0 || got > 1_000_000 {
+			if got := s2.PTTL([]byte(key)); got <= 0 || got > 1_000_000 {
 				t.Fatalf("long-TTL %s PTTL = %d", key, got)
 			}
 		case 2:
@@ -240,7 +240,7 @@ func TestAttachBoundedSkipsExpiredRecords(t *testing.T) {
 		s.SetBytesExpire(hd, []byte(fmt.Sprintf("k%03d", i)), []byte("val"), clk.now()+10)
 	}
 	for i := 0; i < 20; i++ {
-		s.Set(hd, fmt.Sprintf("live%03d", i), "val")
+		s.SetBytes(hd, []byte(fmt.Sprintf("live%03d", i)), []byte("val"))
 	}
 	liveBytes := 20 * footprint(7, 3)
 	h.SetRoot(0, root)
@@ -278,7 +278,7 @@ func TestLazyExpiryNoExtraAlloc(t *testing.T) {
 	h, s, _, clk := newTTLStore(t)
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	s.Set(hd, "plain", "value")
+	s.SetBytes(hd, []byte("plain"), []byte("value"))
 	s.SetBytesExpire(hd, []byte("ttld"), []byte("value"), clk.now()+1_000_000)
 	plainKey, ttldKey := []byte("plain"), []byte("ttld")
 	base := testing.AllocsPerRun(200, func() { s.GetBytes(plainKey) })

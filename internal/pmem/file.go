@@ -22,19 +22,13 @@ import (
 // little-endian 64-bit header words — region size in bytes, the Mode the
 // region ran in, a flags word (bit 0: written by an online snapshot), and
 // the replication metadata pair (stream ID and byte offset, see SetReplMeta)
-// — followed by the raw words of the image. Version 2 (RPMEM002) lacked the
-// replication words and version 1 (RPMEM001) additionally lacked flags;
-// LoadRegion still accepts both, with zero replication metadata. The
-// header's mode word is validated against the loading Config: silently
+// — followed by the raw words of the image. Any other magic is ErrBadImage.
+// The header's mode word is validated against the loading Config: silently
 // attaching a fast-mode image as crash-sim (or the reverse) would change
 // the image's durability semantics underneath its data, so a mismatch is
 // ErrBadImage.
 
-var (
-	fileMagic   = [8]byte{'R', 'P', 'M', 'E', 'M', '0', '0', '3'}
-	fileMagicV2 = [8]byte{'R', 'P', 'M', 'E', 'M', '0', '0', '2'}
-	fileMagicV1 = [8]byte{'R', 'P', 'M', 'E', 'M', '0', '0', '1'}
-)
+var fileMagic = [8]byte{'R', 'P', 'M', 'E', 'M', '0', '0', '3'}
 
 const (
 	// imageHeaderLen is the byte offset of the first data word in a
@@ -98,32 +92,34 @@ var ErrBadImage = errors.New("pmem: bad region image")
 // of previously persisted state. Every way an image can be short or
 // inconsistent — including a partially-written checkpoint a crash left
 // behind — reports ErrBadImage, so callers can distinguish "no usable
-// image" from I/O failure.
+// image" from I/O failure. The header's size word is trusted (the region is
+// allocated from it before the body is read): use LoadFile for bytes that
+// arrived from outside the process.
 func LoadRegion(rd io.Reader, cfg Config) (*Region, error) {
+	return loadRegion(rd, cfg, -1)
+}
+
+// loadRegion is LoadRegion for an image whose total length is known
+// (fileSize >= 0): the header's size word must then account for exactly the
+// bytes that follow it, checked before anything is allocated from it.
+func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
 	br := bufio.NewReaderSize(rd, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated magic: %v", ErrBadImage, err)
-	}
-	hdrWords := 5
-	switch magic {
-	case fileMagic:
-	case fileMagicV2:
-		hdrWords = 3 // v2: size + mode + flags, no replication metadata
-	case fileMagicV1:
-		hdrWords = 2 // v1: size + mode, no flags
-	default:
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
-	}
-	hdr := make([]byte, hdrWords*8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	var hdr [imageHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadImage, err)
 	}
-	size := binary.LittleEndian.Uint64(hdr[0:])
+	if [8]byte(hdr[:8]) != fileMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, hdr[:8])
+	}
+	size := binary.LittleEndian.Uint64(hdr[8:])
 	if size == 0 || size%LineBytes != 0 {
 		return nil, fmt.Errorf("%w: bad size %d", ErrBadImage, size)
 	}
-	mode := Mode(binary.LittleEndian.Uint64(hdr[8:]))
+	if fileSize >= 0 && uint64(fileSize)-imageHeaderLen != size {
+		return nil, fmt.Errorf("%w: header says %d image bytes, file holds %d",
+			ErrBadImage, size, fileSize-imageHeaderLen)
+	}
+	mode := Mode(binary.LittleEndian.Uint64(hdr[16:]))
 	if mode != ModeFast && mode != ModeCrashSim {
 		return nil, fmt.Errorf("%w: bad mode word %d", ErrBadImage, int(mode))
 	}
@@ -132,9 +128,7 @@ func LoadRegion(rd io.Reader, cfg Config) (*Region, error) {
 			ErrBadImage, mode, cfg.Mode)
 	}
 	r := NewRegion(size, cfg)
-	if hdrWords >= 5 {
-		r.SetReplMeta(binary.LittleEndian.Uint64(hdr[24:]), binary.LittleEndian.Uint64(hdr[32:]))
-	}
+	r.SetReplMeta(binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]), binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]))
 	var buf [WordBytes]byte
 	for i := range r.words {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -196,39 +190,35 @@ func syncDir(path string) error {
 	return err
 }
 
-// LoadFile reads a region image from path.
+// LoadFile reads a region image from path. Image files reach a replica over
+// the network, so the header is not trusted: a size word that disagrees with
+// the file's own length is ErrBadImage before any memory is sized from it.
 func LoadFile(path string, cfg Config) (*Region, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadRegion(f, cfg)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return loadRegion(f, cfg, fi.Size())
 }
 
 // ParseImageMeta extracts the replication metadata pair from an image
-// header prefix (the first imageHeaderLen bytes of an image stream) without
-// loading the region. Pre-v3 images report (0, 0) — they carry no
-// replication words. The replication layer uses this to learn a streamed
+// header prefix (the first ImageMetaLen bytes of an image stream) without
+// loading the region. The replication layer uses this to learn a streamed
 // bootstrap image's offset before the image is ever attached.
 func ParseImageMeta(hdr []byte) (replID, replOff uint64, err error) {
-	if len(hdr) < 8 {
-		return 0, 0, fmt.Errorf("%w: truncated magic", ErrBadImage)
+	if len(hdr) < imageHeaderLen {
+		return 0, 0, fmt.Errorf("%w: truncated header", ErrBadImage)
 	}
-	var magic [8]byte
-	copy(magic[:], hdr)
-	switch magic {
-	case fileMagic:
-		if len(hdr) < imageHeaderLen {
-			return 0, 0, fmt.Errorf("%w: truncated header", ErrBadImage)
-		}
-		return binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]),
-			binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]), nil
-	case fileMagicV2, fileMagicV1:
-		return 0, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
+	if [8]byte(hdr[:8]) != fileMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadImage, hdr[:8])
 	}
+	return binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]),
+		binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]), nil
 }
 
 // ImageMetaLen is how many leading image bytes ParseImageMeta needs.

@@ -2,7 +2,6 @@ package pmem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -45,25 +44,70 @@ func TestLoadRegionRejectsGarbageModeWord(t *testing.T) {
 	}
 }
 
-// TestLoadRegionAcceptsV1Image: the pre-snapshot format (RPMEM001, no flags
-// word) must keep loading — existing heap files predate the version bump.
-func TestLoadRegionAcceptsV1Image(t *testing.T) {
+// hostileHeader is a header-only image whose size word claims 4 EiB.
+func hostileHeader(t testing.TB) []byte {
 	var buf bytes.Buffer
-	buf.Write(fileMagicV1[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], LineBytes)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(ModeCrashSim))
-	buf.Write(hdr[:])
-	line := make([]byte, LineBytes)
-	binary.LittleEndian.PutUint64(line, 0xFEED)
-	buf.Write(line)
-	r, err := LoadRegion(&buf, Config{Mode: ModeCrashSim})
-	if err != nil {
+	if err := writeImageHeader(&buf, 1<<62, ModeFast, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if r.Load(0) != 0xFEED {
-		t.Fatalf("v1 word = %#x, want 0xFEED", r.Load(0))
+	return buf.Bytes()
+}
+
+// TestLoadFileRejectsHostileSizeWord: image files arrive over the network
+// (replica bootstrap), so a header whose size word disagrees with the file's
+// own length must fail before the region is sized from it — 1<<62 would
+// otherwise panic in make or take the process down with it.
+func TestLoadFileRejectsHostileSizeWord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.img")
+	if err := os.WriteFile(path, hostileHeader(t), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := LoadFile(path, Config{}); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("err = %v, want ErrBadImage", err)
+	}
+	// One line too many is as wrong as too few.
+	r := NewRegion(LineBytes, Config{})
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(make([]byte, LineBytes))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path, Config{}); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("oversized file: err = %v, want ErrBadImage", err)
+	}
+}
+
+// FuzzLoadFile: whatever bytes the image file holds, LoadFile returns a
+// region of exactly the file's payload size or ErrBadImage — never a panic,
+// never an allocation sized by the header alone.
+func FuzzLoadFile(f *testing.F) {
+	f.Add(hostileHeader(f))
+	r := NewRegion(2*LineBytes, Config{})
+	r.Store(8, 0xFEED)
+	var valid bytes.Buffer
+	if err := r.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	path := filepath.Join(f.TempDir(), "fuzz.img")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadFile(path, Config{})
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("err = %v, want ErrBadImage", err)
+			}
+			return
+		}
+		if got.Size() != uint64(len(data)-imageHeaderLen) {
+			t.Fatalf("loaded %d bytes from a %d-byte file", got.Size(), len(data))
+		}
+	})
 }
 
 // TestLoadFileTruncatedIsBadImage: every truncation of a checkpoint file —
@@ -136,8 +180,7 @@ func TestSaveFileErrorPaths(t *testing.T) {
 }
 
 // TestReplMetaRoundTrip: the replication metadata pair survives both save
-// paths and the load, and reads back via ReadImageMeta without attaching;
-// v2/v1 images report (0, 0).
+// paths and the load, and reads back via ReadImageMeta without attaching.
 func TestReplMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "repl.img")
@@ -173,17 +216,5 @@ func TestReplMetaRoundTrip(t *testing.T) {
 	}
 	if id, off, _ := ReadImageMeta(path); id != 0xabcdef01 || off != 99000 {
 		t.Fatalf("online ReadImageMeta = (%#x, %d), want fence-time value 99000", id, off)
-	}
-
-	// Pre-v3 images carry no replication words.
-	var buf bytes.Buffer
-	buf.Write(fileMagicV1[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], LineBytes)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(ModeFast))
-	buf.Write(hdr[:])
-	buf.Write(make([]byte, LineBytes))
-	if id, off, err := ParseImageMeta(buf.Bytes()); err != nil || id != 0 || off != 0 {
-		t.Fatalf("v1 ParseImageMeta = (%d, %d, %v), want zeros", id, off, err)
 	}
 }

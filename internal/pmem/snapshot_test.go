@@ -23,9 +23,18 @@ func (q *quiesceFence) fence(cut func() error) error {
 // TestOnlineSnapshotExactAtCutover runs writers while SaveFileOnline
 // streams, and asserts the saved file equals the volatile image exactly as
 // it stood inside the cut-over fence — the online snapshot's whole claim.
+// Both modes: ModeFast is what ralloc-serve runs (no shadow to fall back on,
+// the write barrier alone decides what the image holds), ModeCrashSim is the
+// test medium.
 func TestOnlineSnapshotExactAtCutover(t *testing.T) {
+	for _, mode := range []Mode{ModeFast, ModeCrashSim} {
+		t.Run(mode.String(), func(t *testing.T) { onlineSnapshotExactAtCutover(t, mode) })
+	}
+}
+
+func onlineSnapshotExactAtCutover(t *testing.T, mode Mode) {
 	const size = 1 << 20 // 16384 lines
-	r := NewRegion(size, Config{Mode: ModeCrashSim})
+	r := NewRegion(size, Config{Mode: mode})
 	var q quiesceFence
 	var ops atomic.Uint64
 	stop := make(chan struct{})
@@ -94,7 +103,7 @@ func TestOnlineSnapshotExactAtCutover(t *testing.T) {
 	if st.Recopied == 0 {
 		t.Fatal("no lines re-copied despite concurrent writers — barrier not firing")
 	}
-	got, err := LoadFile(path, Config{Mode: ModeCrashSim})
+	got, err := LoadFile(path, Config{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

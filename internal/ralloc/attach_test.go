@@ -1,6 +1,7 @@
 package ralloc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/pmem"
@@ -61,6 +62,20 @@ func TestAttachRejectsForeignRegion(t *testing.T) {
 	r := pmem.NewRegion(1<<20, pmem.Config{})
 	if _, _, err := Attach(r, Config{}); err == nil {
 		t.Fatal("attached to a region with no heap in it")
+	}
+}
+
+// TestAttachRejectsOtherVersions: there is one heap layout. An image stamped
+// with any other version — v3's records differ from v4's only in the tag
+// bits, v2's are laid out differently — is refused, never reinterpreted.
+func TestAttachRejectsOtherVersions(t *testing.T) {
+	for _, v := range []uint64{2, 3, heapVersion + 1} {
+		h := crashHeap(t, 0)
+		r := h.Region()
+		r.Store(offVersion, v)
+		if _, _, err := Attach(r, Config{}); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d image: err = %v, want a version error", v, err)
+		}
 	}
 }
 

@@ -151,9 +151,8 @@ func attach(region *pmem.Region, cfg Config, path string) (*Heap, bool, error) {
 		return nil, false, fmt.Errorf("ralloc: region does not contain a Ralloc heap")
 	}
 	version := region.Load(offVersion)
-	if version != heapVersion && version != heapVersionCompat {
-		return nil, false, fmt.Errorf("ralloc: heap version %d, want %d (or compatible %d)",
-			version, heapVersion, heapVersionCompat)
+	if version != heapVersion {
+		return nil, false, fmt.Errorf("ralloc: heap version %d, want %d", version, heapVersion)
 	}
 	sbSize := region.Load(offSBSize)
 	lay, err := computeLayout(sbSize)
@@ -175,15 +174,6 @@ func attach(region *pmem.Region, cfg Config, path string) (*Heap, bool, error) {
 	// *before* touching the lists below: a crash mid-remap must trigger
 	// recovery on the next attach, not leak the descriptors in flight.
 	h.setDirty(1)
-	// A compatible older image (v3, pre-object all-string records) is
-	// stamped forward: this session may write tagged records, and pre-v4
-	// code would silently misread them, so it must refuse the heap from
-	// here on. The stamp is durable before any allocation can happen.
-	if version != heapVersion {
-		region.Store(offVersion, heapVersion)
-		h.flush(offVersion)
-		h.fence()
-	}
 	// Reconcile the configured shard count with the geometry the stored
 	// lists were built under. A clean image's lists are remapped in place;
 	// a dirty image's lists are transient garbage that the mandatory

@@ -43,14 +43,8 @@ const (
 	// silently misread, so it must be rejected here instead.
 	// v4: dstruct records carry a type tag in the top bits of the lengths
 	// word (string | hash | list), with non-string payloads pointing at
-	// secondary structures. The tag bits were always zero before, so a v3
-	// image reads back under v4 as all-string with no migration pass:
-	// attach accepts heapVersionCompat and stamps the image forward. Older
-	// v4 *code* must not touch a heap that may contain tagged records,
-	// which the forward stamp enforces.
+	// secondary structures.
 	heapVersion = 4
-	// heapVersionCompat is the oldest version attach upgrades in place.
-	heapVersionCompat = 3
 
 	// MaxShards bounds the number of partial-list shards per size class.
 	// 64 shard sets of 40 head words each fit comfortably in the metadata

@@ -1,7 +1,7 @@
 package ralloc
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -45,6 +45,37 @@ type ShardStats struct {
 	// and pops can skew it, and the walk stops at a safety cap, so it is
 	// an observability estimate, never an invariant.
 	PartialSBs int
+}
+
+// Add accumulates o into s field by field — the one sum every aggregate view
+// (a heap's total, a cluster's per-shard roll-up) is built from.
+func (s *ShardStats) Add(o ShardStats) {
+	s.Refills += o.Refills
+	s.RefillBlocks += o.RefillBlocks
+	s.Steals += o.Steals
+	s.Grows += o.Grows
+	s.Drains += o.Drains
+	s.FreeBatches += o.FreeBatches
+	s.FreeBlocks += o.FreeBlocks
+	s.PartialSBs += o.PartialSBs
+}
+
+// ShardStatFields describes each counter everywhere it is shown, in Values
+// order: Key is its name in INFO allocator, the rest its /metrics family.
+var ShardStatFields = [...]struct{ Key, metric, typ, help string }{
+	{"refills", "ralloc_allocator_refills_total", "counter", "Thread-cache refills per shard."},
+	{"refill_blocks", "ralloc_allocator_refill_blocks_total", "counter", "Blocks acquired from global lists per shard."},
+	{"steals", "ralloc_allocator_steals_total", "counter", "Refills served by stealing from another shard."},
+	{"grows", "ralloc_allocator_grows_total", "counter", "Superblock-region expansions per shard."},
+	{"drains", "ralloc_allocator_drains_total", "counter", "Thread-cache overflow drains per shard."},
+	{"free_batches", "ralloc_allocator_free_batches_total", "counter", "Batched remote frees (one anchor CAS per superblock group)."},
+	{"free_blocks", "ralloc_allocator_free_blocks_total", "counter", "Blocks returned via remote-free batches."},
+	{"partial_sbs", "ralloc_allocator_partial_superblocks", "gauge", "Partial-list descriptors per shard (bounded estimate)."},
+}
+
+// Values returns the counters in ShardStatFields order.
+func (s ShardStats) Values() [len(ShardStatFields)]uint64 {
+	return [...]uint64{s.Refills, s.RefillBlocks, s.Steals, s.Grows, s.Drains, s.FreeBatches, s.FreeBlocks, uint64(s.PartialSBs)}
 }
 
 // partialWalkCap bounds ShardStats' list walks: the Treiber links are
@@ -102,25 +133,23 @@ func (h *Heap) listLenBounded(headOff, linkOff uint64, max int) int {
 // Collect implements obs.Collector: the allocator's /metrics families,
 // labeled by shard, plus heap-level gauges.
 func (h *Heap) Collect(e *obs.Emitter) {
-	e.Family("ralloc_allocator_refills_total", "counter", "Thread-cache refills per shard.")
-	e.Family("ralloc_allocator_refill_blocks_total", "counter", "Blocks acquired from global lists per shard.")
-	e.Family("ralloc_allocator_steals_total", "counter", "Refills served by stealing from another shard.")
-	e.Family("ralloc_allocator_grows_total", "counter", "Superblock-region expansions per shard.")
-	e.Family("ralloc_allocator_drains_total", "counter", "Thread-cache overflow drains per shard.")
-	e.Family("ralloc_allocator_free_batches_total", "counter", "Batched remote frees (one anchor CAS per superblock group).")
-	e.Family("ralloc_allocator_free_blocks_total", "counter", "Blocks returned via remote-free batches.")
-	e.Family("ralloc_allocator_partial_superblocks", "gauge", "Partial-list descriptors per shard (bounded estimate).")
-	for i, s := range h.ShardStats() {
-		shard := fmt.Sprintf("%d", i)
-		e.Value("ralloc_allocator_refills_total", float64(s.Refills), "shard", shard)
-		e.Value("ralloc_allocator_refill_blocks_total", float64(s.RefillBlocks), "shard", shard)
-		e.Value("ralloc_allocator_steals_total", float64(s.Steals), "shard", shard)
-		e.Value("ralloc_allocator_grows_total", float64(s.Grows), "shard", shard)
-		e.Value("ralloc_allocator_drains_total", float64(s.Drains), "shard", shard)
-		e.Value("ralloc_allocator_free_batches_total", float64(s.FreeBatches), "shard", shard)
-		e.Value("ralloc_allocator_free_blocks_total", float64(s.FreeBlocks), "shard", shard)
-		e.Value("ralloc_allocator_partial_superblocks", float64(s.PartialSBs), "shard", shard)
+	EmitShardStats(e, h.ShardStats(), h.SBUsed())
+}
+
+// EmitShardStats writes the allocator families for shards (one series per
+// index, labeled "shard") and the used-bytes gauge. A cluster passes its
+// heaps' counters summed index by index, so one heap and several emit the
+// same families with the same label sets.
+func EmitShardStats(e *obs.Emitter, shards []ShardStats, sbUsed uint64) {
+	vals := make([][len(ShardStatFields)]uint64, len(shards))
+	for i, s := range shards {
+		vals[i] = s.Values()
 	}
-	e.Family("ralloc_allocator_sb_used_bytes", "gauge", "Used portion of the superblock region.")
-	e.Value("ralloc_allocator_sb_used_bytes", float64(h.SBUsed()))
+	for f, m := range ShardStatFields {
+		e.Family(m.metric, m.typ, m.help)
+		for i := range shards {
+			e.Value(m.metric, float64(vals[i][f]), "shard", strconv.Itoa(i))
+		}
+	}
+	e.Single("ralloc_allocator_sb_used_bytes", "gauge", "Used portion of the superblock region.", float64(sbUsed))
 }

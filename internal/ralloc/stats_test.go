@@ -13,14 +13,7 @@ import (
 func sumShardStats(h *Heap) ShardStats {
 	var total ShardStats
 	for _, s := range h.ShardStats() {
-		total.Refills += s.Refills
-		total.RefillBlocks += s.RefillBlocks
-		total.Steals += s.Steals
-		total.Grows += s.Grows
-		total.Drains += s.Drains
-		total.FreeBatches += s.FreeBatches
-		total.FreeBlocks += s.FreeBlocks
-		total.PartialSBs += s.PartialSBs
+		total.Add(s)
 	}
 	return total
 }

@@ -25,9 +25,8 @@ type shardedEnv struct {
 	sock  string
 }
 
-// startSharded builds an N-shard server. filed wires each shard's online
-// checkpoint (both the whole-save form and the step-split form the global
-// cut uses) to an image file in a temp dir, so SAVE works end to end.
+// startSharded builds an N-shard server. filed gives each shard an image
+// file in a temp dir (RegionBackend), so SAVE works end to end.
 // snapHook, when non-nil, supplies a per-shard pmem snapshot hook (crash
 // injection); it may return nil for shards that get none.
 func startSharded(t *testing.T, n int, cfg Config, filed bool, snapHook func(shard int) func(pmem.SnapshotPhase)) *shardedEnv {
@@ -51,31 +50,12 @@ func startSharded(t *testing.T, n int, cfg Config, filed bool, snapHook func(sha
 		st, root := kvstore.Open(a, a.NewHandle(), 1024)
 		h.SetRoot(0, root)
 		e.heaps = append(e.heaps, h)
-		be := ShardBackend{Alloc: a, Store: st}
+		path := ""
 		if filed {
-			region := h.Region()
-			path := filepath.Join(dir, fmt.Sprintf("shard%d.heap", i))
+			path = filepath.Join(dir, fmt.Sprintf("shard%d.heap", i))
 			e.paths = append(e.paths, path)
-			be.CheckpointOnline = func(fence func(cut func() error) error) (CheckpointStats, error) {
-				st, err := region.SaveFileOnline(path, fence)
-				return CheckpointStats{Lines: st.Lines, Recopied: st.Recopied,
-					FenceRecopied: st.FenceRecopied, Rounds: st.Rounds}, err
-			}
-			be.CheckpointSteps = func() (func() error, func() (CheckpointStats, error), func(), error) {
-				save, err := region.BeginOnlineSave(path)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				publish := func() (CheckpointStats, error) {
-					st, err := save.Publish()
-					return CheckpointStats{Lines: st.Lines, Recopied: st.Recopied,
-						FenceRecopied: st.FenceRecopied, Rounds: st.Rounds}, err
-				}
-				return save.Cut, publish, save.Abort, nil
-			}
-			be.CheckpointOffset = func(id, off uint64) { region.SetReplMeta(id, off) }
 		}
-		backends[i] = be
+		backends[i] = RegionBackend(a, st, h.Region(), path, cfg.ReplBacklogBytes > 0)
 	}
 	e.srv = NewSharded(backends, cfg)
 	e.sock = filepath.Join(dir, "cluster.sock")

@@ -204,7 +204,7 @@ func cmdGetDel(ctx *Ctx) {
 		ctx.w.nilBulk()
 		return
 	}
-	ctx.sh.st.Delete(ctx.hd, string(ctx.args[1]))
+	ctx.sh.st.Delete(ctx.hd, ctx.args[1])
 	ctx.w.bulk(old)
 }
 
@@ -270,7 +270,7 @@ func cmdMSet(ctx *Ctx) {
 func cmdDel(ctx *Ctx) {
 	n := int64(0)
 	for _, k := range ctx.args[1:] {
-		if ctx.sh.st.Delete(ctx.hd, string(k)) {
+		if ctx.sh.st.Delete(ctx.hd, k) {
 			n++
 		}
 	}
@@ -387,7 +387,7 @@ func cmdExpire(ctx *Ctx) {
 	}
 	at := deadlineFrom(ctx.sh.st.Now(), d, name == "expire")
 	ctx.prop = [][]byte{[]byte("PEXPIREAT"), ctx.args[1], []byte(strconv.FormatInt(at, 10))}
-	if ctx.sh.st.Expire(string(ctx.args[1]), at) {
+	if ctx.sh.st.Expire(ctx.args[1], at) {
 		ctx.w.integer(1)
 	} else {
 		ctx.w.integer(0)
@@ -396,7 +396,7 @@ func cmdExpire(ctx *Ctx) {
 
 // cmdTTL serves TTL (seconds, rounded up like Redis) and PTTL.
 func cmdTTL(ctx *Ctx) {
-	ms := ctx.sh.st.PTTL(string(ctx.args[1]))
+	ms := ctx.sh.st.PTTL(ctx.args[1])
 	if ms < 0 || commandName(ctx.args) == "pttl" {
 		ctx.w.integer(ms)
 	} else {
@@ -405,7 +405,7 @@ func cmdTTL(ctx *Ctx) {
 }
 
 func cmdPersist(ctx *Ctx) {
-	if ctx.sh.st.Persist(string(ctx.args[1])) {
+	if ctx.sh.st.Persist(ctx.args[1]) {
 		ctx.w.integer(1)
 	} else {
 		ctx.w.integer(0)

@@ -175,7 +175,7 @@ func TestObjectCrashRestartUnderLiveTraffic(t *testing.T) {
 	a := h.AsAllocator()
 	st, root := kvstore.Open(a, a.NewHandle(), 4096)
 	h.SetRoot(0, root)
-	srv := New(a, st, Config{Checkpoint: func() error { h.Region().Persist(); return nil }})
+	srv := NewSharded(persistOnSave(a, st, h), Config{})
 	sock := filepath.Join(t.TempDir(), "objcrash.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {

@@ -251,16 +251,13 @@ func TestSlowlogRingCap(t *testing.T) {
 }
 
 func TestLatencyOverWire(t *testing.T) {
-	ts := startServer(t, Config{
-		LatencyThreshold: -1,
-		Checkpoint:       func() error { return nil },
-	}, 0)
+	ts := startServerSave(t, Config{LatencyThreshold: -1}, 0, func() error { return nil })
 	c := dial(t, ts)
 
 	if err := c.Set("k", "v"); err != nil { // records a "command" event
 		t.Fatal(err)
 	}
-	if err := c.okReply("SAVE"); err != nil { // checkpoint + checkpoint-quiesce
+	if err := c.okReply("SAVE"); err != nil { // checkpoint + checkpoint-fence
 		t.Fatal(err)
 	}
 	// An embedder-recorded event, the way ralloc-serve reports attach and
@@ -281,7 +278,7 @@ func TestLatencyOverWire(t *testing.T) {
 		}
 		rows[string(r.Elems[0].Bulk)] = r
 	}
-	for _, want := range []string{"command", "checkpoint", "checkpoint-quiesce", "attach"} {
+	for _, want := range []string{"command", "checkpoint", "checkpoint-fence", "attach"} {
 		if _, ok := rows[want]; !ok {
 			t.Fatalf("LATENCY LATEST missing event %q (have %v)", want, rows)
 		}
@@ -336,7 +333,7 @@ func TestLatencyOverWire(t *testing.T) {
 // telemetry feeds: persistence checkpoint fields, latencystats percentiles,
 // and that commandstats still renders its sampling-era line format.
 func TestInfoObservabilitySections(t *testing.T) {
-	ts := startServer(t, Config{Checkpoint: func() error { return nil }}, 0)
+	ts := startServerSave(t, Config{}, 0, func() error { return nil })
 	c := dial(t, ts)
 	if err := c.Set("k", "v"); err != nil {
 		t.Fatal(err)
@@ -390,13 +387,12 @@ func TestInfoObservabilitySections(t *testing.T) {
 // connections, and in-process snapshot + /metrics renders — the histogram
 // writers vs. snapshot readers interleaving the race detector must bless.
 func TestObsServerRaceStress(t *testing.T) {
-	ts := startServer(t, Config{
+	ts := startServerSave(t, Config{
 		SlowlogSlowerThan: -1,
 		SlowlogMaxLen:     32,
 		LatencyThreshold:  -1,
-		Checkpoint:        func() error { return nil },
 		InfoSections:      obsTestSections(),
-	}, 0)
+	}, 0, func() error { return nil })
 
 	reg := obs.NewRegistry()
 	reg.Register(ts.srv)

@@ -204,8 +204,7 @@ func arityOK(arity, n int) bool {
 // target): a full fixed-layout latency histogram — every invocation is
 // recorded, not sampled, which is what makes INFO latencystats' p50/p99/p999
 // real quantiles — plus an error-reply counter. Recording is two atomic
-// fetch-adds and allocates nothing (see obs.Histogram), so the dispatch
-// overhead gate still holds with it enabled.
+// fetch-adds and allocates nothing (see obs.Histogram).
 type cmdStats struct {
 	hist obs.Histogram
 	errs atomic.Uint64
@@ -246,8 +245,7 @@ func lockModeOf(c *Command) uint8 {
 // invoke is the innermost, built-in layer of the middleware chain, inlined
 // rather than closure-wrapped because it sits on the pipelined hot path: it
 // times every invocation into the command's histogram (two clock reads plus
-// two atomic adds — the dispatch overhead gate pins this under 5%) and
-// counts error replies. Error detection piggybacks on the reply writer: any
+// two atomic adds) and counts error replies. Error detection piggybacks on the reply writer: any
 // handler that writes an error reply bumps w.errs. Executions at or over
 // the server's slowlog/latency thresholds take the slow path — by
 // definition not hot — which appends to the slow log ring and the LATENCY

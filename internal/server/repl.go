@@ -738,7 +738,7 @@ func cmdPExpireAt(ctx *Ctx) {
 	if at <= 0 {
 		at = 1
 	}
-	if ctx.sh.st.Expire(string(ctx.args[1]), at) {
+	if ctx.sh.st.Expire(ctx.args[1], at) {
 		ctx.w.integer(1)
 	} else {
 		ctx.w.integer(0)

@@ -85,12 +85,6 @@ func openReplNode(t *testing.T, dir, replicaOf string, tweak func(*Config)) *rep
 	cfg := Config{
 		ReplBacklogBytes: 1 << 20,
 		ReplicaOf:        replicaOf,
-		Checkpoint: func() error {
-			heap.Region().Persist()
-			return heap.Region().SaveFile(heapPath)
-		},
-		OpenCheckpoint:   func() (*CheckpointImage, error) { return testOpenCheckpoint(heapPath) },
-		CheckpointOffset: func(id, off uint64) { heap.Region().SetReplMeta(id, off) },
 		OnFullResyncNeeded: func() {
 			select {
 			case n.resync <- struct{}{}:
@@ -102,7 +96,7 @@ func openReplNode(t *testing.T, dir, replicaOf string, tweak func(*Config)) *rep
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	n.srv = New(a, st, cfg)
+	n.srv = NewSharded([]ShardBackend{RegionBackend(a, st, heap.Region(), heapPath, true)}, cfg)
 	os.Remove(sock)
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -115,19 +109,6 @@ func openReplNode(t *testing.T, dir, replicaOf string, tweak func(*Config)) *rep
 		}
 	})
 	return n
-}
-
-func testOpenCheckpoint(path string) (*CheckpointImage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	id, off, err := pmem.ReadImageMeta(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &CheckpointImage{R: f, ReplID: id, ReplOffset: off}, nil
 }
 
 // killNode is SIGKILL in-process: hard-stop the server and abandon the heap

@@ -43,18 +43,6 @@ type Config struct {
 	// MaxConns caps simultaneously served connections; further accepted
 	// connections wait for a slot. 0 means unlimited.
 	MaxConns int
-	// Checkpoint, if non-nil, implements the SAVE command the quiesced
-	// way: the server stops all command execution before invoking it, so
-	// it observes (and may persist) a consistent heap image.
-	Checkpoint func() error
-	// CheckpointOnline, if non-nil, implements SAVE as an online snapshot
-	// and takes precedence over Checkpoint. The function runs its copy
-	// phases concurrently with command execution and must call fence(cut)
-	// exactly once at cut-over; the server implements fence by holding the
-	// checkpoint barrier's write side only for the final delta (cut), so
-	// commands stall for the delta — not the whole image write. Wired to
-	// pmem.Region.SaveFileOnline by ralloc-serve.
-	CheckpointOnline func(fence func(cut func() error) error) (CheckpointStats, error)
 	// OnShutdown, if non-nil, is invoked (once) when a client issues
 	// SHUTDOWN, after the +OK reply is flushed. The owner is expected to
 	// call Shutdown and close the heap.
@@ -97,7 +85,8 @@ type Config struct {
 
 	// ReplBacklogBytes enables replication with a backlog ring of that
 	// capacity. Replication is on when this is positive, ReplicaOf is set,
-	// or OpenCheckpoint is non-nil (backlog then defaults to 1 MiB).
+	// or a backend's OpenCheckpoint is non-nil (backlog then defaults to
+	// 1 MiB).
 	ReplBacklogBytes int
 	// ReplicaOf, if non-empty, starts the server as a replica of the given
 	// primary address ("host:port", or a unix socket path containing "/").
@@ -109,36 +98,11 @@ type Config struct {
 	// a primary mints a fresh random stream ID.
 	ReplID     uint64
 	ReplOffset uint64
-	// OpenCheckpoint opens the current checkpoint image for streaming to a
-	// full-resyncing replica, after the server has run Save. Required for
-	// serving full resyncs; partial resyncs work without it.
-	OpenCheckpoint func() (*CheckpointImage, error)
-	// CheckpointOffset, if non-nil, is called under the checkpoint barrier's
-	// write side immediately before every image cut, with the replication
-	// stream ID and offset the image corresponds to. Wired by ralloc-serve
-	// to pmem.Region.SetReplMeta, which stamps the image header.
-	CheckpointOffset func(id, off uint64)
 	// OnFullResyncNeeded, if non-nil, is called when the replication link
 	// needs a full resync (the primary's backlog no longer covers our
 	// offset, or streams diverged). The link is stopped when it fires; the
 	// embedder is expected to shut down and re-bootstrap from the primary.
 	OnFullResyncNeeded func()
-}
-
-// CheckpointStats reports what an online checkpoint copied. Mirrors
-// pmem.SnapshotStats without importing pmem (the server is storage-agnostic;
-// the embedder converts).
-type CheckpointStats struct {
-	// Lines is the total cache lines streamed in the full copy pass.
-	Lines uint64
-	// Recopied is lines copied again because the write barrier reported
-	// them dirtied during the copy (delta rounds plus the fence delta).
-	Recopied uint64
-	// FenceRecopied is the subset of Recopied written inside the cut-over
-	// fence — the lines commands actually stalled for.
-	FenceRecopied uint64
-	// Rounds is how many concurrent delta rounds ran before the fence.
-	Rounds int
 }
 
 // ErrServerClosed is returned by Serve after Shutdown or Abort.
@@ -216,18 +180,12 @@ type Server struct {
 	repl *replState
 }
 
-// New creates a server over an open store. The allocator must be the one the
-// store was opened on; the server draws per-connection handles from it. For
-// a multi-shard keyspace use NewSharded (shard.go).
+// New creates a server over one open store with no checkpoint: SAVE answers
+// an error. The allocator must be the one the store was opened on; the
+// server draws per-connection handles from it. NewSharded (shard.go) takes
+// backends that can checkpoint, and more than one of them.
 func New(a alloc.Allocator, st *kvstore.Store, cfg Config) *Server {
-	return NewSharded([]ShardBackend{{
-		Alloc:            a,
-		Store:            st,
-		Checkpoint:       cfg.Checkpoint,
-		CheckpointOnline: cfg.CheckpointOnline,
-		OpenCheckpoint:   cfg.OpenCheckpoint,
-		CheckpointOffset: cfg.CheckpointOffset,
-	}}, cfg)
+	return NewSharded([]ShardBackend{{Alloc: a, Store: st}}, cfg)
 }
 
 // newServer builds the shard-independent parts; NewSharded attaches the

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
@@ -27,6 +28,30 @@ type testServer struct {
 }
 
 func startServer(t *testing.T, cfg Config, bound uint64) *testServer {
+	return startServerSave(t, cfg, bound, nil)
+}
+
+// saveUnderFence is the fake checkpoint for tests that never reload a file:
+// SAVE takes the shard's real cut-over fence and runs cut inside it.
+func saveUnderFence(cut func() error) func(func(func() error) error) (CheckpointStats, error) {
+	return func(fence func(cut func() error) error) (CheckpointStats, error) {
+		return CheckpointStats{}, fence(cut)
+	}
+}
+
+// persistOnSave makes SAVE write back every line of h's region under the
+// fence, so an in-process SAVE → Region.Crash() keeps exactly the state the
+// fence saw — what SaveFileOnline + kill + LoadFile does across processes.
+func persistOnSave(a alloc.Allocator, st *kvstore.Store, h *ralloc.Heap) []ShardBackend {
+	return []ShardBackend{{Alloc: a, Store: st, CheckpointOnline: saveUnderFence(func() error {
+		h.Region().Persist()
+		return nil
+	})}}
+}
+
+// startServerSave is startServer with SAVE enabled: cut (when non-nil) runs
+// under the cut-over fence.
+func startServerSave(t *testing.T, cfg Config, bound uint64, cut func() error) *testServer {
 	t.Helper()
 	h, _, err := ralloc.Open("", ralloc.Config{
 		SBRegion: 64 << 20,
@@ -44,7 +69,11 @@ func startServer(t *testing.T, cfg Config, bound uint64) *testServer {
 		st, root = kvstore.Open(a, a.NewHandle(), 1024)
 	}
 	h.SetRoot(0, root)
-	srv := New(a, st, cfg)
+	be := ShardBackend{Alloc: a, Store: st}
+	if cut != nil {
+		be.CheckpointOnline = saveUnderFence(cut)
+	}
+	srv := NewSharded([]ShardBackend{be}, cfg)
 	sock := filepath.Join(t.TempDir(), "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -359,9 +388,9 @@ func TestShutdownCommandNotifiesOwner(t *testing.T) {
 }
 
 func TestSaveCheckpointAndReopenAfterKill(t *testing.T) {
-	// File-backed server: SAVE checkpoints the shadow image; a subsequent
-	// hard stop (no Close) must restart dirty and recover to the
-	// checkpointed state.
+	// File-backed server: SAVE is the boundary. A subsequent hard stop (no
+	// Close) must restart dirty and recover to exactly the checkpointed
+	// state — writes acked after it are gone.
 	dir := t.TempDir()
 	heapPath := filepath.Join(dir, "kv.heap")
 	cfg := ralloc.Config{SBRegion: 32 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}
@@ -372,10 +401,7 @@ func TestSaveCheckpointAndReopenAfterKill(t *testing.T) {
 	a := h.AsAllocator()
 	st, root := kvstore.Open(a, a.NewHandle(), 1024)
 	h.SetRoot(0, root)
-	srv := New(a, st, Config{Checkpoint: func() error {
-		h.Region().Persist()
-		return h.Region().SaveFile(heapPath)
-	}})
+	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
 	sock := filepath.Join(dir, "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -419,27 +445,13 @@ func TestSaveCheckpointAndReopenAfterKill(t *testing.T) {
 		t.Fatalf("recovered %d records, want 500", st2.Len())
 	}
 	for i := 0; i < 500; i++ {
-		v, ok := st2.Get(fmt.Sprintf("ck-%04d", i))
-		if !ok || v != fmt.Sprintf("v-%04d", i) {
+		v, ok, _ := st2.GetBytes([]byte(fmt.Sprintf("ck-%04d", i)))
+		if !ok || string(v) != fmt.Sprintf("v-%04d", i) {
 			t.Fatalf("ck-%04d = (%q,%v)", i, v, ok)
 		}
 	}
-	if _, ok := st2.Get("after-save"); ok {
+	if _, ok, _ := st2.GetBytes([]byte("after-save")); ok {
 		t.Fatal("post-checkpoint write survived the kill (checkpoint not the boundary?)")
-	}
-}
-
-// onlineCheckpoint wires a heap's online snapshot to the server config, the
-// way ralloc-serve does with -save-online.
-func onlineCheckpoint(h *ralloc.Heap, path string) func(func(func() error) error) (CheckpointStats, error) {
-	return func(fence func(cut func() error) error) (CheckpointStats, error) {
-		st, err := h.Region().SaveFileOnline(path, fence)
-		return CheckpointStats{
-			Lines:         st.Lines,
-			Recopied:      st.Recopied,
-			FenceRecopied: st.FenceRecopied,
-			Rounds:        st.Rounds,
-		}, err
 	}
 }
 
@@ -469,7 +481,7 @@ func TestOnlineSaveUnderTrafficAndReopenAfterKill(t *testing.T) {
 	a := h.AsAllocator()
 	st, root := kvstore.Open(a, a.NewHandle(), 1024)
 	h.SetRoot(0, root)
-	srv := New(a, st, Config{CheckpointOnline: onlineCheckpoint(h, heapPath)})
+	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
 	sock := filepath.Join(dir, "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -570,11 +582,11 @@ func TestOnlineSaveUnderTrafficAndReopenAfterKill(t *testing.T) {
 	for g := 0; g < writers; g++ {
 		for i := uint64(0); i < floor[g]; i++ {
 			k := fmt.Sprintf("w%d-%06d", g, i)
-			v, ok := st2.Get(k)
+			v, ok, _ := st2.GetBytes([]byte(k))
 			if !ok {
 				t.Fatalf("pre-SAVE acked key %s missing after recovery", k)
 			}
-			if want := fmt.Sprintf("v%d-%06d", g, i); v != want {
+			if want := fmt.Sprintf("v%d-%06d", g, i); string(v) != want {
 				t.Fatalf("%s = %q, want %q (torn image?)", k, v, want)
 			}
 		}
@@ -585,30 +597,20 @@ func TestSaveFailureDoesNotStampSuccess(t *testing.T) {
 	// A failed checkpoint must not advance the success telemetry: an
 	// operator alerting on "time since last checkpoint" would otherwise
 	// read a broken disk as a fresh save.
-	boom := errors.New("disk on fire")
-	for name, cfg := range map[string]Config{
-		"quiesced": {Checkpoint: func() error { return boom }},
-		"online": {CheckpointOnline: func(fence func(cut func() error) error) (CheckpointStats, error) {
-			return CheckpointStats{}, boom
-		}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			ts := startServer(t, cfg, 0)
-			c := dial(t, ts)
-			if rp, err := c.Do("SAVE"); err != nil || rp.Kind != '-' {
-				t.Fatalf("SAVE = %+v, %v (want error reply)", rp, err)
-			}
-			rp, err := c.Do("INFO", "persistence")
-			if err != nil {
-				t.Fatal(err)
-			}
-			info := string(rp.Bulk)
-			for _, want := range []string{"checkpoints:0", "checkpoint_errors:1", "last_checkpoint_unix:0"} {
-				if !strings.Contains(info, want) {
-					t.Fatalf("INFO persistence after failed SAVE missing %q:\n%s", want, info)
-				}
-			}
-		})
+	ts := startServerSave(t, Config{}, 0, func() error { return errors.New("disk on fire") })
+	c := dial(t, ts)
+	if rp, err := c.Do("SAVE"); err != nil || rp.Kind != '-' {
+		t.Fatalf("SAVE = %+v, %v (want error reply)", rp, err)
+	}
+	rp, err := c.Do("INFO", "persistence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := string(rp.Bulk)
+	for _, want := range []string{"checkpoints:0", "checkpoint_errors:1", "last_checkpoint_unix:0"} {
+		if !strings.Contains(info, want) {
+			t.Fatalf("INFO persistence after failed SAVE missing %q:\n%s", want, info)
+		}
 	}
 }
 
@@ -626,7 +628,7 @@ func TestTornCheckpointRejectedPreviousImageRecovers(t *testing.T) {
 	a := h.AsAllocator()
 	st, root := kvstore.Open(a, a.NewHandle(), 1024)
 	h.SetRoot(0, root)
-	srv := New(a, st, Config{CheckpointOnline: onlineCheckpoint(h, heapPath)})
+	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
 	sock := filepath.Join(dir, "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {

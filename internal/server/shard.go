@@ -7,13 +7,13 @@ package server
 // in the dispatch pipeline via each command's KeySpec; multi-key commands
 // and MULTI/EXEC stay atomic within one shard and reply -CROSSSLOT across
 // shards; FLUSHALL/DBSIZE/SCAN/INFO fan out and merge. With one shard
-// (Server.New) everything below reduces to the pre-cluster behavior:
-// routing is a single branch, SAVE is the single-region checkpoint, and the
-// image format is unchanged.
+// routing is a single branch and SAVE is a single-region checkpoint.
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -21,37 +21,102 @@ import (
 	"repro/internal/cluster/shardlock"
 	"repro/internal/cluster/slot"
 	"repro/internal/kvstore"
+	"repro/internal/pmem"
 )
 
 // ShardBackend is one shard's storage surface: the open store plus the
-// checkpoint entry points for that shard's region. New wraps the Config's
-// single-heap checkpoint fields into one backend; NewSharded takes one
-// backend per shard.
+// checkpoint entry points for that shard's region. RegionBackend builds the
+// real one; tests substitute fakes for the hooks.
 type ShardBackend struct {
 	// Alloc is the allocator the Store was opened on; the server draws this
 	// shard's per-connection handles from it.
 	Alloc alloc.Allocator
 	// Store is the shard's keyspace partition.
 	Store *kvstore.Store
-	// Checkpoint implements SAVE for this shard the quiesced way (the shard
-	// is stalled for the full image write). See Config.Checkpoint.
-	Checkpoint func() error
-	// CheckpointOnline implements SAVE as an online snapshot of this shard,
-	// taking precedence over Checkpoint. See Config.CheckpointOnline.
+	// CheckpointOnline implements SAVE as an online snapshot of this shard.
+	// The function runs its copy phases concurrently with command execution
+	// and must call fence(cut) exactly once at cut-over; the server
+	// implements fence by holding the shard's checkpoint barrier write side
+	// only for the final delta (cut), so commands stall for the delta — not
+	// the whole image write. Nil on every shard: SAVE answers an error.
 	CheckpointOnline func(fence func(cut func() error) error) (CheckpointStats, error)
 	// CheckpointSteps exposes the online snapshot's phase boundaries —
 	// begin (runs inside this call, concurrent with commands), then the
 	// returned cut/publish/abort steps — so a multi-shard SAVE with
 	// replication enabled can cut every shard under ONE fence and stamp a
-	// single (id, offset) into all images. abort must be idempotent. Wired
-	// to pmem.Region.BeginOnlineSave by ralloc-serve; optional otherwise.
+	// single (id, offset) into all images. abort must be idempotent.
 	CheckpointSteps func() (cut func() error, publish func() (CheckpointStats, error), abort func(), err error)
 	// OpenCheckpoint opens this shard's current checkpoint image for
-	// streaming to a full-resyncing replica. See Config.OpenCheckpoint.
+	// streaming to a full-resyncing replica, after the server has run Save.
+	// Required for serving full resyncs (and, when set, turns replication
+	// on); partial resyncs work without it.
 	OpenCheckpoint func() (*CheckpointImage, error)
-	// CheckpointOffset stamps the replication position into this shard's
-	// region before an image cut. See Config.CheckpointOffset.
+	// CheckpointOffset, if non-nil, is called under the checkpoint barrier's
+	// write side immediately before every image cut, with the replication
+	// stream ID and offset the image corresponds to.
 	CheckpointOffset func(id, off uint64)
+}
+
+// CheckpointStats reports what an online checkpoint copied.
+type CheckpointStats = pmem.SnapshotStats
+
+// RegionBackend is the one way from an open heap to a serving backend: SAVE
+// on the returned backend snapshots region online to path, so each shard's
+// checkpoint touches only its own file. The image captures the volatile
+// words at the cut-over fence — with the shard's commands drained, exactly
+// the state every acknowledged write reached (the heap's dirty flag rides
+// along still set, so a SIGKILL afterwards recovers from here). An empty
+// path is a volatile heap: no checkpoint, SAVE refuses. replicated adds the
+// two replication hooks: the feed position is stamped into the image header
+// inside every fence, and full resyncs stream the image file.
+func RegionBackend(a alloc.Allocator, st *kvstore.Store, region *pmem.Region, path string, replicated bool) ShardBackend {
+	be := ShardBackend{Alloc: a, Store: st}
+	if path == "" {
+		return be
+	}
+	be.CheckpointOnline = func(fence func(cut func() error) error) (CheckpointStats, error) {
+		return region.SaveFileOnline(path, fence)
+	}
+	be.CheckpointSteps = func() (func() error, func() (CheckpointStats, error), func(), error) {
+		save, err := region.BeginOnlineSave(path)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return save.Cut, save.Publish, save.Abort, nil
+	}
+	if replicated {
+		be.CheckpointOffset = region.SetReplMeta
+		be.OpenCheckpoint = func() (*CheckpointImage, error) { return openCheckpoint(path) }
+	}
+	return be
+}
+
+// openCheckpoint opens the image at path for streaming to a replica, reading
+// the stamped stream position from the opened descriptor itself — not a
+// separate path read, which could race a concurrent checkpoint's rename and
+// return a different image's header.
+func openCheckpoint(path string) (img *CheckpointImage, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	hdr := make([]byte, pmem.ImageMetaLen)
+	if _, err = io.ReadFull(f, hdr); err != nil {
+		return nil, fmt.Errorf("checkpoint image %s: %w", path, err)
+	}
+	id, off, err := pmem.ParseImageMeta(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint image %s: %w", path, err)
+	}
+	if _, err = f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return &CheckpointImage{R: f, ReplID: id, ReplOffset: off}, nil
 }
 
 // shard is one shard's runtime state: its backend, its lock block (the
@@ -83,9 +148,9 @@ func (sh *shard) noteSave(t0 time.Time, st CheckpointStats) {
 	sh.lastSaveUnix.Store(t0.Unix())
 }
 
-// merge accumulates another shard's checkpoint stats (multi-shard SAVE
-// totals for the server-level counters).
-func (c *CheckpointStats) merge(o CheckpointStats) {
+// mergeStats accumulates another shard's checkpoint stats into c (multi-shard
+// SAVE totals for the server-level counters).
+func mergeStats(c *CheckpointStats, o CheckpointStats) {
 	c.Lines += o.Lines
 	c.Recopied += o.Recopied
 	c.FenceRecopied += o.FenceRecopied
@@ -95,10 +160,7 @@ func (c *CheckpointStats) merge(o CheckpointStats) {
 }
 
 // NewSharded creates a server over N shard backends forming one keyspace.
-// len(backends) must be in [1, slot.MaxShards]; with one backend the server
-// behaves exactly like New. The Config's single-heap checkpoint fields
-// (Checkpoint, CheckpointOnline, OpenCheckpoint, CheckpointOffset) are
-// ignored — each backend carries its own.
+// len(backends) must be in [1, slot.MaxShards].
 func NewSharded(backends []ShardBackend, cfg Config) *Server {
 	if len(backends) == 0 || len(backends) > slot.MaxShards {
 		panic(fmt.Sprintf("server: shard count %d outside [1, %d]", len(backends), slot.MaxShards))
@@ -113,8 +175,8 @@ func NewSharded(backends []ShardBackend, cfg Config) *Server {
 	return s
 }
 
-// shardOf maps a key to its shard. The single-shard fast path is one branch
-// — no CRC — which is what keeps the dispatch overhead gate honest at N=1.
+// shardOf maps a key to its shard. The single-shard fast path is one branch,
+// no CRC.
 func (s *Server) shardOf(key []byte) *shard {
 	if len(s.shards) == 1 {
 		return s.shards[0]
@@ -171,7 +233,7 @@ func (s *Server) routeKeys(ctx *Ctx, c *Command, args [][]byte) (*shard, bool) {
 // hasCheckpoint reports whether any shard can serve SAVE.
 func (s *Server) hasCheckpoint() bool {
 	for _, sh := range s.shards {
-		if sh.be.Checkpoint != nil || sh.be.CheckpointOnline != nil || sh.be.CheckpointSteps != nil {
+		if sh.be.CheckpointOnline != nil || sh.be.CheckpointSteps != nil {
 			return true
 		}
 	}
@@ -179,9 +241,8 @@ func (s *Server) hasCheckpoint() bool {
 }
 
 // Save runs the configured checkpoint(s) and produces consistent persistent
-// images in which every acknowledged write is present. One shard: exactly
-// the old single-heap behavior (online cut under the shard's fence, or the
-// quiesced stop-the-world path). Several shards without replication: each
+// images in which every acknowledged write is present. One shard: an online
+// cut under the shard's fence. Several shards without replication: each
 // shard checkpoints independently, so a fence only ever stalls 1/N of the
 // keyspace. Several shards with replication: all shards cut under one
 // cluster-wide fence so a single (id, offset) stamps every image — without
@@ -231,29 +292,19 @@ func (s *Server) saveIndependent(t0 time.Time) (CheckpointStats, error) {
 			return agg, fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 		sh.noteSave(t0, st)
-		agg.merge(st)
+		mergeStats(&agg, st)
 	}
 	return agg, nil
 }
 
-// saveShard checkpoints one shard: online when the backend supports it,
-// quiesced otherwise.
+// saveShard checkpoints one shard online, under that shard's own fence.
 func (s *Server) saveShard(sh *shard, t0 time.Time) (CheckpointStats, error) {
-	if sh.be.CheckpointOnline != nil {
-		return sh.be.CheckpointOnline(func(cut func() error) error {
-			return s.shardFence(sh, t0, cut)
-		})
-	}
-	if sh.be.Checkpoint == nil {
+	if sh.be.CheckpointOnline == nil {
 		return CheckpointStats{}, errors.New("no checkpoint configured")
 	}
-	sh.locks.Exec.Lock()
-	defer sh.locks.Exec.Unlock()
-	quiesce := time.Since(t0)
-	s.saveQuiesceNs.Store(int64(quiesce))
-	s.events.Record("checkpoint-quiesce", t0, quiesce)
-	s.stampShardOffset(sh)
-	return CheckpointStats{}, sh.be.Checkpoint()
+	return sh.be.CheckpointOnline(func(cut func() error) error {
+		return s.shardFence(sh, t0, cut)
+	})
 }
 
 // shardFence is one shard's online cut-over: the write side of that shard's
@@ -279,9 +330,9 @@ func (s *Server) shardFence(sh *shard, t0 time.Time, cut func() error) error {
 }
 
 // stampShardOffset pins the feed position into the shard's region before an
-// image cut. Runs under the barrier's write side (shardFence, saveShard's
-// quiesced path, or the global fence), so the stamped offset is exactly the
-// feed position the image's data corresponds to.
+// image cut. Runs under the barrier's write side (shardFence or the global
+// fence), so the stamped offset is exactly the feed position the image's
+// data corresponds to.
 func (s *Server) stampShardOffset(sh *shard) {
 	if s.repl != nil && sh.be.CheckpointOffset != nil {
 		sh.be.CheckpointOffset(s.repl.feed.ID(), s.repl.feed.Offset())
@@ -356,7 +407,7 @@ func (s *Server) saveGlobalCut(t0 time.Time) (CheckpointStats, error) {
 			return agg, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.shards[i].noteSave(t0, cst)
-		agg.merge(cst)
+		mergeStats(&agg, cst)
 	}
 	return agg, nil
 }

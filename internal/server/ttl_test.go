@@ -243,10 +243,9 @@ func TestTTLStressRaceRestart(t *testing.T) {
 	a := h.AsAllocator()
 	st, root := kvstore.OpenBounded(a, a.NewHandle(), 4096, bound)
 	h.SetRoot(0, root)
-	srv := New(a, st, Config{
+	srv := NewSharded(persistOnSave(a, st, h), Config{
 		ActiveExpiryInterval: time.Millisecond,
 		ActiveExpirySample:   64,
-		Checkpoint:           func() error { h.Region().Persist(); return nil },
 	})
 	sock := filepath.Join(t.TempDir(), "ttlrace.sock")
 	l, err := net.Listen("unix", sock)
