@@ -208,7 +208,7 @@ func BenchmarkFig6aGCStack(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			var perBlock float64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.GCStack(n, true)
+				res, err := bench.GCStack(n, true, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -246,7 +246,7 @@ func BenchmarkAblationConservativeGC(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var perBlock float64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.GCStack(100000, mode.filter)
+				res, err := bench.GCStack(100000, mode.filter, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,15 +313,16 @@ func BenchmarkAblationCacheReturn(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionParallelRecovery: sequential vs parallel recovery on
-// the Fig. 6a workload — the paper's §6.4 future work. (On a single-core
-// host this measures the coordination overhead rather than speedup.)
+// BenchmarkExtensionParallelRecovery: the recovery engine at 1, 2 and 4
+// workers on the Fig. 6a workload — the paper's §6.4 future work. (On a
+// single-core host this measures the coordination overhead rather than
+// speedup.)
 func BenchmarkExtensionParallelRecovery(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			var perBlock float64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.GCStackParallel(100000, workers)
+				res, err := bench.GCStack(100000, true, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

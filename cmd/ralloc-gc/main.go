@@ -55,7 +55,7 @@ func main() {
 		var err error
 		switch *structName {
 		case "stack":
-			res, err = bench.GCStack(n, *useFilter)
+			res, err = bench.GCStack(n, *useFilter, 1)
 		case "nmbst":
 			res, err = bench.GCTree(n)
 		default:

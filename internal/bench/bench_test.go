@@ -154,11 +154,11 @@ func TestMemcachedHashWorkload(t *testing.T) {
 }
 
 func TestGCStackLinearity(t *testing.T) {
-	small, err := GCStack(2000, true)
+	small, err := GCStack(2000, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := GCStack(300000, true)
+	big, err := GCStack(300000, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGCTreeCounts(t *testing.T) {
 func TestGCStackConservativeAlsoExact(t *testing.T) {
 	// Stack node links are off-holders: conservative tracing should find
 	// the same node set (modulo false positives, absent here).
-	res, err := GCStack(2000, false)
+	res, err := GCStack(2000, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,39 +59,12 @@ func gcHeap(nodes int) (*ralloc.Heap, error) {
 	return h, err
 }
 
-// GCStackParallel is GCStack with the parallel recovery extension (§6.4
-// future work): workers>1 runs RecoverParallel.
-func GCStackParallel(n, workers int) (GCResult, error) {
-	h, err := gcHeap(n)
-	if err != nil {
-		return GCResult{}, err
-	}
-	defer h.Close()
-	a := h.AsAllocator()
-	hd := a.NewHandle()
-	s, root := dstruct.NewStack(a, hd)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		if !s.Push(hd, rng.Uint64()) {
-			return GCResult{}, fmt.Errorf("stack push OOM at %d", i)
-		}
-	}
-	h.SetRoot(0, root)
-	if err := h.Region().Crash(); err != nil {
-		return GCResult{}, err
-	}
-	h.GetRoot(0, s.Filter())
-	stats, err := h.RecoverParallel(workers)
-	if err != nil {
-		return GCResult{}, err
-	}
-	return gcResult("stack", n, false, stats), nil
-}
-
 // GCStack measures recovery time for a Treiber stack of n key-value nodes
 // (Fig. 6a). useFilter=false forces conservative tracing of the nodes (the
 // head is always filtered: conservative GC cannot decode it at all).
-func GCStack(n int, useFilter bool) (GCResult, error) {
+// workers is the recovery worker count: 1 is the paper's recover(), more is
+// its §6.4 future work.
+func GCStack(n int, useFilter bool, workers int) (GCResult, error) {
 	h, err := gcHeap(n)
 	if err != nil {
 		return GCResult{}, err
@@ -115,7 +88,7 @@ func GCStack(n int, useFilter bool) (GCResult, error) {
 		filter = conservativeStackHead(h)
 	}
 	h.GetRoot(0, filter)
-	stats, err := h.Recover()
+	stats, err := h.RecoverParallel(workers)
 	if err != nil {
 		return GCResult{}, err
 	}

@@ -12,9 +12,10 @@
 // (trace reachable blocks, sweep the rest), and its cost grows with one
 // heap's footprint. Splitting the keyspace across N heaps divides the
 // traversal N ways with no coordination — the shards share nothing — so
-// post-crash restart time scales down with shard count, which is the
-// recovery half of the PR's scaling story (the throughput half is the
-// per-shard lock blocks in internal/server).
+// post-crash restart time scales down with shard count; each shard recovers
+// with one worker (heap.Recover), the shards being the parallelism. (The
+// throughput side of sharding is the per-shard lock blocks in
+// internal/server.)
 //
 // On-disk layout: shard 0 lives at the base path (a single-shard dataset is
 // one plain image file, no sidecar), shard i>0 at "<base>.shard<i>", and a
@@ -245,13 +246,7 @@ func Open(base string, cfg Config) (*Cluster, error) {
 	for _, sh := range shards {
 		if sh.Recovered {
 			c.Recovered = true
-			c.RecStats.ReachableBlocks += sh.RecStats.ReachableBlocks
-			c.RecStats.ReachableBytes += sh.RecStats.ReachableBytes
-			c.RecStats.TraceWork += sh.RecStats.TraceWork
-			c.RecStats.SweepUnits += sh.RecStats.SweepUnits
-			c.RecStats.TraceTime += sh.RecStats.TraceTime
-			c.RecStats.SweepTime += sh.RecStats.SweepTime
-			c.RecStats.Duration += sh.RecStats.Duration
+			c.RecStats.Add(sh.RecStats)
 		}
 	}
 	return c, nil
@@ -268,37 +263,23 @@ func openShard(path string, cfg Config) (*Shard, error) {
 	sh := &Shard{Path: path, Heap: heap, Alloc: a, Dirty: dirty}
 
 	root := heap.GetRoot(rootKV, nil)
-	switch {
-	case root == 0:
-		hd := heap.NewHandle()
-		var store *kvstore.Store
-		if cfg.Bound > 0 {
-			store, root = kvstore.OpenBounded(a, hd, cfg.Buckets, cfg.Bound)
-		} else {
-			store, root = kvstore.Open(a, hd, cfg.Buckets)
-		}
+	if root == 0 {
+		sh.Store, root = kvstore.OpenBounded(a, heap.NewHandle(), cfg.Buckets, cfg.Bound)
 		heap.SetRoot(rootKV, root)
-		sh.Store, sh.Created = store, true
-	case dirty:
-		heap.GetRoot(rootKV, kvstore.Filter(a, root))
-		stats, err := heap.Recover()
-		if err != nil {
-			return nil, fmt.Errorf("recovery: %w", err)
+		sh.Created = true
+	} else {
+		if dirty {
+			heap.GetRoot(rootKV, kvstore.Filter(a, root))
+			stats, err := heap.Recover()
+			if err != nil {
+				return nil, fmt.Errorf("recovery: %w", err)
+			}
+			sh.RecStats, sh.Recovered = stats, true
 		}
-		sh.RecStats, sh.Recovered = stats, true
-		sh.Store = reattach(a, root, cfg.Bound)
-	default:
-		sh.Store = reattach(a, root, cfg.Bound)
+		sh.Store = kvstore.AttachBounded(a, root, cfg.Bound)
 	}
 	sh.AttachDur = time.Since(t0)
 	return sh, nil
-}
-
-func reattach(a alloc.Allocator, root, bound uint64) *kvstore.Store {
-	if bound > 0 {
-		return kvstore.AttachBounded(a, root, bound)
-	}
-	return kvstore.Attach(a, root)
 }
 
 // Records sums the shard record counts (the cluster's DBSIZE at open).

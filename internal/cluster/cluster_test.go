@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -185,6 +186,25 @@ func TestClusterParallelCrashRecovery(t *testing.T) {
 	}
 	if c2.RecStats.ReachableBlocks == 0 || c2.RecoveryWall <= 0 {
 		t.Fatalf("merged recovery stats empty: %+v wall=%v", c2.RecStats, c2.RecoveryWall)
+	}
+	// The merged stats are the shards' sum on every field — reflected, so a
+	// field added later cannot be forgotten the way four once were.
+	sum := reflect.New(reflect.TypeOf(c2.RecStats)).Elem()
+	for _, sh := range c2.Shards {
+		v := reflect.ValueOf(sh.RecStats)
+		for f := 0; f < v.NumField(); f++ {
+			if fv := sum.Field(f); fv.Kind() == reflect.Uint64 {
+				fv.SetUint(fv.Uint() + v.Field(f).Uint())
+			} else {
+				fv.SetInt(fv.Int() + v.Field(f).Int())
+			}
+		}
+	}
+	if want := sum.Interface().(ralloc.RecoveryStats); c2.RecStats != want {
+		t.Fatalf("merged recovery stats %+v, want the per-shard sum %+v", c2.RecStats, want)
+	}
+	if c2.RecStats.PartialSBs+c2.RecStats.FullSBs == 0 {
+		t.Fatalf("merged recovery stats count no superblock holding records: %+v", c2.RecStats)
 	}
 	// Per-shard keys still readable through each shard's own store.
 	for i, sh := range c2.Shards {

@@ -106,21 +106,28 @@ type Stats struct {
 
 func wallClock() int64 { return time.Now().UnixMilli() }
 
-// Open creates an unbounded store, returning it and the root offset of its
-// hash map header for persistent-root registration.
+// Open creates an unbounded store: OpenBounded with no budget.
 func Open(a alloc.Allocator, h alloc.Handle, buckets int) (*Store, uint64) {
-	m, root := dstruct.NewHashMap(a, h, buckets)
-	return &Store{a: a, m: m, exp: newExpiryIndex(), now: wallClock}, root
+	return OpenBounded(a, h, buckets, 0)
 }
 
-// OpenBounded creates a store with a memory budget: once the (approximate)
-// footprint of the records exceeds maxBytes, Set evicts least-recently-used
-// records, memcached-style. Eviction frees the victims' blocks through the
-// allocator — the churn path of a full cache.
+// OpenBounded creates a store, returning it and the root offset of its hash
+// map header for persistent-root registration. maxBytes is its memory
+// budget, 0 meaning none: once the (approximate) footprint of the records
+// exceeds it, Set evicts least-recently-used records, memcached-style.
+// Eviction frees the victims' blocks through the allocator — the churn path
+// of a full cache.
 func OpenBounded(a alloc.Allocator, h alloc.Handle, buckets int, maxBytes uint64) (*Store, uint64) {
-	s, root := Open(a, h, buckets)
-	s.lru = newLRUIndex(maxBytes)
-	return s, root
+	m, root := dstruct.NewHashMap(a, h, buckets)
+	return makeStore(a, m, maxBytes), root
+}
+
+func makeStore(a alloc.Allocator, m *dstruct.HashMap, maxBytes uint64) *Store {
+	s := &Store{a: a, m: m, exp: newExpiryIndex(), now: wallClock}
+	if maxBytes > 0 {
+		s.lru = newLRUIndex(maxBytes)
+	}
+	return s
 }
 
 // Filter returns the recovery GC filter for a store rooted at root without
@@ -133,46 +140,36 @@ func Filter(a alloc.Allocator, root uint64) ralloc.Filter {
 	return dstruct.HashMapFilter(a.Region())
 }
 
-// Attach re-opens a store whose hash-map header is at root (after restart
-// or recovery), rebuilding the volatile expiry index by walking the
-// persistent map. The heap must already be recovered (register Filter with
-// GetRoot, then Recover, then Attach): attach repairs the repairable words
-// of object secondary structures, which mutates and frees blocks. The
-// store re-attaches unbounded; like memcached's, the LRU recency state is
-// transient and does not survive restarts. A store that was bounded before
-// the restart should use AttachBounded instead, or the memory budget is
+// Attach re-opens a store unbounded: AttachBounded with no budget. A store
+// that was bounded before the restart must pass its budget again, or it is
 // silently dropped.
 func Attach(a alloc.Allocator, root uint64) *Store {
-	s := &Store{a: a, m: dstruct.AttachHashMap(a, root), exp: newExpiryIndex(), now: wallClock}
+	return AttachBounded(a, root, 0)
+}
+
+// AttachBounded re-opens a store whose hash-map header is at root (after
+// restart or recovery), rebuilding the volatile expiry index and — with a
+// budget, maxBytes > 0 — the transient LRU index in one walk of the
+// persistent map. The heap must already be recovered (register Filter with
+// GetRoot, then Recover, then attach): attach repairs the repairable words
+// of object secondary structures, which mutates and frees blocks.
+//
+// Recency order across the restart is arbitrary (walk order), like
+// memcached's cold LRU after a reboot, but the byte accounting is exact —
+// each record is charged its full persistent footprint, object secondary
+// structures (hash fields, list nodes) included — so the budget is enforced
+// from the first Set onward. Records whose persisted deadline has already
+// passed are hinted to the expiry index (so the cycle reclaims them) but
+// *not* charged to the budget: they are dead to every reader, and charging
+// them could evict live keys to make room for corpses. If the persisted
+// image already exceeds maxBytes — the budget may have been lowered across
+// the restart — the overage is evicted immediately.
+func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
+	s := makeStore(a, dstruct.AttachHashMap(a, root), maxBytes)
 	// Repair the repairable words of object secondary structures (list
 	// tail/prev hints, length and bytes counters) before any index is
 	// rebuilt from them; on a cleanly closed heap this verifies and
 	// changes nothing.
-	s.m.RecoverObjects(a.NewHandle())
-	s.m.RangeMeta(func(key []byte, _ uint8, at uint64, _ uint64) bool {
-		if at != 0 {
-			s.exp.set(string(key), int64(at))
-		}
-		return true
-	})
-	return s
-}
-
-// AttachBounded re-opens a bounded store at root, rebuilding the transient
-// LRU index and the expiry index in one walk of the persistent map. Recency
-// order across the restart is arbitrary (walk order), like memcached's cold
-// LRU after a reboot, but the byte accounting is exact — each record is
-// charged its full persistent footprint, object secondary structures (hash
-// fields, list nodes) included — so the budget is enforced from the first
-// Set onward. Records whose persisted deadline has already passed are
-// hinted to the expiry index (so the cycle reclaims them) but *not* charged
-// to the budget: they are dead to every reader, and charging them could
-// evict live keys to make room for corpses. If the persisted image already
-// exceeds maxBytes — the budget may have been lowered across the restart —
-// the overage is evicted immediately.
-func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
-	s := &Store{a: a, m: dstruct.AttachHashMap(a, root), exp: newExpiryIndex(), now: wallClock}
-	s.lru = newLRUIndex(maxBytes)
 	s.m.RecoverObjects(a.NewHandle())
 	now := s.now()
 	s.m.RangeMeta(func(key []byte, _ uint8, at uint64, bytes uint64) bool {
@@ -182,9 +179,14 @@ func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
 				return true // dead record: hinted for reclaim, not charged
 			}
 		}
-		s.lru.prime(string(key), bytes)
+		if s.lru != nil {
+			s.lru.prime(string(key), bytes)
+		}
 		return true
 	})
+	if s.lru == nil {
+		return s
+	}
 	if victims := s.lru.evictOver(); len(victims) > 0 {
 		h := a.NewHandle()
 		for _, victim := range victims {

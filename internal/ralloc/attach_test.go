@@ -87,8 +87,13 @@ func TestTraceIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.GetRoot(0, nil)
+	before := h.Region().Stats()
 	b1, bytes1 := h.Trace()
 	b2, bytes2 := h.Trace() // repeatable: nothing was mutated
+	after := h.Region().Stats()
+	if after.Stores != before.Stores || after.CASes != before.CASes || after.Flushes != before.Flushes {
+		t.Fatalf("Trace wrote to the region: before %+v after %+v", before, after)
+	}
 	if b1 != 80 || b2 != 80 {
 		t.Fatalf("Trace = %d then %d, want 80", b1, b2)
 	}

@@ -94,43 +94,54 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 func TestCrashInjectionSweep(t *testing.T) {
 	// Crash after 1, 2, 3, ... stores into the mutation phase, covering
 	// every store boundary of the first operations and then coarser
-	// strides deep into the phase.
+	// strides deep into the phase. Each crash point is recovered once per
+	// worker count, with the same checks and the same counters.
 	points := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 30, 50,
-		80, 130, 210, 340, 550, 890, 1440, 2330}
+		80, 100, 130, 210, 340, 550, 890, 900, 1440, 2330}
 	for _, k := range points {
-		h, attached := runWithCrashAt(t, k, 0)
-		h.GetRoot(0, nil)
-		h.GetRoot(1, nil)
-		if _, err := h.Recover(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		// Base list must be fully intact.
-		if got := len(walkList(h, 0)); got != 50 {
-			t.Fatalf("k=%d: base list has %d nodes, want 50", k, got)
-		}
-		// The durable prefix of the second list must survive: the walk
-		// from root 1 sees consecutive descending indices.
-		r := h.Region()
-		second := walkList(h, 1)
-		if len(second) > attached {
-			t.Fatalf("k=%d: second list longer (%d) than ever attached (%d)",
-				k, len(second), attached)
-		}
-		for i, off := range second {
-			want := uint64(len(second) - 1 - i)
-			if got := r.Load(off + 8); got != want {
-				t.Fatalf("k=%d: second list node %d has value %d, want %d",
-					k, i, got, want)
+		var want RecoveryStats
+		for _, workers := range workerCounts {
+			h, attached := runWithCrashAt(t, k, 0)
+			h.GetRoot(0, nil)
+			h.GetRoot(1, nil)
+			stats, err := h.RecoverParallel(workers)
+			if err != nil {
+				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
 			}
-		}
-		// Allocator must be fully consistent and usable.
-		if _, err := h.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		hd := h.NewHandle()
-		for i := 0; i < 500; i++ {
-			if hd.Malloc(64) == 0 {
-				t.Fatalf("k=%d: OOM after recovery", k)
+			if workers == workerCounts[0] {
+				want = counters(stats)
+			}
+			if got := counters(stats); got != want {
+				t.Fatalf("k=%d workers=%d: counters %+v, want %+v as with one worker", k, workers, got, want)
+			}
+			// Base list must be fully intact.
+			if got := len(walkList(h, 0)); got != 50 {
+				t.Fatalf("k=%d workers=%d: base list has %d nodes, want 50", k, workers, got)
+			}
+			// The durable prefix of the second list must survive: the walk
+			// from root 1 sees consecutive descending indices.
+			r := h.Region()
+			second := walkList(h, 1)
+			if len(second) > attached {
+				t.Fatalf("k=%d workers=%d: second list longer (%d) than ever attached (%d)",
+					k, workers, len(second), attached)
+			}
+			for i, off := range second {
+				want := uint64(len(second) - 1 - i)
+				if got := r.Load(off + 8); got != want {
+					t.Fatalf("k=%d workers=%d: second list node %d has value %d, want %d",
+						k, workers, i, got, want)
+				}
+			}
+			// Allocator must be fully consistent and usable.
+			if _, err := h.CheckInvariants(); err != nil {
+				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
+			}
+			hd := h.NewHandle()
+			for i := 0; i < 500; i++ {
+				if hd.Malloc(64) == 0 {
+					t.Fatalf("k=%d workers=%d: OOM after recovery", k, workers)
+				}
 			}
 		}
 	}
@@ -144,23 +155,6 @@ func TestCrashInjectionWithEviction(t *testing.T) {
 		h.GetRoot(0, nil)
 		h.GetRoot(1, nil)
 		if _, err := h.Recover(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if got := len(walkList(h, 0)); got != 50 {
-			t.Fatalf("k=%d: base list has %d nodes, want 50", k, got)
-		}
-		if _, err := h.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-	}
-}
-
-func TestCrashInjectionParallelRecovery(t *testing.T) {
-	for _, k := range []int{5, 100, 900} {
-		h, _ := runWithCrashAt(t, k, 0)
-		h.GetRoot(0, nil)
-		h.GetRoot(1, nil)
-		if _, err := h.RecoverParallel(4); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if got := len(walkList(h, 0)); got != 50 {

@@ -2,6 +2,7 @@ package ralloc
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +16,15 @@ import (
 // superblock free list. Because the size of every block is determined by its
 // superblock's persisted size class, a single pointer suffices to tell how
 // much memory it keeps alive.
+//
+// There is one engine, (*Heap).gc — one trace, one sweep, one write-back —
+// behind four entry points: Trace (the trace alone, read-only), Recover
+// (drop the lost thread caches, one worker), RecoverParallel(w) (the same
+// with w workers, §6.4's future work) and Manager.Collect (shared.go,
+// §4.5.2: one worker, live processes' caches pinned, handles kept).
+// Recover uses one worker on purpose: the serving stack's parallelism is
+// across shards (cluster.Open recovers each shard heap on its own goroutine)
+// and the benchmark ledger shows no win from a second level inside a shard.
 
 // Filter enumerates the pointers inside a block by calling g.Visit for each
 // of them (§4.5.1). A nil Filter selects conservative tracing: every 64-bit
@@ -24,30 +34,21 @@ import (
 // offsets used by the lock-free data structures).
 type Filter func(g *GC, off uint64)
 
-// GC is the tracing context handed to filter functions. In parallel
-// recovery (RecoverParallel) several GCs — one per worker — share one
-// visited bitmap, marked with CAS; each keeps its own pending stack and
-// tallies.
+// GC is one recovery worker's context, and what filter functions are handed.
+// The workers of one engine run share the visited bitmap, marked with CAS;
+// each keeps its own pending stack and its own tallies.
 type GC struct {
 	h       *Heap
 	used    uint64 // snapshot of the used watermark
 	visited []uint64
-	shared  bool // visited bitmap is shared between workers
-	pendOff []uint64
-	pendF   []Filter
-
-	reachableBlocks uint64
-	reachableBytes  uint64
-	traceWork       uint64 // pointer candidates examined + words scanned
+	pending []traceItem
+	stats   RecoveryStats // this worker's share; summed by the engine
 }
 
-func newGC(h *Heap) *GC {
-	used := h.SBUsed()
-	return &GC{
-		h:       h,
-		used:    used,
-		visited: make([]uint64, (used/8+63)/64),
-	}
+// traceItem is a marked block awaiting its scan with filter f.
+type traceItem struct {
+	off uint64
+	f   Filter
 }
 
 func (g *GC) bit(off uint64) (word, mask uint64) {
@@ -57,22 +58,12 @@ func (g *GC) bit(off uint64) (word, mask uint64) {
 
 func (g *GC) marked(off uint64) bool {
 	w, m := g.bit(off)
-	if g.shared {
-		return atomic.LoadUint64(&g.visited[w])&m != 0
-	}
-	return g.visited[w]&m != 0
+	return atomic.LoadUint64(&g.visited[w])&m != 0
 }
 
 // mark sets off's bit and reports whether this call was the one that set it.
 func (g *GC) mark(off uint64) bool {
 	w, m := g.bit(off)
-	if !g.shared {
-		if g.visited[w]&m != 0 {
-			return false
-		}
-		g.visited[w] |= m
-		return true
-	}
 	for {
 		old := atomic.LoadUint64(&g.visited[w])
 		if old&m != 0 {
@@ -101,10 +92,18 @@ func (g *GC) blockInfo(off uint64) (size uint64, ok bool) {
 		return 0, false
 	case cls == 0:
 		bs := r.Load(d + dOffBlockSize)
-		if bs == 0 || r.Load(d+dOffNumSB) == 0 {
+		numSB := r.Load(d + dOffNumSB)
+		if bs == 0 || numSB == 0 {
 			return 0, false // uninitialized superblock
 		}
 		if off != h.lay.sbOff(idx) {
+			return 0, false
+		}
+		// Size and run length are persistent words that a torn write or a
+		// hostile image can set to anything: a run that leaves the used
+		// region, or a size that leaves the run, is no block (the sweep
+		// frees it), or a conservative scan of it would walk off the heap.
+		if numSB > (h.lay.sbStart+g.used-off)/SuperblockBytes || bs > numSB*SuperblockBytes {
 			return 0, false
 		}
 		return bs, true
@@ -122,19 +121,26 @@ func (g *GC) blockInfo(off uint64) (size uint64, ok bool) {
 	}
 }
 
+// pin marks the block at off reachable, if it is a valid block, and tallies
+// it; it reports whether this call was the one that marked it.
+func (g *GC) pin(off uint64) bool {
+	size, ok := g.blockInfo(off)
+	if !ok || !g.mark(off) {
+		return false
+	}
+	g.stats.ReachableBlocks++
+	g.stats.ReachableBytes += size
+	return true
+}
+
 // Visit marks the block at off reachable (if it is a valid block) and queues
 // it for scanning with filter f (nil = conservative). Filters call Visit for
 // every pointer they enumerate; Visit is idempotent per block.
 func (g *GC) Visit(off uint64, f Filter) {
-	g.traceWork++
-	size, ok := g.blockInfo(off)
-	if !ok || !g.mark(off) {
-		return
+	g.stats.TraceWork++
+	if g.pin(off) {
+		g.pending = append(g.pending, traceItem{off, f})
 	}
-	g.reachableBlocks++
-	g.reachableBytes += size
-	g.pendOff = append(g.pendOff, off)
-	g.pendF = append(g.pendF, f)
 }
 
 // conservative is the default filter (§4.5.1 Fig. 3): scan every aligned
@@ -146,7 +152,7 @@ func (g *GC) conservative(off uint64) {
 	}
 	r := g.h.region
 	end := off + size&^7
-	g.traceWork += (end - off) / 8
+	g.stats.TraceWork += (end - off) / 8
 	for o := off; o < end; o += 8 {
 		if t, tok := pptr.Unpack(o, r.Load(o)); tok {
 			g.Visit(t, nil)
@@ -154,9 +160,66 @@ func (g *GC) conservative(off uint64) {
 	}
 }
 
-// collect traces all blocks reachable from the persistent roots.
-func (g *GC) collect() {
-	h := g.h
+// drain scans pending blocks until none are left anywhere: it is the one
+// loop that pops trace work. With a pool (several workers) a worker whose
+// stack grows past donateThreshold shares the older half, and one that runs
+// dry blocks on the pool until work arrives or every worker is idle.
+func (g *GC) drain(p *tracePool) {
+	for {
+		n := len(g.pending)
+		if n == 0 {
+			if p == nil || !p.take(g) {
+				return
+			}
+			continue
+		}
+		if p != nil && n > donateThreshold {
+			p.donate(g.pending[:n/2])
+			n = copy(g.pending, g.pending[n/2:])
+		}
+		it := g.pending[n-1]
+		g.pending = g.pending[:n-1]
+		if it.f == nil {
+			g.conservative(it.off)
+		} else {
+			it.f(g, it.off)
+		}
+	}
+}
+
+// each runs f once per worker context and returns when all have finished:
+// concurrently for several workers, on the calling goroutine for one.
+func each(gcs []*GC, f func(*GC)) {
+	if len(gcs) == 1 {
+		f(gcs[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, g := range gcs {
+		wg.Add(1)
+		go func(g *GC) {
+			defer wg.Done()
+			f(g)
+		}(g)
+	}
+	wg.Wait()
+}
+
+// trace performs steps 4–5: mark every block reachable from the persistent
+// roots (through their registered filters) and from whatever pin marks, with
+// one context per worker over a shared bitmap. It writes nothing to the
+// region. Seeds are marked before any worker starts and workers only ever
+// receive already-marked blocks, so every block is scanned exactly once.
+func (h *Heap) trace(workers int, pin func(*GC)) []*GC {
+	used := h.SBUsed()
+	visited := make([]uint64, (used/8+63)/64)
+	gcs := make([]*GC, workers)
+	for i := range gcs {
+		gcs[i] = &GC{h: h, used: used, visited: visited}
+	}
+	if pin != nil {
+		pin(gcs[0])
+	}
 	for i := 0; i < NumRoots; i++ {
 		slot := rootOff(i)
 		target, ok := pptr.Unpack(slot, h.region.Load(slot))
@@ -166,18 +229,14 @@ func (g *GC) collect() {
 		h.mu.Lock()
 		f := h.filters[i]
 		h.mu.Unlock()
-		g.Visit(target, f)
+		gcs[0].Visit(target, f)
 	}
-	for len(g.pendOff) > 0 {
-		n := len(g.pendOff) - 1
-		off, f := g.pendOff[n], g.pendF[n]
-		g.pendOff, g.pendF = g.pendOff[:n], g.pendF[:n]
-		if f == nil {
-			g.conservative(off)
-		} else {
-			f(g, off)
-		}
+	var pool *tracePool
+	if workers > 1 {
+		pool = newTracePool(workers)
 	}
+	each(gcs, func(g *GC) { g.drain(pool) })
+	return gcs
 }
 
 // Trace runs only the tracing phase of recovery — marking all blocks
@@ -187,17 +246,16 @@ func (g *GC) collect() {
 // before committing to Recover (whose sweep overwrites the first word of
 // every free block).
 func (h *Heap) Trace() (blocks, bytes uint64) {
-	g := newGC(h)
-	g.collect()
-	return g.reachableBlocks, g.reachableBytes
+	s := h.trace(1, nil)[0].stats
+	return s.ReachableBlocks, s.ReachableBytes
 }
 
 // RecoveryStats summarizes what Recover found and rebuilt.
 //
 // TraceWork and SweepUnits are deterministic work counters: for a fixed heap
-// image and filter registration they do not depend on scheduling or wall
-// time, so linearity properties of recovery cost can be asserted on them
-// without flaky clock-ratio comparisons.
+// image and filter registration they do not depend on scheduling, worker
+// count or wall time, so linearity properties of recovery cost can be
+// asserted on them without flaky clock-ratio comparisons.
 type RecoveryStats struct {
 	ReachableBlocks uint64
 	ReachableBytes  uint64
@@ -212,6 +270,22 @@ type RecoveryStats struct {
 	Duration        time.Duration
 }
 
+// Add accumulates o into s field by field: the engine's merge of its
+// workers' shares, and a cluster's sum over its shards.
+func (s *RecoveryStats) Add(o RecoveryStats) {
+	s.ReachableBlocks += o.ReachableBlocks
+	s.ReachableBytes += o.ReachableBytes
+	s.FreeSuperblocks += o.FreeSuperblocks
+	s.PartialSBs += o.PartialSBs
+	s.FullSBs += o.FullSBs
+	s.LargeRuns += o.LargeRuns
+	s.TraceWork += o.TraceWork
+	s.SweepUnits += o.SweepUnits
+	s.TraceTime += o.TraceTime
+	s.SweepTime += o.SweepTime
+	s.Duration += o.Duration
+}
+
 // Recover performs offline post-crash recovery (the paper's recover()):
 // trace all blocks reachable from the persistent roots, then reconstruct all
 // allocator metadata so that all and only the reachable blocks are allocated
@@ -219,91 +293,55 @@ type RecoveryStats struct {
 // GetRoot) beforehand. The heap stays dirty until a clean Close, so a crash
 // during recovery simply causes recovery to run again.
 func (h *Heap) Recover() (RecoveryStats, error) {
-	start := time.Now()
-	h.dropHandles()
-
-	// Steps 4–5: trace.
-	g := newGC(h)
-	g.collect()
-	traceDone := time.Now()
-
-	stats := h.rebuildFromTrace(g)
-	stats.TraceTime = traceDone.Sub(start)
-	stats.SweepTime = time.Since(traceDone)
-	stats.Duration = time.Since(start)
-	return stats, nil
+	return h.RecoverParallel(1)
 }
 
-// rebuildFromTrace performs steps 3 and 6–10 of recovery: reset the global
-// lists, sweep every used superblock keeping exactly the blocks marked in
-// g, rebuild all metadata, and write everything back. It is shared by
-// full-crash recovery (Recover) and the stop-the-world collection used
-// after partial, single-process crashes (Manager.Collect).
-func (h *Heap) rebuildFromTrace(g *GC) RecoveryStats {
-	r := h.region
-	// Step 3: fresh global lists. Every shard slot up to MaxShards is
-	// cleared — not just the active h.shards — so that stale heads left by
-	// a crashed session that ran with a larger shard count can never leak
-	// descriptors into a later remap.
+// RecoverParallel is Recover with the trace and the sweep each spread over
+// the given number of worker goroutines (at least one). Every worker count
+// rebuilds the same heap and reports the same counters.
+func (h *Heap) RecoverParallel(workers int) (RecoveryStats, error) {
+	h.dropHandles()
+	if workers < 1 {
+		workers = 1
+	}
+	return h.gc(workers, nil), nil
+}
+
+// gc is the recovery engine, steps 3–10 of §4.5: trace, reset the global
+// lists, sweep every used superblock keeping exactly the traced blocks,
+// write everything back. pin, if not nil, marks blocks that are allocated
+// although no persistent root reaches them, before the roots are traced.
+func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
+	start := time.Now()
+	gcs := h.trace(workers, pin)
+	traceDone := time.Now()
+
+	// Step 3, on the sweep side of the timestamp.
 	h.resetLists()
+	h.sweep(gcs)
+	h.writeBack()
 
-	// Steps 6–9: sweep every used superblock and rebuild its metadata.
-	stats := RecoveryStats{
-		ReachableBlocks: g.reachableBlocks,
-		ReachableBytes:  g.reachableBytes,
-		TraceWork:       g.traceWork,
+	var stats RecoveryStats
+	for _, g := range gcs {
+		stats.Add(g.stats)
 	}
-	n := h.usedDescs()
-	for i := uint32(0); i < n; {
-		stats.SweepUnits++
-		d := h.lay.descOff(i)
-		cls := r.Load(d + dOffClass)
-		bs := r.Load(d + dOffBlockSize)
-		numSB := r.Load(d + dOffNumSB)
-		switch {
-		case cls == 0 && bs > 0 && numSB > 0:
-			// Large run.
-			k := uint32(numSB)
-			if k > n-i {
-				k = n - i // torn run metadata: clamp and free
-			}
-			if g.marked(h.lay.sbOff(i)) && uint32(numSB) == k {
-				r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
-				stats.LargeRuns++
-				i += k
-				continue
-			}
-			for j := uint32(0); j < k; j++ {
-				h.clearAndRetire(i + j)
-				stats.FreeSuperblocks++
-			}
-			i += k
-		case cls == contClass:
-			// Orphaned continuation (crash between persisting the
-			// run body and its head, or mid-freeLarge).
-			h.clearAndRetire(i)
-			stats.FreeSuperblocks++
-			i++
-		case cls >= 1 && cls <= sizeclass.NumClasses && bs == sizeclass.ClassToSize(int(cls)):
-			h.sweepSmall(g, i, int(cls), bs, &stats)
-			i++
-		default:
-			// Never initialized, or stale/torn metadata with no
-			// reachable blocks: plain free superblock.
-			h.clearAndRetire(i)
-			stats.FreeSuperblocks++
-			i++
-		}
-	}
-
-	// Step 10: write everything back.
-	h.flushRange(0, h.region.Size())
-	h.fence()
+	end := time.Now()
+	stats.TraceTime = traceDone.Sub(start)
+	stats.SweepTime = end.Sub(traceDone)
+	stats.Duration = end.Sub(start)
 	return stats
 }
 
+// writeBack is step 10: everything recovery rebuilt becomes durable.
+func (h *Heap) writeBack() {
+	h.flushRange(0, h.region.Size())
+	h.fence()
+}
+
 // resetLists clears the superblock free list and every partial-list shard
-// slot (all MaxShards of them, active or not).
+// slot — all MaxShards of them, not just the active h.shards, so that stale
+// heads left by a crashed session that ran with a larger shard count can
+// never leak descriptors into a later remap.
 func (h *Heap) resetLists() {
 	r := h.region
 	r.Store(offFreeHead, pptr.HeadNil)
@@ -315,22 +353,92 @@ func (h *Heap) resetLists() {
 	}
 }
 
-// clearAndRetire resets descriptor i to the uninitialized state and pushes
-// its superblock onto the free list.
-func (h *Heap) clearAndRetire(i uint32) {
-	r := h.region
-	d := h.lay.descOff(i)
-	r.Store(d+dOffClass, 0)
-	r.Store(d+dOffBlockSize, 0)
-	r.Store(d+dOffNumSB, 0)
-	r.Store(d+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
-	h.pushDesc(offFreeHead, dOffNextFree, i)
+// unitLen returns how many of the n used descriptors the sweep unit starting
+// at descriptor i spans: the length of a large run headed there, else 1.
+// numSB is a persistent word that a torn write or a hostile image can set to
+// anything, so it is compared in 64 bits before narrowing: a run claiming
+// more than the n-i descriptors left is clamped (sweepUnit then frees it),
+// and the result is never 0, so every scan over units advances.
+func (h *Heap) unitLen(i, n uint32) uint32 {
+	r, d := h.region, h.lay.descOff(i)
+	numSB := r.Load(d + dOffNumSB)
+	if r.Load(d+dOffClass) != 0 || r.Load(d+dOffBlockSize) == 0 || numSB == 0 {
+		return 1
+	}
+	if numSB > uint64(n-i) {
+		return n - i
+	}
+	return uint32(numSB)
+}
+
+// sweep performs steps 6–9: one cheap scan partitions the used descriptors
+// into units (a large run is one unit), then the workers pull units from a
+// shared cursor and rebuild each one's metadata. The list pushes are the
+// same lock-free CASes used during normal operation.
+func (h *Heap) sweep(gcs []*GC) {
+	n := h.usedDescs()
+	units := make([]uint32, 0, n+1) // first descriptor of each unit, then n
+	for i := uint32(0); i < n; i += h.unitLen(i, n) {
+		units = append(units, i)
+	}
+	units = append(units, n)
+
+	var next atomic.Uint32
+	each(gcs, func(g *GC) {
+		for {
+			u := next.Add(1) - 1
+			if int(u) >= len(units)-1 {
+				return
+			}
+			g.sweepUnit(units[u], units[u+1]-units[u])
+		}
+	})
+}
+
+// sweepUnit classifies the unit of count descriptors starting at first and
+// rebuilds its metadata (steps 6–9); count > 1 only for a large run.
+func (g *GC) sweepUnit(first, count uint32) {
+	h, r := g.h, g.h.region
+	g.stats.SweepUnits++
+	d := h.lay.descOff(first)
+	cls := r.Load(d + dOffClass)
+	bs := r.Load(d + dOffBlockSize)
+	numSB := r.Load(d + dOffNumSB)
+	switch {
+	case cls == 0 && bs > 0 && numSB > 0:
+		// Large run: kept whole if its head was traced, else freed. A run
+		// unitLen had to clamp has torn metadata and is freed.
+		if numSB == uint64(count) && g.marked(h.lay.sbOff(first)) {
+			r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
+			g.stats.LargeRuns++
+			return
+		}
+		g.retire(first, count)
+	case cls == contClass:
+		// Orphaned continuation (crash between persisting the run body
+		// and its head, or mid-freeLarge).
+		g.retire(first, 1)
+	case cls >= 1 && cls <= sizeclass.NumClasses && bs == sizeclass.ClassToSize(int(cls)):
+		g.sweepSmall(first, int(cls), bs)
+	default:
+		// Never initialized, or stale/torn metadata with no reachable
+		// blocks: plain free superblock.
+		g.retire(first, 1)
+	}
+}
+
+// retire returns count superblocks starting at first to the free list.
+func (g *GC) retire(first, count uint32) {
+	for i := first; i < first+count; i++ {
+		g.h.retireDesc(i)
+	}
+	g.stats.FreeSuperblocks += uint64(count)
 }
 
 // sweepSmall rebuilds the block free chain and anchor of a small-class
 // superblock, keeping exactly the traced blocks allocated (steps 6–8).
-func (h *Heap) sweepSmall(g *GC, i uint32, c int, bs uint64, stats *RecoveryStats) {
-	r := h.region
+func (g *GC) sweepSmall(i uint32, c int, bs uint64) {
+	h, r := g.h, g.h.region
 	d := h.lay.descOff(i)
 	sb := h.lay.sbOff(i)
 	total := uint32(SuperblockBytes / bs)
@@ -348,18 +456,16 @@ func (h *Heap) sweepSmall(g *GC, i uint32, c int, bs uint64, stats *RecoveryStat
 	}
 	switch {
 	case nFree == total:
-		h.clearAndRetire(i)
-		stats.FreeSuperblocks++
+		g.retire(i, 1)
 	case nFree == 0:
 		r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
-		stats.FullSBs++
+		g.stats.FullSBs++
 	default:
 		r.Store(d+dOffAnchor, packAnchor(statePartial, uint32(chainHead-1), nFree))
 		// Deterministic shard placement (index mod shard count): the
-		// per-shard membership is the same whether the sweep runs
-		// sequentially or in parallel.
+		// per-shard membership does not depend on the worker count.
 		h.pushPartial(c, h.partialShardOf(i), i)
-		stats.PartialSBs++
+		g.stats.PartialSBs++
 	}
 }
 
@@ -442,7 +548,7 @@ func (h *Heap) CheckInvariants() (HeapCheck, error) {
 			if cls == 0 && bs > 0 {
 				// Allocated large run head.
 				chk.AllocatedBlks++
-				i += uint32(r.Load(d+dOffNumSB)) - 1
+				i += h.unitLen(i, n) - 1
 			}
 			continue
 		}

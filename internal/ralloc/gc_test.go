@@ -344,10 +344,8 @@ func TestFilterFunctionTracesTaggedPointers(t *testing.T) {
 	// First, demonstrate the failure mode: conservative tracing sees only
 	// the head node.
 	h.GetRoot(0, nil)
-	g := newGC(h)
-	g.collect()
-	if g.reachableBlocks != 1 {
-		t.Fatalf("conservative trace found %d blocks, want 1 (tagged links invisible)", g.reachableBlocks)
+	if blocks, _ := h.Trace(); blocks != 1 {
+		t.Fatalf("conservative trace found %d blocks, want 1 (tagged links invisible)", blocks)
 	}
 
 	// With the filter, the whole chain survives recovery.

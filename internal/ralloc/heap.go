@@ -162,6 +162,11 @@ func attach(region *pmem.Region, cfg Config, path string) (*Heap, bool, error) {
 	if lay.total != region.Size() {
 		return nil, false, fmt.Errorf("ralloc: region size %d does not match layout %d", region.Size(), lay.total)
 	}
+	// Recovery sizes its mark bitmap and its sweep from the used watermark,
+	// and the image may have arrived over the network: check it here.
+	if used := region.Load(offSBUsed); used%SuperblockBytes != 0 || used > lay.sbSize {
+		return nil, false, fmt.Errorf("ralloc: corrupt used watermark %d in heap image (superblock region is %d)", used, lay.sbSize)
+	}
 	cfg.SBRegion = sbSize
 	h := &Heap{region: region, cfg: cfg, lay: lay, path: path}
 	h.setShards(uint32(cfg.Shards))
@@ -194,15 +199,10 @@ func (h *Heap) initialize() {
 	r := h.region
 	r.Store(offSBSize, h.lay.sbSize)
 	r.Store(offSBUsed, 0)
-	r.Store(offFreeHead, pptr.HeadNil)
 	r.Store(offShards, uint64(h.shards))
+	h.resetLists()
 	for c := 0; c <= sizeclass.NumClasses; c++ {
-		e := classEntryOff(c)
-		r.Store(e, sizeclass.ClassToSize(c))
-		r.Store(e+8, pptr.HeadNil) // reserved (pre-v2 partial head)
-		for s := uint32(0); s < MaxShards; s++ {
-			r.Store(partialHeadOff(c, s), pptr.HeadNil)
-		}
+		r.Store(classEntryOff(c), sizeclass.ClassToSize(c))
 	}
 	for i := 0; i < NumRoots; i++ {
 		r.Store(rootOff(i), pptr.Nil)

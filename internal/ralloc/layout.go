@@ -18,7 +18,8 @@
 // when the superblock is initialized for a class), the persistent roots, and
 // the dirty indicator — the bold fields of Fig. 2. Everything else (anchors,
 // list links, thread caches) is transient and reconstructed by post-crash
-// garbage collection (gc.go).
+// garbage collection: one recovery engine (gc.go) behind four entry points —
+// Trace, Recover, RecoverParallel and Manager.Collect.
 package ralloc
 
 import "fmt"

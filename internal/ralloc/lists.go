@@ -123,19 +123,3 @@ func (h *Heap) remapShards(oldShards uint32) {
 		}
 	}
 }
-
-// listLen walks a descriptor list; used by tests and recovery verification.
-// Not safe against concurrent mutation.
-func (h *Heap) listLen(headOff, linkOff uint64) int {
-	n := 0
-	_, idx, ok := pptr.UnpackHead(h.region.Load(headOff))
-	for ok {
-		n++
-		next := h.region.Load(h.lay.descOff(idx) + linkOff)
-		if next == 0 {
-			break
-		}
-		idx = uint32(next - 1)
-	}
-	return n
-}

@@ -1,13 +1,97 @@
 package ralloc
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/pmem"
 	"repro/internal/pptr"
+	"repro/internal/sizeclass"
 )
 
-// buildWideGraph makes a bushy pointer graph (so parallel tracing has
+// There is one recovery engine; these tests check it against the model
+// counts of each scenario and against CheckInvariants at every worker count,
+// and require that the worker count changes nothing observable.
+
+var workerCounts = []int{1, 2, 4, 8}
+
+// counters strips the wall-clock fields, leaving what must not depend on
+// the worker count.
+func counters(s RecoveryStats) RecoveryStats {
+	s.TraceTime, s.SweepTime, s.Duration = 0, 0, 0
+	return s
+}
+
+// listMembers walks the descriptor list at headOff, linked through linkOff.
+func listMembers(h *Heap, headOff, linkOff uint64) []int {
+	var members []int
+	_, idx, ok := pptr.UnpackHead(h.region.Load(headOff))
+	for ok {
+		members = append(members, int(idx))
+		next := h.region.Load(h.lay.descOff(idx) + linkOff)
+		if next == 0 {
+			break
+		}
+		idx = uint32(next - 1)
+	}
+	return members
+}
+
+// partialMembership renders which descriptors sit on which (class, shard)
+// partial list, order within a list aside.
+func partialMembership(h *Heap) string {
+	var out string
+	for c := 1; c <= sizeclass.NumClasses; c++ {
+		for s := uint32(0); s < MaxShards; s++ {
+			if members := listMembers(h, partialHeadOff(c, s), dOffNextPartial); len(members) > 0 {
+				sort.Ints(members)
+				out += fmt.Sprintf("c%d/s%d:%v ", c, s, members)
+			}
+		}
+	}
+	return out
+}
+
+// recoverAtEveryWorkerCount builds the same crashed heap once per worker
+// count (build must be deterministic and register the root filters),
+// recovers it with that many workers, and requires a clean CheckInvariants
+// and counters and partial-list membership identical to the one-worker run.
+// check, if not nil, asserts the scenario's own expectations on every run.
+func recoverAtEveryWorkerCount(t *testing.T, build func(t *testing.T) *Heap, check func(t *testing.T, h *Heap, s RecoveryStats)) {
+	t.Helper()
+	var want RecoveryStats
+	var wantLists string
+	for _, workers := range workerCounts {
+		h := build(t)
+		stats, err := h.RecoverParallel(workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if _, err := h.CheckInvariants(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if stats.TraceWork == 0 || stats.SweepUnits == 0 {
+			t.Fatalf("workers=%d: work counters not recorded: %+v", workers, stats)
+		}
+		got, lists := counters(stats), partialMembership(h)
+		if workers == workerCounts[0] {
+			want, wantLists = got, lists
+		}
+		if got != want {
+			t.Fatalf("workers=%d: counters %+v, want %+v as with one worker", workers, got, want)
+		}
+		if lists != wantLists {
+			t.Fatalf("workers=%d: partial lists %s, want %s as with one worker", workers, lists, wantLists)
+		}
+		if check != nil {
+			check(t, h, stats)
+		}
+	}
+}
+
+// buildWideGraph makes a bushy pointer graph (so a multi-worker trace has
 // fan-out to exploit) plus a deep chain (so work-sharing must split within
 // one structure). Returns the root offset and the expected reachable count.
 func buildWideGraph(t *testing.T, h *Heap, hd *Handle, fanout, depth int) (uint64, uint64) {
@@ -52,52 +136,133 @@ func buildWideGraph(t *testing.T, h *Heap, hd *Handle, fanout, depth int) (uint6
 	return root, count
 }
 
-func TestRecoverParallelMatchesSequential(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		buildAndCheck := func(parallel bool) (RecoveryStats, *Heap) {
+// crashed simulates the crash and re-registers conservative tracing on the
+// given roots, as a restarted process would before recovering.
+func crashed(t *testing.T, h *Heap, roots ...int) *Heap {
+	t.Helper()
+	if err := h.Region().Crash(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range roots {
+		h.GetRoot(i, nil)
+	}
+	return h
+}
+
+func TestRecoverAtEveryWorkerCount(t *testing.T) {
+	// A deep chain under a bushy tree plus leaked noise; the chain is long
+	// enough that workers donate (donateThreshold) and steal.
+	t.Run("wide-graph", func(t *testing.T) {
+		var reachable uint64
+		recoverAtEveryWorkerCount(t, func(t *testing.T) *Heap {
 			h := crashHeap(t, 0)
 			hd := h.NewHandle()
-			root, _ := buildWideGraph(t, h, hd, 6, 3000)
-			// Plus leaked noise.
+			var root uint64
+			root, reachable = buildWideGraph(t, h, hd, 6, 3000)
 			for i := 0; i < 2000; i++ {
 				hd.Malloc(48)
 			}
 			h.SetRoot(0, root)
-			if err := h.Region().Crash(); err != nil {
-				t.Fatal(err)
+			return crashed(t, h, 0)
+		}, func(t *testing.T, h *Heap, s RecoveryStats) {
+			if s.ReachableBlocks != reachable || s.ReachableBytes != reachable*64 {
+				t.Fatalf("reachable = %d blocks / %d bytes, want %d / %d",
+					s.ReachableBlocks, s.ReachableBytes, reachable, reachable*64)
 			}
-			h.GetRoot(0, nil)
-			var stats RecoveryStats
-			var err error
-			if parallel {
-				stats, err = h.RecoverParallel(workers)
-			} else {
-				stats, err = h.Recover()
+		})
+	})
+
+	// One kept and one leaked large run: a run is one sweep unit.
+	t.Run("large-runs", func(t *testing.T) {
+		var kept uint64
+		recoverAtEveryWorkerCount(t, func(t *testing.T) *Heap {
+			h := crashHeap(t, 0)
+			hd := h.NewHandle()
+			r := h.Region()
+			hdr := hd.Malloc(16)
+			kept = hd.Malloc(200_000)
+			r.Store(kept, 0xAB)
+			r.FlushRange(kept, 8)
+			r.Store(hdr, pptr.Pack(hdr, kept))
+			r.FlushRange(hdr, 8)
+			r.Fence()
+			h.SetRoot(0, hdr)
+			hd.Malloc(300_000) // leaked run
+			return crashed(t, h, 0)
+		}, func(t *testing.T, h *Heap, s RecoveryStats) {
+			if s.LargeRuns != 1 || s.ReachableBlocks != 2 {
+				t.Fatalf("kept runs = %d, reachable = %d, want 1 and 2", s.LargeRuns, s.ReachableBlocks)
 			}
-			if err != nil {
-				t.Fatal(err)
+			if h.Region().Load(kept) != 0xAB {
+				t.Fatal("large block content lost")
 			}
-			return stats, h
-		}
-		seqStats, _ := buildAndCheck(false)
-		parStats, ph := buildAndCheck(true)
-		if seqStats.ReachableBlocks != parStats.ReachableBlocks {
-			t.Fatalf("workers=%d: parallel reachable %d != sequential %d",
-				workers, parStats.ReachableBlocks, seqStats.ReachableBlocks)
-		}
-		if seqStats.ReachableBytes != parStats.ReachableBytes {
-			t.Fatalf("workers=%d: bytes %d != %d", workers,
-				parStats.ReachableBytes, seqStats.ReachableBytes)
-		}
-		if seqStats.FreeSuperblocks != parStats.FreeSuperblocks ||
-			seqStats.PartialSBs != parStats.PartialSBs ||
-			seqStats.FullSBs != parStats.FullSBs {
-			t.Fatalf("workers=%d: sweep stats differ: seq %+v par %+v",
-				workers, seqStats, parStats)
-		}
-		if _, err := ph.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		})
+	})
+
+	// A short list: fewer blocks than workers can share.
+	t.Run("list-100", func(t *testing.T) {
+		recoverAtEveryWorkerCount(t, func(t *testing.T) *Heap {
+			h := crashHeap(t, 0)
+			buildList(t, h, h.NewHandle(), 100, 0)
+			return crashed(t, h, 0)
+		}, func(t *testing.T, h *Heap, s RecoveryStats) {
+			if s.ReachableBlocks != 100 {
+				t.Fatalf("reachable = %d, want 100", s.ReachableBlocks)
+			}
+		})
+	})
+
+	// Random graphs with cycles and shared targets under two roots; the
+	// expected count is the model's own reachability walk.
+	for trial := 0; trial < 5; trial++ {
+		t.Run(fmt.Sprintf("random-graph-%d", trial), func(t *testing.T) {
+			var reachable uint64
+			recoverAtEveryWorkerCount(t, func(t *testing.T) *Heap {
+				rng := rand.New(rand.NewSource(int64(trial) + 99))
+				h := crashHeap(t, 0)
+				hd := h.NewHandle()
+				r := h.Region()
+				const pool = 400
+				nodes := make([]uint64, pool)
+				for i := range nodes {
+					nodes[i] = hd.Malloc(64)
+					r.Zero(nodes[i], 64)
+				}
+				edges := map[uint64][]uint64{}
+				for _, off := range nodes {
+					for s := uint64(0); s < 4; s++ {
+						if rng.Intn(2) == 0 {
+							tgt := nodes[rng.Intn(pool)]
+							if tgt != off {
+								r.Store(off+s*8, pptr.Pack(off+s*8, tgt))
+								edges[off] = append(edges[off], tgt)
+							}
+						}
+					}
+					r.FlushRange(off, 64)
+				}
+				r.Fence()
+				h.SetRoot(0, nodes[0])
+				h.SetRoot(5, nodes[pool/2])
+
+				seen := map[uint64]bool{}
+				stack := []uint64{nodes[0], nodes[pool/2]}
+				for len(stack) > 0 {
+					off := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					if !seen[off] {
+						seen[off] = true
+						stack = append(stack, edges[off]...)
+					}
+				}
+				reachable = uint64(len(seen))
+				return crashed(t, h, 0, 5)
+			}, func(t *testing.T, h *Heap, s RecoveryStats) {
+				if s.ReachableBlocks != reachable {
+					t.Fatalf("reachable = %d, model says %d", s.ReachableBlocks, reachable)
+				}
+			})
+		})
 	}
 }
 
@@ -136,115 +301,23 @@ func TestRecoverParallelPreservesStructure(t *testing.T) {
 	}
 }
 
-func TestRecoverParallelLargeRuns(t *testing.T) {
-	h := crashHeap(t, 0)
-	hd := h.NewHandle()
-	r := h.Region()
-	hdr := hd.Malloc(16)
-	kept := hd.Malloc(200_000)
-	r.Store(kept, 0xAB)
-	r.FlushRange(kept, 8)
-	r.Store(hdr, pptr.Pack(hdr, kept))
-	r.FlushRange(hdr, 8)
-	r.Fence()
-	h.SetRoot(0, hdr)
-	hd.Malloc(300_000) // leaked run
-	if err := h.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
-	h.GetRoot(0, nil)
-	stats, err := h.RecoverParallel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.LargeRuns != 1 {
-		t.Fatalf("kept runs = %d, want 1", stats.LargeRuns)
-	}
-	if r.Load(kept) != 0xAB {
-		t.Fatal("large block content lost")
-	}
-	if _, err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecoverParallelSingleWorkerFallsBack(t *testing.T) {
-	h := crashHeap(t, 0)
-	hd := h.NewHandle()
-	buildList(t, h, hd, 100, 0)
-	if err := h.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
-	h.GetRoot(0, nil)
-	stats, err := h.RecoverParallel(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ReachableBlocks != 100 {
-		t.Fatalf("reachable = %d", stats.ReachableBlocks)
-	}
-}
-
-func TestRecoverParallelRandomizedEquivalence(t *testing.T) {
-	// Random graphs, random eviction: parallel and sequential recovery
-	// must agree block-for-block on the reachable set size.
-	for trial := 0; trial < 5; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 99))
-		build := func(h *Heap) {
-			hd := h.NewHandle()
-			r := h.Region()
-			const pool = 400
-			nodes := make([]uint64, pool)
-			for i := range nodes {
-				nodes[i] = hd.Malloc(64)
-				r.Zero(nodes[i], 64)
-			}
-			for _, off := range nodes {
-				for s := uint64(0); s < 4; s++ {
-					if rng.Intn(2) == 0 {
-						tgt := nodes[rng.Intn(pool)]
-						if tgt != off {
-							r.Store(off+s*8, pptr.Pack(off+s*8, tgt))
-						}
-					}
-				}
-				r.FlushRange(off, 64)
-			}
-			r.Fence()
-			h.SetRoot(0, nodes[0])
-			h.SetRoot(5, nodes[pool/2])
+// TestRecoverWritesEverythingBack pins step 10: after recovery of a crashed,
+// re-attached heap no line is left dirty, so a second crash straight after
+// loses nothing recovery rebuilt. It is the safety net for narrowing the
+// write-back to the lines recovery actually wrote.
+func TestRecoverWritesEverythingBack(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		h := shardedCrashHeap(t, 4)
+		h2, dirty, err := Attach(h.Region(), Config{Shards: 4, Pmem: pmem.Config{Mode: pmem.ModeCrashSim, Seed: 7}})
+		if err != nil || !dirty {
+			t.Fatalf("workers=%d: attach: dirty=%v err=%v", workers, dirty, err)
 		}
-		seq := crashHeap(t, 0)
-		build(seq)
-		// Rebuild identically for the parallel heap (same seed stream).
-		rng = rand.New(rand.NewSource(int64(trial) + 99))
-		par := crashHeap(t, 0)
-		build(par)
-
-		if err := seq.Region().Crash(); err != nil {
+		h2.GetRoot(0, nil)
+		if _, err := h2.RecoverParallel(workers); err != nil {
 			t.Fatal(err)
 		}
-		if err := par.Region().Crash(); err != nil {
-			t.Fatal(err)
-		}
-		seq.GetRoot(0, nil)
-		seq.GetRoot(5, nil)
-		par.GetRoot(0, nil)
-		par.GetRoot(5, nil)
-		s1, err := seq.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := par.RecoverParallel(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1.ReachableBlocks != s2.ReachableBlocks {
-			t.Fatalf("trial %d: sequential %d vs parallel %d reachable",
-				trial, s1.ReachableBlocks, s2.ReachableBlocks)
-		}
-		if _, err := par.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		if n := h2.Region().DirtyLines(); n != 0 {
+			t.Fatalf("workers=%d: %d lines still dirty after recovery", workers, n)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
-	"repro/internal/pptr"
 	"repro/internal/sizeclass"
 )
 
@@ -95,26 +94,14 @@ func descAccounting(t *testing.T, h *Heap) {
 	n := h.usedDescs()
 
 	onFree := make(map[uint32]bool)
-	_, idx, ok := pptr.UnpackHead(r.Load(offFreeHead))
-	for ok {
-		onFree[idx] = true
-		next := r.Load(h.lay.descOff(idx) + dOffNextFree)
-		if next == 0 {
-			break
-		}
-		idx = uint32(next - 1)
+	for _, idx := range listMembers(h, offFreeHead, dOffNextFree) {
+		onFree[uint32(idx)] = true
 	}
 	onPartial := make(map[uint32]bool)
 	for c := 1; c <= sizeclass.NumClasses; c++ {
 		for s := uint32(0); s < MaxShards; s++ {
-			_, idx, ok := pptr.UnpackHead(r.Load(partialHeadOff(c, s)))
-			for ok {
-				onPartial[idx] = true
-				next := r.Load(h.lay.descOff(idx) + dOffNextPartial)
-				if next == 0 {
-					break
-				}
-				idx = uint32(next - 1)
+			for _, idx := range listMembers(h, partialHeadOff(c, s), dOffNextPartial) {
+				onPartial[uint32(idx)] = true
 			}
 		}
 	}
@@ -188,7 +175,7 @@ func shardedCrashHeap(t *testing.T, shards int) *Heap {
 			t.Fatal("OOM")
 		}
 	}
-	if hd.Malloc(3*SuperblockBytes + 100) == 0 { // leaked large run
+	if hd.Malloc(3*SuperblockBytes+100) == 0 { // leaked large run
 		t.Fatal("large OOM")
 	}
 	if err := h.Region().Crash(); err != nil {

@@ -3,7 +3,6 @@ package ralloc
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/sizeclass"
 )
@@ -18,12 +17,13 @@ import (
 //
 // This file models that protocol. A Manager tracks Processes; killing a
 // process abandons its handles (exactly what a real crash does to
-// thread-local state). Collect performs the stop-the-world pass: it pins
-// the *live* processes' thread caches (their blocks are allocated even
-// though no persistent root reaches them), traces from the persistent
-// roots, and rebuilds the allocator metadata — reclaiming everything the
-// dead processes leaked while live processes keep working afterwards with
-// their caches intact.
+// thread-local state). Collect performs the stop-the-world pass, which is
+// the recovery engine of gc.go with one difference: it pins the *live*
+// processes' thread caches (their blocks are allocated even though no
+// persistent root reaches them) before tracing from the persistent roots
+// and rebuilding the allocator metadata — reclaiming everything the dead
+// processes leaked while live processes keep working afterwards with their
+// caches intact.
 
 // Manager coordinates processes sharing one heap.
 type Manager struct {
@@ -115,11 +115,15 @@ func (m *Manager) CrashedSinceCollection() bool {
 // caches remain valid after the collection, so live processes continue
 // without interruption.
 func (m *Manager) Collect() (RecoveryStats, error) {
-	start := time.Now()
-	h := m.h
+	stats := m.h.gc(1, m.pinLiveCaches)
+	m.mu.Lock()
+	m.crashedSince = false
+	m.mu.Unlock()
+	return stats, nil
+}
 
-	g := newGC(h)
-	// Pin live caches.
+// pinLiveCaches marks every block held in a live process's thread caches.
+func (m *Manager) pinLiveCaches(g *GC) {
 	m.mu.Lock()
 	procs := make([]*Process, 0, len(m.procs))
 	for _, p := range m.procs {
@@ -131,26 +135,12 @@ func (m *Manager) Collect() (RecoveryStats, error) {
 		for _, hd := range p.handles {
 			for c := 1; c <= sizeclass.NumClasses; c++ {
 				for _, b := range hd.cache[c] {
-					if size, ok := g.blockInfo(b); ok && g.mark(b) {
-						g.reachableBlocks++
-						g.reachableBytes += size
-					}
+					g.pin(b)
 				}
 			}
 		}
 		p.mu.Unlock()
 	}
-
-	// Trace from the persistent roots with the registered filters.
-	g.collect()
-
-	stats := h.rebuildFromTrace(g)
-	stats.Duration = time.Since(start)
-
-	m.mu.Lock()
-	m.crashedSince = false
-	m.mu.Unlock()
-	return stats, nil
 }
 
 // LiveProcesses reports how many sharers are alive.

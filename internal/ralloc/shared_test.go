@@ -231,3 +231,23 @@ func TestConcurrentSharersThenCollect(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectReportsPhaseSplit: Collect is the recovery engine with caches
+// pinned, so it reports the same trace/sweep decomposition Recover does.
+func TestCollectReportsPhaseSplit(t *testing.T) {
+	h := crashHeap(t, 0)
+	m := h.NewManager()
+	hd := m.Spawn().NewHandle()
+	buildList(t, h, hd, 2000, 0)
+	h.GetRoot(0, nil)
+	stats, err := m.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TraceTime <= 0 || stats.SweepTime <= 0 {
+		t.Fatalf("phase times not measured: trace %v sweep %v", stats.TraceTime, stats.SweepTime)
+	}
+	if stats.TraceTime+stats.SweepTime > stats.Duration {
+		t.Fatalf("trace %v + sweep %v exceed duration %v", stats.TraceTime, stats.SweepTime, stats.Duration)
+	}
+}

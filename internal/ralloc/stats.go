@@ -114,8 +114,9 @@ func (h *Heap) partialLenBounded(s uint32) int {
 	return n
 }
 
-// listLenBounded is listLen with an iteration cap, safe to call during
-// concurrent mutation (the count is approximate; the walk always ends).
+// listLenBounded walks a descriptor list under an iteration cap, so it is
+// safe to call during concurrent mutation (the count is approximate; the
+// walk always ends).
 func (h *Heap) listLenBounded(headOff, linkOff uint64, max int) int {
 	n := 0
 	_, idx, ok := pptr.UnpackHead(h.region.Load(headOff))
