@@ -9,7 +9,8 @@ import (
 // AtomicWord enforces the Region access-discipline split (the PR 2
 // cross-stripe lost-update class): a word offset that the package accesses
 // through the atomic accessors (Load/Store/CAS/Add) must not also be
-// accessed through the non-atomic byte accessors (ReadBytes/WriteBytes) —
+// accessed through the non-atomic byte accessors
+// (ReadBytes/EqualBytes/WriteBytes) —
 // word operations and byte operations on the same word are not atomic with
 // respect to each other (pmem.Region's documented contract), so mixing
 // them on a contended location silently loses updates.
@@ -64,7 +65,7 @@ func runAtomicWord(pass *Pass) {
 				if _, seen := atomicUses[key]; !seen {
 					atomicUses[key] = use{call.Pos(), method}
 				}
-			case "ReadBytes", "WriteBytes":
+			case "ReadBytes", "EqualBytes", "WriteBytes":
 				if _, seen := rawUses[key]; !seen {
 					rawUses[key] = use{call.Pos(), method}
 				}

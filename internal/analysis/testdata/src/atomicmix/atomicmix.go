@@ -11,6 +11,19 @@ func mix(r *pmem.Region, off uint64) {
 	r.ReadBytes(off+8, b[:]) // want "word off\+8 is accessed non-atomically via ReadBytes"
 }
 
+// compareMix compares a word in place that is also stored atomically: the
+// in-place compare is a byte read like ReadBytes.
+func compareMix(r *pmem.Region, off uint64, key []byte) bool {
+	r.Store(off+384, 1)
+	return r.EqualBytes(off+384, key) // want "word off\+384 is accessed non-atomically via EqualBytes"
+}
+
+// compareKey is the record path's shape: the lengths word is loaded, the key
+// bytes behind the header are compared in place — different words, fine.
+func compareKey(r *pmem.Region, off uint64, key []byte) bool {
+	return r.Load(off+392)>>32 == uint64(len(key)) && r.EqualBytes(off+408, key)
+}
+
 // rmw is the PR 2 lost-update shape: Store of a value derived from Load of
 // the same word on the same Region.
 func rmw(r *pmem.Region, off uint64) {

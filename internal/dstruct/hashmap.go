@@ -17,7 +17,10 @@ import (
 // Concurrency uses striped locks (transient, like memcached's): writers to
 // the same bucket stripe serialize; updates are durably linearized by
 // flushing the new node before the bucket link swing and flushing the link
-// after.
+// after. The record path has one of each mechanism — find, publish, unlink,
+// walk and the Record view below — shared with the per-object field chains
+// of object.go. The count word (Len) is bookkeeping, not a commit point:
+// Recover recounts it after a crash.
 type HashMap struct {
 	a alloc.Allocator
 	r *pmem.Region
@@ -95,14 +98,19 @@ func NewHashMap(a alloc.Allocator, h alloc.Handle, nBuckets int) (*HashMap, uint
 	return &HashMap{a: a, r: r, hdr: hdr, buckets: arr, nB: n}, hdr
 }
 
-// AttachHashMap re-attaches to a map whose header is at hdr.
+// AttachHashMap re-attaches to a map whose header is at hdr. The header comes
+// from an image, so it is checked before anything indexes with it: a bucket
+// count that is zero or not a power of two would turn the hash mask into an
+// out-of-array index (or hide keys), and one larger than the region would
+// put the first lookup outside it — fail here, at startup, not mid-traffic.
 func AttachHashMap(a alloc.Allocator, hdr uint64) *HashMap {
 	r := a.Region()
 	arr, ok := pptr.Unpack(hdr, r.Load(hdr))
-	if !ok {
+	nB := r.Load(hdr + 8)
+	if !ok || nB == 0 || nB&(nB-1) != 0 || arr >= r.Size() || nB > (r.Size()-arr)/8 {
 		panic("dstruct: hashmap header corrupt")
 	}
-	return &HashMap{a: a, r: r, hdr: hdr, buckets: arr, nB: r.Load(hdr + 8)}
+	return &HashMap{a: a, r: r, hdr: hdr, buckets: arr, nB: nB}
 }
 
 // fnv1a hashes key bytes.
@@ -116,97 +124,203 @@ func fnv1a(key []byte) uint64 {
 }
 
 func (m *HashMap) slot(key []byte) (bucketOff uint64, stripe *sync.Mutex) {
-	h := fnv1a(key)
-	i := h & (m.nB - 1)
-	// The stripe is derived from the bucket index, not the full hash: with
-	// fewer than 64 buckets, two keys in the same bucket could otherwise
-	// hash to different stripes and mutate the same chain concurrently.
-	return m.buckets + i*8, &m.stripes[i%uint64(len(m.stripes))]
+	i := fnv1a(key) & (m.nB - 1)
+	return m.buckets + i*8, m.stripeFor(i)
 }
 
-// stripeFor returns the lock guarding bucket i's chain.
+// stripeFor returns the lock guarding bucket i's chain. The stripe is
+// derived from the bucket index, not the full hash: with fewer than 64
+// buckets, two keys in the same bucket could otherwise hash to different
+// stripes and mutate the same chain concurrently.
 func (m *HashMap) stripeFor(i uint64) *sync.Mutex {
 	return &m.stripes[i%uint64(len(m.stripes))]
 }
 
-// nodeKey reads the key bytes of the node at off.
-func (m *HashMap) nodeKey(off uint64) []byte {
-	_, klen, _ := unpackLens(m.r.Load(off + 8))
+// The record path. Every keyed chain — a top-level bucket chain of records
+// (node header hmNodeHdr) and an object's bucket chain of fields (fldNodeHdr,
+// object.go) — is a singly linked list of nodes whose word 0 is the next
+// off-holder, whose word 1 carries the key length at bits 32..60, and whose
+// key bytes follow the header. One find, one publish and one unlink serve
+// both; walk sweeps a whole bucket array of either kind.
+
+// deref resolves the off-holder stored at holder (0 for nil).
+func (m *HashMap) deref(holder uint64) uint64 {
+	off, _ := pptr.Unpack(holder, m.r.Load(holder))
+	return off
+}
+
+// ptrTo is the off-holder to store at holder so that it points at target.
+func ptrTo(holder, target uint64) uint64 {
+	if target == 0 {
+		return pptr.Nil
+	}
+	return pptr.Pack(holder, target)
+}
+
+// find locates key in the chain hanging off slot, comparing keys in place.
+// It returns the holder of the link pointing at the node and the node's
+// offset (0 if absent). The caller holds the chain's stripe lock.
+func (m *HashMap) find(slot uint64, key []byte, nodeHdr uint64) (prev, off uint64) {
+	r := m.r
+	prev, off = slot, m.deref(slot)
+	for off != 0 {
+		if r.Load(off+8)>>32&klenMask == uint64(len(key)) && r.EqualBytes(off+nodeHdr, key) {
+			return prev, off
+		}
+		prev, off = off, m.deref(off)
+	}
+	return prev, 0
+}
+
+// publish makes the fully written node n (size bytes) durably reachable with
+// one word: it takes the place of old, the node prev links to, or — old == 0,
+// a new key — becomes the head of slot's chain. The node is flushed and
+// fenced before the swing, the swing after: a crash leaves the chain with
+// all of n or none of it. This is the only commit point of keyed chains.
+func (m *HashMap) publish(slot, prev, old, n, size uint64) {
+	r := m.r
+	if old == 0 {
+		prev, old = slot, slot
+	}
+	r.Store(n, ptrTo(n, m.deref(old)))
+	r.FlushRange(n, size)
+	r.Fence()
+	//pmem:publish
+	r.Store(prev, pptr.Pack(prev, n))
+	r.Flush(prev)
+	r.Fence()
+}
+
+// unlink durably removes the node at off from its chain (prev holds the
+// link to it). The one-word swing is the commit; whatever the caller frees
+// afterwards is unreachable, which is exactly what recovery GC reclaims.
+func (m *HashMap) unlink(prev, off uint64) {
+	r := m.r
+	r.Store(prev, ptrTo(prev, m.deref(off)))
+	r.Flush(prev)
+	r.Fence()
+}
+
+// walk calls fn with every node chained off buckets [from, to) of the bucket
+// array at arr until fn returns false. A node's successor is read before fn
+// runs, so fn may free the node. Top-level buckets are visited under their
+// stripe lock; an object's buckets belong to its key, whose stripe the
+// caller already holds.
+func (m *HashMap) walk(arr, from, to uint64, fn func(off uint64) bool) {
+	for i, more := from, true; i < to && more; i++ {
+		var mu *sync.Mutex
+		if arr == m.buckets {
+			mu = m.stripeFor(i)
+			mu.Lock()
+		}
+		for off := m.deref(arr + i*8); off != 0 && more; {
+			next := m.deref(off)
+			more = fn(off)
+			off = next
+		}
+		if mu != nil {
+			mu.Unlock()
+		}
+	}
+}
+
+// Record is a view of one top-level record. Tag and ExpireAt (unix
+// milliseconds; 0 = immortal) are copies; Key, Value and Bytes read the
+// record itself and are valid only while its stripe lock is held — inside
+// the View, Range or Recover callback that handed the Record out. The map
+// never interprets the stamp: expiry policy lives in the caller (kvstore),
+// so records past their deadline are handed out like any other.
+type Record struct {
+	Tag      uint8
+	ExpireAt uint64
+
+	m   *HashMap
+	off uint64
+}
+
+func (m *HashMap) record(off uint64) Record {
+	return Record{Tag: uint8(m.r.Load(off+8) >> tagShift), ExpireAt: m.r.Load(off + 16), m: m, off: off}
+}
+
+// Key returns a copy of the record's key.
+func (rec Record) Key() []byte {
+	_, klen, _ := unpackLens(rec.m.r.Load(rec.off + 8))
 	key := make([]byte, klen)
-	m.r.ReadBytes(off+hmNodeHdr, key)
+	rec.m.r.ReadBytes(rec.off+hmNodeHdr, key)
 	return key
 }
 
-func (m *HashMap) nodeValue(off uint64) []byte {
-	_, klen, vlen := unpackLens(m.r.Load(off + 8))
+// Value returns a copy of the record's value; for an object record that is
+// the raw 8-byte payload, never a client value.
+func (rec Record) Value() []byte {
+	_, klen, vlen := unpackLens(rec.m.r.Load(rec.off + 8))
 	val := make([]byte, vlen)
-	m.r.ReadBytes(off+hmNodeHdr+pad8(klen), val)
+	rec.m.r.ReadBytes(rec.off+hmNodeHdr+pad8(klen), val)
 	return val
 }
 
-// nodeTag reads the node's type tag.
-func (m *HashMap) nodeTag(off uint64) uint8 { return uint8(m.r.Load(off+8) >> tagShift) }
-
-// nodePayloadOff is the byte offset of the node's value area (for object
-// records: the off-holder to the secondary structure header).
-func (m *HashMap) nodePayloadOff(off uint64) uint64 {
-	_, klen, _ := unpackLens(m.r.Load(off + 8))
-	return off + hmNodeHdr + pad8(klen)
-}
-
-// nodeObjHdr resolves an object node's secondary-structure header offset.
-func (m *HashMap) nodeObjHdr(off uint64) (uint64, bool) {
-	p := m.nodePayloadOff(off)
-	return pptr.Unpack(p, m.r.Load(p))
-}
-
-// nodeExpire reads the node's expiry stamp (0 = immortal).
-func (m *HashMap) nodeExpire(off uint64) uint64 { return m.r.Load(off + 16) }
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// Bytes returns the record's total persistent footprint: the top node plus,
+// for an object record, the whole secondary structure as kept in the object
+// header's graph-bytes word.
+func (rec Record) Bytes() uint64 {
+	m := rec.m
+	_, klen, vlen := unpackLens(m.r.Load(rec.off + 8))
+	total := RecordSize(klen, vlen)
+	if rec.Tag != TagString {
+		if hdr := m.objHdr(rec.off); hdr != 0 {
+			total += m.r.Load(hdr + objOffBytes)
 		}
 	}
-	return true
+	return total
 }
 
-// Get returns the value stored under key.
-func (m *HashMap) Get(key []byte) ([]byte, bool) {
-	v, _, ok := m.GetExpire(key)
-	return v, ok
-}
+// RecordSize is the size of the node holding a record with a key of klen
+// bytes and a value of vlen bytes (8 for an object record's payload).
+func RecordSize(klen, vlen uint64) uint64 { return hmNodeHdr + pad8(klen) + pad8(vlen) }
 
-// GetExpire returns the value stored under key together with its expiry
-// stamp (unix milliseconds; 0 = immortal). The map itself never interprets
-// the stamp — lazy-expiry policy lives in the caller (kvstore) — so a record
-// past its deadline is still returned here. For object records the returned
-// value is the raw 8-byte payload; callers that must distinguish use
-// GetTyped.
-func (m *HashMap) GetExpire(key []byte) (value []byte, expireAt uint64, ok bool) {
-	v, at, _, ok := m.GetTyped(key)
-	return v, at, ok
-}
+// expired reports whether a stamp had passed at now (0 never passes).
+func expired(at, now uint64) bool { return at != 0 && at <= now }
 
-// GetTyped is GetExpire returning the record's type tag too — the kvstore
-// read path branches on it (string fast path versus WRONGTYPE) with no
-// extra loads: the tag shares the lengths word every read decodes anyway.
-func (m *HashMap) GetTyped(key []byte) (value []byte, expireAt uint64, tag uint8, ok bool) {
+// View calls fn with key's record under its stripe lock, reporting whether
+// the key was present — the one locked lookup every reader is built on.
+func (m *HashMap) View(key []byte, fn func(Record)) bool {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	off, _ := pptr.Unpack(bucket, m.r.Load(bucket))
-	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
-			return m.nodeValue(off), m.nodeExpire(off), m.nodeTag(off), true
-		}
-		off, _ = pptr.Unpack(off, m.r.Load(off))
+	_, off := m.find(bucket, key, hmNodeHdr)
+	if off != 0 {
+		fn(m.record(off))
 	}
-	return nil, 0, TagString, false
+	return off != 0
+}
+
+// Get returns the value stored under key.
+func (m *HashMap) Get(key []byte) (val []byte, ok bool) {
+	ok = m.View(key, func(rec Record) { val = rec.Value() })
+	return val, ok
+}
+
+// newNode allocates a record node and writes everything but its link and its
+// value: lengths and tag, stamp, key. It returns the node, the offset of its
+// value area and its size; n == 0 reports exhaustion.
+func (m *HashMap) newNode(h alloc.Handle, key []byte, tag uint8, vlen, expireAt uint64) (n, val, size uint64) {
+	klen := uint64(len(key))
+	size = RecordSize(klen, vlen)
+	if n = h.Malloc(size); n == 0 {
+		return 0, 0, 0
+	}
+	m.r.Store(n+8, packLens(tag, klen, vlen))
+	m.r.Store(n+16, expireAt)
+	m.r.WriteBytes(n+hmNodeHdr, key)
+	return n, n + hmNodeHdr + pad8(klen), size
+}
+
+// addCount moves the map's record count. Add, not load+store: the word is
+// shared across stripes. It is flushed but is not a commit point — Recover
+// recounts it.
+func (m *HashMap) addCount(delta uint64) {
+	m.r.Add(m.hdr+16, delta)
+	m.r.Flush(m.hdr + 16)
 }
 
 // Set inserts or replaces key→value with no expiry (replacing also clears
@@ -225,51 +339,16 @@ func (m *HashMap) SetExpire(h alloc.Handle, key, value []byte, expireAt uint64) 
 	if len(key) > MaxKeyLen {
 		return false
 	}
-	r := m.r
-	size := hmNodeHdr + pad8(uint64(len(key))) + pad8(uint64(len(value)))
-	n := h.Malloc(size)
+	n, val, size := m.newNode(h, key, TagString, uint64(len(value)), expireAt)
 	if n == 0 {
 		return false
 	}
-	r.Store(n+8, packLens(TagString, uint64(len(key)), uint64(len(value))))
-	r.Store(n+16, expireAt)
-	r.WriteBytes(n+hmNodeHdr, key)
-	r.WriteBytes(n+hmNodeHdr+pad8(uint64(len(key))), value)
+	m.r.WriteBytes(val, value)
 
 	bucket, mu := m.slot(key)
 	mu.Lock()
-	// Find predecessor of any existing node for key.
-	prev := bucket
-	off, _ := pptr.Unpack(bucket, r.Load(bucket))
-	var old uint64
-	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
-			old = off
-			break
-		}
-		prev = off
-		off, _ = pptr.Unpack(off, r.Load(off))
-	}
-	// New node takes over the successor of the node it replaces (or the
-	// whole chain on fresh insert).
-	var next uint64
-	if old != 0 {
-		next, _ = pptr.Unpack(old, r.Load(old))
-	} else {
-		next, _ = pptr.Unpack(bucket, r.Load(bucket))
-		prev = bucket
-	}
-	if next == 0 {
-		r.Store(n, pptr.Nil)
-	} else {
-		r.Store(n, pptr.Pack(n, next))
-	}
-	r.FlushRange(n, size)
-	r.Fence()
-	//pmem:publish
-	r.Store(prev, pptr.Pack(prev, n))
-	r.Flush(prev)
-	r.Fence()
+	prev, old := m.find(bucket, key, hmNodeHdr)
+	m.publish(bucket, prev, old, n, size)
 	if old != 0 {
 		// A SET over an object record (Redis semantics: SET overwrites any
 		// type) must release the whole secondary structure, not just the
@@ -279,9 +358,7 @@ func (m *HashMap) SetExpire(h alloc.Handle, key, value []byte, expireAt uint64) 
 		m.freeObjectGraph(h, old)
 		h.Free(old)
 	} else {
-		// Add, not load+store: the count word is shared across stripes.
-		r.Add(m.hdr+16, 1)
-		r.Flush(m.hdr + 16)
+		m.addCount(1)
 	}
 	mu.Unlock()
 	return true
@@ -299,174 +376,73 @@ func (m *HashMap) UpdateExpire(key []byte, expireAt, now uint64) (prev uint64, o
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	off, _ := pptr.Unpack(bucket, r.Load(bucket))
-	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
-			prev = m.nodeExpire(off)
-			if prev != 0 && prev <= now {
-				return prev, false // already expired: dead, not updatable
-			}
-			r.Store(off+16, expireAt)
-			r.Flush(off + 16)
-			r.Fence()
-			return prev, true
-		}
-		off, _ = pptr.Unpack(off, r.Load(off))
+	_, off := m.find(bucket, key, hmNodeHdr)
+	if off == 0 {
+		return 0, false
 	}
-	return 0, false
+	if prev = r.Load(off + 16); expired(prev, now) {
+		return prev, false // dead, not updatable
+	}
+	r.Store(off+16, expireAt)
+	r.Flush(off + 16)
+	r.Fence()
+	return prev, true
 }
 
-// DeleteExpired removes key only if its record carries an expiry stamp that
-// has passed relative to now. The check and the unlink happen under the
-// stripe lock, so a concurrent PERSIST or re-SET (which installs a fresh
-// node) can never have its key swept out from under it.
-func (m *HashMap) DeleteExpired(h alloc.Handle, key []byte, now uint64) bool {
-	r := m.r
+// drop durably unlinks the record at off (prev holds the link to it) and
+// releases its whole graph. Caller holds the stripe lock.
+func (m *HashMap) drop(h alloc.Handle, prev, off uint64) {
+	m.unlink(prev, off)
+	m.freeObjectGraph(h, off)
+	h.Free(off)
+	m.addCount(^uint64(0))
+}
+
+// Remove deletes key's record and returns the stamp it carried. With
+// deadBy != 0 the removal is conditional: only a record whose stamp had
+// passed at deadBy goes, and a record that stays reports its stamp with
+// ok=false. Check and unlink happen under the stripe lock, so the stamp
+// describes the very record removed, and a concurrent PERSIST or re-SET
+// (which installs a fresh node) can never have its key swept from under it.
+func (m *HashMap) Remove(h alloc.Handle, key []byte, deadBy uint64) (expireAt uint64, ok bool) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	prev := bucket
-	off, _ := pptr.Unpack(bucket, r.Load(bucket))
-	for off != 0 {
-		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.nodeKey(off), key) {
-			at := m.nodeExpire(off)
-			if at == 0 || at > now {
-				return false // immortal or still live
-			}
-			if next == 0 {
-				r.Store(prev, pptr.Nil)
-			} else {
-				r.Store(prev, pptr.Pack(prev, next))
-			}
-			r.Flush(prev)
-			r.Fence()
-			m.freeObjectGraph(h, off)
-			h.Free(off)
-			r.Add(m.hdr+16, ^uint64(0))
-			r.Flush(m.hdr + 16)
-			return true
-		}
-		prev = off
-		off = next
+	prev, off := m.find(bucket, key, hmNodeHdr)
+	if off == 0 {
+		return 0, false
 	}
-	return false
+	expireAt = m.r.Load(off + 16)
+	if deadBy != 0 && !expired(expireAt, deadBy) {
+		return expireAt, false // immortal or still live
+	}
+	m.drop(h, prev, off)
+	return expireAt, true
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *HashMap) Delete(h alloc.Handle, key []byte) bool {
-	r := m.r
-	bucket, mu := m.slot(key)
-	mu.Lock()
-	defer mu.Unlock()
-	prev := bucket
-	off, _ := pptr.Unpack(bucket, r.Load(bucket))
-	for off != 0 {
-		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.nodeKey(off), key) {
-			if next == 0 {
-				r.Store(prev, pptr.Nil)
-			} else {
-				r.Store(prev, pptr.Pack(prev, next))
-			}
-			r.Flush(prev)
-			r.Fence()
-			m.freeObjectGraph(h, off)
-			h.Free(off)
-			r.Add(m.hdr+16, ^uint64(0))
-			r.Flush(m.hdr + 16)
-			return true
-		}
-		prev = off
-		off = next
-	}
-	return false
+	_, ok := m.Remove(h, key, 0)
+	return ok
 }
 
 // Len returns the number of keys.
 func (m *HashMap) Len() int { return int(m.r.Load(m.hdr + 16)) }
 
-// Range calls fn for every key/value pair until fn returns false. Each
-// bucket's chain is walked under its stripe lock, so fn observes consistent
-// records but must not call back into the map (use two passes to mutate:
-// collect keys, then Set/Delete them). Concurrent writers may insert or
-// remove records in buckets the walk has already passed.
-func (m *HashMap) Range(fn func(key, value []byte) bool) {
-	m.RangeExpire(func(key, value []byte, _ uint64) bool { return fn(key, value) })
-}
-
-// RangeExpire is Range with each record's expiry stamp (unix milliseconds;
-// 0 = immortal) included — the walk AttachBounded uses to rebuild both the
-// LRU byte accounting and the volatile expiry index in one pass.
-func (m *HashMap) RangeExpire(fn func(key, value []byte, expireAt uint64) bool) {
-	for i := uint64(0); i < m.nB; i++ {
-		mu := m.stripeFor(i)
-		mu.Lock()
-		slot := m.buckets + i*8
-		off, _ := pptr.Unpack(slot, m.r.Load(slot))
-		for off != 0 {
-			if !fn(m.nodeKey(off), m.nodeValue(off), m.nodeExpire(off)) {
-				mu.Unlock()
-				return
-			}
-			off, _ = pptr.Unpack(off, m.r.Load(off))
-		}
-		mu.Unlock()
-	}
-}
-
-// RangeMeta calls fn for every record — including expired ones — with its
-// type tag, expiry stamp, and the record's total persistent footprint (top
-// node plus, for object records, the whole secondary-structure graph as
-// maintained in the object header's bytes word). This is the one-pass walk
-// Attach/AttachBounded use to rebuild the LRU byte accounting and the
-// volatile expiry index per-type after a restart.
-func (m *HashMap) RangeMeta(fn func(key []byte, tag uint8, expireAt uint64, bytes uint64) bool) {
-	for i := uint64(0); i < m.nB; i++ {
-		mu := m.stripeFor(i)
-		mu.Lock()
-		slot := m.buckets + i*8
-		off, _ := pptr.Unpack(slot, m.r.Load(slot))
-		for off != 0 {
-			tag, klen, vlen := unpackLens(m.r.Load(off + 8))
-			total := hmNodeHdr + pad8(klen) + pad8(vlen)
-			if tag != TagString {
-				if hdr, ok := m.nodeObjHdr(off); ok {
-					total += m.r.Load(hdr + objOffBytes)
-				}
-			}
-			if !fn(m.nodeKey(off), tag, m.nodeExpire(off), total) {
-				mu.Unlock()
-				return
-			}
-			off, _ = pptr.Unpack(off, m.r.Load(off))
-		}
-		mu.Unlock()
-	}
-}
-
 // Buckets returns the bucket count, the coordinate space for cursor walks.
 func (m *HashMap) Buckets() uint64 { return m.nB }
 
-// RangeBucketMeta walks one bucket's chain under its stripe lock, calling
-// fn for every record — expired ones included — with its type tag and
-// expiry stamp. Cursor-based SCAN is built on this: a caller that walks
-// buckets [cursor, n) in order visits every key that existed for the whole
-// iteration exactly once, because a record never migrates between buckets
-// (the bucket count is fixed at construction).
-func (m *HashMap) RangeBucketMeta(b uint64, fn func(key []byte, tag uint8, expireAt uint64)) {
-	if b >= m.nB {
-		return
-	}
-	mu := m.stripeFor(b)
-	mu.Lock()
-	slot := m.buckets + b*8
-	off, _ := pptr.Unpack(slot, m.r.Load(slot))
-	for off != 0 {
-		fn(m.nodeKey(off), m.nodeTag(off), m.nodeExpire(off))
-		off, _ = pptr.Unpack(off, m.r.Load(off))
-	}
-	mu.Unlock()
+// Range calls fn for every record in buckets [from, to) — expired ones
+// included — until fn returns false. Each bucket's chain is walked under its
+// stripe lock, so fn observes consistent records but must not call back into
+// the map (to mutate, collect keys and Set/Delete them afterwards).
+// Concurrent writers may insert or remove records in buckets the walk has
+// already passed. Cursor-based SCAN is built on the bucket bounds: a record
+// never migrates between buckets (the count is fixed at construction), so
+// walking the buckets in order visits every key that existed throughout
+// exactly once.
+func (m *HashMap) Range(from, to uint64, fn func(Record) bool) {
+	m.walk(m.buckets, from, min(to, m.nB), func(off uint64) bool { return fn(m.record(off)) })
 }
 
 // Filter returns the GC filter for the map header (bucket array → chains).

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pptr"
 )
 
 func TestHashMapBasic(t *testing.T) {
@@ -38,6 +40,12 @@ func TestHashMapBasic(t *testing.T) {
 	}
 }
 
+// stampOf reads key's value and stamp through the one locked lookup.
+func stampOf(m *HashMap, key string) (val string, at uint64, ok bool) {
+	ok = m.View([]byte(key), func(rec Record) { val, at = string(rec.Value()), rec.ExpireAt })
+	return val, at, ok
+}
+
 func TestHashMapExpireStamp(t *testing.T) {
 	h := rheap(t)
 	a := h.AsAllocator()
@@ -46,9 +54,8 @@ func TestHashMapExpireStamp(t *testing.T) {
 	if !m.SetExpire(hd, []byte("k"), []byte("v"), 500) {
 		t.Fatal("SetExpire failed")
 	}
-	v, at, ok := m.GetExpire([]byte("k"))
-	if !ok || string(v) != "v" || at != 500 {
-		t.Fatalf("GetExpire = (%q,%d,%v)", v, at, ok)
+	if v, at, ok := stampOf(m, "k"); !ok || v != "v" || at != 500 {
+		t.Fatalf("View = (%q,%d,%v)", v, at, ok)
 	}
 	// The map returns expired records verbatim — policy is the caller's.
 	if _, ok := m.Get([]byte("k")); !ok {
@@ -62,35 +69,41 @@ func TestHashMapExpireStamp(t *testing.T) {
 	if prev, ok := m.UpdateExpire([]byte("k"), 9000, 400); !ok || prev != 500 {
 		t.Fatalf("UpdateExpire live = (%d,%v)", prev, ok)
 	}
-	if _, at, _ := m.GetExpire([]byte("k")); at != 9000 {
+	if _, at, _ := stampOf(m, "k"); at != 9000 {
 		t.Fatalf("stamp after update = %d", at)
 	}
 	m.Set(hd, []byte("k"), []byte("v2"))
-	if _, at, _ := m.GetExpire([]byte("k")); at != 0 {
+	if _, at, _ := stampOf(m, "k"); at != 0 {
 		t.Fatalf("Set kept the old stamp: %d", at)
 	}
-	// DeleteExpired only fires when the stamp has actually passed.
+	// A conditional Remove only fires when the stamp has actually passed,
+	// and reports the stamp of the record it looked at either way.
 	m.SetExpire(hd, []byte("k"), []byte("v3"), 1000)
-	if m.DeleteExpired(hd, []byte("k"), 999) {
-		t.Fatal("DeleteExpired removed a live record")
+	if at, ok := m.Remove(hd, []byte("k"), 999); ok || at != 1000 {
+		t.Fatalf("conditional Remove of a live record = (%d,%v)", at, ok)
 	}
-	if m.DeleteExpired(hd, []byte("missing"), 5000) {
-		t.Fatal("DeleteExpired removed a missing key")
+	if at, ok := m.Remove(hd, []byte("missing"), 5000); ok || at != 0 {
+		t.Fatalf("conditional Remove of a missing key = (%d,%v)", at, ok)
 	}
-	if !m.DeleteExpired(hd, []byte("k"), 1000) {
-		t.Fatal("DeleteExpired refused a dead record")
+	if at, ok := m.Remove(hd, []byte("k"), 1000); !ok || at != 1000 {
+		t.Fatalf("conditional Remove of a dead record = (%d,%v)", at, ok)
 	}
 	if m.Len() != 0 {
-		t.Fatalf("Len = %d after DeleteExpired", m.Len())
+		t.Fatalf("Len = %d after Remove", m.Len())
 	}
-	// Immortal records are never sweepable.
+	// Immortal records are never sweepable — but the unconditional form
+	// takes them, stamp and all.
 	m.Set(hd, []byte("imm"), []byte("v"))
-	if m.DeleteExpired(hd, []byte("imm"), 1<<62) {
-		t.Fatal("DeleteExpired removed an immortal record")
+	if _, ok := m.Remove(hd, []byte("imm"), 1<<62); ok {
+		t.Fatal("conditional Remove took an immortal record")
+	}
+	m.SetExpire(hd, []byte("imm"), []byte("v"), 77)
+	if at, ok := m.Remove(hd, []byte("imm"), 0); !ok || at != 77 {
+		t.Fatalf("unconditional Remove = (%d,%v), want (77,true)", at, ok)
 	}
 }
 
-func TestHashMapRangeExpire(t *testing.T) {
+func TestHashMapRange(t *testing.T) {
 	h := rheap(t)
 	a := h.AsAllocator()
 	hd := a.NewHandle()
@@ -100,23 +113,81 @@ func TestHashMapRangeExpire(t *testing.T) {
 		if i%2 == 1 {
 			at = uint64(1000 + i)
 		}
-		if !m.SetExpire(hd, []byte(fmt.Sprintf("k%02d", i)), []byte("v"), at) {
+		if !m.SetExpire(hd, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i)), at) {
 			t.Fatal("OOM")
 		}
 	}
-	stamped := 0
-	m.RangeExpire(func(key, _ []byte, at uint64) bool {
-		if at != 0 {
+	stamped, seen := 0, map[string]int{}
+	m.Range(0, m.Buckets(), func(rec Record) bool {
+		key := rec.Key()
+		seen[string(key)]++
+		idx := int(key[1]-'0')*10 + int(key[2]-'0')
+		if v := string(rec.Value()); v != fmt.Sprintf("v%02d", idx) {
+			t.Fatalf("key %s value = %q", key, v)
+		}
+		if rec.Tag != TagString || rec.Bytes() != RecordSize(3, 3) {
+			t.Fatalf("key %s tag %d bytes %d", key, rec.Tag, rec.Bytes())
+		}
+		if rec.ExpireAt != 0 {
 			stamped++
-			idx := int(key[1]-'0')*10 + int(key[2]-'0')
-			if want := uint64(1000 + idx); at != want {
-				t.Fatalf("key %s stamp = %d, want %d", key, at, want)
+			if want := uint64(1000 + idx); rec.ExpireAt != want {
+				t.Fatalf("key %s stamp = %d, want %d", key, rec.ExpireAt, want)
 			}
 		}
 		return true
 	})
-	if stamped != 25 {
-		t.Fatalf("walked %d stamped records, want 25", stamped)
+	if stamped != 25 || len(seen) != 50 {
+		t.Fatalf("walked %d records, %d stamped; want 50 and 25", len(seen), stamped)
+	}
+	// Bucket bounds partition the walk (the SCAN cursor's contract), an
+	// over-long bound clamps, and fn's false stops it.
+	parts := 0
+	for b := uint64(0); b < m.Buckets(); b += 8 {
+		m.Range(b, b+8, func(Record) bool { parts++; return true })
+	}
+	beyond := 0
+	m.Range(0, 1<<40, func(Record) bool { beyond++; return true })
+	first := 0
+	m.Range(0, m.Buckets(), func(Record) bool { first++; return false })
+	if parts != 50 || beyond != 50 || first != 1 {
+		t.Fatalf("partitioned walk %d, clamped walk %d, stopped walk %d; want 50, 50, 1", parts, beyond, first)
+	}
+}
+
+// A header read from an image is checked at attach: a bucket count that is
+// zero, not a power of two, or larger than the region could hold makes the
+// hash mask index outside the bucket array — a panic on the first GET, or
+// silently hidden keys — so it must fail at startup instead.
+func TestAttachHashMapRejectsCorruptHeader(t *testing.T) {
+	h := rheap(t)
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	m, hdr := NewHashMap(a, hd, 64)
+	m.Set(hd, []byte("k"), []byte("v"))
+	r := a.Region()
+	good, goodArr := r.Load(hdr+8), r.Load(hdr)
+	for name, corrupt := range map[string]func(){
+		"zero buckets":         func() { r.Store(hdr+8, 0) },
+		"not a power of two":   func() { r.Store(hdr+8, 48) },
+		"larger than region":   func() { r.Store(hdr+8, 1<<40) },
+		"overflowing count":    func() { r.Store(hdr+8, 1<<63) },
+		"no bucket array":      func() { r.Store(hdr, 0) },
+		"array outside region": func() { r.Store(hdr, pptr.Pack(hdr, r.Size()+4096)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			corrupt()
+			defer func() {
+				r.Store(hdr+8, good)
+				r.Store(hdr, goodArr)
+				if recover() == nil {
+					t.Error("AttachHashMap accepted the header")
+				}
+			}()
+			AttachHashMap(a, hdr)
+		})
+	}
+	if v, ok := AttachHashMap(a, hdr).Get([]byte("k")); !ok || string(v) != "v" {
+		t.Fatalf("restored header: Get = (%q,%v)", v, ok)
 	}
 }
 

@@ -15,10 +15,17 @@ package dstruct
 // authoritative. The tail word, the nodes' prev words, and the length and
 // bytes counters are maintained eagerly but are repairable: a crash between
 // a commit swing and the trailing bookkeeping stores leaves them stale, and
-// RecoverObjects rewalks every object after a dirty restart to fix them.
-// This keeps every mutation's commit point a single 8-byte store, exactly
-// the paper's "flush data, then swing one durable link" pattern, without
-// needing a transaction log for the two-directional links.
+// Recover — the one walk a restart makes over the map — fixes them, together
+// with the map's own record count. This keeps every mutation's commit point
+// a single 8-byte store, exactly the paper's "flush data, then swing one
+// durable link" pattern, without needing a transaction log for the
+// two-directional links.
+//
+// A hash's field chains are keyed chains like the map's own buckets, so they
+// use the map's find, publish and unlink (hashmap.go). A list's header is,
+// for walk, a bucket array of one whose only chain is the forward chain; its
+// commit words are its own (pushOne, Pop), because which word commits
+// depends on the end and on whether the list is empty.
 //
 // Object header layout (objHdrBytes = 32):
 //
@@ -28,9 +35,9 @@ package dstruct
 //	       word 2 = length, word 3 = graph bytes
 //
 // The graph-bytes word is the total persistent footprint of the secondary
-// structure (header + bucket array + nodes); Attach reads it in O(1) per
-// key to rebuild the LRU byte accounting (RangeMeta), and it is repaired
-// together with the counters.
+// structure (header + bucket array + nodes); Record.Bytes reads it in O(1)
+// per key when an attach rebuilds the LRU byte accounting, and it is
+// repaired together with the counters.
 //
 // Field node: word 0 = next off-holder, word 1 = flen<<32|vlen, then field
 // bytes and value bytes (each padded to 8).
@@ -65,51 +72,22 @@ var ErrNoMemory = errors.New("out of memory")
 func fldNodeSize(flen, vlen uint64) uint64 { return fldNodeHdr + pad8(flen) + pad8(vlen) }
 func lstNodeSize(vlen uint64) uint64       { return lstNodeHdr + pad8(vlen) }
 
-// findNode locates key's record in the bucket chain, returning the holder
-// of the link pointing at it and the record offset (0 if absent). The
-// caller holds the bucket's stripe lock.
-func (m *HashMap) findNode(bucket uint64, key []byte) (prev, off uint64) {
-	prev = bucket
-	off, _ = pptr.Unpack(bucket, m.r.Load(bucket))
-	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
-			return prev, off
-		}
-		prev = off
-		off, _ = pptr.Unpack(off, m.r.Load(off))
-	}
-	return prev, 0
-}
-
-// unlinkFree durably unlinks the record at off (prev holds the link to it)
-// and releases its whole graph. The unlink is the single-word commit; the
-// frees afterwards are crash-safe because an unreachable graph is exactly
-// what recovery GC reclaims. Caller holds the stripe lock.
-func (m *HashMap) unlinkFree(h alloc.Handle, prev, off uint64) {
-	r := m.r
-	next, _ := pptr.Unpack(off, r.Load(off))
-	if next == 0 {
-		r.Store(prev, pptr.Nil)
-	} else {
-		r.Store(prev, pptr.Pack(prev, next))
-	}
-	r.Flush(prev)
-	r.Fence()
-	m.freeObjectGraph(h, off)
-	h.Free(off)
-	r.Add(m.hdr+16, ^uint64(0))
-	r.Flush(m.hdr + 16)
+// objHdr resolves an object record's secondary-structure header (0 if the
+// payload holds no valid off-holder).
+func (m *HashMap) objHdr(off uint64) uint64 {
+	_, klen, _ := unpackLens(m.r.Load(off + 8))
+	return m.deref(off + hmNodeHdr + pad8(klen))
 }
 
 // freeObjectGraph releases a record's secondary structure (no-op for
 // strings). The record must already be unreachable.
 func (m *HashMap) freeObjectGraph(h alloc.Handle, off uint64) {
-	tag := m.nodeTag(off)
+	tag := uint8(m.r.Load(off+8) >> tagShift)
 	if tag == TagString {
 		return
 	}
-	hdr, ok := m.nodeObjHdr(off)
-	if !ok {
+	hdr := m.objHdr(off)
+	if hdr == 0 {
 		return
 	}
 	switch tag {
@@ -120,38 +98,30 @@ func (m *HashMap) freeObjectGraph(h alloc.Handle, off uint64) {
 	}
 }
 
+// freeNodes releases every node chained off buckets [0, nB) of arr.
+func (m *HashMap) freeNodes(h alloc.Handle, arr, nB uint64) {
+	m.walk(arr, 0, nB, func(n uint64) bool { h.Free(n); return true })
+}
+
 func (m *HashMap) freeHashObj(h alloc.Handle, hdr uint64) {
-	r := m.r
-	if arr, ok := pptr.Unpack(hdr, r.Load(hdr)); ok {
-		nB := r.Load(hdr + 8)
-		for i := uint64(0); i < nB; i++ {
-			slot := arr + i*8
-			n, _ := pptr.Unpack(slot, r.Load(slot))
-			for n != 0 {
-				next, _ := pptr.Unpack(n, r.Load(n))
-				h.Free(n)
-				n = next
-			}
-		}
+	if arr := m.deref(hdr); arr != 0 {
+		m.freeNodes(h, arr, m.r.Load(hdr+8))
 		h.Free(arr)
 	}
 	h.Free(hdr)
 }
 
+// freeListObj frees the forward chain: a list header's head word is a
+// bucket array of one.
 func (m *HashMap) freeListObj(h alloc.Handle, hdr uint64) {
-	r := m.r
-	n, _ := pptr.Unpack(hdr, r.Load(hdr))
-	for n != 0 {
-		next, _ := pptr.Unpack(n, r.Load(n))
-		h.Free(n)
-		n = next
-	}
+	m.freeNodes(h, hdr, 1)
 	h.Free(hdr)
 }
 
 // newHashObj allocates and initializes an empty field hash (not yet
-// reachable — the caller installs it behind a top-level record).
-func (m *HashMap) newHashObj(h alloc.Handle) (uint64, bool) {
+// reachable — the caller installs it behind a top-level record); 0 reports
+// exhaustion.
+func (m *HashMap) newHashObj(h alloc.Handle) uint64 {
 	hdr := h.Malloc(objHdrBytes)
 	arr := h.Malloc(hobjBuckets * 8)
 	if hdr == 0 || arr == 0 {
@@ -161,7 +131,7 @@ func (m *HashMap) newHashObj(h alloc.Handle) (uint64, bool) {
 		if arr != 0 {
 			h.Free(arr)
 		}
-		return 0, false
+		return 0
 	}
 	r := m.r
 	r.Zero(arr, hobjBuckets*8)
@@ -171,14 +141,14 @@ func (m *HashMap) newHashObj(h alloc.Handle) (uint64, bool) {
 	r.Store(hdr+16, 0)
 	r.Store(hdr+objOffBytes, objHdrBytes+hobjBuckets*8)
 	r.FlushRange(hdr, objHdrBytes)
-	return hdr, true
+	return hdr
 }
 
 // newListObj allocates and initializes an empty deque.
-func (m *HashMap) newListObj(h alloc.Handle) (uint64, bool) {
+func (m *HashMap) newListObj(h alloc.Handle) uint64 {
 	hdr := h.Malloc(objHdrBytes)
 	if hdr == 0 {
-		return 0, false
+		return 0
 	}
 	r := m.r
 	r.Store(hdr, pptr.Nil)
@@ -186,7 +156,7 @@ func (m *HashMap) newListObj(h alloc.Handle) (uint64, bool) {
 	r.Store(hdr+16, 0)
 	r.Store(hdr+objOffBytes, objHdrBytes)
 	r.FlushRange(hdr, objHdrBytes)
-	return hdr, true
+	return hdr
 }
 
 // installObject creates and durably links a top-level record of the given
@@ -194,101 +164,90 @@ func (m *HashMap) newListObj(h alloc.Handle) (uint64, bool) {
 // flushed already: the bucket link swing is the commit point that makes the
 // whole object reachable at once. Caller holds the stripe lock and
 // guarantees key is absent.
-func (m *HashMap) installObject(h alloc.Handle, bucket uint64, key []byte, tag uint8, objHdr, expireAt uint64) bool {
-	r := m.r
-	size := hmNodeHdr + pad8(uint64(len(key))) + 8
-	n := h.Malloc(size)
+func (m *HashMap) installObject(h alloc.Handle, bucket uint64, key []byte, tag uint8, objHdr uint64) bool {
+	n, p, size := m.newNode(h, key, tag, 8, 0)
 	if n == 0 {
 		return false
 	}
-	r.Store(n+8, packLens(tag, uint64(len(key)), 8))
-	r.Store(n+16, expireAt)
-	r.WriteBytes(n+hmNodeHdr, key)
-	p := n + hmNodeHdr + pad8(uint64(len(key)))
-	r.Store(p, pptr.Pack(p, objHdr))
-	if head, ok := pptr.Unpack(bucket, r.Load(bucket)); ok {
-		r.Store(n, pptr.Pack(n, head))
-	} else {
-		r.Store(n, pptr.Nil)
-	}
-	r.FlushRange(n, size)
-	r.Fence()
-	//pmem:publish
-	r.Store(bucket, pptr.Pack(bucket, n))
-	r.Flush(bucket)
-	r.Fence()
-	r.Add(m.hdr+16, 1)
-	r.Flush(m.hdr + 16)
+	m.r.Store(p, pptr.Pack(p, objHdr))
+	m.publish(bucket, bucket, 0, n, size)
+	m.addCount(1)
 	return true
 }
 
 // resolveLive locates key's live record of the wanted tag, returning its
-// prev holder too (for callers that may unlink it). expired reports a
-// record hidden by lazy expiry — never touched here; write paths that must
-// reap it go through resolveWrite. Caller holds the stripe lock.
-func (m *HashMap) resolveLive(bucket uint64, key []byte, want uint8, now uint64) (prev, off, hdr uint64, ok, expired bool, err error) {
-	prev, off = m.findNode(bucket, key)
+// prev holder too (for callers that may unlink it). dead reports a record
+// hidden by lazy expiry — never touched here; write paths that must reap it
+// go through resolveWrite. Caller holds the stripe lock.
+func (m *HashMap) resolveLive(bucket uint64, key []byte, want uint8, now uint64) (prev, off, hdr uint64, ok, dead bool, err error) {
+	prev, off = m.find(bucket, key, hmNodeHdr)
 	if off == 0 {
 		return prev, 0, 0, false, false, nil
 	}
-	if at := m.nodeExpire(off); at != 0 && at <= now {
+	rec := m.record(off)
+	if expired(rec.ExpireAt, now) {
 		return prev, off, 0, false, true, nil
 	}
-	if m.nodeTag(off) != want {
+	if rec.Tag != want {
 		return prev, off, 0, false, false, ErrWrongType
 	}
-	hdr, _ = m.nodeObjHdr(off)
-	return prev, off, hdr, true, false, nil
+	return prev, off, m.objHdr(off), true, false, nil
 }
 
-// resolveRead is resolveLive for pure readers (no unlink capability).
-func (m *HashMap) resolveRead(bucket uint64, key []byte, want uint8, now uint64) (hdr uint64, ok, expired bool, err error) {
-	_, _, hdr, ok, expired, err = m.resolveLive(bucket, key, want, now)
-	return hdr, ok, expired, err
+// resolveWrite locates key's object for a mutation, reaping an expired
+// record (of any type) in place — dead fields/elements must never resurrect
+// into the new object. hdr is 0 when the caller must create the object.
+// Caller holds the stripe lock.
+func (m *HashMap) resolveWrite(h alloc.Handle, bucket uint64, key []byte, want uint8, now uint64) (hdr uint64, err error) {
+	prev, off, hdr, _, dead, err := m.resolveLive(bucket, key, want, now)
+	if dead {
+		m.drop(h, prev, off)
+	}
+	return hdr, err
 }
 
-// resolveWrite locates key's record for an object mutation, reaping an
-// expired record (of any type) in place — dead fields/elements must never
-// resurrect into the new object. Returns the record's prev holder and
-// offset (off 0 when the caller must create the object). Caller holds the
-// stripe lock.
-func (m *HashMap) resolveWrite(h alloc.Handle, bucket uint64, key []byte, want uint8, now uint64) (prev, off, hdr uint64, err error) {
-	prev, off, hdr, live, expired, err := m.resolveLive(bucket, key, want, now)
-	if expired {
-		m.unlinkFree(h, prev, off)
-		// prev still holds the link to the (possibly shortened) chain.
-		return prev, 0, 0, nil
+// account adjusts an object's repairable bookkeeping: its element count and
+// its graph bytes (two's-complement deltas).
+func (m *HashMap) account(hdr, dCount, dBytes uint64) {
+	r := m.r
+	if dCount != 0 {
+		r.Add(hdr+16, dCount)
+		r.Flush(hdr + 16)
 	}
-	if err != nil {
-		return prev, off, 0, err
-	}
+	r.Add(hdr+objOffBytes, dBytes)
+	r.Flush(hdr + objOffBytes)
+}
+
+// ObjLen returns the field or element count of the object of the given tag
+// at key (0 for a missing key). dead reports a record hidden by lazy expiry.
+func (m *HashMap) ObjLen(key []byte, tag uint8, now uint64) (n int, dead bool, err error) {
+	bucket, mu := m.slot(key)
+	mu.Lock()
+	defer mu.Unlock()
+	_, _, hdr, live, dead, err := m.resolveLive(bucket, key, tag, now)
 	if !live {
-		return prev, 0, 0, nil
+		return 0, dead, err
 	}
-	return prev, off, hdr, nil
+	return int(m.r.Load(hdr + 16)), false, nil
 }
 
 // ----------------------------------------------------------------------
 // Hash objects.
 
 func (m *HashMap) hSlot(hdr uint64, field []byte) uint64 {
-	arr, _ := pptr.Unpack(hdr, m.r.Load(hdr))
-	nB := m.r.Load(hdr + 8)
-	return arr + (fnv1a(field)&(nB-1))*8
+	return m.deref(hdr) + (fnv1a(field)&(m.r.Load(hdr+8)-1))*8
 }
 
 func (m *HashMap) fldKey(off uint64) []byte {
-	lens := m.r.Load(off + 8)
-	f := make([]byte, lens>>32)
+	f := make([]byte, m.r.Load(off+8)>>32)
 	m.r.ReadBytes(off+fldNodeHdr, f)
 	return f
 }
 
 func (m *HashMap) fldValue(off uint64) []byte {
 	lens := m.r.Load(off + 8)
-	flen, vlen := lens>>32, lens&0xFFFFFFFF
-	v := make([]byte, vlen)
-	m.r.ReadBytes(off+fldNodeHdr+pad8(flen), v)
+	v := make([]byte, lens&0xFFFFFFFF)
+	m.r.ReadBytes(off+fldNodeHdr+pad8(lens>>32), v)
 	return v
 }
 
@@ -297,25 +256,15 @@ func (m *HashMap) fldSize(off uint64) uint64 {
 	return fldNodeSize(lens>>32, lens&0xFFFFFFFF)
 }
 
-// hFind returns field's node offset in the object at hdr (0 if absent).
-func (m *HashMap) hFind(hdr uint64, field []byte) uint64 {
-	slot := m.hSlot(hdr, field)
-	off, _ := pptr.Unpack(slot, m.r.Load(slot))
-	for off != 0 {
-		if bytesEqual(m.fldKey(off), field) {
-			return off
-		}
-		off, _ = pptr.Unpack(off, m.r.Load(off))
-	}
-	return 0
-}
-
-// hsetOne inserts or replaces one field — the same alloc-flush-swing-free
-// dance as the top-level SetExpire, inside the object's bucket chain.
+// hsetOne inserts or replaces one field — the same alloc-publish-free dance
+// as the top-level SetExpire, inside the object's bucket chain.
 func (m *HashMap) hsetOne(h alloc.Handle, hdr uint64, field, value []byte) (created bool, err error) {
 	r := m.r
 	flen, vlen := uint64(len(field)), uint64(len(value))
 	size := fldNodeSize(flen, vlen)
+	if flen > klenMask { // find reads 29 length bits, for fields as for keys
+		return false, ErrNoMemory
+	}
 	n := h.Malloc(size)
 	if n == 0 {
 		return false, ErrNoMemory
@@ -325,84 +274,39 @@ func (m *HashMap) hsetOne(h alloc.Handle, hdr uint64, field, value []byte) (crea
 	r.WriteBytes(n+fldNodeHdr+pad8(flen), value)
 
 	slot := m.hSlot(hdr, field)
-	prev := slot
-	off, _ := pptr.Unpack(slot, r.Load(slot))
-	var old uint64
-	for off != 0 {
-		if bytesEqual(m.fldKey(off), field) {
-			old = off
-			break
-		}
-		prev = off
-		off, _ = pptr.Unpack(off, r.Load(off))
-	}
-	var next uint64
+	prev, old := m.find(slot, field, fldNodeHdr)
+	m.publish(slot, prev, old, n, size)
 	if old != 0 {
-		next, _ = pptr.Unpack(old, r.Load(old))
-	} else {
-		next, _ = pptr.Unpack(slot, r.Load(slot))
-		prev = slot
-	}
-	if next == 0 {
-		r.Store(n, pptr.Nil)
-	} else {
-		r.Store(n, pptr.Pack(n, next))
-	}
-	r.FlushRange(n, size)
-	r.Fence()
-	//pmem:publish
-	r.Store(prev, pptr.Pack(prev, n))
-	r.Flush(prev)
-	r.Fence()
-	if old != 0 {
-		oldSize := m.fldSize(old)
+		size -= m.fldSize(old)
 		h.Free(old)
-		r.Add(hdr+objOffBytes, size-oldSize)
+		m.account(hdr, 0, size)
 	} else {
-		r.Add(hdr+16, 1)
-		r.Flush(hdr + 16)
-		r.Add(hdr+objOffBytes, size)
+		m.account(hdr, 1, size)
 	}
-	r.Flush(hdr + objOffBytes)
 	return old == 0, nil
 }
 
 // hdelOne unlinks and frees one field, reporting whether it existed.
 func (m *HashMap) hdelOne(h alloc.Handle, hdr uint64, field []byte) bool {
-	r := m.r
-	slot := m.hSlot(hdr, field)
-	prev := slot
-	off, _ := pptr.Unpack(slot, r.Load(slot))
-	for off != 0 {
-		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.fldKey(off), field) {
-			if next == 0 {
-				r.Store(prev, pptr.Nil)
-			} else {
-				r.Store(prev, pptr.Pack(prev, next))
-			}
-			r.Flush(prev)
-			r.Fence()
-			size := m.fldSize(off)
-			h.Free(off)
-			r.Add(hdr+16, ^uint64(0))
-			r.Flush(hdr + 16)
-			r.Add(hdr+objOffBytes, ^(size - 1))
-			r.Flush(hdr + objOffBytes)
-			return true
-		}
-		prev = off
-		off = next
+	prev, off := m.find(m.hSlot(hdr, field), field, fldNodeHdr)
+	if off == 0 {
+		return false
 	}
-	return false
+	m.unlink(prev, off)
+	size := m.fldSize(off)
+	h.Free(off)
+	m.account(hdr, ^uint64(0), -size)
+	return true
 }
 
 // HSet inserts or replaces the given field/value pairs under key, creating
 // the hash if needed (reaping an expired record first). It returns how many
 // fields were newly created and the object's total graph bytes afterwards
-// (for LRU charging). Each pair commits individually with a single-word
-// link swing, so a crash mid-HSET leaves every field wholly old or wholly
-// new — never torn.
+// (for LRU charging). A fresh key's object is populated while still
+// unreachable, then installed behind one durable bucket-link swing, so the
+// whole HSET of a fresh key is crash-atomic; on an existing hash each pair
+// commits individually with a single-word link swing, so a crash mid-HSET
+// leaves every field wholly old or wholly new — never torn.
 func (m *HashMap) HSet(h alloc.Handle, key []byte, pairs [][]byte, now uint64) (created int, objBytes uint64, err error) {
 	if len(key) > MaxKeyLen {
 		return 0, 0, ErrNoMemory
@@ -410,57 +314,46 @@ func (m *HashMap) HSet(h alloc.Handle, key []byte, pairs [][]byte, now uint64) (
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	_, off, hdr, err := m.resolveWrite(h, bucket, key, TagHash, now)
+	hdr, err := m.resolveWrite(h, bucket, key, TagHash, now)
 	if err != nil {
 		return 0, 0, err
 	}
-	if off == 0 {
-		newHdr, ok := m.newHashObj(h)
-		if !ok {
+	fresh := hdr == 0
+	if fresh {
+		if hdr = m.newHashObj(h); hdr == 0 {
 			return 0, 0, ErrNoMemory
 		}
-		// Populate the still-unreachable object, then install it behind
-		// one durable bucket-link swing: the whole HSET of a fresh key is
-		// crash-atomic.
-		for i := 0; i+1 < len(pairs); i += 2 {
-			c, err := m.hsetOne(h, newHdr, pairs[i], pairs[i+1])
-			if err != nil {
-				m.freeHashObj(h, newHdr)
-				return 0, 0, err
-			}
-			if c {
-				created++
-			}
-		}
-		if !m.installObject(h, bucket, key, TagHash, newHdr, 0) {
-			m.freeHashObj(h, newHdr)
-			return 0, 0, ErrNoMemory
-		}
-		return created, m.r.Load(newHdr + objOffBytes), nil
 	}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		c, err := m.hsetOne(h, hdr, pairs[i], pairs[i+1])
-		if err != nil {
-			return created, m.r.Load(hdr + objOffBytes), err
-		}
+	for i := 0; i+1 < len(pairs) && err == nil; i += 2 {
+		var c bool
+		c, err = m.hsetOne(h, hdr, pairs[i], pairs[i+1])
 		if c {
 			created++
 		}
 	}
-	return created, m.r.Load(hdr + objOffBytes), nil
+	if fresh {
+		if err == nil && !m.installObject(h, bucket, key, TagHash, hdr) {
+			err = ErrNoMemory
+		}
+		if err != nil {
+			m.freeHashObj(h, hdr)
+			return 0, 0, err
+		}
+	}
+	return created, m.r.Load(hdr + objOffBytes), err
 }
 
-// HGet returns field's value inside the hash at key. expired reports a
-// record hidden by lazy expiry.
-func (m *HashMap) HGet(key, field []byte, now uint64) (val []byte, ok, expired bool, err error) {
+// HGet returns field's value inside the hash at key. dead reports a record
+// hidden by lazy expiry.
+func (m *HashMap) HGet(key, field []byte, now uint64) (val []byte, ok, dead bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	hdr, live, expired, err := m.resolveRead(bucket, key, TagHash, now)
+	_, _, hdr, live, dead, err := m.resolveLive(bucket, key, TagHash, now)
 	if !live {
-		return nil, false, expired, err
+		return nil, false, dead, err
 	}
-	n := m.hFind(hdr, field)
+	_, n := m.find(m.hSlot(hdr, field), field, fldNodeHdr)
 	if n == 0 {
 		return nil, false, false, nil
 	}
@@ -486,44 +379,26 @@ func (m *HashMap) HDel(h alloc.Handle, key []byte, fields [][]byte, now uint64) 
 		}
 	}
 	if m.r.Load(hdr+16) == 0 {
-		m.unlinkFree(h, prev, off)
+		m.drop(h, prev, off)
 		return removed, 0, true, nil
 	}
 	return removed, m.r.Load(hdr + objOffBytes), false, nil
 }
 
-// HLen returns the field count (0 for a missing key).
-func (m *HashMap) HLen(key []byte, now uint64) (n int, expired bool, err error) {
-	bucket, mu := m.slot(key)
-	mu.Lock()
-	defer mu.Unlock()
-	hdr, live, expired, err := m.resolveRead(bucket, key, TagHash, now)
-	if !live {
-		return 0, expired, err
-	}
-	return int(m.r.Load(hdr + 16)), false, nil
-}
-
 // HGetAll returns every field and value (parallel slices, chain order).
-func (m *HashMap) HGetAll(key []byte, now uint64) (fields, values [][]byte, expired bool, err error) {
+func (m *HashMap) HGetAll(key []byte, now uint64) (fields, values [][]byte, dead bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	hdr, live, expired, err := m.resolveRead(bucket, key, TagHash, now)
+	_, _, hdr, live, dead, err := m.resolveLive(bucket, key, TagHash, now)
 	if !live {
-		return nil, nil, expired, err
+		return nil, nil, dead, err
 	}
-	arr, _ := pptr.Unpack(hdr, m.r.Load(hdr))
-	nB := m.r.Load(hdr + 8)
-	for i := uint64(0); i < nB; i++ {
-		slot := arr + i*8
-		off, _ := pptr.Unpack(slot, m.r.Load(slot))
-		for off != 0 {
-			fields = append(fields, m.fldKey(off))
-			values = append(values, m.fldValue(off))
-			off, _ = pptr.Unpack(off, m.r.Load(off))
-		}
-	}
+	m.walk(m.deref(hdr), 0, m.r.Load(hdr+8), func(off uint64) bool {
+		fields = append(fields, m.fldKey(off))
+		values = append(values, m.fldValue(off))
+		return true
+	})
 	return fields, values, false, nil
 }
 
@@ -531,8 +406,7 @@ func (m *HashMap) HGetAll(key []byte, now uint64) (fields, values [][]byte, expi
 // List objects.
 
 func (m *HashMap) lstValue(off uint64) []byte {
-	vlen := m.r.Load(off + 16)
-	v := make([]byte, vlen)
+	v := make([]byte, m.r.Load(off+16))
 	m.r.ReadBytes(off+lstNodeHdr, v)
 	return v
 }
@@ -541,7 +415,9 @@ func (m *HashMap) lstValue(off uint64) []byte {
 // single word: the header's head word (left push, or first element) or the
 // old tail's next word (right push). Everything after the commit — the
 // neighbor's prev word, the tail word, length and bytes — is repairable
-// bookkeeping.
+// bookkeeping. The commit words are the list's own, not publish's: which
+// word commits depends on the end and on whether the list is empty, and the
+// node carries a second (prev) link the keyed chains do not have.
 func (m *HashMap) pushOne(h alloc.Handle, hdr uint64, val []byte, left bool) error {
 	r := m.r
 	vlen := uint64(len(val))
@@ -552,55 +428,35 @@ func (m *HashMap) pushOne(h alloc.Handle, hdr uint64, val []byte, left bool) err
 	}
 	r.Store(n+16, vlen)
 	r.WriteBytes(n+lstNodeHdr, val)
-	head, _ := pptr.Unpack(hdr, r.Load(hdr))
-	tail, _ := pptr.Unpack(hdr+8, r.Load(hdr+8))
+	head, tail := m.deref(hdr), m.deref(hdr+8)
+	// The new node's links, and the word whose swing commits it: the head
+	// word for a left push or a first element, else the old tail's next.
+	commit := hdr
 	if left {
-		if head == 0 {
-			r.Store(n, pptr.Nil)
-		} else {
-			r.Store(n, pptr.Pack(n, head))
-		}
+		r.Store(n, ptrTo(n, head))
 		r.Store(n+8, pptr.Nil)
-		r.FlushRange(n, size)
-		r.Fence()
-		//pmem:publish
-		r.Store(hdr, pptr.Pack(hdr, n)) // commit
-		r.Flush(hdr)
-		r.Fence()
-		if head != 0 {
-			r.Store(head+8, pptr.Pack(head+8, n))
-			r.Flush(head + 8)
-		}
-		if tail == 0 {
-			r.Store(hdr+8, pptr.Pack(hdr+8, n))
-			r.Flush(hdr + 8)
-		}
 	} else {
 		r.Store(n, pptr.Nil)
-		if tail == 0 {
-			r.Store(n+8, pptr.Nil)
-		} else {
-			r.Store(n+8, pptr.Pack(n+8, tail))
-		}
-		r.FlushRange(n, size)
-		r.Fence()
-		// The commit word: the old tail's next word, or the head word when
-		// this is the first element.
-		commit := hdr
+		r.Store(n+8, ptrTo(n+8, tail))
 		if tail != 0 {
 			commit = tail
 		}
-		//pmem:publish
-		r.Store(commit, pptr.Pack(commit, n))
-		r.Flush(commit)
-		r.Fence()
+	}
+	r.FlushRange(n, size)
+	r.Fence()
+	//pmem:publish
+	r.Store(commit, pptr.Pack(commit, n))
+	r.Flush(commit)
+	r.Fence()
+	if left && head != 0 {
+		r.Store(head+8, pptr.Pack(head+8, n))
+		r.Flush(head + 8)
+	}
+	if !left || tail == 0 {
 		r.Store(hdr+8, pptr.Pack(hdr+8, n))
 		r.Flush(hdr + 8)
 	}
-	r.Add(hdr+16, 1)
-	r.Flush(hdr + 16)
-	r.Add(hdr+objOffBytes, size)
-	r.Flush(hdr + objOffBytes)
+	m.account(hdr, 1, size)
 	r.Fence()
 	return nil
 }
@@ -615,50 +471,45 @@ func (m *HashMap) Push(h alloc.Handle, key []byte, vals [][]byte, left bool, now
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	_, off, hdr, err := m.resolveWrite(h, bucket, key, TagList, now)
+	hdr, err := m.resolveWrite(h, bucket, key, TagList, now)
 	if err != nil {
 		return 0, 0, err
 	}
-	if off == 0 {
-		newHdr, ok := m.newListObj(h)
-		if !ok {
+	fresh := hdr == 0
+	if fresh {
+		if hdr = m.newListObj(h); hdr == 0 {
 			return 0, 0, ErrNoMemory
-		}
-		for _, v := range vals {
-			if err := m.pushOne(h, newHdr, v, left); err != nil {
-				m.freeListObj(h, newHdr)
-				return 0, 0, err
-			}
-		}
-		if !m.installObject(h, bucket, key, TagList, newHdr, 0) {
-			m.freeListObj(h, newHdr)
-			return 0, 0, ErrNoMemory
-		}
-		hdr = newHdr
-	} else {
-		for _, v := range vals {
-			if err := m.pushOne(h, hdr, v, left); err != nil {
-				return int(m.r.Load(hdr + 16)), m.r.Load(hdr + objOffBytes), err
-			}
 		}
 	}
-	return int(m.r.Load(hdr + 16)), m.r.Load(hdr + objOffBytes), nil
+	for i := 0; i < len(vals) && err == nil; i++ {
+		err = m.pushOne(h, hdr, vals[i], left)
+	}
+	if fresh {
+		if err == nil && !m.installObject(h, bucket, key, TagList, hdr) {
+			err = ErrNoMemory
+		}
+		if err != nil {
+			m.freeListObj(h, hdr)
+			return 0, 0, err
+		}
+	}
+	return int(m.r.Load(hdr + 16)), m.r.Load(hdr + objOffBytes), err
 }
 
 // Pop removes and returns the element at the chosen end. Popping the last
 // element deletes the whole record (Redis drops empty lists); gone reports
 // that. The commit point is again one word: the head word (left pop), the
 // new tail's next word (right pop), or the record unlink (last element).
-func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []byte, ok bool, objBytes uint64, gone, expired bool, err error) {
+func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []byte, ok bool, objBytes uint64, gone, dead bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	prev, off, hdr, live, expired, err := m.resolveLive(bucket, key, TagList, now)
+	prev, off, hdr, live, dead, err := m.resolveLive(bucket, key, TagList, now)
 	if !live {
-		return nil, false, 0, false, expired, err
+		return nil, false, 0, false, dead, err
 	}
 	r := m.r
-	head, _ := pptr.Unpack(hdr, r.Load(hdr))
+	head := m.deref(hdr)
 	if head == 0 {
 		// Normal operation never leaves an empty list behind; treat
 		// defensively as missing.
@@ -668,69 +519,43 @@ func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []
 		// Last element: the record unlink is the commit, and the whole
 		// graph is freed behind it.
 		val = m.lstValue(head)
-		m.unlinkFree(h, prev, off)
+		m.drop(h, prev, off)
 		return val, true, 0, true, false, nil
 	}
-	if left {
-		victim := head
-		next, _ := pptr.Unpack(victim, r.Load(victim))
-		val = m.lstValue(victim)
-		//pmem:publish
-		r.Store(hdr, pptr.Pack(hdr, next)) // commit
-		r.Flush(hdr)
-		r.Fence()
-		r.Store(next+8, pptr.Nil)
-		r.Flush(next + 8)
-		size := lstNodeSize(r.Load(victim + 16))
-		h.Free(victim)
-		r.Add(hdr+16, ^uint64(0))
-		r.Flush(hdr + 16)
-		r.Add(hdr+objOffBytes, ^(size - 1))
-		r.Flush(hdr + objOffBytes)
-		r.Fence()
-	} else {
-		tail, _ := pptr.Unpack(hdr+8, r.Load(hdr+8))
-		victim := tail
-		newTail, _ := pptr.Unpack(victim+8, r.Load(victim+8))
-		val = m.lstValue(victim)
-		//pmem:publish
-		r.Store(newTail, pptr.Nil) // commit: forward chain now ends here
-		r.Flush(newTail)
-		r.Fence()
-		r.Store(hdr+8, pptr.Pack(hdr+8, newTail))
-		r.Flush(hdr + 8)
-		size := lstNodeSize(r.Load(victim + 16))
-		h.Free(victim)
-		r.Add(hdr+16, ^uint64(0))
-		r.Flush(hdr + 16)
-		r.Add(hdr+objOffBytes, ^(size - 1))
-		r.Flush(hdr + objOffBytes)
-		r.Fence()
+	// The victim, the word whose swing commits its removal — the head word,
+	// or the new tail's next word, where the forward chain now ends — and
+	// the repairable back-link fixed up after it: the new head's prev word,
+	// or the tail word.
+	victim, commit, commitTo := head, hdr, m.deref(head)
+	hint, hintTo := commitTo+8, uint64(0)
+	if !left {
+		victim = m.deref(hdr + 8)
+		commit, commitTo = m.deref(victim+8), 0
+		hint, hintTo = hdr+8, commit
 	}
+	//pmem:publish
+	r.Store(commit, ptrTo(commit, commitTo))
+	r.Flush(commit)
+	r.Fence()
+	r.Store(hint, ptrTo(hint, hintTo))
+	r.Flush(hint)
+	val = m.lstValue(victim)
+	size := lstNodeSize(r.Load(victim + 16))
+	h.Free(victim)
+	m.account(hdr, ^uint64(0), -size)
+	r.Fence()
 	return val, true, r.Load(hdr + objOffBytes), false, false, nil
-}
-
-// LLen returns the list length (0 for a missing key).
-func (m *HashMap) LLen(key []byte, now uint64) (n int, expired bool, err error) {
-	bucket, mu := m.slot(key)
-	mu.Lock()
-	defer mu.Unlock()
-	hdr, live, expired, err := m.resolveRead(bucket, key, TagList, now)
-	if !live {
-		return 0, expired, err
-	}
-	return int(m.r.Load(hdr + 16)), false, nil
 }
 
 // LRange returns the elements between start and stop inclusive, with Redis
 // index semantics (negative counts from the tail; out-of-range clamps).
-func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]byte, expired bool, err error) {
+func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]byte, dead bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	hdr, live, expired, err := m.resolveRead(bucket, key, TagList, now)
+	_, _, hdr, live, dead, err := m.resolveLive(bucket, key, TagList, now)
 	if !live {
-		return nil, expired, err
+		return nil, dead, err
 	}
 	n := int64(m.r.Load(hdr + 16))
 	if start < 0 {
@@ -739,168 +564,109 @@ func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]by
 	if stop < 0 {
 		stop += n
 	}
-	if start < 0 {
-		start = 0
-	}
-	if stop >= n {
-		stop = n - 1
-	}
-	if start > stop || n == 0 {
+	start, stop = max(start, 0), min(stop, n-1)
+	if start > stop {
 		return nil, false, nil
 	}
-	off, _ := pptr.Unpack(hdr, m.r.Load(hdr))
-	for i := int64(0); off != 0 && i <= stop; i++ {
-		if i >= start {
+	i := int64(0)
+	m.walk(hdr, 0, 1, func(off uint64) bool {
+		if i >= start && i <= stop {
 			vals = append(vals, m.lstValue(off))
 		}
-		off, _ = pptr.Unpack(off, m.r.Load(off))
-	}
+		i++
+		return i <= stop
+	})
 	return vals, false, nil
 }
 
 // ----------------------------------------------------------------------
 // Post-crash repair.
 
-// RecoverObjects rewalks every object record and repairs the words the
-// crash discipline deliberately leaves repairable: list tail words, list
-// prev links, and both object kinds' length/count and graph-bytes words.
-// An object left empty by a crash between its last element's unlink and
-// the record unlink is deleted outright (normal operation never leaves an
-// empty object behind). Attach runs this before rebuilding any volatile
-// index; on a cleanly closed heap the walk verifies and changes nothing.
-func (m *HashMap) RecoverObjects(h alloc.Handle) {
-	r := m.r
-	for i := uint64(0); i < m.nB; i++ {
-		mu := m.stripeFor(i)
-		mu.Lock()
-		slot := m.buckets + i*8
-		prev := slot
-		off, _ := pptr.Unpack(slot, r.Load(slot))
-		for off != 0 {
-			next, _ := pptr.Unpack(off, r.Load(off))
-			empty := false
-			if tag := m.nodeTag(off); tag != TagString {
-				if hdr, ok := m.nodeObjHdr(off); ok {
-					switch tag {
-					case TagHash:
-						empty = m.repairHash(hdr)
-					case TagList:
-						empty = m.repairList(hdr)
-					}
-				}
-			}
-			if empty {
-				m.unlinkFree(h, prev, off)
-			} else {
-				prev = off
-			}
-			off = next
+// Recover is the one walk a restart makes over the map. It repairs the words
+// the crash discipline deliberately leaves repairable — list tail words and
+// prev links, both object kinds' count and graph-bytes words — deletes an
+// object left empty by a crash between its last element's unlink and the
+// record unlink (normal operation never leaves one behind), recounts the
+// records and rewrites the map's count word when it differs, and hands every
+// surviving record to fn (the caller's volatile indexes are rebuilt from
+// these). The count word is reconstructed rather than trusted because it is
+// bumped after the link swing that commits an insert or a removal: a crash
+// between the two leaves it off by one, and nothing else would ever heal it.
+// The heap must be recovered and no other goroutine may use the map yet; on
+// a cleanly closed heap the walk verifies and changes nothing.
+func (m *HashMap) Recover(h alloc.Handle, fn func(Record)) {
+	var count uint64
+	var empty [][]byte
+	m.walk(m.buckets, 0, m.nB, func(off uint64) bool {
+		count++
+		if rec := m.record(off); m.repairObject(rec.Tag, off) {
+			empty = append(empty, rec.Key())
+		} else {
+			fn(rec)
 		}
-		mu.Unlock()
+		return true
+	})
+	m.fixWord(m.hdr+16, count)
+	for _, key := range empty {
+		m.Delete(h, key) // outside walk: Delete takes the stripe lock itself
 	}
-	r.Fence()
+	m.r.Fence()
 }
 
-// repairHash recomputes the field count and graph bytes from the chains,
-// fixing the header words on mismatch. Reports whether the hash is empty.
+// fixWord rewrites a repairable word that does not hold want.
+func (m *HashMap) fixWord(off, want uint64) {
+	if m.r.Load(off) != want {
+		m.r.Store(off, want)
+		m.r.Flush(off)
+	}
+}
+
+// repairObject repairs the object behind the record at off (nothing for a
+// string) and reports whether it is empty.
+func (m *HashMap) repairObject(tag uint8, off uint64) (empty bool) {
+	if tag == TagString {
+		return false
+	}
+	hdr := m.objHdr(off)
+	if hdr == 0 {
+		return false
+	}
+	if tag == TagHash {
+		return m.repairHash(hdr)
+	}
+	return m.repairList(hdr)
+}
+
+// repairHash recomputes the field count and graph bytes from the chains.
 func (m *HashMap) repairHash(hdr uint64) (empty bool) {
-	r := m.r
-	arr, ok := pptr.Unpack(hdr, r.Load(hdr))
-	if !ok {
+	arr, nB := m.deref(hdr), m.r.Load(hdr+8)
+	if arr == 0 {
 		return true
 	}
-	nB := r.Load(hdr + 8)
 	count, bytes := uint64(0), objHdrBytes+nB*8
-	for i := uint64(0); i < nB; i++ {
-		slot := arr + i*8
-		off, _ := pptr.Unpack(slot, r.Load(slot))
-		for off != 0 {
-			count++
-			bytes += m.fldSize(off)
-			off, _ = pptr.Unpack(off, r.Load(off))
-		}
-	}
-	if r.Load(hdr+16) != count {
-		r.Store(hdr+16, count)
-		r.Flush(hdr + 16)
-	}
-	if r.Load(hdr+objOffBytes) != bytes {
-		r.Store(hdr+objOffBytes, bytes)
-		r.Flush(hdr + objOffBytes)
-	}
+	m.walk(arr, 0, nB, func(off uint64) bool {
+		count++
+		bytes += m.fldSize(off)
+		return true
+	})
+	m.fixWord(hdr+16, count)
+	m.fixWord(hdr+objOffBytes, bytes)
 	return count == 0
 }
 
 // repairList rewalks the authoritative forward chain, fixing every node's
-// prev word, the tail word, and the length/bytes words. Reports whether
-// the list is empty.
+// prev word, the tail word, and the length and bytes words.
 func (m *HashMap) repairList(hdr uint64) (empty bool) {
-	r := m.r
-	count, bytes := uint64(0), uint64(objHdrBytes)
-	var last uint64
-	off, _ := pptr.Unpack(hdr, r.Load(hdr))
-	for off != 0 {
-		wantPrev := uint64(pptr.Nil)
-		if last != 0 {
-			wantPrev = pptr.Pack(off+8, last)
-		}
-		if r.Load(off+8) != wantPrev {
-			r.Store(off+8, wantPrev)
-			r.Flush(off + 8)
-		}
+	count, bytes, last := uint64(0), uint64(objHdrBytes), uint64(0)
+	m.walk(hdr, 0, 1, func(off uint64) bool {
+		m.fixWord(off+8, ptrTo(off+8, last))
 		count++
-		bytes += lstNodeSize(r.Load(off + 16))
+		bytes += lstNodeSize(m.r.Load(off + 16))
 		last = off
-		off, _ = pptr.Unpack(off, r.Load(off))
-	}
-	wantTail := uint64(pptr.Nil)
-	if last != 0 {
-		wantTail = pptr.Pack(hdr+8, last)
-	}
-	if r.Load(hdr+8) != wantTail {
-		r.Store(hdr+8, wantTail)
-		r.Flush(hdr + 8)
-	}
-	if r.Load(hdr+16) != count {
-		r.Store(hdr+16, count)
-		r.Flush(hdr + 16)
-	}
-	if r.Load(hdr+objOffBytes) != bytes {
-		r.Store(hdr+objOffBytes, bytes)
-		r.Flush(hdr + objOffBytes)
-	}
+		return true
+	})
+	m.fixWord(hdr+8, ptrTo(hdr+8, last))
+	m.fixWord(hdr+16, count)
+	m.fixWord(hdr+objOffBytes, bytes)
 	return count == 0
-}
-
-// TypeTag returns the record's type tag and expiry stamp without touching
-// the value (the kvstore TypeOf / per-type scan primitive).
-func (m *HashMap) TypeTag(key []byte) (tag uint8, expireAt uint64, ok bool) {
-	bucket, mu := m.slot(key)
-	mu.Lock()
-	defer mu.Unlock()
-	_, off := m.findNode(bucket, key)
-	if off == 0 {
-		return TagString, 0, false
-	}
-	return m.nodeTag(off), m.nodeExpire(off), true
-}
-
-// RangeTyped calls fn for every record — including expired ones — with its
-// type tag and expiry stamp; value is the raw payload for object records.
-// Same locking contract as Range.
-func (m *HashMap) RangeTyped(fn func(key, value []byte, tag uint8, expireAt uint64) bool) {
-	for i := uint64(0); i < m.nB; i++ {
-		mu := m.stripeFor(i)
-		mu.Lock()
-		slot := m.buckets + i*8
-		off, _ := pptr.Unpack(slot, m.r.Load(slot))
-		for off != 0 {
-			if !fn(m.nodeKey(off), m.nodeValue(off), m.nodeTag(off), m.nodeExpire(off)) {
-				mu.Unlock()
-				return
-			}
-			off, _ = pptr.Unpack(off, m.r.Load(off))
-		}
-		mu.Unlock()
-	}
 }

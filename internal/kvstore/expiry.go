@@ -9,8 +9,8 @@ import (
 // the hash-map node (see dstruct: node word 2). This index is the *volatile*
 // side: a DRAM map from key to deadline that exists only so the active
 // expiry cycle can find reclaim candidates without walking the whole
-// persistent map. Like the LRU index, it is rebuilt from a Range walk on
-// Attach/AttachBounded; losing it in a crash loses nothing, because every
+// persistent map. Like the LRU index, it is rebuilt by the one attach walk
+// (Attach/AttachBounded); losing it in a crash loses nothing, because every
 // read path re-checks the persisted stamp (lazy expiry) and the stamps are
 // absolute wall-clock times, so "expired" stays expired across a restart.
 //
@@ -19,11 +19,11 @@ import (
 // same key the index can briefly disagree with the persisted stamps. That
 // is safe by construction: the index is only ever a *hint*. Reclaim
 // re-checks the persisted stamp under the stripe lock before deleting
-// (DeleteExpired), removes sampled entries only if the deadline is still
-// the one it sampled (removeIf), and repairs hints that turn out stale
-// (fix). The worst a lost hint costs is delayed reclamation of one record
-// until the next Attach rebuilds the index; reads stay correct throughout
-// via lazy expiry.
+// (dstruct's conditional Remove), removes sampled entries only if the
+// deadline is still the one it sampled (removeIf), and repairs hints that
+// turn out stale (fix). The worst a lost hint costs is delayed reclamation
+// of one record until the next Attach rebuilds the index; reads stay
+// correct throughout via lazy expiry.
 
 // expiryIndex tracks the deadlines of TTL'd keys for active reclamation.
 type expiryIndex struct {
@@ -104,10 +104,10 @@ func (ix *expiryIndex) fix(key string, sampled, persisted int64) {
 	}
 }
 
-// expiryCandidate is one sampled (key, deadline) hint.
-type expiryCandidate struct {
-	key string
-	at  int64
+// ExpiredCandidate is one sampled (key, hint-deadline) pair.
+type ExpiredCandidate struct {
+	Key string
+	At  int64 // sampled hint deadline, passed back to ReclaimIfExpired
 }
 
 // sample returns up to max keys whose deadline had passed at now. Go's map
@@ -116,18 +116,18 @@ type expiryCandidate struct {
 // without tracking a cursor. The scan is bounded (8×max entries per call)
 // so one cycle never stalls writers for O(tracked) with few keys due.
 // Candidates are hints: the caller must confirm against the persistent
-// stamp (DeleteExpired) before reclaiming.
-func (ix *expiryIndex) sample(max int, now int64) []expiryCandidate {
+// stamp (ReclaimIfExpired) before reclaiming.
+func (ix *expiryIndex) sample(max int, now int64) []ExpiredCandidate {
 	if ix.n.Load() == 0 {
 		return nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var due []expiryCandidate
+	var due []ExpiredCandidate
 	scanned := 0
 	for k, at := range ix.at {
 		if at <= now {
-			due = append(due, expiryCandidate{key: k, at: at})
+			due = append(due, ExpiredCandidate{Key: k, At: at})
 			if len(due) >= max {
 				break
 			}

@@ -9,10 +9,14 @@
 // Records may carry an expiration deadline (a TTL, cache-style). The
 // deadline is an absolute unix-millisecond stamp persisted inside the same
 // allocation as the record (dstruct hash-map node word 2), so recovery
-// needs no separate TTL log: one GC + Range pass rebuilds the LRU byte
-// accounting and the volatile expiry index together, and because the stamp
-// is wall-clock absolute, a key that expired before a crash is still
-// expired after recovery — expiration survives kill -9 for free. Reads
+// needs no separate TTL log: after the allocator's GC, attach makes one walk
+// over the map (dstruct's Recover) that repairs the objects, recounts the
+// records — Len, the server's DBSIZE, is exact after a crash — and rebuilds
+// the LRU byte accounting and the volatile expiry index together; and
+// because the stamp is wall-clock absolute, a key that expired before a
+// crash is still expired after recovery — expiration survives kill -9 for
+// free. Every reader goes through one record view (dstruct.Record, under the
+// key's stripe lock) and one liveness test (dead). Reads
 // apply *lazy* expiry (a dead record is reported missing without being
 // touched); space is reclaimed by ReclaimExpired, which the serving layer
 // drives from its active expiry cycle.
@@ -149,10 +153,12 @@ func Attach(a alloc.Allocator, root uint64) *Store {
 
 // AttachBounded re-opens a store whose hash-map header is at root (after
 // restart or recovery), rebuilding the volatile expiry index and — with a
-// budget, maxBytes > 0 — the transient LRU index in one walk of the
-// persistent map. The heap must already be recovered (register Filter with
-// GetRoot, then Recover, then attach): attach repairs the repairable words
-// of object secondary structures, which mutates and frees blocks.
+// budget, maxBytes > 0 — the transient LRU index in the one walk dstruct's
+// Recover makes over the persistent map. The heap must already be recovered
+// (register Filter with GetRoot, then Recover, then attach): the walk repairs
+// the repairable words of object secondary structures and the map's record
+// count (so Len — DBSIZE — is exact after a crash), which mutates and frees
+// blocks; on a cleanly closed heap it verifies and changes nothing.
 //
 // Recency order across the restart is arbitrary (walk order), like
 // memcached's cold LRU after a reboot, but the byte accounting is exact —
@@ -166,37 +172,49 @@ func Attach(a alloc.Allocator, root uint64) *Store {
 // the restart — the overage is evicted immediately.
 func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
 	s := makeStore(a, dstruct.AttachHashMap(a, root), maxBytes)
-	// Repair the repairable words of object secondary structures (list
-	// tail/prev hints, length and bytes counters) before any index is
-	// rebuilt from them; on a cleanly closed heap this verifies and
-	// changes nothing.
-	s.m.RecoverObjects(a.NewHandle())
-	now := s.now()
-	s.m.RangeMeta(func(key []byte, _ uint8, at uint64, bytes uint64) bool {
-		if at != 0 {
-			s.exp.set(string(key), int64(at))
-			if int64(at) <= now {
-				return true // dead record: hinted for reclaim, not charged
-			}
+	h := a.NewHandle()
+	s.m.Recover(h, func(rec dstruct.Record) {
+		if rec.ExpireAt == 0 && s.lru == nil {
+			return // an immortal record of an unbounded store is in no index
 		}
-		if s.lru != nil {
-			s.lru.prime(string(key), bytes)
+		key := string(rec.Key())
+		if rec.ExpireAt != 0 {
+			s.exp.set(key, int64(rec.ExpireAt))
 		}
-		return true
+		if s.lru != nil && !s.dead(rec.ExpireAt) {
+			s.lru.prime(key, rec.Bytes())
+		}
 	})
-	if s.lru == nil {
-		return s
-	}
-	if victims := s.lru.evictOver(); len(victims) > 0 {
-		h := a.NewHandle()
-		for _, victim := range victims {
-			if s.m.Delete(h, []byte(victim)) {
-				s.deletes.Add(1)
-				s.exp.remove(victim)
-			}
-		}
+	if s.lru != nil {
+		s.evict(h, s.lru.evictOver())
 	}
 	return s
+}
+
+// dead reports whether a persisted stamp (0 = immortal) has passed. The
+// clock is read only for stamped records: immortal hot-path reads skip it.
+func (s *Store) dead(at uint64) bool { return at != 0 && int64(at) <= s.now() }
+
+// evict deletes the records the LRU index pushed out of the budget (whole
+// graphs). The index has already dropped them; a key re-created since keeps
+// its new entry.
+func (s *Store) evict(h alloc.Handle, victims []string) {
+	for _, victim := range victims {
+		if s.m.Delete(h, []byte(victim)) {
+			s.deletes.Add(1)
+			s.exp.remove(victim)
+		}
+	}
+}
+
+// forget drops a deleted key from the counters and the volatile indexes.
+func (s *Store) forget(key []byte) {
+	s.deletes.Add(1)
+	k := string(key)
+	s.exp.remove(k)
+	if s.lru != nil {
+		s.lru.remove(k)
+	}
 }
 
 // SetClock replaces the store's wall clock (unix milliseconds). Tests use it
@@ -230,12 +248,7 @@ func (s *Store) SetBytesExpire(h alloc.Handle, key, value []byte, deadline int64
 		s.exp.remove(string(key))
 	}
 	if s.lru != nil {
-		for _, victim := range s.lru.update(string(key), footprint(len(key), len(value))) {
-			if s.m.Delete(h, []byte(victim)) {
-				s.deletes.Add(1)
-				s.exp.remove(victim)
-			}
-		}
+		s.evict(h, s.lru.update(string(key), footprint(len(key), len(value))))
 	}
 	return true
 }
@@ -254,34 +267,46 @@ func (s *Store) GetBytes(key []byte) ([]byte, bool, error) {
 // immortal) — the read-modify-write paths (APPEND) use it to preserve a
 // key's TTL across the rewrite.
 func (s *Store) GetBytesExpire(key []byte) (value []byte, deadline int64, ok bool, err error) {
-	v, at, tag, ok := s.m.GetTyped(key)
-	if ok && at != 0 && int64(at) <= s.now() {
+	var rec dstruct.Record
+	found := s.m.View(key, func(r dstruct.Record) {
+		rec = r
+		if r.Tag == dstruct.TagString {
+			value = r.Value()
+		}
+	})
+	switch {
+	case !found:
+		s.misses.Add(1)
+		return nil, 0, false, nil
+	case s.dead(rec.ExpireAt):
 		s.expired.Add(1)
 		s.misses.Add(1)
 		return nil, 0, false, nil
-	}
-	if !ok {
-		s.misses.Add(1)
-		return nil, 0, false, nil
-	}
-	if tag != dstruct.TagString {
+	case rec.Tag != dstruct.TagString:
 		return nil, 0, false, ErrWrongType
 	}
 	s.hits.Add(1)
 	if s.lru != nil {
 		s.lru.touch(string(key))
 	}
-	return v, int64(at), true, nil
+	return value, int64(rec.ExpireAt), true, nil
+}
+
+// stamp returns key's type tag and persisted deadline, reading only the
+// record's header words.
+func (s *Store) stamp(key []byte) (tag uint8, at uint64, ok bool) {
+	ok = s.m.View(key, func(r dstruct.Record) { tag, at = r.Tag, r.ExpireAt })
+	return tag, at, ok
 }
 
 // TypeOf reports the kind of value key holds (TypeNone for a missing or
-// lazily-expired key). It reads only the record's header words.
+// lazily-expired key).
 func (s *Store) TypeOf(key []byte) Type {
-	tag, at, ok := s.m.TypeTag(key)
+	tag, at, ok := s.stamp(key)
 	if !ok {
 		return TypeNone
 	}
-	if at != 0 && int64(at) <= s.now() {
+	if s.dead(at) {
 		s.expired.Add(1)
 		return TypeNone
 	}
@@ -315,26 +340,25 @@ func (s *Store) Persist(key []byte) bool {
 // live key with no deadline, or TTLMissing (-2) for a missing or expired
 // key.
 func (s *Store) PTTL(key []byte) int64 {
-	_, at, ok := s.m.GetExpire(key)
+	_, at, ok := s.stamp(key)
 	if !ok {
 		return TTLMissing
 	}
 	if at == 0 {
 		return TTLNone
 	}
-	rem := int64(at) - s.now()
-	if rem <= 0 {
-		return TTLMissing
+	if rem := int64(at) - s.now(); rem > 0 {
+		return rem
 	}
-	return rem
+	return TTLMissing
 }
 
 // ReclaimExpired deletes up to max records whose deadline has passed,
 // returning how many it freed — the active half of expiration. Candidates
 // come from the volatile index, but each deletion re-checks the *persisted*
-// stamp under the record's stripe lock (DeleteExpired), so a key
-// concurrently re-SET or PERSISTed is never swept. The serving layer calls
-// this from its expiry cycle under the checkpoint barrier.
+// stamp under the record's stripe lock (dstruct's conditional Remove), so a
+// key concurrently re-SET or PERSISTed is never swept. The serving layer
+// calls this from its expiry cycle under the checkpoint barrier.
 func (s *Store) ReclaimExpired(h alloc.Handle, max int) int {
 	n := 0
 	for _, cand := range s.ExpiredCandidates(max) {
@@ -345,29 +369,15 @@ func (s *Store) ReclaimExpired(h alloc.Handle, max int) int {
 	return n
 }
 
-// ExpiredCandidate is one sampled (key, hint-deadline) pair from the
-// volatile index. A caller that must interleave its own work with each
-// deletion — a replicating primary propagates every reclaim as a DEL under
-// the key's lock — samples with ExpiredCandidates and confirms each key with
-// ReclaimIfExpired instead of using ReclaimExpired's batch loop.
-type ExpiredCandidate struct {
-	Key string
-	At  int64 // sampled hint deadline, passed back to ReclaimIfExpired
-}
-
 // ExpiredCandidates samples up to max keys whose volatile hint has passed.
 // Candidates are hints, possibly stale: only ReclaimIfExpired, which
-// re-checks the persisted stamp, may act on one.
+// re-checks the persisted stamp, may act on one. A caller that must
+// interleave its own work with each deletion — a replicating primary
+// propagates every reclaim as a DEL under the key's lock — samples here and
+// confirms each key with ReclaimIfExpired instead of using ReclaimExpired's
+// batch loop.
 func (s *Store) ExpiredCandidates(max int) []ExpiredCandidate {
-	sampled := s.exp.sample(max, s.now())
-	if len(sampled) == 0 {
-		return nil
-	}
-	out := make([]ExpiredCandidate, len(sampled))
-	for i, c := range sampled {
-		out[i] = ExpiredCandidate{Key: c.key, At: c.at}
-	}
-	return out
+	return s.exp.sample(max, s.now())
 }
 
 // ReclaimIfExpired is the single-key body of ReclaimExpired: it deletes key
@@ -376,85 +386,70 @@ func (s *Store) ExpiredCandidates(max int) []ExpiredCandidate {
 // record. hintAt must be the At the key was sampled with, so a hint
 // refreshed by a concurrent re-SETEX survives the cleanup.
 func (s *Store) ReclaimIfExpired(h alloc.Handle, key string, hintAt int64) bool {
-	if s.m.DeleteExpired(h, []byte(key), uint64(s.now())) {
-		s.deletes.Add(1)
-		s.reclaimed.Add(1)
-		// Conditional removal: a concurrent SETEX may have re-created
-		// the key and refreshed its hint between our delete and here;
-		// that fresh hint must survive for the record to be reclaimed
-		// when it expires.
-		s.exp.removeIf(key, hintAt)
-		if s.lru != nil {
-			s.lru.remove(key)
-		}
-		return true
+	at, removed := s.m.Remove(h, []byte(key), uint64(s.now()))
+	if !removed {
+		// The persisted stamp disagrees with the sampled hint (the key was
+		// deleted, re-SET, or PERSISTed since, possibly by writers racing
+		// each other): repair the hint from the stamp Remove found (0 when
+		// the record is gone or immortal) so phantom entries don't get
+		// re-sampled every cycle.
+		s.exp.fix(key, hintAt, int64(at))
+		return false
 	}
-	// The persisted stamp disagrees with the sampled hint (the key was
-	// deleted, re-SET, or PERSISTed since, possibly by writers racing each
-	// other): repair the hint from the current stamp so phantom entries
-	// don't get re-sampled every cycle.
-	_, at, ok := s.m.GetExpire([]byte(key))
-	persisted := int64(0)
-	if ok {
-		persisted = int64(at)
+	s.deletes.Add(1)
+	s.reclaimed.Add(1)
+	// Conditional removal: a concurrent SETEX may have re-created the key
+	// and refreshed its hint between our delete and here; that fresh hint
+	// must survive for the record to be reclaimed when it expires.
+	s.exp.removeIf(key, hintAt)
+	if s.lru != nil {
+		s.lru.remove(key)
 	}
-	s.exp.fix(key, hintAt, persisted)
-	return false
+	return true
 }
 
 // Delete removes a key. The return reports whether an *observably live* key
 // was deleted (Redis DEL semantics): deleting an expired-but-unreclaimed
 // record frees its space but returns false, since reads already reported
-// the key gone. Callers wanting same-key atomicity with read-modify-write
-// sequences must serialize externally (the server's keyLock).
+// the key gone. The liveness answer comes from the stamp of the very record
+// that was unlinked, read under the same lock. Callers wanting same-key
+// atomicity with read-modify-write sequences must serialize externally (the
+// server's keyLock).
 func (s *Store) Delete(h alloc.Handle, key []byte) bool {
-	_, at, ok := s.m.GetExpire(key)
-	live := ok && (at == 0 || int64(at) > s.now())
-	if !s.m.Delete(h, key) {
+	at, ok := s.m.Remove(h, key, 0)
+	if !ok {
 		return false
 	}
-	s.deletes.Add(1)
-	k := string(key)
-	s.exp.remove(k)
-	if s.lru != nil {
-		s.lru.remove(k)
-	}
-	return live
+	s.forget(key)
+	return !s.dead(at)
 }
 
 // Len returns the number of records, including expired records not yet
-// reclaimed (they still occupy heap, exactly like Redis's DBSIZE).
+// reclaimed (they still occupy heap, exactly like Redis's DBSIZE). The count
+// is exact after a crash too: attach recounts it.
 func (s *Store) Len() int { return s.m.Len() }
 
-// Range calls fn for every *live string* record until fn returns false:
-// stamp-expired records are skipped (a reader must never observe a value
-// the read path already reports gone), and typed objects are skipped
-// because their payload is not a client value — use Scan for a type-aware
-// walk. fn runs under the map's stripe locks and must not call back into
+// live calls fn for every record in buckets [from, to) that has not expired
+// — a reader must never observe a record the read path already reports
+// gone. fn runs under the map's stripe locks and must not call back into
 // the store; to mutate, collect keys first and then Set/Delete them.
+func (s *Store) live(from, to uint64, fn func(dstruct.Record) bool) {
+	s.m.Range(from, to, func(rec dstruct.Record) bool { return s.dead(rec.ExpireAt) || fn(rec) })
+}
+
+// Range calls fn for every *live string* record until fn returns false.
+// Typed objects are skipped because their payload is not a client value —
+// use Scan for a type-aware walk. Same locking contract as live.
 func (s *Store) Range(fn func(key, value []byte) bool) {
-	now := s.now()
-	s.m.RangeTyped(func(key, value []byte, tag uint8, at uint64) bool {
-		if at != 0 && int64(at) <= now {
-			return true
-		}
-		if tag != dstruct.TagString {
-			return true
-		}
-		return fn(key, value)
+	s.live(0, s.m.Buckets(), func(rec dstruct.Record) bool {
+		return rec.Tag != dstruct.TagString || fn(rec.Key(), rec.Value())
 	})
 }
 
 // Scan calls fn with the key and type of every live record (expired records
-// skipped), in map walk order. Same locking contract as Range.
+// skipped), in map walk order. Same locking contract as live.
 func (s *Store) Scan(fn func(key []byte, typ Type) bool) {
-	now := s.now()
-	s.m.RangeMeta(func(key []byte, tag uint8, at uint64, _ uint64) bool {
-		if at != 0 && int64(at) <= now {
-			return true
-		}
-		return fn(key, typeFromTag(tag))
-	})
+	s.live(0, s.m.Buckets(), func(rec dstruct.Record) bool { return fn(rec.Key(), typeFromTag(rec.Tag)) })
 }
 
 // ScanCursor walks the live keyspace from bucket `cursor`, emitting whole
@@ -465,24 +460,14 @@ func (s *Store) Scan(fn func(key []byte, typ Type) bool) {
 // match Redis: every key present for the whole iteration is returned at
 // least once; keys created or deleted mid-iteration may or may not appear.
 func (s *Store) ScanCursor(cursor uint64, count int, fn func(key []byte, typ Type)) (next uint64, done bool) {
-	now := s.now()
-	nb := s.m.Buckets()
-	if count < 1 {
-		count = 1
-	}
 	emitted := 0
-	for b := cursor; b < nb; b++ {
-		s.m.RangeBucketMeta(b, func(key []byte, tag uint8, at uint64) {
-			if at != 0 && int64(at) <= now {
-				return
-			}
+	for b, nb := cursor, s.m.Buckets(); b < nb; b++ {
+		s.live(b, b+1, func(rec dstruct.Record) bool {
 			emitted++
-			fn(key, typeFromTag(tag))
+			fn(rec.Key(), typeFromTag(rec.Tag))
+			return true
 		})
-		if emitted >= count {
-			if b+1 >= nb {
-				return 0, true
-			}
+		if emitted >= max(count, 1) && b+1 < nb {
 			return b + 1, false
 		}
 	}
@@ -498,11 +483,11 @@ type TypeCounts struct {
 // keyspace-by-type section; expired records are not counted).
 func (s *Store) CountTypes() TypeCounts {
 	var tc TypeCounts
-	s.Scan(func(_ []byte, typ Type) bool {
-		switch typ {
-		case TypeHash:
+	s.live(0, s.m.Buckets(), func(rec dstruct.Record) bool {
+		switch rec.Tag {
+		case dstruct.TagHash:
 			tc.Hashes++
-		case TypeList:
+		case dstruct.TagList:
 			tc.Lists++
 		default:
 			tc.Strings++
@@ -512,13 +497,13 @@ func (s *Store) CountTypes() TypeCounts {
 	return tc
 }
 
-// DeleteAll removes every record — stamp-expired corpses included, which a
-// Range-based sweep would now skip — freeing whole object graphs. It
-// returns how many observably-live keys were removed (FLUSHALL's walk).
+// DeleteAll removes every record — stamp-expired corpses included, which
+// the live walks skip — freeing whole object graphs. It returns how many
+// observably-live keys were removed (FLUSHALL's walk).
 func (s *Store) DeleteAll(h alloc.Handle) int {
 	var keys [][]byte
-	s.m.RangeTyped(func(key, _ []byte, _ uint8, _ uint64) bool {
-		keys = append(keys, key) // nodeKey hands out a fresh slice per record
+	s.m.Range(0, s.m.Buckets(), func(rec dstruct.Record) bool {
+		keys = append(keys, rec.Key())
 		return true
 	})
 	n := 0

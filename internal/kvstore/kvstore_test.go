@@ -322,6 +322,39 @@ func TestAttachBoundedRebuildsBudget(t *testing.T) {
 	}
 }
 
+// Attach makes one pass over the map: every bucket head is loaded once, not
+// once per job (repair objects, hint the expiry index, prime the LRU). With
+// far fewer records than buckets the head loads dominate the count, so a
+// second sweep cannot hide.
+func TestAttachBoundedWalksTheMapOnce(t *testing.T) {
+	h, s, root := newStore(t) // 4096 buckets
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	for i := 0; i < 40; i++ {
+		k := []byte(fmt.Sprintf("key-%02d", i))
+		if !s.SetBytesExpire(hd, k, []byte("v"), int64(i%2)*1<<60) {
+			t.Fatal("OOM")
+		}
+		if _, err := s.HSet(hd, append(k, 'h'), []byte("f"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RPush(hd, append(k, 'l'), []byte("e")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const buckets = 4096
+	before := h.Region().Stats().Loads
+	s2 := AttachBounded(a, root, 1<<30)
+	loads := h.Region().Stats().Loads - before
+	if loads < buckets || loads >= 2*buckets {
+		t.Fatalf("attach made %d word loads over %d buckets: want one sweep (at least %d, fewer than %d)",
+			loads, buckets, buckets, 2*buckets)
+	}
+	if st := s2.Stats(); s2.Len() != 120 || st.TTLd != 20 || st.Bytes == 0 {
+		t.Fatalf("one walk rebuilt Len=%d TTLd=%d Bytes=%d; want 120, 20, >0", s2.Len(), st.TTLd, st.Bytes)
+	}
+}
+
 func TestStoreCrashRecovery(t *testing.T) {
 	h, s, root := newStore(t)
 	a := h.AsAllocator()

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/dstruct"
 )
 
 // Memcached evicts least-recently-used records when it reaches its memory
@@ -35,10 +37,9 @@ func newLRUIndex(maxBytes uint64) *lruIndex {
 	}
 }
 
-// footprint approximates a record's heap cost: the hash-map node header
-// (next, lengths, expiry stamp) plus padded payloads.
+// footprint is a string record's heap cost: the size of its map node.
 func footprint(key, value int) uint64 {
-	return uint64(24 + (key+7)&^7 + (value+7)&^7)
+	return dstruct.RecordSize(uint64(key), uint64(value))
 }
 
 // touch marks key as most recently used.

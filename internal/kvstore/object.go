@@ -13,6 +13,7 @@ import (
 	"errors"
 
 	"repro/internal/alloc"
+	"repro/internal/dstruct"
 )
 
 // errBadPairs reports an HSet call without matched field/value pairs (the
@@ -25,26 +26,10 @@ var errBadPairs = errors.New("kvstore: HSet requires field/value pairs")
 func objFootprint(klen int, graph uint64) uint64 { return footprint(klen, 8) + graph }
 
 // chargeObject records an object's new absolute footprint with the LRU,
-// deleting any victims the budget pushes out (whole graphs).
+// evicting whatever the budget pushes out.
 func (s *Store) chargeObject(h alloc.Handle, key []byte, objBytes uint64) {
-	if s.lru == nil {
-		return
-	}
-	for _, victim := range s.lru.update(string(key), objFootprint(len(key), objBytes)) {
-		if s.m.Delete(h, []byte(victim)) {
-			s.deletes.Add(1)
-			s.exp.remove(victim)
-		}
-	}
-}
-
-// dropObject forgets a key whose record an object mutation just deleted
-// (last field or element removed).
-func (s *Store) dropObject(key []byte) {
-	s.deletes.Add(1)
-	s.exp.remove(string(key))
 	if s.lru != nil {
-		s.lru.remove(string(key))
+		s.evict(h, s.lru.update(string(key), objFootprint(len(key), objBytes)))
 	}
 }
 
@@ -108,7 +93,7 @@ func (s *Store) HDel(h alloc.Handle, key []byte, fields ...[]byte) (int, error) 
 		return 0, err
 	}
 	if gone {
-		s.dropObject(key)
+		s.forget(key) // last field or element removed: the record went with it
 	} else if removed > 0 {
 		s.chargeObject(h, key, objBytes)
 	}
@@ -116,8 +101,13 @@ func (s *Store) HDel(h alloc.Handle, key []byte, fields ...[]byte) (int, error) 
 }
 
 // HLen returns the number of fields in the hash at key (0 if missing).
-func (s *Store) HLen(key []byte) (int, error) {
-	n, expired, err := s.m.HLen(key, uint64(s.now()))
+func (s *Store) HLen(key []byte) (int, error) { return s.objLen(key, dstruct.TagHash) }
+
+// LLen returns the length of the list at key (0 if missing).
+func (s *Store) LLen(key []byte) (int, error) { return s.objLen(key, dstruct.TagList) }
+
+func (s *Store) objLen(key []byte, tag uint8) (int, error) {
+	n, expired, err := s.m.ObjLen(key, tag, uint64(s.now()))
 	if err != nil {
 		return 0, err
 	}
@@ -184,23 +174,11 @@ func (s *Store) pop(h alloc.Handle, key []byte, left bool) ([]byte, bool, error)
 		return nil, false, nil
 	}
 	if gone {
-		s.dropObject(key)
+		s.forget(key) // last field or element removed: the record went with it
 	} else {
 		s.chargeObject(h, key, objBytes)
 	}
 	return val, true, nil
-}
-
-// LLen returns the length of the list at key (0 if missing).
-func (s *Store) LLen(key []byte) (int, error) {
-	n, expired, err := s.m.LLen(key, uint64(s.now()))
-	if err != nil {
-		return 0, err
-	}
-	if expired {
-		s.expired.Add(1)
-	}
-	return n, nil
 }
 
 // LRange returns the elements of the list at key between start and stop

@@ -13,7 +13,7 @@ import (
 // k-th store inside a phase of EXPIRE / expired-SET / active-reclaim
 // traffic, so the crash lands between the individual flushes of
 // UpdateExpire (the in-place stamp write), SetExpire (node init → link
-// swing) and DeleteExpired (unlink → free). After recovery the invariant
+// swing) and the conditional Remove (unlink → free). After recovery the invariant
 // under test is the PR's headline guarantee: no key acknowledged as expired
 // is ever resurrected, and no live key is dropped.
 
@@ -130,6 +130,7 @@ func TestTTLCrashInjectionSweep(t *testing.T) {
 		}
 		s := Attach(a, root)
 		s.SetClock(clk.now)
+		assertLenMatchesWalk(t, s, k) // corpses included: DBSIZE counts them
 
 		// No acked-expired key may be resurrected: whether its record was
 		// reclaimed, is still present with the past stamp, or an in-flight
@@ -176,6 +177,7 @@ func TestTTLCrashInjectionSweep(t *testing.T) {
 				t.Fatalf("k=%d: %s resurrected after reclaim drain", k, key)
 			}
 		}
+		assertLenMatchesWalk(t, s, k)
 		if _, err := h.CheckInvariants(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

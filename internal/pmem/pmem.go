@@ -25,6 +25,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -109,9 +110,9 @@ type Stats struct {
 // usable; create Regions with NewRegion.
 //
 // Word accessors (Load, Store, CAS) are safe for concurrent use. Byte
-// accessors (ReadBytes, WriteBytes, Zero) are not atomic with respect to
-// concurrent word operations on the same words; callers must not mix them on
-// contended locations.
+// accessors (ReadBytes, EqualBytes, WriteBytes, Zero) are not atomic with
+// respect to concurrent word operations on the same words; callers must not
+// mix them on contended locations.
 type Region struct {
 	words  []uint64 // volatile image
 	shadow []uint64 // persistent image (ModeCrashSim only)
@@ -390,26 +391,67 @@ func (r *Region) Stats() Stats {
 	}
 }
 
+// bytesAt returns the word holding the byte at off, shifted so that byte is
+// its lowest, and how many of the word's bytes from off on — at most want —
+// the caller may use. The load is plain and uncounted: the byte accessors
+// read payload the caller already owns (see Region).
+func (r *Region) bytesAt(off uint64, want int) (w uint64, n int) {
+	shift := off % WordBytes
+	return r.words[off/WordBytes] >> (shift * 8), min(int(WordBytes-shift), want)
+}
+
+func (r *Region) checkBytes(op string, off uint64, n int) {
+	if off+uint64(n) > r.size {
+		panic(fmt.Sprintf("pmem: %s out of bounds [%#x,%#x)", op, off, off+uint64(n)))
+	}
+}
+
 // ReadBytes copies n = len(b) bytes starting at byte offset off into b.
 // It is not atomic with respect to concurrent word writes.
 func (r *Region) ReadBytes(off uint64, b []byte) {
-	if off+uint64(len(b)) > r.size {
-		panic(fmt.Sprintf("pmem: ReadBytes out of bounds [%#x,%#x)", off, off+uint64(len(b))))
+	r.checkBytes("ReadBytes", off, len(b))
+	for len(b) > 0 {
+		w, n := r.bytesAt(off, len(b))
+		if n == WordBytes {
+			binary.LittleEndian.PutUint64(b, w)
+		} else {
+			var tail [WordBytes]byte
+			binary.LittleEndian.PutUint64(tail[:], w)
+			copy(b, tail[:n])
+		}
+		b, off = b[n:], off+uint64(n)
 	}
-	for i := range b {
-		o := off + uint64(i)
-		w := r.words[o/WordBytes]
-		b[i] = byte(w >> ((o % WordBytes) * 8))
+}
+
+// EqualBytes reports whether the len(b) bytes starting at byte offset off
+// equal b, comparing in place: the reader of a key needs no copy of it. Like
+// ReadBytes it is not atomic with respect to concurrent word writes.
+func (r *Region) EqualBytes(off uint64, b []byte) bool {
+	r.checkBytes("EqualBytes", off, len(b))
+	for len(b) > 0 {
+		w, n := r.bytesAt(off, len(b))
+		var want uint64
+		if n == WordBytes {
+			want = binary.LittleEndian.Uint64(b)
+		} else {
+			var tail [WordBytes]byte
+			copy(tail[:], b[:n])
+			want = binary.LittleEndian.Uint64(tail[:])
+			w &= 1<<(8*n) - 1
+		}
+		if w != want {
+			return false
+		}
+		b, off = b[n:], off+uint64(n)
 	}
+	return true
 }
 
 // WriteBytes copies b into the region starting at byte offset off, marking
 // the touched lines dirty. It is not atomic with respect to concurrent word
 // writes; callers use it only on uncontended payload memory.
 func (r *Region) WriteBytes(off uint64, b []byte) {
-	if off+uint64(len(b)) > r.size {
-		panic(fmt.Sprintf("pmem: WriteBytes out of bounds [%#x,%#x)", off, off+uint64(len(b))))
-	}
+	r.checkBytes("WriteBytes", off, len(b))
 	for i := 0; i < len(b); {
 		o := off + uint64(i)
 		wi := o / WordBytes

@@ -241,6 +241,64 @@ func TestBytesQuick(t *testing.T) {
 	}
 }
 
+// refByte is the byte-at-a-time definition ReadBytes and EqualBytes are
+// checked against: byte i of the region is byte i%8 of little-endian word i/8.
+func refByte(r *Region, off uint64) byte {
+	return byte(r.Load(off&^7) >> (off % WordBytes * 8))
+}
+
+func TestReadEqualBytesEveryAlignment(t *testing.T) {
+	r := NewRegion(256, Config{})
+	for w := uint64(0); w < 256; w += 8 {
+		r.Store(w, 0x0101010101010101*(w/8+1)+0x0706050403020100)
+	}
+	for align := uint64(0); align < 8; align++ {
+		for n := 0; n <= 17; n++ {
+			off := 64 + align
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = refByte(r, off+uint64(i))
+			}
+			got := make([]byte, n)
+			r.ReadBytes(off, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("align %d len %d: ReadBytes = %x, want %x", align, n, got, want)
+			}
+			if !r.EqualBytes(off, want) {
+				t.Fatalf("align %d len %d: EqualBytes false on the region's own bytes", align, n)
+			}
+			// Every single-byte difference is seen; bytes outside the
+			// range are not compared.
+			for i := range want {
+				want[i] ^= 0x80
+				if r.EqualBytes(off, want) {
+					t.Fatalf("align %d len %d: EqualBytes missed a difference at byte %d", align, n, i)
+				}
+				want[i] ^= 0x80
+			}
+			if n > 0 && r.EqualBytes(off+1, want) {
+				t.Fatalf("align %d len %d: EqualBytes matched at the wrong offset", align, n)
+			}
+		}
+	}
+}
+
+// The byte accessors read payload with plain loads the Region does not
+// count: the per-layer "loads" rows count word loads only.
+func TestByteAccessorsAreUncounted(t *testing.T) {
+	r := NewRegion(256, Config{})
+	r.WriteBytes(3, []byte("uncounted payload"))
+	before := r.Stats()
+	buf := make([]byte, 17)
+	r.ReadBytes(3, buf)
+	if !r.EqualBytes(3, buf) {
+		t.Fatal("EqualBytes disagrees with ReadBytes")
+	}
+	if after := r.Stats(); after != before {
+		t.Fatalf("byte reads moved the counters: %+v -> %+v", before, after)
+	}
+}
+
 func TestWriteBytesMarksDirty(t *testing.T) {
 	r := NewRegion(4096, Config{Mode: ModeCrashSim})
 	r.WriteBytes(100, []byte{1, 2, 3, 4})
