@@ -1,0 +1,198 @@
+package server
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/pmem"
+	"repro/internal/ralloc"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the running code")
+
+// Values that differ from run to run: wall-clock stamps and measured
+// durations. Everything else in the texts below is a function of the command
+// script and must not move.
+var (
+	goldenVolatileInfo = regexp.MustCompile(`\b(uptime_in_seconds|last_checkpoint_unix|last_checkpoint_quiesce_us|last_checkpoint_total_us|last_checkpoint_fence_us|expiry_last_cycle_us|last_attach_us|last_fence_us|usec|usec_per_call|p50|p99|p99\.9)([:=])[0-9.]+`)
+	goldenVolatileSample = regexp.MustCompile(`(?m)^(ralloc_[a-z_]*_seconds(?:_sum)?(?:\{[^}]*\})?) .*$`)
+	goldenFiniteBucket   = regexp.MustCompile(`(?m)^ralloc_command_latency_seconds_bucket\{[^}]*le="[0-9][^}]*\} .*\n`)
+)
+
+func maskInfo(s string) string { return goldenVolatileInfo.ReplaceAllString(s, "$1$2<t>") }
+
+// maskMetrics masks every duration sample and drops the finite histogram
+// buckets (which of them are populated depends on the latencies measured);
+// the +Inf bucket, _count, and every counter and gauge stay.
+func maskMetrics(s string) string {
+	s = goldenFiniteBucket.ReplaceAllString(s, "")
+	return goldenVolatileSample.ReplaceAllString(s, "$1 <t>")
+}
+
+// TestInfoAndMetricsGolden pins the INFO and /metrics texts byte for byte: a
+// 2-shard server with replication on and the embedder sections ralloc-serve
+// wires, a fixed command script, one SAVE. The files under testdata/golden
+// were written by the code before the stat table existed.
+func TestInfoAndMetricsGolden(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "kv.heap")
+	ccfg := cluster.Config{
+		Shards:  2,
+		Ralloc:  ralloc.Config{SBRegion: 16 << 20, Shards: 2, Pmem: pmem.Config{Mode: pmem.ModeFast}},
+		Buckets: 256,
+	}
+	clus, err := cluster.Open(base, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]ShardBackend, len(clus.Shards))
+	for i, sh := range clus.Shards {
+		backends[i] = RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, true)
+	}
+	srv := NewSharded(backends, Config{
+		ReplBacklogBytes: 1 << 20,
+		ReplID:           0x0123456789abcdef,
+		InfoSections:     goldenSections(clus),
+	})
+	sock := filepath.Join(t.TempDir(), "s.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	c, err := Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	script := [][]string{
+		{"SET", "a", "1"}, {"SET", "b", "22"}, {"SET", "c", "333"}, {"SET", "d", "4444"},
+		{"GET", "a"}, {"GET", "nosuch"}, {"DEL", "b"}, {"INCR", "n"}, {"INCR", "a"},
+		{"HSET", "h", "f1", "v1", "f2", "v2"}, {"HGET", "h", "f1"},
+		{"RPUSH", "l", "x", "y", "z"}, {"LPOP", "l"},
+		{"EXPIRE", "c", "100000"}, {"SETEX", "e", "100000", "v"},
+		{"GET", "h"}, // WRONGTYPE: an error reply
+		{"NOSUCHCOMMAND"},
+		{"SAVE"},
+		{"SET", "after-save", "v"},
+	}
+	for _, cmd := range script {
+		if _, err := c.Do(cmd...); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+	}
+
+	check := func(name, got string) {
+		t.Helper()
+		path := filepath.Join("testdata", "golden", name+".txt")
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from %s\n--- got\n%s\n--- want\n%s", name, path, got, want)
+		}
+	}
+	info := func(args ...string) string {
+		t.Helper()
+		rp, err := c.Do(append([]string{"INFO"}, args...)...)
+		if err != nil || rp.Err() != nil {
+			t.Fatalf("INFO %v: %v %v", args, err, rp.Err())
+		}
+		return maskInfo(string(rp.Bulk))
+	}
+	check("info", info())
+	for _, name := range srv.Sections() {
+		check("info-"+name, info(name))
+	}
+	check("info-unknown", info("nosuchsection"))
+
+	reg := obs.NewRegistry()
+	reg.Register(srv)
+	reg.Register(clus)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check("metrics", maskMetrics(buf.String()))
+	if strings.Contains(buf.String(), "<t>") {
+		t.Fatal("mask marker occurs in the raw text")
+	}
+
+	// A replica joins (full download, then the live link resumes from the
+	// image's offset), one more write flows, and both ends' replication
+	// sections are pinned: the replica-only keys and the per-sender line.
+	rbase := filepath.Join(t.TempDir(), "replica.heap")
+	if err := cluster.BootstrapReplica(io.Discard, rbase, 2, sock); err != nil {
+		t.Fatal(err)
+	}
+	rclus, err := cluster.Open(rbase, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbackends := make([]ShardBackend, len(rclus.Shards))
+	for i, sh := range rclus.Shards {
+		rbackends[i] = RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, true)
+	}
+	rcfg := Config{ReplBacklogBytes: 1 << 20, ReplicaOf: sock}
+	rcfg.ReplID, rcfg.ReplOffset = rclus.Shards[0].Heap.Region().ReplMeta()
+	rsrv := NewSharded(rbackends, rcfg)
+	rsock := filepath.Join(t.TempDir(), "r.sock")
+	rl, err := net.Listen("unix", rsock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rsrv.Serve(rl)
+	t.Cleanup(func() { rsrv.Shutdown(time.Second) })
+	if err := c.Set("to-replica", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Wait(1, 5*time.Second); err != nil || n != 1 {
+		t.Fatalf("WAIT = %d, %v", n, err)
+	}
+	rc, err := Dial("unix", rsock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	check("info-replication-primary", info("replication"))
+	rp, err := rc.Do("INFO", "replication")
+	if err != nil || rp.Err() != nil {
+		t.Fatalf("replica INFO: %v %v", err, rp.Err())
+	}
+	check("info-replication-replica", strings.Replace(string(rp.Bulk), "upstream:"+sock, "upstream:<sock>", 1))
+	buf.Reset()
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check("metrics-primary-with-replica", maskMetrics(buf.String()))
+}
+
+// goldenSections is the embedder contribution as cmd/ralloc-serve wires it.
+func goldenSections(clus *cluster.Cluster) []InfoSection {
+	return []InfoSection{
+		{Name: "heap", Render: clus.HeapInfo},
+		{Name: "allocator", Render: clus.AllocatorInfo},
+		{Name: "persistence", Render: clus.PersistenceInfo},
+	}
+}
