@@ -8,20 +8,17 @@
 //	ralloc-apps -app vacation
 //	ralloc-apps -app memcached -workload a
 //	ralloc-apps -app memcached -workload b -threads 1,2,4
-//	ralloc-apps -app memcached -workload a -net -pipeline 32
 //	ralloc-apps -app memcached -workload c -valuesize 1024
-//	ralloc-apps -app memcached -workload t -ttlms 500 -net
+//	ralloc-apps -app memcached -workload t -ttlms 500
 //
 // Workload t writes expiring records (TTL churn): updates attach short TTLs,
-// reads miss on expired records (lazy expiry), and reclamation — the active
-// expiry cycle in network mode, inline sweeps in library mode — frees them
-// while traffic runs, exercising the allocate/expire/reclaim cache lifecycle.
+// reads miss on expired records (lazy expiry), and inline reclamation sweeps
+// free them while traffic runs, exercising the allocate/expire/reclaim cache
+// lifecycle.
 //
-// With -net, the memcached workload additionally runs over sockets — the
-// store served by internal/server on a unix socket, each thread a pipelining
-// RESP client — and both the library-mode and network-mode K ops/s are
-// printed, so the cost of the network layer the paper removed is measured
-// directly.
+// Both applications run as the paper ran them (§6.3): as a library, no
+// socket. The network layer the paper removed is measured by benchmark/
+// against the real ralloc-serve (BENCHMARK.json).
 package main
 
 import (
@@ -49,8 +46,6 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		records   = flag.Int("records", 100_000, "memcached record count (paper: 100K)")
 		valueSize = flag.Int("valuesize", 0, "memcached value bytes per record (0: workload default, 100)")
-		netMode   = flag.Bool("net", false, "also run memcached over sockets (unix socket + RESP pipeline)")
-		pipeline  = flag.Int("pipeline", 16, "commands in flight per network client (with -net)")
 		relations = flag.Int("relations", 16384, "vacation relations (paper: 16384)")
 		flushNs   = flag.Int("flushns", int(bench.DefaultNVM.FlushLatency/time.Nanosecond), "simulated flush latency (ns)")
 		heapMB    = flag.Uint64("heapmb", 1024, "heap size per allocator instance (MB)")
@@ -131,13 +126,6 @@ func main() {
 		printSweep(factories, bench.AllocNames, threads, *heapMB<<20,
 			func(a alloc.Allocator, t int) bench.Result { return bench.Memcached(a, t, cfg) },
 			func(r bench.Result) float64 { return r.Kops() })
-		if *netMode {
-			fmt.Printf("# Memcached YCSB-%s — K ops/sec, network mode (unix socket, RESP, pipeline %d)\n",
-				strings.ToUpper(*workload), *pipeline)
-			printSweep(factories, bench.AllocNames, threads, *heapMB<<20,
-				func(a alloc.Allocator, t int) bench.Result { return bench.MemcachedNet(a, t, cfg, *pipeline) },
-				func(r bench.Result) float64 { return r.Kops() })
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
 		os.Exit(2)

@@ -48,8 +48,8 @@
 // re-bootstraps automatically. Primary and replica must agree on
 // -cluster-shards (the handshake carries the image count).
 //
-// Speak to it with any RESP client (redis-cli included), or
-// internal/server.Client, or cmd/ralloc-apps -app memcached -net.
+// Speak to it with any RESP client (redis-cli included) or
+// internal/server.Client; benchmark/ measures it (BENCHMARK.json).
 package main
 
 import (
@@ -198,11 +198,7 @@ func run(o *options) (resync bool) {
 		SlowlogSlowerThan:    o.slowerThan,
 		SlowlogMaxLen:        o.slowlogLen,
 		LatencyThreshold:     o.latThresh,
-		InfoSections: []server.InfoSection{
-			{Name: "heap", Render: clus.HeapInfo},
-			{Name: "allocator", Render: clus.AllocatorInfo},
-			{Name: "persistence", Render: clus.PersistenceInfo},
-		},
+		InfoSections:         clus.Sections(),
 	}
 	replicated := o.heapPath != "" && ccfg.Bound == 0
 	if replicated {

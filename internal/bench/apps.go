@@ -2,16 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
-	"strconv"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/kvstore"
-	"repro/internal/server"
 	"repro/internal/vacation"
 	"repro/internal/ycsb"
 )
@@ -146,101 +139,6 @@ func Memcached(a alloc.Allocator, t int, cfg MemcachedConfig) Result {
 					panic(fmt.Sprintf("%s: memcached OOM", a.Name()))
 				}
 			}
-		}
-	})
-	ops := uint64(t) * uint64(cfg.OpsPerTh)
-	return Result{Allocator: a.Name(), Threads: t, Ops: ops, Elapsed: elapsed}
-}
-
-// netSockSeq disambiguates concurrent network benchmarks' socket paths.
-var netSockSeq atomic.Uint64
-
-// MemcachedNet runs the same YCSB workload as Memcached, but over sockets:
-// the store is served by internal/server on a unix socket and each thread is
-// a pipelining RESP client. This restores exactly the layer the paper
-// removed, so the gap to the library-mode number is the cost of the network
-// stack and protocol. pipeline is the number of commands in flight per
-// client batch (1 = strict request/response).
-func MemcachedNet(a alloc.Allocator, t int, cfg MemcachedConfig, pipeline int) Result {
-	if pipeline < 1 {
-		pipeline = 1
-	}
-	setup := a.NewHandle()
-	store, _ := kvstore.Open(a, setup, cfg.Workload.Records)
-	loadRecords(a, store, setup, cfg.Workload)
-
-	sock := filepath.Join(os.TempDir(),
-		fmt.Sprintf("ralloc-net-%d-%d.sock", os.Getpid(), netSockSeq.Add(1)))
-	os.Remove(sock)
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		panic(fmt.Sprintf("%s: memcached net listen: %v", a.Name(), err))
-	}
-	srvCfg := server.Config{}
-	if cfg.Workload.TTLFrac > 0 {
-		// TTL workloads run the real active expiry cycle so the measured
-		// traffic includes concurrent expired-record reclamation.
-		srvCfg.ActiveExpiryInterval = 50 * time.Millisecond
-		srvCfg.ActiveExpirySample = 128
-	}
-	srv := server.New(a, store, srvCfg)
-	go srv.Serve(l)
-	defer func() {
-		srv.Shutdown(5 * time.Second)
-		os.Remove(sock)
-	}()
-
-	elapsed := runThreads(t, func(id int) {
-		c, err := server.Dial("unix", sock)
-		if err != nil {
-			panic(fmt.Sprintf("%s: memcached net dial: %v", a.Name(), err))
-		}
-		defer c.Close()
-		gen := ycsb.NewGenerator(cfg.Workload, int64(id)+1)
-		var vbuf []byte
-		for done := 0; done < cfg.OpsPerTh; {
-			batch := pipeline
-			if rest := cfg.OpsPerTh - done; batch > rest {
-				batch = rest
-			}
-			for i := 0; i < batch; i++ {
-				op := gen.Next()
-				switch op.Kind {
-				case ycsb.Read:
-					if op.Field != "" {
-						err = c.SendBytes([]byte("HGET"), []byte(op.Key), []byte(op.Field))
-					} else {
-						err = c.SendBytes([]byte("GET"), []byte(op.Key))
-					}
-				case ycsb.Update:
-					vbuf = gen.Value(vbuf)
-					switch {
-					case op.Field != "":
-						err = c.SendBytes([]byte("HSET"), []byte(op.Key), []byte(op.Field), vbuf)
-					case op.TTLMillis > 0:
-						err = c.SendBytes([]byte("PSETEX"), []byte(op.Key),
-							strconv.AppendInt(nil, op.TTLMillis, 10), vbuf)
-					default:
-						err = c.SendBytes([]byte("SET"), []byte(op.Key), vbuf)
-					}
-				}
-				if err != nil {
-					panic(fmt.Sprintf("%s: memcached net send: %v", a.Name(), err))
-				}
-			}
-			if err := c.Flush(); err != nil {
-				panic(fmt.Sprintf("%s: memcached net flush: %v", a.Name(), err))
-			}
-			for i := 0; i < batch; i++ {
-				rp, err := c.Recv()
-				if err != nil {
-					panic(fmt.Sprintf("%s: memcached net recv: %v", a.Name(), err))
-				}
-				if err := rp.Err(); err != nil {
-					panic(fmt.Sprintf("%s: memcached net reply: %v", a.Name(), err))
-				}
-			}
-			done += batch
 		}
 	})
 	ops := uint64(t) * uint64(cfg.OpsPerTh)

@@ -120,9 +120,11 @@ func MetaPath(base string) string {
 //   - n > 1 and the sidecar records a different count: keys would route
 //     differently than they were written. Refused.
 //   - n > 1, no sidecar, but a base image exists: a pre-cluster dataset is
-//     being reopened sharded; its keys were never slot-routed. Refused.
-//   - n > 1, no sidecar, no base image: fresh cluster — write the sidecar.
-func checkLayout(base string, n int) error {
+//     being reopened sharded; its keys were never slot-routed. Refused —
+//     unless the images were downloaded from a primary, which partitioned
+//     them by slot (a replica bootstrap writes N images before any open).
+//   - n > 1, no sidecar otherwise: fresh cluster — write the sidecar.
+func checkLayout(base string, n int, downloaded bool) error {
 	if base == "" {
 		return nil // volatile: nothing on disk to mismatch
 	}
@@ -142,7 +144,7 @@ func checkLayout(base string, n int) error {
 		if n == 1 {
 			return nil
 		}
-		if _, serr := os.Stat(base); serr == nil {
+		if _, serr := os.Stat(base); serr == nil && !downloaded {
 			return fmt.Errorf("heap image %s exists but has no cluster sidecar: it was created single-shard and its keys are not slot-partitioned; refusing to open it with -cluster-shards %d", base, n)
 		}
 		return writeMeta(meta, n)
@@ -152,32 +154,8 @@ func checkLayout(base string, n int) error {
 }
 
 // EnsureMeta records the cluster layout for images that arrived sharded
-// from elsewhere (a replica bootstrap downloads the primary's N slot-
-// partitioned images before any heap opens, so checkLayout's "existing image
-// without a sidecar" refusal must not fire on them). An existing sidecar
-// must match; a missing one is written.
-func EnsureMeta(base string, n int) error {
-	if base == "" || n <= 1 {
-		return nil
-	}
-	meta := MetaPath(base)
-	b, err := os.ReadFile(meta)
-	switch {
-	case err == nil:
-		recorded, perr := parseMeta(string(b))
-		if perr != nil {
-			return fmt.Errorf("cluster sidecar %s: %w", meta, perr)
-		}
-		if recorded != n {
-			return fmt.Errorf("cluster sidecar %s records %d shards, want %d", meta, recorded, n)
-		}
-		return nil
-	case errors.Is(err, os.ErrNotExist):
-		return writeMeta(meta, n)
-	default:
-		return fmt.Errorf("cluster sidecar %s: %w", meta, err)
-	}
-}
+// from a primary: an existing sidecar must match, a missing one is written.
+func EnsureMeta(base string, n int) error { return checkLayout(base, n, true) }
 
 func parseMeta(s string) (int, error) {
 	s = strings.TrimSpace(s)
@@ -219,7 +197,7 @@ func Open(base string, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		n = 1
 	}
-	if err := checkLayout(base, n); err != nil {
+	if err := checkLayout(base, n, false); err != nil {
 		return nil, err
 	}
 

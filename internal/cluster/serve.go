@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -60,51 +59,49 @@ func (c *Cluster) RecordStartup(ev *obs.Events) {
 }
 
 // BootstrapReplica makes the local images of an n-shard dataset at base a
-// usable starting point for following primary, before Open: with no images
-// it downloads the primary's checkpoints (one per shard; the handshake
-// refuses a primary with a different shard count); with images it probes
-// whether the stream position stamped in shard 0's header is still inside the
-// primary's backlog — re-downloading, on the same connection, only when it
-// is not. Dial failures retry briefly so a replica and its primary can be
-// started in either order. Progress lines go to w.
+// usable starting point for following primary, before Open. The position to
+// resume from is the one stamped in shard 0's header — published last by
+// every download (repl.Sync), so it vouches for the other shards — and is
+// used only when every shard image exists and carries the same stamp;
+// otherwise (no images, or a set some earlier failure left mixed) the
+// primary is asked for a full resync. The primary answers CONTINUE when its
+// backlog still covers the position and streams fresh images on the same
+// connection when it does not; the handshake refuses a primary with a
+// different shard count. Dial failures retry briefly so a replica and its
+// primary can be started in either order. Progress lines go to w.
 func BootstrapReplica(w io.Writer, base string, n int, primary string) error {
 	paths := make([]string, n)
+	var id, off uint64
 	for i := range paths {
 		paths[i] = ShardPath(base, i)
-	}
-	var id, off uint64
-	if _, err := os.Stat(base); err == nil {
-		if id, off, err = pmem.ReadImageMeta(base); err != nil {
+		sid, soff, err := pmem.ReadImageMeta(paths[i])
+		switch {
+		case i == 0 && err == nil:
+			id, off = sid, soff
+		case i == 0 && !os.IsNotExist(err):
 			return fmt.Errorf("reading local image header: %w", err)
+		case err != nil || sid != id || soff != off:
+			id, off = 0, 0
 		}
 	}
 	var lastErr error
 	for attempt, backoff := 0, 200*time.Millisecond; attempt < 10; attempt++ {
-		if id != 0 {
-			partial, nid, noff, err := repl.ProbeSyncN(primary, paths, id, off)
-			if err == nil {
-				if partial {
-					fmt.Fprintf(w, "resuming replication at offset %d (stream %016x)\n", noff, nid)
-				} else {
-					fmt.Fprintf(w, "stream position no longer covered: downloaded fresh images (stream %016x, offset %d)\n", nid, noff)
-				}
-				return nil
-			}
-			lastErr = err
-		} else {
-			nid, noff, err := repl.BootstrapImages(primary, paths)
-			if err == nil {
-				// The downloaded images are slot-partitioned by the primary;
-				// record the layout so a later open (or a different shard
-				// count) can't silently misroute them.
-				if err := EnsureMeta(base, n); err != nil {
-					return err
-				}
+		partial, nid, noff, err := repl.Sync(primary, paths, id, off)
+		if err == nil {
+			switch {
+			case partial:
+				fmt.Fprintf(w, "resuming replication at offset %d (stream %016x)\n", noff, nid)
+			case id != 0:
+				fmt.Fprintf(w, "stream position no longer covered: downloaded fresh images (stream %016x, offset %d)\n", nid, noff)
+			default:
 				fmt.Fprintf(w, "bootstrapped %d image(s) from %s (stream %016x, offset %d)\n", n, primary, nid, noff)
-				return nil
 			}
-			lastErr = err
+			// The images are slot-partitioned by the primary; record the
+			// layout so a later open (or a different shard count) can't
+			// silently misroute them.
+			return EnsureMeta(base, n)
 		}
+		lastErr = err
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second
@@ -126,64 +123,80 @@ func (c *Cluster) StampReplMeta(id, off uint64) {
 	}
 }
 
-// HeapInfo renders the INFO heap section.
-func (c *Cluster) HeapInfo() string {
+// Sections is what the heaps contribute to the serving process's stat table
+// (server.Config.InfoSections): "heap" and "allocator" as sections of their
+// own, and the startup recovery facts as rows the server renders inside its
+// builtin "persistence" block.
+func (c *Cluster) Sections() []obs.Section {
+	return []obs.Section{
+		{Name: "heap", Rows: c.heapRows},
+		{Name: "allocator", Rows: c.allocatorRows},
+		{Name: "persistence", Rows: c.persistenceRows},
+	}
+}
+
+// HeapInfo, AllocatorInfo and PersistenceInfo render one section's INFO
+// lines each.
+func (c *Cluster) HeapInfo() string        { return obs.Section{Rows: c.heapRows}.Lines() }
+func (c *Cluster) AllocatorInfo() string   { return obs.Section{Rows: c.allocatorRows}.Lines() }
+func (c *Cluster) PersistenceInfo() string { return obs.Section{Rows: c.persistenceRows}.Lines() }
+
+func (c *Cluster) heapRows() []obs.Row {
 	var used uint64
 	dirty := false
 	for _, sh := range c.Shards {
 		used += sh.Heap.SBUsed()
 		dirty = dirty || sh.Dirty
 	}
-	return fmt.Sprintf("sb_used_bytes:%d\r\nheap_dirty_at_open:%v\r\n", used, dirty)
+	return []obs.Row{{Key: "sb_used_bytes", Val: used}, {Key: "heap_dirty_at_open", Val: dirty}}
 }
 
-// AllocatorInfo renders the INFO allocator section: the slow-path counter
-// totals, then their breakdown. One heap breaks down by allocator shard
-// ("shardN:" lines); several heaps by heap ("heapN:", each rolled up over
-// its allocator shards — the full matrix would drown the section). Operators
-// parse both formats, so both stay.
-func (c *Cluster) AllocatorInfo() string {
-	prefix, rows := "shard", c.Shards[0].Heap.ShardStats()
-	allocShards := len(rows)
+// allocatorRows: the slow-path counter totals, then their breakdown. One
+// heap breaks down by allocator shard ("shardN:" lines); several heaps by
+// heap ("heapN:", each rolled up over its allocator shards — the full matrix
+// would drown the section). Operators parse both formats, so both stay.
+func (c *Cluster) allocatorRows() []obs.Row {
+	line, stats := "shard", c.Shards[0].Heap.ShardStats()
+	rows := []obs.Row{{Key: "shards", Val: len(stats)}}
 	if len(c.Shards) > 1 {
-		prefix, rows = "heap", make([]ralloc.ShardStats, len(c.Shards))
+		line, stats = "heap", make([]ralloc.ShardStats, len(c.Shards))
 		for j, sh := range c.Shards {
 			for _, s := range sh.Heap.ShardStats() {
-				rows[j].Add(s)
+				stats[j].Add(s)
 			}
 		}
 	}
+	fields := func(s ralloc.ShardStats) []obs.Row {
+		out := make([]obs.Row, len(ralloc.ShardStatFields))
+		for i, v := range s.Values() {
+			out[i] = obs.Row{Key: ralloc.ShardStatFields[i].Key, Val: v}
+		}
+		return out
+	}
 	var total ralloc.ShardStats
-	var lines strings.Builder
-	for i, r := range rows {
-		total.Add(r)
-		fmt.Fprintf(&lines, "%s%d:%s\r\n", prefix, i, joinStats(r, "=", ","))
+	breakdown := make([]obs.Row, len(stats))
+	for i, s := range stats {
+		total.Add(s)
+		breakdown[i] = obs.Row{Key: line, Member: strconv.Itoa(i), Sub: fields(s)}
 	}
-	return fmt.Sprintf("shards:%d\r\n%s\r\n%s", allocShards, joinStats(total, ":", "\r\n"), lines.String())
+	return append(append(rows, fields(total)...), breakdown...)
 }
 
-// joinStats renders s as key<kv>value pairs joined by sep.
-func joinStats(s ralloc.ShardStats, kv, sep string) string {
-	vals := s.Values()
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = ralloc.ShardStatFields[i].Key + kv + strconv.FormatUint(v, 10)
+// persistenceRows: the retained startup recovery statistics and attach
+// duration.
+func (c *Cluster) persistenceRows() []obs.Row {
+	rows := []obs.Row{{Key: "recovered_at_start", Val: c.Recovered}, {Key: "last_attach_us", Val: c.RecoveryWall}}
+	if rs := c.RecStats; c.Recovered {
+		rows = append(rows,
+			obs.Row{Key: "recovery_reachable_blocks", Val: rs.ReachableBlocks},
+			obs.Row{Key: "recovery_reachable_bytes", Val: rs.ReachableBytes},
+			obs.Row{Key: "recovery_trace_work", Val: rs.TraceWork},
+			obs.Row{Key: "recovery_sweep_units", Val: rs.SweepUnits},
+			obs.Row{Key: "recovery_trace_us", Val: rs.TraceTime},
+			obs.Row{Key: "recovery_sweep_us", Val: rs.SweepTime},
+			obs.Row{Key: "recovery_total_us", Val: rs.Duration})
 	}
-	return strings.Join(parts, sep)
-}
-
-// PersistenceInfo renders this process's contribution to INFO persistence:
-// the retained startup recovery statistics and attach duration (the server
-// splices these lines into its builtin Persistence section).
-func (c *Cluster) PersistenceInfo() string {
-	s := fmt.Sprintf("recovered_at_start:%v\r\nlast_attach_us:%d\r\n", c.Recovered, c.RecoveryWall.Microseconds())
-	if c.Recovered {
-		rs := c.RecStats
-		s += fmt.Sprintf("recovery_reachable_blocks:%d\r\nrecovery_reachable_bytes:%d\r\nrecovery_trace_work:%d\r\nrecovery_sweep_units:%d\r\nrecovery_trace_us:%d\r\nrecovery_sweep_us:%d\r\nrecovery_total_us:%d\r\n",
-			rs.ReachableBlocks, rs.ReachableBytes, rs.TraceWork, rs.SweepUnits,
-			rs.TraceTime.Microseconds(), rs.SweepTime.Microseconds(), rs.Duration.Microseconds())
-	}
-	return s
+	return rows
 }
 
 // Collect implements obs.Collector: the allocator families summed index by

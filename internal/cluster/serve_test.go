@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -15,6 +17,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
+	"repro/internal/repl"
+	"repro/internal/resp"
 	"repro/internal/server"
 )
 
@@ -303,5 +307,79 @@ func TestServedLifecycle(t *testing.T) {
 	}
 	if got := report(c); got != "reopened after clean shutdown: 50 records\n" {
 		t.Fatalf("clean reopen reports %q", got)
+	}
+}
+
+// TestBootstrapReplicaProbesOnlyConsistentImages: the position a restart
+// resumes from is shard 0's stamp, and it is offered to the primary only
+// when every shard image exists and carries that same stamp. A set an
+// earlier failure left incomplete or mixed asks for a full resync instead —
+// the primary answering CONTINUE to it would leave stale or empty shards
+// being served under a current stream position.
+func TestBootstrapReplicaProbesOnlyConsistentImages(t *testing.T) {
+	stamped := func(id, off uint64) []byte {
+		r := pmem.NewRegion(64<<10, pmem.Config{Mode: pmem.ModeFast})
+		r.SetReplMeta(id, off)
+		var b bytes.Buffer
+		if err := r.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "p.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	asked := make(chan string, 1)
+	fresh := stamped(0xbbbb, 9000)
+	go func() { // a primary whose backlog covers nothing: always two fresh images
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if args, _, err := repl.ReadEntry(resp.NewReader(conn)); err == nil && len(args) == 3 {
+				asked <- string(args[1])
+				repl.WriteFullResync(conn, 0xbbbb, 9000, 2)
+				repl.CopyImageChunksAbort(conn, bytes.NewReader(fresh), nil)
+				repl.CopyImageChunksAbort(conn, bytes.NewReader(fresh), nil)
+			}
+			conn.Close()
+		}
+	}()
+
+	for _, tc := range []struct {
+		name           string
+		shard0, shard1 []byte
+		want           string
+	}{
+		{"no images", nil, nil, "?"},
+		{"same stamp", stamped(0xaaaa, 100), stamped(0xaaaa, 100), "000000000000aaaa"},
+		{"shard 1 missing", stamped(0xaaaa, 100), nil, "?"},
+		{"shard 1 older", stamped(0xaaaa, 100), stamped(0xaaaa, 50), "?"},
+		{"shard 0 missing", nil, stamped(0xaaaa, 100), "?"},
+	} {
+		base := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".heap")
+		for i, img := range [][]byte{tc.shard0, tc.shard1} {
+			if img != nil {
+				if err := os.WriteFile(ShardPath(base, i), img, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := BootstrapReplica(io.Discard, base, 2, sock); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := <-asked; got != tc.want {
+			t.Errorf("%s: replica asked PSYNC %s, want %s", tc.name, got, tc.want)
+		}
+		for i := 0; i < 2; i++ {
+			if id, off, err := pmem.ReadImageMeta(ShardPath(base, i)); err != nil || id != 0xbbbb || off != 9000 {
+				t.Errorf("%s: shard %d stamped (%#x, %d), %v after the download", tc.name, i, id, off, err)
+			}
+		}
 	}
 }

@@ -108,6 +108,20 @@ type Stats struct {
 	Bytes                    uint64
 }
 
+// Add accumulates o into s field by field: the keyspace-wide view over
+// several stores.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Sets += o.Sets
+	s.Deletes += o.Deletes
+	s.Evictions += o.Evictions
+	s.Expired += o.Expired
+	s.Reclaimed += o.Reclaimed
+	s.TTLd += o.TTLd
+	s.Bytes += o.Bytes
+}
+
 func wallClock() int64 { return time.Now().UnixMilli() }
 
 // Open creates an unbounded store: OpenBounded with no budget.

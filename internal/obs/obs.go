@@ -1,7 +1,9 @@
 // Package obs is the observability core: allocation-free, lock-free latency
 // histograms, cache-line-padded striped counters, a Redis-style latency
-// event timeline and slow log, and a hand-rolled Prometheus text registry
-// with an HTTP handler that also serves net/http/pprof.
+// event timeline and slow log, the stat table whose rows are declared once
+// and rendered twice (INFO text and /metrics, table.go), and a hand-rolled
+// Prometheus text registry with an HTTP handler that also serves
+// net/http/pprof.
 //
 // The package is deliberately stdlib-only and persistent-heap-free: nothing
 // in obs may import the pmem/ralloc/kvstore layers or touch a pmem.Region —

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,7 +89,7 @@ func (e *Emitter) Single(name, typ, help string, v float64) {
 // Value writes one sample. labels are alternating key, value pairs.
 func (e *Emitter) Value(name string, v float64, labels ...string) {
 	e.w.WriteString(name)
-	writeLabels(e.w, labels, "", 0, false)
+	writeLabels(e.w, labels, "", false)
 	e.w.WriteByte(' ')
 	e.w.WriteString(formatValue(v))
 	e.w.WriteByte('\n')
@@ -112,7 +111,7 @@ func (e *Emitter) Histogram(name string, s *HistSnapshot, labels ...string) {
 			le = formatValue(float64(HistBucketUpper(i)) / 1e9)
 		}
 		e.w.WriteString(name + "_bucket")
-		writeLabels(e.w, labels, "le", 0, true)
+		writeLabels(e.w, labels, "le", true)
 		e.w.WriteString(le)
 		e.w.WriteString("\"} ")
 		e.w.WriteString(strconv.FormatUint(cum, 10))
@@ -125,7 +124,7 @@ func (e *Emitter) Histogram(name string, s *HistSnapshot, labels ...string) {
 // writeLabels renders {k="v",...}. When leKey is non-empty the brace is
 // left open after writing `leKey="` so the caller appends the le value and
 // closes it (avoids allocating per-bucket label slices).
-func writeLabels(w *bufio.Writer, labels []string, leKey string, _ int, open bool) {
+func writeLabels(w *bufio.Writer, labels []string, leKey string, open bool) {
 	if len(labels) == 0 && !open {
 		return
 	}
@@ -178,15 +177,4 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortedNames is a small helper for collectors that render map-backed
-// families deterministically.
-func SortedNames[M ~map[string]V, V any](m M) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -143,42 +143,47 @@ func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
 	return r, nil
 }
 
-// SaveFile writes the region's persistent image to path atomically (write to
-// a temp file, fsync, rename, fsync the parent directory), like a careful
-// DAX-file checkpoint. The directory sync matters: rename alone orders the
-// new name only in the page cache, and a power loss after SaveFile returned
-// could otherwise still resurrect the old image — losing a checkpoint the
-// caller already treated as durable.
+// SaveFile writes the region's persistent image to path atomically, like a
+// careful DAX-file checkpoint: written to a temp file, then PublishFile.
 func (r *Region) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return err
 	}
 	if err := r.Save(f); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(path)
+	return PublishFile(f, path, nil)
 }
 
-// syncDir fsyncs path's parent directory, making a just-renamed file's
-// directory entry durable.
-func syncDir(path string) error {
+// PublishFile makes the fully written temp file f the image at path, durably
+// and atomically: fsync, close, rename over the previous image, fsync the
+// parent directory — a crash at any point leaves either the previous image
+// or the new one, never a tear. The directory sync matters: rename alone
+// orders the new name only in the page cache, and a power loss after the
+// publish returned could otherwise still resurrect the old image — losing a
+// checkpoint the caller already treated as durable. beforeRename, when
+// non-nil, runs between the close and the rename (crash injection). On any
+// failure the temp file is removed. It is the one publish every image
+// writer — SaveFile, OnlineSave.Publish, a replica's download — ends with.
+func PublishFile(f *os.File, path string, beforeRename func()) error {
+	tmp := f.Name()
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if beforeRename != nil {
+			beforeRename()
+		}
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err

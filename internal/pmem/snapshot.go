@@ -236,10 +236,8 @@ func (o *OnlineSave) Cut() error {
 	return err
 }
 
-// Publish makes the cut image durable and atomic: fsync, rename over the
-// previous image, directory sync — a crash at any point leaves either the
-// previous image or the new one, never a tear. It releases the region's
-// snapshot slot.
+// Publish makes the cut image durable and atomic (PublishFile) and releases
+// the region's snapshot slot.
 func (o *OnlineSave) Publish() (SnapshotStats, error) {
 	r := o.r
 	f := o.f
@@ -251,23 +249,11 @@ func (o *OnlineSave) Publish() (SnapshotStats, error) {
 		os.Remove(o.tmp)
 		return o.st, fmt.Errorf("pmem: Publish before Cut")
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(o.tmp)
-		return o.st, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(o.tmp)
-		return o.st, err
-	}
+	var hook func()
 	if r.cfg.SnapshotHook != nil {
-		r.cfg.SnapshotHook(SnapRename)
+		hook = func() { r.cfg.SnapshotHook(SnapRename) }
 	}
-	if err := os.Rename(o.tmp, o.path); err != nil {
-		os.Remove(o.tmp)
-		return o.st, err
-	}
-	return o.st, syncDir(o.path)
+	return o.st, PublishFile(f, o.path, hook)
 }
 
 // Abort abandons the snapshot: disarms the barrier, removes the temp file

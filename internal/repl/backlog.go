@@ -3,12 +3,15 @@
 // propagated write command, a bounded in-memory backlog ring that lets a
 // briefly-disconnected replica resume without a full re-bootstrap, and the
 // PSYNC-style handshake that streams a checkpoint image followed by the live
-// feed.
+// feed — both ends of it: what a primary writes, and Sync, the one client a
+// replica bootstraps or resumes with. The RESP framing under all of it, and
+// its limits, are internal/resp's, shared with the server's command reader.
 //
 // The package deliberately knows nothing about storage: replica-side
 // mutation happens by handing decoded feed entries back to the server's
-// normal dispatch pipeline, never by touching pmem directly (enforced by the
-// ralloc-vet replpurity rule). The only state here is the feed itself.
+// normal dispatch pipeline, never by mutating a pmem.Region (enforced by the
+// ralloc-vet replpurity rule; the one pmem call here, PublishFile, renames a
+// downloaded image file into place). The only state here is the feed itself.
 package repl
 
 import "sort"

@@ -2,22 +2,25 @@ package repl
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/pmem"
+	"repro/internal/resp"
 )
 
 // Wire format. The replication link speaks three shapes, all RESP-derived:
 //
 //   - feed entries: canonical RESP arrays of bulk strings — exactly what
-//     the server's own reader accepts, so a replica can hand entries
-//     straight to dispatch. The feed offset counts these bytes.
+//     the server's own reader accepts, decoded by the same internal/resp
+//     code under the same limits, so a replica can hand entries straight to
+//     dispatch and never refuses one its primary accepted. The feed offset
+//     counts these bytes.
 //   - handshake lines: "+FULLRESYNC <id-hex> <offset>\r\n" (an image
 //     follows, then the feed from <offset>) or "+CONTINUE <offset>\r\n"
 //     (the feed resumes at <offset>, no image).
@@ -30,17 +33,12 @@ import (
 // instead: a clean abort (primary shutting down mid-PSYNC). Readers surface
 // it as ErrStreamAbort so the replica logs the reason and reconnects,
 // instead of waiting out a TCP timeout on a wedged stream.
+//
+// Every reader here takes a *bufio.Reader from resp.NewReader: the buffer
+// size is the line-length limit.
 
-const (
-	// maxEntryArgs and maxEntryBulk bound a decoded feed entry; they mirror
-	// the server reader's hostile-input caps.
-	maxEntryArgs = 1 << 17
-	maxEntryBulk = 64 << 20
-	// maxLineLen bounds any single protocol line.
-	maxLineLen = 64 << 10
-	// imageChunkBytes is the bulk size the image streams in.
-	imageChunkBytes = 256 << 10
-)
+// imageChunkBytes is the bulk size the image streams in.
+const imageChunkBytes = 256 << 10
 
 // ErrStreamAbort is wrapped around the sender's message when the stream is
 // cleanly aborted with a "-ERR" line.
@@ -49,105 +47,56 @@ var ErrStreamAbort = errors.New("repl: stream aborted by peer")
 // ErrProto reports a malformed replication stream.
 var ErrProto = errors.New("repl: protocol error")
 
+// streamErr reports a framing violation found by internal/resp as ErrProto;
+// I/O errors pass through.
+func streamErr(err error) error {
+	var pe resp.Error
+	if errors.As(err, &pe) {
+		return fmt.Errorf("%w: %s", ErrProto, string(pe))
+	}
+	return err
+}
+
+// streamLine reads one protocol line of the replication stream. A "-..."
+// line is the peer's clean abort — legal at every entry, chunk and handshake
+// boundary — and comes back as ErrStreamAbort carrying its message.
+func streamLine(br *bufio.Reader) ([]byte, error) {
+	line, err := resp.ReadLine(br)
+	if err != nil {
+		return nil, streamErr(err)
+	}
+	if len(line) > 0 && line[0] == '-' {
+		return nil, fmt.Errorf("%w: %s", ErrStreamAbort, strings.TrimPrefix(string(line[1:]), "ERR "))
+	}
+	return line, nil
+}
+
 // AppendEntry appends the canonical RESP encoding of args to dst and
 // returns it. This is the feed's byte format: what Append offsets count and
 // what the replica's reader decodes.
-func AppendEntry(dst []byte, args [][]byte) []byte {
-	dst = append(dst, '*')
-	dst = strconv.AppendInt(dst, int64(len(args)), 10)
-	dst = append(dst, '\r', '\n')
-	for _, a := range args {
-		dst = append(dst, '$')
-		dst = strconv.AppendInt(dst, int64(len(a)), 10)
-		dst = append(dst, '\r', '\n')
-		dst = append(dst, a...)
-		dst = append(dst, '\r', '\n')
-	}
-	return dst
-}
-
-// EntryLen returns the encoded byte length of args without encoding it.
-func EntryLen(args [][]byte) int {
-	n := 1 + intLen(len(args)) + 2
-	for _, a := range args {
-		n += 1 + intLen(len(a)) + 2 + len(a) + 2
-	}
-	return n
-}
-
-func intLen(v int) int {
-	n := 1
-	for v >= 10 {
-		v /= 10
-		n++
-	}
-	return n
-}
-
-// readLine reads one CRLF-terminated line (without the CRLF), bounded by
-// maxLineLen, appending the raw bytes (with CRLF) to *raw when raw != nil.
-func readLine(br *bufio.Reader, raw *[]byte) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			return nil, fmt.Errorf("%w: line too long", ErrProto)
-		}
-		return nil, err
-	}
-	if raw != nil {
-		*raw = append(*raw, line...)
-	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, fmt.Errorf("%w: bare LF", ErrProto)
-	}
-	return line[:len(line)-2], nil
-}
+func AppendEntry(dst []byte, args [][]byte) []byte { return resp.AppendCommand(dst, args) }
 
 // ReadEntry decodes one feed entry from br, returning the parsed arguments
 // and the entry's exact wire bytes (what AppendRaw re-appends on a
 // replica). A "-..." line at the boundary returns ErrStreamAbort carrying
-// the sender's message.
+// the sender's message; anything but a non-empty array of bulk strings is
+// ErrProto.
 func ReadEntry(br *bufio.Reader) (args [][]byte, raw []byte, err error) {
-	raw = make([]byte, 0, 64)
-	line, err := readLine(br, &raw)
+	first, err := br.Peek(1)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(line) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty line", ErrProto)
+	if first[0] == '-' {
+		_, err := streamLine(br)
+		return nil, nil, err
 	}
-	if line[0] == '-' {
-		return nil, nil, fmt.Errorf("%w: %s", ErrStreamAbort, strings.TrimPrefix(string(line[1:]), "ERR "))
+	raw = make([]byte, 0, 64)
+	args, err = resp.ReadCommand(br, &raw)
+	if err == nil && len(args) == 0 {
+		err = resp.Error("empty entry")
 	}
-	if line[0] != '*' {
-		return nil, nil, fmt.Errorf("%w: expected array, got %q", ErrProto, line[0])
-	}
-	n, err := strconv.Atoi(string(line[1:]))
-	if err != nil || n < 1 || n > maxEntryArgs {
-		return nil, nil, fmt.Errorf("%w: bad array header %q", ErrProto, line)
-	}
-	args = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := readLine(br, &raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(line) == 0 || line[0] != '$' {
-			return nil, nil, fmt.Errorf("%w: expected bulk, got %q", ErrProto, line)
-		}
-		bl, err := strconv.Atoi(string(line[1:]))
-		if err != nil || bl < 0 || bl > maxEntryBulk {
-			return nil, nil, fmt.Errorf("%w: bad bulk header %q", ErrProto, line)
-		}
-		body := make([]byte, bl+2)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, nil, err
-		}
-		if body[bl] != '\r' || body[bl+1] != '\n' {
-			return nil, nil, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
-		}
-		raw = append(raw, body...)
-		args = append(args, body[:bl])
+	if err != nil {
+		return nil, nil, streamErr(err)
 	}
 	return args, raw, nil
 }
@@ -196,21 +145,26 @@ func WriteAbort(w io.Writer, msg string) error {
 	return err
 }
 
+// PSyncRequest encodes the request that opens a replication stream: resume
+// stream id at offset off, or — id 0, no position to offer — a full resync
+// ("PSYNC ? 0").
+func PSyncRequest(id, off uint64) []byte {
+	pos := [2]string{"?", "0"}
+	if id != 0 {
+		pos = [2]string{fmt.Sprintf("%016x", id), strconv.FormatUint(off, 10)}
+	}
+	return resp.AppendCommand(nil, [][]byte{[]byte("PSYNC"), []byte(pos[0]), []byte(pos[1])})
+}
+
 // ReadHandshake parses the reply to PSYNC: FULLRESYNC, CONTINUE, or a
 // "-ERR" refusal (returned as ErrStreamAbort).
 func ReadHandshake(br *bufio.Reader) (Handshake, error) {
 	var h Handshake
-	line, err := readLine(br, nil)
+	line, err := streamLine(br)
 	if err != nil {
 		return h, err
 	}
-	if len(line) == 0 {
-		return h, fmt.Errorf("%w: empty handshake", ErrProto)
-	}
-	if line[0] == '-' {
-		return h, fmt.Errorf("%w: %s", ErrStreamAbort, strings.TrimPrefix(string(line[1:]), "ERR "))
-	}
-	if line[0] != '+' {
+	if len(line) == 0 || line[0] != '+' {
 		return h, fmt.Errorf("%w: bad handshake %q", ErrProto, line)
 	}
 	fields := strings.Fields(string(line[1:]))
@@ -241,50 +195,23 @@ func ReadHandshake(br *bufio.Reader) (Handshake, error) {
 	}
 }
 
-// CopyImageChunks streams r to w in the chunked-bulk image framing,
-// finishing with the empty terminator chunk. Returns the image byte count.
-func CopyImageChunks(w io.Writer, r io.Reader) (int64, error) {
-	buf := make([]byte, imageChunkBytes)
-	var total int64
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if _, err := fmt.Fprintf(w, "$%d\r\n", n); err != nil {
-				return total, err
-			}
-			if _, err := w.Write(buf[:n]); err != nil {
-				return total, err
-			}
-			if _, err := io.WriteString(w, "\r\n"); err != nil {
-				return total, err
-			}
-			total += int64(n)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return total, rerr
-		}
-	}
-	_, err := io.WriteString(w, "$0\r\n\r\n")
-	return total, err
-}
-
-// CopyImageChunksAbort is CopyImageChunks with an abort check between
-// chunks: when abort returns a non-empty reason, the stream is cut with a
-// clean "-ERR" line (legal at a chunk boundary) and ErrStreamAbort is
-// returned. A primary shutting down mid-PSYNC uses this so the replica sees
-// a parseable refusal instead of a wedged or torn image stream.
+// CopyImageChunksAbort streams r to w in the chunked-bulk image framing,
+// finishing with the empty terminator chunk, and returns the image byte
+// count. abort, when non-nil, is asked between chunks: a non-empty reason
+// cuts the stream with a clean "-ERR" line (legal at a chunk boundary) and
+// returns ErrStreamAbort — a primary shutting down mid-PSYNC leaves the
+// replica a parseable refusal instead of a wedged or torn image stream.
 func CopyImageChunksAbort(w io.Writer, r io.Reader, abort func() string) (int64, error) {
 	buf := make([]byte, imageChunkBytes)
 	var total int64
 	for {
-		if msg := abort(); msg != "" {
-			if err := WriteAbort(w, msg); err != nil {
-				return total, err
+		if abort != nil {
+			if msg := abort(); msg != "" {
+				if err := WriteAbort(w, msg); err != nil {
+					return total, err
+				}
+				return total, fmt.Errorf("%w: %s", ErrStreamAbort, msg)
 			}
-			return total, fmt.Errorf("%w: %s", ErrStreamAbort, msg)
 		}
 		n, rerr := r.Read(buf)
 		if n > 0 {
@@ -316,17 +243,11 @@ func ReadImage(br *bufio.Reader, dst io.Writer) (int64, error) {
 	var total int64
 	buf := make([]byte, 32<<10)
 	for {
-		line, err := readLine(br, nil)
+		line, err := streamLine(br)
 		if err != nil {
 			return total, err
 		}
-		if len(line) == 0 {
-			return total, fmt.Errorf("%w: empty chunk header", ErrProto)
-		}
-		if line[0] == '-' {
-			return total, fmt.Errorf("%w: %s", ErrStreamAbort, strings.TrimPrefix(string(line[1:]), "ERR "))
-		}
-		if line[0] != '$' {
+		if len(line) == 0 || line[0] != '$' {
 			return total, fmt.Errorf("%w: bad chunk header %q", ErrProto, line)
 		}
 		n, err := strconv.Atoi(string(line[1:]))
@@ -334,10 +255,14 @@ func ReadImage(br *bufio.Reader, dst io.Writer) (int64, error) {
 			return total, fmt.Errorf("%w: bad chunk length %q", ErrProto, line)
 		}
 		if n > 0 {
-			if _, err := io.CopyBuffer(dst, io.LimitReader(br, int64(n)), buf); err != nil {
+			c, err := io.CopyBuffer(dst, io.LimitReader(br, int64(n)), buf)
+			total += c
+			if err == nil && c < int64(n) {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
 				return total, err
 			}
-			total += int64(n)
 		}
 		var crlf [2]byte
 		if _, err := io.ReadFull(br, crlf[:]); err != nil {
@@ -363,162 +288,80 @@ func Dial(addr string) (net.Conn, error) {
 	return net.Dial(network, addr)
 }
 
-// BootstrapImage dials the primary at addr, requests a full resync
-// ("PSYNC ? 0"), and writes the streamed checkpoint image to path with the
-// checkpoint publish discipline (temp file, fsync, rename, directory sync).
-// It returns the stream ID and offset the image corresponds to; the caller
-// attaches the image and then opens the live link with a partial resync
-// from that position. The feed after the image is deliberately not
-// consumed here: bootstrap runs before the heap exists, so applying must
-// wait for a served process — the backlog covers the gap.
-func BootstrapImage(addr, path string) (id, off uint64, err error) {
-	return BootstrapImages(addr, []string{path})
-}
-
-// BootstrapImages is BootstrapImage for a sharded keyspace: the primary
-// streams one image per shard after the FULLRESYNC line, and each is
-// published to the corresponding path. The primary's shard count must equal
-// len(paths) — a replica configured with a different -cluster-shards would
-// route keys differently and silently diverge, so the mismatch is an error
-// here, before any heap exists.
-func BootstrapImages(addr string, paths []string) (id, off uint64, err error) {
+// Sync is the replica's side of PSYNC before its heap exists. It dials the
+// primary at addr and asks to resume the stream position (id, off) a local
+// image's header carries; id 0 — no image — asks for a full resync
+// ("PSYNC ? 0"). On CONTINUE it reports partial=true and disconnects (the
+// served process reopens the link itself). On FULLRESYNC it downloads the
+// image(s) the primary produced on this same connection into paths — one per
+// shard, so probing never costs a checkpoint that is then thrown away — and
+// returns the position they correspond to. The feed after the images is
+// deliberately not consumed: applying must wait for a served process, and
+// the backlog covers the gap.
+//
+// The primary's shard count must equal len(paths): a replica configured with
+// a different -cluster-shards would route keys differently and silently
+// diverge, so the mismatch is an error here, before any heap exists.
+//
+// Publish order is the crash contract. Every image is staged in a temp file
+// and only then renamed into place, paths[0] LAST: shard 0's header is the
+// record a restart reads to decide what it may resume from, so it must not
+// name the new position before the images it vouches for are all in place. A
+// download that dies anywhere leaves paths[0] old or absent, and no temp
+// file.
+func Sync(addr string, paths []string, id, off uint64) (partial bool, newID, newOff uint64, err error) {
 	conn, err := Dial(addr)
 	if err != nil {
-		return 0, 0, err
+		return false, 0, 0, err
 	}
 	defer conn.Close()
-	if _, err := conn.Write(AppendEntry(nil, [][]byte{[]byte("PSYNC"), []byte("?"), []byte("0")})); err != nil {
-		return 0, 0, err
+	if _, err := conn.Write(PSyncRequest(id, off)); err != nil {
+		return false, 0, 0, err
 	}
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := resp.NewReader(conn)
 	h, err := ReadHandshake(br)
 	if err != nil {
-		return 0, 0, err
+		return false, 0, 0, err
 	}
 	if !h.Full {
-		return 0, 0, fmt.Errorf("%w: CONTINUE in response to PSYNC ? 0", ErrProto)
-	}
-	if err := checkShards(h, len(paths)); err != nil {
-		return 0, 0, err
-	}
-	for _, path := range paths {
-		if err := saveImageAtomic(br, path); err != nil {
-			return 0, 0, err
+		if id == 0 {
+			return false, 0, 0, fmt.Errorf("%w: CONTINUE in response to PSYNC ? 0", ErrProto)
 		}
-	}
-	return h.ID, h.Offset, nil
-}
-
-// checkShards verifies the primary's advertised image count against the
-// replica's configured shard layout.
-func checkShards(h Handshake, want int) error {
-	got := h.Shards
-	if got == 0 {
-		got = 1
-	}
-	if got != want {
-		return fmt.Errorf("primary streams %d shard image(s), this replica is configured for %d", got, want)
-	}
-	return nil
-}
-
-// ProbeSync asks the primary whether the stream position (id, off) — a
-// restarting replica's image header — is still resumable. On CONTINUE it
-// reports partial=true and disconnects (the served process reopens the link
-// itself); on FULLRESYNC it consumes the image the primary already produced
-// on this same connection into path, so probing never costs a checkpoint
-// that is then thrown away. Either way the returned ID/offset are the
-// position the on-disk image now corresponds to.
-func ProbeSync(addr, path string, id, off uint64) (partial bool, newID, newOff uint64, err error) {
-	return ProbeSyncN(addr, []string{path}, id, off)
-}
-
-// ProbeSyncN is ProbeSync for a sharded keyspace: a FULLRESYNC answer
-// streams one image per shard, published to the corresponding paths.
-func ProbeSyncN(addr string, paths []string, id, off uint64) (partial bool, newID, newOff uint64, err error) {
-	conn, err := Dial(addr)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	defer conn.Close()
-	req := [][]byte{
-		[]byte("PSYNC"),
-		[]byte(fmt.Sprintf("%016x", id)),
-		[]byte(strconv.FormatUint(off, 10)),
-	}
-	if _, err := conn.Write(AppendEntry(nil, req)); err != nil {
-		return false, 0, 0, err
-	}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	h, err := ReadHandshake(br)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	if !h.Full {
 		return true, id, h.Offset, nil
 	}
-	if err := checkShards(h, len(paths)); err != nil {
-		return false, 0, 0, err
+	if h.Shards != len(paths) {
+		return false, 0, 0, fmt.Errorf("primary streams %d shard image(s), this replica is configured for %d", h.Shards, len(paths))
 	}
+	staged := make([]*os.File, 0, len(paths))
+	defer func() {
+		for _, f := range staged { // whatever was not published
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
 	for _, path := range paths {
-		if err := saveImageAtomic(br, path); err != nil {
+		f, err := os.Create(path + ".tmp")
+		if err != nil {
+			return false, 0, 0, err
+		}
+		staged = append(staged, f)
+		if _, err := ReadImage(br, f); err != nil {
+			return false, 0, 0, err
+		}
+	}
+	for i := len(paths) - 1; i >= 0; i-- {
+		f := staged[i]
+		staged = staged[:i]
+		if err := pmem.PublishFile(f, paths[i], nil); err != nil {
 			return false, 0, 0, err
 		}
 	}
 	return false, h.ID, h.Offset, nil
 }
 
-// saveImageAtomic consumes a FULLRESYNC image stream from br and publishes
-// it at path with the checkpoint discipline: temp file, fsync, rename,
-// directory sync.
-func saveImageAtomic(br *bufio.Reader, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	cleanup := func(e error) error {
-		f.Close()
-		os.Remove(tmp)
-		return e
-	}
-	if _, err := ReadImage(br, f); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// SplitEntries walks raw feed bytes and returns the byte boundaries of the
-// complete entries they contain (tests use it to assert alignment).
-func SplitEntries(raw []byte) (ends []int, err error) {
-	br := bufio.NewReader(bytes.NewReader(raw))
-	pos := 0
-	for pos < len(raw) {
-		_, entry, err := ReadEntry(br)
-		if err != nil {
-			return ends, err
-		}
-		pos += len(entry)
-		ends = append(ends, pos)
-	}
-	return ends, nil
+// BootstrapImage is Sync for a fresh single-image replica: a full resync
+// into path.
+func BootstrapImage(addr, path string) (id, off uint64, err error) {
+	_, id, off, err = Sync(addr, []string{path}, 0, 0)
+	return id, off, err
 }

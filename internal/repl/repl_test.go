@@ -21,14 +21,29 @@ func entry(args ...string) [][]byte {
 	return out
 }
 
+// entryLen is the encoded byte length of args.
+func entryLen(args [][]byte) int { return len(AppendEntry(nil, args)) }
+
+// splitEntries walks raw feed bytes and returns the byte boundaries of the
+// complete entries they contain.
+func splitEntries(raw []byte) (ends []int, err error) {
+	br := bufio.NewReader(bytes.NewReader(raw))
+	for pos := 0; pos < len(raw); {
+		_, entry, err := ReadEntry(br)
+		if err != nil {
+			return ends, err
+		}
+		pos += len(entry)
+		ends = append(ends, pos)
+	}
+	return ends, nil
+}
+
 // TestEntryRoundTrip: encode → decode returns the same args and the exact
-// wire bytes, and EntryLen matches the encoder.
+// wire bytes.
 func TestEntryRoundTrip(t *testing.T) {
 	args := entry("SET", "k", "v with spaces\r\nand crlf")
 	raw := AppendEntry(nil, args)
-	if len(raw) != EntryLen(args) {
-		t.Fatalf("EntryLen = %d, encoded %d", EntryLen(args), len(raw))
-	}
 	got, rawBack, err := ReadEntry(bufio.NewReader(bytes.NewReader(raw)))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +95,7 @@ func TestFeedOffsetsAndBacklog(t *testing.T) {
 	e := entry("SET", "key", "value")
 	var want uint64 = start
 	for i := 0; i < 10; i++ {
-		want += uint64(EntryLen(e))
+		want += uint64(entryLen(e))
 		if got := f.Append(e); got != want {
 			t.Fatalf("append %d: offset %d, want %d", i, got, want)
 		}
@@ -114,7 +129,7 @@ func TestFeedOffsetsAndBacklog(t *testing.T) {
 // returns the precise byte stream of subsequent appends, across blocking
 // waits, every returned batch is itself whole entries (a max smaller than
 // one entry still yields that entry, never a fragment), and entry
-// boundaries reconstruct via SplitEntries.
+// boundaries reconstruct via splitEntries.
 func TestCursorStreamsExactBytes(t *testing.T) {
 	f := NewFeed(1<<20, 1, 0)
 	first := f.Append(entry("SET", "a", "1"))
@@ -133,7 +148,7 @@ func TestCursorStreamsExactBytes(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if _, err := SplitEntries(p); err != nil {
+			if _, err := splitEntries(p); err != nil {
 				ragged = true
 			}
 			mu.Lock()
@@ -169,9 +184,9 @@ func TestCursorStreamsExactBytes(t *testing.T) {
 	if ragged {
 		t.Fatal("NextEntries returned a batch that was not whole entries")
 	}
-	ends, err := SplitEntries(got)
+	ends, err := splitEntries(got)
 	if err != nil || len(ends) != 3 {
-		t.Fatalf("SplitEntries = %v, %v; want 3 clean entries", ends, err)
+		t.Fatalf("splitEntries = %v, %v; want 3 clean entries", ends, err)
 	}
 	if first != uint64(ends[0]) {
 		t.Fatalf("first append offset %d, first boundary %d", first, ends[0])
@@ -227,7 +242,7 @@ func TestCursorErrors(t *testing.T) {
 func TestNextEntriesBatches(t *testing.T) {
 	f := NewFeed(1<<20, 1, 0)
 	e := entry("SET", "key", "value")
-	el := EntryLen(e)
+	el := entryLen(e)
 	for i := 0; i < 5; i++ {
 		f.Append(e)
 	}
@@ -285,9 +300,9 @@ func TestImageChunksRoundTrip(t *testing.T) {
 		img[i] = byte(i * 31)
 	}
 	var wire bytes.Buffer
-	n, err := CopyImageChunks(&wire, bytes.NewReader(img))
+	n, err := CopyImageChunksAbort(&wire, bytes.NewReader(img), nil)
 	if err != nil || n != int64(len(img)) {
-		t.Fatalf("CopyImageChunks = %d, %v", n, err)
+		t.Fatalf("CopyImageChunksAbort(nil) = %d, %v", n, err)
 	}
 	var out bytes.Buffer
 	n, err = ReadImage(bufio.NewReader(&wire), &out)
@@ -309,7 +324,7 @@ func TestImageChunksRoundTrip(t *testing.T) {
 
 // TestCopyImageChunksAbort: an abort firing mid-image cuts the stream with a
 // clean "-ERR" line that the reading side surfaces as ErrStreamAbort; an
-// abort that never fires streams the image identically to CopyImageChunks.
+// abort that never fires streams the image whole.
 func TestCopyImageChunksAbort(t *testing.T) {
 	img := make([]byte, imageChunkBytes+100)
 	var wire bytes.Buffer
@@ -369,7 +384,7 @@ func TestBootstrapImage(t *testing.T) {
 					return
 				}
 				WriteFullResync(conn, 0xfeed, 4242, 1)
-				CopyImageChunks(conn, bytes.NewReader(img))
+				CopyImageChunksAbort(conn, bytes.NewReader(img), nil)
 			}(conn)
 		}
 	}()

@@ -6,6 +6,8 @@ import (
 	"net"
 	"strconv"
 	"time"
+
+	"repro/internal/resp"
 )
 
 // Client is a minimal RESP2 client with explicit pipelining: Send queues
@@ -41,7 +43,7 @@ func DialTimeout(network, addr string, d time.Duration) (*Client, error) {
 func NewClient(c net.Conn) *Client {
 	return &Client{
 		c:  c,
-		br: bufio.NewReaderSize(c, 16<<10),
+		br: resp.NewReader(c),
 		bw: bufio.NewWriterSize(c, 16<<10),
 	}
 }
@@ -61,17 +63,8 @@ func (c *Client) Send(args ...string) error {
 
 // SendBytes is Send for preformatted byte arguments.
 func (c *Client) SendBytes(args ...[]byte) error {
-	c.bw.WriteByte('*')
-	c.bw.WriteString(strconv.Itoa(len(args)))
-	c.bw.WriteString("\r\n")
-	for _, a := range args {
-		c.bw.WriteByte('$')
-		c.bw.WriteString(strconv.Itoa(len(a)))
-		c.bw.WriteString("\r\n")
-		c.bw.Write(a)
-		if _, err := c.bw.WriteString("\r\n"); err != nil {
-			return err
-		}
+	if _, err := c.bw.Write(resp.AppendCommand(c.bw.AvailableBuffer(), args)); err != nil {
+		return err
 	}
 	c.pending++
 	return nil
@@ -86,7 +79,7 @@ func (c *Client) Pending() int { return c.pending }
 // Recv reads the next reply. The caller is responsible for matching Recv
 // calls one-to-one (in order) with sent commands.
 func (c *Client) Recv() (Reply, error) {
-	rp, err := readReply(c.br)
+	rp, err := resp.ReadReply(c.br)
 	if err != nil {
 		return rp, err
 	}
@@ -109,55 +102,58 @@ func (c *Client) Do(args ...string) (Reply, error) {
 	return c.Recv()
 }
 
+// reply runs one command and returns its reply; a transport failure and an
+// error reply both come back as the error.
+func (c *Client) reply(args ...string) (Reply, error) {
+	rp, err := c.Do(args...)
+	if err == nil {
+		err = rp.Err()
+	}
+	return rp, err
+}
+
+// expect is reply for a command whose reply must be of the given kind.
+func (c *Client) expect(kind byte, args ...string) (Reply, error) {
+	rp, err := c.reply(args...)
+	if err == nil && rp.Kind != kind {
+		err = fmt.Errorf("server: unexpected %s reply %q", args[0], rp.Text())
+	}
+	return rp, err
+}
+
 // okReply runs one command expecting a +OK reply.
 func (c *Client) okReply(args ...string) error {
-	rp, err := c.Do(args...)
-	if err != nil {
-		return err
+	rp, err := c.expect('+', args...)
+	if err == nil && rp.Str != "OK" {
+		err = fmt.Errorf("server: unexpected %s reply %q", args[0], rp.Text())
 	}
-	if err := rp.Err(); err != nil {
-		return err
-	}
-	if rp.Kind != '+' || rp.Str != "OK" {
-		return fmt.Errorf("server: unexpected %s reply %q", args[0], rp.Text())
-	}
-	return nil
-}
-
-// Set stores key=value, failing on any non-OK reply.
-func (c *Client) Set(key, value string) error {
-	return c.okReply("SET", key, value)
-}
-
-// Get fetches key; ok=false reports a missing key.
-func (c *Client) Get(key string) (value string, ok bool, err error) {
-	rp, err := c.Do("GET", key)
-	if err != nil {
-		return "", false, err
-	}
-	if err := rp.Err(); err != nil {
-		return "", false, err
-	}
-	if rp.Nil {
-		return "", false, nil
-	}
-	return string(rp.Bulk), true, nil
+	return err
 }
 
 // intReply runs one command expecting an integer reply.
 func (c *Client) intReply(args ...string) (int64, error) {
-	rp, err := c.Do(args...)
-	if err != nil {
-		return 0, err
-	}
-	if err := rp.Err(); err != nil {
-		return 0, err
-	}
-	if rp.Kind != ':' {
-		return 0, fmt.Errorf("server: unexpected %s reply %q", args[0], rp.Text())
-	}
-	return rp.Int, nil
+	rp, err := c.expect(':', args...)
+	return rp.Int, err
 }
+
+// bulkReply runs one command expecting a bulk-or-nil reply; ok=false reports
+// the nil.
+func (c *Client) bulkReply(args ...string) (value string, ok bool, err error) {
+	rp, err := c.expect('$', args...)
+	return string(rp.Bulk), err == nil && !rp.Nil, err
+}
+
+// arrayReply runs one command expecting an array reply.
+func (c *Client) arrayReply(args ...string) ([]Reply, error) {
+	rp, err := c.expect('*', args...)
+	return rp.Elems, err
+}
+
+// Set stores key=value, failing on any non-OK reply.
+func (c *Client) Set(key, value string) error { return c.okReply("SET", key, value) }
+
+// Get fetches key; ok=false reports a missing key.
+func (c *Client) Get(key string) (value string, ok bool, err error) { return c.bulkReply("GET", key) }
 
 // SetEx stores key=value with a time-to-live in whole seconds (SETEX).
 func (c *Client) SetEx(key string, seconds int64, value string) error {
@@ -211,58 +207,26 @@ func (c *Client) Append(key, value string) (int64, error) {
 // GetSet atomically replaces key's value, returning the previous one
 // (ok=false when the key was absent).
 func (c *Client) GetSet(key, value string) (string, bool, error) {
-	rp, err := c.Do("GETSET", key, value)
-	if err != nil {
-		return "", false, err
-	}
-	if err := rp.Err(); err != nil {
-		return "", false, err
-	}
-	if rp.Nil {
-		return "", false, nil
-	}
-	return string(rp.Bulk), true, nil
+	return c.bulkReply("GETSET", key, value)
 }
 
 // Echo round-trips a message (ECHO).
 func (c *Client) Echo(msg string) (string, error) {
-	rp, err := c.Do("ECHO", msg)
-	if err != nil {
-		return "", err
-	}
-	if err := rp.Err(); err != nil {
-		return "", err
-	}
-	return string(rp.Bulk), nil
+	v, _, err := c.bulkReply("ECHO", msg)
+	return v, err
 }
 
 // Type reports a key's type: "string" for a live key, "none" for a missing
 // (or expired) one.
 func (c *Client) Type(key string) (string, error) {
-	rp, err := c.Do("TYPE", key)
-	if err != nil {
-		return "", err
-	}
-	if err := rp.Err(); err != nil {
-		return "", err
-	}
-	return rp.Str, nil
+	rp, err := c.reply("TYPE", key)
+	return rp.Str, err
 }
 
 // GetDel fetches and deletes key in one atomic step; ok=false reports a
 // missing key.
 func (c *Client) GetDel(key string) (value string, ok bool, err error) {
-	rp, err := c.Do("GETDEL", key)
-	if err != nil {
-		return "", false, err
-	}
-	if err := rp.Err(); err != nil {
-		return "", false, err
-	}
-	if rp.Nil {
-		return "", false, nil
-	}
-	return string(rp.Bulk), true, nil
+	return c.bulkReply("GETDEL", key)
 }
 
 // HSet stores field/value pairs in the hash at key, returning how many
@@ -274,17 +238,7 @@ func (c *Client) HSet(key string, fieldvals ...string) (int64, error) {
 // HGet fetches one field of the hash at key; ok=false reports a missing key
 // or field.
 func (c *Client) HGet(key, field string) (value string, ok bool, err error) {
-	rp, err := c.Do("HGET", key, field)
-	if err != nil {
-		return "", false, err
-	}
-	if err := rp.Err(); err != nil {
-		return "", false, err
-	}
-	if rp.Nil {
-		return "", false, nil
-	}
-	return string(rp.Bulk), true, nil
+	return c.bulkReply("HGET", key, field)
 }
 
 // HDel removes fields from the hash at key, returning how many existed.
@@ -303,19 +257,16 @@ func (c *Client) HLen(key string) (int64, error) { return c.intReply("HLEN", key
 
 // HGetAll returns the hash at key as a map (empty for a missing key).
 func (c *Client) HGetAll(key string) (map[string]string, error) {
-	rp, err := c.Do("HGETALL", key)
+	elems, err := c.arrayReply("HGETALL", key)
+	if err == nil && len(elems)%2 != 0 {
+		err = fmt.Errorf("server: unexpected HGETALL reply of %d elements", len(elems))
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := rp.Err(); err != nil {
-		return nil, err
-	}
-	if rp.Kind != '*' || len(rp.Elems)%2 != 0 {
-		return nil, fmt.Errorf("server: unexpected HGETALL reply %q", rp.Text())
-	}
-	m := make(map[string]string, len(rp.Elems)/2)
-	for i := 0; i+1 < len(rp.Elems); i += 2 {
-		m[string(rp.Elems[i].Bulk)] = string(rp.Elems[i+1].Bulk)
+	m := make(map[string]string, len(elems)/2)
+	for i := 0; i+1 < len(elems); i += 2 {
+		m[string(elems[i].Bulk)] = string(elems[i+1].Bulk)
 	}
 	return m, nil
 }
@@ -330,27 +281,12 @@ func (c *Client) RPush(key string, values ...string) (int64, error) {
 	return c.intReply(append([]string{"RPUSH", key}, values...)...)
 }
 
-// popReply decodes an LPOP/RPOP bulk-or-nil reply.
-func (c *Client) popReply(cmd, key string) (value string, ok bool, err error) {
-	rp, err := c.Do(cmd, key)
-	if err != nil {
-		return "", false, err
-	}
-	if err := rp.Err(); err != nil {
-		return "", false, err
-	}
-	if rp.Nil {
-		return "", false, nil
-	}
-	return string(rp.Bulk), true, nil
-}
-
 // LPop removes and returns the head of the list at key; ok=false reports a
 // missing key.
-func (c *Client) LPop(key string) (string, bool, error) { return c.popReply("LPOP", key) }
+func (c *Client) LPop(key string) (string, bool, error) { return c.bulkReply("LPOP", key) }
 
 // RPop removes and returns the tail of the list at key.
-func (c *Client) RPop(key string) (string, bool, error) { return c.popReply("RPOP", key) }
+func (c *Client) RPop(key string) (string, bool, error) { return c.bulkReply("RPOP", key) }
 
 // LLen returns the length of the list at key.
 func (c *Client) LLen(key string) (int64, error) { return c.intReply("LLEN", key) }
@@ -358,21 +294,12 @@ func (c *Client) LLen(key string) (int64, error) { return c.intReply("LLEN", key
 // LRange returns the elements of the list at key between start and stop
 // inclusive (Redis index semantics: negative counts from the tail).
 func (c *Client) LRange(key string, start, stop int64) ([]string, error) {
-	rp, err := c.Do("LRANGE", key, strconv.FormatInt(start, 10), strconv.FormatInt(stop, 10))
-	if err != nil {
-		return nil, err
-	}
-	if err := rp.Err(); err != nil {
-		return nil, err
-	}
-	if rp.Kind != '*' {
-		return nil, fmt.Errorf("server: unexpected LRANGE reply %q", rp.Text())
-	}
-	out := make([]string, len(rp.Elems))
-	for i, e := range rp.Elems {
+	elems, err := c.arrayReply("LRANGE", key, strconv.FormatInt(start, 10), strconv.FormatInt(stop, 10))
+	out := make([]string, len(elems))
+	for i, e := range elems {
 		out[i] = string(e.Bulk)
 	}
-	return out, nil
+	return out, err
 }
 
 // CommandCount reports how many commands the server's registry serves
@@ -391,19 +318,7 @@ func (c *Client) Discard() error { return c.okReply("DISCARD") }
 // Exec runs the queued transaction, returning the individual replies in
 // queue order. A queue-time validation failure surfaces as the EXECABORT
 // error.
-func (c *Client) Exec() ([]Reply, error) {
-	rp, err := c.Do("EXEC")
-	if err != nil {
-		return nil, err
-	}
-	if err := rp.Err(); err != nil {
-		return nil, err
-	}
-	if rp.Kind != '*' {
-		return nil, fmt.Errorf("server: unexpected EXEC reply %q", rp.Text())
-	}
-	return rp.Elems, nil
-}
+func (c *Client) Exec() ([]Reply, error) { return c.arrayReply("EXEC") }
 
 // Txn pipelines MULTI, the given commands, and EXEC in one round trip and
 // returns the EXEC replies. Any queue-time rejection (unknown command, bad
@@ -457,19 +372,6 @@ func (c *Client) Txn(cmds ...[]string) ([]Reply, error) {
 
 // DBSize returns the record count.
 func (c *Client) DBSize() (int64, error) { return c.intReply("DBSIZE") }
-
-// PExpireAt sets key's deadline as an absolute unix-millisecond timestamp
-// (PEXPIREAT); ok=false reports a missing key.
-func (c *Client) PExpireAt(key string, unixMs int64) (bool, error) {
-	n, err := c.intReply("PEXPIREAT", key, strconv.FormatInt(unixMs, 10))
-	return n == 1, err
-}
-
-// PSetExAt stores key=value with an absolute unix-millisecond deadline
-// (PSETEXAT).
-func (c *Client) PSetExAt(key string, unixMs int64, value string) error {
-	return c.okReply("PSETEXAT", key, strconv.FormatInt(unixMs, 10), value)
-}
 
 // Wait blocks until numReplicas connected replicas have acknowledged every
 // write this server had executed when WAIT began, or the timeout passes

@@ -422,7 +422,7 @@ func cmdCommand(ctx *Ctx) {
 		}
 		return
 	}
-	// Case-fold only plausibly-valid names: a hostile maxBulkLen subcommand
+	// Case-fold only plausibly-valid names: a hostile resp.MaxBulkLen subcommand
 	// or command-name bulk must miss cheaply, not pay megabytes-sized
 	// ToUpper copies (same guard as dispatch's longestCommandName check).
 	// The bound is deliberately loose — any realistic subcommand fits.
@@ -472,67 +472,26 @@ func writeCommandEntry(w *respWriter, c *Command) {
 	w.integer(int64(c.Keys.Step))
 }
 
-// cmdInfo serves INFO and INFO <section>. With a section argument only that
-// section is rendered (commandstats is the interesting one — it is omitted
-// from the default reply, as in Redis); a section that doesn't match any
-// header falls back to the full block, preserving the old switch's tolerant
-// behavior for clients that send "INFO server" or "INFO all" by default.
+// cmdInfo serves INFO and INFO <section>. A section argument renders that
+// section alone — nothing of the others is read, so a monitor polling
+// "INFO server" pays for five rows (commandstats and latencystats are only
+// ever served this way; they are left out of the default reply, as in
+// Redis). A name no section carries falls back to the full block, for
+// clients that send "INFO all" or "INFO default". Names no real section
+// can match skip the case-insensitive search entirely: a hostile
+// resp.MaxBulkLen bulk must not cost a megabytes-sized compare per section.
 func cmdInfo(ctx *Ctx) {
 	if len(ctx.args) > 2 {
 		ctx.w.errorf("wrong number of arguments for 'info' command")
 		return
 	}
-	// A section name no real header can match skips the fold entirely (a
-	// hostile maxBulkLen bulk would otherwise cost a megabytes-sized copy)
-	// and falls through to the tolerant full-reply default. The full block
-	// is rendered only on the paths that reply with it — commandstats
-	// must not pay store-stats collection and the embedder Info callback
-	// just to discard the result.
-	if len(ctx.args) == 2 && len(ctx.args[1]) <= 64 {
-		section := strings.ToLower(string(ctx.args[1]))
-		// commandstats and latencystats render from the per-command
-		// histograms and are omitted from the default reply, as in Redis.
-		if section == "commandstats" {
-			ctx.w.bulk([]byte(ctx.s.commandStats()))
+	if len(ctx.args) == 2 && len(ctx.args[1]) > 0 && len(ctx.args[1]) <= 64 {
+		if sec := ctx.s.stats.Named(string(ctx.args[1])); len(sec) > 0 {
+			ctx.w.bulk([]byte(sec.Info(true)))
 			return
 		}
-		if section == "latencystats" {
-			ctx.w.bulk([]byte(ctx.s.latencyStats()))
-			return
-		}
-		// The per-type keyspace census walks the whole map; only pay it
-		// when the keyspace section could actually be returned — directly,
-		// or via the tolerant full-block fallback for unknown sections.
-		full := ctx.s.info(section == "keyspace")
-		if s, ok := infoSection(full, section); ok {
-			ctx.w.bulk([]byte(s))
-		} else {
-			ctx.w.bulk([]byte(ctx.s.info(true)))
-		}
-		return
 	}
-	ctx.w.bulk([]byte(ctx.s.info(true)))
-}
-
-// infoSection extracts one "# Header" block from an INFO rendering,
-// matching the header case-insensitively.
-func infoSection(full, section string) (string, bool) {
-	for rest := full; rest != ""; {
-		i := strings.Index(rest, "# ")
-		if i != 0 {
-			break
-		}
-		end := len(rest)
-		if j := strings.Index(rest[2:], "\r\n# "); j >= 0 {
-			end = j + 4 // keep the trailing CRLF of this section
-		}
-		header, _, _ := strings.Cut(rest[2:], "\r\n")
-		if strings.EqualFold(header, section) {
-			return rest[:end], true
-		}
-		rest = rest[end:]
-	}
-	return "", false
+	ctx.w.bulk([]byte(ctx.s.stats.Info(false)))
 }
 
 // cmdSave checkpoints every shard (see Server.Save for the single-fence vs

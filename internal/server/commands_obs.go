@@ -11,7 +11,7 @@ import (
 // handlers only translate between RESP and snapshots.
 
 // subcommandOf case-folds args[1] with the same hostile-length guard the
-// COMMAND handler uses: a maxBulkLen subcommand must miss cheaply, not pay
+// COMMAND handler uses: a resp.MaxBulkLen subcommand must miss cheaply, not pay
 // a megabytes-sized ToUpper copy.
 func subcommandOf(args [][]byte) string {
 	const maxSubcommandLen = 16

@@ -5,10 +5,47 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// serveBin is the ralloc-serve binary the subprocess drills run: linked
+// once per test process, into a directory TestMain removes.
+var serveBin struct {
+	once sync.Once
+	dir  string
+	path string
+	err  error
+}
+
+func serveBinary(t *testing.T) string {
+	t.Helper()
+	serveBin.once.Do(func() {
+		if serveBin.dir, serveBin.err = os.MkdirTemp("", "ralloc-serve-e2e-"); serveBin.err != nil {
+			return
+		}
+		serveBin.path = filepath.Join(serveBin.dir, "ralloc-serve")
+		build := exec.Command("go", "build", "-o", serveBin.path, "repro/cmd/ralloc-serve")
+		build.Env = os.Environ()
+		if out, err := build.CombinedOutput(); err != nil {
+			serveBin.err = fmt.Errorf("go build ralloc-serve: %v\n%s", err, out)
+		}
+	})
+	if serveBin.err != nil {
+		t.Fatal(serveBin.err)
+	}
+	return serveBin.path
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if serveBin.dir != "" {
+		os.RemoveAll(serveBin.dir)
+	}
+	os.Exit(code)
+}
 
 // TestE2ESIGKILLRestart exercises the real binary across a real process
 // kill: build cmd/ralloc-serve, run it on a unix socket with a file-backed
@@ -21,12 +58,7 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 		t.Skip("skipping subprocess e2e in -short mode")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "ralloc-serve")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/ralloc-serve")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ralloc-serve: %v\n%s", err, out)
-	}
+	bin := serveBinary(t)
 
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")

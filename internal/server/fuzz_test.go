@@ -14,15 +14,15 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
+	"repro/internal/resp"
 )
 
-// Native Go fuzzing over both sides of the RESP codec. The decoder faces
-// the network, so the property under test is total robustness: for ANY byte
-// stream — pipelined, truncated, oversized, malformed, hostile — the parser
-// must return commands/replies or a clean error, never panic, never run the
-// stack out (readReply recurses per array nesting level; maxReplyDepth is
-// the fix this fuzzer motivated), and never allocate unboundedly from a
-// tiny header (capacity caps in ReadCommand/readReply).
+// Native Go fuzzing over the connection's command reader and the dispatch
+// pipeline behind it (the reply decoder's target lives with the decoder, in
+// internal/resp). The reader faces the network, so the property under test
+// is total robustness: for ANY byte stream — pipelined, truncated, oversized,
+// malformed, hostile — it must return commands or a clean error, never
+// panic, and never allocate unboundedly from a tiny header.
 
 // fuzzSeedCommands is the seed corpus for the server-side command reader.
 var fuzzSeedCommands = []string{
@@ -110,7 +110,7 @@ func FuzzReadCommand(f *testing.F) {
 			args, err := r.ReadCommand()
 			if err != nil {
 				// Errors must be clean: EOFs or protocol errors only.
-				var pe protoError
+				var pe resp.Error
 				if !errors.As(err, &pe) && err != io.EOF && err != io.ErrUnexpectedEOF {
 					t.Fatalf("unexpected error type %T: %v", err, err)
 				}
@@ -121,69 +121,13 @@ func FuzzReadCommand(f *testing.F) {
 			if len(args) == 0 {
 				t.Fatal("ReadCommand returned an empty command")
 			}
-			if len(args) > maxArgs {
-				t.Fatalf("ReadCommand returned %d args (max %d)", len(args), maxArgs)
+			if len(args) > resp.MaxArgs {
+				t.Fatalf("ReadCommand returned %d args (max %d)", len(args), resp.MaxArgs)
 			}
 			for _, a := range args {
-				if int64(len(a)) > maxBulkLen {
-					t.Fatalf("ReadCommand returned a %d-byte bulk (max %d)", len(a), maxBulkLen)
+				if int64(len(a)) > resp.MaxBulkLen {
+					t.Fatalf("ReadCommand returned a %d-byte bulk (max %d)", len(a), resp.MaxBulkLen)
 				}
-			}
-		}
-	})
-}
-
-// fuzzSeedReplies is the seed corpus for the client-side reply reader.
-var fuzzSeedReplies = []string{
-	"+OK\r\n",
-	"-ERR unknown command\r\n",
-	":1234\r\n",
-	":-2\r\n",
-	"$5\r\nhello\r\n",
-	"$0\r\n\r\n",
-	"$-1\r\n",
-	"*2\r\n$1\r\na\r\n:2\r\n",
-	"*0\r\n",
-	"*-1\r\n",
-	// Pipelined replies.
-	"+OK\r\n:1\r\n$2\r\nhi\r\n",
-	// Nested and deeply-nested arrays (the stack-exhaustion case).
-	"*1\r\n*1\r\n*1\r\n:1\r\n",
-	strings.Repeat("*1\r\n", 64) + ":1\r\n",
-	// Truncated and malformed.
-	"$5\r\nab",
-	"*3\r\n+OK\r\n",
-	":abc\r\n",
-	"$abc\r\n",
-	"*abc\r\n",
-	"?\r\n",
-	"+\r\n",
-	"*99999999999999999999\r\n",
-	"$99999999999\r\n",
-	"+OK\n",
-	"",
-	"\x00\x01\x02",
-}
-
-func FuzzParseReply(f *testing.F) {
-	for _, s := range fuzzSeedReplies {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 64; i++ {
-			rp, err := readReply(br)
-			if err != nil {
-				var pe protoError
-				if !errors.As(err, &pe) && err != io.EOF && err != io.ErrUnexpectedEOF {
-					t.Fatalf("unexpected error type %T: %v", err, err)
-				}
-				return
-			}
-			switch rp.Kind {
-			case '+', '-', ':', '$', '*':
-			default:
-				t.Fatalf("reply with invalid kind %q", rp.Kind)
 			}
 		}
 	})
@@ -252,7 +196,7 @@ func FuzzDispatch(f *testing.F) {
 		}
 		br := bufio.NewReader(bytes.NewReader(out.Bytes()))
 		for i := 0; i < replies; i++ {
-			if _, err := readReply(br); err != nil {
+			if _, err := resp.ReadReply(br); err != nil {
 				t.Fatalf("reply %d/%d is not well-formed RESP: %v\noutput: %q", i, replies, err, out.Bytes())
 			}
 		}
@@ -263,13 +207,13 @@ func FuzzDispatch(f *testing.F) {
 }
 
 // TestCommandSizeCap: a command whose bulks cumulatively exceed
-// maxCommandBytes fails with a protocol error when the offending bulk's
+// resp.MaxCommandBytes fails with a protocol error when the offending bulk's
 // header is parsed, before its buffer is allocated. The cap is lowered for
 // the test so it doesn't have to stream real gigabytes.
 func TestCommandSizeCap(t *testing.T) {
-	old := maxCommandBytes
-	maxCommandBytes = 1 << 10
-	defer func() { maxCommandBytes = old }()
+	old := resp.MaxCommandBytes
+	resp.MaxCommandBytes = 1 << 10
+	defer func() { resp.MaxCommandBytes = old }()
 
 	var b bytes.Buffer
 	b.WriteString("*5\r\n")
@@ -278,43 +222,15 @@ func TestCommandSizeCap(t *testing.T) {
 		fmt.Fprintf(&b, "$%d\r\n%s\r\n", len(chunk), chunk)
 	}
 	_, err := newRespReader(bytes.NewReader(b.Bytes())).ReadCommand()
-	var pe protoError
+	var pe resp.Error
 	if !errors.As(err, &pe) || !strings.Contains(string(pe), "too large") {
 		t.Fatalf("oversized command returned %v, want 'command too large' protocol error", err)
 	}
 
 	// A normal command under the real cap is untouched.
-	maxCommandBytes = old
+	resp.MaxCommandBytes = old
 	args, err := newRespReader(strings.NewReader("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n")).ReadCommand()
 	if err != nil || len(args) != 3 {
 		t.Fatalf("normal command = %v, %v", args, err)
-	}
-}
-
-// TestReplyDepthLimit pins the fix FuzzParseReply motivated: a hostile
-// stream of nested array headers must fail with a protocol error instead of
-// recursing the decoder toward stack exhaustion (a fatal, unrecoverable
-// error in Go).
-func TestReplyDepthLimit(t *testing.T) {
-	hostile := strings.Repeat("*1\r\n", 100000) + ":1\r\n"
-	_, err := readReply(bufio.NewReader(strings.NewReader(hostile)))
-	var pe protoError
-	if !errors.As(err, &pe) {
-		t.Fatalf("deeply nested reply returned %v, want protoError", err)
-	}
-	// Modest nesting still decodes.
-	ok := strings.Repeat("*1\r\n", 8) + ":7\r\n"
-	rp, err := readReply(bufio.NewReader(strings.NewReader(ok)))
-	if err != nil {
-		t.Fatalf("8-deep reply failed: %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		if rp.Kind != '*' || len(rp.Elems) != 1 {
-			t.Fatalf("level %d: kind %q, %d elems", i, rp.Kind, len(rp.Elems))
-		}
-		rp = rp.Elems[0]
-	}
-	if rp.Kind != ':' || rp.Int != 7 {
-		t.Fatalf("innermost reply = %+v", rp)
 	}
 }

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fr
 // durations. Everything else in the texts below is a function of the command
 // script and must not move.
 var (
-	goldenVolatileInfo = regexp.MustCompile(`\b(uptime_in_seconds|last_checkpoint_unix|last_checkpoint_quiesce_us|last_checkpoint_total_us|last_checkpoint_fence_us|expiry_last_cycle_us|last_attach_us|last_fence_us|usec|usec_per_call|p50|p99|p99\.9)([:=])[0-9.]+`)
+	goldenVolatileInfo   = regexp.MustCompile(`\b(uptime_in_seconds|last_checkpoint_unix|last_checkpoint_quiesce_us|last_checkpoint_total_us|last_checkpoint_fence_us|expiry_last_cycle_us|last_attach_us|last_fence_us|usec|usec_per_call|p50|p99|p99\.9)([:=])[0-9.]+`)
 	goldenVolatileSample = regexp.MustCompile(`(?m)^(ralloc_[a-z_]*_seconds(?:_sum)?(?:\{[^}]*\})?) .*$`)
 	goldenFiniteBucket   = regexp.MustCompile(`(?m)^ralloc_command_latency_seconds_bucket\{[^}]*le="[0-9][^}]*\} .*\n`)
 )
@@ -39,18 +39,16 @@ func maskMetrics(s string) string {
 	return goldenVolatileSample.ReplaceAllString(s, "$1 <t>")
 }
 
-// TestInfoAndMetricsGolden pins the INFO and /metrics texts byte for byte: a
-// 2-shard server with replication on and the embedder sections ralloc-serve
-// wires, a fixed command script, one SAVE. The files under testdata/golden
-// were written by the code before the stat table existed.
-func TestInfoAndMetricsGolden(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "kv.heap")
+// goldenServer is a 2-shard file-backed primary wired the way
+// cmd/ralloc-serve wires one, listening on sock.
+func goldenServer(t *testing.T) (*Server, *cluster.Cluster, cluster.Config, string) {
+	t.Helper()
 	ccfg := cluster.Config{
 		Shards:  2,
 		Ralloc:  ralloc.Config{SBRegion: 16 << 20, Shards: 2, Pmem: pmem.Config{Mode: pmem.ModeFast}},
 		Buckets: 256,
 	}
-	clus, err := cluster.Open(base, ccfg)
+	clus, err := cluster.Open(filepath.Join(t.TempDir(), "kv.heap"), ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +59,7 @@ func TestInfoAndMetricsGolden(t *testing.T) {
 	srv := NewSharded(backends, Config{
 		ReplBacklogBytes: 1 << 20,
 		ReplID:           0x0123456789abcdef,
-		InfoSections:     goldenSections(clus),
+		InfoSections:     clus.Sections(),
 	})
 	sock := filepath.Join(t.TempDir(), "s.sock")
 	l, err := net.Listen("unix", sock)
@@ -70,6 +68,15 @@ func TestInfoAndMetricsGolden(t *testing.T) {
 	}
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	return srv, clus, ccfg, sock
+}
+
+// TestInfoAndMetricsGolden pins the INFO and /metrics texts byte for byte: a
+// 2-shard server with replication on and the embedder sections ralloc-serve
+// wires, a fixed command script, one SAVE. The files under testdata/golden
+// were written by the code before the stat table existed.
+func TestInfoAndMetricsGolden(t *testing.T) {
+	srv, clus, ccfg, sock := goldenServer(t)
 	c, err := Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +195,56 @@ func TestInfoAndMetricsGolden(t *testing.T) {
 	check("metrics-primary-with-replica", maskMetrics(buf.String()))
 }
 
-// goldenSections is the embedder contribution as cmd/ralloc-serve wires it.
-func goldenSections(clus *cluster.Cluster) []InfoSection {
-	return []InfoSection{
-		{Name: "heap", Render: clus.HeapInfo},
-		{Name: "allocator", Render: clus.AllocatorInfo},
-		{Name: "persistence", Render: clus.PersistenceInfo},
+// TestStatTableSelfCheck: within a section every INFO key is declared once,
+// every /metrics family is declared once in the whole table and has a type
+// Prometheus knows, and every key the benchmark reads from INFO resolves.
+func TestStatTableSelfCheck(t *testing.T) {
+	srv, _, _, _ := goldenServer(t)
+	table := srv.stats
+	keys := map[string]bool{}
+	// The recovery rows exist only after a crash restart.
+	for _, r := range (&cluster.Cluster{Recovered: true}).Sections()[2].Rows() {
+		keys[r.Key] = true
+	}
+	families := map[string]bool{}
+	family := func(where, name, typ, help string) {
+		if name == "" {
+			return
+		}
+		if families[name] {
+			t.Errorf("%s: family %s declared twice", where, name)
+		}
+		families[name] = true
+		if typ != "counter" && typ != "gauge" && typ != "histogram" {
+			t.Errorf("%s: family %s has type %q", where, name, typ)
+		}
+		if help == "" || !strings.HasPrefix(name, "ralloc_") {
+			t.Errorf("%s: family %q (help %q) is not a documented ralloc_ family", where, name, help)
+		}
+	}
+	for _, name := range append(table.Names(), "") {
+		inSection := map[string]bool{}
+		for _, sec := range table.Named(name) {
+			for _, r := range sec.Rows() {
+				if k := r.Key + r.Member; k != "" {
+					if inSection[k] {
+						t.Errorf("section %q declares INFO key %s twice", name, k)
+					}
+					inSection[k], keys[k] = true, true
+				}
+				family(name, r.Metric, r.Type, r.Help)
+				if r.Member == "0" || r.Member == "get" { // one member of each repeated block
+					for _, c := range r.Sub {
+						family(name, c.Metric, c.Type, c.Help)
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []string{"sb_used_bytes", "evictions", "expired_reclaimed", "last_checkpoint_total_us",
+		"last_checkpoint_fence_us", "last_attach_us", "recovery_total_us"} {
+		if !keys[k] {
+			t.Errorf("INFO key %s (read by benchmark/) is not in the table", k)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,6 +82,47 @@ func TestInfoSectionsRoundTrip(t *testing.T) {
 	for _, want := range []string{"checkpoints:", "recovered_at_start:0"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("INFO persistence missing %q:\n%s", want, body)
+		}
+	}
+
+	// INFO <section> reads that section and nothing else: a monitor polling
+	// "INFO server" must not pay for the embedder's allocator walk, and an
+	// embedder's section is rendered once, by its own name only.
+	var mu sync.Mutex
+	renders := map[string]int{}
+	render := func(name, lines string) func() string {
+		return func() string {
+			mu.Lock()
+			defer mu.Unlock()
+			renders[name]++
+			return lines
+		}
+	}
+	counted := startServer(t, Config{InfoSections: []InfoSection{
+		{Name: "heap", Render: render("heap", "heap_bytes:123\r\n")},
+		{Name: "persistence", Render: render("persistence", "recovered_at_start:0\r\n")},
+	}}, 0)
+	cc := dial(t, counted)
+	for _, tc := range []struct {
+		section string
+		want    map[string]int
+	}{
+		{"server", map[string]int{}},
+		{"commandstats", map[string]int{}},
+		{"heap", map[string]int{"heap": 1}},
+		{"persistence", map[string]int{"persistence": 1}},
+	} {
+		mu.Lock()
+		clear(renders)
+		mu.Unlock()
+		if rp, err := cc.Do("INFO", tc.section); err != nil || rp.Err() != nil {
+			t.Fatalf("INFO %s: %v %v", tc.section, err, rp.Err())
+		}
+		mu.Lock()
+		got := maps.Clone(renders)
+		mu.Unlock()
+		if !maps.Equal(got, tc.want) {
+			t.Fatalf("INFO %s called embedder Render funcs %v, want %v", tc.section, got, tc.want)
 		}
 	}
 

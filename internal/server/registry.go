@@ -417,7 +417,7 @@ func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 	// Drop the references dispatch parks in ctx before returning, on every
 	// exit path: args slices are freshly allocated per command (and keybuf
 	// entries alias them), so leaving them in the reused Ctx would let one
-	// idle connection pin up to maxBulkLen bytes indefinitely — the same
+	// idle connection pin up to resp.MaxBulkLen bytes indefinitely — the same
 	// idle-retention containment connState.reset applies to the txn queue.
 	// Clearing keybuf to len is enough: entries beyond len are nil by
 	// induction (every dispatch clears exactly the entries it wrote), and
@@ -461,7 +461,7 @@ func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 		var ok bool
 		bc, ok = s.cmds[string(name)]
 		// The case-folding fallback only makes sense for names that could
-		// be a registered command at all: a hostile maxBulkLen name must
+		// be a registered command at all: a hostile resp.MaxBulkLen name must
 		// not cost a megabytes-sized ToUpper copy just to miss.
 		if !ok && len(name) <= longestCommandName {
 			bc, ok = s.cmds[strings.ToUpper(string(name))]

@@ -21,6 +21,7 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -34,8 +35,8 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/obs"
 	"repro/internal/repl"
+	"repro/internal/resp"
 )
 
 // CheckpointImage is an open checkpoint stream handed to a full resync: the
@@ -278,6 +279,12 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 	}
 	defer rs.removeSender(sd)
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	// abort ends the stream with a parseable refusal (legal at every entry
+	// boundary, which is the only place this function stops).
+	abort := func(msg string) {
+		repl.WriteAbort(bw, msg)
+		bw.Flush()
+	}
 
 	var cur *repl.Cursor
 	if !wantFull && id == rs.feed.ID() {
@@ -291,11 +298,11 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 	}
 	if cur == nil {
 		c, err := rs.fullSync(bw, sd)
-		if err != nil {
-			if !errors.Is(err, repl.ErrStreamAbort) { // abort line already on the wire
-				repl.WriteAbort(bw, "full resync failed: "+err.Error())
-			}
+		if errors.Is(err, repl.ErrStreamAbort) { // abort line already on the wire
 			bw.Flush()
+			return
+		} else if err != nil {
+			abort("full resync failed: " + err.Error())
 			return
 		}
 		cur = c
@@ -303,8 +310,7 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 	sd.cur.Store(cur)
 	// An abort that raced the handshake saw a nil cursor; honor it now.
 	if msg := sd.abortReason(); msg != "" {
-		repl.WriteAbort(bw, msg)
-		bw.Flush()
+		abort(msg)
 		return
 	}
 	go rs.readAcks(sd)
@@ -318,20 +324,15 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 
 	for {
 		p, err := cur.NextEntries(256 << 10)
+		switch {
+		case errors.Is(err, repl.ErrClosed):
+			abort("server is shutting down")
+		case errors.Is(err, repl.ErrFellBehind):
+			abort("replica fell behind the backlog; reconnect for a full resync")
+		case errors.Is(err, repl.ErrAborted):
+			abort(cmp.Or(sd.abortReason(), "stream aborted"))
+		}
 		if err != nil {
-			switch {
-			case errors.Is(err, repl.ErrClosed):
-				repl.WriteAbort(bw, "server is shutting down")
-			case errors.Is(err, repl.ErrFellBehind):
-				repl.WriteAbort(bw, "replica fell behind the backlog; reconnect for a full resync")
-			case errors.Is(err, repl.ErrAborted):
-				msg := sd.abortReason()
-				if msg == "" {
-					msg = "stream aborted"
-				}
-				repl.WriteAbort(bw, msg)
-			}
-			bw.Flush()
 			return
 		}
 		if _, err := bw.Write(p); err != nil {
@@ -412,7 +413,7 @@ func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, e
 // sender so a stream blocked waiting for feed growth notices promptly
 // instead of holding a cursor forever.
 func (rs *replState) readAcks(sd *replSender) {
-	br := bufio.NewReaderSize(sd.conn, 4<<10)
+	br := resp.NewReader(sd.conn)
 	for {
 		args, _, err := repl.ReadEntry(br)
 		if err != nil {
@@ -546,15 +547,10 @@ func (l *replicaLink) connectAndApply(ctx *Ctx, backoff *time.Duration) error {
 		return errors.New("link stopped")
 	}
 	feed := l.rs.feed
-	req := [][]byte{
-		[]byte("PSYNC"),
-		[]byte(fmt.Sprintf("%016x", feed.ID())),
-		[]byte(strconv.FormatUint(feed.Offset(), 10)),
-	}
-	if _, err := conn.Write(repl.AppendEntry(nil, req)); err != nil {
+	if _, err := conn.Write(repl.PSyncRequest(feed.ID(), feed.Offset())); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := resp.NewReader(conn)
 	h, err := repl.ReadHandshake(br)
 	if err != nil {
 		return err
@@ -774,82 +770,4 @@ func (s *Server) ReplMeta() (id, off uint64) {
 		return 0, 0
 	}
 	return s.repl.feed.ID(), s.repl.feed.Offset()
-}
-
-// replicationInfo renders the INFO replication section.
-func (s *Server) replicationInfo() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Replication\r\n")
-	rs := s.repl
-	if rs == nil {
-		fmt.Fprintf(&b, "repl_enabled:0\r\nrole:primary\r\n")
-		return b.String()
-	}
-	role := "primary"
-	if rs.replica.Load() {
-		role = "replica"
-	}
-	fmt.Fprintf(&b, "repl_enabled:1\r\nrole:%s\r\n", role)
-	fmt.Fprintf(&b, "repl_id:%016x\r\nrepl_offset:%d\r\n", rs.feed.ID(), rs.feed.Offset())
-	fmt.Fprintf(&b, "repl_backlog_start:%d\r\nrepl_backlog_bytes:%d\r\nrepl_entries:%d\r\n",
-		rs.feed.StartOffset(), rs.feed.BacklogLen(), rs.feed.Entries())
-	fmt.Fprintf(&b, "full_syncs:%d\r\npartial_syncs:%d\r\n", rs.fullSyncs.Load(), rs.partialSyncs.Load())
-
-	upstream, link, senders := rs.snapshot()
-
-	if role == "replica" {
-		up := 0
-		if link != nil && link.isUp() {
-			up = 1
-		}
-		fmt.Fprintf(&b, "upstream:%s\r\nlink_up:%d\r\napplied_entries:%d\r\napply_errors:%d\r\n",
-			upstream, up, rs.applied.Load(), rs.applyErrs.Load())
-	}
-	fmt.Fprintf(&b, "connected_replicas:%d\r\n", len(senders))
-	off := rs.feed.Offset()
-	for i, sd := range senders {
-		acked := sd.acked.Load()
-		lag := uint64(0)
-		if off > acked {
-			lag = off - acked
-		}
-		fmt.Fprintf(&b, "replica%d:sent_offset=%d,ack_offset=%d,lag_bytes=%d\r\n", i, sd.sent.Load(), acked, lag)
-	}
-	return b.String()
-}
-
-// snapshot copies the mutable sender/link view out from under the lock for
-// the observability readers.
-func (rs *replState) snapshot() (upstream string, link *replicaLink, senders []*replSender) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for sd := range rs.senders {
-		senders = append(senders, sd)
-	}
-	return rs.upstream, rs.link, senders
-}
-
-// collectRepl contributes the replication /metrics families.
-func (s *Server) collectRepl(e *obs.Emitter) {
-	rs := s.repl
-	if rs == nil {
-		return
-	}
-	e.Single("ralloc_repl_offset_bytes", "gauge", "Replication feed end offset (applied offset on a replica).", float64(rs.feed.Offset()))
-	e.Single("ralloc_repl_backlog_bytes", "gauge", "Bytes retained in the replication backlog.", float64(rs.feed.BacklogLen()))
-	e.Single("ralloc_repl_entries_total", "counter", "Feed entries appended (propagated or applied).", float64(rs.feed.Entries()))
-	e.Single("ralloc_repl_full_syncs_total", "counter", "Full resyncs served.", float64(rs.fullSyncs.Load()))
-	e.Single("ralloc_repl_partial_syncs_total", "counter", "Partial resyncs served from the backlog.", float64(rs.partialSyncs.Load()))
-	e.Single("ralloc_repl_apply_errors_total", "counter", "Feed entries that failed to apply on this replica.", float64(rs.applyErrs.Load()))
-
-	_, _, senders := rs.snapshot()
-	e.Single("ralloc_repl_connected_replicas", "gauge", "Replication streams currently being served.", float64(len(senders)))
-	off := rs.feed.Offset()
-	maxLag := uint64(0)
-	for _, sd := range senders {
-		if acked := sd.acked.Load(); off > acked && off-acked > maxLag {
-			maxLag = off - acked
-		}
-	}
-	e.Single("ralloc_repl_max_ack_lag_bytes", "gauge", "Largest unacknowledged byte span across connected replicas.", float64(maxLag))
 }

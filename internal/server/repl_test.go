@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 	"repro/internal/repl"
+	"repro/internal/resp"
 )
 
 // replNode is one file-backed, replication-enabled server in-process — the
@@ -43,18 +45,14 @@ func openReplNode(t *testing.T, dir, replicaOf string, tweak func(*Config)) *rep
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")
 	if replicaOf != "" {
-		if _, err := os.Stat(heapPath); err != nil {
-			if _, _, err := repl.BootstrapImage(replicaOf, heapPath); err != nil {
-				t.Fatalf("bootstrap image: %v", err)
-			}
-		} else {
-			id, off, err := pmem.ReadImageMeta(heapPath)
-			if err != nil {
+		var id, off uint64
+		if _, err := os.Stat(heapPath); err == nil {
+			if id, off, err = pmem.ReadImageMeta(heapPath); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := repl.ProbeSync(replicaOf, heapPath, id, off); err != nil {
-				t.Fatalf("probe sync: %v", err)
-			}
+		}
+		if _, _, _, err := repl.Sync(replicaOf, []string{heapPath}, id, off); err != nil {
+			t.Fatalf("replica sync: %v", err)
 		}
 	}
 	heap, dirty, err := ralloc.Open(heapPath, ralloc.Config{
@@ -695,5 +693,65 @@ func TestLinkDropPartialResync(t *testing.T) {
 	})
 	if primary.srv.repl.partialSyncs.Load() <= partials0 {
 		t.Fatal("reconnect did not take the partial-resync path")
+	}
+}
+
+// TestOversizedArgvReplicates: a command the primary accepts, acknowledges
+// and propagates must be accepted by its replica. With a limit block of its
+// own (131,072 arguments against the server's 1,048,576) the replica used to
+// refuse a 140,000-key DEL as a protocol error, drop the link, resync to the
+// same offset and meet the same entry again, forever.
+func TestOversizedArgvReplicates(t *testing.T) {
+	backlog := func(c *Config) { c.ReplBacklogBytes = 32 << 20 }
+	primary := openReplNode(t, t.TempDir(), "", backlog)
+	replica := openReplNode(t, t.TempDir(), primary.sock, backlog)
+	c, rc := dialNode(t, primary), dialNode(t, replica)
+
+	del := [][]byte{[]byte("DEL")}
+	for i := 0; i < 140_000; i++ {
+		del = append(del, []byte("k"+strconv.Itoa(i)))
+	}
+	if err := c.SendBytes(del...); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if rp, err := c.Recv(); err != nil || rp.Err() != nil {
+		t.Fatalf("primary DEL with %d keys: %+v, %v", len(del)-1, rp, err)
+	}
+	if err := c.Set("marker", "arrived"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the marker SET to reach the replica", func() bool {
+		v, ok, err := rc.Get("marker")
+		return err == nil && ok && v == "arrived"
+	})
+	rp, err := rc.Do("INFO", "replication")
+	if err != nil || !strings.Contains(string(rp.Bulk), "link_up:1\r\n") || !strings.Contains(string(rp.Bulk), "apply_errors:0\r\n") {
+		t.Fatalf("replica INFO replication after the oversized entry: %v\n%s", err, rp.Bulk)
+	}
+}
+
+// TestReplicaLimitsArePrimaryLimits: at the argument-count boundary the
+// connection reader and the feed-entry reader give the same verdict.
+func TestReplicaLimitsArePrimaryLimits(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{resp.MaxArgs, true}, {resp.MaxArgs + 1, false}} {
+		wire := append([]byte(fmt.Sprintf("*%d\r\n", tc.n)), bytes.Repeat([]byte("$1\r\na\r\n"), tc.n)...)
+		cmd, cerr := newRespReader(bytes.NewReader(wire)).ReadCommand()
+		entry, _, eerr := repl.ReadEntry(resp.NewReader(bytes.NewReader(wire)))
+		if (cerr == nil) != tc.ok || (eerr == nil) != tc.ok {
+			t.Fatalf("%d args: ReadCommand err %v, ReadEntry err %v; want accepted=%v by both", tc.n, cerr, eerr, tc.ok)
+		}
+		if tc.ok && (len(cmd) != tc.n || len(entry) != tc.n) {
+			t.Fatalf("%d args: ReadCommand decoded %d, ReadEntry %d", tc.n, len(cmd), len(entry))
+		}
+		var pe resp.Error
+		if !tc.ok && (!errors.As(cerr, &pe) || !errors.Is(eerr, repl.ErrProto)) {
+			t.Fatalf("%d args: ReadCommand err %T, ReadEntry err %v; want protocol errors", tc.n, cerr, eerr)
+		}
 	}
 }

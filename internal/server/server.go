@@ -2,10 +2,8 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,15 +12,12 @@ import (
 	"repro/internal/cluster/shardlock"
 	"repro/internal/kvstore"
 	"repro/internal/obs"
+	"repro/internal/resp"
 )
 
-// InfoSection is one embedder-contributed INFO section: Render returns the
-// section's "key:value\r\n" lines (no "# Header" line — the server writes
-// it from Name, or splices the lines into the matching builtin section).
-type InfoSection struct {
-	Name   string // lowercase section name, e.g. "heap", "persistence"
-	Render func() string
-}
+// InfoSection is one embedder-contributed section of the stat table: rows
+// (or Render, for an embedder that formats its own INFO lines) under a name.
+type InfoSection = obs.Section
 
 // thresholdNs folds a config threshold into the one-comparison form invoke
 // uses: zero (unset) disables via the MaxInt64 sentinel, negative admits
@@ -49,11 +44,11 @@ type Config struct {
 	OnShutdown func()
 	// InfoSections contributes extra named sections to the INFO reply
 	// (heap statistics, allocator shard counters, ...). A section whose
-	// Name matches a builtin section (notably "persistence") is appended
-	// inside that builtin block instead of rendered standalone, so an
-	// embedder can extend INFO persistence with recovery statistics. Every
-	// name here is advertised by Sections and must round-trip through
-	// INFO <name> (a registry-generated test enforces this).
+	// Name matches a builtin section (notably "persistence") is rendered
+	// inside that builtin block instead of standalone, so an embedder can
+	// extend INFO persistence with recovery statistics. Every name here is
+	// advertised by Sections and must round-trip through INFO <name> (a
+	// registry-generated test enforces this).
 	InfoSections []InfoSection
 	// SlowlogSlowerThan is the slow-log admission threshold, Redis's
 	// slowlog-log-slower-than: executions taking at least this long are
@@ -178,6 +173,10 @@ type Server struct {
 	// repl is the replication state (feed, senders, link); nil when
 	// replication is disabled. See repl.go.
 	repl *replState
+
+	// stats is the stat table INFO and /metrics walk: the builtin sections
+	// with the embedder's spliced in. See stats.go.
+	stats obs.Table
 }
 
 // New creates a server over one open store with no checkpoint: SAVE answers
@@ -221,6 +220,7 @@ func (s *Server) finishInit() {
 		s.cfg.Middleware = append(append([]Middleware{}, cfg.Middleware...), s.repl.tap)
 	}
 	s.bindCommands()
+	s.stats = s.statTable()
 	if cfg.MaxConns > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConns)
 	}
@@ -459,7 +459,7 @@ func (s *Server) handleConn(c net.Conn) {
 	for {
 		args, err := r.ReadCommand()
 		if err != nil {
-			var pe protoError
+			var pe resp.Error
 			if errors.As(err, &pe) {
 				w.errorf("%s", string(pe))
 				w.flush()
@@ -550,184 +550,6 @@ func deadlineFrom(now, d int64, seconds bool) int64 {
 	return at
 }
 
-// info renders the INFO reply. census includes the per-type keyspace
-// counts, which cost a full map walk under the stripe locks — a monitoring
-// loop polling "INFO server" once a second must not pay O(keyspace) per
-// poll, so cmdInfo requests the census only when the keyspace section (or
-// the whole block) is actually being returned.
-func (s *Server) info(census bool) string {
-	st := s.statsAll()
-	nconns := s.connCount()
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Server\r\n")
-	fmt.Fprintf(&b, "allocator:%s\r\n", s.shards[0].a.Name())
-	fmt.Fprintf(&b, "uptime_in_seconds:%d\r\n", int(time.Since(s.start).Seconds()))
-	fmt.Fprintf(&b, "connected_clients:%d\r\n", nconns)
-	fmt.Fprintf(&b, "total_connections_received:%d\r\n", s.accepted.Load())
-	fmt.Fprintf(&b, "total_commands_processed:%d\r\n", s.commands.Load())
-	fmt.Fprintf(&b, "# Keyspace\r\n")
-	fmt.Fprintf(&b, "records:%d\r\n", s.keyspaceLen())
-	if census {
-		// Per-type census of the live keyspace (the walk skips stamp-
-		// expired corpses, so these can sum below records until the cycle
-		// reclaims them).
-		var tc kvstore.TypeCounts
-		for _, sh := range s.shards {
-			c := sh.st.CountTypes()
-			tc.Strings += c.Strings
-			tc.Hashes += c.Hashes
-			tc.Lists += c.Lists
-		}
-		fmt.Fprintf(&b, "keys_string:%d\r\nkeys_hash:%d\r\nkeys_list:%d\r\n", tc.Strings, tc.Hashes, tc.Lists)
-	}
-	fmt.Fprintf(&b, "bounded:%v\r\n", s.shards[0].st.Bounded())
-	fmt.Fprintf(&b, "bytes:%d\r\n", st.Bytes)
-	fmt.Fprintf(&b, "hits:%d\r\nmisses:%d\r\nsets:%d\r\ndeletes:%d\r\nevictions:%d\r\n",
-		st.Hits, st.Misses, st.Sets, st.Deletes, st.Evictions)
-	fmt.Fprintf(&b, "# Expires\r\n")
-	fmt.Fprintf(&b, "keys_with_ttl:%d\r\nexpired_lazy:%d\r\nexpired_reclaimed:%d\r\nexpiry_cycles:%d\r\nexpiry_last_cycle_us:%d\r\n",
-		st.TTLd, st.Expired, st.Reclaimed, s.expiryCycles.Load(), s.expiryLastNs.Load()/1e3)
-	b.WriteString(s.persistenceInfo())
-	b.WriteString(s.replicationInfo())
-	b.WriteString(s.clusterInfo())
-	for _, sec := range s.cfg.InfoSections {
-		if strings.EqualFold(sec.Name, "persistence") {
-			continue // spliced into the builtin block above
-		}
-		fmt.Fprintf(&b, "# %s\r\n", infoTitle(sec.Name))
-		b.WriteString(sec.Render())
-	}
-	return b.String()
-}
-
-// keyspaceLen is the live record count summed over every shard.
-func (s *Server) keyspaceLen() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.st.Len()
-	}
-	return n
-}
-
-// statsAll sums every shard's store counters into one keyspace-wide view.
-func (s *Server) statsAll() kvstore.Stats {
-	var t kvstore.Stats
-	for _, sh := range s.shards {
-		st := sh.st.Stats()
-		t.Hits += st.Hits
-		t.Misses += st.Misses
-		t.Sets += st.Sets
-		t.Deletes += st.Deletes
-		t.Evictions += st.Evictions
-		t.Expired += st.Expired
-		t.Reclaimed += st.Reclaimed
-		t.TTLd += st.TTLd
-		t.Bytes += st.Bytes
-	}
-	return t
-}
-
-// clusterInfo renders the builtin "# Cluster" section: the shard count and
-// one line per shard with its live record count, byte footprint, checkpoint
-// count, last fence duration, and replication-feed attribution — the
-// per-shard balance view DBSIZE and INFO keyspace aggregate away.
-func (s *Server) clusterInfo() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Cluster\r\n")
-	fmt.Fprintf(&b, "cluster_shards:%d\r\n", len(s.shards))
-	for _, sh := range s.shards {
-		st := sh.st.Stats()
-		fmt.Fprintf(&b, "shard%d:records=%d,bytes=%d,checkpoints=%d,last_fence_us=%d,repl_writes=%d\r\n",
-			sh.idx, sh.st.Len(), st.Bytes, sh.saves.Load(), sh.fenceNs.Load()/1e3, sh.replWrites.Load())
-	}
-	return b.String()
-}
-
-// persistenceInfo renders the builtin "# Persistence" section — checkpoint
-// counts and last-checkpoint phase timings — with any embedder InfoSection
-// named "persistence" (recovery statistics, save-file size, ...) spliced
-// into the same block, the way Redis keeps all durability facts under one
-// header.
-func (s *Server) persistenceInfo() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Persistence\r\n")
-	fmt.Fprintf(&b, "checkpoints:%d\r\ncheckpoint_errors:%d\r\nlast_checkpoint_unix:%d\r\n",
-		s.saves.Load(), s.saveErrs.Load(), s.lastSaveUnix.Load())
-	fmt.Fprintf(&b, "last_checkpoint_quiesce_us:%d\r\nlast_checkpoint_total_us:%d\r\n",
-		s.saveQuiesceNs.Load()/1e3, s.saveTotalNs.Load()/1e3)
-	fmt.Fprintf(&b, "last_checkpoint_fence_us:%d\r\nlast_checkpoint_fence_lines:%d\r\nlast_checkpoint_rounds:%d\r\n",
-		s.saveFenceNs.Load()/1e3, s.saveFenceRecopied.Load(), s.saveRounds.Load())
-	fmt.Fprintf(&b, "checkpoint_lines_copied:%d\r\ncheckpoint_lines_recopied:%d\r\n",
-		s.saveLines.Load(), s.saveRecopied.Load())
-	for _, sec := range s.cfg.InfoSections {
-		if strings.EqualFold(sec.Name, "persistence") {
-			b.WriteString(sec.Render())
-		}
-	}
-	return b.String()
-}
-
-// infoTitle renders a section name as its INFO header ("heap" → "Heap").
-func infoTitle(name string) string {
-	if name == "" {
-		return name
-	}
-	return strings.ToUpper(name[:1]) + name[1:]
-}
-
-// Sections lists every section name INFO <section> serves directly:
-// builtins first, then the embedder's. The registry-generated round-trip
-// test drives INFO with each of these and requires the reply to be exactly
-// that section.
-func (s *Server) Sections() []string {
-	names := []string{"server", "keyspace", "expires", "persistence", "replication", "cluster", "commandstats", "latencystats"}
-	for _, sec := range s.cfg.InfoSections {
-		if !strings.EqualFold(sec.Name, "persistence") {
-			names = append(names, strings.ToLower(sec.Name))
-		}
-	}
-	return names
-}
-
-// commandStats renders the INFO commandstats section from the per-command
-// histograms: calls, total and mean latency, and error-reply counts. The
-// line format is unchanged from the sampling era (byte-compatible with
-// existing parsers), but the numbers now come from every invocation rather
-// than a 1-in-64 estimate. Only commands that have been called appear, in
-// registry (name) order.
-func (s *Server) commandStats() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Commandstats\r\n")
-	for _, c := range commandList {
-		bc := s.cmds[c.Name]
-		snap := bc.stats.hist.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "cmdstat_%s:calls=%d,usec=%.0f,usec_per_call=%.2f,errors=%d\r\n",
-			strings.ToLower(c.Name), snap.Count, float64(snap.Sum)/1e3, snap.Mean()/1e3, bc.stats.errs.Load())
-	}
-	return b.String()
-}
-
-// latencyStats renders the INFO latencystats section, Redis 7 shaped: one
-// latency_percentiles_usec line per called command with p50/p99/p99.9
-// interpolated from its histogram.
-func (s *Server) latencyStats() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Latencystats\r\n")
-	for _, c := range commandList {
-		bc := s.cmds[c.Name]
-		snap := bc.stats.hist.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "latency_percentiles_usec_%s:p50=%.3f,p99=%.3f,p99.9=%.3f\r\n",
-			strings.ToLower(c.Name), snap.Quantile(0.50)/1e3, snap.Quantile(0.99)/1e3, snap.Quantile(0.999)/1e3)
-	}
-	return b.String()
-}
-
 // recordSlow is invoke's over-threshold slow path: append to the slow log
 // ring and/or the "command" latency-event timeline. ctx.args is copied (and
 // truncated) by SlowLog.Add before dispatch's scratch reuse can touch it.
@@ -754,76 +576,6 @@ func (s *Server) LatencySnapshot() obs.HistSnapshot {
 		total.Merge(&snap)
 	}
 	return total
-}
-
-// Collect implements obs.Collector: the server's /metrics families —
-// connection and command totals, per-command latency histograms and error
-// counts, checkpoint and expiry telemetry, keyspace gauges.
-func (s *Server) Collect(e *obs.Emitter) {
-	e.Family("ralloc_connections_accepted_total", "counter", "Connections accepted since start.")
-	e.Value("ralloc_connections_accepted_total", float64(s.accepted.Load()))
-	e.Family("ralloc_connected_clients", "gauge", "Currently served connections.")
-	e.Value("ralloc_connected_clients", float64(s.connCount()))
-	e.Family("ralloc_commands_processed_total", "counter", "Commands dispatched since start.")
-	e.Value("ralloc_commands_processed_total", float64(s.commands.Load()))
-
-	e.Family("ralloc_command_calls_total", "counter", "Calls per command.")
-	e.Family("ralloc_command_errors_total", "counter", "Error replies per command.")
-	e.Family("ralloc_command_latency_seconds", "histogram", "Command execution latency.")
-	for _, c := range commandList {
-		bc := s.cmds[c.Name]
-		snap := bc.stats.hist.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		name := strings.ToLower(c.Name)
-		e.Value("ralloc_command_calls_total", float64(snap.Count), "cmd", name)
-		e.Value("ralloc_command_errors_total", float64(bc.stats.errs.Load()), "cmd", name)
-		e.Histogram("ralloc_command_latency_seconds", &snap, "cmd", name)
-	}
-
-	e.Family("ralloc_checkpoints_total", "counter", "Checkpoints (SAVE) completed successfully.")
-	e.Value("ralloc_checkpoints_total", float64(s.saves.Load()))
-	e.Family("ralloc_checkpoint_errors_total", "counter", "Checkpoints that returned an error.")
-	e.Value("ralloc_checkpoint_errors_total", float64(s.saveErrs.Load()))
-	e.Family("ralloc_checkpoint_last_duration_seconds", "gauge", "Last checkpoint duration end to end.")
-	e.Value("ralloc_checkpoint_last_duration_seconds", float64(s.saveTotalNs.Load())/1e9)
-	e.Family("ralloc_checkpoint_last_quiesce_seconds", "gauge", "Last checkpoint barrier-acquire wait.")
-	e.Value("ralloc_checkpoint_last_quiesce_seconds", float64(s.saveQuiesceNs.Load())/1e9)
-	e.Family("ralloc_checkpoint_last_fence_seconds", "gauge", "Last online checkpoint cut-over fence duration.")
-	e.Value("ralloc_checkpoint_last_fence_seconds", float64(s.saveFenceNs.Load())/1e9)
-	e.Family("ralloc_checkpoint_lines_copied_total", "counter", "Cache lines streamed by online checkpoints.")
-	e.Value("ralloc_checkpoint_lines_copied_total", float64(s.saveLines.Load()))
-	e.Family("ralloc_checkpoint_lines_recopied_total", "counter", "Cache lines re-copied after the write barrier marked them dirty.")
-	e.Value("ralloc_checkpoint_lines_recopied_total", float64(s.saveRecopied.Load()))
-
-	e.Family("ralloc_expiry_cycles_total", "counter", "Active-expiry cycles completed.")
-	e.Value("ralloc_expiry_cycles_total", float64(s.expiryCycles.Load()))
-	e.Family("ralloc_expiry_last_cycle_seconds", "gauge", "Last expiry cycle duration.")
-	e.Value("ralloc_expiry_last_cycle_seconds", float64(s.expiryLastNs.Load())/1e9)
-
-	e.Family("ralloc_keyspace_records", "gauge", "Live records in the keyspace.")
-	e.Value("ralloc_keyspace_records", float64(s.keyspaceLen()))
-	e.Family("ralloc_slowlog_length", "gauge", "Entries currently retained in the slow log.")
-	e.Value("ralloc_slowlog_length", float64(s.slow.Len()))
-
-	e.Family("ralloc_shard_count", "gauge", "Shards serving the keyspace.")
-	e.Value("ralloc_shard_count", float64(len(s.shards)))
-	e.Family("ralloc_shard_records", "gauge", "Live records per shard.")
-	e.Family("ralloc_shard_bytes", "gauge", "Record byte footprint per shard.")
-	e.Family("ralloc_shard_checkpoints_total", "counter", "Checkpoints completed per shard.")
-	e.Family("ralloc_shard_last_fence_seconds", "gauge", "Last checkpoint fence duration per shard.")
-	e.Family("ralloc_shard_repl_writes_total", "counter", "Replication feed entries attributed per shard.")
-	for _, sh := range s.shards {
-		idx := fmt.Sprintf("%d", sh.idx)
-		st := sh.st.Stats()
-		e.Value("ralloc_shard_records", float64(sh.st.Len()), "shard", idx)
-		e.Value("ralloc_shard_bytes", float64(st.Bytes), "shard", idx)
-		e.Value("ralloc_shard_checkpoints_total", float64(sh.saves.Load()), "shard", idx)
-		e.Value("ralloc_shard_last_fence_seconds", float64(sh.fenceNs.Load())/1e9, "shard", idx)
-		e.Value("ralloc_shard_repl_writes_total", float64(sh.replWrites.Load()), "shard", idx)
-	}
-	s.collectRepl(e)
 }
 
 // Shutdown gracefully drains the server: listeners close immediately, each

@@ -131,21 +131,14 @@ type shard struct {
 
 	// Per-shard checkpoint and feed telemetry, surfaced by the INFO cluster
 	// section and the ralloc_shard_* metric families.
-	saves        atomic.Uint64
-	lastSaveUnix atomic.Int64
-	fenceNs      atomic.Int64
+	saves   atomic.Uint64
+	fenceNs atomic.Int64
 	// replWrites counts feed entries attributed to this shard. The feed's
 	// wire format is unchanged (byte-compatible with single-shard peers);
 	// the shard id of an entry is *derived* — both ends route the entry's
 	// key through the same slot mapping — so tagging costs no bytes and
 	// cannot disagree between primary and replica.
 	replWrites atomic.Uint64
-}
-
-// noteSave records one completed checkpoint of this shard.
-func (sh *shard) noteSave(t0 time.Time, st CheckpointStats) {
-	sh.saves.Add(1)
-	sh.lastSaveUnix.Store(t0.Unix())
 }
 
 // mergeStats accumulates another shard's checkpoint stats into c (multi-shard
@@ -291,7 +284,7 @@ func (s *Server) saveIndependent(t0 time.Time) (CheckpointStats, error) {
 		if err != nil {
 			return agg, fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
-		sh.noteSave(t0, st)
+		sh.saves.Add(1)
 		mergeStats(&agg, st)
 	}
 	return agg, nil
@@ -406,7 +399,7 @@ func (s *Server) saveGlobalCut(t0 time.Time) (CheckpointStats, error) {
 			abortFrom(i + 1)
 			return agg, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.shards[i].noteSave(t0, cst)
+		s.shards[i].saves.Add(1)
 		mergeStats(&agg, cst)
 	}
 	return agg, nil

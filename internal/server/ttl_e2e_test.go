@@ -24,12 +24,7 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) {
 		t.Skip("skipping subprocess e2e in -short mode")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "ralloc-serve")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/ralloc-serve")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ralloc-serve: %v\n%s", err, out)
-	}
+	bin := serveBinary(t)
 
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")

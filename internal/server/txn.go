@@ -35,7 +35,7 @@ type queuedCmd struct {
 }
 
 // maxTxnQueue bounds one connection's MULTI queue: the RESP layer caps what
-// a single command may allocate (maxArgs/maxBulkLen), and without a queue
+// a single command may allocate (resp.MaxArgs/resp.MaxBulkLen), and without a queue
 // cap MULTI would let one connection accumulate unbounded retained commands
 // anyway. Overflow poisons the transaction (EXECABORT), like the other
 // queue-time rejections.
@@ -43,7 +43,7 @@ const maxTxnQueue = 4096
 
 // maxTxnQueueBytes bounds the bytes one queue may retain. The command-count
 // cap alone still lets a single connection pin maxTxnQueue full-size
-// commands (each up to maxBulkLen) simultaneously — a huge amplification
+// commands (each up to resp.MaxBulkLen) simultaneously — a huge amplification
 // over the transient per-command allocation of normal dispatch — so
 // admission is also metered in bytes. Each argument is charged
 // txnArgOverhead on top of its payload: a variadic command with a million

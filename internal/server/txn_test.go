@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/resp"
 )
 
 func TestMultiExecBasic(t *testing.T) {
@@ -260,11 +262,11 @@ func TestTxnQueueCap(t *testing.T) {
 
 // TestTxnQueueByteCap exercises the byte budget at the enqueue level —
 // driving 256MB of bulk data over a socket would dominate the suite. A few
-// maxBulkLen-sized commands (sharing one backing array) must trip the cap
+// resp.MaxBulkLen-sized commands (sharing one backing array) must trip the cap
 // long before the 4096-command count cap, and reset must drop the retained
 // references so an idle connection doesn't pin the transaction's data.
 func TestTxnQueueByteCap(t *testing.T) {
-	big := make([]byte, maxBulkLen)
+	big := make([]byte, resp.MaxBulkLen)
 	cs := &connState{inTxn: true}
 	ctx := &Ctx{w: newRespWriter(io.Discard), cs: cs}
 	bc := &boundCmd{cmd: commandTable["SET"]}
