@@ -23,11 +23,11 @@
 package kvstore
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/dstruct"
+	"repro/internal/obs"
 	"repro/internal/ralloc"
 )
 
@@ -94,8 +94,9 @@ type Store struct {
 	exp *expiryIndex // volatile deadline index (always present)
 	now func() int64 // unix ms clock; swappable for deterministic tests
 
-	hits, misses, sets, deletes atomic.Uint64
-	expired, reclaimed          atomic.Uint64
+	// Bumped once per command by every connection: striped by goroutine.
+	hits, misses, sets, deletes obs.Counter
+	expired, reclaimed          obs.Counter
 }
 
 // Stats is a snapshot of operation counters.

@@ -1,11 +1,12 @@
 package obs
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// CounterStripes is the stripe count of a Counter. 16 padded stripes keep
-// writers from distinct connections/shards off each other's cache lines
-// while a read (Load) stays a 16-word sum.
-const CounterStripes = 16
+// Stripes is the number of stripes StripeIndex spreads goroutines over.
+const Stripes = 64
 
 // paddedUint64 occupies a full cache line (64B on every platform this repo
 // targets, 128B-safe would double the footprint for no measured gain), so
@@ -15,31 +16,29 @@ type paddedUint64 struct {
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing, striped counter. Hot paths that
-// already own a natural identity (a connection, an allocator shard) pick a
-// Stripe once and add through it with no further coordination; everything
-// else can use Add, which targets stripe 0 and is exactly an atomic add.
+// StripeIndex returns the calling goroutine's stripe, taken from the address
+// of its stack: goroutine stacks are disjoint ranges of at least 2 KB aligned
+// to 2 KB, so addr>>11 differs between any two live goroutines. That identity
+// costs a LEA, a shift and a mask, and needs no handle threaded through the
+// callers; the marker is zero-sized so that taking its address stores nothing
+// (a store ahead of the caller's locked add costs more than the add). The
+// plain modulus keeps stacks less than 128 KB apart on different stripes; a
+// goroutine whose stack moves, or that calls from a frame 2 KB deeper, merely
+// adds to another stripe, and sums are unaffected.
+func StripeIndex() uint {
+	var marker struct{}
+	return uint(uintptr(unsafe.Pointer(&marker))>>11) % Stripes
+}
+
+// Counter is a monotonically increasing, striped counter: Add lands on the
+// calling goroutine's stripe (StripeIndex), so writers on different
+// goroutines do not bounce one cache line between cores, and Load sums.
 type Counter struct {
-	stripes [CounterStripes]paddedUint64
+	stripes [Stripes]paddedUint64
 }
 
-// Stripe is a stable stripe assignment for one logical writer.
-type Stripe struct{ i uint32 }
-
-// stripeSeq round-robins stripe assignments across writers.
-var stripeSeq atomic.Uint32
-
-// NextStripe returns the next round-robin stripe assignment. Writers that
-// keep one (per connection, per shard) spread their adds across cache lines.
-func NextStripe() Stripe {
-	return Stripe{(stripeSeq.Add(1) - 1) % CounterStripes}
-}
-
-// Add increments the counter by n on stripe 0.
-func (c *Counter) Add(n uint64) { c.stripes[0].v.Add(n) }
-
-// AddStripe increments the counter by n on the caller's stripe.
-func (c *Counter) AddStripe(s Stripe, n uint64) { c.stripes[s.i].v.Add(n) }
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.stripes[StripeIndex()].v.Add(n) }
 
 // Load sums the stripes. Concurrent adds may or may not be included; the
 // result never goes backwards between calls observing the same adds.

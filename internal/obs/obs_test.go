@@ -17,9 +17,8 @@ func TestCounterStriped(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := NextStripe()
 			for i := 0; i < 1000; i++ {
-				c.AddStripe(s, 1)
+				c.Add(1)
 			}
 		}()
 	}
@@ -27,6 +26,36 @@ func TestCounterStriped(t *testing.T) {
 	c.Add(5)
 	if got := c.Load(); got != 32*1000+5 {
 		t.Fatalf("Load = %d, want %d", got, 32*1000+5)
+	}
+}
+
+// TestStripeIndexSeparatesGoroutines: the marker StripeIndex takes the
+// address of must live on the calling goroutine's stack. Were it ever placed
+// at a shared address, every goroutine would report the same stripe.
+func TestStripeIndexSeparatesGoroutines(t *testing.T) {
+	const goroutines = 32
+	var ready, wg sync.WaitGroup
+	stripes := make([]uint, goroutines)
+	hold := make(chan struct{})
+	for g := range stripes {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripes[g] = StripeIndex()
+			ready.Done()
+			<-hold // every stack stays alive until all have reported
+		}()
+	}
+	ready.Wait()
+	close(hold)
+	wg.Wait()
+	seen := map[uint]bool{}
+	for _, s := range stripes {
+		seen[s] = true
+	}
+	if len(seen) < goroutines/4 {
+		t.Fatalf("%d concurrent goroutines landed on %d stripes: %v", goroutines, len(seen), stripes)
 	}
 }
 
@@ -235,7 +264,6 @@ func TestObsRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := NextStripe()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -243,7 +271,7 @@ func TestObsRaceStress(t *testing.T) {
 				default:
 				}
 				h.Record(time.Duration(i%1000) * time.Microsecond)
-				c.AddStripe(s, 1)
+				c.Add(1)
 				if i%100 == 0 {
 					ev.Record("stress", time.Unix(int64(i), 0), time.Duration(i))
 					sl.Add(int64(i), time.Duration(i), [][]byte{[]byte("SET"), []byte("k")})

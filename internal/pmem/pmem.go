@@ -22,6 +22,12 @@
 // flushes/fences (optionally charging a configurable latency for each), for
 // performance experiments. ModeCrashSim additionally maintains the shadow
 // image and dirty-line tracking, for crash-injection and recovery testing.
+//
+// The event counters (Stats) are striped by calling goroutine and stay exact:
+// threads sharing a Region do not slow each other down by being counted.
+// Nothing reaches the shadow but what callers flush, so ralloc's recovery
+// writes back what it stored to — up to the heap's used watermark — and not
+// the Region's capacity.
 package pmem
 
 import (
@@ -32,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 const (
@@ -70,8 +78,8 @@ func (m Mode) String() string {
 type Config struct {
 	// Mode selects fast (stats-only) or crash-simulation operation.
 	Mode Mode
-	// FlushLatency, if non-zero, is busy-waited on every Flush of a dirty
-	// line, modeling the cost of clwb to Optane media.
+	// FlushLatency, if non-zero, is busy-waited once per line flushed, dirty
+	// or clean, in both modes: the cost of clwb to Optane media.
 	FlushLatency time.Duration
 	// FenceLatency, if non-zero, is busy-waited on every Fence (sfence).
 	FenceLatency time.Duration
@@ -106,6 +114,13 @@ type Stats struct {
 	LinesBack uint64 // dirty lines actually written back (crash-sim mode)
 }
 
+// statStripe is one goroutine's share of a Region's counters: all six on a
+// 128-byte stride, a line of its own and adjacent-line-prefetch safe.
+type statStripe struct {
+	loads, stores, cases, flushes, fences, linesBack atomic.Uint64
+	_                                                [80]byte
+}
+
 // Region is a simulated persistent memory segment. The zero value is not
 // usable; create Regions with NewRegion.
 //
@@ -120,9 +135,10 @@ type Region struct {
 	size   uint64   // bytes
 	cfg    Config
 
-	stats struct {
-		loads, stores, cases, flushes, fences, linesBack atomic.Uint64
-	}
+	// stats is its own allocation so that it starts on a line boundary:
+	// inline, stripe 0 shared a line with cfg.StoreHook, which every Store
+	// reads.
+	stats *[obs.Stripes]statStripe
 
 	crashMu sync.Mutex // serializes Crash/Persist against each other
 	rng     *rand.Rand
@@ -171,6 +187,7 @@ func NewRegion(size uint64, cfg Config) *Region {
 		words: make([]uint64, size/WordBytes),
 		size:  size,
 		cfg:   cfg,
+		stats: new([obs.Stripes]statStripe),
 	}
 	if cfg.Mode == ModeCrashSim {
 		r.shadow = make([]uint64, size/WordBytes)
@@ -193,6 +210,9 @@ func (r *Region) Mode() Mode { return r.cfg.Mode }
 // Config returns the configuration the region was created with.
 func (r *Region) Config() Config { return r.cfg }
 
+// stat returns the calling goroutine's counter stripe.
+func (r *Region) stat() *statStripe { return &r.stats[obs.StripeIndex()] }
+
 func (r *Region) checkWord(off uint64) uint64 {
 	if off%WordBytes != 0 {
 		panic(fmt.Sprintf("pmem: misaligned word access at offset %#x", off))
@@ -206,7 +226,7 @@ func (r *Region) checkWord(off uint64) uint64 {
 // Load atomically reads the word at byte offset off.
 func (r *Region) Load(off uint64) uint64 {
 	i := r.checkWord(off)
-	r.stats.loads.Add(1)
+	r.stat().loads.Add(1)
 	return atomic.LoadUint64(&r.words[i])
 }
 
@@ -214,7 +234,7 @@ func (r *Region) Load(off uint64) uint64 {
 // containing cache line dirty.
 func (r *Region) Store(off, v uint64) {
 	i := r.checkWord(off)
-	r.stats.stores.Add(1)
+	r.stat().stores.Add(1)
 	if r.dirty != nil {
 		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
 	}
@@ -231,7 +251,7 @@ func (r *Region) Store(off, v uint64) {
 // unconditionally is conservative for crash simulation).
 func (r *Region) CAS(off, old, new uint64) bool {
 	i := r.checkWord(off)
-	r.stats.cases.Add(1)
+	r.stat().cases.Add(1)
 	if r.dirty != nil {
 		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
 	}
@@ -247,7 +267,7 @@ func (r *Region) CAS(off, old, new uint64) bool {
 // new value.
 func (r *Region) Add(off, delta uint64) uint64 {
 	i := r.checkWord(off)
-	r.stats.cases.Add(1)
+	r.stat().cases.Add(1)
 	if r.dirty != nil {
 		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
 	}
@@ -275,7 +295,7 @@ func (r *Region) Flush(off uint64) {
 	if off >= r.size {
 		panic(fmt.Sprintf("pmem: flush out of range at %#x", off))
 	}
-	r.stats.flushes.Add(1)
+	r.stat().flushes.Add(1)
 	if r.shadow != nil {
 		r.writeBackLine(off / LineBytes)
 	}
@@ -292,8 +312,8 @@ func (r *Region) FlushRange(off, n uint64) {
 	}
 	first := off / LineBytes
 	last := (off + n - 1) / LineBytes
+	r.stat().flushes.Add(last - first + 1)
 	for l := first; l <= last; l++ {
-		r.stats.flushes.Add(1)
 		if r.shadow != nil {
 			r.writeBackLine(l)
 		}
@@ -312,7 +332,7 @@ func (r *Region) writeBackLine(l uint64) {
 	for i := uint64(0); i < LineWords; i++ {
 		atomic.StoreUint64(&r.shadow[w+i], atomic.LoadUint64(&r.words[w+i]))
 	}
-	r.stats.linesBack.Add(1)
+	r.stat().linesBack.Add(1)
 }
 
 // Fence issues a store fence (sfence). Because simulated flushes complete
@@ -321,7 +341,7 @@ func (r *Region) writeBackLine(l uint64) {
 // verify recoverability under the strictest interpretation (nothing persists
 // without an explicit Flush).
 func (r *Region) Fence() {
-	r.stats.fences.Add(1)
+	r.stat().fences.Add(1)
 	spin(r.cfg.FenceLatency)
 }
 
@@ -379,16 +399,20 @@ func (r *Region) DirtyLines() int {
 	return n
 }
 
-// Stats returns a snapshot of the region's event counters.
+// Stats returns a snapshot of the region's event counters: the sum of the
+// stripes, exact once the accessors have stopped.
 func (r *Region) Stats() Stats {
-	return Stats{
-		Loads:     r.stats.loads.Load(),
-		Stores:    r.stats.stores.Load(),
-		CASes:     r.stats.cases.Load(),
-		Flushes:   r.stats.flushes.Load(),
-		Fences:    r.stats.fences.Load(),
-		LinesBack: r.stats.linesBack.Load(),
+	var s Stats
+	for i := range r.stats {
+		st := &r.stats[i]
+		s.Loads += st.loads.Load()
+		s.Stores += st.stores.Load()
+		s.CASes += st.cases.Load()
+		s.Flushes += st.flushes.Load()
+		s.Fences += st.fences.Load()
+		s.LinesBack += st.linesBack.Load()
 	}
+	return s
 }
 
 // bytesAt returns the word holding the byte at off, shifted so that byte is

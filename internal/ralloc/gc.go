@@ -17,14 +17,15 @@ import (
 // superblock's persisted size class, a single pointer suffices to tell how
 // much memory it keeps alive.
 //
-// There is one engine, (*Heap).gc — one trace, one sweep, one write-back —
-// behind four entry points: Trace (the trace alone, read-only), Recover
-// (drop the lost thread caches, one worker), RecoverParallel(w) (the same
-// with w workers, §6.4's future work) and Manager.Collect (shared.go,
+// There is one engine, (*Heap).gc — one trace, one sweep, one write-back of
+// the metadata and of the superblocks and descriptors below the used
+// watermark — behind four entry points: Trace (the trace alone, read-only),
+// Recover (drop the lost thread caches, one worker), RecoverParallel(w) (the
+// same with w workers, §6.4's future work) and Manager.Collect (shared.go,
 // §4.5.2: one worker, live processes' caches pinned, handles kept).
 // Recover uses one worker on purpose: the serving stack's parallelism is
-// across shards (cluster.Open recovers each shard heap on its own goroutine)
-// and the benchmark ledger shows no win from a second level inside a shard.
+// across shards (cluster.Open recovers each shard heap on its own goroutine);
+// a second level inside a shard is parked in ROADMAP.md.
 
 // Filter enumerates the pointers inside a block by calling g.Visit for each
 // of them (§4.5.1). A nil Filter selects conservative tracing: every 64-bit
@@ -332,9 +333,16 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	return stats
 }
 
-// writeBack is step 10: everything recovery rebuilt becomes durable.
+// writeBack is step 10: everything recovery rebuilt becomes durable. Recovery
+// stores only to the metadata block (resetLists, the list heads), to free
+// blocks of superblocks below the used watermark (sweepSmall) and to those
+// superblocks' descriptors (sweepUnit, retireDesc, the list pushes). The
+// first two are contiguous, so two ranges cover it, and the cost follows the
+// heap's contents, not its capacity.
 func (h *Heap) writeBack() {
-	h.flushRange(0, h.region.Size())
+	n := uint64(h.usedDescs())
+	h.flushRange(0, MetaBytes+n*SuperblockBytes)
+	h.flushRange(h.lay.descOff(0), n*DescBytes)
 	h.fence()
 }
 

@@ -301,23 +301,130 @@ func TestRecoverParallelPreservesStructure(t *testing.T) {
 	}
 }
 
-// TestRecoverWritesEverythingBack pins step 10: after recovery of a crashed,
-// re-attached heap no line is left dirty, so a second crash straight after
-// loses nothing recovery rebuilt. It is the safety net for narrowing the
-// write-back to the lines recovery actually wrote.
-func TestRecoverWritesEverythingBack(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		h := shardedCrashHeap(t, 4)
-		h2, dirty, err := Attach(h.Region(), Config{Shards: 4, Pmem: pmem.Config{Mode: pmem.ModeCrashSim, Seed: 7}})
-		if err != nil || !dirty {
-			t.Fatalf("workers=%d: attach: dirty=%v err=%v", workers, dirty, err)
+// populateZoo fills a fresh heap with one of every kind of unit the sweep
+// classifies: a live list (partial and full small superblocks), a live large
+// run on root 1, leaked small blocks of classes nothing live shares (their
+// superblocks sweep fully free), and a leaked large run whose head descriptor
+// is torn, which leaves its body as orphaned continuations.
+func populateZoo(t *testing.T, h *Heap) {
+	t.Helper()
+	r, hd := h.Region(), h.NewHandle()
+	buildList(t, h, hd, 1500, 0)
+	big := hd.Malloc(3*SuperblockBytes + 100)
+	for i := 0; i < 4000; i++ {
+		if hd.Malloc([]uint64{16, 64, 320}[i%3]) == 0 {
+			t.Fatal("OOM")
 		}
-		h2.GetRoot(0, nil)
-		if _, err := h2.RecoverParallel(workers); err != nil {
+	}
+	torn := hd.Malloc(3*SuperblockBytes + 100)
+	if big == 0 || torn == 0 {
+		t.Fatal("large OOM")
+	}
+	r.Store(big, 0xB16B10C)
+	r.Flush(big)
+	r.Fence()
+	h.SetRoot(1, big)
+	idx, _ := h.lay.descIndexOf(torn)
+	r.Store(h.lay.descOff(idx)+dOffBlockSize, 0)
+	r.Flush(h.lay.descOff(idx))
+	r.Fence()
+}
+
+func zooConfig(sbRegion uint64, mode pmem.Mode) Config {
+	return Config{SBRegion: sbRegion, GrowthChunk: 1 << 20, Shards: 4, Pmem: pmem.Config{Mode: mode, Seed: 7}}
+}
+
+// reattachZoo attaches to a dirty zoo region and registers its roots.
+func reattachZoo(t *testing.T, region *pmem.Region) *Heap {
+	t.Helper()
+	h, dirty, err := Attach(region, zooConfig(0, region.Mode()))
+	if err != nil || !dirty {
+		t.Fatalf("attach: dirty=%v err=%v", dirty, err)
+	}
+	h.GetRoot(0, nil)
+	h.GetRoot(1, nil)
+	return h
+}
+
+// TestRecoverWritesEverythingBack pins step 10, which flushes only up to the
+// used watermark: after recovery of a crashed, re-attached heap no line is
+// left dirty, and — the stronger form — a second strict crash straight after
+// loses nothing recovery rebuilt: recovering again finds the same heap.
+func TestRecoverWritesEverythingBack(t *testing.T) {
+	for name, run := range map[string]func(*Heap) (RecoveryStats, error){
+		"workers=1": func(h *Heap) (RecoveryStats, error) { return h.RecoverParallel(1) },
+		"workers=4": func(h *Heap) (RecoveryStats, error) { return h.RecoverParallel(4) },
+		"collect":   func(h *Heap) (RecoveryStats, error) { return h.NewManager().Collect() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, _, err := Open("", zooConfig(16<<20, pmem.ModeCrashSim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			populateZoo(t, h)
+			region := h.Region()
+			if err := region.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			first, err := run(reattachZoo(t, region))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.LargeRuns != 1 || first.ReachableBlocks != 1501 || first.PartialSBs == 0 || first.FreeSuperblocks < 4 {
+				t.Fatalf("zoo not as built: %+v", first)
+			}
+			if n := region.DirtyLines(); n != 0 {
+				t.Fatalf("%d lines still dirty after recovery", n)
+			}
+			if err := region.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			h3 := reattachZoo(t, region)
+			second, err := h3.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counters(second) != counters(first) {
+				t.Fatalf("recovery after a crash straight after recovery differs:\n first %+v\nsecond %+v", counters(first), counters(second))
+			}
+			if _, err := h3.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if v := region.Load(h3.GetRoot(1, nil)); v != 0xB16B10C {
+				t.Fatalf("live large run holds %#x", v)
+			}
+		})
+	}
+}
+
+// TestRecoverFlushesFollowUsedWatermark: what recovery writes back is the
+// metadata block, the superblocks below the used watermark and their
+// descriptors — the same contents cost the same flushes in a heap eight
+// times the capacity.
+func TestRecoverFlushesFollowUsedWatermark(t *testing.T) {
+	var flushes [2]uint64
+	for i, sbRegion := range []uint64{16 << 20, 128 << 20} {
+		h, _, err := Open("", zooConfig(sbRegion, pmem.ModeFast))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := h2.Region().DirtyLines(); n != 0 {
-			t.Fatalf("workers=%d: %d lines still dirty after recovery", workers, n)
+		populateZoo(t, h)
+		h2 := reattachZoo(t, h.Region()) // never closed: dirty, as after a kill
+		used := uint64(h2.usedDescs())
+		before := h2.Region().Stats()
+		if _, err := h2.Recover(); err != nil {
+			t.Fatal(err)
 		}
+		after := h2.Region().Stats()
+		flushes[i] = after.Flushes - before.Flushes
+		if want := (MetaBytes + used*SuperblockBytes + used*DescBytes) / pmem.LineBytes; flushes[i] != want {
+			t.Errorf("SBRegion %d MB, %d superblocks used: recovery issued %d flushes, want %d", sbRegion>>20, used, flushes[i], want)
+		}
+		if after.Fences-before.Fences != 1 {
+			t.Errorf("SBRegion %d MB: recovery issued %d fences, want 1", sbRegion>>20, after.Fences-before.Fences)
+		}
+	}
+	if flushes[0] != flushes[1] {
+		t.Errorf("recovery flushes depend on capacity: %d in 16 MB, %d in 128 MB", flushes[0], flushes[1])
 	}
 }

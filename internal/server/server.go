@@ -132,7 +132,7 @@ type Server struct {
 
 	start        time.Time
 	accepted     atomic.Uint64
-	commands     atomic.Uint64
+	commands     obs.Counter // bumped per command by every connection
 	expiryCycles atomic.Uint64
 
 	// Observability state (internal/obs): the slow-command ring, the named
