@@ -10,9 +10,10 @@ import (
 // cross-stripe lost-update class): a word offset that the package accesses
 // through the atomic accessors (Load/Store/CAS/Add) must not also be
 // accessed through the non-atomic byte accessors
-// (ReadBytes/EqualBytes/WriteBytes) —
+// (ReadBytes/EqualBytes/WriteBytes/Zero) —
 // word operations and byte operations on the same word are not atomic with
-// respect to each other (pmem.Region's documented contract), so mixing
+// respect to each other (pmem.Region's documented contract: the byte
+// accessors are plain copy/compare/clear over the same memory), so mixing
 // them on a contended location silently loses updates.
 //
 // It additionally flags the lost-update shape itself: Store(X, f(Load(X)))
@@ -65,7 +66,7 @@ func runAtomicWord(pass *Pass) {
 				if _, seen := atomicUses[key]; !seen {
 					atomicUses[key] = use{call.Pos(), method}
 				}
-			case "ReadBytes", "EqualBytes", "WriteBytes":
+			case "ReadBytes", "EqualBytes", "WriteBytes", "Zero":
 				if _, seen := rawUses[key]; !seen {
 					rawUses[key] = use{call.Pos(), method}
 				}

@@ -18,6 +18,14 @@ func compareMix(r *pmem.Region, off uint64, key []byte) bool {
 	return r.EqualBytes(off+384, key) // want "word off\+384 is accessed non-atomically via EqualBytes"
 }
 
+// zeroMix clears a word that is also CASed: Zero is a plain clear, a byte
+// write like WriteBytes. Clearing the payload behind the word is fine.
+func zeroMix(r *pmem.Region, off uint64) {
+	r.CAS(off+448, 0, 1)
+	r.Zero(off+448, 64) // want "word off\+448 is accessed non-atomically via Zero"
+	r.Zero(off+456, 56)
+}
+
 // compareKey is the record path's shape: the lengths word is loaded, the key
 // bytes behind the header are compared in place — different words, fine.
 func compareKey(r *pmem.Region, off uint64, key []byte) bool {

@@ -1,0 +1,85 @@
+package pmem
+
+import (
+	"path/filepath"
+	"testing"
+)
+
+// The byte path and the image path priced in package, on the ModeFast medium
+// ralloc-serve runs (benchmark/'s pmem.* rows are priced on ModeCrashSim);
+// Flush is priced on ModeCrashSim, where it copies a line to the shadow. CI
+// runs each once so the numbers CHANGES.md quotes stay reproducible.
+
+var (
+	benchPayload = make([]byte, 1024)
+	equalSink    bool
+)
+
+func benchBytes(b *testing.B, off uint64, n int, op func(r *Region, off uint64, p []byte)) {
+	r := NewRegion(1<<20, Config{})
+	p := benchPayload[:n]
+	r.WriteBytes(off, p) // EqualBytes then compares all n bytes
+	b.SetBytes(int64(n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(r, off, p)
+	}
+}
+
+func BenchmarkWriteBytes100(b *testing.B)          { benchBytes(b, 4096, 100, (*Region).WriteBytes) }
+func BenchmarkWriteBytes1k(b *testing.B)           { benchBytes(b, 4096, 1024, (*Region).WriteBytes) }
+func BenchmarkWriteBytes100Unaligned(b *testing.B) { benchBytes(b, 4099, 100, (*Region).WriteBytes) }
+func BenchmarkReadBytes100(b *testing.B)           { benchBytes(b, 4096, 100, (*Region).ReadBytes) }
+func BenchmarkEqualBytes(b *testing.B) {
+	benchBytes(b, 4096, 40, func(r *Region, off uint64, p []byte) { equalSink = r.EqualBytes(off, p) })
+}
+
+// benchImageRegion is a 256 MB region — ralloc-serve's default heap — with
+// its first half populated, as a served heap's image is.
+func benchImageRegion() *Region {
+	r := NewRegion(256<<20, Config{})
+	for off := uint64(0); off < r.Size()/2; off += WordBytes {
+		r.Store(off, off|1)
+	}
+	return r
+}
+
+func BenchmarkLoadFile(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.img")
+	if err := benchImageRegion().SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFile(path, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSaveFileOnline(b *testing.B) {
+	r := benchImageRegion()
+	path := filepath.Join(b.TempDir(), "bench.img")
+	var q quiesceFence
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.SaveFileOnline(path, q.fence); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFlushDirty(b *testing.B) {
+	r := NewRegion(4096, Config{Mode: ModeCrashSim})
+	for i := 0; i < b.N; i++ {
+		r.Store(64, uint64(i))
+		r.Flush(64)
+	}
+}
+
+func BenchmarkFlushClean(b *testing.B) {
+	r := NewRegion(4096, Config{Mode: ModeCrashSim})
+	for i := 0; i < b.N; i++ {
+		r.Flush(64)
+	}
+}

@@ -1,14 +1,12 @@
 package pmem
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 )
 
 // File persistence models the DAX file that names a persistent segment in
@@ -22,7 +20,9 @@ import (
 // little-endian 64-bit header words — region size in bytes, the Mode the
 // region ran in, a flags word (bit 0: written by an online snapshot), and
 // the replication metadata pair (stream ID and byte offset, see SetReplMeta)
-// — followed by the raw words of the image. Any other magic is ErrBadImage.
+// — followed by the region's words, little-endian: the Region's byte view as
+// it stands (TestImageFormatMatchesReferenceEncoder holds the two together).
+// Any other magic is ErrBadImage.
 // The header's mode word is validated against the loading Config: silently
 // attaching a fast-mode image as crash-sim (or the reverse) would change
 // the image's durability semantics underneath its data, so a mismatch is
@@ -56,29 +56,21 @@ func writeImageHeader(w io.Writer, size uint64, mode Mode, flags, replID, replOf
 	return err
 }
 
-// Save writes the region's persistent image to w. Words are read atomically,
-// so Save may run while the region is still mapped (a live checkpoint);
-// callers that need a *consistent* image must quiesce writers first — or use
-// SaveFileOnline, which trades the quiesce for a write barrier and a short
-// cut-over fence.
+// Save writes the region's persistent image to w: the header, then the image
+// bytes in one Write. It is the quiesced path — Close, after every accessor
+// has stopped — and reads the image plainly; a checkpoint of a region that is
+// still being written is SaveFileOnline.
 func (r *Region) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
 	id, off := r.ReplMeta()
-	if err := writeImageHeader(bw, r.size, r.cfg.Mode, 0, id, off); err != nil {
+	if err := writeImageHeader(w, r.size, r.cfg.Mode, 0, id, off); err != nil {
 		return err
 	}
-	img := r.words
+	img := r.bytes
 	if r.shadow != nil {
 		img = r.shadow
 	}
-	var buf [WordBytes]byte
-	for i := range img {
-		binary.LittleEndian.PutUint64(buf[:], atomic.LoadUint64(&img[i]))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(img)
+	return err
 }
 
 // ErrBadImage is returned when a file is not a valid region image — wrong
@@ -103,9 +95,8 @@ func LoadRegion(rd io.Reader, cfg Config) (*Region, error) {
 // (fileSize >= 0): the header's size word must then account for exactly the
 // bytes that follow it, checked before anything is allocated from it.
 func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
-	br := bufio.NewReaderSize(rd, 1<<20)
 	var hdr [imageHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadImage, err)
 	}
 	if [8]byte(hdr[:8]) != fileMagic {
@@ -129,17 +120,10 @@ func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
 	}
 	r := NewRegion(size, cfg)
 	r.SetReplMeta(binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]), binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]))
-	var buf [WordBytes]byte
-	for i := range r.words {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated image: %v", ErrBadImage, err)
-		}
-		v := binary.LittleEndian.Uint64(buf[:])
-		r.words[i] = v
-		if r.shadow != nil {
-			r.shadow[i] = v
-		}
+	if _, err := io.ReadFull(rd, r.bytes); err != nil {
+		return nil, fmt.Errorf("%w: truncated image: %v", ErrBadImage, err)
 	}
+	copy(r.shadow, r.bytes)
 	return r, nil
 }
 

@@ -2,11 +2,81 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// refImage is the image format spelled out with encoding/binary, independent
+// of how the Region lays its words out in memory: magic, five little-endian
+// header words, then every word of the region little-endian.
+func refImage(r *Region, flags uint64) []byte {
+	id, off := r.ReplMeta()
+	b := append([]byte(nil), "RPMEM003"...)
+	for _, w := range []uint64{r.Size(), uint64(r.Mode()), flags, id, off} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	for off := uint64(0); off < r.Size(); off += WordBytes {
+		b = binary.LittleEndian.AppendUint64(b, r.Load(off))
+	}
+	return b
+}
+
+// TestImageFormatMatchesReferenceEncoder pins RPMEM003 byte for byte: what
+// Save and SaveFileOnline write is the reference encoding of the region, and
+// loading the reference encoding gives the region back. An image written by
+// one build loads on another exactly as long as this holds; in particular the
+// Region's byte view must not make the format native-endian.
+func TestImageFormatMatchesReferenceEncoder(t *testing.T) {
+	for _, mode := range []Mode{ModeFast, ModeCrashSim} {
+		r := NewRegion(3*LineBytes, Config{Mode: mode})
+		for off := uint64(0); off < r.Size(); off += WordBytes {
+			r.Store(off, 0x0807060504030201+off<<32)
+		}
+		r.WriteBytes(70, []byte("unaligned payload"))
+		r.Persist()
+		r.SetReplMeta(0xabcdef01, 77123)
+
+		var saved bytes.Buffer
+		if err := r.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), refImage(r, 0)) {
+			t.Fatalf("%v: Save wrote\n%x, reference encoder\n%x", mode, saved.Bytes(), refImage(r, 0))
+		}
+		path := filepath.Join(t.TempDir(), "online.img")
+		var q quiesceFence
+		if _, err := r.SaveFileOnline(path, q.fence); err != nil {
+			t.Fatal(err)
+		}
+		if online, err := os.ReadFile(path); err != nil || !bytes.Equal(online, refImage(r, imageFlagOnline)) {
+			t.Fatalf("%v: SaveFileOnline wrote\n%x (%v), reference encoder\n%x", mode, online, err, refImage(r, imageFlagOnline))
+		}
+
+		got, err := LoadRegion(bytes.NewReader(refImage(r, 0)), Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, off := got.ReplMeta(); id != 0xabcdef01 || off != 77123 {
+			t.Fatalf("%v: loaded ReplMeta = (%#x, %d)", mode, id, off)
+		}
+		for pass := 0; pass < 2; pass++ { // as loaded, then as the loaded shadow has it
+			for off := uint64(0); off < r.Size(); off += WordBytes {
+				if got.Load(off) != r.Load(off) {
+					t.Fatalf("%v pass %d: word %#x = %#x, want %#x", mode, pass, off, got.Load(off), r.Load(off))
+				}
+			}
+			if mode == ModeFast {
+				break
+			}
+			if err := got.Crash(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
 
 // TestLoadRegionRejectsModeMismatch: an image carries the Mode it was saved
 // under; attaching it under the other mode would silently change its

@@ -31,6 +31,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -124,16 +126,24 @@ type statStripe struct {
 // Region is a simulated persistent memory segment. The zero value is not
 // usable; create Regions with NewRegion.
 //
-// Word accessors (Load, Store, CAS) are safe for concurrent use. Byte
-// accessors (ReadBytes, EqualBytes, WriteBytes, Zero) are not atomic with
-// respect to concurrent word operations on the same words; callers must not
-// mix them on contended locations.
+// Word accessors (Load, Store, CAS, Add) are atomic and safe for concurrent
+// use. Byte accessors (ReadBytes, EqualBytes, WriteBytes, Zero) are plain
+// memory operations — copy, bytes.Equal, clear — over the same backing: a
+// caller writes payload before the word store that publishes it and reads it
+// after an atomic load of that word, and must not mix the two kinds on a
+// contended location (ralloc-vet's atomicword polices the split).
 type Region struct {
-	words  []uint64 // volatile image
-	shadow []uint64 // persistent image (ModeCrashSim only)
+	words  []uint64 // volatile image, word view: Load/Store/CAS/Add
+	bytes  []byte   // the same memory, byte view: every bulk path
+	shadow []byte   // persistent image (ModeCrashSim only)
 	dirty  []uint32 // per-line dirty flags (ModeCrashSim only)
 	size   uint64   // bytes
 	cfg    Config
+
+	// wb makes a line's write-back (clear its dirty flag, copy it to the
+	// shadow) exclusive, striped by line: of two unserialised flushers of one
+	// line the slower would overwrite the shadow with an older copy.
+	wb *[wbStripes]sync.Mutex
 
 	// stats is its own allocation so that it starts on a line boundary:
 	// inline, stripe 0 shared a line with cfg.StoreHook, which every Store
@@ -183,15 +193,18 @@ func NewRegion(size uint64, cfg Config) *Region {
 	}
 	lines := (size + LineBytes - 1) / LineBytes
 	size = lines * LineBytes
+	words := make([]uint64, size/WordBytes)
 	r := &Region{
-		words: make([]uint64, size/WordBytes),
+		words: words,
+		bytes: unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
 		size:  size,
 		cfg:   cfg,
 		stats: new([obs.Stripes]statStripe),
 	}
 	if cfg.Mode == ModeCrashSim {
-		r.shadow = make([]uint64, size/WordBytes)
+		r.shadow = make([]byte, size)
 		r.dirty = make([]uint32, lines)
+		r.wb = new([wbStripes]sync.Mutex)
 		seed := cfg.Seed
 		if seed == 0 {
 			seed = 0x5851F42D4C957F2D
@@ -235,10 +248,8 @@ func (r *Region) Load(off uint64) uint64 {
 func (r *Region) Store(off, v uint64) {
 	i := r.checkWord(off)
 	r.stat().stores.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	atomic.StoreUint64(&r.words[i], v)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -252,10 +263,8 @@ func (r *Region) Store(off, v uint64) {
 func (r *Region) CAS(off, old, new uint64) bool {
 	i := r.checkWord(off)
 	r.stat().cases.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	ok := atomic.CompareAndSwapUint64(&r.words[i], old, new)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -268,10 +277,8 @@ func (r *Region) CAS(off, old, new uint64) bool {
 func (r *Region) Add(off, delta uint64) uint64 {
 	i := r.checkWord(off)
 	r.stat().cases.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	v := atomic.AddUint64(&r.words[i], delta)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -321,18 +328,66 @@ func (r *Region) FlushRange(off, n uint64) {
 	}
 }
 
-// writeBackLine copies line l from the volatile image to the shadow and
-// clears its dirty flag.
+// wbStripes is how many locks serialise write-backs, a line's being l%wbStripes.
+const wbStripes = 64
+
+// markDirty flags the line containing off for write-back. Like snapMark it
+// runs after the store it covers: writeBackLine clears the flag before it
+// reads the line, so a flag set ahead of the store could be cleared by a
+// copy that misses the store, leaving a volatile-only word on a clean line.
+func (r *Region) markDirty(off uint64) {
+	if r.dirty != nil {
+		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
+	}
+}
+
+// markDirtyRange flags every line overlapping [off, off+n), after the stores.
+func (r *Region) markDirtyRange(off, n uint64) {
+	if r.dirty != nil && n != 0 {
+		markLines(r.dirty, off, n)
+	}
+}
+
+// markLines sets the flag of every line overlapping the non-empty [off, off+n).
+func markLines(flags []uint32, off, n uint64) {
+	for l := off / LineBytes; l <= (off+n-1)/LineBytes; l++ {
+		atomic.StoreUint32(&flags[l], 1)
+	}
+}
+
+// writeBackLine copies line l from the volatile image to the shadow, having
+// cleared its dirty flag first (see markDirty), both under the line's stripe
+// lock. A clean line returns without the lock, even while another flusher is
+// mid-copy of it: that copy began after every store flagged before its
+// clear, and Crash, which reads the shadow, runs with accessors stopped.
 func (r *Region) writeBackLine(l uint64) {
 	if atomic.LoadUint32(&r.dirty[l]) == 0 {
 		return
 	}
+	mu := &r.wb[l%wbStripes]
+	mu.Lock()
 	atomic.StoreUint32(&r.dirty[l], 0)
-	w := l * LineWords
-	for i := uint64(0); i < LineWords; i++ {
-		atomic.StoreUint64(&r.shadow[w+i], atomic.LoadUint64(&r.words[w+i]))
-	}
+	r.copyLines(r.shadow[l*LineBytes:], l, 1)
+	mu.Unlock()
 	r.stat().linesBack.Add(1)
+}
+
+// copyLines copies lines [line, line+n) of the volatile image into dst as
+// image bytes (little-endian words). It is the one reader that by design
+// overlaps running mutators — write-back reads its neighbours' words in the
+// line, the online-SAVE copier reads everything — hence the one //go:norace
+// function in the tree, and a loop of aligned word loads rather than copy
+// (runtime.slicecopy reports its range to the race detector whatever the
+// caller's pragma). Invariant: a word written by Store/CAS/Add is read
+// whole; payload not yet published may be read torn; both callers copy a
+// line again if it is flagged after they cleared its flag, and flags are set
+// after the store.
+//
+//go:norace
+func (r *Region) copyLines(dst []byte, line, n uint64) {
+	for i, w := range r.words[line*LineWords : (line+n)*LineWords] {
+		binary.LittleEndian.PutUint64(dst[i*WordBytes:], w)
+	}
 }
 
 // Fence issues a store fence (sfence). Because simulated flushes complete
@@ -379,10 +434,8 @@ func (r *Region) Crash() error {
 			r.writeBackLine(uint64(l))
 		}
 	}
-	for i := range r.words {
-		r.words[i] = r.shadow[i]
-		r.dirty[uint64(i)/LineWords] = 0
-	}
+	copy(r.bytes, r.shadow)
+	clear(r.dirty)
 	return nil
 }
 
@@ -415,90 +468,33 @@ func (r *Region) Stats() Stats {
 	return s
 }
 
-// bytesAt returns the word holding the byte at off, shifted so that byte is
-// its lowest, and how many of the word's bytes from off on — at most want —
-// the caller may use. The load is plain and uncounted: the byte accessors
-// read payload the caller already owns (see Region).
-func (r *Region) bytesAt(off uint64, want int) (w uint64, n int) {
-	shift := off % WordBytes
-	return r.words[off/WordBytes] >> (shift * 8), min(int(WordBytes-shift), want)
-}
-
 func (r *Region) checkBytes(op string, off uint64, n int) {
 	if off+uint64(n) > r.size {
 		panic(fmt.Sprintf("pmem: %s out of bounds [%#x,%#x)", op, off, off+uint64(n)))
 	}
 }
 
-// ReadBytes copies n = len(b) bytes starting at byte offset off into b.
-// It is not atomic with respect to concurrent word writes.
+// ReadBytes copies n = len(b) bytes starting at byte offset off into b. The
+// byte accessors are plain and uncounted: they move payload the caller
+// already owns (see Region).
 func (r *Region) ReadBytes(off uint64, b []byte) {
 	r.checkBytes("ReadBytes", off, len(b))
-	for len(b) > 0 {
-		w, n := r.bytesAt(off, len(b))
-		if n == WordBytes {
-			binary.LittleEndian.PutUint64(b, w)
-		} else {
-			var tail [WordBytes]byte
-			binary.LittleEndian.PutUint64(tail[:], w)
-			copy(b, tail[:n])
-		}
-		b, off = b[n:], off+uint64(n)
-	}
+	copy(b, r.bytes[off:])
 }
 
 // EqualBytes reports whether the len(b) bytes starting at byte offset off
-// equal b, comparing in place: the reader of a key needs no copy of it. Like
-// ReadBytes it is not atomic with respect to concurrent word writes.
+// equal b, comparing in place: the reader of a key needs no copy of it.
 func (r *Region) EqualBytes(off uint64, b []byte) bool {
 	r.checkBytes("EqualBytes", off, len(b))
-	for len(b) > 0 {
-		w, n := r.bytesAt(off, len(b))
-		var want uint64
-		if n == WordBytes {
-			want = binary.LittleEndian.Uint64(b)
-		} else {
-			var tail [WordBytes]byte
-			copy(tail[:], b[:n])
-			want = binary.LittleEndian.Uint64(tail[:])
-			w &= 1<<(8*n) - 1
-		}
-		if w != want {
-			return false
-		}
-		b, off = b[n:], off+uint64(n)
-	}
-	return true
+	return bytes.Equal(r.bytes[off:off+uint64(len(b))], b)
 }
 
 // WriteBytes copies b into the region starting at byte offset off, marking
-// the touched lines dirty. It is not atomic with respect to concurrent word
-// writes; callers use it only on uncontended payload memory.
+// the touched lines dirty. Callers use it only on uncontended payload memory.
 func (r *Region) WriteBytes(off uint64, b []byte) {
 	r.checkBytes("WriteBytes", off, len(b))
-	for i := 0; i < len(b); {
-		o := off + uint64(i)
-		wi := o / WordBytes
-		shift := (o % WordBytes) * 8
-		// Fast path: aligned full word.
-		if shift == 0 && len(b)-i >= WordBytes {
-			v := uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-				uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-			if r.dirty != nil {
-				atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-			}
-			atomic.StoreUint64(&r.words[wi], v)
-			i += WordBytes
-			continue
-		}
-		w := atomic.LoadUint64(&r.words[wi])
-		w = (w &^ (0xFF << shift)) | uint64(b[i])<<shift
-		if r.dirty != nil {
-			atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-		}
-		atomic.StoreUint64(&r.words[wi], w)
-		i++
-	}
+	copy(r.bytes[off:], b)
+	r.markDirtyRange(off, uint64(len(b)))
 	r.snapMarkRange(off, uint64(len(b)))
 }
 
@@ -511,11 +507,7 @@ func (r *Region) Zero(off, n uint64) {
 	if off+n > r.size {
 		panic(fmt.Sprintf("pmem: Zero out of bounds [%#x,%#x)", off, off+n))
 	}
-	for o := off; o < off+n; o += WordBytes {
-		if r.dirty != nil {
-			atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-		}
-		atomic.StoreUint64(&r.words[o/WordBytes], 0)
-	}
+	clear(r.bytes[off : off+n])
+	r.markDirtyRange(off, n)
 	r.snapMarkRange(off, n)
 }

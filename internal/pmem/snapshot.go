@@ -1,7 +1,6 @@
 package pmem
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -59,15 +58,8 @@ func (r *Region) snapMark(off uint64) {
 
 // snapMarkRange marks every line overlapping [off, off+n), after the stores.
 func (r *Region) snapMarkRange(off, n uint64) {
-	if n == 0 {
-		return
-	}
-	t := r.snap.Load()
-	if t == nil {
-		return
-	}
-	for l := off / LineBytes; l <= (off+n-1)/LineBytes; l++ {
-		atomic.StoreUint32(&t.dirty[l], 1)
+	if t := r.snap.Load(); t != nil && n != 0 {
+		markLines(t.dirty, off, n)
 	}
 }
 
@@ -120,7 +112,7 @@ const (
 	// re-copies this few lines, another round cannot shrink the fence's
 	// work enough to matter.
 	snapDeltaCutoff = 64
-	// snapMaxRunLines caps one WriteAt batch of contiguous dirty lines.
+	// snapMaxRunLines caps one WriteAt batch of contiguous lines.
 	snapMaxRunLines = 1024
 )
 
@@ -136,6 +128,7 @@ type OnlineSave struct {
 	r         *Region
 	f         *os.File
 	t         *snapTracker
+	buf       []byte // one WriteAt batch: snapMaxRunLines lines
 	tmp, path string
 	st        SnapshotStats
 	cut       bool
@@ -149,7 +142,7 @@ type OnlineSave struct {
 // snapshot slot stays held (concurrent snapshots serialize) until then.
 func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
 	r.snapMu.Lock()
-	o := &OnlineSave{r: r, path: path, tmp: path + ".tmp"}
+	o := &OnlineSave{r: r, path: path, tmp: path + ".tmp", buf: make([]byte, snapMaxRunLines*LineBytes)}
 	lines := r.size / LineBytes
 	o.t = &snapTracker{dirty: make([]uint32, lines)}
 	// Arm before the first line is read so no concurrent store can slip
@@ -169,32 +162,26 @@ func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
 	}
 	o.f = f
 
-	bw := bufio.NewWriterSize(f, 1<<20)
 	id, off := r.ReplMeta()
-	if err := writeImageHeader(bw, r.size, r.cfg.Mode, imageFlagOnline, id, off); err != nil {
+	if err := writeImageHeader(f, r.size, r.cfg.Mode, imageFlagOnline, id, off); err != nil {
 		return nil, err
 	}
 	// Phase 1 — streaming copy of every line, concurrent with mutators.
-	var buf [LineBytes]byte
-	for l := uint64(0); l < lines; l++ {
-		if r.cfg.SnapshotHook != nil && l == lines/2 {
-			bw.Flush() // the injected kill sees a genuinely partial file
-			r.cfg.SnapshotHook(SnapCopy)
+	for l := uint64(0); l < lines; l += snapMaxRunLines {
+		n := min(snapMaxRunLines, lines-l)
+		if half := lines / 2; r.cfg.SnapshotHook != nil && l <= half && half < l+n {
+			r.cfg.SnapshotHook(SnapCopy) // the injected kill sees a genuinely partial file
 		}
-		r.snapReadLine(l, buf[:])
-		if _, err := bw.Write(buf[:]); err != nil {
+		if err := o.writeLines(l, n); err != nil {
 			return nil, err
 		}
 	}
 	o.st.Lines = lines
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
 
 	// Phase 2 — concurrent delta rounds: chase the write barrier until the
 	// dirty set is small or stops shrinking.
 	for round := 0; round < snapMaxDeltaRounds; round++ {
-		n, err := r.snapCopyDelta(o.t, f)
+		n, err := o.copyDelta()
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +208,7 @@ func (o *OnlineSave) Cut() error {
 	if r.cfg.SnapshotHook != nil {
 		r.cfg.SnapshotHook(SnapFence)
 	}
-	n, err := r.snapCopyDelta(o.t, o.f)
+	n, err := o.copyDelta()
 	o.st.Recopied += n
 	o.st.FenceRecopied = n
 	if err == nil {
@@ -301,20 +288,21 @@ func (r *Region) SaveFileOnline(path string, fence func(cut func() error) error)
 	return o.Publish()
 }
 
-// snapReadLine copies line l of the volatile image into b, word-atomically.
-func (r *Region) snapReadLine(l uint64, b []byte) {
-	w := l * LineWords
-	for i := uint64(0); i < LineWords; i++ {
-		binary.LittleEndian.PutUint64(b[i*WordBytes:], atomic.LoadUint64(&r.words[w+i]))
-	}
+// writeLines copies lines [l, l+n) of the volatile image to their place in
+// the image file; n is at most snapMaxRunLines.
+func (o *OnlineSave) writeLines(l, n uint64) error {
+	b := o.buf[:n*LineBytes]
+	o.r.copyLines(b, l, n)
+	_, err := o.f.WriteAt(b, int64(imageHeaderLen+l*LineBytes))
+	return err
 }
 
-// snapCopyDelta re-copies every line the barrier has marked since its last
-// copy, clearing each mark before the re-read (the order the correctness
-// argument needs). Contiguous dirty runs are batched into one WriteAt.
-func (r *Region) snapCopyDelta(t *snapTracker, f *os.File) (uint64, error) {
+// copyDelta re-copies every line the barrier has marked since its last copy,
+// clearing each mark before the re-read (the order the correctness argument
+// needs). Contiguous dirty runs are batched into one WriteAt.
+func (o *OnlineSave) copyDelta() (uint64, error) {
+	t := o.t
 	var n uint64
-	var buf []byte
 	for l := 0; l < len(t.dirty); {
 		if atomic.LoadUint32(&t.dirty[l]) == 0 {
 			l++
@@ -325,19 +313,10 @@ func (r *Region) snapCopyDelta(t *snapTracker, f *os.File) (uint64, error) {
 			atomic.StoreUint32(&t.dirty[l], 0)
 			l++
 		}
-		run := l - start
-		need := run * LineBytes
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		b := buf[:need]
-		for i := 0; i < run; i++ {
-			r.snapReadLine(uint64(start+i), b[i*LineBytes:])
-		}
-		if _, err := f.WriteAt(b, int64(imageHeaderLen+uint64(start)*LineBytes)); err != nil {
+		if err := o.writeLines(uint64(start), uint64(l-start)); err != nil {
 			return n, err
 		}
-		n += uint64(run)
+		n += uint64(l - start)
 	}
 	return n, nil
 }

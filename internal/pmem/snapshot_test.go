@@ -34,6 +34,12 @@ func TestOnlineSnapshotExactAtCutover(t *testing.T) {
 
 func onlineSnapshotExactAtCutover(t *testing.T, mode Mode) {
 	const size = 1 << 20 // 16384 lines
+	// The Region contract forbids byte and word accessors on one contended
+	// location, so the region is cut into 4-line groups: any goroutine's
+	// word ops land in a group's first two lines, and the last two take the
+	// byte writes of the one goroutine that owns the group (group%4) —
+	// unaligned, and straddling the line between them.
+	const group, groups, payload = 4 * LineBytes, size / (4 * LineBytes), 24
 	r := NewRegion(size, Config{Mode: mode})
 	var q quiesceFence
 	var ops atomic.Uint64
@@ -51,7 +57,7 @@ func onlineSnapshotExactAtCutover(t *testing.T, mode Mode) {
 				default:
 				}
 				q.mu.RLock()
-				off := (rng.Uint64() % (size / 8)) * 8
+				off := rng.Uint64()%groups*group + rng.Uint64()%(group/2/WordBytes)*WordBytes
 				switch rng.Intn(4) {
 				case 0:
 					r.Store(off, rng.Uint64())
@@ -60,11 +66,10 @@ func onlineSnapshotExactAtCutover(t *testing.T, mode Mode) {
 				case 2:
 					r.CAS(off, r.Load(off), rng.Uint64())
 				default:
-					var b [24]byte
+					var b [payload]byte
 					rng.Read(b[:])
-					if off+24 <= size {
-						r.WriteBytes(off, b[:])
-					}
+					own := (rng.Uint64()%(groups/4)*4 + uint64(g)) * group
+					r.WriteBytes(own+group/2+rng.Uint64()%(group/2-payload+1), b[:])
 				}
 				q.mu.RUnlock()
 				ops.Add(1)

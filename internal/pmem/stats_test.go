@@ -77,9 +77,11 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 }
 
 // TestRegionOpsNoAlloc pins that the stack marker obs.StripeIndex takes the
-// address of stays on the stack: a counted access must not allocate.
+// address of stays on the stack: a counted access must not allocate. Nor may
+// a byte accessor, which is a stdlib call over the Region's byte view.
 func TestRegionOpsNoAlloc(t *testing.T) {
 	var c obs.Counter
+	payload := make([]byte, 100)
 	for _, mode := range []Mode{ModeFast, ModeCrashSim} {
 		r := NewRegion(4096, Config{Mode: mode})
 		for name, op := range map[string]func(){
@@ -90,6 +92,10 @@ func TestRegionOpsNoAlloc(t *testing.T) {
 			"Flush":       func() { r.Flush(64) },
 			"FlushRange":  func() { r.FlushRange(0, 256) },
 			"Fence":       func() { r.Fence() },
+			"WriteBytes":  func() { r.WriteBytes(131, payload) },
+			"ReadBytes":   func() { r.ReadBytes(131, payload) },
+			"EqualBytes":  func() { r.EqualBytes(131, payload) },
+			"Zero":        func() { r.Zero(128, 104) },
 			"Counter.Add": func() { c.Add(1) },
 		} {
 			if n := testing.AllocsPerRun(1000, op); n != 0 {

@@ -494,6 +494,7 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 				t.Fatal("OOM")
 			}
 			nodes[i] = off
+			//pmemvet:ignore fresh block: private to this goroutine until a later Store links it
 			r.Zero(off, 64)
 		}
 		// Wire random edges.

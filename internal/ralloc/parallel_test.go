@@ -103,6 +103,7 @@ func buildWideGraph(t *testing.T, h *Heap, hd *Handle, fanout, depth int) (uint6
 		if off == 0 {
 			t.Fatal("OOM")
 		}
+		//pmemvet:ignore fresh block: private to this goroutine until a later Store links it
 		r.Zero(off, 64)
 		count++
 		return off
