@@ -1,10 +1,10 @@
 // Command ralloc-serve is the stand-alone network server the paper's
 // application study deliberately stripped away (§6.3): a RESP2-speaking
-// key-value server whose entire dataset lives in recoverable Ralloc heaps.
-// A SIGKILL'd server restarts through Open → dirty → Recover →
-// kvstore.AttachBounded and keeps serving from the last checkpoint; a clean
-// shutdown (SIGTERM or the SHUTDOWN command) drains connections and writes
-// the heap images back with the dirty flag cleared.
+// key-value server whose entire dataset lives in recoverable Ralloc heaps —
+// each the heap file itself, mapped (pmem.MapFile). A SIGKILL'd server
+// restarts through Open → dirty → Recover → kvstore.AttachBounded with every
+// write it had acknowledged; a clean shutdown (SIGTERM or the SHUTDOWN
+// command) drains connections, clears the dirty flag and syncs the files.
 //
 //	ralloc-serve -heap /tmp/kv.heap -tcp :6379
 //	ralloc-serve -heap /tmp/kv.heap -unix /tmp/kv.sock -boundmb 64 -checkpoint 30s
@@ -12,11 +12,15 @@
 //	ralloc-serve -heap /tmp/kv.heap -cluster-shards 4    # 4 heaps, one keyspace
 //	ralloc-serve -heap /tmp/replica.heap -tcp :6380 -replicaof localhost:6379
 //
-// SAVE checkpoints online: a write barrier tracks lines dirtied while the
-// image streams out, dirty lines are re-copied, and commands are excluded
-// only for the final cut-over delta. The regions run pmem.ModeFast — flushes
-// and fences are issued and counted, but the process keeps no shadow copy of
-// the heap: the image file is the only thing a kill -9 leaves behind.
+// SAVE checkpoints online, to "<heap>.save": a write barrier tracks lines
+// dirtied while the image streams out, dirty lines are re-copied, and commands
+// are excluded only for the final cut-over delta. The regions run
+// pmem.ModeFast — flushes and fences are issued and counted, with no shadow
+// copy of the heap. What survives a kill -9 is the mapped file, that is the
+// page cache; what survives a power failure is the last SAVE (-checkpoint
+// schedules them) or a clean shutdown. A command that is several structure
+// operations, and an EXEC of several writes, is all-or-nothing across a kill
+// (internal/server/journal.go); FLUSHALL is not.
 //
 // This file is flag parsing, listeners, signals and the checkpoint ticker;
 // opening, recovering, reporting on and closing the heaps is
@@ -40,12 +44,13 @@
 // Replication: any file-backed server is a potential primary — replicas
 // bootstrap with PSYNC, fetching one checkpoint image per shard and then the
 // live write feed. -replicaof starts the process as a replica: with no local
-// images it downloads them; with images it probes whether the primary's
-// backlog still covers the stamped offset (partial resync) and re-downloads
-// only if not. A replica serves reads, answers writes with -READONLY, and
-// is promoted in place by REPLICAOF NO ONE. When the primary demands a full
-// resync mid-stream, the process drains, discards its heap state, and
-// re-bootstraps automatically. Primary and replica must agree on
+// images it downloads them; with heaps a clean shutdown stamped it probes
+// whether the primary's backlog still covers the stamped offset (partial
+// resync) and re-downloads only if not; heaps a kill left carry no stamp and
+// are downloaded again. A replica serves reads, answers writes with
+// -READONLY, and is promoted in place by REPLICAOF NO ONE. When the primary
+// demands a full resync mid-stream, the process drains, discards its heap
+// state, and re-bootstraps automatically. Primary and replica must agree on
 // -cluster-shards (the handshake carries the image count).
 //
 // Speak to it with any RESP client (redis-cli included) or
@@ -106,7 +111,7 @@ func main() {
 	flag.StringVar(&o.tcpAddr, "tcp", "", "TCP listen address (e.g. :6379)")
 	flag.StringVar(&o.unixAddr, "unix", "", "unix socket path")
 	flag.IntVar(&o.maxConns, "maxconns", 0, "max simultaneous connections; 0 = unlimited")
-	flag.DurationVar(&o.checkpoint, "checkpoint", 0, "periodic checkpoint interval (file-backed heaps); 0 disables")
+	flag.DurationVar(&o.checkpoint, "checkpoint", 0, "periodic backup (SAVE to <heap>.save) interval (file-backed heaps); 0 disables")
 	flag.DurationVar(&o.drain, "drain", 5*time.Second, "graceful shutdown drain timeout")
 	flag.DurationVar(&o.expireTick, "expire-cycle", 100*time.Millisecond, "active expiry cycle interval; 0 disables (lazy expiry only)")
 	flag.IntVar(&o.expireN, "expire-sample", 20, "max expired keys reclaimed per expiry cycle (per shard)")
@@ -259,8 +264,8 @@ func run(o *options) (resync bool) {
 		go func(l net.Listener) {
 			if err := srv.Serve(l); err != nil && err != server.ErrServerClosed {
 				// A dead listener is fatal to serving but must still go
-				// through the clean shutdown path, not os.Exit: the heap
-				// images have acknowledged writes to save.
+				// through the clean shutdown path, not os.Exit: a clean
+				// close spares the next start its recovery.
 				fmt.Fprintf(os.Stderr, "serve %s: %v\n", l.Addr(), err)
 				requestShutdown()
 			}
@@ -290,8 +295,8 @@ func run(o *options) (resync bool) {
 
 	sig := <-shutdownCh
 	fmt.Printf("shutting down (%v): draining connections...\n", sig)
-	// Join the ticker before Close: an in-flight checkpoint SaveFile must
-	// not race Close's own SaveFile on the same image path.
+	// Join the ticker before Close: an in-flight checkpoint copies a heap
+	// that Close is about to mark clean.
 	close(stopTicker)
 	tickerWG.Wait()
 	if err := srv.Shutdown(o.drain); err != nil {
@@ -308,7 +313,7 @@ func run(o *options) (resync bool) {
 		fatal(err)
 	}
 	if o.heapPath != "" {
-		fmt.Printf("heap saved cleanly to %s\n", o.heapPath)
+		fmt.Printf("heap closed cleanly at %s\n", o.heapPath)
 	}
 	select {
 	case <-resyncCh:

@@ -30,7 +30,8 @@ func main() {
 
 	// 1. Open (or recover) the persistent heap and the store inside it —
 	// the same routine ralloc-serve uses, with one shard. The region runs
-	// ModeFast like the server's: the image file is what survives a kill.
+	// ModeFast like the server's: the heap is the file, mapped, and what a
+	// kill leaves is every write made so far.
 	clus, err := cluster.Open(heapPath, cluster.Config{
 		Shards:  1,
 		Ralloc:  ralloc.Config{SBRegion: 64 << 20, Pmem: pmem.Config{Mode: pmem.ModeFast}},
@@ -42,7 +43,8 @@ func main() {
 	}
 	clus.Report(os.Stdout, 1024, 32)
 
-	// 2. Serve it on a unix socket. SAVE snapshots the region online.
+	// 2. Serve it on a unix socket. SAVE snapshots the region online, to a
+	// backup beside the heap file.
 	sh := clus.Shards[0]
 	srv := server.NewSharded([]server.ShardBackend{
 		server.RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, false),
@@ -84,11 +86,12 @@ func main() {
 	n, _ := c.DBSize()
 	fmt.Printf("DBSIZE -> %d records\n", n)
 
-	// 4. Checkpoint (survives SIGKILL from here), then drain and close.
+	// 4. Back up (a kill -9 loses nothing either way; the backup is for a
+	// power failure), then drain and close.
 	if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
 		log.Fatalf("SAVE: %+v %v", rp, err)
 	}
-	fmt.Println("checkpointed: a kill -9 now would recover to this state")
+	fmt.Printf("backed up to %s.save\n", heapPath)
 	c.Close()
 	if err := srv.Shutdown(2 * time.Second); err != nil {
 		log.Print(err)
@@ -97,5 +100,5 @@ func main() {
 	if err := clus.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clean shutdown; heap saved to %s\n", heapPath)
+	fmt.Printf("clean shutdown; heap synced at %s\n", heapPath)
 }

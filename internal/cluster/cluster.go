@@ -40,9 +40,6 @@ import (
 	"repro/internal/ralloc"
 )
 
-// rootKV is the persistent-root slot holding each shard's store.
-const rootKV = 0
-
 // Config describes how to open every shard. The sizes are per shard: a
 // 4-shard cluster with SBRegionMB=64 owns 256 MB of heap total, matching a
 // 1-shard cluster with SBRegionMB=256 — which is how the benchmarks hold
@@ -73,7 +70,7 @@ type Shard struct {
 	Dirty bool
 	// Created reports whether this open created a fresh store (no root).
 	Created bool
-	// Recovered reports whether GC recovery ran (Dirty with an existing root).
+	// Recovered reports whether GC recovery ran (Dirty).
 	Recovered bool
 	// RecStats holds this shard's recovery statistics when Recovered.
 	RecStats ralloc.RecoveryStats
@@ -190,8 +187,7 @@ func writeMeta(path string, n int) error {
 // startup sequence — ralloc.Open, root lookup, GC recovery when the image
 // is dirty, store attach — independently: the heaps share no state, so the
 // only serialization is the machine's parallelism. On any shard failing,
-// every already-opened shard is closed without saving and the first error
-// is returned.
+// the first error is returned.
 func Open(base string, cfg Config) (*Cluster, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -217,7 +213,8 @@ func Open(base string, cfg Config) (*Cluster, error) {
 	c := &Cluster{Base: base, Shards: shards, RecoveryWall: time.Since(t0), buckets: cfg.Buckets}
 	for i, err := range errs {
 		if err != nil {
-			c.abandon()
+			// The shards that did open are dropped unclosed (a mapped region
+			// unmaps once unreachable): dirty still, the next Open recovers them.
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -230,7 +227,9 @@ func Open(base string, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// openShard is the single-heap startup sequence for one shard.
+// openShard is the single-heap startup sequence for one shard. A dirty heap
+// recovers before anything allocates, with or without a store root: a kill
+// between creating the store and rooting it leaves blocks only GC can find.
 func openShard(path string, cfg Config) (*Shard, error) {
 	t0 := time.Now()
 	heap, dirty, err := ralloc.Open(path, cfg.Ralloc)
@@ -240,20 +239,21 @@ func openShard(path string, cfg Config) (*Shard, error) {
 	a := heap.AsAllocator()
 	sh := &Shard{Path: path, Heap: heap, Alloc: a, Dirty: dirty}
 
-	root := heap.GetRoot(rootKV, nil)
+	root := heap.GetRoot(kvstore.RootStore, nil)
+	if dirty {
+		heap.GetRoot(kvstore.RootStore, kvstore.Filter(a, root))
+		heap.GetRoot(kvstore.RootJournal, ralloc.LeafFilter)
+		stats, err := heap.Recover()
+		if err != nil {
+			return nil, fmt.Errorf("recovery: %w", err)
+		}
+		sh.RecStats, sh.Recovered = stats, true
+	}
 	if root == 0 {
 		sh.Store, root = kvstore.OpenBounded(a, heap.NewHandle(), cfg.Buckets, cfg.Bound)
-		heap.SetRoot(rootKV, root)
+		heap.SetRoot(kvstore.RootStore, root)
 		sh.Created = true
 	} else {
-		if dirty {
-			heap.GetRoot(rootKV, kvstore.Filter(a, root))
-			stats, err := heap.Recover()
-			if err != nil {
-				return nil, fmt.Errorf("recovery: %w", err)
-			}
-			sh.RecStats, sh.Recovered = stats, true
-		}
 		sh.Store = kvstore.AttachBounded(a, root, cfg.Bound)
 	}
 	sh.AttachDur = time.Since(t0)
@@ -284,14 +284,4 @@ func (c *Cluster) Close() error {
 		}
 	}
 	return first
-}
-
-// abandon drops partially-opened shards after a failed Open without saving.
-// The simulated regions live entirely in memory, so dropping the references
-// is the whole cleanup: the images on disk keep their pre-open state
-// (including the dirty flag), and the next Open re-runs recovery.
-func (c *Cluster) abandon() {
-	for i := range c.Shards {
-		c.Shards[i] = nil
-	}
 }

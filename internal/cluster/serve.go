@@ -42,6 +42,9 @@ func (c *Cluster) Report(w io.Writer, buckets int, boundMB uint64) {
 	default:
 		fmt.Fprintf(w, "reopened after clean shutdown: %d records\n", c.Records())
 	}
+	if sh.Heap.Region().Mapped() {
+		fmt.Fprintf(w, "heap mapped from %s: acknowledged writes survive kill -9; SAVE writes the backup %s.save\n", sh.Path, sh.Path)
+	}
 }
 
 // RecordStartup puts the open's cost on a latency-event timeline: the
@@ -63,8 +66,9 @@ func (c *Cluster) RecordStartup(ev *obs.Events) {
 // resume from is the one stamped in shard 0's header — published last by
 // every download (repl.Sync), so it vouches for the other shards — and is
 // used only when every shard image exists and carries the same stamp;
-// otherwise (no images, or a set some earlier failure left mixed) the
-// primary is asked for a full resync. The primary answers CONTINUE when its
+// otherwise (no images, a set some earlier failure left mixed, or heaps a
+// kill left with no stamp at all: see StampReplMeta) the primary is asked for
+// a full resync. The primary answers CONTINUE when its
 // backlog still covers the position and streams fresh images on the same
 // connection when it does not; the handshake refuses a primary with a
 // different shard count. Dial failures retry briefly so a replica and its
@@ -111,9 +115,11 @@ func BootstrapReplica(w io.Writer, base string, n int, primary string) error {
 }
 
 // StampReplMeta records the feed position (id, off) in every region, so the
-// images a following Close writes say exactly where the stream stopped and a
-// restart resumes with a partial resync from there. id 0 — replication off —
-// stamps nothing.
+// files a following Close leaves say exactly where the stream stopped and a
+// restart resumes with a partial resync from there. A killed mapped heap
+// carries no position — it holds entries past any stamp, and re-applying them
+// (INCR, APPEND, RPUSH) would double them — so a killed replica resyncs in
+// full. id 0 — replication off — stamps nothing.
 func (c *Cluster) StampReplMeta(id, off uint64) {
 	if id == 0 {
 		return

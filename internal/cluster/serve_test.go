@@ -200,10 +200,11 @@ func serve(t *testing.T, c *Cluster, sock string) *server.Server {
 }
 
 // TestServedLifecycle walks one dataset through what ralloc-serve does
-// around serving — create, SAVE, kill, recover, clean close, reopen — and a
-// replica through bootstrap and resume, checking at each step the startup
-// line, the INFO persistence and heap sections, the startup events and the
-// stream position stamped at close.
+// around serving — create, SAVE, more writes, kill, recover, clean close,
+// reopen — and a replica through bootstrap and resume, checking at each step
+// the startup lines, the INFO persistence and heap sections, the startup
+// events and the stream position: stamped at close, absent from a killed
+// heap.
 func TestServedLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "kv.heap")
@@ -218,7 +219,8 @@ func TestServedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := report(c); got != "created store (256 buckets, bound 0 MB)\n" {
+	mapped := "heap mapped from " + base + ": "
+	if got := report(c); !strings.HasPrefix(got, "created store (256 buckets, bound 0 MB)\n"+mapped) {
 		t.Fatalf("fresh open reports %q", got)
 	}
 	if got := c.PersistenceInfo(); !strings.HasPrefix(got, "recovered_at_start:false\r\nlast_attach_us:") || strings.Contains(got, "recovery_") {
@@ -264,14 +266,27 @@ func TestServedLifecycle(t *testing.T) {
 		t.Fatalf("replica image: recovered=%v records=%d, want a dirty image of 50", rc.Recovered, rc.Records())
 	}
 
-	// Kill the primary: the image on disk is the bootstrap's SAVE.
+	// Kill the primary. The bootstrap's SAVE went to the backup beside the
+	// heap; what the kill leaves is the heap itself, writes since included,
+	// and no stream position a restart could wrongly resume from.
+	if _, err := os.Stat(base + ".save"); err != nil {
+		t.Fatalf("the bootstrap's SAVE left no backup: %v", err)
+	}
+	for i := 50; i < 60; i++ {
+		if err := cl.Set(fmt.Sprintf("k%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cl.Close()
 	srv.Abort()
+	if id, off, err := pmem.ReadImageMeta(base); err != nil || id != 0 || off != 0 {
+		t.Fatalf("killed heap stamped (%#x, %d, %v), want no position", id, off, err)
+	}
 	c, err = Open(base, servedConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := report(c); !strings.HasPrefix(got, "recovered after crash: ") || !strings.HasSuffix(got, "; 50 records\n") {
+	if got := report(c); !strings.HasPrefix(got, "recovered after crash: ") || !strings.Contains(got, "; 60 records\n"+mapped) {
 		t.Fatalf("crash reopen reports %q", got)
 	}
 	p := infoFields(t, c.PersistenceInfo())
@@ -305,8 +320,11 @@ func TestServedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := report(c); got != "reopened after clean shutdown: 50 records\n" {
+	if got := report(c); !strings.HasPrefix(got, "reopened after clean shutdown: 60 records\n"+mapped) {
 		t.Fatalf("clean reopen reports %q", got)
+	}
+	if id, off := c.Shards[0].Heap.Region().ReplMeta(); id != 0xfeed || off != 4242 {
+		t.Fatalf("reopened heap resumes at (%#x, %d), want (0xfeed, 4242)", id, off)
 	}
 }
 

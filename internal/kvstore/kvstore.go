@@ -31,6 +31,13 @@ import (
 	"repro/internal/ralloc"
 )
 
+// Root slots of a served heap: the store's hash map, and beside it the
+// serving layer's undo journal — one pointer-free block, or unset.
+const (
+	RootStore   = 0
+	RootJournal = 1
+)
+
 // PTTL sentinels, Redis-style (milliseconds otherwise).
 const (
 	// TTLMissing reports a key that does not exist (or has expired).
@@ -312,6 +319,12 @@ func (s *Store) GetBytesExpire(key []byte) (value []byte, deadline int64, ok boo
 func (s *Store) stamp(key []byte) (tag uint8, at uint64, ok bool) {
 	ok = s.m.View(key, func(r dstruct.Record) { tag, at = r.Tag, r.ExpireAt })
 	return tag, at, ok
+}
+
+// ExpireAt returns key's persisted deadline (unix ms), 0 for none or no key.
+func (s *Store) ExpireAt(key []byte) int64 {
+	_, at, _ := s.stamp(key)
+	return int64(at)
 }
 
 // TypeOf reports the kind of value key holds (TypeNone for a missing or

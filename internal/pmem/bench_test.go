@@ -6,24 +6,37 @@ import (
 )
 
 // The byte path and the image path priced in package, on the ModeFast medium
-// ralloc-serve runs (benchmark/'s pmem.* rows are priced on ModeCrashSim);
-// Flush is priced on ModeCrashSim, where it copies a line to the shadow. CI
-// runs each once so the numbers CHANGES.md quotes stay reproducible.
+// ralloc-serve runs (benchmark/'s pmem.* rows are priced on ModeCrashSim) —
+// as a slice and as the mapped file a served heap is; Flush is priced on
+// ModeCrashSim, where it copies a line to the shadow. CI runs each once so the
+// numbers CHANGES.md quotes stay reproducible.
 
 var (
 	benchPayload = make([]byte, 1024)
 	equalSink    bool
 )
 
+// benchMedia runs fn as two sub-benchmarks: on a slice-backed ModeFast region
+// of the given size, and on a mapped one.
+func benchMedia(b *testing.B, size uint64, fn func(b *testing.B, r *Region)) {
+	b.Run("slice", func(b *testing.B) { fn(b, NewRegion(size, Config{})) })
+	b.Run("mmap", func(b *testing.B) {
+		r, _ := mapTemp(b, size)
+		b.ResetTimer()
+		fn(b, r)
+	})
+}
+
 func benchBytes(b *testing.B, off uint64, n int, op func(r *Region, off uint64, p []byte)) {
-	r := NewRegion(1<<20, Config{})
-	p := benchPayload[:n]
-	r.WriteBytes(off, p) // EqualBytes then compares all n bytes
-	b.SetBytes(int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op(r, off, p)
-	}
+	benchMedia(b, 1<<20, func(b *testing.B, r *Region) {
+		p := benchPayload[:n]
+		r.WriteBytes(off, p) // EqualBytes then compares all n bytes
+		b.SetBytes(int64(n))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(r, off, p)
+		}
+	})
 }
 
 func BenchmarkWriteBytes100(b *testing.B)          { benchBytes(b, 4096, 100, (*Region).WriteBytes) }
@@ -52,6 +65,21 @@ func BenchmarkLoadFile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := LoadFile(path, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMapFile is what a restart pays for the same image instead: the
+// header checks and one mmap, whatever the capacity.
+func BenchmarkMapFile(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.img")
+	if err := benchImageRegion().SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MapFile(path, 0, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,35 +91,48 @@ func LoadRegion(rd io.Reader, cfg Config) (*Region, error) {
 	return loadRegion(rd, cfg, -1)
 }
 
-// loadRegion is LoadRegion for an image whose total length is known
-// (fileSize >= 0): the header's size word must then account for exactly the
-// bytes that follow it, checked before anything is allocated from it.
-func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
-	var hdr [imageHeaderLen]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrBadImage, err)
+// parseImageHeader validates an image header against the loading Config and,
+// when the image's total length is known (fileSize >= 0), against that: the
+// size word must account for exactly the bytes that follow the header, checked
+// before anything is allocated or mapped from it. It returns the region size
+// and the stamped feed position. LoadFile and MapFile share it.
+func parseImageHeader(hdr []byte, cfg Config, fileSize int64) (size, replID, replOff uint64, err error) {
+	if len(hdr) < imageHeaderLen {
+		return 0, 0, 0, fmt.Errorf("%w: truncated header (%d bytes)", ErrBadImage, len(hdr))
 	}
 	if [8]byte(hdr[:8]) != fileMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, hdr[:8])
+		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadImage, hdr[:8])
 	}
-	size := binary.LittleEndian.Uint64(hdr[8:])
+	size = binary.LittleEndian.Uint64(hdr[8:])
 	if size == 0 || size%LineBytes != 0 {
-		return nil, fmt.Errorf("%w: bad size %d", ErrBadImage, size)
+		return 0, 0, 0, fmt.Errorf("%w: bad size %d", ErrBadImage, size)
 	}
 	if fileSize >= 0 && uint64(fileSize)-imageHeaderLen != size {
-		return nil, fmt.Errorf("%w: header says %d image bytes, file holds %d",
+		return 0, 0, 0, fmt.Errorf("%w: header says %d image bytes, file holds %d",
 			ErrBadImage, size, fileSize-imageHeaderLen)
 	}
 	mode := Mode(binary.LittleEndian.Uint64(hdr[16:]))
 	if mode != ModeFast && mode != ModeCrashSim {
-		return nil, fmt.Errorf("%w: bad mode word %d", ErrBadImage, int(mode))
+		return 0, 0, 0, fmt.Errorf("%w: bad mode word %d", ErrBadImage, int(mode))
 	}
 	if mode != cfg.Mode {
-		return nil, fmt.Errorf("%w: image was saved in %v mode, loading config wants %v",
+		return 0, 0, 0, fmt.Errorf("%w: image was saved in %v mode, loading config wants %v",
 			ErrBadImage, mode, cfg.Mode)
 	}
+	return size, binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]), binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]), nil
+}
+
+// loadRegion is LoadRegion for an image whose total length may be known
+// (fileSize >= 0, see parseImageHeader).
+func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
+	var hdr [imageHeaderLen]byte
+	n, _ := io.ReadFull(rd, hdr[:]) // a short read is a truncated header
+	size, id, off, err := parseImageHeader(hdr[:n], cfg, fileSize)
+	if err != nil {
+		return nil, err
+	}
 	r := NewRegion(size, cfg)
-	r.SetReplMeta(binary.LittleEndian.Uint64(hdr[replMetaHeaderOff:]), binary.LittleEndian.Uint64(hdr[replMetaHeaderOff+8:]))
+	r.SetReplMeta(id, off)
 	if _, err := io.ReadFull(rd, r.bytes); err != nil {
 		return nil, fmt.Errorf("%w: truncated image: %v", ErrBadImage, err)
 	}

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +141,11 @@ type Region struct {
 	size   uint64   // bytes
 	cfg    Config
 
+	// mapped and file are MapFile's: the whole MAP_SHARED file, bytes being
+	// mapped[imageHeaderLen:], and which file that is.
+	mapped []byte
+	file   os.FileInfo
+
 	// wb makes a line's write-back (clear its dirty flag, copy it to the
 	// shadow) exclusive, striped by line: of two unserialised flushers of one
 	// line the slower would overwrite the shadow with an older copy.
@@ -191,19 +197,25 @@ func NewRegion(size uint64, cfg Config) *Region {
 	if size == 0 {
 		panic("pmem: zero-sized region")
 	}
-	lines := (size + LineBytes - 1) / LineBytes
-	size = lines * LineBytes
+	size = (size + LineBytes - 1) / LineBytes * LineBytes
 	words := make([]uint64, size/WordBytes)
+	return newRegion(unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size), cfg)
+}
+
+// newRegion builds a Region over backing — whole lines, 8-byte aligned: a Go
+// slice (NewRegion) or the data part of a mapped file (MapFile).
+func newRegion(backing []byte, cfg Config) *Region {
+	size := uint64(len(backing))
 	r := &Region{
-		words: words,
-		bytes: unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
+		words: unsafe.Slice((*uint64)(unsafe.Pointer(&backing[0])), size/WordBytes),
+		bytes: backing,
 		size:  size,
 		cfg:   cfg,
 		stats: new([obs.Stripes]statStripe),
 	}
 	if cfg.Mode == ModeCrashSim {
 		r.shadow = make([]byte, size)
-		r.dirty = make([]uint32, lines)
+		r.dirty = make([]uint32, size/LineBytes)
 		r.wb = new([wbStripes]sync.Mutex)
 		seed := cfg.Seed
 		if seed == 0 {

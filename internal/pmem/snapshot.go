@@ -139,8 +139,13 @@ type OnlineSave struct {
 // barrier, streams the full image to a temp file and chases the dirty set
 // in bounded concurrent rounds — everything that runs while mutators keep
 // executing. The caller must finish with Cut+Publish or Abort; the region's
-// snapshot slot stays held (concurrent snapshots serialize) until then.
+// snapshot slot stays held (concurrent snapshots serialize) until then. A
+// mapped region's own file is refused as the target.
 func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
+	if fi, serr := os.Stat(path); r.mapped != nil && serr == nil && os.SameFile(fi, r.file) {
+		// Publish renames over path: the heap would be a file with no name.
+		return nil, fmt.Errorf("pmem: %s is the file this region is mapped from; snapshot to another path", path)
+	}
 	r.snapMu.Lock()
 	o := &OnlineSave{r: r, path: path, tmp: path + ".tmp", buf: make([]byte, snapMaxRunLines*LineBytes)}
 	lines := r.size / LineBytes

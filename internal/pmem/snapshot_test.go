@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,9 +41,16 @@ func onlineSnapshotExactAtCutover(t *testing.T, mode Mode) {
 	// byte writes of the one goroutine that owns the group (group%4) —
 	// unaligned, and straddling the line between them.
 	const group, groups, payload = 4 * LineBytes, size / (4 * LineBytes), 24
-	r := NewRegion(size, Config{Mode: mode})
-	var q quiesceFence
 	var ops atomic.Uint64
+	// Halfway through the copy, wait out a thousand more operations: on a
+	// busy two-core box the whole snapshot otherwise fits between two of the
+	// writers' time slices now and then, and Recopied is 0 by luck.
+	r := NewRegion(size, Config{Mode: mode, SnapshotHook: func(p SnapshotPhase) {
+		for n := ops.Load(); p == SnapCopy && ops.Load() < n+1000; {
+			runtime.Gosched()
+		}
+	}})
+	var q quiesceFence
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -78,12 +78,17 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 
 // TestRegionOpsNoAlloc pins that the stack marker obs.StripeIndex takes the
 // address of stays on the stack: a counted access must not allocate. Nor may
-// a byte accessor, which is a stdlib call over the Region's byte view.
+// a byte accessor, which is a stdlib call over the Region's byte view — a Go
+// slice's or a mapped file's.
 func TestRegionOpsNoAlloc(t *testing.T) {
 	var c obs.Counter
 	payload := make([]byte, 100)
-	for _, mode := range []Mode{ModeFast, ModeCrashSim} {
-		r := NewRegion(4096, Config{Mode: mode})
+	mapped, _ := mapTemp(t, 4096)
+	for medium, r := range map[string]*Region{
+		"fast":     NewRegion(4096, Config{Mode: ModeFast}),
+		"crashsim": NewRegion(4096, Config{Mode: ModeCrashSim}),
+		"mapped":   mapped,
+	} {
 		for name, op := range map[string]func(){
 			"Load":        func() { r.Load(64) },
 			"Store":       func() { r.Store(64, 1) },
@@ -99,7 +104,7 @@ func TestRegionOpsNoAlloc(t *testing.T) {
 			"Counter.Add": func() { c.Add(1) },
 		} {
 			if n := testing.AllocsPerRun(1000, op); n != 0 {
-				t.Errorf("%v %s: %v allocs per call, want 0", mode, name, n)
+				t.Errorf("%s %s: %v allocs per call, want 0", medium, name, n)
 			}
 		}
 	}
@@ -115,21 +120,21 @@ func benchRegionLoad(b *testing.B, goroutines int) {
 		b.Skipf("needs GOMAXPROCS >= %d", goroutines)
 	}
 	const span = 64 * LineBytes
-	r := NewRegion(uint64(goroutines)*span, Config{})
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			var sum uint64
-			for i := 0; i < b.N; i++ {
-				sum += r.Load(base + uint64(i)%(span/WordBytes)*WordBytes)
-			}
-			loadSink.Add(sum)
-		}(uint64(g) * span)
-	}
-	wg.Wait()
+	benchMedia(b, uint64(goroutines)*span, func(b *testing.B, r *Region) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(base uint64) {
+				defer wg.Done()
+				var sum uint64
+				for i := 0; i < b.N; i++ {
+					sum += r.Load(base + uint64(i)%(span/WordBytes)*WordBytes)
+				}
+				loadSink.Add(sum)
+			}(uint64(g) * span)
+		}
+		wg.Wait()
+	})
 }
 
 func BenchmarkRegionLoad(b *testing.B)          { benchRegionLoad(b, 1) }

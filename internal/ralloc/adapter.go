@@ -18,6 +18,9 @@ func (a allocAdapter) NewHandle() alloc.Handle { return a.h.NewHandle() }
 func (a allocAdapter) Close() error            { return a.h.Close() }
 func (a allocAdapter) Recover() error          { _, err := a.h.Recover(); return err }
 
+// Heap returns the adapted heap, for a caller that needs its roots.
+func (a allocAdapter) Heap() *Heap { return a.h }
+
 var (
 	_ alloc.Allocator   = allocAdapter{}
 	_ alloc.Recoverable = allocAdapter{}

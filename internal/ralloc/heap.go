@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/alloc"
 	"repro/internal/pmem"
 	"repro/internal/pptr"
 	"repro/internal/sizeclass"
@@ -102,9 +103,10 @@ var ErrClosed = errors.New("ralloc: heap is closed")
 // Open creates or reopens a Ralloc heap.
 //
 // If path is empty the heap is volatile-backed (in-memory region only, still
-// with full crash simulation if cfg.Pmem.Mode is ModeCrashSim). If path names
-// an existing image the heap is re-mapped from it; otherwise a fresh heap is
-// created (and will be saved to path by Close).
+// with full crash simulation if cfg.Pmem.Mode is ModeCrashSim). A ModeFast
+// heap with a path is the file itself, mapped (pmem.MapFile) and formatted in
+// place if new. A ModeCrashSim heap's persistent image is its shadow; the file
+// only serialises it — loaded here if it exists, saved by Close.
 //
 // The returned dirty flag reports whether the previous session ended without
 // a clean Close — the paper's init() returning true, meaning the caller must
@@ -116,17 +118,24 @@ func Open(path string, cfg Config) (h *Heap, dirty bool, err error) {
 		return nil, false, err
 	}
 
-	if path != "" {
-		if _, statErr := os.Stat(path); statErr == nil {
-			region, err := pmem.LoadFile(path, cfg.Pmem)
-			if err != nil {
-				return nil, false, err
-			}
-			return attach(region, cfg, path)
-		}
+	var region *pmem.Region
+	if path != "" && cfg.Pmem.Mode == pmem.ModeFast {
+		region, err = pmem.MapFile(path, lay.total, cfg.Pmem)
+	} else if _, statErr := os.Stat(path); path != "" && statErr == nil {
+		region, err = pmem.LoadFile(path, cfg.Pmem)
 	}
-
-	region := pmem.NewRegion(lay.total, cfg.Pmem)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case region == nil:
+		region = pmem.NewRegion(lay.total, cfg.Pmem)
+	case !region.Mapped() || region.Load(offMagic) != 0:
+		return attach(region, cfg, path)
+	case region.Size() != lay.total:
+		return nil, false, fmt.Errorf("ralloc: region size %d does not match layout %d", region.Size(), lay.total)
+	}
+	// A new region, or a mapped one without the heap magic, which initialize
+	// stores last: a kill cut its creation short and it is formatted again.
 	h = &Heap{region: region, cfg: cfg, lay: lay, path: path}
 	h.setShards(uint32(cfg.Shards))
 	h.initialize()
@@ -299,6 +308,43 @@ func (h *Heap) GetRoot(i int, f Filter) uint64 {
 	return off
 }
 
+// LeafFilter is the Filter of a block that holds no pointers.
+func LeafFilter(*GC, uint64) {}
+
+// SetRootBytes makes a copy of b root i: one block — a length word, then the
+// bytes — persisted before the root points at it (register LeafFilter for the
+// slot before Recover). SetRoot(i, 0) and hd.Free(block) take it back. False
+// reports an exhausted heap, with nothing published.
+func (h *Heap) SetRootBytes(hd alloc.Handle, i int, b []byte) (block uint64, ok bool) {
+	n := uint64(len(b))
+	if block = hd.Malloc(pmem.WordBytes + n); block == 0 {
+		return 0, false
+	}
+	r, slot := h.region, rootOff(i)
+	r.Store(block, n)
+	r.WriteBytes(block+pmem.WordBytes, b)
+	r.FlushRange(block, pmem.WordBytes+n)
+	r.Fence()
+	//pmem:publish
+	r.Store(slot, pptr.Pack(slot, block))
+	r.Flush(slot)
+	r.Fence()
+	return block, true
+}
+
+// RootBytes returns the block SetRootBytes made root i and a copy of its
+// bytes; (0, nil) when the root is unset or is no such block.
+func (h *Heap) RootBytes(i int) (block uint64, b []byte) {
+	block, size := h.GetRoot(i, LeafFilter), h.region.Size()
+	if block < h.lay.sbStart || block%pmem.WordBytes != 0 || block+pmem.WordBytes > size ||
+		h.region.Load(block) > size-block-pmem.WordBytes {
+		return 0, nil
+	}
+	b = make([]byte, h.region.Load(block))
+	h.region.ReadBytes(block+pmem.WordBytes, b)
+	return block, b
+}
+
 // ----------------------------------------------------------------------
 // Growth of the used superblock region (§4.3).
 
@@ -370,15 +416,18 @@ func (h *Heap) dropHandles() {
 	h.mu.Unlock()
 }
 
+// syncRegion is a variable so that a test can make a mapped heap's Close fail.
+var syncRegion = (*pmem.Region).Sync
+
 // Close cleanly shuts the allocator down (the paper's close()): all blocks
 // held in thread caches are returned to their superblocks, the heap is
 // written back to NVM, the dirty indicator is cleared, and — if the heap is
-// file-backed — the image is saved.
+// file-backed — a mapped heap syncs its dirty pages (pmem.Region.Sync) and a
+// crash-sim heap saves its image.
 //
-// If the final save fails, the dirty indicator is restored before the error
-// is returned: the on-disk image (if any) predates this shutdown, so the
-// session must not be recorded as a clean close. The heap stays closed; the
-// caller can retry persistence via Region().SaveFile.
+// If that fails, the dirty indicator is restored before the error is
+// returned: the file may not hold this shutdown, so the session must not be
+// recorded as a clean close. The heap stays closed.
 func (h *Heap) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -398,11 +447,16 @@ func (h *Heap) Close() error {
 	h.region.Persist()
 	h.setDirty(0)
 	h.region.Persist()
-	if h.path != "" {
-		if err := h.region.SaveFile(h.path); err != nil {
-			h.setDirty(1)
-			return fmt.Errorf("ralloc: close: saving heap image: %w", err)
-		}
+	var err error
+	switch {
+	case h.region.Mapped():
+		err = syncRegion(h.region)
+	case h.path != "":
+		err = h.region.SaveFile(h.path)
+	}
+	if err != nil {
+		h.setDirty(1)
+		return fmt.Errorf("ralloc: close: saving heap image: %w", err)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package ralloc
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -322,12 +324,16 @@ func TestShardRemapOnCleanReattach(t *testing.T) {
 	}
 }
 
-// TestCloseSaveFailureRestoresDirty forces the final SaveFile to fail and
-// verifies the shutdown is not reported clean: Close errors and the dirty
-// indicator is restored, so the next attach triggers recovery.
+// TestCloseSaveFailureRestoresDirty: a mapped heap under a missing directory
+// never opens — the file is created at Open, not at Close — and a Close whose
+// final sync fails is not reported clean: Close errors and the dirty indicator
+// is restored, in the file, so the next open triggers recovery.
 func TestCloseSaveFailureRestoresDirty(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "missing", "heap.img")
+	if _, _, err := Open(filepath.Join(dir, "missing", "heap.img"), Config{SBRegion: 8 << 20}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open under a missing directory: err = %v", err)
+	}
+	path := filepath.Join(dir, "heap.img")
 	h, _, err := Open(path, Config{SBRegion: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -336,19 +342,20 @@ func TestCloseSaveFailureRestoresDirty(t *testing.T) {
 	if hd.Malloc(64) == 0 {
 		t.Fatal("OOM")
 	}
-	// The temp-file create inside SaveFile fails: parent dir is missing.
-	if err := h.Close(); err == nil {
-		t.Fatal("Close succeeded despite failing save")
+	syncRegion = func(*pmem.Region) error { return errors.New("injected msync failure") }
+	defer func() { syncRegion = (*pmem.Region).Sync }()
+	if err := h.Close(); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("Close = %v despite the failing sync", err)
 	}
 	if v := h.Region().Load(offDirty); v != 1 {
-		t.Fatalf("dirty = %d after failed save, want 1", v)
+		t.Fatalf("dirty = %d after failed sync, want 1", v)
 	}
-	h2, dirty, err := Attach(h.Region(), Config{})
+	h2, dirty, err := Open(path, Config{SBRegion: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dirty {
-		t.Fatal("failed-save heap attached clean")
+		t.Fatal("failed-sync heap opened clean")
 	}
 	h2.GetRoot(0, nil)
 	if _, err := h2.Recover(); err != nil {
@@ -357,5 +364,4 @@ func TestCloseSaveFailureRestoresDirty(t *testing.T) {
 	if _, err := h2.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	_ = os.RemoveAll(dir)
 }

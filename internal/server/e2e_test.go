@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -49,20 +50,28 @@ func TestMain(m *testing.M) {
 
 // TestE2ESIGKILLRestart exercises the real binary across a real process
 // kill: build cmd/ralloc-serve, run it on a unix socket with a file-backed
-// heap, drive 10k pipelined SETs, checkpoint with SAVE, keep traffic
-// flowing, SIGKILL the process, restart it, and verify the server comes up
-// dirty → recovered with DBSIZE and sampled keys intact — then shuts down
-// cleanly via the SHUTDOWN command.
+// heap, drive 10k pipelined SETs, overwrite 500 of them, SIGKILL the process,
+// restart it, and verify the server comes up dirty → recovered with DBSIZE
+// exact and EVERY acknowledged write in place — the heap is the mapped file,
+// so what a kill leaves is the heap, not the last checkpoint. Once with a SAVE
+// in the middle (the overwrites land after it: the backup it wrote must not
+// be what the restart serves) and once with -checkpoint 0 and no SAVE at all.
+// Then a clean SHUTDOWN and a clean third start.
 func TestE2ESIGKILLRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping subprocess e2e in -short mode")
 	}
+	t.Run("SAVE then more writes", func(t *testing.T) { e2eSIGKILLRestart(t, true) })
+	t.Run("no SAVE at all", func(t *testing.T) { e2eSIGKILLRestart(t, false) })
+}
+
+func e2eSIGKILLRestart(t *testing.T, save bool) {
 	dir := t.TempDir()
 	bin := serveBinary(t)
 
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")
-	args := []string{"-heap", heapPath, "-unix", sock, "-heapmb", "64", "-buckets", "8192"}
+	args := []string{"-heap", heapPath, "-unix", sock, "-heapmb", "64", "-buckets", "8192", "-checkpoint", "0"}
 
 	serve := func() *exec.Cmd {
 		cmd := exec.Command(bin, args...)
@@ -96,7 +105,7 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 	c := dialRetry()
 
 	// 10k pipelined SETs in batches of 200.
-	const total, batch = 10000, 200
+	const total, batch, rewritten = 10000, 200, 500
 	for base := 0; base < total; base += batch {
 		for i := base; i < base+batch; i++ {
 			if err := c.Send("SET", fmt.Sprintf("e2e-%05d", i), fmt.Sprintf("val-%05d", i)); err != nil {
@@ -116,14 +125,18 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 	if n, err := c.DBSize(); err != nil || n != total {
 		t.Fatalf("DBSIZE = %d, %v", n, err)
 	}
-	if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
-		t.Fatalf("SAVE = %+v, %v", rp, err)
+	if save {
+		if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
+			t.Fatalf("SAVE = %+v, %v", rp, err)
+		}
+		if _, err := os.Stat(heapPath + ".save"); err != nil {
+			t.Fatalf("SAVE left no backup beside the heap: %v", err)
+		}
 	}
 
-	// Keep traffic flowing past the checkpoint, then yank the process.
-	// These overwrites are acknowledged in DRAM terms but the file image
-	// is the checkpoint: the model loses them, reverting to SAVE state.
-	for i := 0; i < 500; i++ {
+	// Keep traffic flowing, then yank the process the moment the last
+	// overwrite is acknowledged.
+	for i := 0; i < rewritten; i++ {
 		if err := c.Set(fmt.Sprintf("e2e-%05d", i), "post-save"); err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +147,7 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 	cmd.Wait()
 	c.Close()
 
-	// Restart: must come up from the checkpoint, dirty, recover, serve.
+	// Restart: must come up from the heap file, dirty, recover, serve.
 	cmd2 := serve()
 	defer func() { cmd2.Process.Kill() }()
 	c2 := dialRetry()
@@ -143,17 +156,31 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 	if n, err := c2.DBSize(); err != nil || n != total {
 		t.Fatalf("DBSIZE after SIGKILL restart = %d, %v (want %d)", n, err, total)
 	}
-	for _, i := range []int{0, 42, 4999, 9999} {
-		v, ok, err := c2.Get(fmt.Sprintf("e2e-%05d", i))
-		if err != nil {
+	if rp, err := c2.Do("INFO", "persistence"); err != nil || !strings.Contains(string(rp.Bulk), "recovered_at_start:true") ||
+		!strings.Contains(string(rp.Bulk), "heap_backing:mmap") {
+		t.Fatalf("INFO persistence after the kill: %v, %v", rp.Text(), err)
+	}
+	for base := 0; base < total; base += batch {
+		for i := base; i < base+batch; i++ {
+			if err := c2.Send("GET", fmt.Sprintf("e2e-%05d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c2.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if !ok || v != fmt.Sprintf("val-%05d", i) {
-			t.Fatalf("sampled key e2e-%05d = (%q,%v) after restart", i, v, ok)
+		for i := base; i < base+batch; i++ {
+			want := fmt.Sprintf("val-%05d", i)
+			if i < rewritten {
+				want = "post-save"
+			}
+			if rp, err := c2.Recv(); err != nil || string(rp.Bulk) != want {
+				t.Fatalf("acknowledged write lost across the kill: e2e-%05d = %q (%v), want %q", i, rp.Bulk, err, want)
+			}
 		}
 	}
-	// Still writable, and a clean SHUTDOWN saves the image without the
-	// dirty flag: the third start must report a clean reopen instantly.
+	// Still writable, and a clean SHUTDOWN syncs the heap with the dirty
+	// flag cleared: the third start must report a clean reopen instantly.
 	if err := c2.Set("after-restart", "ok"); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +198,9 @@ func TestE2ESIGKILLRestart(t *testing.T) {
 	}
 	if n, err := c3.DBSize(); err != nil || n != total+1 {
 		t.Fatalf("DBSIZE after clean restart = %d, %v", n, err)
+	}
+	if rp, err := c3.Do("INFO", "persistence"); err != nil || !strings.Contains(string(rp.Bulk), "recovered_at_start:false") {
+		t.Fatalf("INFO persistence after the clean shutdown: %v, %v", rp.Text(), err)
 	}
 	cmd3.Process.Signal(syscall.SIGTERM)
 	waitExit(t, cmd3, 15*time.Second)

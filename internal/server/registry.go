@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -227,6 +228,9 @@ type boundCmd struct {
 	stats    cmdStats
 	run      Handler
 	lockMode uint8
+	// oneOp: with more arguments than this the command is several structure
+	// operations (a variadic write's minimum; no limit for the others).
+	oneOp int
 }
 
 func lockModeOf(c *Command) uint8 {
@@ -338,7 +342,10 @@ func CommandTableMarkdown() string {
 func (s *Server) bindCommands() {
 	s.cmds = make(map[string]*boundCmd, len(commandTable))
 	for name, c := range commandTable {
-		bc := &boundCmd{cmd: c, lockMode: lockModeOf(c)}
+		bc := &boundCmd{cmd: c, lockMode: lockModeOf(c), oneOp: math.MaxInt}
+		if c.Flags&FlagWrite != 0 && c.Arity < 0 {
+			bc.oneOp = -c.Arity
+		}
 		h := c.Handler
 		for i := len(s.cfg.Middleware) - 1; i >= 0; i-- {
 			h = s.cfg.Middleware[i](c, h)
@@ -502,10 +509,11 @@ func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 	// Routing and the checkpoint barrier: keyed commands take their shard's
 	// barrier read side here (the write side is that shard's SAVE fence), so
 	// a checkpoint cut never lands mid-command and other shards' fences
-	// never stall this command. Keyless commands (PING, INFO, DBSIZE, SCAN,
-	// admin/replication control) take no barrier — they either read atomics
-	// and stripe-locked structures that tolerate concurrent cuts, or, like
-	// SAVE itself, acquire barriers of their own.
+	// never stall this command (a kill can land mid-command: see invokeWrite).
+	// Keyless commands (PING, INFO, DBSIZE, SCAN, admin/replication control)
+	// take no barrier — they either read atomics and stripe-locked structures
+	// that tolerate concurrent cuts, or, like SAVE itself, acquire barriers of
+	// their own.
 	switch bc.lockMode {
 	case lockNone:
 		if bc.cmd.Keys.First == 0 {
@@ -563,13 +571,26 @@ func invokeBarrier(ctx *Ctx, bc *boundCmd, sh *shard) {
 func invokeUnlocking(ctx *Ctx, bc *boundCmd, sh *shard, mu *sync.Mutex) {
 	defer sh.locks.Exec.RUnlock()
 	defer mu.Unlock()
-	bc.invoke(ctx)
+	bc.invokeWrite(ctx, sh)
 }
 
 func invokeStripedUnlocking(ctx *Ctx, bc *boundCmd, sh *shard, stripes []int) {
 	defer sh.locks.Exec.RUnlock()
 	defer sh.locks.UnlockStripes(stripes)
-	bc.invoke(ctx)
+	bc.invokeWrite(ctx, sh)
+}
+
+// invokeWrite is invoke for a write whose stripes are held: a variadic write
+// given more than its minimum arguments runs under the undo journal (journal.go).
+func (bc *boundCmd) invokeWrite(ctx *Ctx, sh *shard) {
+	if len(ctx.args) <= bc.oneOp {
+		bc.invoke(ctx)
+		return
+	}
+	unit := [1]queuedCmd{{bc: bc, args: ctx.args}}
+	if !sh.atomically(ctx.hd, unit[:], func() { bc.invoke(ctx) }) {
+		ctx.w.errorf("out of memory")
+	}
 }
 
 func invokeAllUnlocking(ctx *Ctx, bc *boundCmd) {

@@ -13,20 +13,25 @@ import (
 )
 
 // TestE2EReplicationFailover drives the full replication lifecycle across
-// real processes and real SIGKILLs: a ralloc-serve primary and a
-// -replicaof replica on unix sockets; the replica is killed mid-feed and
-// restarted (partial resync from its bootstrap image's stamped offset);
-// then the primary is killed, the replica promoted with REPLICAOF NO ONE
-// and written to, and the old primary restarted as a replica of the new
-// one — its stale stream ID forces a full re-bootstrap, after which it
-// serves every write it was dead for.
+// real processes, a real SIGTERM and real SIGKILLs: a ralloc-serve primary and
+// a -replicaof replica on unix sockets, under a feed that is INCRs as well as
+// SETs — entries that cannot be applied twice without showing it. The replica
+// is shut down cleanly and restarted: its heap carries the position the close
+// stamped, and it resumes with a partial resync. Then it is SIGKILLed
+// mid-feed and restarted: a killed heap holds entries past any position it
+// could carry, so it carries none and resyncs in full — and every counter
+// equals the primary's, none doubled. Then the primary is killed, the replica
+// promoted with REPLICAOF NO ONE and written to, and the old primary
+// restarted as a replica of the new one — killed, it too has no position and
+// re-bootstraps, after which it serves every write it was dead for.
 func TestE2EReplicationFailover(t *testing.T) {
 	runE2EReplicationFailover(t, 1)
 }
 
 // TestE2EReplicationFailoverCluster4 is the same drill at -cluster-shards 4:
-// bootstrap downloads four slot-partitioned images, partial resync replays a
-// feed whose entries carry derived shard ids, the old primary's rejoin
+// bootstrap downloads four slot-partitioned images, the clean restart's
+// partial resync replays a feed whose entries carry derived shard ids (all
+// four heaps were stamped with one position), the old primary's rejoin
 // recovers a four-shard dataset after SIGKILL, and WAIT/INFO span shards.
 func TestE2EReplicationFailoverCluster4(t *testing.T) {
 	runE2EReplicationFailover(t, 4)
@@ -108,6 +113,53 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 		}
 	}
 
+	// bump INCRs each of the drill's counters n times, pipelined; sums reads
+	// them all. A counter applied twice anywhere shows in the comparison.
+	const counters = 16
+	bumpSend := func(c *Client, n int) {
+		t.Helper()
+		for i := 0; i < n*counters; i++ {
+			if err := c.Send("INCR", fmt.Sprintf("ctr-%02d", i%counters)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bumpRecv := func(c *Client, n int) {
+		t.Helper()
+		for i := 0; i < n*counters; i++ {
+			if rp, err := c.Recv(); err != nil || rp.Err() != nil {
+				t.Fatalf("INCR reply = %+v, %v", rp, err)
+			}
+		}
+	}
+	bump := func(c *Client, n int) {
+		t.Helper()
+		bumpSend(c, n)
+		bumpRecv(c, n)
+	}
+	sums := func(c *Client) string {
+		t.Helper()
+		var b strings.Builder
+		for i := 0; i < counters; i++ {
+			v, _, err := c.Get(fmt.Sprintf("ctr-%02d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(v + " ")
+		}
+		return b.String()
+	}
+	syncs := func(c *Client, want string) {
+		t.Helper()
+		rp, err := c.Do("INFO", "replication")
+		if err != nil || !strings.Contains(string(rp.Bulk), want) {
+			t.Fatalf("INFO replication lacks %q (%v):\n%s", want, err, rp.Bulk)
+		}
+	}
+
 	primary := serve(a)
 	defer func() {
 		if primary.Process != nil {
@@ -116,6 +168,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	}()
 	pc := dialRetry(a)
 	writeBatch(pc, "batch-a", 2000)
+	bump(pc, 25)
 
 	replica := serve(b, "-replicaof", a.sock)
 	defer func() {
@@ -131,17 +184,47 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	if rp, err := rc.Do("SET", "nope", "x"); err != nil || !strings.Contains(rp.Str, "READONLY") {
 		t.Fatalf("replica SET = %+v, %v (want READONLY)", rp, err)
 	}
+	bump(pc, 25)
 
-	// Kill the replica mid-feed; the primary keeps writing. The restarted
-	// replica resumes from its bootstrap image's stamped offset — batch B
-	// is well inside the 1 MiB default backlog, so this is a partial
-	// resync, not a re-download.
+	// Clean restart: SIGTERM stamps the position the feed stopped at into
+	// the replica's heaps; the primary keeps writing; the restarted replica
+	// resumes from the stamp — batch B and the INCRs are well inside the
+	// 1 MiB default backlog, so this is a partial resync, not a re-download,
+	// and the entries it already held are not applied again.
+	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
+		t.Fatalf("WAIT before the clean restart = %d, %v", n, err)
+	}
+	rc.Close()
+	if err := replica.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitExit(t, replica, 15*time.Second)
+	writeBatch(pc, "batch-b", 1000)
+	bump(pc, 25)
+	replica = serve(b, "-replicaof", a.sock)
+	rc = dialRetry(b)
+	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
+		t.Fatalf("WAIT after the clean restart = %d, %v", n, err)
+	}
+	syncs(pc, "full_syncs:1") // the bootstrap's, still the only one
+	checkBatch(rc, "batch-b", 1000, "cleanly restarted replica")
+	if got, want := sums(rc), sums(pc); got != want {
+		t.Fatalf("counters after the partial resync: replica %s, primary %s", got, want)
+	}
+
+	// Kill the replica mid-feed, INCRs in flight. Its heap holds every entry
+	// it applied, which is more than any position stamped in it could say: it
+	// restarts with none, downloads the primary's state afresh, and no INCR
+	// is applied on top of itself.
+	bumpSend(pc, 200)
+	time.Sleep(5 * time.Millisecond)
 	rc.Close()
 	if err := replica.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
 	replica.Wait()
-	writeBatch(pc, "batch-b", 1000)
+	bumpRecv(pc, 200)
+	bump(pc, 25)
 
 	replica2 := serve(b, "-replicaof", a.sock)
 	defer func() {
@@ -153,12 +236,12 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
 		t.Fatalf("WAIT after replica restart = %d, %v", n, err)
 	}
+	if got, want := sums(rc2), sums(pc); got != want || !strings.HasPrefix(want, fmt.Sprint(25*4+200)+" ") {
+		t.Fatalf("counters after the kill and full resync: replica %s, primary %s (want %d each)", got, want, 25*4+200)
+	}
+	syncs(pc, "full_syncs:2")
 	checkBatch(rc2, "batch-a", 2000, "restarted replica")
 	checkBatch(rc2, "batch-b", 1000, "restarted replica")
-	rp, err := rc2.Do("INFO", "replication")
-	if err != nil || !strings.Contains(string(rp.Bulk), "full_syncs:0") {
-		t.Fatalf("restarted replica took a full resync (INFO: %v, %v) — partial coverage was lost", rp.Text(), err)
-	}
 
 	// Failover: SIGKILL the primary, promote the replica, write through it.
 	pc.Close()
@@ -173,11 +256,10 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	checkBatch(rc2, "batch-b", 1000, "promoted replica")
 	writeBatch(rc2, "batch-c", 500)
 
-	// Rejoin: the old primary restarts pointing at the new one. Its image
-	// carries the pre-failover stream ID, the promoted node answers with a
-	// fresh one, so the probe is refused CONTINUE and the node re-bootstraps
-	// from the new primary's checkpoint — converging on batch C, which it
-	// was dead for.
+	// Rejoin: the old primary restarts pointing at the new one. It was
+	// killed, so its heap carries no position (and the promoted node runs a
+	// fresh stream ID besides): it re-bootstraps from the new primary's
+	// checkpoint — converging on batch C, which it was dead for.
 	old := serve(a, "-replicaof", b.sock)
 	defer func() {
 		if old.Process != nil {
@@ -191,9 +273,9 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	checkBatch(oc, "batch-a", 2000, "rejoined old primary")
 	checkBatch(oc, "batch-b", 1000, "rejoined old primary")
 	checkBatch(oc, "batch-c", 500, "rejoined old primary")
-	rp, err = rc2.Do("INFO", "replication")
-	if err != nil || !strings.Contains(string(rp.Bulk), "full_syncs:1") {
-		t.Fatalf("rejoin did not take exactly one full resync (INFO: %v, %v)", rp.Text(), err)
+	syncs(rc2, "full_syncs:1")
+	if got, want := sums(oc), sums(rc2); got != want {
+		t.Fatalf("counters on the rejoined node: %s, on the new primary %s", got, want)
 	}
 
 	// And the feed keeps flowing to the rejoined node.

@@ -165,6 +165,8 @@ type Server struct {
 	saveFenceRecopied atomic.Uint64
 	saveRounds        atomic.Int64
 
+	unitsUndone atomic.Uint64 // units rolled back at start (journal.go)
+
 	// cmds is the registry bound to this server: each table entry wrapped
 	// in the stats middleware (plus Config.Middleware) with its own
 	// counters. Built once in New; read-only afterwards.

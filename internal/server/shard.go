@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/cluster/slot"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
+	"repro/internal/ralloc"
 )
 
 // ShardBackend is one shard's storage surface: the open store plus the
@@ -61,18 +63,23 @@ type ShardBackend struct {
 type CheckpointStats = pmem.SnapshotStats
 
 // RegionBackend is the one way from an open heap to a serving backend: SAVE
-// on the returned backend snapshots region online to path, so each shard's
-// checkpoint touches only its own file. The image captures the volatile
-// words at the cut-over fence — with the shard's commands drained, exactly
-// the state every acknowledged write reached (the heap's dirty flag rides
-// along still set, so a SIGKILL afterwards recovers from here). An empty
-// path is a volatile heap: no checkpoint, SAVE refuses. replicated adds the
-// two replication hooks: the feed position is stamped into the image header
-// inside every fence, and full resyncs stream the image file.
+// on the returned backend snapshots region online, so each shard's checkpoint
+// touches only its own file. The image captures the volatile words at the
+// cut-over fence — with the shard's commands drained, exactly the state every
+// acknowledged write reached (the heap's dirty flag rides along still set, so
+// the image recovers like a killed heap). A slice-backed region snapshots to
+// path, the image its next start loads; a mapped region is path, and
+// snapshots to "<path>.save": a backup against power failure, and the image a
+// replica downloads. An empty path is a volatile heap: SAVE refuses. replicated
+// adds the two replication hooks: the feed position is stamped into the image
+// header inside every fence, and full resyncs stream the image file.
 func RegionBackend(a alloc.Allocator, st *kvstore.Store, region *pmem.Region, path string, replicated bool) ShardBackend {
 	be := ShardBackend{Alloc: a, Store: st}
 	if path == "" {
 		return be
+	}
+	if region.Mapped() {
+		path += ".save"
 	}
 	be.CheckpointOnline = func(fence func(cut func() error) error) (CheckpointStats, error) {
 		return region.SaveFileOnline(path, fence)
@@ -128,6 +135,9 @@ type shard struct {
 	st    *kvstore.Store
 	be    ShardBackend
 	locks shardlock.Locks
+	// journal.go: the heap with the undo journal's root (nil: none), its mutex.
+	journal   *ralloc.Heap
+	journalMu sync.Mutex
 
 	// Per-shard checkpoint and feed telemetry, surfaced by the INFO cluster
 	// section and the ralloc_shard_* metric families.
@@ -160,9 +170,10 @@ func NewSharded(backends []ShardBackend, cfg Config) *Server {
 	}
 	s := newServer(cfg)
 	for i, be := range backends {
-		sh := &shard{idx: i, a: be.Alloc, st: be.Store, be: be}
+		sh := &shard{idx: i, a: be.Alloc, st: be.Store, be: be, journal: journalHeap(be.Alloc)}
 		s.shards = append(s.shards, sh)
 		s.locksAll = append(s.locksAll, &sh.locks)
+		s.replayJournal(sh)
 	}
 	s.finishInit()
 	return s

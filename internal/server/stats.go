@@ -134,8 +134,13 @@ func (s *Server) expiresRows() []obs.Row {
 }
 
 // persistenceRows: checkpoint counts and the last checkpoint's phase timings
-// and copy volumes (the Server fields say what each measures).
+// and copy volumes (the Server fields say what each measures), what the heaps
+// are backed by, and the units this start rolled back.
 func (s *Server) persistenceRows() []obs.Row {
+	backing, mapped := "slice", 0
+	if s.shards[0].a.Region().Mapped() {
+		backing, mapped = "mmap", 1
+	}
 	return []obs.Row{
 		{Key: "checkpoints", Val: s.saves.Load(), Metric: "ralloc_checkpoints_total", Type: counter, Help: "Checkpoints (SAVE) completed successfully.", First: true},
 		{Key: "checkpoint_errors", Val: s.saveErrs.Load(), Metric: "ralloc_checkpoint_errors_total", Type: counter, Help: "Checkpoints that returned an error.", First: true},
@@ -147,6 +152,9 @@ func (s *Server) persistenceRows() []obs.Row {
 		{Key: "last_checkpoint_rounds", Val: s.saveRounds.Load()},
 		{Key: "checkpoint_lines_copied", Val: s.saveLines.Load(), Metric: "ralloc_checkpoint_lines_copied_total", Type: counter, Help: "Cache lines streamed by online checkpoints."},
 		{Key: "checkpoint_lines_recopied", Val: s.saveRecopied.Load(), Metric: "ralloc_checkpoint_lines_recopied_total", Type: counter, Help: "Cache lines re-copied after the write barrier marked them dirty."},
+		{Key: "heap_backing", Val: backing},
+		{Val: mapped, Metric: "ralloc_heap_mapped", Type: gauge, Help: "1 when the heaps are mapped files (heap_backing:mmap), 0 when slices."},
+		{Key: "journal_units_undone", Val: s.unitsUndone.Load(), Metric: "ralloc_journal_units_undone_total", Type: counter, Help: "Units a crash cut short, rolled back at start from the undo journal."},
 	}
 }
 

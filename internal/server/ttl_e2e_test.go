@@ -11,9 +11,10 @@ import (
 )
 
 // TestE2ETTLSIGKILLRestart is the acceptance e2e for the expiration
-// subsystem, across a real process kill: build cmd/ralloc-serve, drive 10k
-// pipelined ops with mixed TTLs (immortal, 1h, 2h, and 400ms records), SAVE,
-// let the short TTLs lapse, SIGKILL, restart — then every expired key must
+// subsystem, across a real process kill: build cmd/ralloc-serve (-checkpoint
+// 0, and no SAVE: the mapped heap is all a restart has), drive 10k pipelined
+// ops with mixed TTLs (immortal, 1h, 2h, and 400ms records), let the short
+// TTLs lapse, SIGKILL, restart — then every expired key must
 // report absent (never resurrected, whether or not its corpse was
 // reclaimed), every unexpired key must retain its exact value, and the
 // long-TTL keys must report a *remaining* TTL: positive, under the original,
@@ -29,7 +30,7 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) {
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")
 	args := []string{"-heap", heapPath, "-unix", sock, "-heapmb", "64", "-buckets", "8192",
-		"-expire-cycle", "20ms", "-expire-sample", "200"}
+		"-expire-cycle", "20ms", "-expire-sample", "200", "-checkpoint", "0"}
 
 	serve := func() *exec.Cmd {
 		cmd := exec.Command(bin, args...)
@@ -93,10 +94,6 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) {
 			}
 		}
 	}
-	if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
-		t.Fatalf("SAVE = %+v, %v", rp, err)
-	}
-
 	// Let every short TTL lapse (the active cycle reclaims some corpses,
 	// lazy expiry covers the rest), then yank the process.
 	time.Sleep(600 * time.Millisecond)
@@ -106,7 +103,7 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) {
 	cmd.Wait()
 	c.Close()
 
-	// Restart from the checkpoint: dirty open, GC recovery, keep serving.
+	// Restart from the heap file: dirty open, GC recovery, keep serving.
 	cmd2 := serve()
 	defer func() { cmd2.Process.Kill() }()
 	c2 := dialRetry()
@@ -125,8 +122,8 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) {
 			key = fmt.Sprintf("keepsec-%05d", i)
 		}
 		if i%4 == 2 {
-			// Expired while down (the checkpoint predates the deadline,
-			// the restart postdates it): absent, no TTL, never a value.
+			// Expired before the kill — reclaimed by the cycle or still a
+			// corpse in the heap, either way: absent, no TTL, never a value.
 			if v, ok, err := c2.Get(key); err != nil {
 				t.Fatal(err)
 			} else if ok {

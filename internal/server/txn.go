@@ -7,17 +7,17 @@ package server
 // with -EXECABORT); EXEC runs the queue back-to-back and replies an array of
 // the individual replies; errors *inside* EXEC do not abort the rest.
 //
-// Atomicity comes from two locks the registry makes uniform:
+// Atomicity has three parts, the first two locks the registry makes uniform:
 //
 //   - EXEC acquires the union of the queued commands' key stripes (plus all
 //     stripes if a FlagLockAll command is queued), sorted and deduplicated —
 //     the same deadlock-ordered discipline as single multi-key commands — so
 //     no concurrent writer observes or interleaves a half-applied queue.
 //   - The whole EXEC runs under one read-side hold of its shard's checkpoint
-//     barrier, so a SAVE checkpoint can never capture a torn transaction:
-//     the persisted image contains each acknowledged EXEC wholly or not at
-//     all. That is the crash-consistency story the mid-EXEC SIGKILL e2e
-//     (txn_e2e_test.go) pins down.
+//     barrier, so a SAVE image never holds a torn transaction.
+//   - An EXEC of more than one write runs under its shard's undo journal
+//     (journal.go), so a kill mid-EXEC restarts with the transaction wholly
+//     absent (txn_e2e_test.go, journal_test.go) — unless it queues FLUSHALL.
 //
 // With more than one shard a transaction is additionally confined to one
 // shard, enforced at queue time: the first keyed command fixes the
@@ -199,7 +199,6 @@ func cmdExec(ctx *Ctx) {
 		sh = ctx.s.shards[cs.txShard-1]
 	}
 
-	ctx.w.arrayHeader(len(cs.queue))
 	// reset via defer, like the stripe unlocks: a panic mid-EXEC recovered
 	// above dispatch must not leave the connection inTxn with the
 	// partially-executed queue still queued (a later EXEC would re-apply
@@ -220,8 +219,14 @@ func execQueue(ctx *Ctx, sh *shard, queue []queuedCmd, stripes []int) {
 	defer sh.locks.UnlockStripes(stripes)
 	outer := ctx.args
 	defer func() { ctx.args = outer }()
-	for _, q := range queue {
-		ctx.args = q.args
-		q.bc.invoke(ctx)
+	run := func() {
+		ctx.w.arrayHeader(len(queue))
+		for _, q := range queue {
+			ctx.args = q.args
+			q.bc.invoke(ctx)
+		}
+	}
+	if !sh.atomically(ctx.hd, queue, run) {
+		ctx.w.errorf("out of memory")
 	}
 }

@@ -13,19 +13,18 @@ import (
 )
 
 // TestE2ETxnSIGKILLMidExec is the crash-consistency acceptance test for
-// MULTI/EXEC, across a real process kill: build cmd/ralloc-serve, run
-// concurrent writers that each apply 8-key transactions while a checkpointer
-// SAVEs every ~150ms, SIGKILL the process mid-traffic (almost certainly
-// mid-EXEC for several writers), restart, and assert the transactional
-// invariant the dispatch design promises:
+// multi-operation units, across a real process kill: build cmd/ralloc-serve
+// (-checkpoint 0, and nobody SAVEs), run concurrent writers that each apply
+// 8-key transactions, one that MSETs 8 keys at a time and one that RPUSHes 3
+// elements at a time, SIGKILL the process mid-traffic (almost certainly
+// mid-unit for several writers), restart, and assert what the undo journal
+// promises (journal.go):
 //
-//  1. ALL-OR-NOTHING: for every transaction any writer ever attempted, its 8
-//     keys are either all present with the transaction's value or all
-//     absent. EXEC runs under one execMu read-side hold, so the quiesced
-//     SAVE image — the state a SIGKILL restarts from — can never contain a
-//     torn transaction.
-//  2. DURABILITY FLOOR: every transaction acknowledged before an
-//     acknowledged SAVE is fully present after recovery.
+//  1. ALL-OR-NOTHING: for every unit any writer ever attempted — EXEC, MSET or
+//     RPUSH — its keys or elements are either all present with the unit's
+//     value or all absent. The heap a kill leaves is the live heap, cut
+//     wherever the kill fell; the restart rolls the cut unit back.
+//  2. DURABILITY: every unit that was acknowledged is fully present.
 func TestE2ETxnSIGKILLMidExec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping subprocess e2e in -short mode")
@@ -35,7 +34,7 @@ func TestE2ETxnSIGKILLMidExec(t *testing.T) {
 
 	heapPath := filepath.Join(dir, "kv.heap")
 	sock := filepath.Join(dir, "kv.sock")
-	args := []string{"-heap", heapPath, "-unix", sock, "-heapmb", "48", "-buckets", "8192"}
+	args := []string{"-heap", heapPath, "-unix", sock, "-heapmb", "48", "-buckets", "8192", "-checkpoint", "0"}
 
 	serve := func() *exec.Cmd {
 		cmd := exec.Command(bin, args...)
@@ -68,14 +67,14 @@ func TestE2ETxnSIGKILLMidExec(t *testing.T) {
 	}()
 	dialRetry().Close() // wait for the server before starting writers
 
-	const writers, txnKeys = 4, 8
+	const writers, txnKeys = 4, 8 // and a fifth, MSET, writer below: index `writers`
 	txnKey := func(g int, i int64, j int) string { return fmt.Sprintf("t%d-%06d-%d", g, i, j) }
 	txnVal := func(g int, i int64) string { return fmt.Sprintf("w%d-t%06d", g, i) }
 
 	// Writers loop transactions until the kill tears their connection down.
 	// attempts[g] counts transactions ever sent; acked[g] is the highest
 	// index whose EXEC reply arrived intact.
-	var attempts, acked [writers]atomic.Int64
+	var attempts, acked [writers + 1]atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		acked[g].Store(-1)
@@ -102,51 +101,73 @@ func TestE2ETxnSIGKILLMidExec(t *testing.T) {
 		}(g)
 	}
 
-	// Checkpointer: snapshot every writer's acked index, SAVE, and (if the
-	// SAVE was acknowledged) raise the durability floor to the snapshot —
-	// those transactions were acked before the checkpoint began, so the
-	// image must contain them wholly.
-	var floor [writers]int64
-	for g := range floor {
-		floor[g] = -1
-	}
-	saver := dialRetry()
-	saves := 0
-	for start := time.Now(); time.Since(start) < 700*time.Millisecond; {
-		time.Sleep(150 * time.Millisecond)
-		var pre [writers]int64
-		for g := range pre {
-			pre[g] = acked[g].Load()
-		}
-		if rp, err := saver.Do("SAVE"); err == nil && rp.Str == "OK" {
-			floor = pre
-			saves++
-		}
-	}
-	if saves == 0 {
-		t.Fatal("no SAVE completed before the kill; durability floor untestable")
+	// Two more writers whose unit is one variadic command: writer msetW MSETs
+	// txnKeys keys at a time under the transactions' key scheme, and one
+	// RPUSHes pushN elements at a time onto one list.
+	const msetW, pushN = writers, 3
+	var pushAttempts, pushAcked atomic.Int64
+	pushAcked.Store(-1)
+	acked[msetW].Store(-1)
+	for _, run := range []func(c *Client){
+		func(c *Client) {
+			for i := int64(0); ; i++ {
+				cmd := []string{"MSET"}
+				for j := 0; j < txnKeys; j++ {
+					cmd = append(cmd, txnKey(msetW, i, j), txnVal(msetW, i))
+				}
+				attempts[msetW].Store(i + 1)
+				if rp, err := c.Do(cmd...); err != nil || rp.Str != "OK" {
+					return
+				}
+				acked[msetW].Store(i)
+			}
+		},
+		func(c *Client) {
+			for i := int64(0); ; i++ {
+				pushAttempts.Store(i + 1)
+				if n, err := c.RPush("pushed", fmt.Sprintf("p%06d-0", i), fmt.Sprintf("p%06d-1", i), fmt.Sprintf("p%06d-2", i)); err != nil || n != pushN*(i+1) {
+					return
+				}
+				pushAcked.Store(i)
+			}
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial("unix", sock)
+			if err != nil {
+				t.Errorf("unit writer: %v", err)
+				return
+			}
+			defer c.Close()
+			run(c)
+		}()
 	}
 
+	time.Sleep(700 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
 	cmd.Wait()
 	wg.Wait()
-	saver.Close()
-	for g := 0; g < writers; g++ {
+	for g := 0; g <= writers; g++ {
 		if acked[g].Load() < 20 {
-			t.Fatalf("writer %d acked only %d transactions; traffic too thin to mean anything", g, acked[g].Load())
+			t.Fatalf("writer %d acked only %d units; traffic too thin to mean anything", g, acked[g].Load())
 		}
 	}
+	if pushAcked.Load() < 20 {
+		t.Fatalf("the RPUSH writer acked only %d pushes; traffic too thin to mean anything", pushAcked.Load())
+	}
 
-	// Restart: recover from the last checkpoint and verify the invariants.
+	// Restart: recover the heap the kill left and verify the invariants.
 	cmd2 := serve()
 	defer func() { cmd2.Process.Kill() }()
 	c := dialRetry()
 	defer c.Close()
 
 	checked, applied := 0, 0
-	for g := 0; g < writers; g++ {
+	for g := 0; g <= writers; g++ {
 		total := attempts[g].Load()
 		for base := int64(0); base < total; base += 100 {
 			end := base + 100
@@ -183,19 +204,37 @@ func TestE2ETxnSIGKILLMidExec(t *testing.T) {
 				}
 				switch present {
 				case 0:
-					if i <= floor[g] {
-						t.Fatalf("txn %d/%d acked before an acknowledged SAVE but absent after recovery", g, i)
+					if i <= acked[g].Load() {
+						t.Fatalf("unit %d/%d was acknowledged but is absent after recovery", g, i)
 					}
 				case txnKeys:
 					applied++
 				default:
-					t.Fatalf("TORN TRANSACTION after SIGKILL recovery: txn %d/%d has %d/%d keys", g, i, present, txnKeys)
+					t.Fatalf("TORN UNIT after SIGKILL recovery: unit %d/%d has %d/%d keys", g, i, present, txnKeys)
 				}
 				checked++
 			}
 		}
 	}
-	t.Logf("checked %d transactions (%d applied, %d saves) across the SIGKILL: none torn", checked, applied, saves)
+	t.Logf("checked %d EXEC and MSET units (%d applied) across the SIGKILL: none torn, none acknowledged and lost", checked, applied)
+
+	// The list: whole pushes only, in order, every acknowledged one there.
+	elems, err := c.LRange("pushed", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.LLen("pushed"); err != nil || int(n) != len(elems) {
+		t.Fatalf("LLEN %d disagrees with the walk's %d (%v)", n, len(elems), err)
+	}
+	if len(elems)%pushN != 0 || int64(len(elems)) < pushN*(pushAcked.Load()+1) || int64(len(elems)) > pushN*pushAttempts.Load() {
+		t.Fatalf("TORN RPUSH after SIGKILL recovery: %d elements, %d pushes acknowledged, %d attempted", len(elems), pushAcked.Load()+1, pushAttempts.Load())
+	}
+	for i, e := range elems {
+		if want := fmt.Sprintf("p%06d-%d", i/pushN, i%pushN); e != want {
+			t.Fatalf("pushed[%d] = %q, want %q", i, e, want)
+		}
+	}
+	t.Logf("checked %d pushes of %d", len(elems)/pushN, pushN)
 
 	// The restarted server still serves transactions.
 	rps, err := c.Txn([]string{"SET", "post-kill", "alive"}, []string{"INCR", "post-ctr"})
