@@ -59,7 +59,8 @@ func main() {
 	}
 
 	fmt.Println("recovering: tracing from persistent roots, rebuilding metadata...")
-	h.GetRoot(0, kvstore.Filter(a, root))
+	at := kvstore.BeginAttach(a, root, 0)
+	h.GetRoot(0, at.Filter())
 	stats, err := h.Recover()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -71,7 +72,7 @@ func main() {
 	fmt.Printf("  gc time          : %v\n", stats.Duration)
 
 	fmt.Println("verifying every record...")
-	s2 := kvstore.Attach(a, root)
+	s2 := at.Finish()
 	for i := 0; i < *keys; i++ {
 		v, ok, _ := s2.GetBytes([]byte(fmt.Sprintf("key-%08d", i)))
 		if !ok || string(v) != fmt.Sprintf("value-%08d", i) {

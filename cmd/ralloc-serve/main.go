@@ -1,8 +1,8 @@
 // Command ralloc-serve is the stand-alone network server the paper's
 // application study deliberately stripped away (§6.3): a RESP2-speaking
 // key-value server whose entire dataset lives in recoverable Ralloc heaps —
-// each the heap file itself, mapped (pmem.MapFile). A SIGKILL'd server
-// restarts through Open → dirty → Recover → kvstore.AttachBounded with every
+// each the heap file itself, mapped (pmem.MapFile). A SIGKILL'd server restarts
+// through Open → dirty → Recover, the store's attach riding the trace, with every
 // write it had acknowledged; a clean shutdown (SIGTERM or the SHUTDOWN
 // command) drains connections, clears the dirty flag and syncs the files.
 //

@@ -41,13 +41,14 @@ func main() {
 		heap.SetRoot(rootKV, root)
 		fmt.Println("created a new store")
 	case dirty:
-		// Crashed last time: recover with the store's filter first.
-		heap.GetRoot(rootKV, kvstore.Filter(a, root))
+		// Crashed last time: the attach rides recovery's one trace.
+		at := kvstore.BeginAttach(a, root, 0)
+		heap.GetRoot(rootKV, at.Filter())
 		stats, err := heap.Recover()
 		if err != nil {
 			log.Fatal(err)
 		}
-		store = kvstore.Attach(a, root)
+		store = at.Finish()
 		fmt.Printf("recovered store after crash: %d reachable blocks, %v\n",
 			stats.ReachableBlocks, stats.Duration)
 	default:

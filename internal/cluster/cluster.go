@@ -4,8 +4,8 @@
 // one logical database. The routing side — CRC16 hash slots, per-command key
 // confinement — lives in internal/cluster/slot and internal/server; this
 // package covers what happens before and after serving: opening every shard,
-// recovering them in parallel after a crash, and closing them — the one
-// open → recover → attach → close routine every served heap goes through —
+// recovering them in parallel after a crash, and closing them — the one open →
+// recover, the store's attach riding the trace → close routine of a served heap —
 // plus what a serving process reports about its heaps (serve.go).
 //
 // Why shards recover in parallel: Ralloc's recovery is a heap traversal
@@ -74,8 +74,6 @@ type Shard struct {
 	Recovered bool
 	// RecStats holds this shard's recovery statistics when Recovered.
 	RecStats ralloc.RecoveryStats
-	// AttachDur is the time from ralloc.Open to the store being attached.
-	AttachDur time.Duration
 }
 
 // Cluster is the set of opened shards plus merged recovery accounting.
@@ -231,7 +229,6 @@ func Open(base string, cfg Config) (*Cluster, error) {
 // recovers before anything allocates, with or without a store root: a kill
 // between creating the store and rooting it leaves blocks only GC can find.
 func openShard(path string, cfg Config) (*Shard, error) {
-	t0 := time.Now()
 	heap, dirty, err := ralloc.Open(path, cfg.Ralloc)
 	if err != nil {
 		return nil, err
@@ -240,8 +237,12 @@ func openShard(path string, cfg Config) (*Shard, error) {
 	sh := &Shard{Path: path, Heap: heap, Alloc: a, Dirty: dirty}
 
 	root := heap.GetRoot(kvstore.RootStore, nil)
+	var at *kvstore.Attaching
 	if dirty {
-		heap.GetRoot(kvstore.RootStore, kvstore.Filter(a, root))
+		if root != 0 {
+			at = kvstore.BeginAttach(a, root, cfg.Bound)
+			heap.GetRoot(kvstore.RootStore, at.Filter())
+		}
 		heap.GetRoot(kvstore.RootJournal, ralloc.LeafFilter)
 		stats, err := heap.Recover()
 		if err != nil {
@@ -249,14 +250,16 @@ func openShard(path string, cfg Config) (*Shard, error) {
 		}
 		sh.RecStats, sh.Recovered = stats, true
 	}
-	if root == 0 {
+	switch {
+	case at != nil:
+		sh.Store = at.Finish()
+	case root == 0:
 		sh.Store, root = kvstore.OpenBounded(a, heap.NewHandle(), cfg.Buckets, cfg.Bound)
 		heap.SetRoot(kvstore.RootStore, root)
 		sh.Created = true
-	} else {
+	default:
 		sh.Store = kvstore.AttachBounded(a, root, cfg.Bound)
 	}
-	sh.AttachDur = time.Since(t0)
 	return sh, nil
 }
 

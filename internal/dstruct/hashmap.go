@@ -20,7 +20,7 @@ import (
 // after. The record path has one of each mechanism — find, publish, unlink,
 // walk and the Record view below — shared with the per-object field chains
 // of object.go. The count word (Len) is bookkeeping, not a commit point:
-// Recover recounts it after a crash.
+// Recovery recounts it after a crash.
 type HashMap struct {
 	a alloc.Allocator
 	r *pmem.Region
@@ -227,7 +227,7 @@ func (m *HashMap) walk(arr, from, to uint64, fn func(off uint64) bool) {
 // Record is a view of one top-level record. Tag and ExpireAt (unix
 // milliseconds; 0 = immortal) are copies; Key, Value and Bytes read the
 // record itself and are valid only while its stripe lock is held — inside
-// the View, Range or Recover callback that handed the Record out. The map
+// the View, Range or Recovery callback that handed the Record out. The map
 // never interprets the stamp: expiry policy lives in the caller (kvstore),
 // so records past their deadline are handed out like any other.
 type Record struct {
@@ -316,7 +316,7 @@ func (m *HashMap) newNode(h alloc.Handle, key []byte, tag uint8, vlen, expireAt 
 }
 
 // addCount moves the map's record count. Add, not load+store: the word is
-// shared across stripes. It is flushed but is not a commit point — Recover
+// shared across stripes. It is flushed but is not a commit point — Recovery
 // recounts it.
 func (m *HashMap) addCount(delta uint64) {
 	m.r.Add(m.hdr+16, delta)
@@ -446,14 +446,22 @@ func (m *HashMap) Range(from, to uint64, fn func(Record) bool) {
 }
 
 // Filter returns the GC filter for the map header (bucket array → chains).
-func (m *HashMap) Filter() ralloc.Filter { return HashMapFilter(m.r) }
+func (m *HashMap) Filter() ralloc.Filter { return HashMapFilter(m.r, nil) }
+
+// Filter returns the map's GC filter with the pass riding it, for exactly one
+// trace before Finish; after Finish it only marks.
+func (rc *Recovery) Filter() ralloc.Filter { return HashMapFilter(rc.m.r, rc.visit) }
 
 // HashMapFilter builds the filter from a bare region. Precision matters for
 // object records: a list node's prev word may be stale after a crash (the
 // forward chain is the authoritative structure — see object.go), so the
 // filter traces only next links and the object payload; conservative
 // scanning could resurrect an unlinked node through a stale prev pointer.
-func HashMapFilter(r *pmem.Region) ralloc.Filter {
+//
+// visit, if not nil, gets each top-level record the trace marks, once, on the
+// worker scanning it (§4.5.1: what the application knows rides the collector's
+// pass). It must not store: Trace is read-only, Collect runs beside sharers.
+func HashMapFilter(r *pmem.Region, visit func(off uint64)) ralloc.Filter {
 	// Field nodes and list nodes both chain through word 0 and carry no
 	// further pointers the GC should honor.
 	var chainNode ralloc.Filter
@@ -462,21 +470,34 @@ func HashMapFilter(r *pmem.Region) ralloc.Filter {
 			g.Visit(next, chainNode)
 		}
 	}
-	hashObj := func(g *ralloc.GC, hdr uint64) {
-		arr, ok := pptr.Unpack(hdr, r.Load(hdr))
-		if !ok {
-			return
-		}
-		nB := r.Load(hdr + 8)
-		g.Visit(arr, func(g *ralloc.GC, arrOff uint64) {
-			for i := uint64(0); i < nB; i++ {
-				slot := arrOff + i*8
-				if head, ok := pptr.Unpack(slot, r.Load(slot)); ok {
-					g.Visit(head, chainNode)
+	// table scans a header: word 0 points at an array of word 1 chain heads,
+	// whose nodes each scans. The array goes in instalments, the rest queued
+	// beneath each one's heads: the trace's stack stays a few thousand deep.
+	table := func(each ralloc.Filter) ralloc.Filter {
+		return func(g *ralloc.GC, hdr uint64) {
+			arr, ok := pptr.Unpack(hdr, r.Load(hdr))
+			if !ok {
+				return
+			}
+			nB := r.Load(hdr + 8)
+			var buckets func(from uint64) ralloc.Filter
+			buckets = func(from uint64) ralloc.Filter {
+				return func(g *ralloc.GC, arrOff uint64) {
+					to := min(from+4096, nB)
+					if to < nB {
+						g.Again(arrOff, buckets(to))
+					}
+					for slot := arrOff + from*8; slot < arrOff+to*8; slot += 8 {
+						if head, ok := pptr.Unpack(slot, r.Load(slot)); ok {
+							g.Visit(head, each)
+						}
+					}
 				}
 			}
-		})
+			g.Visit(arr, buckets(0))
+		}
 	}
+	hashObj := table(chainNode)
 	listObj := func(g *ralloc.GC, hdr uint64) {
 		// Forward chain only: tail and prev words are repairable hints.
 		if head, ok := pptr.Unpack(hdr, r.Load(hdr)); ok {
@@ -487,6 +508,9 @@ func HashMapFilter(r *pmem.Region) ralloc.Filter {
 	node = func(g *ralloc.GC, off uint64) {
 		if next, ok := pptr.Unpack(off, r.Load(off)); ok {
 			g.Visit(next, node)
+		}
+		if visit != nil {
+			visit(off)
 		}
 		tag, klen, _ := unpackLens(r.Load(off + 8))
 		if tag == TagString {
@@ -504,19 +528,5 @@ func HashMapFilter(r *pmem.Region) ralloc.Filter {
 			g.Visit(hdr, listObj)
 		}
 	}
-	return func(g *ralloc.GC, hdr uint64) {
-		arr, ok := pptr.Unpack(hdr, r.Load(hdr))
-		if !ok {
-			return
-		}
-		nB := r.Load(hdr + 8)
-		g.Visit(arr, func(g *ralloc.GC, arrOff uint64) {
-			for i := uint64(0); i < nB; i++ {
-				slot := arrOff + i*8
-				if head, ok := pptr.Unpack(slot, r.Load(slot)); ok {
-					g.Visit(head, node)
-				}
-			}
-		})
-	}
+	return table(node)
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pptr"
+	"repro/internal/ralloc"
 )
 
 func TestHashMapBasic(t *testing.T) {
@@ -315,6 +317,54 @@ func TestHashMapCrashRecoveryConservative(t *testing.T) {
 	}
 }
 
+// The filter takes a bucket array 4096 heads at a time. A map of four
+// instalments, some of them empty, traces to the same blocks and the same work
+// at every worker count — a worker handed the older half of a stack continues
+// the array — and the riding visit sees each record once.
+func TestHashMapFilterScansBucketArrayInInstalments(t *testing.T) {
+	const buckets, records = 4 * 4096, 9000
+	h := rheap(t)
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	m, hdrOff := NewHashMap(a, hd, buckets)
+	for i := 0; i < records; i++ {
+		if !m.Set(hd, []byte(fmt.Sprintf("k%d", i)), []byte("v")) {
+			t.Fatal("OOM")
+		}
+	}
+	h.SetRoot(0, hdrOff)
+	h.Region().Persist()
+	if err := h.Region().Crash(); err != nil {
+		t.Fatal(err)
+	}
+	var want ralloc.RecoveryStats
+	for _, workers := range []int{1, 2, 4, 8} {
+		var visited atomic.Int64
+		h.GetRoot(0, HashMapFilter(h.Region(), func(uint64) { visited.Add(1) }))
+		stats, err := h.RecoverParallel(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ReachableBlocks != records+2 || visited.Load() != records {
+			t.Fatalf("workers=%d: %d blocks reachable, %d records visited; want %d, %d",
+				workers, stats.ReachableBlocks, visited.Load(), records+2, records)
+		}
+		// One candidate per non-empty head and per link, and the array once.
+		if stats.TraceWork != records+2 {
+			t.Fatalf("workers=%d: TraceWork %d, want %d", workers, stats.TraceWork, records+2)
+		}
+		stats.TraceTime, stats.SweepTime, stats.Duration = 0, 0, 0
+		if workers == 1 {
+			want = stats
+		} else if stats != want {
+			t.Fatalf("workers=%d: %+v, one worker %+v", workers, stats, want)
+		}
+	}
+	if m2 := AttachHashMap(a, hdrOff); m2.Len() != records {
+		t.Fatalf("Len = %d, want %d", m2.Len(), records)
+	}
+}
+
 func TestHashMapCrashRecoveryWithFilter(t *testing.T) {
 	h := rheap(t)
 	a := h.AsAllocator()
@@ -331,7 +381,7 @@ func TestHashMapCrashRecoveryWithFilter(t *testing.T) {
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}
-	h.GetRoot(0, HashMapFilter(h.Region()))
+	h.GetRoot(0, HashMapFilter(h.Region(), nil))
 	stats, err := h.Recover()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ package dstruct
 // authoritative. The tail word, the nodes' prev words, and the length and
 // bytes counters are maintained eagerly but are repairable: a crash between
 // a commit swing and the trailing bookkeeping stores leaves them stale, and
-// Recover — the one walk a restart makes over the map — fixes them, together
+// Recovery — the one pass a restart makes over the map — fixes them, together
 // with the map's own record count. This keeps every mutation's commit point
 // a single 8-byte store, exactly the paper's "flush data, then swing one
 // durable link" pattern, without needing a transaction log for the
@@ -46,6 +46,8 @@ package dstruct
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/pptr"
@@ -582,35 +584,64 @@ func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]by
 // ----------------------------------------------------------------------
 // Post-crash repair.
 
-// Recover is the one walk a restart makes over the map. It repairs the words
-// the crash discipline deliberately leaves repairable — list tail words and
-// prev links, both object kinds' count and graph-bytes words — deletes an
-// object left empty by a crash between its last element's unlink and the
-// record unlink (normal operation never leaves one behind), recounts the
-// records and rewrites the map's count word when it differs, and hands every
-// surviving record to fn (the caller's volatile indexes are rebuilt from
-// these). The count word is reconstructed rather than trusted because it is
-// bumped after the link swing that commits an insert or a removal: a crash
-// between the two leaves it off by one, and nothing else would ever heal it.
-// The heap must be recovered and no other goroutine may use the map yet; on
-// a cleanly closed heap the walk verifies and changes nothing.
-func (m *HashMap) Recover(h alloc.Handle, fn func(Record)) {
-	var count uint64
-	var empty [][]byte
-	m.walk(m.buckets, 0, m.nB, func(off uint64) bool {
-		count++
-		if rec := m.record(off); m.repairObject(rec.Tag, off) {
-			empty = append(empty, rec.Key())
-		} else {
-			fn(rec)
-		}
-		return true
-	})
-	m.fixWord(m.hdr+16, count)
-	for _, key := range empty {
-		m.Delete(h, key) // outside walk: Delete takes the stripe lock itself
+// Recovery is the one pass a restart makes over the map's records. visit sees
+// each record once and stores nothing: it counts it, hands a string to fn (the
+// caller rebuilds its volatile indexes from these) and sets an object aside.
+// Finish does what needs stores and a working allocator: it repairs the words
+// the crash discipline leaves repairable — list tail and prev words, both
+// object kinds' count and graph-bytes words — deletes an object a crash left
+// empty (last element unlinked, record not yet), hands the other objects to
+// fn, and rewrites the map's count word when it differs: bumped after the link
+// swing that commits an insert or a removal, a crash between the two leaves
+// it off by one, and nothing else would heal it. Two drivers: on a dirty heap
+// the recovery trace (Filter, registered before heap.Recover; visit runs on
+// the trace's workers, so fn must be safe for concurrent use), on a recovered
+// one Walk. Nothing else may use the map until Finish returns.
+type Recovery struct {
+	m     *HashMap
+	fn    func(Record)
+	count atomic.Uint64
+	done  atomic.Bool
+	mu    sync.Mutex
+	objs  []uint64 // object records awaiting Finish
+}
+
+// BeginRecover starts the map's recovery pass.
+func (m *HashMap) BeginRecover(fn func(Record)) *Recovery { return &Recovery{m: m, fn: fn} }
+
+func (rc *Recovery) visit(off uint64) {
+	if rc.done.Load() {
+		return
 	}
+	rc.count.Add(1)
+	if rec := rc.m.record(off); rec.Tag == TagString {
+		rc.fn(rec)
+	} else {
+		rc.mu.Lock()
+		rc.objs = append(rc.objs, off)
+		rc.mu.Unlock()
+	}
+}
+
+// Finish completes the pass on the recovered heap.
+func (rc *Recovery) Finish(h alloc.Handle) {
+	m := rc.m
+	rc.done.Store(true)
+	m.fixWord(m.hdr+16, rc.count.Load())
+	for _, off := range rc.objs {
+		if rec := m.record(off); m.repairObject(rec.Tag, off) {
+			m.Delete(h, rec.Key())
+		} else {
+			rc.fn(rec)
+		}
+	}
+	rc.objs = nil
 	m.r.Fence()
+}
+
+// Walk drives the pass over the buckets, for a heap that is already recovered.
+func (rc *Recovery) Walk() {
+	rc.m.walk(rc.m.buckets, 0, rc.m.nB, func(off uint64) bool { rc.visit(off); return true })
 }
 
 // fixWord rewrites a repairable word that does not hold want.

@@ -9,8 +9,8 @@ import (
 // the hash-map node (see dstruct: node word 2). This index is the *volatile*
 // side: a DRAM map from key to deadline that exists only so the active
 // expiry cycle can find reclaim candidates without walking the whole
-// persistent map. Like the LRU index, it is rebuilt by the one attach walk
-// (Attach/AttachBounded); losing it in a crash loses nothing, because every
+// persistent map. Like the LRU index, it is rebuilt by the attach's one pass
+// (Attaching); losing it in a crash loses nothing, because every
 // read path re-checks the persisted stamp (lazy expiry) and the stamps are
 // absolute wall-clock times, so "expired" stays expired across a restart.
 //

@@ -9,9 +9,9 @@
 // Records may carry an expiration deadline (a TTL, cache-style). The
 // deadline is an absolute unix-millisecond stamp persisted inside the same
 // allocation as the record (dstruct hash-map node word 2), so recovery
-// needs no separate TTL log: after the allocator's GC, attach makes one walk
-// over the map (dstruct's Recover) that repairs the objects, recounts the
-// records — Len, the server's DBSIZE, is exact after a crash — and rebuilds
+// needs no separate TTL log: attach sees every record once (dstruct's Recovery,
+// riding the allocator's GC trace after a crash), repairs the objects, recounts
+// the records — Len, the server's DBSIZE, is exact after a crash — and rebuilds
 // the LRU byte accounting and the volatile expiry index together; and
 // because the stamp is wall-clock absolute, a key that expired before a
 // crash is still expired after recovery — expiration survives kill -9 for
@@ -156,14 +156,11 @@ func makeStore(a alloc.Allocator, m *dstruct.HashMap, maxBytes uint64) *Store {
 	return s
 }
 
-// Filter returns the recovery GC filter for a store rooted at root without
-// attaching the store. Restart sequences need the filter *before*
-// heap.Recover (to register the root), but Attach now repairs object
-// structures and rebuilds indexes — work that must not run, and must not
-// run twice, against a still-unrecovered heap. Register Filter first,
-// Recover, then Attach.
+// Filter returns the pure recovery GC filter of a store (root is unused): it
+// only marks, for a heap traced without being attached — an audit, a
+// collection beside live sharers. A restart registers Attaching.Filter.
 func Filter(a alloc.Allocator, root uint64) ralloc.Filter {
-	return dstruct.HashMapFilter(a.Region())
+	return dstruct.HashMapFilter(a.Region(), nil)
 }
 
 // Attach re-opens a store unbounded: AttachBounded with no budget. A store
@@ -173,29 +170,33 @@ func Attach(a alloc.Allocator, root uint64) *Store {
 	return AttachBounded(a, root, 0)
 }
 
-// AttachBounded re-opens a store whose hash-map header is at root (after
-// restart or recovery), rebuilding the volatile expiry index and — with a
-// budget, maxBytes > 0 — the transient LRU index in the one walk dstruct's
-// Recover makes over the persistent map. The heap must already be recovered
-// (register Filter with GetRoot, then Recover, then attach): the walk repairs
-// the repairable words of object secondary structures and the map's record
-// count (so Len — DBSIZE — is exact after a crash), which mutates and frees
-// blocks; on a cleanly closed heap it verifies and changes nothing.
+// Attaching is the attach of the store whose hash-map header is at root. It
+// sees each record once (dstruct's Recovery), repairing the repairable words
+// of object secondary structures and the map's record count (so Len — DBSIZE
+// — is exact after a crash) and rebuilding the volatile expiry index and —
+// with a budget, maxBytes > 0 — the transient LRU index. On a dirty heap the
+// collector's trace is that traversal (§4.5.1): BeginAttach, GetRoot(Filter),
+// heap.Recover, Finish — the filter stores nothing, Finish repairs and frees.
+// A clean heap has no trace to ride: AttachBounded walks it.
 //
-// Recency order across the restart is arbitrary (walk order), like
-// memcached's cold LRU after a reboot, but the byte accounting is exact —
-// each record is charged its full persistent footprint, object secondary
-// structures (hash fields, list nodes) included — so the budget is enforced
-// from the first Set onward. Records whose persisted deadline has already
-// passed are hinted to the expiry index (so the cycle reclaims them) but
-// *not* charged to the budget: they are dead to every reader, and charging
-// them could evict live keys to make room for corpses. If the persisted
-// image already exceeds maxBytes — the budget may have been lowered across
-// the restart — the overage is evicted immediately.
-func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
+// Recency order across the restart is arbitrary (traversal order), like
+// memcached's cold LRU after a reboot, but the byte accounting is exact — each
+// record is charged its full persistent footprint, object secondary structures
+// included — so the budget is enforced from the first Set onward. Records
+// whose persisted deadline has passed are hinted to the expiry index (the
+// cycle reclaims them) but *not* charged: they are dead to every reader, and
+// charging them could evict live keys to make room for corpses. If the image
+// exceeds maxBytes — a budget lowered across the restart — Finish evicts.
+type Attaching struct {
+	s  *Store
+	rc *dstruct.Recovery
+}
+
+// BeginAttach starts an attach; it reads only the map's header.
+func BeginAttach(a alloc.Allocator, root, maxBytes uint64) *Attaching {
 	s := makeStore(a, dstruct.AttachHashMap(a, root), maxBytes)
-	h := a.NewHandle()
-	s.m.Recover(h, func(rec dstruct.Record) {
+	// Called from the recovery trace's workers: the indexes lock.
+	return &Attaching{s, s.m.BeginRecover(func(rec dstruct.Record) {
 		if rec.ExpireAt == 0 && s.lru == nil {
 			return // an immortal record of an unbounded store is in no index
 		}
@@ -206,11 +207,28 @@ func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
 		if s.lru != nil && !s.dead(rec.ExpireAt) {
 			s.lru.prime(key, rec.Bytes())
 		}
-	})
+	})}
+}
+
+// Filter returns the store's GC filter with the attach riding it.
+func (at *Attaching) Filter() ralloc.Filter { return at.rc.Filter() }
+
+// Finish completes the attach on the recovered heap and returns the store.
+func (at *Attaching) Finish() *Store {
+	s, h := at.s, at.s.a.NewHandle()
+	at.rc.Finish(h)
 	if s.lru != nil {
 		s.evict(h, s.lru.evictOver())
 	}
 	return s
+}
+
+// AttachBounded re-opens the store rooted at root on a recovered heap (after a
+// clean close it verifies and changes nothing): an Attaching fed by a walk.
+func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
+	at := BeginAttach(a, root, maxBytes)
+	at.rc.Walk()
+	return at.Finish()
 }
 
 // dead reports whether a persisted stamp (0 = immortal) has passed. The

@@ -12,7 +12,7 @@ import (
 // The map's count word (Len, DBSIZE) is bumped after the link swing that
 // commits an insert or a removal, so a crash between the two leaves it off
 // by one — and unlike the objects' counters nothing repaired it before the
-// attach walk recounted it. The sampled k-lists of the other sweeps step
+// attach recounted it. The sampled k-lists of the other sweeps step
 // over those windows; this one crashes at *every* store of a script that
 // inserts, replaces and removes records through every path that moves the
 // count: SET, SET-replace, DEL, HSET (create / extend), HDEL of a last
@@ -128,32 +128,27 @@ func lenCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending int, done b
 }
 
 func TestHashMapLenSurvivesEveryCrashPoint(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, mode := range restartModes {
 		for k := 1; ; k++ {
 			h, acked, pending, done := lenCrashAt(t, k)
 			a := h.AsAllocator()
-			root := h.GetRoot(0, nil)
-			h.GetRoot(0, Filter(a, root))
-			if _, err := h.RecoverParallel(workers); err != nil {
-				t.Fatalf("workers=%d k=%d: recovery: %v", workers, k, err)
-			}
-			s := Attach(a, root)
+			s := mode.restart(t, h, 0)
 			assertLenMatchesWalk(t, s, k)
 			if n := s.Len(); n != acked && n != pending {
-				t.Fatalf("workers=%d k=%d: %d records recovered, %d acknowledged, in-flight op would make it %d",
-					workers, k, n, acked, pending)
+				t.Fatalf("%v k=%d: %d records recovered, %d acknowledged, in-flight op would make it %d",
+					mode, k, n, acked, pending)
 			}
 			// The count keeps tracking the chains: empty the map and it
 			// must read zero, not the crash's leftover.
 			s.DeleteAll(a.NewHandle())
 			if s.Len() != 0 || walkedRecords(s) != 0 {
-				t.Fatalf("workers=%d k=%d: after DeleteAll Len()=%d, walk sees %d", workers, k, s.Len(), walkedRecords(s))
+				t.Fatalf("%v k=%d: after DeleteAll Len()=%d, walk sees %d", mode, k, s.Len(), walkedRecords(s))
 			}
 			if _, err := h.CheckInvariants(); err != nil {
-				t.Fatalf("workers=%d k=%d: %v", workers, k, err)
+				t.Fatalf("%v k=%d: %v", mode, k, err)
 			}
 			if done {
-				t.Logf("workers=%d: %d crash points", workers, k-1)
+				t.Logf("%v: %d crash points", mode, k-1)
 				break
 			}
 		}

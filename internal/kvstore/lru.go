@@ -83,7 +83,7 @@ func (ix *lruIndex) update(key string, size uint64) []string {
 }
 
 // prime seeds the index with an already-stored record without triggering
-// eviction; AttachBounded uses it while rebuilding recency state from the
+// eviction; an attach uses it while rebuilding recency state from the
 // persistent map. Records primed later rank as more recently used.
 func (ix *lruIndex) prime(key string, size uint64) {
 	ix.mu.Lock()

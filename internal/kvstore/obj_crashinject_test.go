@@ -14,7 +14,7 @@ import (
 // RPOP, SET-over-object, DEL-of-object), so the crash lands between the
 // individual flushes of each operation — mid node init, between a link
 // swing and its bookkeeping, between a field unlink and the record unlink.
-// After recovery (GC + the attach walk) the invariant is the tentpole's
+// After recovery (GC + the attach) the invariant is the tentpole's
 // headline guarantee: every object equals a state the operation sequence
 // could legally have produced — each acknowledged mutation wholly present,
 // the one in-flight mutation wholly present or wholly absent, never a
@@ -286,15 +286,16 @@ func worldDiff(t *testing.T, s *Store, w *objWorld) string {
 }
 
 func TestObjectCrashInjectionSweep(t *testing.T) {
+	for _, mode := range restartModes {
+		t.Run(mode.String(), func(t *testing.T) { objCrashSweep(t, mode) })
+	}
+}
+
+func objCrashSweep(t *testing.T, mode restartMode) {
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 16, 19, 23, 28, 34, 41, 50, 60, 73, 88, 107, 130, 157, 190, 230, 278, 336, 407, 492, 595, 720, 871, 1054, 1275, 1543, 1867, 2259} {
 		h, acked, pending, done := objCrashAt(t, k)
 		a := h.AsAllocator()
-		root := h.GetRoot(0, nil)
-		h.GetRoot(0, Filter(a, root))
-		if _, err := h.Recover(); err != nil {
-			t.Fatalf("k=%d: recovery: %v", k, err)
-		}
-		s := Attach(a, root)
+		s := mode.restart(t, h, 0)
 
 		// The recovered keyspace must equal the acknowledged world, or —
 		// when a mutation was in flight — the world with exactly that

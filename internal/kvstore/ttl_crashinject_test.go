@@ -120,15 +120,16 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 }
 
 func TestTTLCrashInjectionSweep(t *testing.T) {
+	for _, mode := range restartModes {
+		t.Run(mode.String(), func(t *testing.T) { ttlCrashSweep(t, mode) })
+	}
+}
+
+func ttlCrashSweep(t *testing.T, mode restartMode) {
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 9, 11, 14, 18, 23, 30, 39, 51, 66, 86, 112, 146, 190, 247} {
 		h, clk, expireAcked, newAcked := ttlCrashAt(t, k)
 		a := h.AsAllocator()
-		root := h.GetRoot(0, nil)
-		h.GetRoot(0, Filter(a, root))
-		if _, err := h.Recover(); err != nil {
-			t.Fatalf("k=%d: recovery: %v", k, err)
-		}
-		s := Attach(a, root)
+		s := mode.restart(t, h, 0)
 		s.SetClock(clk.now)
 		assertLenMatchesWalk(t, s, k) // corpses included: DBSIZE counts them
 

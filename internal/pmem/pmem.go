@@ -127,11 +127,11 @@ type statStripe struct {
 // Region is a simulated persistent memory segment. The zero value is not
 // usable; create Regions with NewRegion.
 //
-// Word accessors (Load, Store, CAS, Add) are atomic and safe for concurrent
-// use. Byte accessors (ReadBytes, EqualBytes, WriteBytes, Zero) are plain
-// memory operations — copy, bytes.Equal, clear — over the same backing: a
-// caller writes payload before the word store that publishes it and reads it
-// after an atomic load of that word, and must not mix the two kinds on a
+// Word accessors (Load, LoadEach, Store, CAS, Add) are atomic and safe for
+// concurrent use. Byte accessors (ReadBytes, EqualBytes, WriteBytes, Zero) are
+// plain memory operations — copy, bytes.Equal, clear — over the same backing:
+// a caller writes payload before the word store that publishes it and reads
+// it after an atomic load of that word, and must not mix the two kinds on a
 // contended location (ralloc-vet's atomicword polices the split).
 type Region struct {
 	words  []uint64 // volatile image, word view: Load/Store/CAS/Add
@@ -253,6 +253,15 @@ func (r *Region) Load(off uint64) uint64 {
 	i := r.checkWord(off)
 	r.stat().loads.Add(1)
 	return atomic.LoadUint64(&r.words[i])
+}
+
+// LoadEach is Load of every offs[i] into vals[i], counted by one add ahead of
+// the reads: no locked instruction sits between them, so their misses overlap.
+func (r *Region) LoadEach(offs, vals []uint64) {
+	r.stat().loads.Add(uint64(len(offs)))
+	for i, off := range offs {
+		vals[i] = atomic.LoadUint64(&r.words[r.checkWord(off)])
+	}
 }
 
 // Store atomically writes v to the word at byte offset off and marks the

@@ -58,6 +58,37 @@ func TestOutOfRangePanics(t *testing.T) {
 	r.Store(1024, 1)
 }
 
+// TestLoadEach: the batched read returns what Load returns, is counted as one
+// load a word, and is bounds-checked a word at a time like Load.
+func TestLoadEach(t *testing.T) {
+	r := NewRegion(1024, Config{})
+	offs := []uint64{1016, 0, 64, 8, 64}
+	for _, off := range offs {
+		r.Store(off, off^0xABCD)
+	}
+	vals := make([]uint64, len(offs))
+	r.LoadEach(offs, vals)
+	for i, off := range offs {
+		if vals[i] != off^0xABCD {
+			t.Fatalf("LoadEach word %#x = %#x, want %#x", off, vals[i], off^0xABCD)
+		}
+	}
+	r.LoadEach(nil, nil)
+	if got := r.Stats().Loads; got != uint64(len(offs)) {
+		t.Fatalf("LoadEach of %d words counted %d loads", len(offs), got)
+	}
+	for _, bad := range []uint64{1024, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("LoadEach accepted offset %d of a 1024-byte region", bad)
+				}
+			}()
+			r.LoadEach([]uint64{0, bad}, make([]uint64, 2))
+		}()
+	}
+}
+
 func TestCAS(t *testing.T) {
 	r := NewRegion(1024, Config{})
 	r.Store(0, 5)

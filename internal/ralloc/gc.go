@@ -24,8 +24,8 @@ import (
 // same with w workers, §6.4's future work) and Manager.Collect (shared.go,
 // §4.5.2: one worker, live processes' caches pinned, handles kept).
 // Recover uses one worker on purpose: the serving stack's parallelism is
-// across shards (cluster.Open recovers each shard heap on its own goroutine);
-// a second level inside a shard is parked in ROADMAP.md.
+// across shards (cluster.Open recovers each shard heap on its own goroutine),
+// and one worker already overlaps its misses — drain scans in batches.
 
 // Filter enumerates the pointers inside a block by calling g.Visit for each
 // of them (§4.5.1). A nil Filter selects conservative tracing: every 64-bit
@@ -144,6 +144,10 @@ func (g *GC) Visit(off uint64, f Filter) {
 	}
 }
 
+// Again queues the marked block at off for one more scan, by f: a filter takes
+// a large block in instalments, so that what it visits does not pile up.
+func (g *GC) Again(off uint64, f Filter) { g.pending = append(g.pending, traceItem{off, f}) }
+
 // conservative is the default filter (§4.5.1 Fig. 3): scan every aligned
 // word of the block and visit anything that decodes as an off-holder.
 func (g *GC) conservative(off uint64) {
@@ -165,7 +169,14 @@ func (g *GC) conservative(off uint64) {
 // loop that pops trace work. With a pool (several workers) a worker whose
 // stack grows past donateThreshold shares the older half, and one that runs
 // dry blocks on the pool until work arrives or every worker is idle.
+// A trace is latency-bound, one dependent cache/TLB miss per block of a chain,
+// so drain pops traceBatch blocks and reads the first word of each back to
+// back (LoadEach: their misses overlap; the values are dropped, the filters
+// load from cache), then scans them. What a batch pushes is the next batch.
 func (g *GC) drain(p *tracePool) {
+	const traceBatch = 16
+	var batch [traceBatch]traceItem
+	var offs, words [traceBatch]uint64
 	for {
 		n := len(g.pending)
 		if n == 0 {
@@ -178,12 +189,18 @@ func (g *GC) drain(p *tracePool) {
 			p.donate(g.pending[:n/2])
 			n = copy(g.pending, g.pending[n/2:])
 		}
-		it := g.pending[n-1]
-		g.pending = g.pending[:n-1]
-		if it.f == nil {
-			g.conservative(it.off)
-		} else {
-			it.f(g, it.off)
+		k := copy(batch[:], g.pending[n-min(n, traceBatch):n])
+		g.pending = g.pending[:n-k]
+		for i, it := range batch[:k] {
+			offs[i] = it.off
+		}
+		g.h.region.LoadEach(offs[:k], words[:k])
+		for _, it := range batch[:k] {
+			if it.f == nil {
+				g.conservative(it.off)
+			} else {
+				it.f(g, it.off)
+			}
 		}
 	}
 }

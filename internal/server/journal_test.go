@@ -40,14 +40,19 @@ type sweeper struct {
 	armed  int // panic at this many stores from now; 0 = disarmed
 	stores int // stores seen since the last arm
 	replay int // arm this at the next start's journal replay; 0 = do not
+
+	workers int // recovery workers of every restart
 }
 
-func newSweeper(t *testing.T) *sweeper {
-	sw := &sweeper{t: t}
+func newSweeper(t *testing.T, workers int) *sweeper {
+	sw := &sweeper{t: t, workers: workers}
 	sw.cfg = ralloc.Config{SBRegion: 1 << 20, GrowthChunk: 64 << 10, Shards: 1, Pmem: pmem.Config{Mode: pmem.ModeCrashSim, StoreHook: func() {
-		if sw.stores++; sw.stores == sw.armed {
-			sw.armed = 0
-			panic(kill{})
+		// Disarmed it only reads: recovery's workers store side by side.
+		if sw.armed != 0 {
+			if sw.stores++; sw.stores == sw.armed {
+				sw.armed = 0
+				panic(kill{})
+			}
 		}
 	}}}
 	return sw
@@ -91,24 +96,31 @@ func (sw *sweeper) open(region *pmem.Region) *crashEnv {
 }
 
 // start is what cluster.openShard and the server do at a start: recover if
-// dirty, create or attach the store, build the server — which replays the
-// journal.
+// dirty with the store's attach riding the trace, create or attach the store,
+// build the server — which replays the journal.
 func (sw *sweeper) start(heap *ralloc.Heap, dirty bool) *crashEnv {
 	sw.t.Helper()
 	a := heap.AsAllocator()
 	root := heap.GetRoot(kvstore.RootStore, nil)
+	var at *kvstore.Attaching
 	if dirty {
-		heap.GetRoot(kvstore.RootStore, kvstore.Filter(a, root))
+		if root != 0 {
+			at = kvstore.BeginAttach(a, root, 0)
+			heap.GetRoot(kvstore.RootStore, at.Filter())
+		}
 		heap.GetRoot(kvstore.RootJournal, ralloc.LeafFilter)
-		if _, err := heap.Recover(); err != nil {
+		if _, err := heap.RecoverParallel(sw.workers); err != nil {
 			sw.t.Fatal(err)
 		}
 	}
 	e := &crashEnv{heap: heap}
-	if root == 0 {
+	switch {
+	case at != nil:
+		e.st = at.Finish()
+	case root == 0:
 		e.st, root = kvstore.Open(a, a.NewHandle(), 64)
 		heap.SetRoot(kvstore.RootStore, root)
-	} else {
+	default:
 		e.st = kvstore.Attach(a, root)
 	}
 	e.st.SetClock(func() int64 { return 1_000_000 })
@@ -191,8 +203,8 @@ func (e *crashEnv) leaks(t *testing.T) int64 {
 
 // sweepUnit is the driver: before builds the keyspace the unit starts from,
 // unit is the unit under test (one command, or MULTI … EXEC).
-func sweepUnit(t *testing.T, before, unit [][]string) {
-	sw := newSweeper(t)
+func sweepUnit(t *testing.T, workers int, before, unit [][]string) {
+	sw := newSweeper(t, workers)
 	// The before-state as a clean image every crash point starts from.
 	e := sw.create()
 	e.play(t, before)
@@ -317,7 +329,11 @@ func TestUnitsAreAllOrNothingAtEveryStore(t *testing.T) {
 		{"HDEL of all", [][]string{{"HDEL", "h", "f1", "f2", "f3"}}},
 		{"DEL of 4", [][]string{{"DEL", "s1", "h", "l", "nosuch"}}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { sweepUnit(t, before, tc.unit) })
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				sweepUnit(t, workers, before, tc.unit)
+			}
+		})
 	}
 }
 
@@ -326,7 +342,7 @@ func TestUnitsAreAllOrNothingAtEveryStore(t *testing.T) {
 // one length compare, no fence, no flush — and a unit that does take the
 // journal leaves the root clear behind it.
 func TestSingleOperationsTakeNoJournal(t *testing.T) {
-	sw := newSweeper(t)
+	sw := newSweeper(t, 1)
 	e := sw.create()
 	for _, tc := range []struct {
 		cmd       []string
@@ -371,7 +387,7 @@ func TestSingleOperationsTakeNoJournal(t *testing.T) {
 // TestJournalOutOfMemoryAppliesNothing: when the before-image does not fit the
 // heap the unit answers "out of memory" and none of it is applied.
 func TestJournalOutOfMemoryAppliesNothing(t *testing.T) {
-	sw := newSweeper(t)
+	sw := newSweeper(t, 1)
 	e := sw.create()
 	big := strings.Repeat("x", 200<<10)
 	e.play(t, [][]string{{"SET", "a", big}, {"SET", "b", big}, {"SET", "small", "1"}})
