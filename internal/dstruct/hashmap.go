@@ -252,11 +252,18 @@ func (rec Record) Key() []byte {
 
 // Value returns a copy of the record's value; for an object record that is
 // the raw 8-byte payload, never a client value.
-func (rec Record) Value() []byte {
+func (rec Record) Value() []byte { return rec.AppendValue(nil) }
+
+// AppendValue appends the record's value to dst, for a caller with a buffer.
+func (rec Record) AppendValue(dst []byte) []byte {
 	_, klen, vlen := unpackLens(rec.m.r.Load(rec.off + 8))
-	val := make([]byte, vlen)
-	rec.m.r.ReadBytes(rec.off+hmNodeHdr+pad8(klen), val)
-	return val
+	n := len(dst)
+	if need := n + int(vlen); dst == nil || need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	dst = dst[:n+int(vlen)]
+	rec.m.r.ReadBytes(rec.off+hmNodeHdr+pad8(klen), dst[n:])
+	return dst
 }
 
 // Bytes returns the record's total persistent footprint: the top node plus,
@@ -459,9 +466,11 @@ func (rc *Recovery) Filter() ralloc.Filter { return HashMapFilter(rc.m.r, rc.vis
 // scanning could resurrect an unlinked node through a stale prev pointer.
 //
 // visit, if not nil, gets each top-level record the trace marks, once, on the
-// worker scanning it (§4.5.1: what the application knows rides the collector's
-// pass). It must not store: Trace is read-only, Collect runs beside sharers.
-func HashMapFilter(r *pmem.Region, visit func(off uint64)) ralloc.Filter {
+// worker scanning it, with the lengths and deadline words the filter read
+// (§4.5.1: what the application knows rides the collector's pass). It must not
+// store: Trace is read-only, Collect runs beside sharers. A record's header and a
+// run of bucket heads each go through one LoadEach: Load's locked add serialises.
+func HashMapFilter(r *pmem.Region, visit func(off, lens, expireAt uint64)) ralloc.Filter {
 	// Field nodes and list nodes both chain through word 0 and carry no
 	// further pointers the GC should honor.
 	var chainNode ralloc.Filter
@@ -487,9 +496,17 @@ func HashMapFilter(r *pmem.Region, visit func(off uint64)) ralloc.Filter {
 					if to < nB {
 						g.Again(arrOff, buckets(to))
 					}
-					for slot := arrOff + from*8; slot < arrOff+to*8; slot += 8 {
-						if head, ok := pptr.Unpack(slot, r.Load(slot)); ok {
-							g.Visit(head, each)
+					var slots, heads [64]uint64
+					for slot, end := arrOff+from*8, arrOff+to*8; slot < end; {
+						n := 0
+						for ; n < len(slots) && slot < end; n, slot = n+1, slot+8 {
+							slots[n] = slot
+						}
+						r.LoadEach(slots[:n], heads[:n])
+						for i, head := range heads[:n] {
+							if head, ok := pptr.Unpack(slots[i], head); ok {
+								g.Visit(head, each)
+							}
 						}
 					}
 				}
@@ -506,13 +523,16 @@ func HashMapFilter(r *pmem.Region, visit func(off uint64)) ralloc.Filter {
 	}
 	var node ralloc.Filter
 	node = func(g *ralloc.GC, off uint64) {
-		if next, ok := pptr.Unpack(off, r.Load(off)); ok {
+		// Link, lengths, deadline: descriptors lie behind every block, so all in the region.
+		offs, w := [3]uint64{off, off + 8, off + 16}, [3]uint64{}
+		r.LoadEach(offs[:], w[:])
+		if next, ok := pptr.Unpack(off, w[0]); ok {
 			g.Visit(next, node)
 		}
 		if visit != nil {
-			visit(off)
+			visit(off, w[1], w[2])
 		}
-		tag, klen, _ := unpackLens(r.Load(off + 8))
+		tag, klen, _ := unpackLens(w[1])
 		if tag == TagString {
 			return
 		}

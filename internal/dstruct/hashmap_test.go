@@ -340,7 +340,7 @@ func TestHashMapFilterScansBucketArrayInInstalments(t *testing.T) {
 	var want ralloc.RecoveryStats
 	for _, workers := range []int{1, 2, 4, 8} {
 		var visited atomic.Int64
-		h.GetRoot(0, HashMapFilter(h.Region(), func(uint64) { visited.Add(1) }))
+		h.GetRoot(0, HashMapFilter(h.Region(), func(_, _, _ uint64) { visited.Add(1) }))
 		stats, err := h.RecoverParallel(workers)
 		if err != nil {
 			t.Fatal(err)

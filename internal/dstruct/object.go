@@ -609,12 +609,12 @@ type Recovery struct {
 // BeginRecover starts the map's recovery pass.
 func (m *HashMap) BeginRecover(fn func(Record)) *Recovery { return &Recovery{m: m, fn: fn} }
 
-func (rc *Recovery) visit(off uint64) {
+func (rc *Recovery) visit(off, lens, expireAt uint64) {
 	if rc.done.Load() {
 		return
 	}
 	rc.count.Add(1)
-	if rec := rc.m.record(off); rec.Tag == TagString {
+	if rec := (Record{Tag: uint8(lens >> tagShift), ExpireAt: expireAt, m: rc.m, off: off}); rec.Tag == TagString {
 		rc.fn(rec)
 	} else {
 		rc.mu.Lock()
@@ -641,7 +641,8 @@ func (rc *Recovery) Finish(h alloc.Handle) {
 
 // Walk drives the pass over the buckets, for a heap that is already recovered.
 func (rc *Recovery) Walk() {
-	rc.m.walk(rc.m.buckets, 0, rc.m.nB, func(off uint64) bool { rc.visit(off); return true })
+	r := rc.m.r
+	rc.m.walk(rc.m.buckets, 0, rc.m.nB, func(off uint64) bool { rc.visit(off, r.Load(off+8), r.Load(off+16)); return true })
 }
 
 // fixWord rewrites a repairable word that does not hold want.

@@ -299,7 +299,7 @@ func (s *Store) SetBytesExpire(h alloc.Handle, key, value []byte, deadline int64
 // the space later. A key holding a hash or list reports
 // ErrWrongType (ok=false): string reads never expose object payloads.
 func (s *Store) GetBytes(key []byte) ([]byte, bool, error) {
-	v, _, ok, err := s.GetBytesExpire(key)
+	v, _, ok, err := s.AppendBytes(nil, key)
 	return v, ok, err
 }
 
@@ -307,11 +307,16 @@ func (s *Store) GetBytes(key []byte) ([]byte, bool, error) {
 // immortal) — the read-modify-write paths (APPEND) use it to preserve a
 // key's TTL across the rewrite.
 func (s *Store) GetBytesExpire(key []byte) (value []byte, deadline int64, ok bool, err error) {
+	return s.AppendBytes(nil, key)
+}
+
+// AppendBytes is GetBytesExpire appending the value to dst; nil unless ok.
+func (s *Store) AppendBytes(dst, key []byte) (value []byte, deadline int64, ok bool, err error) {
 	var rec dstruct.Record
 	found := s.m.View(key, func(r dstruct.Record) {
 		rec = r
 		if r.Tag == dstruct.TagString {
-			value = r.Value()
+			value = r.AppendValue(dst)
 		}
 	})
 	switch {

@@ -86,13 +86,15 @@ func (g *GC) blockInfo(off uint64) (size uint64, ok bool) {
 	idx, _ := h.lay.descIndexOf(off)
 	d := h.lay.descOff(idx)
 	r := h.region
-	cls := r.Load(d + dOffClass)
+	// One counted group: Load's locked add between the two reads would serialise them.
+	offs, desc := [2]uint64{d + dOffClass, d + dOffBlockSize}, [2]uint64{}
+	r.LoadEach(offs[:], desc[:])
+	cls, bs := desc[0], desc[1]
 	switch {
 	case cls == contClass:
 		// Middle of a large run: not a valid block pointer.
 		return 0, false
 	case cls == 0:
-		bs := r.Load(d + dOffBlockSize)
 		numSB := r.Load(d + dOffNumSB)
 		if bs == 0 || numSB == 0 {
 			return 0, false // uninitialized superblock
@@ -109,7 +111,6 @@ func (g *GC) blockInfo(off uint64) (size uint64, ok bool) {
 		}
 		return bs, true
 	case cls <= sizeclass.NumClasses:
-		bs := r.Load(d + dOffBlockSize)
 		if bs != sizeclass.ClassToSize(int(cls)) {
 			return 0, false // stale or torn descriptor
 		}

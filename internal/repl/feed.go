@@ -85,7 +85,7 @@ func (f *Feed) StartOffset() uint64 {
 func (f *Feed) BacklogLen() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.b.data)
+	return len(f.b.data.live())
 }
 
 // Entries returns how many entries have been appended over the feed's
@@ -102,7 +102,10 @@ func (f *Feed) Entries() uint64 {
 // appends while still holding the command's stripe locks, so feed order
 // equals execution order for conflicting commands.
 func (f *Feed) Append(args [][]byte) uint64 {
-	return f.AppendRaw(AppendEntry(nil, args))
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.b.appendEntry(args)
+	return f.appended()
 }
 
 // AppendRaw appends an already-encoded entry (a replica re-appending the
@@ -110,7 +113,12 @@ func (f *Feed) Append(args [][]byte) uint64 {
 func (f *Feed) AppendRaw(raw []byte) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.b.append(raw)
+	f.b.appendRaw(raw)
+	return f.appended()
+}
+
+// appended follows an entry into the backlog: bound, wake-up, new end offset.
+func (f *Feed) appended() uint64 {
 	f.entries++
 	if f.pins == 0 {
 		f.b.trim()

@@ -76,29 +76,33 @@ func streamLine(br *bufio.Reader) ([]byte, error) {
 // what the replica's reader decodes.
 func AppendEntry(dst []byte, args [][]byte) []byte { return resp.AppendCommand(dst, args) }
 
-// ReadEntry decodes one feed entry from br, returning the parsed arguments
-// and the entry's exact wire bytes (what AppendRaw re-appends on a
-// replica). A "-..." line at the boundary returns ErrStreamAbort carrying
-// the sender's message; anything but a non-empty array of bulk strings is
-// ErrProto.
-func ReadEntry(br *bufio.Reader) (args [][]byte, raw []byte, err error) {
-	first, err := br.Peek(1)
+// ReadEntryFrom decodes the next feed entry on d's stream, returning the
+// parsed arguments and the entry's exact wire bytes (what AppendRaw
+// re-appends on a replica), both valid until d's next read. A "-..." line at
+// the boundary returns ErrStreamAbort carrying the sender's message;
+// anything but a non-empty array of bulk strings is ErrProto.
+func ReadEntryFrom(d *resp.Decoder) (args [][]byte, raw []byte, err error) {
+	first, err := d.Peek()
 	if err != nil {
 		return nil, nil, err
 	}
 	if first[0] == '-' {
-		_, err := streamLine(br)
+		_, err := streamLine(d.Reader())
 		return nil, nil, err
 	}
-	raw = make([]byte, 0, 64)
-	args, err = resp.ReadCommand(br, &raw)
+	args, err = d.ReadCommand()
 	if err == nil && len(args) == 0 {
 		err = resp.Error("empty entry")
 	}
 	if err != nil {
 		return nil, nil, streamErr(err)
 	}
-	return args, raw, nil
+	return args, d.Raw(), nil
+}
+
+// ReadEntry is ReadEntryFrom with storage of its own per entry.
+func ReadEntry(br *bufio.Reader) (args [][]byte, raw []byte, err error) {
+	return ReadEntryFrom(resp.NewDecoder(br))
 }
 
 // Handshake is the parsed reply to a PSYNC request.

@@ -40,7 +40,7 @@ const (
 // MaxArgs×MaxBulkLen individually-legal bulks would otherwise let a single
 // command demand terabytes of transient allocation before dispatch (or the
 // transaction byte meter) ever sees it. The declared length is checked
-// before each bulk's buffer is allocated. A var, not a const, so the
+// before the decoder makes room for the bulk. A var, not a const, so the
 // oversized-command tests don't need to stream real gigabytes.
 var MaxCommandBytes = int64(512 << 20)
 
@@ -72,43 +72,60 @@ func ReadLine(br *bufio.Reader) ([]byte, error) {
 	return line[:len(line)-2], nil
 }
 
-// readBulk reads one bulk string given its header line after the '$' — the
-// only place a "$<n>" payload is brought into memory. The declared length is
-// checked against MaxBulkLen and, when budget is non-nil, charged to it
-// before the buffer is allocated. A negative length is the null bulk: nil,
-// no error. The returned slice has the terminator just past its length, so
-// b[:len(b)+2] is the exact wire body.
-func readBulk(br *bufio.Reader, hdr []byte, budget *int64) ([]byte, error) {
-	n, err := strconv.ParseInt(string(hdr), 10, 64)
-	if err != nil || n > MaxBulkLen {
-		return nil, Error("invalid bulk length")
-	}
-	if n < 0 {
-		return nil, nil
-	}
-	if budget != nil {
-		if *budget -= n; *budget < 0 {
-			return nil, Error("command too large")
-		}
-	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return nil, Error("bulk not CRLF-terminated")
-	}
-	return buf[:n], nil
+// Decoder reads commands — client commands, replication feed entries — off
+// one stream into storage it reuses: buf holds the current command's exact
+// wire bytes (a replica's copy of an entry is buf itself) and args are views
+// of the arguments inside it. What ReadCommand and Raw return is valid until
+// the decoder's next call; whoever keeps an argument copies it.
+type Decoder struct {
+	br   *bufio.Reader
+	buf  []byte
+	args [][]byte // slots past len are nil or point into buf, never into an outgrown array
 }
 
-// ReadCommand decodes one array of bulk strings — a client command or a
-// replication feed entry — strictly: the next byte must open a "*<n>"
-// header. An empty or null array ("*0", "*-1") returns no arguments and no
-// error; what that means is the caller's policy. With raw non-nil the
-// command's exact wire bytes are appended to *raw. The argument slices are
-// freshly allocated.
-func ReadCommand(br *bufio.Reader, raw *[]byte) ([][]byte, error) {
-	header, err := ReadLine(br)
+// What an idle decoder may hold; the longest canonical bulk header line.
+const maxIdleBuf, maxIdleArgs, maxHeaderLen = 64 << 10, 1024, 21
+
+// NewDecoder reads commands from br, which must come from NewReader.
+func NewDecoder(br *bufio.Reader) *Decoder { return &Decoder{br: br} }
+
+// Reader returns the stream: handshake and inline lines share it.
+func (d *Decoder) Reader() *bufio.Reader { return d.br }
+
+// Raw returns the exact wire bytes of the command ReadCommand last decoded.
+func (d *Decoder) Raw() []byte { return d.buf }
+
+// Peek returns the next command's first byte, unconsumed. A connection blocks
+// here between commands, so it first lets go of what one large command grew.
+func (d *Decoder) Peek() ([]byte, error) {
+	if d.br.Buffered() == 0 && (cap(d.buf) > maxIdleBuf || cap(d.args) > maxIdleArgs) {
+		d.buf, d.args = nil, nil
+	}
+	return d.br.Peek(1)
+}
+
+// reserve makes room for n more bytes. A move re-points the arguments so far:
+// each spans to the old array's end, so the capacities' difference is its offset.
+func (d *Decoder) reserve(n int) {
+	old := d.buf
+	if n <= cap(old)-len(old) {
+		return
+	}
+	d.buf = append(make([]byte, 0, max(2*cap(old), len(old)+n)), old...)
+	for i, a := range d.args {
+		off := cap(old) - cap(a)
+		d.args[i] = d.buf[off : off+len(a)]
+	}
+	clear(d.args[len(d.args):cap(d.args)])
+}
+
+// ReadCommand decodes one array of bulk strings strictly: the next byte must
+// open a "*<n>" header. An empty or null array ("*0", "*-1") returns no
+// arguments and no error; what that means is the caller's policy. Storage
+// grows by what a bulk header declares, once charged to MaxCommandBytes.
+func (d *Decoder) ReadCommand() ([][]byte, error) {
+	d.buf, d.args = d.buf[:0], d.args[:0]
+	header, err := ReadLine(d.br)
 	if err != nil {
 		return nil, err
 	}
@@ -119,38 +136,69 @@ func ReadCommand(br *bufio.Reader, raw *[]byte) ([][]byte, error) {
 	if err != nil || n > MaxArgs {
 		return nil, Error("invalid multibulk length")
 	}
-	if raw != nil {
-		*raw = append(append(*raw, header...), '\r', '\n')
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	args := make([][]byte, 0, min(n, reserveCap))
+	d.reserve(len(header) + 2)
+	d.buf = append(append(d.buf, header...), '\r', '\n') // ReadLine cut the terminator off
 	budget := MaxCommandBytes
 	for i := int64(0); i < n; i++ {
-		line, err := ReadLine(br)
+		line, err := ReadLine(d.br)
 		if err != nil {
 			return nil, err
 		}
 		if len(line) == 0 || line[0] != '$' {
 			return nil, Error("expected bulk string")
 		}
-		if raw != nil {
-			*raw = append(append(*raw, line...), '\r', '\n')
+		size, err := strconv.ParseInt(string(line[1:]), 10, 64)
+		if err != nil || size < 0 || size > MaxBulkLen { // a command has no null arguments
+			return nil, Error("invalid bulk length")
 		}
-		b, err := readBulk(br, line[1:], &budget)
-		if err != nil {
+		// buf keeps the header: padding past a canonical one's length is charged too.
+		if budget -= size + int64(max(0, len(line)-maxHeaderLen)); budget < 0 {
+			return nil, Error("command too large")
+		}
+		d.reserve(len(line) + 2 + int(size) + 2)
+		d.buf = append(append(d.buf, line...), '\r', '\n')
+		body := d.buf[len(d.buf) : len(d.buf)+int(size)+2]
+		if _, err := io.ReadFull(d.br, body); err != nil {
 			return nil, err
 		}
-		if b == nil {
-			return nil, Error("invalid bulk length") // a command has no null arguments
+		if body[size] != '\r' || body[size+1] != '\n' {
+			return nil, Error("bulk not CRLF-terminated")
 		}
-		if raw != nil {
-			*raw = append(*raw, b[:len(b)+2]...)
-		}
-		args = append(args, b)
+		d.buf = d.buf[:len(d.buf)+len(body)]
+		d.args = append(d.args, body[:size])
 	}
-	return args, nil
+	// Nothing moves any more; an append to an argument must not reach the next.
+	for i, a := range d.args {
+		d.args[i] = a[:len(a):len(a)]
+	}
+	return d.args, nil
+}
+
+// ReadCommand is Decoder.ReadCommand with storage of its own per call: the
+// arguments stay valid. raw, if not nil, has the exact wire bytes appended.
+func ReadCommand(br *bufio.Reader, raw *[]byte) ([][]byte, error) {
+	d := NewDecoder(br)
+	args, err := d.ReadCommand()
+	if raw != nil {
+		*raw = append(*raw, d.buf...)
+	}
+	return args, err
+}
+
+// CommandLen is len(AppendCommand(nil, args)).
+func CommandLen(args [][]byte) int {
+	n := 1 + decimalLen(len(args)) + 2
+	for _, a := range args {
+		n += 1 + decimalLen(len(a)) + 2 + len(a) + 2
+	}
+	return n
+}
+
+func decimalLen(n int) (d int) {
+	for d = 1; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // AppendCommand appends args as an array of bulk strings — the canonical
@@ -225,11 +273,21 @@ func readReply(br *bufio.Reader, depth int) (Reply, error) {
 		}
 		return Reply{Kind: ':', Int: n}, nil
 	case '$':
-		b, err := readBulk(br, line[1:], nil)
-		if err != nil {
+		n, err := strconv.ParseInt(string(line[1:]), 10, 64)
+		if err != nil || n > MaxBulkLen {
+			return Reply{}, Error("invalid bulk length")
+		}
+		if n < 0 {
+			return Reply{Kind: '$', Nil: true}, nil
+		}
+		buf := make([]byte, n+2)
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return Reply{}, err
 		}
-		return Reply{Kind: '$', Bulk: b, Nil: b == nil}, nil
+		if buf[n] != '\r' || buf[n+1] != '\n' {
+			return Reply{}, Error("bulk not CRLF-terminated")
+		}
+		return Reply{Kind: '$', Bulk: buf[:n]}, nil
 	case '*':
 		n, err := strconv.ParseInt(string(line[1:]), 10, 64)
 		if err != nil || n > MaxArgs {

@@ -196,3 +196,134 @@ func TestReadReplyChecksBulkTerminator(t *testing.T) {
 		t.Fatalf("ReadReply = %+v, %v; want protocol error", rp, err)
 	}
 }
+
+// stream serves its chunks one Read at a time and calls idle where a socket
+// would block: at the Read that finds nothing left.
+type stream struct {
+	chunks [][]byte
+	idle   func()
+}
+
+func (s *stream) Read(p []byte) (int, error) {
+	if len(s.chunks) == 0 {
+		s.idle()
+		return 0, io.EOF
+	}
+	n := copy(p, s.chunks[0])
+	if s.chunks[0] = s.chunks[0][n:]; len(s.chunks[0]) == 0 {
+		s.chunks = s.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestDecoderReusesItsStorage: after the first command of a shape the decoder
+// allocates nothing for the next, the arguments are views of the exact wire
+// bytes Raw returns, and they stay right when a later argument makes the
+// buffer move.
+func TestDecoderReusesItsStorage(t *testing.T) {
+	wire := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$300\r\n" + strings.Repeat("v", 300) + "\r\n"
+	src := strings.NewReader("")
+	d := NewDecoder(NewReader(src))
+	read := func() {
+		src.Reset(wire)
+		args, err := d.ReadCommand()
+		if err != nil || len(args) != 3 || string(args[0]) != "SET" || string(args[1]) != "k" || len(args[2]) != 300 {
+			t.Fatalf("decoded %q, %v", args, err)
+		}
+		if string(d.Raw()) != wire {
+			t.Fatalf("raw bytes differ from the wire: %q", d.Raw())
+		}
+		if cap(args[1]) != 1 {
+			t.Fatalf("argument capacity %d reaches the bytes behind it", cap(args[1]))
+		}
+	}
+	read() // the buffer moves twice under "SET" and "k" here
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Fatalf("a repeated command allocates %v times", n)
+	}
+}
+
+// TestDecoderTrimsBeforeItBlocks: what one large command grew is let go
+// before the decoder waits for the next one — sent as the last of its stream,
+// an idle connection would otherwise hold it for good — and not while the
+// next command is already buffered behind it.
+func TestDecoderTrimsBeforeItBlocks(t *testing.T) {
+	small := command(3)
+	for _, tc := range []struct {
+		name string
+		big  []byte
+	}{
+		{"8 MiB bulk", []byte("*1\r\n$8388608\r\n" + strings.Repeat("x", 8<<20) + "\r\n")},
+		{"100000 arguments", command(100000)},
+	} {
+		var d *Decoder
+		idled := false
+		src := &stream{chunks: [][]byte{small, tc.big}, idle: func() {
+			idled = true
+			if cap(d.buf) > maxIdleBuf || cap(d.args) > maxIdleArgs {
+				t.Errorf("%s: blocking with %d buffer bytes and %d argument slots held", tc.name, cap(d.buf), cap(d.args))
+			}
+			for _, a := range d.args[:cap(d.args)] {
+				if a != nil {
+					t.Errorf("%s: a kept slot still points into the dropped buffer", tc.name)
+					break
+				}
+			}
+		}}
+		d = NewDecoder(NewReader(src))
+		for {
+			if _, err := d.Peek(); err != nil {
+				break
+			}
+			if _, err := d.ReadCommand(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !idled || cap(d.buf) != 0 {
+			t.Fatalf("%s: idled %v holding %d buffer bytes", tc.name, idled, cap(d.buf))
+		}
+	}
+
+	big := command(100000)
+	d := NewDecoder(NewReader(bytes.NewReader(append(big, small...))))
+	for i := 0; i < 2; i++ {
+		if _, err := d.Peek(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadCommand(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(d.buf) < len(big) {
+		t.Fatalf("the buffer was dropped with a command buffered behind the large one: %d bytes left", cap(d.buf))
+	}
+}
+
+// TestPaddedHeadersAreCharged: a bulk header may be padded to MaxLineLen, and
+// the decoder keeps a command's exact bytes — so padding past what a
+// canonical header needs counts against MaxCommandBytes like payload.
+func TestPaddedHeadersAreCharged(t *testing.T) {
+	old := MaxCommandBytes
+	MaxCommandBytes = 1 << 10
+	defer func() { MaxCommandBytes = old }()
+	padded := "$" + strings.Repeat("0", 400) + "1\r\na\r\n"
+	if _, err := ReadCommand(NewReader(strings.NewReader("*2\r\n"+padded+padded)), nil); err != nil {
+		t.Fatalf("800 bytes of padding against a 1 KiB budget: %v", err)
+	}
+	if _, err := ReadCommand(NewReader(strings.NewReader("*3\r\n"+padded+padded+padded)), nil); !isProtoErr(err, "too large") {
+		t.Fatalf("1200 bytes of padding against a 1 KiB budget: %v, want 'command too large'", err)
+	}
+}
+
+func TestCommandLen(t *testing.T) {
+	for _, args := range [][][]byte{
+		nil,
+		{[]byte("PING")},
+		{[]byte("SET"), []byte(""), bytes.Repeat([]byte("v"), 12345)},
+		make([][]byte, 1000),
+	} {
+		if got, want := CommandLen(args), len(AppendCommand(nil, args)); got != want {
+			t.Errorf("CommandLen of %d arguments = %d, encoded %d", len(args), got, want)
+		}
+	}
+}

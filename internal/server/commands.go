@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -94,14 +95,16 @@ func cmdPing(ctx *Ctx) {
 
 func cmdEcho(ctx *Ctx) { ctx.w.bulk(ctx.args[1]) }
 
+// cmdGet reads the value straight into the reply buffer, behind room for its header.
 func cmdGet(ctx *Ctx) {
-	v, ok, err := ctx.sh.st.GetBytes(ctx.args[1])
+	buf := slices.Grow(ctx.w.bw.AvailableBuffer(), bulkHeaderRoom)[:bulkHeaderRoom]
+	buf, _, ok, err := ctx.sh.st.AppendBytes(buf, ctx.args[1])
 	if err != nil {
 		writeStoreErr(ctx, err)
 		return
 	}
 	if ok {
-		ctx.w.bulk(v)
+		ctx.w.bulkInPlace(buf)
 	} else {
 		ctx.w.nilBulk()
 	}

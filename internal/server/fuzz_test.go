@@ -186,6 +186,7 @@ func FuzzDispatch(f *testing.F) {
 				break
 			}
 			quit := fuzzServer.srv.dispatch(ctx, args)
+			scribble(args) // the reader's next command overwrites them: nothing may still look
 			replies++
 			if quit {
 				break

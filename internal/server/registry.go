@@ -417,22 +417,44 @@ func commandStripes(ctx *Ctx, c *Command) []int {
 	return ctx.stripes
 }
 
+// lookup resolves a command name as sent, nil for none. The per-connection
+// memo answers a repeated name with one pointer load and an exact compare
+// (the []byte→string conversions here are elided — no allocation); a miss
+// goes to the map as sent, then uppercased — real clients send uppercase —
+// and only for names short enough to be a command at all: a hostile
+// resp.MaxBulkLen name must not cost a megabytes-sized ToUpper copy to miss.
+func (s *Server) lookup(ctx *Ctx, name []byte) *boundCmd {
+	if len(name) == 0 {
+		return nil
+	}
+	slot := &ctx.memo[name[0]&31]
+	if bc := *slot; bc != nil && string(name) == bc.cmd.Name {
+		return bc
+	}
+	bc, ok := s.cmds[string(name)]
+	if !ok && len(name) <= longestCommandName {
+		bc, ok = s.cmds[strings.ToUpper(string(name))]
+	}
+	if ok {
+		*slot = bc
+	}
+	return bc
+}
+
 // dispatch is the pipeline the switch used to be: lookup, arity, transaction
 // queueing, key-lock acquisition, middleware, handler. It reports whether
 // the connection must close (SHUTDOWN).
 func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 	// Drop the references dispatch parks in ctx before returning, on every
-	// exit path: args slices are freshly allocated per command (and keybuf
-	// entries alias them), so leaving them in the reused Ctx would let one
-	// idle connection pin up to resp.MaxBulkLen bytes indefinitely — the same
-	// idle-retention containment connState.reset applies to the txn queue.
+	// exit path: args are views of the reader's storage (keybuf entries alias
+	// them), valid until its next read, and the reader lets go of what a
+	// large command grew before it blocks — a reference left in the reused
+	// Ctx would be stale and would keep that alive for an idle connection.
 	// Clearing keybuf to len is enough: entries beyond len are nil by
-	// induction (every dispatch clears exactly the entries it wrote), and
-	// clearing to cap would turn one historical million-key command into a
-	// permanent per-dispatch memset. A giant multi-key command must not
-	// pin peak-sized scratch for the connection's lifetime either, so
-	// oversized backing arrays are dropped outright. Open-coded defer, so
-	// it stays off the dispatch benchmark gate.
+	// induction, and clearing to cap would turn one historical million-key
+	// command into a permanent per-dispatch memset; oversized scratch arrays
+	// are dropped outright. Open-coded defer, so it stays off the dispatch
+	// benchmark gate.
 	defer func() {
 		ctx.args = nil
 		ctx.prop = nil
@@ -449,38 +471,13 @@ func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 			ctx.txstripe = nil
 		}
 	}()
-	// Fast-path lookup: the per-connection memo resolves repeated command
-	// names with one pointer load plus an exact compare (the compiler
-	// elides the []byte→string conversions here — no allocation). Memo
-	// misses go to the map with the canonical uppercase name; real clients
-	// send uppercase, so the common case never case-folds.
-	name := args[0]
-	if len(name) == 0 {
+	bc := s.lookup(ctx, args[0])
+	if bc == nil {
 		if ctx.cs != nil && ctx.cs.inTxn {
 			ctx.cs.dirty = true
 		}
-		ctx.w.errorf("unknown command ''")
+		ctx.w.errorf("unknown command '%s'", errorEcho(args[0]))
 		return false
-	}
-	slot := &ctx.memo[name[0]&31]
-	bc := *slot
-	if bc == nil || string(name) != bc.cmd.Name {
-		var ok bool
-		bc, ok = s.cmds[string(name)]
-		// The case-folding fallback only makes sense for names that could
-		// be a registered command at all: a hostile resp.MaxBulkLen name must
-		// not cost a megabytes-sized ToUpper copy just to miss.
-		if !ok && len(name) <= longestCommandName {
-			bc, ok = s.cmds[strings.ToUpper(string(name))]
-		}
-		if !ok {
-			if ctx.cs != nil && ctx.cs.inTxn {
-				ctx.cs.dirty = true
-			}
-			ctx.w.errorf("unknown command '%s'", errorEcho(name))
-			return false
-		}
-		*slot = bc
 	}
 	if !arityOK(bc.cmd.Arity, len(args)) {
 		if ctx.cs != nil && ctx.cs.inTxn {

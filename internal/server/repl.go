@@ -413,9 +413,9 @@ func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, e
 // sender so a stream blocked waiting for feed growth notices promptly
 // instead of holding a cursor forever.
 func (rs *replState) readAcks(sd *replSender) {
-	br := resp.NewReader(sd.conn)
+	d := resp.NewDecoder(resp.NewReader(sd.conn))
 	for {
-		args, _, err := repl.ReadEntry(br)
+		args, _, err := repl.ReadEntryFrom(d)
 		if err != nil {
 			sd.abort("replica connection lost")
 			return
@@ -584,8 +584,9 @@ func (l *replicaLink) connectAndApply(ctx *Ctx, backoff *time.Duration) error {
 		}
 	}()
 
+	d := resp.NewDecoder(br)
 	for {
-		args, raw, err := repl.ReadEntry(br)
+		args, raw, err := repl.ReadEntryFrom(d)
 		if err != nil {
 			return err
 		}
@@ -606,7 +607,7 @@ func (l *replicaLink) connectAndApply(ctx *Ctx, backoff *time.Duration) error {
 func (l *replicaLink) apply(ctx *Ctx, args [][]byte, raw []byte) {
 	rs := l.rs
 	ok := false
-	if bc, found := rs.s.cmds[strings.ToUpper(string(args[0]))]; found && bc.cmd.Flags&FlagWrite != 0 {
+	if bc := rs.s.lookup(ctx, args[0]); bc != nil && bc.cmd.Flags&FlagWrite != 0 {
 		e0 := ctx.w.errs
 		rs.s.dispatch(ctx, args)
 		ok = ctx.w.errs == e0

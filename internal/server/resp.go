@@ -26,30 +26,33 @@ import (
 // Reply is one decoded RESP value (what Client.Recv returns).
 type Reply = resp.Reply
 
-// respReader reads client commands off a connection. The framing and its
-// limits are internal/resp's; this reader adds only what a client connection
-// tolerates and a replication stream does not: inline commands and empty
-// arrays.
+// respReader reads client commands off a connection. The framing, its limits
+// and the storage the arguments live in are internal/resp's decoder; this
+// reader adds only what a client connection tolerates and a replication
+// stream does not: inline commands and empty arrays.
 type respReader struct {
-	br *bufio.Reader
+	d *resp.Decoder
 }
 
-func newRespReader(r io.Reader) *respReader { return &respReader{br: resp.NewReader(r)} }
+func newRespReader(r io.Reader) *respReader {
+	return &respReader{d: resp.NewDecoder(resp.NewReader(r))}
+}
 
 // ReadCommand reads one client command: either a RESP array of bulk strings
 // (what real clients send) or an inline command (a plain text line, for
-// telnet/netcat debugging). The returned slices are freshly allocated.
-// Empty commands (*0, *-1, blank inline lines) are skipped iteratively —
-// never recursively, so a stream of them cannot grow the stack.
+// telnet/netcat debugging). The arguments are views of the reader's storage,
+// valid until the next ReadCommand: whoever keeps one copies it. Empty
+// commands (*0, *-1, blank inline lines) are skipped iteratively — never
+// recursively, so a stream of them cannot grow the stack.
 func (r *respReader) ReadCommand() ([][]byte, error) {
 	for {
-		first, err := r.br.Peek(1)
+		first, err := r.d.Peek()
 		if err != nil {
 			return nil, err
 		}
 		var args [][]byte
 		if first[0] == '*' {
-			args, err = resp.ReadCommand(r.br, nil)
+			args, err = r.d.ReadCommand()
 		} else {
 			args, err = r.readInline()
 		}
@@ -59,25 +62,17 @@ func (r *respReader) ReadCommand() ([][]byte, error) {
 	}
 }
 
-// readInline parses a whitespace-separated plain-text command line; a blank
-// line returns (nil, nil) for the caller to skip.
+// readInline parses a whitespace-separated plain-text command line into
+// views of the line; a blank line returns (nil, nil) for the caller to skip.
 func (r *respReader) readInline() ([][]byte, error) {
-	line, err := resp.ReadLine(r.br)
-	if err != nil {
-		return nil, err
-	}
-	fields := bytes.Fields(line)
-	args := make([][]byte, len(fields))
-	for i, f := range fields {
-		args[i] = append([]byte(nil), f...)
-	}
-	return args, nil
+	line, err := resp.ReadLine(r.d.Reader())
+	return bytes.Fields(line), err
 }
 
 // buffered reports whether more request bytes are already available without
 // blocking — the pipelining signal: replies are batched until the input
 // drains.
-func (r *respReader) buffered() bool { return r.br.Buffered() > 0 }
+func (r *respReader) buffered() bool { return r.d.Reader().Buffered() > 0 }
 
 // respWriter encodes RESP2 replies. errs counts error replies written — the
 // stats middleware diffs it around a handler call to attribute errors to
@@ -159,6 +154,18 @@ func (w *respWriter) bulk(b []byte) {
 	w.crlf()
 	w.bw.Write(b)
 	w.crlf()
+}
+
+const bulkHeaderRoom = 23 // the longest bulk header: '$', 20 digits, CRLF
+
+// bulkInPlace writes buf[bulkHeaderRoom:] as a bulk reply, buf having been
+// appended to bw.AvailableBuffer(): the header goes to its front, the payload
+// moves up against it, and Write finds the bytes where it would put them.
+func (w *respWriter) bulkInPlace(buf []byte) {
+	hdr := strconv.AppendInt(append(buf[:0], '$'), int64(len(buf)-bulkHeaderRoom), 10)
+	hdr = append(hdr, '\r', '\n')
+	n := len(hdr) + copy(buf[len(hdr):], buf[bulkHeaderRoom:])
+	w.bw.Write(append(buf[:n], '\r', '\n'))
 }
 func (w *respWriter) nilBulk()  { w.bw.WriteString("$-1"); w.crlf() }
 func (w *respWriter) nilArray() { w.bw.WriteString("*-1"); w.crlf() }

@@ -81,9 +81,9 @@ func (cs *connState) reset() {
 // enqueue admits one already-validated (lookup + arity) command to the
 // queue. DenyTxn commands poison the transaction instead: SAVE would take
 // the checkpoint barrier mid-EXEC and SHUTDOWN would tear the connection down.
-// The queue retains args past this call, which is safe because ReadCommand's
-// documented contract is that every returned slice is freshly allocated,
-// never a view into a reused read buffer.
+// args are the reader's until its next read: the queue keeps its own copy, one
+// exact vector and one payload buffer per command — a vector shared by the
+// queue would leave outgrown arrays pinned past what queuedBytes meters.
 func (cs *connState) enqueue(ctx *Ctx, bc *boundCmd, args [][]byte) {
 	if bc.cmd.Flags&FlagDenyTxn != 0 {
 		cs.dirty = true
@@ -129,7 +129,12 @@ func (cs *connState) enqueue(ctx *Ctx, bc *boundCmd, args [][]byte) {
 		}
 	}
 	cs.queuedBytes += sz
-	cs.queue = append(cs.queue, queuedCmd{bc: bc, args: args})
+	own, payload := make([][]byte, len(args)), make([]byte, 0, sz-len(args)*txnArgOverhead)
+	for i, a := range args {
+		payload = append(payload, a...)
+		own[i] = payload[len(payload)-len(a) : len(payload) : len(payload)]
+	}
+	cs.queue = append(cs.queue, queuedCmd{bc: bc, args: own})
 	ctx.w.simple("QUEUED")
 }
 
