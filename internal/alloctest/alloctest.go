@@ -3,7 +3,7 @@
 // and applications treat allocators interchangeably, so the suite pins down
 // the contract: distinct non-overlapping blocks, cross-handle free,
 // usability of the full extent, large allocations, OOM behavior, and
-// concurrent correctness.
+// concurrent correctness. Crasher is every crash sweep's store-hook injector.
 package alloctest
 
 import (
@@ -228,3 +228,45 @@ func Churn(hd alloc.Handle, n int, size uint64) {
 
 // RoundFor mirrors what a workload can assume about block capacity.
 func RoundFor(size uint64) uint64 { return sizeclass.Round(size) }
+
+// Crasher simulates a power failure at a chosen store. Installed as a
+// region's pmem.Config.StoreHook (Hook), it panics at the n-th store after
+// Arm(n); Run catches that panic and no other. Disarmed it only reads, so
+// recovery's parallel workers may store beside it; armed, the stores it
+// counts must come from one goroutine.
+type Crasher struct{ armed, stores int } // armed 0 = disarmed
+
+type crashed struct{}
+
+// Hook is the StoreHook.
+func (c *Crasher) Hook() {
+	if c.armed != 0 {
+		if c.stores++; c.stores == c.armed {
+			c.armed = 0
+			panic(crashed{})
+		}
+	}
+}
+
+// Arm makes the n-th store from now the last (0 disarms; math.MaxInt counts).
+func (c *Crasher) Arm(n int) { c.armed, c.stores = n, 0 }
+
+// Stores reports the stores seen since the last Arm.
+func (c *Crasher) Stores() int { return c.stores }
+
+// Run runs fn, disarms, and reports whether the armed store cut fn short.
+func (c *Crasher) Run(fn func()) (cut bool) {
+	defer func() {
+		c.armed = 0
+		if r := recover(); r != nil {
+			if cut = true; r != (crashed{}) {
+				panic(r)
+			}
+		}
+	}()
+	fn()
+	return false
+}
+
+// At runs fn with the crash armed at its n-th store.
+func (c *Crasher) At(n int, fn func()) bool { c.Arm(n); return c.Run(fn) }

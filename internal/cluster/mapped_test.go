@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
@@ -55,12 +57,13 @@ func TestHeapKilledWhileBeingCreatedOpensAgain(t *testing.T) {
 	}
 	defer os.RemoveAll(dir)
 	base := filepath.Join(dir, "kv.heap")
-	counted := 0
-	c, err := Open(base, mappedConfig(func() { counted++ }))
+	var crash alloctest.Crasher
+	var c *Cluster
+	crash.At(math.MaxInt, func() { c, err = Open(base, mappedConfig(crash.Hook)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := counted
+	stores := crash.Stores()
 	wantAlloc, wantReach, _ := census(t, c)
 	if wantAlloc != wantReach || wantAlloc == 0 {
 		t.Fatalf("reference heap: %d blocks allocated, %d reachable", wantAlloc, wantReach)
@@ -69,7 +72,6 @@ func TestHeapKilledWhileBeingCreatedOpensAgain(t *testing.T) {
 
 	// Every store; under -short (the race job) every 16th and the last 64,
 	// which span the heap magic and the store's creation and rooting.
-	type killed struct{}
 	for n := 1; n <= stores; n++ {
 		if testing.Short() && n%16 != 0 && n <= stores-64 {
 			continue
@@ -77,19 +79,9 @@ func TestHeapKilledWhileBeingCreatedOpensAgain(t *testing.T) {
 		if err := os.Remove(base); err != nil {
 			t.Fatal(err)
 		}
-		seen := 0
-		func() {
-			defer func() {
-				if r := recover(); r != (killed{}) {
-					t.Fatalf("store %d: creation ended with %v, want the injected kill", n, r)
-				}
-			}()
-			openShard(base, mappedConfig(func() {
-				if seen++; seen == n {
-					panic(killed{})
-				}
-			}))
-		}()
+		if !crash.At(n, func() { openShard(base, mappedConfig(crash.Hook)) }) {
+			t.Fatalf("store %d: creation ended without the injected kill", n)
+		}
 		c, err := Open(base, mappedConfig(nil))
 		if err != nil {
 			t.Fatalf("killed at store %d of creation: the heap never opens again: %v", n, err)

@@ -3,6 +3,7 @@ package dstruct
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 )
@@ -13,27 +14,13 @@ import (
 // must leave the structure in a consistent pre- or post-operation state and
 // the allocator consistent either way.
 
-type dsCrash struct{ k int }
-
 func stackWithCrashAt(t *testing.T, k int) (*ralloc.Heap, int) {
 	t.Helper()
-	var countdown int
-	armed := false
+	var crash alloctest.Crasher
 	h, _, err := ralloc.Open("", ralloc.Config{
 		SBRegion:    8 << 20,
 		GrowthChunk: 1 << 20,
-		Pmem: pmem.Config{
-			Mode: pmem.ModeCrashSim,
-			StoreHook: func() {
-				if !armed {
-					return
-				}
-				countdown--
-				if countdown == 0 {
-					panic(dsCrash{k})
-				}
-			},
-		},
+		Pmem:        pmem.Config{Mode: pmem.ModeCrashSim, StoreHook: crash.Hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,18 +34,7 @@ func stackWithCrashAt(t *testing.T, k int) (*ralloc.Heap, int) {
 	h.SetRoot(0, root)
 
 	completed := 0
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, ok := r.(dsCrash); !ok {
-				panic(r)
-			}
-		}()
-		countdown = k
-		armed = true
+	crash.At(k, func() {
 		for i := 0; i < 50; i++ {
 			if !s.Push(hd, uint64(1000+i)) {
 				t.Error("push OOM")
@@ -66,8 +42,7 @@ func stackWithCrashAt(t *testing.T, k int) (*ralloc.Heap, int) {
 			}
 			completed = i + 1
 		}
-	}()
-	armed = false
+	})
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}

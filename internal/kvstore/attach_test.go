@@ -6,6 +6,7 @@ import (
 	"maps"
 	"testing"
 
+	"repro/internal/dstruct"
 	"repro/internal/pmem"
 	"repro/internal/pptr"
 	"repro/internal/ralloc"
@@ -14,8 +15,7 @@ import (
 // A dirty heap's store is attached by one of two drivers of one per-record
 // routine (dstruct.Recovery): the bucket walk, after a recovery that used the
 // pure filter, or the recovery trace itself. restartMode says which, and with
-// how many recovery workers; every crash sweep of this package recovers each
-// of its crash images under every mode, its own assertions being the oracle.
+// how many recovery workers; the tests here recover under every mode.
 type restartMode struct {
 	fused   bool
 	workers int
@@ -50,6 +50,21 @@ func (m restartMode) restart(t *testing.T, h *ralloc.Heap, bound uint64) *Store 
 		return at.Finish()
 	}
 	return AttachBounded(a, root, bound)
+}
+
+// walkedRecords counts the records actually reachable in the map, expired
+// ones included — what Len must equal.
+func walkedRecords(s *Store) int {
+	n := 0
+	s.m.Range(0, s.m.Buckets(), func(dstruct.Record) bool { n++; return true })
+	return n
+}
+
+func assertLenMatchesWalk(t *testing.T, s *Store) {
+	t.Helper()
+	if walked := walkedRecords(s); s.Len() != walked {
+		t.Fatalf("walk sees %d records, Len()=%d", walked, s.Len())
+	}
 }
 
 var attachImageCfg = ralloc.Config{SBRegion: 4 << 20, GrowthChunk: 1 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}
@@ -182,10 +197,10 @@ func TestFusedAttachEqualsTraceThenWalk(t *testing.T) {
 		if _, err := h.CheckInvariants(); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		assertLenMatchesWalk(t, s, 0)
+		assertLenMatchesWalk(t, s)
 		free = outcome{len: s.Len(), exp: maps.Clone(s.exp.at), blocks: blocks(h), stats: s.Stats()}
 		s = m.restart(t, openAttachImage(t, img), bound)
-		assertLenMatchesWalk(t, s, 0)
+		assertLenMatchesWalk(t, s)
 		return free, outcome{len: s.Len(), stats: s.Stats()}
 	}
 	wantFree, wantBounded := recoverAs(restartMode{false, 1})

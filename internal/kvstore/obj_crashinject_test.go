@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 )
@@ -20,8 +21,6 @@ import (
 // the one in-flight mutation wholly present or wholly absent, never a
 // half-linked node — and the deque's repairable words (tail, prev, length)
 // agree with the authoritative forward chain.
-
-type objCrash struct{ k int }
 
 // objWorld is the model of acknowledged object state.
 type objWorld struct {
@@ -63,23 +62,11 @@ func (w *objWorld) clone() *objWorld {
 // beyond the phase's store count).
 func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, done bool) {
 	t.Helper()
-	var countdown int
-	armed := false
+	var c alloctest.Crasher
 	h, _, err := ralloc.Open("", ralloc.Config{
 		SBRegion:    16 << 20,
 		GrowthChunk: 1 << 20,
-		Pmem: pmem.Config{
-			Mode: pmem.ModeCrashSim,
-			StoreHook: func() {
-				if !armed {
-					return
-				}
-				countdown--
-				if countdown == 0 {
-					panic(objCrash{k})
-				}
-			},
-		},
+		Pmem:        pmem.Config{Mode: pmem.ModeCrashSim, StoreHook: c.Hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +106,8 @@ func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, 
 	// Armed phase: a deterministic mix hitting every persist point. Each
 	// step computes the post-state first, then executes; if the hook fires
 	// mid-step, `pending` holds the step's would-be outcome.
-	done = func() (finished bool) {
-		defer func() {
-			armed = false
-			if r := recover(); r != nil {
-				if _, ok := r.(objCrash); !ok {
-					panic(r)
-				}
-			}
-		}()
-		countdown = k
-		armed = true
+	// done stays false when the crash cuts the phase short.
+	armedPhase := func() bool {
 		step := func(mutate func(w *objWorld), op func() error) bool {
 			next := acked.clone()
 			mutate(next)
@@ -215,7 +193,8 @@ func objCrashAt(t *testing.T, k int) (h *ralloc.Heap, acked, pending *objWorld, 
 			}
 		}
 		return true
-	}()
+	}
+	c.At(k, func() { done = armedPhase() })
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +307,7 @@ func objCrashSweep(t *testing.T, mode restartMode) {
 				t.Fatalf("k=%d: post-recovery HSet(%s): %v", k, hk, err)
 			}
 		}
-		assertLenMatchesWalk(t, s, k)
+		assertLenMatchesWalk(t, s)
 		if _, err := h.CheckInvariants(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 )
@@ -17,31 +18,17 @@ import (
 // under test is the PR's headline guarantee: no key acknowledged as expired
 // is ever resurrected, and no live key is dropped.
 
-type ttlCrash struct{ k int }
-
 // ttlCrashAt builds a store, acknowledges a known population, then runs
 // expiry-heavy traffic that crashes at the k-th persistent store. It returns
 // the heap, the clock, and which keys were acknowledged expired / written
 // before the crash hit.
 func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcked map[string]bool, newAcked map[string]bool) {
 	t.Helper()
-	var countdown int
-	armed := false
+	var c alloctest.Crasher
 	h, _, err := ralloc.Open("", ralloc.Config{
 		SBRegion:    16 << 20,
 		GrowthChunk: 1 << 20,
-		Pmem: pmem.Config{
-			Mode: pmem.ModeCrashSim,
-			StoreHook: func() {
-				if !armed {
-					return
-				}
-				countdown--
-				if countdown == 0 {
-					panic(ttlCrash{k})
-				}
-			},
-		},
+		Pmem:        pmem.Config{Mode: pmem.ModeCrashSim, StoreHook: c.Hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,19 +71,7 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 	// records with future TTLs, and run the active reclaim — the crash
 	// lands somewhere inside one of these multi-store operations.
 	newAcked = map[string]bool{}
-	func() {
-		defer func() {
-			armed = false
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, ok := r.(ttlCrash); !ok {
-				panic(r)
-			}
-		}()
-		countdown = k
-		armed = true
+	c.At(k, func() {
 		for i := 0; i < 15; i++ {
 			key := fmt.Sprintf("keep-%02d", i)
 			if !s.Expire([]byte(key), clk.now()-1) {
@@ -112,7 +87,7 @@ func ttlCrashAt(t *testing.T, k int) (h *ralloc.Heap, clk *fakeClock, expireAcke
 			newAcked[nkey] = true
 			s.ReclaimExpired(hd, 3)
 		}
-	}()
+	})
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +106,7 @@ func ttlCrashSweep(t *testing.T, mode restartMode) {
 		a := h.AsAllocator()
 		s := mode.restart(t, h, 0)
 		s.SetClock(clk.now)
-		assertLenMatchesWalk(t, s, k) // corpses included: DBSIZE counts them
+		assertLenMatchesWalk(t, s) // corpses included: DBSIZE counts them
 
 		// No acked-expired key may be resurrected: whether its record was
 		// reclaimed, is still present with the past stamp, or an in-flight
@@ -178,7 +153,7 @@ func ttlCrashSweep(t *testing.T, mode restartMode) {
 				t.Fatalf("k=%d: %s resurrected after reclaim drain", k, key)
 			}
 		}
-		assertLenMatchesWalk(t, s, k)
+		assertLenMatchesWalk(t, s)
 		if _, err := h.CheckInvariants(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -94,9 +94,11 @@ type Config struct {
 	// Seed seeds the eviction lottery; 0 means a fixed default so crash
 	// tests are reproducible.
 	Seed int64
-	// StoreHook, if non-nil, is invoked after every Store/CAS. Tests use
-	// it to inject crashes at precise points inside multi-step operations
-	// (typically by panicking with a sentinel that the test recovers).
+	// StoreHook, if non-nil, is invoked after every Store, CAS and Add;
+	// tests panic from it to crash inside multi-step operations. WriteBytes
+	// and Zero do not invoke it: under a strict crash an unflushed payload
+	// write is lost, so a crash just after one leaves the same image as a
+	// crash at the store before it.
 	StoreHook func()
 	// SnapshotHook, if non-nil, is invoked at each phase boundary of an
 	// online snapshot (SaveFileOnline). Crash-injection tests use it the

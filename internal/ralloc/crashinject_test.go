@@ -3,6 +3,7 @@ package ralloc
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/pmem"
 	"repro/internal/pptr"
 )
@@ -13,16 +14,13 @@ import (
 // operation boundaries. Recovery must still satisfy recoverability from
 // whatever survived write-back.
 
-type injectedCrash struct{ store int }
-
 // runWithCrashAt builds a heap, durably constructs a base list, then runs a
 // mutation phase with the hook armed to blow up at the k-th store. It
 // returns the heap (post-simulated-crash) and how many nodes had been
 // durably attached to root 1 before the explosion.
 func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 	t.Helper()
-	var countdown int
-	armed := false
+	var crash alloctest.Crasher
 	cfg := Config{
 		SBRegion:    8 << 20,
 		GrowthChunk: 1 << 20,
@@ -30,15 +28,7 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 			Mode:      pmem.ModeCrashSim,
 			EvictProb: evict,
 			Seed:      int64(k) + 1,
-			StoreHook: func() {
-				if !armed {
-					return
-				}
-				countdown--
-				if countdown == 0 {
-					panic(injectedCrash{k})
-				}
-			},
+			StoreHook: crash.Hook,
 		},
 	}
 	h, _, err := Open("", cfg)
@@ -49,18 +39,7 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 	buildList(t, h, hd, 50, 0) // durable base structure on root 0
 
 	attached := 0
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return // k was larger than the phase's store count
-			}
-			if _, ok := r.(injectedCrash); !ok {
-				panic(r) // a real bug, re-raise
-			}
-		}()
-		countdown = k
-		armed = true
+	crash.At(k, func() {
 		r := h.Region()
 		var prev uint64
 		for i := 0; i < 200; i++ {
@@ -83,8 +62,7 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 			prev = n
 			attached = i + 1
 		}
-	}()
-	armed = false
+	})
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}

@@ -226,59 +226,9 @@ func TestReplicationBasic(t *testing.T) {
 // FlagWrite command's successful invocation must append exactly one feed
 // entry, carrying the executed args — or the clock-free rewrite for the
 // EXPIRE/SETEX families, whose relative durations must not reach a replica.
-// The sample table is completeness-checked in both directions, like
-// TestEveryWriteCommandPersists.
+// The samples are writeSamples (persistwrite_test.go).
 func TestEveryWriteCommandPropagates(t *testing.T) {
-	type sample struct {
-		setup [][]string
-		cmd   []string
-		// rewrite, when non-empty, is the command name the feed entry must
-		// carry instead of the one sent.
-		rewrite string
-	}
-	samples := map[string]sample{
-		"SET":       {cmd: []string{"SET", "rp:set", "v"}},
-		"SETNX":     {cmd: []string{"SETNX", "rp:setnx", "v"}},
-		"SETEX":     {cmd: []string{"SETEX", "rp:setex", "100", "v"}, rewrite: "PSETEXAT"},
-		"PSETEX":    {cmd: []string{"PSETEX", "rp:psetex", "100000", "v"}, rewrite: "PSETEXAT"},
-		"APPEND":    {setup: [][]string{{"SET", "rp:append", "v"}}, cmd: []string{"APPEND", "rp:append", "w"}},
-		"GETSET":    {setup: [][]string{{"SET", "rp:getset", "v"}}, cmd: []string{"GETSET", "rp:getset", "w"}},
-		"GETDEL":    {setup: [][]string{{"SET", "rp:getdel", "v"}}, cmd: []string{"GETDEL", "rp:getdel"}},
-		"INCR":      {setup: [][]string{{"SET", "rp:incr", "41"}}, cmd: []string{"INCR", "rp:incr"}},
-		"MSET":      {cmd: []string{"MSET", "rp:mset1", "v", "rp:mset2", "v"}},
-		"DEL":       {setup: [][]string{{"SET", "rp:del", "v"}}, cmd: []string{"DEL", "rp:del"}},
-		"FLUSHALL":  {setup: [][]string{{"SET", "rp:flushall", "v"}}, cmd: []string{"FLUSHALL"}},
-		"EXPIRE":    {setup: [][]string{{"SET", "rp:expire", "v"}}, cmd: []string{"EXPIRE", "rp:expire", "100"}, rewrite: "PEXPIREAT"},
-		"PEXPIRE":   {setup: [][]string{{"SET", "rp:pexpire", "v"}}, cmd: []string{"PEXPIRE", "rp:pexpire", "100000"}, rewrite: "PEXPIREAT"},
-		"PERSIST":   {setup: [][]string{{"SET", "rp:persist", "v"}, {"EXPIRE", "rp:persist", "100"}}, cmd: []string{"PERSIST", "rp:persist"}},
-		"PEXPIREAT": {setup: [][]string{{"SET", "rp:pexpireat", "v"}}, cmd: []string{"PEXPIREAT", "rp:pexpireat", "99999999999999"}},
-		"PSETEXAT":  {cmd: []string{"PSETEXAT", "rp:psetexat", "99999999999999", "v"}},
-		"HSET":      {cmd: []string{"HSET", "rp:hset", "f", "v"}},
-		"HDEL":      {setup: [][]string{{"HSET", "rp:hdel", "f", "v"}}, cmd: []string{"HDEL", "rp:hdel", "f"}},
-		"LPUSH":     {cmd: []string{"LPUSH", "rp:lpush", "v"}},
-		"RPUSH":     {cmd: []string{"RPUSH", "rp:rpush", "v"}},
-		"LPOP":      {setup: [][]string{{"RPUSH", "rp:lpop", "a", "b"}}, cmd: []string{"LPOP", "rp:lpop"}},
-		"RPOP":      {setup: [][]string{{"RPUSH", "rp:rpop", "a", "b"}}, cmd: []string{"RPOP", "rp:rpop"}},
-	}
-
-	writeCmds := map[string]bool{}
-	for _, cmd := range Commands() {
-		if cmd.Flags&FlagWrite != 0 {
-			writeCmds[cmd.Name] = true
-			if _, ok := samples[cmd.Name]; !ok {
-				t.Errorf("write command %s has no propagation sample: add one to this test", cmd.Name)
-			}
-		}
-	}
-	for name := range samples {
-		if !writeCmds[name] {
-			t.Errorf("sample %s is not a FlagWrite command in the registry: drop or fix it", name)
-		}
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-
+	cmds := writeCommands(t)
 	ts := startServer(t, Config{ReplBacklogBytes: 1 << 20}, 0)
 	c := dial(t, ts)
 	feed := ts.srv.repl.feed
@@ -305,11 +255,8 @@ func TestEveryWriteCommandPropagates(t *testing.T) {
 		return out
 	}
 
-	for _, cmd := range Commands() {
-		if cmd.Flags&FlagWrite == 0 {
-			continue
-		}
-		s := samples[cmd.Name]
+	for _, cmd := range cmds {
+		s := writeSamples[cmd.Name]
 		for _, pre := range s.setup {
 			if rp, err := c.Do(pre...); err != nil || rp.Kind == '-' {
 				t.Fatalf("%s setup %v: err=%v reply=%+v", cmd.Name, pre, err, rp)
@@ -371,7 +318,7 @@ func TestEveryWriteCommandPropagates(t *testing.T) {
 
 	// Error replies propagate nothing.
 	off0 := feed.Offset()
-	if rp, _ := c.Do("INCR", "rp:set"); rp.Kind != '-' {
+	if rp, _ := c.Do("INCR", "pw:set"); rp.Kind != '-' {
 		t.Fatalf("INCR on a non-integer = %+v (want error)", rp)
 	}
 	if rp, _ := c.Do("SETEX", "rp:bad", "-1", "v"); rp.Kind != '-' {
