@@ -15,10 +15,11 @@ import (
 // between the publish and the (missing) write-back recovers a reachable
 // record with torn payload.
 //
-// Checkpoint calls are covered too: SaveFile (quiesced, shadow-based) with
+// Checkpoint calls are covered too: SaveFile, which writes the persisted
+// image (a crash-sim heap's clean Close uses it; SAVE never does), with
 // unflushed writes in scope is reported — the file would silently lack them —
-// while SaveFileOnline is recognized as its own publish point (write barrier
-// + cut-over fence + atomic rename) needing no prior flush.
+// while SaveFileOnline, SAVE's one path, is its own publish point (write
+// barrier + cut-over fence + atomic rename) needing no prior flush.
 //
 // The analysis is linear per function scope: statements are considered in
 // source order, any Flush is credited against all earlier writes (the real

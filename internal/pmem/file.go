@@ -164,7 +164,7 @@ func (r *Region) SaveFile(path string) error {
 // checkpoint the caller already treated as durable. beforeRename, when
 // non-nil, runs between the close and the rename (crash injection). On any
 // failure the temp file is removed. It is the one publish every image
-// writer — SaveFile, OnlineSave.Publish, a replica's download — ends with.
+// writer — SaveFile, SaveFileOnline, a replica's download — ends with.
 func PublishFile(f *os.File, path string, beforeRename func()) error {
 	tmp := f.Name()
 	err := f.Sync()

@@ -2,15 +2,15 @@ package pmem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
 )
 
 // Online snapshots: checkpoint the region to a file while mutators keep
-// running, in the style of a concurrent mark phase. The quiesced path
-// (Persist + SaveFile) stops every writer for the full image write; here the
-// writers only stop for the final delta.
+// running, in the style of a concurrent mark phase — how SAVE writes every
+// image: the writers stop only for the final delta, never for the write.
 //
 // Mechanism. SaveFileOnline arms a write barrier — a per-cache-line dirty
 // bitmap separate from the crash-sim write-back flags — and then
@@ -19,8 +19,8 @@ import (
 //     sequentially, while commands execute;
 //  2. delta: re-copies the lines the barrier reported dirty since they were
 //     last copied, in bounded rounds, still concurrent;
-//  3. fence: inside the caller-supplied fence (the server takes its execMu
-//     write side: in-flight command batches drain, new ones wait), re-copies
+//  3. fence: inside the caller-supplied fence (the server holds its shards'
+//     barrier write sides: command batches drain, new ones wait), re-copies
 //     the final dirty set and disarms the barrier;
 //  4. publish: fsync, rename over the previous image, fsync the directory.
 //
@@ -34,12 +34,10 @@ import (
 // point exactly.
 //
 // Consistency. At the fence every command batch has completed, so the
-// captured state is the same fully-applied image the quiesced path's
-// Persist-then-SaveFile would have written (a completed command has flushed
-// and fenced everything it acknowledged; transient scribble that a real
-// crash would lose rides along in both paths). The image is written with the
-// dirty flag as-is — still set during serving — so a later kill -9 recovers
-// from this checkpoint through the normal dirty → Recover path.
+// captured state is fully applied: a completed command has flushed and
+// fenced everything it acknowledged (transient scribble that a real crash
+// would lose rides along). The image keeps the dirty flag as-is — still set
+// during serving — so it recovers through the normal dirty → Recover path.
 
 // snapTracker is the write barrier's state, armed for the duration of one
 // online snapshot.
@@ -116,60 +114,65 @@ const (
 	snapMaxRunLines = 1024
 )
 
-// OnlineSave is an online snapshot split into its phase boundaries, so a
-// caller coordinating several regions (the cluster layer) can run every
-// region's concurrent copy phase first, then cut them all under one shared
-// fence — producing N images that represent a single point in the global
-// command order — and only then publish. The lifecycle is
-// BeginOnlineSave → Cut (with mutators stopped) → Publish, with Abort valid
-// instead of either of the last two. SaveFileOnline composes the three for
-// the single-region case.
-type OnlineSave struct {
-	r         *Region
-	f         *os.File
-	t         *snapTracker
-	buf       []byte // one WriteAt batch: snapMaxRunLines lines
-	tmp, path string
-	st        SnapshotStats
-	cut       bool
-	released  bool // snapshot slot given back (Publish ran or Abort ran)
+// onlineSave is one SaveFileOnline in flight: the temp image, the armed
+// write barrier and what has been copied so far.
+type onlineSave struct {
+	r   *Region
+	f   *os.File
+	t   *snapTracker
+	buf []byte // one WriteAt batch: snapMaxRunLines lines
+	st  SnapshotStats
+	cut bool // the fence's cut ran and succeeded
 }
 
-// BeginOnlineSave starts an online snapshot of the region: arms the write
-// barrier, streams the full image to a temp file and chases the dirty set
-// in bounded concurrent rounds — everything that runs while mutators keep
-// executing. The caller must finish with Cut+Publish or Abort; the region's
-// snapshot slot stays held (concurrent snapshots serialize) until then. A
-// mapped region's own file is refused as the target.
-func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
-	if fi, serr := os.Stat(path); r.mapped != nil && serr == nil && os.SameFile(fi, r.file) {
-		// Publish renames over path: the heap would be a file with no name.
-		return nil, fmt.Errorf("pmem: %s is the file this region is mapped from; snapshot to another path", path)
+// SaveFileOnline checkpoints the region to path while mutators keep running,
+// calling fence(cut) exactly once at cut-over. fence must stop every region
+// mutator (the server acquires its checkpoint barrier's write side), invoke
+// cut() — the final delta copy — and release; its exclusive section is the
+// only part of the checkpoint that stalls writers; a fence that returns nil
+// without a successful cut fails the save. The publish is PublishFile's: a
+// crash at any point leaves the previous image or the new one, never a tear.
+// A mapped region's own file is refused as the target.
+//
+// To cut several regions at one point of its command order, a caller nests
+// the calls: its fence for one region runs the next region's SaveFileOnline,
+// and the innermost fence runs every cut. The images publish innermost
+// first; a failure or panic unwinds through each call, removing its temp file.
+//
+// Concurrent callers serialize. Crash must not run while a snapshot is in
+// flight (the real-world analog is the checkpointer dying with the machine:
+// the previous on-disk image is what recovers).
+func (r *Region) SaveFileOnline(path string, fence func(cut func() error) error) (SnapshotStats, error) {
+	if fi, err := os.Stat(path); r.mapped != nil && err == nil && os.SameFile(fi, r.file) {
+		// The publish renames over path: the heap would be a file with no name.
+		return SnapshotStats{}, fmt.Errorf("pmem: %s is the file this region is mapped from; snapshot to another path", path)
 	}
 	r.snapMu.Lock()
-	o := &OnlineSave{r: r, path: path, tmp: path + ".tmp", buf: make([]byte, snapMaxRunLines*LineBytes)}
+	defer r.snapMu.Unlock()
 	lines := r.size / LineBytes
-	o.t = &snapTracker{dirty: make([]uint32, lines)}
+	o := &onlineSave{r: r, t: &snapTracker{dirty: make([]uint32, lines)}, buf: make([]byte, snapMaxRunLines*LineBytes)}
 	// Arm before the first line is read so no concurrent store can slip
-	// between read and barrier. The deferred Abort covers every failure —
-	// including a SnapshotHook panic (crash injection) — and is a no-op
-	// once the OnlineSave has been handed to the caller.
+	// between read and barrier. The deferred cleanup covers every failure,
+	// a SnapshotHook panic (crash injection) in any phase or out of fence
+	// too; after a publish the temp name is already gone.
 	r.snap.Store(o.t)
+	tmp := path + ".tmp"
 	defer func() {
-		if save == nil {
-			o.Abort()
+		r.snap.Store(nil)
+		if o.f != nil {
+			o.f.Close()
 		}
+		os.Remove(tmp)
 	}()
 
-	f, err := os.Create(o.tmp)
+	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, err
+		return o.st, err
 	}
 	o.f = f
-
 	id, off := r.ReplMeta()
 	if err := writeImageHeader(f, r.size, r.cfg.Mode, imageFlagOnline, id, off); err != nil {
-		return nil, err
+		return o.st, err
 	}
 	// Phase 1 — streaming copy of every line, concurrent with mutators.
 	for l := uint64(0); l < lines; l += snapMaxRunLines {
@@ -178,7 +181,7 @@ func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
 			r.cfg.SnapshotHook(SnapCopy) // the injected kill sees a genuinely partial file
 		}
 		if err := o.writeLines(l, n); err != nil {
-			return nil, err
+			return o.st, err
 		}
 	}
 	o.st.Lines = lines
@@ -188,7 +191,7 @@ func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
 	for round := 0; round < snapMaxDeltaRounds; round++ {
 		n, err := o.copyDelta()
 		if err != nil {
-			return nil, err
+			return o.st, err
 		}
 		o.st.Rounds++
 		o.st.Recopied += n
@@ -199,16 +202,29 @@ func (r *Region) BeginOnlineSave(path string) (save *OnlineSave, err error) {
 			break
 		}
 	}
-	return o, nil
+
+	// Phase 3 — the caller's fence, which runs cutOver with mutators stopped.
+	if err := fence(o.cutOver); err != nil {
+		return o.st, err
+	}
+	if !o.cut {
+		return o.st, errors.New("pmem: fence returned without a successful cut")
+	}
+
+	// Phase 4 — publish: PublishFile closes the file.
+	var hook func()
+	if r.cfg.SnapshotHook != nil {
+		hook = func() { r.cfg.SnapshotHook(SnapRename) }
+	}
+	o.f = nil
+	return o.st, PublishFile(f, path, hook)
 }
 
-// Cut finishes the snapshot's capture: the final delta copy, the
-// replication-metadata re-stamp (final now that mutators are drained — the
-// header written during Begin carried a pre-copy value) and the barrier
-// disarm. The caller must have stopped every region mutator before calling
-// and may release them as soon as Cut returns; after it the temp file is a
-// point-in-time image, pending Publish.
-func (o *OnlineSave) Cut() error {
+// cutOver is the cut SaveFileOnline hands its fence: the final delta copy,
+// the replication-metadata re-stamp (final now that mutators are drained —
+// the header written before the copy carried a pre-copy value) and the
+// barrier disarm. After it the temp file is a point-in-time image.
+func (o *onlineSave) cutOver() error {
 	r := o.r
 	if r.cfg.SnapshotHook != nil {
 		r.cfg.SnapshotHook(SnapFence)
@@ -216,86 +232,22 @@ func (o *OnlineSave) Cut() error {
 	n, err := o.copyDelta()
 	o.st.Recopied += n
 	o.st.FenceRecopied = n
-	if err == nil {
-		var meta [16]byte
-		id, off := r.ReplMeta()
-		binary.LittleEndian.PutUint64(meta[:8], id)
-		binary.LittleEndian.PutUint64(meta[8:], off)
-		_, err = o.f.WriteAt(meta[:], replMetaHeaderOff)
-	}
 	r.snap.Store(nil)
-	o.cut = true
-	return err
-}
-
-// Publish makes the cut image durable and atomic (PublishFile) and releases
-// the region's snapshot slot.
-func (o *OnlineSave) Publish() (SnapshotStats, error) {
-	r := o.r
-	f := o.f
-	o.f = nil
-	o.released = true
-	defer r.snapMu.Unlock()
-	if !o.cut {
-		f.Close()
-		os.Remove(o.tmp)
-		return o.st, fmt.Errorf("pmem: Publish before Cut")
-	}
-	var hook func()
-	if r.cfg.SnapshotHook != nil {
-		hook = func() { r.cfg.SnapshotHook(SnapRename) }
-	}
-	return o.st, PublishFile(f, o.path, hook)
-}
-
-// Abort abandons the snapshot: disarms the barrier, removes the temp file
-// and releases the region's snapshot slot. Safe after any failed phase,
-// including a failed Cut.
-// Abort is idempotent and a no-op after Publish, so callers may defer it
-// as a catch-all next to explicit success paths.
-func (o *OnlineSave) Abort() {
-	if o.released {
-		return
-	}
-	o.released = true
-	o.r.snap.Store(nil)
-	if o.f != nil {
-		o.f.Close()
-		o.f = nil
-	}
-	os.Remove(o.tmp)
-	o.r.snapMu.Unlock()
-}
-
-// SaveFileOnline checkpoints the region to path while mutators keep running,
-// calling fence(cut) exactly once at cut-over. fence must stop every region
-// mutator (the server acquires its checkpoint barrier's write side), invoke
-// cut() — the final delta copy — and release; its exclusive section is the
-// only part of the checkpoint that stalls writers. Like SaveFile, the
-// publish is atomic: temp file, fsync, rename, directory sync — a crash at
-// any point leaves either the previous image or the new one, never a tear.
-//
-// Concurrent callers serialize; Crash must not run while a snapshot is in
-// flight (a crash discards the volatile image mid-copy — the real-world
-// analog is the checkpointing process dying with the machine, and the
-// previous on-disk image is what recovers).
-func (r *Region) SaveFileOnline(path string, fence func(cut func() error) error) (SnapshotStats, error) {
-	o, err := r.BeginOnlineSave(path)
 	if err != nil {
-		return SnapshotStats{}, err
+		return err
 	}
-	// Deferred so a panic out of the fence (crash injection via
-	// SnapshotHook) still disarms the barrier and releases the slot.
-	defer o.Abort()
-	if err := fence(o.Cut); err != nil {
-		return o.st, err
-	}
-	return o.Publish()
+	var meta [16]byte
+	id, off := r.ReplMeta()
+	binary.LittleEndian.PutUint64(meta[:8], id)
+	binary.LittleEndian.PutUint64(meta[8:], off)
+	_, err = o.f.WriteAt(meta[:], replMetaHeaderOff)
+	o.cut = err == nil
+	return err
 }
 
 // writeLines copies lines [l, l+n) of the volatile image to their place in
 // the image file; n is at most snapMaxRunLines.
-func (o *OnlineSave) writeLines(l, n uint64) error {
+func (o *onlineSave) writeLines(l, n uint64) error {
 	b := o.buf[:n*LineBytes]
 	o.r.copyLines(b, l, n)
 	_, err := o.f.WriteAt(b, int64(imageHeaderLen+l*LineBytes))
@@ -305,7 +257,7 @@ func (o *OnlineSave) writeLines(l, n uint64) error {
 // copyDelta re-copies every line the barrier has marked since its last copy,
 // clearing each mark before the re-read (the order the correctness argument
 // needs). Contiguous dirty runs are batched into one WriteAt.
-func (o *OnlineSave) copyDelta() (uint64, error) {
+func (o *onlineSave) copyDelta() (uint64, error) {
 	t := o.t
 	var n uint64
 	for l := 0; l < len(t.dirty); {

@@ -270,3 +270,22 @@ func TestOnlineSnapshotSerializes(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineSnapshotFenceMustCut: a fence that returns nil without calling
+// cut fails the save, publishes nothing and leaves no temp file or armed
+// barrier behind.
+func TestOnlineSnapshotFenceMustCut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kv.img")
+	r := NewRegion(1<<16, Config{})
+	if _, err := r.SaveFileOnline(path, func(func() error) error { return nil }); err == nil {
+		t.Fatal("a save whose fence never cut succeeded")
+	}
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s exists after the failed save (%v)", p, err)
+		}
+	}
+	if r.snap.Load() != nil {
+		t.Fatal("write barrier left armed")
+	}
+}

@@ -31,6 +31,13 @@ type shardedEnv struct {
 // injection); it may return nil for shards that get none.
 func startSharded(t *testing.T, n int, cfg Config, filed bool, snapHook func(shard int) func(pmem.SnapshotPhase)) *shardedEnv {
 	t.Helper()
+	return startShardedSized(t, n, 64<<20, cfg, filed, snapHook)
+}
+
+// startShardedSized is startSharded with sbRegion bytes of superblocks per
+// shard.
+func startShardedSized(t *testing.T, n int, sbRegion uint64, cfg Config, filed bool, snapHook func(shard int) func(pmem.SnapshotPhase)) *shardedEnv {
+	t.Helper()
 	e := &shardedEnv{}
 	dir := t.TempDir()
 	backends := make([]ShardBackend, n)
@@ -40,7 +47,7 @@ func startSharded(t *testing.T, n int, cfg Config, filed bool, snapHook func(sha
 			pcfg.SnapshotHook = snapHook(i)
 		}
 		h, _, err := ralloc.Open("", ralloc.Config{
-			SBRegion: 64 << 20,
+			SBRegion: sbRegion,
 			Pmem:     pcfg,
 		})
 		if err != nil {
@@ -402,19 +409,67 @@ func TestClusterShardCrashMidOnlineSave(t *testing.T) {
 	}
 }
 
+// TestClusterSavePanicReleasesEveryShard: a cut that panics inside a SAVE's
+// fence must release every barrier that fence holds. Shard 1's snapshot dies
+// at SnapFence; the panic is recovered from Save, and a SET on shard 0 must
+// still answer. With replication both shards are one group, so shard 0's
+// barrier was taken by the fence that panicked.
+func TestClusterSavePanicReleasesEveryShard(t *testing.T) {
+	type crashSentinel struct{}
+	for _, backlog := range []int{0, 1 << 20} {
+		t.Run(fmt.Sprintf("backlog=%d", backlog), func(t *testing.T) {
+			var armed atomic.Bool
+			e := startSharded(t, 2, Config{ReplBacklogBytes: backlog}, true, func(shard int) func(pmem.SnapshotPhase) {
+				if shard != 1 {
+					return nil
+				}
+				return func(p pmem.SnapshotPhase) {
+					if p == pmem.SnapFence && armed.Load() {
+						panic(crashSentinel{})
+					}
+				}
+			})
+			k0, _ := keysOnDistinctShards(t, 2)
+			c := e.dial(t)
+			armed.Store(true)
+			func() {
+				defer func() {
+					if r := recover(); r == nil {
+						t.Fatal("SAVE with a fence crash hook did not panic")
+					} else if _, ok := r.(crashSentinel); !ok {
+						panic(r)
+					}
+				}()
+				e.srv.Save()
+			}()
+			armed.Store(false)
+			done := make(chan error, 1)
+			go func() { done <- c.Set(k0, "after") }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("SET on shard 0 did not answer within 3s of a panicked SAVE")
+			}
+		})
+	}
+}
+
 // TestClusterMixedWorkloadRace is the 4-shard concurrency soak the race
 // detector chews on: parallel writers spraying keys (with TTLs) across
-// shards, a SAVE loop exercising the global cut (replication enabled, so
-// every SAVE takes all four barriers under one fence), the active expiry
-// cycle reclaiming per shard, and SCAN/DBSIZE readers fanning out — all at
-// once. The assertions are light (no errors, a final consistent read);
+// shards, a SAVE loop cutting all four shards as one group (replication is
+// enabled, so every SAVE takes all four barriers under one fence), the
+// active expiry cycle reclaiming per shard, and SCAN/DBSIZE readers fanning
+// out — all at once. The assertions are light (no errors, a final consistent read);
 // the point is the interleavings.
 func TestClusterMixedWorkloadRace(t *testing.T) {
 	const n = 4
 	e := startSharded(t, n, Config{
 		ActiveExpiryInterval: 2 * time.Millisecond,
 		ActiveExpirySample:   50,
-		ReplBacklogBytes:     1 << 20, // enables repl → SAVE takes the global-cut path
+		ReplBacklogBytes:     1 << 20, // enables repl → SAVE cuts every shard as one group
 	}, true, nil)
 
 	stop := make(chan struct{})

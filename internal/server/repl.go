@@ -61,10 +61,6 @@ type replState struct {
 	upstream string       // the primary's address while a replica; "" after promotion
 	closed   bool
 
-	// fullMu serializes full resyncs: each produces a fresh checkpoint, and
-	// concurrent SaveFileOnline runs on one Region cannot overlap.
-	fullMu sync.Mutex
-
 	replica atomic.Bool
 
 	fullSyncs    atomic.Uint64
@@ -347,43 +343,36 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 
 // fullSync produces and streams a bootstrap image per shard: pin the backlog
 // (so the bytes after the images' cut-over offset are still retained when
-// they finish streaming), checkpoint — Save's global cut stamps ONE
-// (id, offset) into every shard's image when there is more than one shard —
-// then stream the N images sequentially with abort checks at chunk
-// boundaries, and return a cursor at the common stamped offset. The
-// handshake advertises the shard count, so a replica with a different
-// -cluster-shards fails the bootstrap loudly instead of mis-routing keys.
+// they finish streaming), checkpoint — with replication on, Save cuts every
+// shard as one group, stamping ONE (id, offset) into every shard's image —
+// and open the N images, all under the server's saveMu so no other SAVE can
+// publish between this one and the opens; then stream the images
+// sequentially with abort checks at chunk boundaries, and return a cursor at
+// the common stamped offset. The handshake advertises the shard count, so a
+// replica with a different -cluster-shards fails the bootstrap loudly
+// instead of mis-routing keys.
 func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, error) {
 	for _, sh := range rs.s.shards {
 		if sh.be.OpenCheckpoint == nil {
 			return nil, errors.New("no checkpoint source configured (volatile heap)")
 		}
 	}
-	rs.fullMu.Lock()
-	defer rs.fullMu.Unlock()
 	rs.feed.Pin()
 	defer rs.feed.Unpin()
-	if err := rs.s.Save(); err != nil {
-		return nil, err
-	}
-	imgs := make([]*CheckpointImage, 0, len(rs.s.shards))
+	imgs, err := rs.openSaved()
 	defer func() {
 		for _, img := range imgs {
 			img.R.Close()
 		}
 	}()
-	for _, sh := range rs.s.shards {
-		img, err := sh.be.OpenCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		imgs = append(imgs, img)
+	if err != nil {
+		return nil, err
 	}
 	off := imgs[0].ReplOffset
 	for i, img := range imgs[1:] {
 		if img.ReplOffset != off {
-			// Cannot happen after a global-cut Save; a mismatch means the
-			// embedder wired independent per-shard checkpoint funcs.
+			// Cannot happen after one group's cut; a mismatch means the
+			// embedder wired per-shard checkpoint funcs that ignore the fence.
 			return nil, fmt.Errorf("shard %d image offset %d diverges from shard 0's %d", i+1, img.ReplOffset, off)
 		}
 	}
@@ -406,6 +395,25 @@ func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, e
 	rs.s.events.Record("repl-full-sync", t0, time.Since(t0))
 	rs.fullSyncs.Add(1)
 	return cur, nil
+}
+
+// openSaved runs a SAVE and opens every shard's image it wrote, holding
+// saveMu across both so the images are the ones this SAVE published.
+func (rs *replState) openSaved() ([]*CheckpointImage, error) {
+	rs.s.saveMu.Lock()
+	defer rs.s.saveMu.Unlock()
+	if err := rs.s.save(); err != nil {
+		return nil, err
+	}
+	imgs := make([]*CheckpointImage, 0, len(rs.s.shards))
+	for _, sh := range rs.s.shards {
+		img, err := sh.be.OpenCheckpoint()
+		if err != nil {
+			return imgs, err
+		}
+		imgs = append(imgs, img)
+	}
+	return imgs, nil
 }
 
 // readAcks consumes the replica→primary side of a PSYNC connection:

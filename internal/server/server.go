@@ -113,7 +113,7 @@ type Server struct {
 
 	// shards are the keyspace partitions, routed by hash slot; locksAll
 	// aliases their lock blocks in shard order for the cross-shard
-	// acquisition helpers (FLUSHALL, the cluster-wide checkpoint fence).
+	// acquisition helpers (FLUSHALL, a checkpoint group's fence).
 	shards   []*shard
 	locksAll []*shardlock.Locks
 
@@ -143,6 +143,10 @@ type Server struct {
 	events *obs.Events
 	slowNs int64
 	latNs  int64
+
+	// saveMu serializes SAVEs (shard.go); a full resync holds it from its
+	// SAVE until it has opened the images that SAVE wrote.
+	saveMu sync.Mutex
 
 	// Checkpoint and expiry phase telemetry: monotonically counted and
 	// last-duration words, surfaced by INFO persistence and /metrics.

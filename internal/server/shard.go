@@ -37,17 +37,11 @@ type ShardBackend struct {
 	Store *kvstore.Store
 	// CheckpointOnline implements SAVE as an online snapshot of this shard.
 	// The function runs its copy phases concurrently with command execution
-	// and must call fence(cut) exactly once at cut-over; the server
-	// implements fence by holding the shard's checkpoint barrier write side
-	// only for the final delta (cut), so commands stall for the delta — not
-	// the whole image write. Nil on every shard: SAVE answers an error.
+	// and must call fence(cut) exactly once at cut-over; the server's fence
+	// holds the checkpoint barrier write side of the shard's group only for
+	// the final deltas, so commands stall for those — not the image write.
+	// Nil on every shard: SAVE answers an error.
 	CheckpointOnline func(fence func(cut func() error) error) (CheckpointStats, error)
-	// CheckpointSteps exposes the online snapshot's phase boundaries —
-	// begin (runs inside this call, concurrent with commands), then the
-	// returned cut/publish/abort steps — so a multi-shard SAVE with
-	// replication enabled can cut every shard under ONE fence and stamp a
-	// single (id, offset) into all images. abort must be idempotent.
-	CheckpointSteps func() (cut func() error, publish func() (CheckpointStats, error), abort func(), err error)
 	// OpenCheckpoint opens this shard's current checkpoint image for
 	// streaming to a full-resyncing replica, after the server has run Save.
 	// Required for serving full resyncs (and, when set, turns replication
@@ -83,13 +77,6 @@ func RegionBackend(a alloc.Allocator, st *kvstore.Store, region *pmem.Region, pa
 	}
 	be.CheckpointOnline = func(fence func(cut func() error) error) (CheckpointStats, error) {
 		return region.SaveFileOnline(path, fence)
-	}
-	be.CheckpointSteps = func() (func() error, func() (CheckpointStats, error), func(), error) {
-		save, err := region.BeginOnlineSave(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return save.Cut, save.Publish, save.Abort, nil
 	}
 	if replicated {
 		be.CheckpointOffset = region.SetReplMeta
@@ -149,17 +136,6 @@ type shard struct {
 	// key through the same slot mapping — so tagging costs no bytes and
 	// cannot disagree between primary and replica.
 	replWrites atomic.Uint64
-}
-
-// mergeStats accumulates another shard's checkpoint stats into c (multi-shard
-// SAVE totals for the server-level counters).
-func mergeStats(c *CheckpointStats, o CheckpointStats) {
-	c.Lines += o.Lines
-	c.Recopied += o.Recopied
-	c.FenceRecopied += o.FenceRecopied
-	if o.Rounds > c.Rounds {
-		c.Rounds = o.Rounds
-	}
 }
 
 // NewSharded creates a server over N shard backends forming one keyspace.
@@ -237,181 +213,126 @@ func (s *Server) routeKeys(ctx *Ctx, c *Command, args [][]byte) (*shard, bool) {
 // hasCheckpoint reports whether any shard can serve SAVE.
 func (s *Server) hasCheckpoint() bool {
 	for _, sh := range s.shards {
-		if sh.be.CheckpointOnline != nil || sh.be.CheckpointSteps != nil {
+		if sh.be.CheckpointOnline != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// Save runs the configured checkpoint(s) and produces consistent persistent
-// images in which every acknowledged write is present. One shard: an online
-// cut under the shard's fence. Several shards without replication: each
-// shard checkpoints independently, so a fence only ever stalls 1/N of the
-// keyspace. Several shards with replication: all shards cut under one
-// cluster-wide fence so a single (id, offset) stamps every image — without
-// it the per-shard offsets would diverge and a replica restart could only
-// ever full-resync. Telemetry is stamped only on success — a failed SAVE
-// must not advance last_checkpoint_unix or the completion counter, or an
-// operator watching "time since last checkpoint" would read a broken disk
-// as a fresh checkpoint. Failures count in checkpoint_errors alone.
+// Save writes every shard's image online; each holds every write
+// acknowledged before its cut. Every SAVE is one nested cut over a group of
+// shards (saveRun). Without replication each shard is its own group, so a
+// fence stalls 1/N of the keyspace at a time; with it all shards form one
+// group, so one (id, offset) stamps every image and a restarted replica can
+// resume from any of them. Telemetry is stamped only on success: a failed
+// SAVE counts in checkpoint_errors alone, so "time since last checkpoint"
+// never reads a broken disk as a fresh checkpoint. saveMu serializes SAVEs.
 func (s *Server) Save() error {
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
+	return s.save()
+}
+
+// save is Save with saveMu held.
+func (s *Server) save() error {
 	if !s.hasCheckpoint() {
 		return errors.New("server: no checkpoint configured")
 	}
-	t0 := time.Now()
-	var agg CheckpointStats
-	var err error
-	if len(s.shards) > 1 && s.repl != nil {
-		agg, err = s.saveGlobalCut(t0)
-	} else {
-		agg, err = s.saveIndependent(t0)
+	run := saveRun{s: s, t0: time.Now()}
+	n := 1
+	if s.repl != nil {
+		n = len(s.shards)
 	}
-	if err != nil {
-		s.saveErrs.Add(1)
-		return err
+	for i := 0; i < len(s.shards); i += n {
+		if err := run.cut(s.shards[i:i+n], nil); err != nil {
+			s.saveErrs.Add(1)
+			return err
+		}
 	}
-	total := time.Since(t0)
+	total := time.Since(run.t0)
 	s.saveTotalNs.Store(int64(total))
-	s.lastSaveUnix.Store(t0.Unix())
+	s.lastSaveUnix.Store(run.t0.Unix())
 	s.saves.Add(1)
-	s.saveLines.Add(agg.Lines)
-	s.saveRecopied.Add(agg.Recopied)
-	s.saveFenceRecopied.Store(agg.FenceRecopied)
-	s.saveRounds.Store(int64(agg.Rounds))
-	s.events.Record("checkpoint", t0, total)
+	s.saveLines.Add(run.agg.Lines)
+	s.saveRecopied.Add(run.agg.Recopied)
+	s.saveFenceRecopied.Store(run.agg.FenceRecopied)
+	s.saveRounds.Store(int64(run.agg.Rounds))
+	s.events.Record("checkpoint", run.t0, total)
 	return nil
 }
 
-// saveIndependent checkpoints each shard on its own fence, sequentially.
-// The independence is the point: every other shard keeps serving writes at
-// full speed while one shard's fence runs, so the cluster-wide stall budget
-// of a SAVE is one shard's fence at a time — 1/N of the old single-heap
-// stop surface.
-func (s *Server) saveIndependent(t0 time.Time) (CheckpointStats, error) {
-	var agg CheckpointStats
-	for _, sh := range s.shards {
-		st, err := s.saveShard(sh, t0)
-		if err != nil {
-			return agg, fmt.Errorf("shard %d: %w", sh.idx, err)
-		}
-		sh.saves.Add(1)
-		mergeStats(&agg, st)
-	}
-	return agg, nil
+// saveRun is one SAVE in flight: its start and the published shards' stats.
+type saveRun struct {
+	s   *Server
+	t0  time.Time
+	agg CheckpointStats
 }
 
-// saveShard checkpoints one shard online, under that shard's own fence.
-func (s *Server) saveShard(sh *shard, t0 time.Time) (CheckpointStats, error) {
+// cut checkpoints shard g[len(cuts)] online; cuts are the cut-over steps of
+// the shards before it, each waiting inside its fence. This shard's fence
+// recurses to the next, and the last runs fence over the group, so every
+// image in g captures one instant. They publish innermost first (g[0] last);
+// a failure or panic unwinds through each shard's CheckpointOnline, which
+// abandons its own image.
+func (run *saveRun) cut(g []*shard, cuts []func() error) error {
+	sh := g[len(cuts)]
 	if sh.be.CheckpointOnline == nil {
-		return CheckpointStats{}, errors.New("no checkpoint configured")
+		return fmt.Errorf("shard %d: no checkpoint configured", sh.idx)
 	}
-	return sh.be.CheckpointOnline(func(cut func() error) error {
-		return s.shardFence(sh, t0, cut)
+	var inner error
+	st, err := sh.be.CheckpointOnline(func(cut func() error) error {
+		if cuts := append(cuts, cut); len(cuts) < len(g) {
+			inner = run.cut(g, cuts)
+		} else {
+			inner = run.fence(g, cuts)
+		}
+		return inner
 	})
-}
-
-// shardFence is one shard's online cut-over: the write side of that shard's
-// command barrier, the replication-offset stamp, the final delta (cut), and
-// release. Commands on this shard are excluded only for this window; other
-// shards never notice. The fence duration is recorded as the
-// "checkpoint-fence" LATENCY event and in the shard's own gauge.
-func (s *Server) shardFence(sh *shard, t0 time.Time, cut func() error) error {
-	sh.locks.Exec.Lock()
-	defer sh.locks.Exec.Unlock()
-	s.saveQuiesceNs.Store(int64(time.Since(t0)))
-	// The replication offset is stamped inside the fence: no write can land
-	// on this shard between the stamp and the cut, so the image's data
-	// corresponds exactly to the stamped feed position.
-	s.stampShardOffset(sh)
-	tf := time.Now()
-	err := cut()
-	fence := time.Since(tf)
-	s.saveFenceNs.Store(int64(fence))
-	sh.fenceNs.Store(int64(fence))
-	s.events.Record("checkpoint-fence", tf, fence)
-	return err
-}
-
-// stampShardOffset pins the feed position into the shard's region before an
-// image cut. Runs under the barrier's write side (shardFence or the global
-// fence), so the stamped offset is exactly the feed position the image's
-// data corresponds to.
-func (s *Server) stampShardOffset(sh *shard) {
-	if s.repl != nil && sh.be.CheckpointOffset != nil {
-		sh.be.CheckpointOffset(s.repl.feed.ID(), s.repl.feed.Offset())
+	if inner != nil {
+		return inner
 	}
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", sh.idx, err)
+	}
+	sh.saves.Add(1)
+	run.agg.Lines += st.Lines
+	run.agg.Recopied += st.Recopied
+	run.agg.FenceRecopied += st.FenceRecopied
+	run.agg.Rounds = max(run.agg.Rounds, st.Rounds)
+	return nil
 }
 
-// onlineSaveSteps holds one shard's armed snapshot between the global
-// begin and its cut/publish.
-type onlineSaveSteps struct {
-	cut     func() error
-	publish func() (CheckpointStats, error)
-	abort   func()
-}
-
-// saveGlobalCut is the multi-shard SAVE with replication enabled: begin
-// every shard's online snapshot (full-image copy + delta rounds, all
-// concurrent with traffic), then take every shard's barrier write side in
-// ascending order — the only cluster-wide fence in the system — stamp ONE
-// (id, offset) pair into every region while the feed is frozen, cut every
-// shard, release, and publish. The N images therefore represent a single
-// point in the global command order, which is what lets a restarted replica
-// partial-resync from any of them with one offset.
-func (s *Server) saveGlobalCut(t0 time.Time) (CheckpointStats, error) {
-	var agg CheckpointStats
-	all := make([]onlineSaveSteps, 0, len(s.shards))
-	abortFrom := func(i int) {
-		for _, st := range all[i:] {
-			st.abort()
+// fence is a group's cut-over: every barrier write side in g (ascending,
+// released even if a cut panics), the feed-offset stamp, every shard's final
+// delta. Only the group's commands wait. Its duration is the
+// "checkpoint-fence" LATENCY event and each shard's own gauge.
+func (run *saveRun) fence(g []*shard, cuts []func() error) error {
+	s := run.s
+	locks := s.locksAll[g[0].idx:][:len(g)] // g is a run of s.shards
+	shardlock.ExecLockAll(locks)
+	defer shardlock.ExecUnlockAll(locks)
+	s.saveQuiesceNs.Store(int64(time.Since(run.t0)))
+	// Stamped inside the fence, so each image's data is exactly its stamped
+	// feed position.
+	for _, sh := range g {
+		if s.repl != nil && sh.be.CheckpointOffset != nil {
+			sh.be.CheckpointOffset(s.repl.feed.ID(), s.repl.feed.Offset())
 		}
-	}
-	for _, sh := range s.shards {
-		if sh.be.CheckpointSteps == nil {
-			abortFrom(0)
-			return agg, fmt.Errorf("shard %d: online checkpoint steps not configured", sh.idx)
-		}
-		cut, publish, abort, err := sh.be.CheckpointSteps()
-		if err != nil {
-			abortFrom(0)
-			return agg, fmt.Errorf("shard %d: %w", sh.idx, err)
-		}
-		all = append(all, onlineSaveSteps{cut: cut, publish: publish, abort: abort})
-	}
-
-	shardlock.ExecLockAll(s.locksAll)
-	s.saveQuiesceNs.Store(int64(time.Since(t0)))
-	for _, sh := range s.shards {
-		s.stampShardOffset(sh)
 	}
 	tf := time.Now()
-	var cutErr error
-	for _, st := range all {
-		if cutErr = st.cut(); cutErr != nil {
+	var err error
+	for i, cut := range cuts {
+		if err = cut(); err != nil {
+			err = fmt.Errorf("shard %d: %w", g[i].idx, err)
 			break
 		}
 	}
 	fence := time.Since(tf)
-	shardlock.ExecUnlockAll(s.locksAll)
 	s.saveFenceNs.Store(int64(fence))
-	for _, sh := range s.shards {
+	for _, sh := range g {
 		sh.fenceNs.Store(int64(fence))
 	}
 	s.events.Record("checkpoint-fence", tf, fence)
-	if cutErr != nil {
-		abortFrom(0) // abort is idempotent; already-cut shards just discard their temp image
-		return agg, cutErr
-	}
-
-	for i, st := range all {
-		cst, err := st.publish()
-		if err != nil {
-			abortFrom(i + 1)
-			return agg, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i].saves.Add(1)
-		mergeStats(&agg, cst)
-	}
-	return agg, nil
+	return err
 }
