@@ -107,7 +107,7 @@ func main() {
 	flag.IntVar(&o.allocShards, "alloc-shards", 0, "allocator partial-list shards per size class within each heap (0: near GOMAXPROCS)")
 	flag.IntVar(&o.clusterShards, "cluster-shards", 1, "keyspace shards: independent persistent heaps behind one hash-slot-routed keyspace")
 	flag.IntVar(&o.buckets, "buckets", 65536, "total hash buckets for a freshly created store, divided across -cluster-shards")
-	flag.Uint64Var(&o.boundMB, "boundmb", 0, "total LRU memory budget (MB), divided across -cluster-shards; 0 = unbounded")
+	flag.Uint64Var(&o.boundMB, "boundmb", 0, "total memory budget (MB), divided across -cluster-shards, enforced by CLOCK eviction; 0 = unbounded")
 	flag.StringVar(&o.tcpAddr, "tcp", "", "TCP listen address (e.g. :6379)")
 	flag.StringVar(&o.unixAddr, "unix", "", "unix socket path")
 	flag.IntVar(&o.maxConns, "maxconns", 0, "max simultaneous connections; 0 = unlimited")
@@ -132,10 +132,10 @@ func main() {
 		fatal(fmt.Errorf("-replicaof requires -heap: the replica bootstraps by downloading the primary's checkpoint images"))
 	}
 	if o.boundMB > 0 && o.replicaOf != "" {
-		// A bounded store evicts under LRU pressure, and evictions are not
+		// A bounded store evicts under memory pressure, and evictions are not
 		// propagated through the feed — a bounded replica would silently
 		// diverge from its primary.
-		fatal(fmt.Errorf("-boundmb cannot be combined with -replicaof: LRU evictions are not replicated"))
+		fatal(fmt.Errorf("-boundmb cannot be combined with -replicaof: evictions are not replicated"))
 	}
 
 	// The serve loop: one iteration per server lifetime. A replica whose
@@ -211,7 +211,7 @@ func run(o *options) (resync bool) {
 		// carries the feed position (SetReplMeta, stamped inside every
 		// cut-over fence — one global fence at N>1, so all images carry the
 		// same position), and full resyncs stream the image files. A bounded
-		// store stays replication-free — LRU evictions are not in the feed.
+		// store stays replication-free — evictions are not in the feed.
 		srvCfg.ReplBacklogBytes = o.replBacklog
 		srvCfg.ReplicaOf = o.replicaOf
 		srvCfg.ReplID, srvCfg.ReplOffset = clus.Shards[0].Heap.Region().ReplMeta()

@@ -51,7 +51,7 @@ type Config struct {
 	Ralloc ralloc.Config
 	// Buckets is the hash-bucket count for a freshly created store.
 	Buckets int
-	// Bound is the per-shard LRU budget in bytes; 0 = unbounded.
+	// Bound is the per-shard eviction budget in bytes; 0 = unbounded.
 	Bound uint64
 }
 

@@ -2,6 +2,7 @@ package dstruct
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/pmem"
@@ -21,6 +22,14 @@ import (
 // walk and the Record view below — shared with the per-object field chains
 // of object.go. The count word (Len) is bookkeeping, not a commit point:
 // Recovery recounts it after a crash.
+//
+// Beside the persistent buckets the map keeps volatile bitmaps, one bit a
+// bucket and pointer-free: ttl marks a bucket that may hold a stamped record
+// (set under its stripe lock when a stamp is written, cleared only by
+// Expired), and — only once TrackRecency has run — ref and put mark a bucket
+// referenced and written since the CLOCK hand (Evict) took the mark. None
+// survives a restart: Recovery derives ttl, and ref and put start clear, like
+// memcached's cold LRU.
 type HashMap struct {
 	a alloc.Allocator
 	r *pmem.Region
@@ -30,7 +39,31 @@ type HashMap struct {
 	buckets uint64
 	nB      uint64
 
-	stripes [64]sync.Mutex
+	stripes       [64]sync.Mutex
+	ttl, ref, put bits
+}
+
+// bits is a volatile bitmap, one bit a bucket. A bit's word is shared with
+// 63 buckets of other stripes, so every change is an atomic Or or And.
+type bits []atomic.Uint64
+
+// set sets bit i with no write when it is set already: a hot bucket's word
+// stays shared in every core's cache.
+func (b bits) set(i uint64) {
+	if w, bit := &b[i/64], uint64(1)<<(i%64); w.Load()&bit == 0 {
+		w.Or(bit)
+	}
+}
+
+// clear clears bit i, reporting whether it was set. And's result goes
+// unused: for a used one, go1.24.0's amd64 code clobbers a live register.
+func (b bits) clear(i uint64) bool {
+	w, bit := &b[i/64], uint64(1)<<(i%64)
+	if w.Load()&bit == 0 {
+		return false
+	}
+	w.And(^bit)
+	return true
 }
 
 // Node layout: word 0 = next (off-holder), word 1 = tag<<61 | klen<<32 |
@@ -95,7 +128,27 @@ func NewHashMap(a alloc.Allocator, h alloc.Handle, nBuckets int) (*HashMap, uint
 	r.Store(hdr+16, 0)
 	r.FlushRange(hdr, 24)
 	r.Fence()
-	return &HashMap{a: a, r: r, hdr: hdr, buckets: arr, nB: n}, hdr
+	return newMap(a, hdr, arr, n), hdr
+}
+
+func newMap(a alloc.Allocator, hdr, arr, nB uint64) *HashMap {
+	return &HashMap{a: a, r: a.Region(), hdr: hdr, buckets: arr, nB: nB, ttl: make(bits, (nB+63)/64)}
+}
+
+// TrackRecency gives the map its marks for Evict: from then on a lookup that
+// finds its key marks the key's bucket referenced, and a write marks it
+// referenced and written. Call it before the map is shared.
+func (m *HashMap) TrackRecency() { m.ref, m.put = make(bits, len(m.ttl)), make(bits, len(m.ttl)) }
+
+// touch marks the bucket at slot referenced, and written if put, when the map
+// tracks recency.
+func (m *HashMap) touch(slot uint64, put bool) {
+	if m.ref != nil {
+		m.ref.set((slot - m.buckets) / 8)
+		if put {
+			m.put.set((slot - m.buckets) / 8)
+		}
+	}
 }
 
 // AttachHashMap re-attaches to a map whose header is at hdr. The header comes
@@ -110,7 +163,7 @@ func AttachHashMap(a alloc.Allocator, hdr uint64) *HashMap {
 	if !ok || nB == 0 || nB&(nB-1) != 0 || arr >= r.Size() || nB > (r.Size()-arr)/8 {
 		panic("dstruct: hashmap header corrupt")
 	}
-	return &HashMap{a: a, r: r, hdr: hdr, buckets: arr, nB: nB}
+	return newMap(a, hdr, arr, nB)
 }
 
 // fnv1a hashes key bytes.
@@ -227,19 +280,20 @@ func (m *HashMap) walk(arr, from, to uint64, fn func(off uint64) bool) {
 // Record is a view of one top-level record. Tag and ExpireAt (unix
 // milliseconds; 0 = immortal) are copies; Key, Value and Bytes read the
 // record itself and are valid only while its stripe lock is held — inside
-// the View, Range or Recovery callback that handed the Record out. The map
+// the View or Range callback that handed the Record out. The map
 // never interprets the stamp: expiry policy lives in the caller (kvstore),
 // so records past their deadline are handed out like any other.
 type Record struct {
 	Tag      uint8
 	ExpireAt uint64
 
-	m   *HashMap
-	off uint64
+	m         *HashMap
+	off, lens uint64
 }
 
 func (m *HashMap) record(off uint64) Record {
-	return Record{Tag: uint8(m.r.Load(off+8) >> tagShift), ExpireAt: m.r.Load(off + 16), m: m, off: off}
+	lens := m.r.Load(off + 8)
+	return Record{Tag: uint8(lens >> tagShift), ExpireAt: m.r.Load(off + 16), m: m, off: off, lens: lens}
 }
 
 // Key returns a copy of the record's key.
@@ -268,10 +322,10 @@ func (rec Record) AppendValue(dst []byte) []byte {
 
 // Bytes returns the record's total persistent footprint: the top node plus,
 // for an object record, the whole secondary structure as kept in the object
-// header's graph-bytes word.
+// header's graph-bytes word: what a Delta counts.
 func (rec Record) Bytes() uint64 {
 	m := rec.m
-	_, klen, vlen := unpackLens(m.r.Load(rec.off + 8))
+	_, klen, vlen := unpackLens(rec.lens)
 	total := RecordSize(klen, vlen)
 	if rec.Tag != TagString {
 		if hdr := m.objHdr(rec.off); hdr != 0 {
@@ -288,6 +342,27 @@ func RecordSize(klen, vlen uint64) uint64 { return hmNodeHdr + pad8(klen) + pad8
 // expired reports whether a stamp had passed at now (0 never passes).
 func expired(at, now uint64) bool { return at != 0 && at <= now }
 
+// Delta is what one write changed in the map's totals, computed under the
+// key's stripe lock: the footprint (Record.Bytes) of its records and how many
+// of them carry a stamp. Both are two's complement, so the deltas of all
+// writes, summed in any order, are the totals exactly.
+type Delta struct{ Bytes, Stamped uint64 }
+
+// add counts a record of size bytes and stamp at in; sub counts one out.
+func (d *Delta) add(size, at uint64) {
+	d.Bytes += size
+	if at != 0 {
+		d.Stamped++
+	}
+}
+
+func (d *Delta) sub(size, at uint64) {
+	d.Bytes -= size
+	if at != 0 {
+		d.Stamped--
+	}
+}
+
 // View calls fn with key's record under its stripe lock, reporting whether
 // the key was present — the one locked lookup every reader is built on.
 func (m *HashMap) View(key []byte, fn func(Record)) bool {
@@ -296,6 +371,7 @@ func (m *HashMap) View(key []byte, fn func(Record)) bool {
 	defer mu.Unlock()
 	_, off := m.find(bucket, key, hmNodeHdr)
 	if off != 0 {
+		m.touch(bucket, false)
 		fn(m.record(off))
 	}
 	return off != 0
@@ -333,7 +409,8 @@ func (m *HashMap) addCount(delta uint64) {
 // Set inserts or replaces key→value with no expiry (replacing also clears
 // any previous expiry, Redis SET-style). See SetExpire.
 func (m *HashMap) Set(h alloc.Handle, key, value []byte) bool {
-	return m.SetExpire(h, key, value, 0)
+	_, ok := m.SetExpire(h, key, value, 0)
+	return ok
 }
 
 // SetExpire inserts or replaces key→value with an expiry stamp (unix
@@ -342,33 +419,43 @@ func (m *HashMap) Set(h alloc.Handle, key, value []byte) bool {
 // YCSB workload A allocator-bound. The stamp is flushed with the rest of the
 // node before the link swing, so a record is never durably linked without
 // its expiration metadata. ok=false reports exhaustion.
-func (m *HashMap) SetExpire(h alloc.Handle, key, value []byte, expireAt uint64) bool {
+func (m *HashMap) SetExpire(h alloc.Handle, key, value []byte, expireAt uint64) (d Delta, ok bool) {
 	if len(key) > MaxKeyLen {
-		return false
+		return d, false
 	}
 	n, val, size := m.newNode(h, key, TagString, uint64(len(value)), expireAt)
 	if n == 0 {
-		return false
+		return d, false
 	}
 	m.r.WriteBytes(val, value)
+	d.add(size, expireAt)
 
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	prev, old := m.find(bucket, key, hmNodeHdr)
 	m.publish(bucket, prev, old, n, size)
+	m.mark(bucket, expireAt)
 	if old != 0 {
 		// A SET over an object record (Redis semantics: SET overwrites any
 		// type) must release the whole secondary structure, not just the
 		// top node — the old graph became unreachable at the link swing, so
 		// freeing it afterwards is crash-safe (a crash mid-free leaves
 		// unreachable blocks for recovery GC).
-		m.freeObjectGraph(h, old)
-		h.Free(old)
+		d = m.release(h, old, d)
 	} else {
 		m.addCount(1)
 	}
 	mu.Unlock()
-	return true
+	return d, true
+}
+
+// mark records a write to the bucket at slot that left a record stamped at:
+// the bucket is written, and holds a stamp if at is one.
+func (m *HashMap) mark(slot, at uint64) {
+	m.touch(slot, true)
+	if at != 0 {
+		m.ttl.set((slot - m.buckets) / 8)
+	}
 }
 
 // UpdateExpire atomically rewrites key's expiry stamp in place (0 clears
@@ -393,44 +480,116 @@ func (m *HashMap) UpdateExpire(key []byte, expireAt, now uint64) (prev uint64, o
 	r.Store(off+16, expireAt)
 	r.Flush(off + 16)
 	r.Fence()
+	m.mark(bucket, expireAt)
 	return prev, true
 }
 
-// drop durably unlinks the record at off (prev holds the link to it) and
-// releases its whole graph. Caller holds the stripe lock.
-func (m *HashMap) drop(h alloc.Handle, prev, off uint64) {
-	m.unlink(prev, off)
-	m.freeObjectGraph(h, off)
+// release frees the unreachable record at off with its whole graph and
+// returns d less the record. Caller holds the stripe lock.
+func (m *HashMap) release(h alloc.Handle, off uint64, d Delta) Delta {
+	rec := m.record(off)
+	d.sub(rec.Bytes(), rec.ExpireAt)
+	m.freeObjectGraph(h, off, rec.Tag)
 	h.Free(off)
-	m.addCount(^uint64(0))
+	return d
 }
 
-// Remove deletes key's record and returns the stamp it carried. With
-// deadBy != 0 the removal is conditional: only a record whose stamp had
-// passed at deadBy goes, and a record that stays reports its stamp with
-// ok=false. Check and unlink happen under the stripe lock, so the stamp
+// drop durably unlinks the record at off (prev holds the link to it) and
+// releases it. Caller holds the stripe lock.
+func (m *HashMap) drop(h alloc.Handle, prev, off uint64, d Delta) Delta {
+	m.unlink(prev, off)
+	m.addCount(^uint64(0))
+	return m.release(h, off, d)
+}
+
+// Remove deletes key's record and returns the stamp it carried and the
+// Delta. With deadBy != 0 the removal is conditional: only a record whose
+// stamp had passed at deadBy goes, and a record that stays reports its stamp
+// with ok=false. Check and unlink happen under the stripe lock, so the stamp
 // describes the very record removed, and a concurrent PERSIST or re-SET
 // (which installs a fresh node) can never have its key swept from under it.
-func (m *HashMap) Remove(h alloc.Handle, key []byte, deadBy uint64) (expireAt uint64, ok bool) {
+func (m *HashMap) Remove(h alloc.Handle, key []byte, deadBy uint64) (expireAt uint64, d Delta, ok bool) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
 	prev, off := m.find(bucket, key, hmNodeHdr)
 	if off == 0 {
-		return 0, false
+		return 0, d, false
 	}
 	expireAt = m.r.Load(off + 16)
 	if deadBy != 0 && !expired(expireAt, deadBy) {
-		return expireAt, false // immortal or still live
+		return expireAt, d, false // immortal or still live
 	}
-	m.drop(h, prev, off)
-	return expireAt, true
+	return expireAt, m.drop(h, prev, off, d), true
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *HashMap) Delete(h alloc.Handle, key []byte) bool {
-	_, ok := m.Remove(h, key, 0)
+	_, _, ok := m.Remove(h, key, 0)
 	return ok
+}
+
+// Evict is one step of a CLOCK hand, at bucket b modulo the bucket count, of
+// a map that tracks recency. The hand takes one mark a pass, the reference
+// first: a marked bucket keeps its records, and one with neither mark loses
+// one record, if it holds any, and Evict returns the Delta. So a record
+// survives one pass after a read and two after a write. The second matters
+// when nearly every bucket is referenced: the hand then laps fast, and a
+// write made in that lap would be the next lap's victim.
+func (m *HashMap) Evict(h alloc.Handle, b uint64) (d Delta, ok bool) {
+	b &= m.nB - 1
+	slot := m.buckets + b*8
+	if m.ref.clear(b) || m.put.clear(b) || m.deref(slot) == 0 {
+		return d, false
+	}
+	mu := m.stripeFor(b)
+	mu.Lock()
+	defer mu.Unlock()
+	if off := m.deref(slot); off != 0 {
+		return m.drop(h, slot, off, d), true
+	}
+	return d, false
+}
+
+// Expired walks the buckets marked as holding a stamp, from bucket from
+// modulo the bucket count, for at most one lap, and returns the keys of up to
+// max records whose stamp had passed at now, and the bucket to resume from:
+// the one it stopped in if that bucket holds due records it did not return.
+// A marked bucket found to hold no stamped record is unmarked, under its
+// stripe lock, so a write stamping one there cannot be missed.
+func (m *HashMap) Expired(from uint64, max int, now uint64) (keys [][]byte, next uint64) {
+	n := uint64(0)
+	for ; n < m.nB && len(keys) < max; n++ {
+		b := (from + n) & (m.nB - 1)
+		if w := m.ttl[b/64].Load() >> (b % 64); w == 0 {
+			n += min(63-b%64, m.nB-1-b) // no marked bucket left in the word
+			continue
+		} else if w&1 == 0 {
+			continue
+		}
+		stamped, more := false, false
+		mu := m.stripeFor(b)
+		mu.Lock()
+		for off := m.deref(m.buckets + b*8); off != 0; off = m.deref(off) {
+			at := m.r.Load(off + 16)
+			stamped = stamped || at != 0
+			if !expired(at, now) {
+				continue
+			}
+			if more = len(keys) == max; more {
+				break
+			}
+			keys = append(keys, m.record(off).Key())
+		}
+		if !stamped {
+			m.ttl.clear(b)
+		}
+		mu.Unlock()
+		if more {
+			return keys, b
+		}
+	}
+	return keys, (from + n) & (m.nB - 1)
 }
 
 // Len returns the number of keys.

@@ -53,7 +53,7 @@ func TestHashMapExpireStamp(t *testing.T) {
 	a := h.AsAllocator()
 	hd := a.NewHandle()
 	m, _ := NewHashMap(a, hd, 64)
-	if !m.SetExpire(hd, []byte("k"), []byte("v"), 500) {
+	if _, ok := m.SetExpire(hd, []byte("k"), []byte("v"), 500); !ok {
 		t.Fatal("SetExpire failed")
 	}
 	if v, at, ok := stampOf(m, "k"); !ok || v != "v" || at != 500 {
@@ -81,13 +81,13 @@ func TestHashMapExpireStamp(t *testing.T) {
 	// A conditional Remove only fires when the stamp has actually passed,
 	// and reports the stamp of the record it looked at either way.
 	m.SetExpire(hd, []byte("k"), []byte("v3"), 1000)
-	if at, ok := m.Remove(hd, []byte("k"), 999); ok || at != 1000 {
+	if at, _, ok := m.Remove(hd, []byte("k"), 999); ok || at != 1000 {
 		t.Fatalf("conditional Remove of a live record = (%d,%v)", at, ok)
 	}
-	if at, ok := m.Remove(hd, []byte("missing"), 5000); ok || at != 0 {
+	if at, _, ok := m.Remove(hd, []byte("missing"), 5000); ok || at != 0 {
 		t.Fatalf("conditional Remove of a missing key = (%d,%v)", at, ok)
 	}
-	if at, ok := m.Remove(hd, []byte("k"), 1000); !ok || at != 1000 {
+	if at, _, ok := m.Remove(hd, []byte("k"), 1000); !ok || at != 1000 {
 		t.Fatalf("conditional Remove of a dead record = (%d,%v)", at, ok)
 	}
 	if m.Len() != 0 {
@@ -96,11 +96,11 @@ func TestHashMapExpireStamp(t *testing.T) {
 	// Immortal records are never sweepable — but the unconditional form
 	// takes them, stamp and all.
 	m.Set(hd, []byte("imm"), []byte("v"))
-	if _, ok := m.Remove(hd, []byte("imm"), 1<<62); ok {
+	if _, _, ok := m.Remove(hd, []byte("imm"), 1<<62); ok {
 		t.Fatal("conditional Remove took an immortal record")
 	}
 	m.SetExpire(hd, []byte("imm"), []byte("v"), 77)
-	if at, ok := m.Remove(hd, []byte("imm"), 0); !ok || at != 77 {
+	if at, _, ok := m.Remove(hd, []byte("imm"), 0); !ok || at != 77 {
 		t.Fatalf("unconditional Remove = (%d,%v), want (77,true)", at, ok)
 	}
 }
@@ -115,7 +115,7 @@ func TestHashMapRange(t *testing.T) {
 		if i%2 == 1 {
 			at = uint64(1000 + i)
 		}
-		if !m.SetExpire(hd, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i)), at) {
+		if _, ok := m.SetExpire(hd, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i)), at); !ok {
 			t.Fatal("OOM")
 		}
 	}

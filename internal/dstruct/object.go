@@ -35,9 +35,9 @@ package dstruct
 //	       word 2 = length, word 3 = graph bytes
 //
 // The graph-bytes word is the total persistent footprint of the secondary
-// structure (header + bucket array + nodes); Record.Bytes reads it in O(1)
-// per key when an attach rebuilds the LRU byte accounting, and it is
-// repaired together with the counters.
+// structure (header + bucket array + nodes); Record.Bytes reads it in O(1),
+// so an object write's Delta is the record's footprint after less before,
+// and it is repaired together with the counters.
 //
 // Field node: word 0 = next off-holder, word 1 = flen<<32|vlen, then field
 // bytes and value bytes (each padded to 8).
@@ -45,6 +45,7 @@ package dstruct
 // word 2 = vlen, then value bytes (padded to 8).
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -81,10 +82,9 @@ func (m *HashMap) objHdr(off uint64) uint64 {
 	return m.deref(off + hmNodeHdr + pad8(klen))
 }
 
-// freeObjectGraph releases a record's secondary structure (no-op for
-// strings). The record must already be unreachable.
-func (m *HashMap) freeObjectGraph(h alloc.Handle, off uint64) {
-	tag := uint8(m.r.Load(off+8) >> tagShift)
+// freeObjectGraph releases the secondary structure of a record of the given
+// tag (no-op for strings). The record must already be unreachable.
+func (m *HashMap) freeObjectGraph(h alloc.Handle, off uint64, tag uint8) {
 	if tag == TagString {
 		return
 	}
@@ -162,25 +162,27 @@ func (m *HashMap) newListObj(h alloc.Handle) uint64 {
 }
 
 // installObject creates and durably links a top-level record of the given
-// tag whose payload points at objHdr. The object graph must be fully
-// flushed already: the bucket link swing is the commit point that makes the
-// whole object reachable at once. Caller holds the stripe lock and
-// guarantees key is absent.
-func (m *HashMap) installObject(h alloc.Handle, bucket uint64, key []byte, tag uint8, objHdr uint64) bool {
+// tag whose payload points at objHdr, returning the record (0: exhaustion).
+// The object graph must be fully flushed already: the bucket link swing is
+// the commit point that makes the whole object reachable at once. Caller
+// holds the stripe lock and guarantees key is absent.
+func (m *HashMap) installObject(h alloc.Handle, bucket uint64, key []byte, tag uint8, objHdr uint64) uint64 {
 	n, p, size := m.newNode(h, key, tag, 8, 0)
 	if n == 0 {
-		return false
+		return 0
 	}
 	m.r.Store(p, pptr.Pack(p, objHdr))
 	m.publish(bucket, bucket, 0, n, size)
 	m.addCount(1)
-	return true
+	m.mark(bucket, 0)
+	return n
 }
 
 // resolveLive locates key's live record of the wanted tag, returning its
 // prev holder too (for callers that may unlink it). dead reports a record
 // hidden by lazy expiry — never touched here; write paths that must reap it
-// go through resolveWrite. Caller holds the stripe lock.
+// go through resolveWrite. A live record's bucket is referenced. Caller holds
+// the stripe lock.
 func (m *HashMap) resolveLive(bucket uint64, key []byte, want uint8, now uint64) (prev, off, hdr uint64, ok, dead bool, err error) {
 	prev, off = m.find(bucket, key, hmNodeHdr)
 	if off == 0 {
@@ -193,19 +195,24 @@ func (m *HashMap) resolveLive(bucket uint64, key []byte, want uint8, now uint64)
 	if rec.Tag != want {
 		return prev, off, 0, false, false, ErrWrongType
 	}
+	m.touch(bucket, false)
 	return prev, off, m.objHdr(off), true, false, nil
 }
 
 // resolveWrite locates key's object for a mutation, reaping an expired
 // record (of any type) in place — dead fields/elements must never resurrect
-// into the new object. hdr is 0 when the caller must create the object.
-// Caller holds the stripe lock.
-func (m *HashMap) resolveWrite(h alloc.Handle, bucket uint64, key []byte, want uint8, now uint64) (hdr uint64, err error) {
-	prev, off, hdr, _, dead, err := m.resolveLive(bucket, key, want, now)
+// into the new object. off and hdr are 0 when the caller must create the
+// object; d is the reaping's Delta, less the live record's footprint (the
+// caller adds it back after the write). Caller holds the stripe lock.
+func (m *HashMap) resolveWrite(h alloc.Handle, bucket uint64, key []byte, want uint8, now uint64) (off, hdr uint64, d Delta, err error) {
+	prev, off, hdr, live, dead, err := m.resolveLive(bucket, key, want, now)
 	if dead {
-		m.drop(h, prev, off)
+		return 0, 0, m.drop(h, prev, off, d), nil
 	}
-	return hdr, err
+	if live {
+		d.Bytes -= m.record(off).Bytes()
+	}
+	return off, hdr, d, err
 }
 
 // account adjusts an object's repairable bookkeeping: its element count and
@@ -303,27 +310,26 @@ func (m *HashMap) hdelOne(h alloc.Handle, hdr uint64, field []byte) bool {
 
 // HSet inserts or replaces the given field/value pairs under key, creating
 // the hash if needed (reaping an expired record first). It returns how many
-// fields were newly created and the object's total graph bytes afterwards
-// (for LRU charging). A fresh key's object is populated while still
+// fields were newly created and the Delta, also with an error: pairs before
+// the failing one committed. A fresh key's object is populated while still
 // unreachable, then installed behind one durable bucket-link swing, so the
 // whole HSET of a fresh key is crash-atomic; on an existing hash each pair
 // commits individually with a single-word link swing, so a crash mid-HSET
 // leaves every field wholly old or wholly new — never torn.
-func (m *HashMap) HSet(h alloc.Handle, key []byte, pairs [][]byte, now uint64) (created int, objBytes uint64, err error) {
+func (m *HashMap) HSet(h alloc.Handle, key []byte, pairs [][]byte, now uint64) (created int, d Delta, err error) {
 	if len(key) > MaxKeyLen {
-		return 0, 0, ErrNoMemory
+		return 0, d, ErrNoMemory
 	}
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	hdr, err := m.resolveWrite(h, bucket, key, TagHash, now)
+	off, hdr, d, err := m.resolveWrite(h, bucket, key, TagHash, now)
 	if err != nil {
-		return 0, 0, err
+		return 0, d, err
 	}
-	fresh := hdr == 0
-	if fresh {
+	if off == 0 {
 		if hdr = m.newHashObj(h); hdr == 0 {
-			return 0, 0, ErrNoMemory
+			return 0, d, ErrNoMemory
 		}
 	}
 	for i := 0; i+1 < len(pairs) && err == nil; i += 2 {
@@ -333,16 +339,15 @@ func (m *HashMap) HSet(h alloc.Handle, key []byte, pairs [][]byte, now uint64) (
 			created++
 		}
 	}
-	if fresh {
-		if err == nil && !m.installObject(h, bucket, key, TagHash, hdr) {
-			err = ErrNoMemory
-		}
-		if err != nil {
-			m.freeHashObj(h, hdr)
-			return 0, 0, err
-		}
+	if off == 0 && err == nil {
+		off = m.installObject(h, bucket, key, TagHash, hdr)
 	}
-	return created, m.r.Load(hdr + objOffBytes), err
+	if off == 0 {
+		m.freeHashObj(h, hdr)
+		return 0, d, cmp.Or(err, ErrNoMemory)
+	}
+	d.Bytes += m.record(off).Bytes()
+	return created, d, err
 }
 
 // HGet returns field's value inside the hash at key. dead reports a record
@@ -363,9 +368,8 @@ func (m *HashMap) HGet(key, field []byte, now uint64) (val []byte, ok, dead bool
 }
 
 // HDel removes the given fields, deleting the whole record when the last
-// field goes (Redis drops empty hashes). gone reports that deletion;
-// objBytes is the remaining graph footprint otherwise.
-func (m *HashMap) HDel(h alloc.Handle, key []byte, fields [][]byte, now uint64) (removed int, objBytes uint64, gone bool, err error) {
+// field goes (Redis drops empty hashes); gone reports that deletion.
+func (m *HashMap) HDel(h alloc.Handle, key []byte, fields [][]byte, now uint64) (removed int, d Delta, gone bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
@@ -373,18 +377,19 @@ func (m *HashMap) HDel(h alloc.Handle, key []byte, fields [][]byte, now uint64) 
 	// the expiry cycle rather than reclaimed on this path.
 	prev, off, hdr, live, _, err := m.resolveLive(bucket, key, TagHash, now)
 	if !live {
-		return 0, 0, false, err
+		return 0, d, false, err
 	}
+	before := m.record(off).Bytes()
 	for _, f := range fields {
 		if m.hdelOne(h, hdr, f) {
 			removed++
 		}
 	}
+	d.Bytes = m.record(off).Bytes() - before
 	if m.r.Load(hdr+16) == 0 {
-		m.drop(h, prev, off)
-		return removed, 0, true, nil
+		return removed, m.drop(h, prev, off, d), true, nil
 	}
-	return removed, m.r.Load(hdr + objOffBytes), false, nil
+	return removed, d, false, nil
 }
 
 // HGetAll returns every field and value (parallel slices, chain order).
@@ -465,64 +470,61 @@ func (m *HashMap) pushOne(h alloc.Handle, hdr uint64, val []byte, left bool) err
 
 // Push appends vals at the left or right end of the list at key, creating
 // it if needed (reaping an expired record first). Returns the new length
-// and the graph bytes for LRU charging.
-func (m *HashMap) Push(h alloc.Handle, key []byte, vals [][]byte, left bool, now uint64) (length int, objBytes uint64, err error) {
+// and the Delta, also with an error: values before the failing one committed.
+func (m *HashMap) Push(h alloc.Handle, key []byte, vals [][]byte, left bool, now uint64) (length int, d Delta, err error) {
 	if len(key) > MaxKeyLen {
-		return 0, 0, ErrNoMemory
+		return 0, d, ErrNoMemory
 	}
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
-	hdr, err := m.resolveWrite(h, bucket, key, TagList, now)
+	off, hdr, d, err := m.resolveWrite(h, bucket, key, TagList, now)
 	if err != nil {
-		return 0, 0, err
+		return 0, d, err
 	}
-	fresh := hdr == 0
-	if fresh {
+	if off == 0 {
 		if hdr = m.newListObj(h); hdr == 0 {
-			return 0, 0, ErrNoMemory
+			return 0, d, ErrNoMemory
 		}
 	}
 	for i := 0; i < len(vals) && err == nil; i++ {
 		err = m.pushOne(h, hdr, vals[i], left)
 	}
-	if fresh {
-		if err == nil && !m.installObject(h, bucket, key, TagList, hdr) {
-			err = ErrNoMemory
-		}
-		if err != nil {
-			m.freeListObj(h, hdr)
-			return 0, 0, err
-		}
+	if off == 0 && err == nil {
+		off = m.installObject(h, bucket, key, TagList, hdr)
 	}
-	return int(m.r.Load(hdr + 16)), m.r.Load(hdr + objOffBytes), err
+	if off == 0 {
+		m.freeListObj(h, hdr)
+		return 0, d, cmp.Or(err, ErrNoMemory)
+	}
+	d.Bytes += m.record(off).Bytes()
+	return int(m.r.Load(hdr + 16)), d, err
 }
 
 // Pop removes and returns the element at the chosen end. Popping the last
 // element deletes the whole record (Redis drops empty lists); gone reports
 // that. The commit point is again one word: the head word (left pop), the
 // new tail's next word (right pop), or the record unlink (last element).
-func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []byte, ok bool, objBytes uint64, gone, dead bool, err error) {
+func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []byte, ok bool, d Delta, gone, dead bool, err error) {
 	bucket, mu := m.slot(key)
 	mu.Lock()
 	defer mu.Unlock()
 	prev, off, hdr, live, dead, err := m.resolveLive(bucket, key, TagList, now)
 	if !live {
-		return nil, false, 0, false, dead, err
+		return nil, false, d, false, dead, err
 	}
 	r := m.r
 	head := m.deref(hdr)
 	if head == 0 {
 		// Normal operation never leaves an empty list behind; treat
 		// defensively as missing.
-		return nil, false, 0, false, false, nil
+		return nil, false, d, false, false, nil
 	}
 	if r.Load(hdr+16) <= 1 {
 		// Last element: the record unlink is the commit, and the whole
 		// graph is freed behind it.
 		val = m.lstValue(head)
-		m.drop(h, prev, off)
-		return val, true, 0, true, false, nil
+		return val, true, m.drop(h, prev, off, d), true, false, nil
 	}
 	// The victim, the word whose swing commits its removal — the head word,
 	// or the new tail's next word, where the forward chain now ends — and
@@ -546,7 +548,8 @@ func (m *HashMap) Pop(h alloc.Handle, key []byte, left bool, now uint64) (val []
 	h.Free(victim)
 	m.account(hdr, ^uint64(0), -size)
 	r.Fence()
-	return val, true, r.Load(hdr + objOffBytes), false, false, nil
+	d.Bytes -= size
+	return val, true, d, false, false, nil
 }
 
 // LRange returns the elements between start and stop inclusive, with Redis
@@ -585,37 +588,39 @@ func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]by
 // Post-crash repair.
 
 // Recovery is the one pass a restart makes over the map's records. visit sees
-// each record once and stores nothing: it counts it, hands a string to fn (the
-// caller rebuilds its volatile indexes from these) and sets an object aside.
-// Finish does what needs stores and a working allocator: it repairs the words
-// the crash discipline leaves repairable — list tail and prev words, both
-// object kinds' count and graph-bytes words — deletes an object a crash left
-// empty (last element unlinked, record not yet), hands the other objects to
-// fn, and rewrites the map's count word when it differs: bumped after the link
-// swing that commits an insert or a removal, a crash between the two leaves
-// it off by one, and nothing else would heal it. Two drivers: on a dirty heap
-// the recovery trace (Filter, registered before heap.Recover; visit runs on
-// the trace's workers, so fn must be safe for concurrent use), on a recovered
-// one Walk. Nothing else may use the map until Finish returns.
+// each record once and stores nothing: it counts it, and its stamp, and the
+// bytes of a string, and sets an object aside. Finish does what needs stores
+// and a working allocator: it repairs the words the crash discipline leaves
+// repairable — list tail and prev words, both object kinds' count and
+// graph-bytes words — deletes an object a crash left empty (last element
+// unlinked, record not yet), counts the other objects' bytes, and rewrites
+// the map's count word when it differs: bumped after the link swing that
+// commits an insert or a removal, a crash between the two leaves it off by
+// one, and nothing else would heal it. Two drivers: on a dirty heap the
+// recovery trace (Filter, registered before heap.Recover; visit runs on the
+// trace's workers), on a recovered one Walk. Nothing else may use the map
+// until Finish returns.
 type Recovery struct {
-	m     *HashMap
-	fn    func(Record)
-	count atomic.Uint64
-	done  atomic.Bool
-	mu    sync.Mutex
-	objs  []uint64 // object records awaiting Finish
+	m                     *HashMap
+	count, bytes, stamped atomic.Uint64
+	done                  atomic.Bool
+	mu                    sync.Mutex
+	objs                  []uint64 // object records awaiting Finish
 }
 
 // BeginRecover starts the map's recovery pass.
-func (m *HashMap) BeginRecover(fn func(Record)) *Recovery { return &Recovery{m: m, fn: fn} }
+func (m *HashMap) BeginRecover() *Recovery { return &Recovery{m: m} }
 
 func (rc *Recovery) visit(off, lens, expireAt uint64) {
 	if rc.done.Load() {
 		return
 	}
 	rc.count.Add(1)
-	if rec := (Record{Tag: uint8(lens >> tagShift), ExpireAt: expireAt, m: rc.m, off: off}); rec.Tag == TagString {
-		rc.fn(rec)
+	if expireAt != 0 {
+		rc.stamped.Add(1)
+	}
+	if tag, klen, vlen := unpackLens(lens); tag == TagString {
+		rc.bytes.Add(RecordSize(klen, vlen))
 	} else {
 		rc.mu.Lock()
 		rc.objs = append(rc.objs, off)
@@ -623,20 +628,30 @@ func (rc *Recovery) visit(off, lens, expireAt uint64) {
 	}
 }
 
-// Finish completes the pass on the recovered heap.
-func (rc *Recovery) Finish(h alloc.Handle) {
+// Finish completes the pass on the recovered heap and returns the totals of
+// the records kept, as one Delta from empty. A stamped record marks every
+// bucket for Expired: which buckets hold one, the pass did not keep.
+func (rc *Recovery) Finish(h alloc.Handle) Delta {
 	m := rc.m
 	rc.done.Store(true)
 	m.fixWord(m.hdr+16, rc.count.Load())
+	d := Delta{Bytes: rc.bytes.Load(), Stamped: rc.stamped.Load()}
 	for _, off := range rc.objs {
 		if rec := m.record(off); m.repairObject(rec.Tag, off) {
-			m.Delete(h, rec.Key())
+			_, gone, _ := m.Remove(h, rec.Key(), 0)
+			d.Stamped += gone.Stamped
 		} else {
-			rc.fn(rec)
+			d.Bytes += rec.Bytes()
 		}
 	}
 	rc.objs = nil
 	m.r.Fence()
+	if d.Stamped != 0 {
+		for i := range m.ttl {
+			m.ttl[i].Store(^uint64(0))
+		}
+	}
+	return d
 }
 
 // Walk drives the pass over the buckets, for a heap that is already recovered.

@@ -10,19 +10,25 @@
 // deadline is an absolute unix-millisecond stamp persisted inside the same
 // allocation as the record (dstruct hash-map node word 2), so recovery
 // needs no separate TTL log: attach sees every record once (dstruct's Recovery,
-// riding the allocator's GC trace after a crash), repairs the objects, recounts
-// the records — Len, the server's DBSIZE, is exact after a crash — and rebuilds
-// the LRU byte accounting and the volatile expiry index together; and
-// because the stamp is wall-clock absolute, a key that expired before a
-// crash is still expired after recovery — expiration survives kill -9 for
-// free. Every reader goes through one record view (dstruct.Record, under the
-// key's stripe lock) and one liveness test (dead). Reads
-// apply *lazy* expiry (a dead record is reported missing without being
-// touched); space is reclaimed by ReclaimExpired, which the serving layer
-// drives from its active expiry cycle.
+// riding the allocator's GC trace after a crash), repairs the objects and
+// recounts the records, their bytes and their stamps — Len, the server's
+// DBSIZE, is exact after a crash; and because the stamp is wall-clock
+// absolute, a key that expired before a crash is still expired after
+// recovery — expiration survives kill -9 for free. Every reader goes through
+// one record view (dstruct.Record, under the key's stripe lock) and one
+// liveness test (dead). Reads apply *lazy* expiry (a dead record is reported
+// missing without being touched); space is reclaimed by ReclaimExpired, which
+// the serving layer drives from its active expiry cycle.
+//
+// A key lives in the persistent map and nowhere else: no Go-heap index holds
+// a copy. The map's volatile per-bucket bits (dstruct.HashMap) serve
+// eviction — a CLOCK hand over read and write marks — and active expiry — a
+// cursor over the bits of buckets holding a stamp — and every byte and stamp
+// count is a dstruct.Delta computed under the key's stripe lock.
 package kvstore
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
@@ -95,15 +101,19 @@ var ErrNoMemory = dstruct.ErrNoMemory
 
 // Store is a library-mode key-value store.
 type Store struct {
-	a   alloc.Allocator
-	m   *dstruct.HashMap
-	lru *lruIndex    // nil when the store is unbounded
-	exp *expiryIndex // volatile deadline index (always present)
-	now func() int64 // unix ms clock; swappable for deterministic tests
+	a      alloc.Allocator
+	m      *dstruct.HashMap
+	budget uint64       // bytes; 0: unbounded
+	now    func() int64 // unix ms clock; swappable for deterministic tests
+	// The CLOCK hand and the expiry cursor, buckets modulo the count.
+	hand, cursor atomic.Uint64
 
 	// Bumped once per command by every connection: striped by goroutine.
 	hits, misses, sets, deletes obs.Counter
-	expired, reclaimed          obs.Counter
+	expired, reclaimed, evicted obs.Counter
+	// Sums of dstruct.Deltas (two's complement): exact whenever no write
+	// is in flight. bytes only in a bounded store.
+	bytes, ttld obs.Counter
 }
 
 // Stats is a snapshot of operation counters.
@@ -111,9 +121,10 @@ type Stats struct {
 	Hits, Misses, Sets, Deletes, Evictions uint64
 	// Expired counts reads answered "missing" by lazy expiry; Reclaimed
 	// counts records actively deleted by ReclaimExpired; TTLd is the
-	// number of keys currently carrying a deadline.
+	// number of records carrying a stamp, dead ones until reclaimed.
 	Expired, Reclaimed, TTLd uint64
-	Bytes                    uint64
+	// Bytes is a bounded store's footprint, dead records included.
+	Bytes uint64
 }
 
 // Add accumulates o into s field by field: the keyspace-wide view over
@@ -139,8 +150,10 @@ func Open(a alloc.Allocator, h alloc.Handle, buckets int) (*Store, uint64) {
 
 // OpenBounded creates a store, returning it and the root offset of its hash
 // map header for persistent-root registration. maxBytes is its memory
-// budget, 0 meaning none: once the (approximate) footprint of the records
-// exceeds it, Set evicts least-recently-used records, memcached-style.
+// budget, 0 meaning none: once the footprint of the records exceeds it, a
+// write runs a CLOCK (second-chance) hand over the buckets, which evicts a
+// record from each bucket it finds neither read since its last pass nor
+// written since the pass before.
 // Eviction frees the victims' blocks through the allocator — the churn path
 // of a full cache.
 func OpenBounded(a alloc.Allocator, h alloc.Handle, buckets int, maxBytes uint64) (*Store, uint64) {
@@ -149,11 +162,10 @@ func OpenBounded(a alloc.Allocator, h alloc.Handle, buckets int, maxBytes uint64
 }
 
 func makeStore(a alloc.Allocator, m *dstruct.HashMap, maxBytes uint64) *Store {
-	s := &Store{a: a, m: m, exp: newExpiryIndex(), now: wallClock}
 	if maxBytes > 0 {
-		s.lru = newLRUIndex(maxBytes)
+		m.TrackRecency()
 	}
-	return s
+	return &Store{a: a, m: m, budget: maxBytes, now: wallClock}
 }
 
 // Filter returns the pure recovery GC filter of a store (root is unused): it
@@ -173,19 +185,17 @@ func Attach(a alloc.Allocator, root uint64) *Store {
 // Attaching is the attach of the store whose hash-map header is at root. It
 // sees each record once (dstruct's Recovery), repairing the repairable words
 // of object secondary structures and the map's record count (so Len — DBSIZE
-// — is exact after a crash) and rebuilding the volatile expiry index and —
-// with a budget, maxBytes > 0 — the transient LRU index. On a dirty heap the
-// collector's trace is that traversal (§4.5.1): BeginAttach, GetRoot(Filter),
-// heap.Recover, Finish — the filter stores nothing, Finish repairs and frees.
-// A clean heap has no trace to ride: AttachBounded walks it.
+// — is exact after a crash) and taking the byte and stamp totals from the
+// same recount. On a dirty heap the collector's trace is that traversal
+// (§4.5.1): BeginAttach, GetRoot(Filter), heap.Recover, Finish — the filter
+// stores nothing, Finish repairs and frees. A clean heap has no trace to
+// ride: AttachBounded walks it.
 //
-// Recency order across the restart is arbitrary (traversal order), like
-// memcached's cold LRU after a reboot, but the byte accounting is exact — each
-// record is charged its full persistent footprint, object secondary structures
-// included — so the budget is enforced from the first Set onward. Records
-// whose persisted deadline has passed are hinted to the expiry index (the
-// cycle reclaims them) but *not* charged: they are dead to every reader, and
-// charging them could evict live keys to make room for corpses. If the image
+// Every eviction mark starts clear, like memcached's cold LRU after a
+// reboot, but the byte accounting is exact — each record is charged its full
+// persistent footprint, object secondary structures included — so the
+// budget is enforced from the first Set onward. A record whose deadline has
+// passed stays charged until it is reclaimed, as at runtime. If the image
 // exceeds maxBytes — a budget lowered across the restart — Finish evicts.
 type Attaching struct {
 	s  *Store
@@ -195,19 +205,7 @@ type Attaching struct {
 // BeginAttach starts an attach; it reads only the map's header.
 func BeginAttach(a alloc.Allocator, root, maxBytes uint64) *Attaching {
 	s := makeStore(a, dstruct.AttachHashMap(a, root), maxBytes)
-	// Called from the recovery trace's workers: the indexes lock.
-	return &Attaching{s, s.m.BeginRecover(func(rec dstruct.Record) {
-		if rec.ExpireAt == 0 && s.lru == nil {
-			return // an immortal record of an unbounded store is in no index
-		}
-		key := string(rec.Key())
-		if rec.ExpireAt != 0 {
-			s.exp.set(key, int64(rec.ExpireAt))
-		}
-		if s.lru != nil && !s.dead(rec.ExpireAt) {
-			s.lru.prime(key, rec.Bytes())
-		}
-	})}
+	return &Attaching{s, s.m.BeginRecover()}
 }
 
 // Filter returns the store's GC filter with the attach riding it.
@@ -216,10 +214,7 @@ func (at *Attaching) Filter() ralloc.Filter { return at.rc.Filter() }
 // Finish completes the attach on the recovered heap and returns the store.
 func (at *Attaching) Finish() *Store {
 	s, h := at.s, at.s.a.NewHandle()
-	at.rc.Finish(h)
-	if s.lru != nil {
-		s.evict(h, s.lru.evictOver())
-	}
+	s.account(h, at.rc.Finish(h))
 	return s
 }
 
@@ -235,25 +230,31 @@ func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
 // clock is read only for stamped records: immortal hot-path reads skip it.
 func (s *Store) dead(at uint64) bool { return at != 0 && int64(at) <= s.now() }
 
-// evict deletes the records the LRU index pushed out of the budget (whole
-// graphs). The index has already dropped them; a key re-created since keeps
-// its new entry.
-func (s *Store) evict(h alloc.Handle, victims []string) {
-	for _, victim := range victims {
-		if s.m.Delete(h, []byte(victim)) {
-			s.deletes.Add(1)
-			s.exp.remove(victim)
-		}
+// add sums a write's Delta into the totals.
+func (s *Store) add(d dstruct.Delta) {
+	if d.Stamped != 0 {
+		s.ttld.Add(d.Stamped)
+	}
+	if s.budget != 0 {
+		s.bytes.Add(d.Bytes)
 	}
 }
 
-// forget drops a deleted key from the counters and the volatile indexes.
-func (s *Store) forget(key []byte) {
-	s.deletes.Add(1)
-	k := string(key)
-	s.exp.remove(k)
-	if s.lru != nil {
-		s.lru.remove(k)
+// account adds a write's Delta and, while a bounded store is over its
+// budget, advances the CLOCK hand: each unmarked bucket it reaches loses a
+// record (its whole graph). A write marks its own bucket, so the hand passes
+// it twice before it can be the victim; two laps that evict nothing, which
+// take every mark away, end the run.
+func (s *Store) account(h alloc.Handle, d dstruct.Delta) {
+	s.add(d)
+	over := s.budget != 0 && int64(s.bytes.Load()) > int64(s.budget)
+	for idle := uint64(0); over && idle < 2*s.m.Buckets(); idle++ {
+		if d, ok := s.m.Evict(h, s.hand.Add(1)-1); ok {
+			s.add(d)
+			s.evicted.Add(1)
+			s.deletes.Add(1)
+			idle, over = 0, int64(s.bytes.Load()) > int64(s.budget)
+		}
 	}
 }
 
@@ -275,22 +276,12 @@ func (s *Store) SetBytes(h alloc.Handle, key, value []byte) bool {
 // record's own allocation before the record becomes reachable, so an
 // acknowledged TTL'd SET can never recover as an immortal key.
 func (s *Store) SetBytesExpire(h alloc.Handle, key, value []byte, deadline int64) bool {
-	if !s.m.SetExpire(h, key, value, uint64(deadline)) {
-		return false
+	d, ok := s.m.SetExpire(h, key, value, uint64(deadline))
+	if ok {
+		s.sets.Add(1)
+		s.account(h, d)
 	}
-	s.sets.Add(1)
-	if deadline != 0 {
-		s.exp.set(string(key), deadline)
-	} else if s.exp.tracked() != 0 {
-		// Clearing a possible stale hint only matters when hints exist at
-		// all: immortal hot-path Sets in TTL-free workloads skip the index
-		// (and the key's string conversion) entirely.
-		s.exp.remove(string(key))
-	}
-	if s.lru != nil {
-		s.evict(h, s.lru.update(string(key), footprint(len(key), len(value))))
-	}
-	return true
+	return ok
 }
 
 // GetBytes fetches a string value. Expiry is lazy: a record past its
@@ -331,9 +322,6 @@ func (s *Store) AppendBytes(dst, key []byte) (value []byte, deadline int64, ok b
 		return nil, 0, false, ErrWrongType
 	}
 	s.hits.Add(1)
-	if s.lru != nil {
-		s.lru.touch(string(key))
-	}
 	return value, int64(rec.ExpireAt), true, nil
 }
 
@@ -370,21 +358,26 @@ func (s *Store) TypeOf(key []byte) Type {
 // before Expire returns — so an acknowledged EXPIRE is durable and a crash
 // can only leave the old or the new deadline, never a torn state.
 func (s *Store) Expire(key []byte, deadline int64) bool {
-	_, ok := s.m.UpdateExpire(key, uint64(deadline), uint64(s.now()))
-	if ok {
-		s.exp.set(string(key), deadline)
-	}
+	_, ok := s.restamp(key, uint64(deadline))
 	return ok
 }
 
 // Persist clears key's deadline, reporting whether a live key actually had
 // one (Redis PERSIST semantics).
 func (s *Store) Persist(key []byte) bool {
-	prev, ok := s.m.UpdateExpire(key, 0, uint64(s.now()))
-	if ok {
-		s.exp.remove(string(key))
-	}
+	prev, ok := s.restamp(key, 0)
 	return ok && prev != 0
+}
+
+// restamp rewrites a live key's stamp in place and counts the change.
+func (s *Store) restamp(key []byte, at uint64) (prev uint64, ok bool) {
+	prev, ok = s.m.UpdateExpire(key, at, uint64(s.now()))
+	if ok && prev == 0 && at != 0 {
+		s.ttld.Add(1)
+	} else if ok && prev != 0 && at == 0 {
+		s.ttld.Add(^uint64(0))
+	}
+	return prev, ok
 }
 
 // PTTL returns key's remaining lifetime in milliseconds, TTLNone (-1) for a
@@ -405,58 +398,40 @@ func (s *Store) PTTL(key []byte) int64 {
 }
 
 // ReclaimExpired deletes up to max records whose deadline has passed,
-// returning how many it freed — the active half of expiration. Candidates
-// come from the volatile index, but each deletion re-checks the *persisted*
-// stamp under the record's stripe lock (dstruct's conditional Remove), so a
-// key concurrently re-SET or PERSISTed is never swept. The serving layer
-// calls this from its expiry cycle under the checkpoint barrier.
+// returning how many it freed — the active half of expiration: min(max, the
+// records due) when nothing else writes. The serving layer calls
+// ExpiredCandidates and ReclaimIfExpired itself, under each key's lock.
 func (s *Store) ReclaimExpired(h alloc.Handle, max int) int {
 	n := 0
-	for _, cand := range s.ExpiredCandidates(max) {
-		if s.ReclaimIfExpired(h, cand.Key, cand.At) {
+	for _, key := range s.ExpiredCandidates(max) {
+		if s.ReclaimIfExpired(h, key) {
 			n++
 		}
 	}
 	return n
 }
 
-// ExpiredCandidates samples up to max keys whose volatile hint has passed.
-// Candidates are hints, possibly stale: only ReclaimIfExpired, which
-// re-checks the persisted stamp, may act on one. A caller that must
-// interleave its own work with each deletion — a replicating primary
-// propagates every reclaim as a DEL under the key's lock — samples here and
-// confirms each key with ReclaimIfExpired instead of using ReclaimExpired's
-// batch loop.
-func (s *Store) ExpiredCandidates(max int) []ExpiredCandidate {
-	return s.exp.sample(max, s.now())
+// ExpiredCandidates returns up to max keys whose records were due, found by a
+// cursor over the buckets marked as holding a stamp: it resumes where the last
+// call stopped and stops after one lap. A key may be re-SET or PERSISTed
+// before the caller acts on it: only ReclaimIfExpired may delete one.
+func (s *Store) ExpiredCandidates(max int) [][]byte {
+	keys, next := s.m.Expired(s.cursor.Load(), max, uint64(s.now()))
+	s.cursor.Store(next)
+	return keys
 }
 
-// ReclaimIfExpired is the single-key body of ReclaimExpired: it deletes key
-// iff its *persisted* stamp has passed (checked under the stripe lock),
-// repairs the volatile hint otherwise, and reports whether it freed the
-// record. hintAt must be the At the key was sampled with, so a hint
-// refreshed by a concurrent re-SETEX survives the cleanup.
-func (s *Store) ReclaimIfExpired(h alloc.Handle, key string, hintAt int64) bool {
-	at, removed := s.m.Remove(h, []byte(key), uint64(s.now()))
-	if !removed {
-		// The persisted stamp disagrees with the sampled hint (the key was
-		// deleted, re-SET, or PERSISTed since, possibly by writers racing
-		// each other): repair the hint from the stamp Remove found (0 when
-		// the record is gone or immortal) so phantom entries don't get
-		// re-sampled every cycle.
-		s.exp.fix(key, hintAt, int64(at))
-		return false
+// ReclaimIfExpired deletes key iff its *persisted* stamp has passed, checked
+// under the stripe lock (dstruct's conditional Remove), so a key concurrently
+// re-SET or PERSISTed is never swept, and reports whether it freed the record.
+func (s *Store) ReclaimIfExpired(h alloc.Handle, key []byte) bool {
+	_, d, ok := s.m.Remove(h, key, uint64(s.now()))
+	if ok {
+		s.add(d)
+		s.deletes.Add(1)
+		s.reclaimed.Add(1)
 	}
-	s.deletes.Add(1)
-	s.reclaimed.Add(1)
-	// Conditional removal: a concurrent SETEX may have re-created the key
-	// and refreshed its hint between our delete and here; that fresh hint
-	// must survive for the record to be reclaimed when it expires.
-	s.exp.removeIf(key, hintAt)
-	if s.lru != nil {
-		s.lru.remove(key)
-	}
-	return true
+	return ok
 }
 
 // Delete removes a key. The return reports whether an *observably live* key
@@ -467,11 +442,12 @@ func (s *Store) ReclaimIfExpired(h alloc.Handle, key string, hintAt int64) bool 
 // atomicity with read-modify-write sequences must serialize externally (the
 // server's keyLock).
 func (s *Store) Delete(h alloc.Handle, key []byte) bool {
-	at, ok := s.m.Remove(h, key, 0)
+	at, d, ok := s.m.Remove(h, key, 0)
 	if !ok {
 		return false
 	}
-	s.forget(key)
+	s.add(d)
+	s.deletes.Add(1)
 	return !s.dead(at)
 }
 
@@ -567,24 +543,23 @@ func (s *Store) DeleteAll(h alloc.Handle) int {
 }
 
 // Bounded reports whether the store enforces a memory budget.
-func (s *Store) Bounded() bool { return s.lru != nil }
+func (s *Store) Bounded() bool { return s.budget != 0 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. A sum read while writes are in
+// flight may be off by their deltas; one that would be negative reads 0.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	sum := func(c *obs.Counter) uint64 { return uint64(max(int64(c.Load()), 0)) }
+	return Stats{
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
 		Sets:      s.sets.Load(),
 		Deletes:   s.deletes.Load(),
+		Evictions: s.evicted.Load(),
 		Expired:   s.expired.Load(),
 		Reclaimed: s.reclaimed.Load(),
-		TTLd:      uint64(s.exp.tracked()),
+		TTLd:      sum(&s.ttld),
+		Bytes:     sum(&s.bytes),
 	}
-	if s.lru != nil {
-		st.Evictions = s.lru.Evicted()
-		st.Bytes = s.lru.Bytes()
-	}
-	return st
 }
 
 // Filter returns the recovery filter for the store's hash map.

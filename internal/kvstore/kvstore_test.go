@@ -5,10 +5,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dstruct"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
 	"repro/internal/ycsb"
 )
+
+// footprint is a string record's charge: the size of its map node.
+func footprint(key, value int) uint64 { return dstruct.RecordSize(uint64(key), uint64(value)) }
 
 func newStore(t *testing.T) (*ralloc.Heap, *Store, uint64) {
 	t.Helper()
@@ -115,38 +119,110 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestBoundedStoreEvictsLRU(t *testing.T) {
+// CLOCK's contract: a key not referenced since the hand last passed its
+// bucket is evicted before one that was.
+func TestBoundedStoreEvictsByClock(t *testing.T) {
 	h, _, err := ralloc.Open("", ralloc.Config{SBRegion: 32 << 20, GrowthChunk: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := h.AsAllocator()
 	hd := a.NewHandle()
-	// Budget for roughly 100 records of this shape.
-	budget := 100 * footprint(10, 100)
-	s, _ := OpenBounded(a, hd, 256, budget)
+	budget := 40 * footprint(10, 100)
+	s, _ := OpenBounded(a, hd, 64, budget)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
 	val := make([]byte, 100)
-	for i := 0; i < 300; i++ {
-		if !s.SetBytes(hd, []byte(fmt.Sprintf("key-%05d", i)), val) {
+	// Which keys the map holds, read without referencing a bucket.
+	present := func() map[string]bool {
+		keys := map[string]bool{}
+		s.Range(func(k, _ []byte) bool { keys[string(k)] = true; return true })
+		return keys
+	}
+	// The 41st record goes over budget: the hand's first two laps take every
+	// write's marks away, its third evicts.
+	for i := 0; i <= 40; i++ {
+		if !s.SetBytes(hd, key(i), val) {
 			t.Fatal("OOM")
 		}
 	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite 3x budget")
+	before, lap, st := present(), s.hand.Load(), s.Stats()
+	hot := map[string]bool{}
+	for i := 0; i <= 40; i += 2 {
+		if k := key(i); before[string(k)] {
+			s.GetBytes(k)
+			hot[string(k)] = true
+		}
 	}
-	if st.Bytes > budget {
+	if !s.SetBytes(hd, []byte("big"), make([]byte, 4*footprint(10, 100))) {
+		t.Fatal("OOM")
+	}
+	if s.hand.Load()-lap >= s.m.Buckets() {
+		t.Fatal("the hand lapped: the contract no longer applies")
+	}
+	after, evicted := present(), uint64(0)
+	for k := range before {
+		if !after[k] && hot[k] {
+			t.Fatalf("%s, referenced since the hand last passed, was evicted", k)
+		} else if !after[k] {
+			evicted++
+		}
+	}
+	if got := s.Stats(); evicted == 0 || !after["big"] || got.Evictions-st.Evictions != evicted || got.Bytes > budget {
+		t.Fatalf("%d unreferenced keys evicted, the write itself kept: %v; %d evictions, %d bytes of %d",
+			evicted, after["big"], got.Evictions-st.Evictions, got.Bytes, budget)
+	}
+	// Under churn the budget holds and the newest key survives.
+	for i := 41; i < 300; i++ {
+		if !s.SetBytes(hd, key(i), val) {
+			t.Fatal("OOM")
+		}
+	}
+	if st := s.Stats(); st.Bytes > budget {
 		t.Fatalf("footprint %d above budget %d", st.Bytes, budget)
 	}
-	// The most recent keys survive, the oldest are gone.
-	if _, ok, _ := s.GetBytes([]byte("key-00299")); !ok {
+	if _, ok, _ := s.GetBytes(key(299)); !ok {
 		t.Fatal("newest key evicted")
-	}
-	if _, ok, _ := s.GetBytes([]byte("key-00000")); ok {
-		t.Fatal("oldest key survived a full eviction cycle")
 	}
 	if _, err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A write survives two passes of the hand. When every bucket was read since
+// the hand last passed, the hand laps fast, taking the reads' marks; the keys
+// written meanwhile must outlive the keys read before them, as they would
+// under LRU.
+func TestBoundedStoreKeepsWritesThroughAFastLap(t *testing.T) {
+	h, _, err := ralloc.Open("", ralloc.Config{SBRegion: 32 << 20, GrowthChunk: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	s, _ := OpenBounded(a, hd, 64, 40*footprint(10, 100))
+	val := make([]byte, 100)
+	// The 41st record goes over budget: the hand's two idle laps take every
+	// mark away and end the run.
+	for i := 0; i <= 40; i++ {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("old-%06d", i)), val) {
+			t.Fatal("OOM")
+		}
+	}
+	var old [][]byte
+	s.Range(func(k, _ []byte) bool { old = append(old, k); return true })
+	for _, k := range old {
+		s.GetBytes(k)
+	}
+	evictions := s.Stats().Evictions
+	for i := 0; i < 20; i++ {
+		if !s.SetBytes(hd, []byte(fmt.Sprintf("new-%06d", i)), val) {
+			t.Fatal("OOM")
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if _, ok, _ := s.GetBytes([]byte(fmt.Sprintf("new-%06d", i))); !ok {
+			t.Fatalf("new-%06d evicted while keys read before it stayed (%d evictions)", i, s.Stats().Evictions-evictions)
+		}
 	}
 }
 
@@ -175,7 +251,7 @@ func TestBoundedStoreTouchProtectsHotKeys(t *testing.T) {
 }
 
 func TestBoundedStoreEvictionFreesMemory(t *testing.T) {
-	// The whole point of the LRU for an allocator study: a bounded store
+	// The whole point of eviction for an allocator study: a bounded store
 	// under endless churn must not grow the heap without bound.
 	h, _, err := ralloc.Open("", ralloc.Config{SBRegion: 32 << 20, GrowthChunk: 1 << 20})
 	if err != nil {
@@ -199,10 +275,10 @@ func TestBoundedStoreEvictionFreesMemory(t *testing.T) {
 	}
 }
 
-func TestLRUConcurrentSetGet(t *testing.T) {
-	// Eviction under concurrent Set/Get: the LRU index and the persistent
-	// map must stay consistent with each other while victims are chosen
-	// under one lock and deleted under another. Run with -race.
+func TestEvictionConcurrentSetGet(t *testing.T) {
+	// Eviction under concurrent Set/Get: the byte accounting and the
+	// persistent map must stay consistent with each other while the hand
+	// and the readers' reference bits race. Run with -race.
 	h, _, err := ralloc.Open("", ralloc.Config{SBRegion: 32 << 20, GrowthChunk: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +314,7 @@ func TestLRUConcurrentSetGet(t *testing.T) {
 	if st.Bytes > budget {
 		t.Fatalf("footprint %d above budget %d after quiescence", st.Bytes, budget)
 	}
-	// The LRU's view and the map must agree: every tracked byte belongs to
+	// The accounting and the map must agree: every tracked byte belongs to
 	// a live record, and the record count matches a full walk.
 	walked := 0
 	var walkedBytes uint64
@@ -251,7 +327,7 @@ func TestLRUConcurrentSetGet(t *testing.T) {
 		t.Fatalf("walked %d records, Len() = %d", walked, s.Len())
 	}
 	if walkedBytes != st.Bytes {
-		t.Fatalf("walked footprint %d, LRU accounting %d", walkedBytes, st.Bytes)
+		t.Fatalf("walked footprint %d, accounting %d", walkedBytes, st.Bytes)
 	}
 	if _, err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -323,7 +399,7 @@ func TestAttachBoundedRebuildsBudget(t *testing.T) {
 }
 
 // Attach makes one pass over the map: every bucket head is loaded once, not
-// once per job (repair objects, hint the expiry index, prime the LRU). With
+// once per job (repair objects, count records, bytes and stamps). With
 // far fewer records than buckets the head loads dominate the count, so a
 // second sweep cannot hide.
 func TestAttachBoundedWalksTheMapOnce(t *testing.T) {

@@ -6,8 +6,9 @@ package kvstore
 // deadline is invisible; object *writes* additionally reap the corpse in
 // place so dead fields or elements can never resurrect into the new
 // object), and bounded stores charge each key its full graph footprint —
-// the object header's persistently maintained bytes word — so evicting a
-// hash frees its fields, not just its top record.
+// every write's dstruct.Delta, from the object header's persistently
+// maintained bytes word — so evicting a hash frees its fields, not just its
+// top record.
 
 import (
 	"errors"
@@ -21,29 +22,14 @@ import (
 // callers).
 var errBadPairs = errors.New("kvstore: HSet requires field/value pairs")
 
-// objFootprint is the LRU charge of an object record: the top node (key
-// plus the 8-byte payload) and the secondary structure's graph bytes.
-func objFootprint(klen int, graph uint64) uint64 { return footprint(klen, 8) + graph }
-
-// chargeObject records an object's new absolute footprint with the LRU,
-// evicting whatever the budget pushes out.
-func (s *Store) chargeObject(h alloc.Handle, key []byte, objBytes uint64) {
-	if s.lru != nil {
-		s.evict(h, s.lru.update(string(key), objFootprint(len(key), objBytes)))
-	}
-}
-
-// readCounters applies the shared read bookkeeping: lazy-expiry tally, LRU
-// touch, hit/miss counters.
-func (s *Store) readCounters(key []byte, ok, expired bool) {
+// readCounters applies the shared read bookkeeping: lazy-expiry tally and
+// hit/miss counters.
+func (s *Store) readCounters(ok, expired bool) {
 	if expired {
 		s.expired.Add(1)
 	}
 	if ok {
 		s.hits.Add(1)
-		if s.lru != nil {
-			s.lru.touch(string(key))
-		}
 	} else {
 		s.misses.Add(1)
 	}
@@ -59,12 +45,12 @@ func (s *Store) HSet(h alloc.Handle, key []byte, fieldvals ...[]byte) (created i
 	if len(fieldvals) == 0 || len(fieldvals)%2 != 0 {
 		return 0, errBadPairs
 	}
-	created, objBytes, err := s.m.HSet(h, key, fieldvals, uint64(s.now()))
+	created, d, err := s.m.HSet(h, key, fieldvals, uint64(s.now()))
+	s.account(h, d)
 	if err != nil {
 		return 0, err
 	}
 	s.sets.Add(1)
-	s.chargeObject(h, key, objBytes)
 	return created, nil
 }
 
@@ -74,7 +60,7 @@ func (s *Store) HGet(key, field []byte) (val []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s.readCounters(key, ok, expired)
+	s.readCounters(ok, expired)
 	return v, ok, nil
 }
 
@@ -88,16 +74,12 @@ func (s *Store) HExists(key, field []byte) (bool, error) {
 // Removing the last field deletes the key itself (Redis drops empty
 // hashes).
 func (s *Store) HDel(h alloc.Handle, key []byte, fields ...[]byte) (int, error) {
-	removed, objBytes, gone, err := s.m.HDel(h, key, fields, uint64(s.now()))
-	if err != nil {
-		return 0, err
-	}
+	removed, d, gone, err := s.m.HDel(h, key, fields, uint64(s.now()))
+	s.add(d)
 	if gone {
-		s.forget(key) // last field or element removed: the record went with it
-	} else if removed > 0 {
-		s.chargeObject(h, key, objBytes)
+		s.deletes.Add(1) // last field removed: the record went with it
 	}
-	return removed, nil
+	return removed, err
 }
 
 // HLen returns the number of fields in the hash at key (0 if missing).
@@ -124,7 +106,7 @@ func (s *Store) HGetAll(key []byte) (fields, values [][]byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s.readCounters(key, len(fields) > 0, expired)
+	s.readCounters(len(fields) > 0, expired)
 	return fields, values, nil
 }
 
@@ -144,12 +126,12 @@ func (s *Store) push(h alloc.Handle, key []byte, vals [][]byte, left bool) (int,
 		n, err := s.LLen(key)
 		return n, err
 	}
-	n, objBytes, err := s.m.Push(h, key, vals, left, uint64(s.now()))
+	n, d, err := s.m.Push(h, key, vals, left, uint64(s.now()))
+	s.account(h, d)
 	if err != nil {
 		return 0, err
 	}
 	s.sets.Add(1)
-	s.chargeObject(h, key, objBytes)
 	return n, nil
 }
 
@@ -165,20 +147,16 @@ func (s *Store) RPop(h alloc.Handle, key []byte) ([]byte, bool, error) {
 }
 
 func (s *Store) pop(h alloc.Handle, key []byte, left bool) ([]byte, bool, error) {
-	val, ok, objBytes, gone, expired, err := s.m.Pop(h, key, left, uint64(s.now()))
+	val, ok, d, gone, expired, err := s.m.Pop(h, key, left, uint64(s.now()))
 	if err != nil {
 		return nil, false, err
 	}
-	s.readCounters(key, ok, expired)
-	if !ok {
-		return nil, false, nil
-	}
+	s.readCounters(ok, expired)
+	s.add(d)
 	if gone {
-		s.forget(key) // last field or element removed: the record went with it
-	} else {
-		s.chargeObject(h, key, objBytes)
+		s.deletes.Add(1) // last element removed: the record went with it
 	}
-	return val, true, nil
+	return val, ok, nil
 }
 
 // LRange returns the elements of the list at key between start and stop
@@ -189,6 +167,6 @@ func (s *Store) LRange(key []byte, start, stop int64) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.readCounters(key, len(vals) > 0, expired)
+	s.readCounters(len(vals) > 0, expired)
 	return vals, nil
 }

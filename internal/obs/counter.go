@@ -30,9 +30,11 @@ func StripeIndex() uint {
 	return uint(uintptr(unsafe.Pointer(&marker))>>11) % Stripes
 }
 
-// Counter is a monotonically increasing, striped counter: Add lands on the
-// calling goroutine's stripe (StripeIndex), so writers on different
-// goroutines do not bounce one cache line between cores, and Load sums.
+// Counter is a striped counter: Add lands on the calling goroutine's stripe
+// (StripeIndex), so writers on different goroutines do not bounce one cache
+// line between cores, and Load sums. Adding two's complement deltas makes it
+// a signed sum, exact once the adders are quiet; read as int64 while they
+// race, it may stray below zero.
 type Counter struct {
 	stripes [Stripes]paddedUint64
 }
@@ -40,8 +42,9 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.stripes[StripeIndex()].v.Add(n) }
 
-// Load sums the stripes. Concurrent adds may or may not be included; the
-// result never goes backwards between calls observing the same adds.
+// Load sums the stripes. Concurrent adds may or may not be included; with
+// only positive adds the result never goes backwards between calls observing
+// the same adds.
 func (c *Counter) Load() uint64 {
 	var total uint64
 	for i := range c.stripes {

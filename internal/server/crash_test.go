@@ -84,7 +84,7 @@ func TestCrashRestartUnderLiveTraffic(t *testing.T) {
 	}
 
 	// Restart: attach reports dirty, recovery rebuilds allocator metadata,
-	// AttachBounded rebuilds the LRU accounting by walking the map.
+	// AttachBounded recounts the byte accounting by walking the map.
 	h2, dirty, err := ralloc.Attach(h.Region(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -199,14 +200,14 @@ func cmds(script [][]string) []step {
 func advance(ms int64) step { return step{fn: func(e *crashEnv) { e.sw.now += ms }} }
 
 // reclaim is an active-expiry round over every due key, in key order: the
-// expiry index samples in map order, and the sweep needs a script that makes
-// the same stores every time it runs.
+// expiry cursor resumes wherever the last round stopped, and the sweep needs
+// a script that makes the same stores every time it runs.
 func reclaim() step {
 	return step{fn: func(e *crashEnv) {
 		due := e.st.ExpiredCandidates(math.MaxInt32)
-		sort.Slice(due, func(i, j int) bool { return due[i].Key < due[j].Key })
-		for _, c := range due {
-			e.st.ReclaimIfExpired(e.ctx.hd, c.Key, c.At)
+		slices.SortFunc(due, bytes.Compare)
+		for _, key := range due {
+			e.st.ReclaimIfExpired(e.ctx.hd, key)
 		}
 	}}
 }

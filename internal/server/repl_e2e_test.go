@@ -104,7 +104,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	}
 
 	if clusterShards == 1 {
-		// -boundmb and -replicaof are mutually exclusive (LRU evictions are
+		// -boundmb and -replicaof are mutually exclusive (evictions are
 		// not replicated): the binary must refuse the combination at startup.
 		bad := exec.Command(bin, "-heap", filepath.Join(dir, "bad.heap"), "-unix",
 			filepath.Join(dir, "bad.sock"), "-boundmb", "8", "-replicaof", a.sock)

@@ -63,11 +63,13 @@ type Config struct {
 	// embedder-recorded events are always kept.
 	LatencyThreshold time.Duration
 	// ActiveExpiryInterval, if positive, starts the active expiry cycle: a
-	// goroutine that every interval samples TTL'd keys and reclaims the
-	// expired ones. It runs under the same barrier as commands (execMu
-	// read side), so a SAVE checkpoint never captures a half-done
-	// reclamation. Zero disables the cycle; reads still apply lazy expiry,
-	// so correctness is unaffected — only space reclamation is.
+	// goroutine that every interval moves each shard's expiry cursor over
+	// the buckets marked as holding a stamp and reclaims the expired
+	// records it finds, each under its key's stripe lock. It runs under the
+	// same barrier as commands (execMu read side), so a SAVE checkpoint never
+	// captures a half-done reclamation. Zero disables the cycle; reads still
+	// apply lazy expiry, so correctness is unaffected — only space
+	// reclamation is.
 	ActiveExpiryInterval time.Duration
 	// ActiveExpirySample caps how many expired keys one cycle reclaims
 	// (default 20, Redis-like), bounding the barrier hold time.
@@ -290,27 +292,21 @@ func (s *Server) expiryLoop() {
 func (s *Server) reclaimUnderBarrier(sh *shard, hd alloc.Handle, sample int) {
 	sh.locks.Exec.RLock()
 	defer sh.locks.Exec.RUnlock()
-	if s.repl == nil {
-		sh.st.ReclaimExpired(hd, sample)
-		return
-	}
-	// With replication on, each reclamation must reach the feed as a DEL in
-	// the same order it hit the store, which means holding the key's stripe
-	// lock across reclaim+append exactly like a client DEL would.
-	for _, cand := range sh.st.ExpiredCandidates(sample) {
-		s.reclaimPropagate(sh, hd, cand)
+	for _, key := range sh.st.ExpiredCandidates(sample) {
+		s.reclaim(sh, hd, key)
 	}
 }
 
-// reclaimPropagate reclaims one expired candidate under its stripe lock and,
-// if the key actually died (the deadline may have moved since sampling),
-// appends the equivalent DEL to the replication feed.
-func (s *Server) reclaimPropagate(sh *shard, hd alloc.Handle, cand kvstore.ExpiredCandidate) {
-	mu := &sh.locks.Stripes[s.stripeOf([]byte(cand.Key))]
+// reclaim reclaims one expired candidate under its stripe lock, as a client
+// DEL would run, and — when replicating and the key actually died (the
+// deadline may have moved since the sweep found it) — appends the equivalent
+// DEL to the feed, in the order it hit the store.
+func (s *Server) reclaim(sh *shard, hd alloc.Handle, key []byte) {
+	mu := &sh.locks.Stripes[s.stripeOf(key)]
 	mu.Lock()
 	defer mu.Unlock()
-	if sh.st.ReclaimIfExpired(hd, cand.Key, cand.At) {
-		s.repl.feed.Append([][]byte{[]byte("DEL"), []byte(cand.Key)})
+	if sh.st.ReclaimIfExpired(hd, key) && s.repl != nil {
+		s.repl.feed.Append([][]byte{[]byte("DEL"), key})
 		sh.replWrites.Add(1)
 	}
 }
