@@ -120,7 +120,7 @@ func main() {
 	flag.IntVar(&o.slowlogLen, "slowlog-max-len", 128, "slow-log ring capacity")
 	flag.DurationVar(&o.latThresh, "latency-threshold", 0, "LATENCY 'command' event threshold; 0 disables command latency events")
 	flag.StringVar(&o.replicaOf, "replicaof", "", "start as a replica of this primary (host:port or unix socket path); bootstraps the heaps from the primary's checkpoints")
-	flag.IntVar(&o.replBacklog, "repl-backlog", 1<<20, "replication backlog capacity in bytes")
+	flag.IntVar(&o.replBacklog, "repl-backlog", 1<<20, "replication backlog capacity in bytes (a fresh primary fills it from its first full resync on)")
 	flag.Parse()
 	if o.tcpAddr == "" && o.unixAddr == "" {
 		o.tcpAddr = ":6379"

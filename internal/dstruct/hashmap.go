@@ -552,14 +552,15 @@ func (m *HashMap) Evict(h alloc.Handle, b uint64) (d Delta, ok bool) {
 }
 
 // Expired walks the buckets marked as holding a stamp, from bucket from
-// modulo the bucket count, for at most one lap, and returns the keys of up to
-// max records whose stamp had passed at now, and the bucket to resume from:
-// the one it stopped in if that bucket holds due records it did not return.
+// modulo the bucket count, for at most one lap and at most budget marked
+// buckets. It returns the keys of up to max records whose stamp had passed at
+// now, the bucket to resume from — the one it stopped in if that bucket holds
+// due records it did not return — and how many marked buckets it visited.
 // A marked bucket found to hold no stamped record is unmarked, under its
 // stripe lock, so a write stamping one there cannot be missed.
-func (m *HashMap) Expired(from uint64, max int, now uint64) (keys [][]byte, next uint64) {
+func (m *HashMap) Expired(from uint64, max, budget int, now uint64) (keys [][]byte, next uint64, visited int) {
 	n := uint64(0)
-	for ; n < m.nB && len(keys) < max; n++ {
+	for ; n < m.nB && len(keys) < max && visited < budget; n++ {
 		b := (from + n) & (m.nB - 1)
 		if w := m.ttl[b/64].Load() >> (b % 64); w == 0 {
 			n += min(63-b%64, m.nB-1-b) // no marked bucket left in the word
@@ -567,6 +568,7 @@ func (m *HashMap) Expired(from uint64, max int, now uint64) (keys [][]byte, next
 		} else if w&1 == 0 {
 			continue
 		}
+		visited++
 		stamped, more := false, false
 		mu := m.stripeFor(b)
 		mu.Lock()
@@ -586,10 +588,10 @@ func (m *HashMap) Expired(from uint64, max int, now uint64) (keys [][]byte, next
 		}
 		mu.Unlock()
 		if more {
-			return keys, b
+			return keys, b, visited
 		}
 	}
-	return keys, (from + n) & (m.nB - 1)
+	return keys, (from + n) & (m.nB - 1), visited
 }
 
 // Len returns the number of keys.

@@ -28,6 +28,7 @@
 package kvstore
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -399,11 +400,13 @@ func (s *Store) PTTL(key []byte) int64 {
 
 // ReclaimExpired deletes up to max records whose deadline has passed,
 // returning how many it freed — the active half of expiration: min(max, the
-// records due) when nothing else writes. The serving layer calls
-// ExpiredCandidates and ReclaimIfExpired itself, under each key's lock.
+// records due) when nothing else writes, since it may look at every marked
+// bucket. The serving layer calls ExpiredCandidates, with a bound on the
+// buckets, and ReclaimIfExpired itself, under each key's lock.
 func (s *Store) ReclaimExpired(h alloc.Handle, max int) int {
 	n := 0
-	for _, key := range s.ExpiredCandidates(max) {
+	keys, _ := s.ExpiredCandidates(max, math.MaxInt)
+	for _, key := range keys {
 		if s.ReclaimIfExpired(h, key) {
 			n++
 		}
@@ -413,12 +416,14 @@ func (s *Store) ReclaimExpired(h alloc.Handle, max int) int {
 
 // ExpiredCandidates returns up to max keys whose records were due, found by a
 // cursor over the buckets marked as holding a stamp: it resumes where the last
-// call stopped and stops after one lap. A key may be re-SET or PERSISTed
-// before the caller acts on it: only ReclaimIfExpired may delete one.
-func (s *Store) ExpiredCandidates(max int) [][]byte {
-	keys, next := s.m.Expired(s.cursor.Load(), max, uint64(s.now()))
+// call stopped and stops after one lap or budget marked buckets, whichever
+// comes first. visited is how many marked buckets it looked at. A key may be
+// re-SET or PERSISTed before the caller acts on it: only ReclaimIfExpired may
+// delete one.
+func (s *Store) ExpiredCandidates(max, budget int) (keys [][]byte, visited int) {
+	keys, next, visited := s.m.Expired(s.cursor.Load(), max, budget, uint64(s.now()))
 	s.cursor.Store(next)
-	return keys
+	return keys, visited
 }
 
 // ReclaimIfExpired deletes key iff its *persisted* stamp has passed, checked

@@ -304,16 +304,34 @@ func TestNonCanonicalEntriesRelay(t *testing.T) {
 }
 
 // TestFeedAppendDoesNotAllocate: once the windows have reached their size an
-// entry is encoded in place and the bound is enforced by moving an index.
+// entry is encoded in place and the bound is enforced by moving an index. A
+// counting feed only adds, and takes no lock: its appends run here with the
+// feed's mutex held.
 func TestFeedAppendDoesNotAllocate(t *testing.T) {
-	for _, size := range []int{100, 20 << 10} { // a typical value, and one a third of the bound
-		f := NewFeed(64<<10, 1, 0)
-		args := entry("SET", "key:000000012345", strings.Repeat("v", size))
+	for _, tc := range []struct {
+		size     int
+		counting bool
+	}{{100, false}, {20 << 10, false}, {100, true}} { // a typical value, and one a third of the bound
+		newFeed := NewFeed
+		if tc.counting {
+			newFeed = NewCountingFeed
+		}
+		f := newFeed(64<<10, 1, 0)
+		args := entry("SET", "key:000000012345", strings.Repeat("v", tc.size))
 		for i := 0; i < 10000; i++ {
 			f.Append(args)
 		}
+		if tc.counting {
+			f.mu.Lock()
+		}
 		if n := testing.AllocsPerRun(5000, func() { f.Append(args) }); n != 0 {
-			t.Fatalf("Feed.Append of %d-byte values allocates %v times per entry", size, n)
+			t.Fatalf("Feed.Append of %d-byte values (counting %v) allocates %v times per entry", tc.size, tc.counting, n)
+		}
+		if tc.counting {
+			f.mu.Unlock()
+			if want := uint64(15001 * entryLen(args)); f.Offset() != want || f.Entries() != 15001 || f.BacklogLen() != 0 {
+				t.Fatalf("counting feed: offset %d entries %d backlog %d, want %d, 15001, 0", f.Offset(), f.Entries(), f.BacklogLen(), want)
+			}
 		}
 	}
 }

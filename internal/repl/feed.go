@@ -3,6 +3,9 @@ package repl
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/resp"
 )
 
 var (
@@ -26,6 +29,10 @@ var (
 // replica's feed is byte-identical to the primary's prefix it has consumed,
 // its end offset *is* the applied offset, and promotion just starts new
 // cursors on it.
+//
+// A feed nobody can read yet counts instead (NewCountingFeed): Append only
+// advances the end offset and the entry count, without the lock, and no
+// byte is kept until Retain.
 type Feed struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -35,6 +42,12 @@ type Feed struct {
 	pins    int // >0: full-sync in flight, eviction paused
 	closed  bool
 	entries uint64 // appended entry count, for observability
+
+	// The counting state: while counting is set, countEnd and countEntries
+	// stand in for b.end() and entries, and the backlog is unused.
+	counting     atomic.Bool
+	countEnd     atomic.Uint64
+	countEntries atomic.Uint64
 }
 
 // NewFeed creates a feed whose stream starts at offset start (a replica
@@ -48,6 +61,37 @@ func NewFeed(capacity int, id, start uint64) *Feed {
 	f := &Feed{id: id, b: backlog{start: start, max: capacity}}
 	f.cond = sync.NewCond(&f.mu)
 	return f
+}
+
+// NewCountingFeed is NewFeed in the counting state: it covers no offset and
+// retains nothing until Retain, so it suits a stream whose first reader has
+// yet to be handed a position.
+func NewCountingFeed(capacity int, id, start uint64) *Feed {
+	f := NewFeed(capacity, id, start)
+	f.countEnd.Store(start)
+	f.counting.Store(true)
+	return f
+}
+
+// Retain ends the counting state: the backlog starts, empty, at the counted
+// end, and every later Append is retained. The caller must keep every
+// appender out while it runs — an Append that saw the counting state and has
+// not yet counted would be lost from the offsets. Retain on a retaining feed
+// does nothing.
+func (f *Feed) Retain() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.counting.Load() {
+		f.b.start = f.countEnd.Load()
+		f.entries = f.countEntries.Load()
+		f.counting.Store(false)
+	}
+}
+
+// count is Append and AppendRaw in the counting state.
+func (f *Feed) count(n int) uint64 {
+	f.countEntries.Add(1)
+	return f.countEnd.Add(uint64(n))
 }
 
 // ID returns the replication stream ID.
@@ -69,13 +113,20 @@ func (f *Feed) SetID(id uint64) {
 // Offset returns the feed's end offset: the stream position after the last
 // appended entry. On a replica this is the applied offset.
 func (f *Feed) Offset() uint64 {
+	if f.counting.Load() {
+		return f.countEnd.Load()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.b.end()
 }
 
-// StartOffset returns the earliest retained stream offset.
+// StartOffset returns the earliest retained stream offset; a counting feed
+// retains nothing, so its window starts at its end.
 func (f *Feed) StartOffset() uint64 {
+	if f.counting.Load() {
+		return f.countEnd.Load()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.b.start
@@ -91,6 +142,9 @@ func (f *Feed) BacklogLen() int {
 // Entries returns how many entries have been appended over the feed's
 // lifetime.
 func (f *Feed) Entries() uint64 {
+	if f.counting.Load() {
+		return f.countEntries.Load()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.entries
@@ -100,8 +154,12 @@ func (f *Feed) Entries() uint64 {
 // the new end offset. Callers serialize appends against each other only as
 // far as their own ordering requirements demand — on the primary the tap
 // appends while still holding the command's stripe locks, so feed order
-// equals execution order for conflicting commands.
+// equals execution order for conflicting commands. A counting feed adds the
+// entry's encoded length and returns: no lock, no encoding, no wake-up.
 func (f *Feed) Append(args [][]byte) uint64 {
+	if f.counting.Load() {
+		return f.count(resp.CommandLen(args))
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.b.appendEntry(args)
@@ -111,6 +169,9 @@ func (f *Feed) Append(args [][]byte) uint64 {
 // AppendRaw appends an already-encoded entry (a replica re-appending the
 // exact bytes it consumed from the link) and returns the new end offset.
 func (f *Feed) AppendRaw(raw []byte) uint64 {
+	if f.counting.Load() {
+		return f.count(len(raw))
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.b.appendRaw(raw)
@@ -159,13 +220,13 @@ func (f *Feed) Close() {
 }
 
 // CursorAt returns a cursor positioned at absolute stream offset off, or
-// false if the backlog no longer covers it (the caller must full-resync).
-// off must be an entry boundary — image cut-over offsets and replica
-// applied offsets are, by construction.
+// false if the backlog no longer covers it (the caller must full-resync). A
+// counting feed covers no offset. off must be an entry boundary — image
+// cut-over offsets and replica applied offsets are, by construction.
 func (f *Feed) CursorAt(off uint64) (*Cursor, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.b.covers(off) {
+	if f.counting.Load() || !f.b.covers(off) {
 		return nil, false
 	}
 	return &Cursor{f: f, off: off}, true

@@ -144,6 +144,52 @@ func TestFeedOffsetsAndBacklog(t *testing.T) {
 	}
 }
 
+// TestCountingFeedRetain: a counting feed advances its offsets exactly as a
+// retaining one would but keeps no byte and covers no offset; Retain starts
+// the backlog at the counted end, from which a cursor streams exactly what
+// was appended after it.
+func TestCountingFeedRetain(t *testing.T) {
+	const start = 1000
+	f := NewCountingFeed(1<<20, 7, start)
+	e := entry("SET", "key", "value")
+	want := uint64(start)
+	for i := 0; i < 10; i++ {
+		want += uint64(entryLen(e))
+		if got := f.Append(e); got != want {
+			t.Fatalf("append %d: offset %d, want %d", i, got, want)
+		}
+	}
+	want += uint64(entryLen(e))
+	if got := f.AppendRaw(AppendEntry(nil, e)); got != want {
+		t.Fatalf("raw append: offset %d, want %d", got, want)
+	}
+	if f.Offset() != want || f.StartOffset() != want || f.BacklogLen() != 0 || f.Entries() != 11 {
+		t.Fatalf("counting feed: offset %d start %d backlog %d entries %d", f.Offset(), f.StartOffset(), f.BacklogLen(), f.Entries())
+	}
+	for _, off := range []uint64{start, want} {
+		if _, ok := f.CursorAt(off); ok {
+			t.Fatalf("a counting feed covers offset %d", off)
+		}
+	}
+
+	f.Retain()
+	f.Retain() // a retaining feed ignores it
+	c, ok := f.CursorAt(want)
+	if !ok || f.StartOffset() != want || f.Entries() != 11 {
+		t.Fatalf("after Retain: cursor %v, start %d, entries %d", ok, f.StartOffset(), f.Entries())
+	}
+	if _, ok := f.CursorAt(want - 1); ok {
+		t.Fatal("Retain kept a byte from before it")
+	}
+	e2 := entry("INCR", "n")
+	if got := f.Append(e2); got != want+uint64(entryLen(e2)) {
+		t.Fatalf("append after Retain: offset %d", got)
+	}
+	if p, err := c.NextEntries(1 << 20); err != nil || !bytes.Equal(p, AppendEntry(nil, e2)) {
+		t.Fatalf("cursor at the counted end read %q, %v", p, err)
+	}
+}
+
 // TestCursorStreamsExactBytes: a cursor started at an entry boundary
 // returns the precise byte stream of subsequent appends, across blocking
 // waits, every returned batch is itself whole entries (a max smaller than

@@ -204,7 +204,7 @@ func advance(ms int64) step { return step{fn: func(e *crashEnv) { e.sw.now += ms
 // a script that makes the same stores every time it runs.
 func reclaim() step {
 	return step{fn: func(e *crashEnv) {
-		due := e.st.ExpiredCandidates(math.MaxInt32)
+		due, _ := e.st.ExpiredCandidates(math.MaxInt32, math.MaxInt32)
 		slices.SortFunc(due, bytes.Compare)
 		for _, key := range due {
 			e.st.ReclaimIfExpired(e.ctx.hd, key)

@@ -52,15 +52,23 @@ func goldenServer(t *testing.T) (*Server, *cluster.Cluster, cluster.Config, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := make([]ShardBackend, len(clus.Shards))
-	for i, sh := range clus.Shards {
-		backends[i] = RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, true)
-	}
-	srv := NewSharded(backends, Config{
+	srv, sock := serveCluster(t, clus, Config{
 		ReplBacklogBytes: 1 << 20,
 		ReplID:           0x0123456789abcdef,
 		InfoSections:     clus.Sections(),
 	})
+	return srv, clus, ccfg, sock
+}
+
+// serveCluster serves an open cluster the way cmd/ralloc-serve does, with
+// replication wired, on a fresh unix socket until the test ends.
+func serveCluster(t *testing.T, clus *cluster.Cluster, cfg Config) (*Server, string) {
+	t.Helper()
+	backends := make([]ShardBackend, len(clus.Shards))
+	for i, sh := range clus.Shards {
+		backends[i] = RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, true)
+	}
+	srv := NewSharded(backends, cfg)
 	sock := filepath.Join(t.TempDir(), "s.sock")
 	l, err := net.Listen("unix", sock)
 	if err != nil {
@@ -68,7 +76,7 @@ func goldenServer(t *testing.T) (*Server, *cluster.Cluster, cluster.Config, stri
 	}
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Shutdown(time.Second) })
-	return srv, clus, ccfg, sock
+	return srv, sock
 }
 
 // TestInfoAndMetricsGolden pins the INFO and /metrics texts byte for byte: a
@@ -157,20 +165,9 @@ func TestInfoAndMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbackends := make([]ShardBackend, len(rclus.Shards))
-	for i, sh := range rclus.Shards {
-		rbackends[i] = RegionBackend(sh.Alloc, sh.Store, sh.Heap.Region(), sh.Path, true)
-	}
 	rcfg := Config{ReplBacklogBytes: 1 << 20, ReplicaOf: sock}
 	rcfg.ReplID, rcfg.ReplOffset = rclus.Shards[0].Heap.Region().ReplMeta()
-	rsrv := NewSharded(rbackends, rcfg)
-	rsock := filepath.Join(t.TempDir(), "r.sock")
-	rl, err := net.Listen("unix", rsock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rsrv.Serve(rl)
-	t.Cleanup(func() { rsrv.Shutdown(time.Second) })
+	_, rsock := serveCluster(t, rclus, rcfg)
 	if err := c.Set("to-replica", "v"); err != nil {
 		t.Fatal(err)
 	}

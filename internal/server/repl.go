@@ -3,9 +3,10 @@ package server
 // Replication: the server side of internal/repl. A primary taps every
 // successful write-flagged command into a repl.Feed (the tap middleware runs
 // while the command's stripe locks are still held, so feed order equals
-// execution order for conflicting keys), serves PSYNC by streaming a
-// checkpoint image followed by the live feed, and answers WAIT from the
-// senders' acknowledged offsets. A replica runs a link goroutine that
+// execution order for conflicting keys; a fresh primary's feed only counts
+// until its first full resync, see newReplState and retain), serves PSYNC by
+// streaming a checkpoint image followed by the live feed, and answers WAIT
+// from the senders' acknowledged offsets. A replica runs a link goroutine that
 // applies the feed through the normal dispatch pipeline (never touching
 // storage directly — the ralloc-vet replpurity rule holds internal/repl to
 // the same boundary) and refuses client writes with -READONLY until
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/cluster/shardlock"
 	"repro/internal/repl"
 	"repro/internal/resp"
 )
@@ -54,6 +56,9 @@ type CheckpointImage struct {
 type replState struct {
 	s    *Server
 	feed *repl.Feed
+	// counting: the feed still counts; the first full sync's retain clears
+	// it. Guarded by s.saveMu.
+	counting bool
 
 	mu       sync.Mutex
 	senders  map[*replSender]struct{}
@@ -78,11 +83,19 @@ func newReplState(s *Server) *replState {
 	if id == 0 {
 		id = randomReplID()
 	}
-	rs := &replState{
-		s:       s,
-		feed:    repl.NewFeed(capacity, id, s.cfg.ReplOffset),
-		senders: make(map[*replSender]struct{}),
+	rs := &replState{s: s, senders: make(map[*replSender]struct{})}
+	// A primary with a freshly minted stream ID that can serve full syncs
+	// counts until its first one: only a FULLRESYNC hands out a position in
+	// a new stream, so no reader can need a byte written before it. A
+	// replica, a named stream (a clean restart's header) and a primary that
+	// cannot full-sync (whose readers join at a position named out of band)
+	// retain from the start.
+	rs.counting = s.cfg.ReplicaOf == "" && s.cfg.ReplID == 0 && s.canFullSync()
+	newFeed := repl.NewFeed
+	if rs.counting {
+		newFeed = repl.NewCountingFeed
 	}
+	rs.feed = newFeed(capacity, id, s.cfg.ReplOffset)
 	if s.cfg.ReplicaOf != "" {
 		rs.replica.Store(true)
 		rs.upstream = s.cfg.ReplicaOf
@@ -352,10 +365,8 @@ func (rs *replState) servePSync(conn net.Conn, id, off uint64, wantFull bool) {
 // replica with a different -cluster-shards fails the bootstrap loudly
 // instead of mis-routing keys.
 func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, error) {
-	for _, sh := range rs.s.shards {
-		if sh.be.OpenCheckpoint == nil {
-			return nil, errors.New("no checkpoint source configured (volatile heap)")
-		}
+	if !rs.s.canFullSync() {
+		return nil, errors.New("no checkpoint source configured (volatile heap)")
 	}
 	rs.feed.Pin()
 	defer rs.feed.Unpin()
@@ -397,11 +408,26 @@ func (rs *replState) fullSync(bw *bufio.Writer, sd *replSender) (*repl.Cursor, e
 	return cur, nil
 }
 
+// canFullSync reports whether every shard can open a checkpoint image for a
+// full resync to stream.
+func (s *Server) canFullSync() bool {
+	for _, sh := range s.shards {
+		if sh.be.OpenCheckpoint == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // openSaved runs a SAVE and opens every shard's image it wrote, holding
-// saveMu across both so the images are the ones this SAVE published.
+// saveMu across both so the images are the ones this SAVE published. The
+// first one switches a counting feed to retaining before its SAVE, so the
+// offset the SAVE's fence stamps is at or past the backlog's start, and the
+// caller's pin keeps it covered.
 func (rs *replState) openSaved() ([]*CheckpointImage, error) {
 	rs.s.saveMu.Lock()
 	defer rs.s.saveMu.Unlock()
+	rs.retain()
 	if err := rs.s.save(); err != nil {
 		return nil, err
 	}
@@ -414,6 +440,20 @@ func (rs *replState) openSaved() ([]*CheckpointImage, error) {
 		imgs = append(imgs, img)
 	}
 	return imgs, nil
+}
+
+// retain switches the counting feed to retaining at a cut: with every
+// shard's barrier write side held, every write has either counted or not yet
+// reached the tap, so none is half counted and the backlog starts exactly at
+// the counted end. Under saveMu; only the first call does anything.
+func (rs *replState) retain() {
+	if !rs.counting {
+		return
+	}
+	shardlock.ExecLockAll(rs.s.locksAll)
+	defer shardlock.ExecUnlockAll(rs.s.locksAll)
+	rs.feed.Retain()
+	rs.counting = false
 }
 
 // readAcks consumes the replica→primary side of a PSYNC connection:

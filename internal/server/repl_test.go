@@ -226,12 +226,20 @@ func TestReplicationBasic(t *testing.T) {
 // FlagWrite command's successful invocation must append exactly one feed
 // entry, carrying the executed args — or the clock-free rewrite for the
 // EXPIRE/SETEX families, whose relative durations must not reach a replica.
-// The samples are writeSamples (persistwrite_test.go).
+// The samples are writeSamples (persistwrite_test.go). The primary is a fresh
+// one, whose feed only counts until the switch its first full sync makes.
 func TestEveryWriteCommandPropagates(t *testing.T) {
 	cmds := writeCommands(t)
-	ts := startServer(t, Config{ReplBacklogBytes: 1 << 20}, 0)
-	c := dial(t, ts)
-	feed := ts.srv.repl.feed
+	n := openReplNode(t, t.TempDir(), "", nil)
+	c := dialNode(t, n)
+	rs := n.srv.repl
+	if !rs.counting {
+		t.Fatal("a fresh primary retains before any replica")
+	}
+	n.srv.saveMu.Lock()
+	rs.retain()
+	n.srv.saveMu.Unlock()
+	feed := rs.feed
 
 	readEntries := func(off uint64) [][][]byte {
 		cur, ok := feed.CursorAt(off)

@@ -71,8 +71,9 @@ type Config struct {
 	// apply lazy expiry, so correctness is unaffected — only space
 	// reclamation is.
 	ActiveExpiryInterval time.Duration
-	// ActiveExpirySample caps how many expired keys one cycle reclaims
-	// (default 20, Redis-like), bounding the barrier hold time.
+	// ActiveExpirySample caps how many expired keys one cycle reclaims per
+	// shard (default 20, Redis-like), and 20 times it how many stamped
+	// buckets the cycle looks at, bounding the barrier hold time.
 	ActiveExpirySample int
 	// Middleware wraps every command handler at construction time, outside
 	// the built-in stats middleware, in slice order (first entry outermost).
@@ -83,7 +84,9 @@ type Config struct {
 	// ReplBacklogBytes enables replication with a backlog ring of that
 	// capacity. Replication is on when this is positive, ReplicaOf is set,
 	// or a backend's OpenCheckpoint is non-nil (backlog then defaults to
-	// 1 MiB).
+	// 1 MiB). The ring fills when the first replica connects: a primary
+	// with a fresh stream ID whose every shard can serve a full resync
+	// only counts its feed offset until its first full resync.
 	ReplBacklogBytes int
 	// ReplicaOf, if non-empty, starts the server as a replica of the given
 	// primary address ("host:port", or a unix socket path containing "/").
@@ -288,13 +291,18 @@ func (s *Server) expiryLoop() {
 // reclaimUnderBarrier runs one shard's reclamation round under that shard's
 // checkpoint barrier read side, releasing it via defer so a panicking
 // reclaim (a corrupt free chain, say) cannot wedge SAVE behind a dead
-// expiry goroutine.
-func (s *Server) reclaimUnderBarrier(sh *shard, hd alloc.Handle, sample int) {
+// expiry goroutine. The round looks at no more than 20 × sample buckets
+// marked as holding a stamp — Redis's activeExpireCycle bound — so a map
+// full of stamps not yet due cannot hold the barrier for a whole lap (a
+// SAVE fence waits for it). It returns how many it looked at.
+func (s *Server) reclaimUnderBarrier(sh *shard, hd alloc.Handle, sample int) (visited int) {
 	sh.locks.Exec.RLock()
 	defer sh.locks.Exec.RUnlock()
-	for _, key := range sh.st.ExpiredCandidates(sample) {
+	keys, visited := sh.st.ExpiredCandidates(sample, 20*sample)
+	for _, key := range keys {
 		s.reclaim(sh, hd, key)
 	}
+	return visited
 }
 
 // reclaim reclaims one expired candidate under its stripe lock, as a client

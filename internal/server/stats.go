@@ -258,7 +258,7 @@ func (s *Server) replicationRows() []obs.Row {
 		{Key: "repl_id", Val: fmt.Sprintf("%016x", rs.feed.ID())},
 		{Key: "repl_offset", Val: off, Metric: "ralloc_repl_offset_bytes", Type: gauge, Help: "Replication feed end offset (applied offset on a replica)."},
 		{Key: "repl_backlog_start", Val: rs.feed.StartOffset()},
-		{Key: "repl_backlog_bytes", Val: rs.feed.BacklogLen(), Metric: "ralloc_repl_backlog_bytes", Type: gauge, Help: "Bytes retained in the replication backlog."},
+		{Key: "repl_backlog_bytes", Val: rs.feed.BacklogLen(), Metric: "ralloc_repl_backlog_bytes", Type: gauge, Help: "Bytes retained in the replication backlog; a fresh primary retains none before its first full resync."},
 		{Key: "repl_entries", Val: rs.feed.Entries(), Metric: "ralloc_repl_entries_total", Type: counter, Help: "Feed entries appended (propagated or applied)."},
 		{Key: "full_syncs", Val: rs.fullSyncs.Load(), Metric: "ralloc_repl_full_syncs_total", Type: counter, Help: "Full resyncs served."},
 		{Key: "partial_syncs", Val: rs.partialSyncs.Load(), Metric: "ralloc_repl_partial_syncs_total", Type: counter, Help: "Partial resyncs served from the backlog."},

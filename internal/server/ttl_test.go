@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"sync"
@@ -218,6 +219,39 @@ func TestActiveExpiryCycleReclaims(t *testing.T) {
 	st := ts.st.Stats()
 	if st.Reclaimed != 200 {
 		t.Fatalf("reclaimed = %d, want 200", st.Reclaimed)
+	}
+}
+
+// TestExpiryCycleLooksAtABoundedShareOfTheMap: one server expiry round looks
+// at no more than 20 × ActiveExpirySample buckets marked as holding a stamp,
+// however many are marked. With 200k stamped keys that are not yet due in
+// 262,144 buckets, a round that laps would hold the shard's barrier read side
+// — and a SAVE fence behind it — for every marked bucket. An unbounded round,
+// ReclaimExpired's, still laps.
+func TestExpiryCycleLooksAtABoundedShareOfTheMap(t *testing.T) {
+	h, _, err := ralloc.Open("", ralloc.Config{SBRegion: 64 << 20, Pmem: pmem.Config{Mode: pmem.ModeFast}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	st, root := kvstore.Open(a, hd, 1<<18)
+	h.SetRoot(0, root)
+	at := time.Now().Add(time.Hour).UnixMilli()
+	for i := 0; i < 200_000; i++ {
+		if !st.SetBytesExpire(hd, fmt.Appendf(nil, "k%d", i), []byte("v"), at) {
+			t.Fatal("out of memory")
+		}
+	}
+	srv := New(a, st, Config{})
+	const sample = 20
+	for round := 0; round < 3; round++ {
+		if n := srv.reclaimUnderBarrier(srv.shards[0], hd, sample); n != 20*sample {
+			t.Fatalf("round %d looked at %d marked buckets, want the budget, %d", round, n, 20*sample)
+		}
+	}
+	if _, n := st.ExpiredCandidates(sample, math.MaxInt); n < 100_000 {
+		t.Fatalf("an unbounded round looked at %d marked buckets: it stopped before a lap", n)
 	}
 }
 
