@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/alloc"
@@ -231,33 +232,32 @@ func RoundFor(size uint64) uint64 { return sizeclass.Round(size) }
 
 // Crasher simulates a power failure at a chosen store. Installed as a
 // region's pmem.Config.StoreHook (Hook), it panics at the n-th store after
-// Arm(n); Run catches that panic and no other. Disarmed it only reads, so
-// recovery's parallel workers may store beside it; armed, the stores it
-// counts must come from one goroutine.
-type Crasher struct{ armed, stores int } // armed 0 = disarmed
+// Arm(n); Run catches that panic and no other. Its counts are atomic, so the
+// stores may come from several goroutines — recovery's parallel workers —
+// armed or not; the one that makes the n-th panics, and a worker's panic
+// reaches Run only if the code under test hands it to Run's goroutine.
+type Crasher struct{ armed, stores atomic.Int64 } // armed 0 = disarmed
 
 type crashed struct{}
 
 // Hook is the StoreHook.
 func (c *Crasher) Hook() {
-	if c.armed != 0 {
-		if c.stores++; c.stores == c.armed {
-			c.armed = 0
-			panic(crashed{})
-		}
+	if n := c.armed.Load(); n != 0 && c.stores.Add(1) == n {
+		c.armed.Store(0)
+		panic(crashed{})
 	}
 }
 
 // Arm makes the n-th store from now the last (0 disarms; math.MaxInt counts).
-func (c *Crasher) Arm(n int) { c.armed, c.stores = n, 0 }
+func (c *Crasher) Arm(n int) { c.stores.Store(0); c.armed.Store(int64(n)) }
 
 // Stores reports the stores seen since the last Arm.
-func (c *Crasher) Stores() int { return c.stores }
+func (c *Crasher) Stores() int { return int(c.stores.Load()) }
 
 // Run runs fn, disarms, and reports whether the armed store cut fn short.
 func (c *Crasher) Run(fn func()) (cut bool) {
 	defer func() {
-		c.armed = 0
+		c.armed.Store(0)
 		if r := recover(); r != nil {
 			if cut = true; r != (crashed{}) {
 				panic(r)

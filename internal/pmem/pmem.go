@@ -26,8 +26,9 @@
 // The event counters (Stats) are striped by calling goroutine and stay exact:
 // threads sharing a Region do not slow each other down by being counted.
 // Nothing reaches the shadow but what callers flush, so ralloc's recovery
-// writes back what it stored to — up to the heap's used watermark — and not
-// the Region's capacity.
+// writes back exactly the lines it stored to, each once, and not the heap's
+// used watermark or the Region's capacity. A crash copies back only the
+// lines that were dirty: a clean line already equals its shadow.
 package pmem
 
 import (
@@ -442,9 +443,10 @@ var ErrFastMode = errors.New("pmem: crash simulation requires ModeCrashSim")
 // Crash simulates a full-system, fail-stop crash. Each dirty line survives
 // with probability EvictProb (it happened to be evicted and written back
 // before the failure); all other unflushed lines are lost. The volatile
-// image is then reloaded from the shadow, as if the segment had been
-// re-mapped after reboot. Concurrent accessors must have stopped: a real
-// crash has no surviving threads either.
+// image is then as if reloaded from the shadow after reboot: a clean line
+// already equals its shadow, so only the lost lines are copied back.
+// Concurrent accessors must have stopped: a real crash has no surviving
+// threads either.
 func (r *Region) Crash() error {
 	if r.cfg.Mode != ModeCrashSim {
 		return ErrFastMode
@@ -452,13 +454,17 @@ func (r *Region) Crash() error {
 	r.crashMu.Lock()
 	defer r.crashMu.Unlock()
 	for l := range r.dirty {
-		if atomic.LoadUint32(&r.dirty[uint64(l)]) != 0 &&
-			r.cfg.EvictProb > 0 && r.rng.Float64() < r.cfg.EvictProb {
-			r.writeBackLine(uint64(l))
+		if atomic.LoadUint32(&r.dirty[l]) == 0 {
+			continue
 		}
+		if r.cfg.EvictProb > 0 && r.rng.Float64() < r.cfg.EvictProb {
+			r.writeBackLine(uint64(l))
+			continue
+		}
+		at := l * LineBytes
+		copy(r.bytes[at:at+LineBytes], r.shadow[at:])
+		atomic.StoreUint32(&r.dirty[l], 0)
 	}
-	copy(r.bytes, r.shadow)
-	clear(r.dirty)
 	return nil
 }
 

@@ -219,6 +219,48 @@ func TestEvictProbHalfIsSeeded(t *testing.T) {
 	}
 }
 
+// TestCrashLeavesTheShadow: Crash copies back only the lines that were
+// dirty, so it relies on every clean line already equalling its shadow.
+// Random stores, byte writes, flushes and crashes, strict and evicting:
+// after each crash the volatile image is the shadow, byte for byte.
+func TestCrashLeavesTheShadow(t *testing.T) {
+	const size = 1 << 14
+	for _, evict := range []float64{0, 0.5} {
+		rng := rand.New(rand.NewSource(int64(evict*10) + 1))
+		r := NewRegion(size, Config{Mode: ModeCrashSim, EvictProb: evict, Seed: 3})
+		word := func() uint64 { return uint64(rng.Intn(size/WordBytes)) * WordBytes }
+		for round := 0; round < 50; round++ {
+			for op := 0; op < 200; op++ {
+				switch off := word(); rng.Intn(7) {
+				case 0, 1:
+					r.Store(off, rng.Uint64())
+				case 2:
+					r.CAS(off, r.Load(off), rng.Uint64())
+				case 3:
+					r.Add(off, 1)
+				case 4:
+					b := make([]byte, rng.Intn(200))
+					rng.Read(b)
+					r.WriteBytes(uint64(rng.Intn(size-len(b)+1)), b)
+				case 5:
+					r.Zero(off, min(uint64(rng.Intn(40))*WordBytes, size-off))
+				case 6:
+					r.FlushRange(off, min(uint64(rng.Intn(300)), size-off))
+				}
+			}
+			if err := r.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(r.bytes, r.shadow) {
+				t.Fatalf("evict %.1f, round %d: the volatile image differs from the shadow after a crash", evict, round)
+			}
+			if n := r.DirtyLines(); n != 0 {
+				t.Fatalf("evict %.1f, round %d: %d lines dirty after a crash", evict, round, n)
+			}
+		}
+	}
+}
+
 func TestStatsCount(t *testing.T) {
 	r := NewRegion(1024, Config{Mode: ModeCrashSim})
 	r.Store(0, 1)

@@ -1,6 +1,8 @@
 package ralloc
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -141,5 +143,103 @@ func TestCrashInjectionWithEviction(t *testing.T) {
 		if _, err := h.CheckInvariants(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
+	}
+}
+
+// TestRecoverSurvivesACrashAtEveryStore cuts recovery itself short: the
+// zoo's recovery is crashed at each of its stores in turn (a stride of them
+// under -short), at one worker and at four, and the recovery after the cut
+// must rebuild what an uncut one does: the same counters, clean invariants,
+// the rooted list and large run intact. Each cut recovery starts from the
+// image the previous check left, a recovered heap, whose recovery makes as
+// many stores as the zoo's first one (checked at one worker).
+func TestRecoverSurvivesACrashAtEveryStore(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 13
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var crash alloctest.Crasher
+			cfg := zooConfig(4<<20, pmem.ModeCrashSim) // 48 superblocks used
+			cfg.Pmem.StoreHook = crash.Hook
+			h, _, err := Open("", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			populateZoo(t, h)
+			region := h.Region()
+			crashRegion := func() {
+				if err := region.Crash(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Precise filters keep the two traces each crash point costs
+			// short: a list node holds one pointer, the large run none.
+			var next Filter
+			next = func(g *GC, off uint64) {
+				if to, ok := pptr.Unpack(off, region.Load(off)); ok {
+					g.Visit(to, next)
+				}
+			}
+			attach := func() *Heap {
+				t.Helper()
+				h, dirty, err := Attach(region, zooConfig(0, pmem.ModeCrashSim))
+				if err != nil || !dirty {
+					t.Fatalf("attach: dirty=%v err=%v", dirty, err)
+				}
+				h.GetRoot(0, next)
+				h.GetRoot(1, func(*GC, uint64) {})
+				return h
+			}
+			// recoverAll recovers the crashed image uncut and checks the heap
+			// it rebuilt; it returns the counters and how many stores
+			// recovery made. It leaves no line dirty
+			// (TestRecoverWritesEverythingBack), so the image it leaves is
+			// also the one a crash straight after it would.
+			recoverAll := func() (RecoveryStats, int) {
+				t.Helper()
+				h := attach()
+				crash.Arm(math.MaxInt)
+				stats, err := h.RecoverParallel(workers)
+				stores := crash.Stores()
+				crash.Arm(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				list := walkList(h, 0)
+				if len(list) != 1500 {
+					t.Fatalf("rooted list has %d nodes, want 1500", len(list))
+				}
+				for i, off := range list {
+					if v := region.Load(off + 8); v != uint64(1000+1499-i) {
+						t.Fatalf("list node %d holds %d, want %d", i, v, 1000+1499-i)
+					}
+				}
+				if v := region.Load(h.GetRoot(1, nil)); v != 0xB16B10C {
+					t.Fatalf("live large run holds %#x", v)
+				}
+				return counters(stats), stores
+			}
+			crashRegion()
+			want, stores := recoverAll()
+			if _, again := recoverAll(); workers == 1 && again != stores {
+				t.Fatalf("recovering a recovered image made %d stores, the zoo's recovery %d", again, stores)
+			}
+			for k := 1; k <= stores; k += stride {
+				h := attach()
+				cut := crash.At(k, func() { h.RecoverParallel(workers) })
+				if !cut && workers == 1 {
+					t.Fatalf("store %d of %d did not cut recovery short", k, stores)
+				}
+				crashRegion()
+				if got, _ := recoverAll(); got != want {
+					t.Fatalf("crash at store %d of %d: the next recovery found\n%+v, want\n%+v", k, stores, got, want)
+				}
+			}
+		})
 	}
 }

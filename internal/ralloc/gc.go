@@ -2,10 +2,12 @@ package ralloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/pmem"
 	"repro/internal/pptr"
 	"repro/internal/sizeclass"
 )
@@ -18,11 +20,11 @@ import (
 // much memory it keeps alive.
 //
 // There is one engine, (*Heap).gc — one trace, one sweep, one write-back of
-// the metadata and of the superblocks and descriptors below the used
-// watermark — behind four entry points: Trace (the trace alone, read-only),
-// Recover (drop the lost thread caches, one worker), RecoverParallel(w) (the
-// same with w workers, §6.4's future work) and Manager.Collect (shared.go,
-// §4.5.2: one worker, live processes' caches pinned, handles kept).
+// exactly the lines recovery stored to — behind four entry points: Trace
+// (the trace alone, read-only), Recover (drop the lost thread caches, one
+// worker), RecoverParallel(w) (the same with w workers, §6.4's future work)
+// and Manager.Collect (shared.go, §4.5.2: one worker, live processes' caches
+// pinned, handles kept).
 // Recover uses one worker on purpose: the serving stack's parallelism is
 // across shards (cluster.Open recovers each shard heap on its own goroutine),
 // and one worker already overlaps its misses — drain scans in batches.
@@ -207,21 +209,34 @@ func (g *GC) drain(p *tracePool) {
 }
 
 // each runs f once per worker context and returns when all have finished:
-// concurrently for several workers, on the calling goroutine for one.
+// concurrently for several workers, on the calling goroutine for one. A
+// worker's panic (a store hook's simulated power failure, say) is raised
+// again on the calling goroutine once every worker has stopped, as it would
+// be with one worker.
 func each(gcs []*GC, f func(*GC)) {
 	if len(gcs) == 1 {
 		f(gcs[0])
 		return
 	}
 	var wg sync.WaitGroup
+	var once sync.Once
+	var failure any
 	for _, g := range gcs {
 		wg.Add(1)
 		go func(g *GC) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { failure = p })
+				}
+			}()
 			f(g)
 		}(g)
 	}
 	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // trace performs steps 4–5: mark every block reachable from the persistent
@@ -254,7 +269,12 @@ func (h *Heap) trace(workers int, pin func(*GC)) []*GC {
 	if workers > 1 {
 		pool = newTracePool(workers)
 	}
-	each(gcs, func(g *GC) { g.drain(pool) })
+	each(gcs, func(g *GC) {
+		if pool != nil {
+			defer pool.leave()
+		}
+		g.drain(pool)
+	})
 	return gcs
 }
 
@@ -271,10 +291,10 @@ func (h *Heap) Trace() (blocks, bytes uint64) {
 
 // RecoveryStats summarizes what Recover found and rebuilt.
 //
-// TraceWork and SweepUnits are deterministic work counters: for a fixed heap
-// image and filter registration they do not depend on scheduling, worker
-// count or wall time, so linearity properties of recovery cost can be
-// asserted on them without flaky clock-ratio comparisons.
+// TraceWork, SweepUnits and Flushes are deterministic work counters: for a
+// fixed heap image and filter registration they do not depend on
+// scheduling, worker count or wall time, so linearity properties of recovery
+// cost can be asserted on them without flaky clock-ratio comparisons.
 type RecoveryStats struct {
 	ReachableBlocks uint64
 	ReachableBytes  uint64
@@ -284,6 +304,7 @@ type RecoveryStats struct {
 	LargeRuns       uint64
 	TraceWork       uint64 // pointer candidates examined + words scanned (trace)
 	SweepUnits      uint64 // superblocks/runs processed by the sweep
+	Flushes         uint64 // lines written back: each line recovery stored to, once
 	TraceTime       time.Duration
 	SweepTime       time.Duration
 	Duration        time.Duration
@@ -300,6 +321,7 @@ func (s *RecoveryStats) Add(o RecoveryStats) {
 	s.LargeRuns += o.LargeRuns
 	s.TraceWork += o.TraceWork
 	s.SweepUnits += o.SweepUnits
+	s.Flushes += o.Flushes
 	s.TraceTime += o.TraceTime
 	s.SweepTime += o.SweepTime
 	s.Duration += o.Duration
@@ -338,7 +360,7 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	// Step 3, on the sweep side of the timestamp.
 	h.resetLists()
 	h.sweep(gcs)
-	h.writeBack()
+	gcs[0].writeBack()
 
 	var stats RecoveryStats
 	for _, g := range gcs {
@@ -351,17 +373,27 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	return stats
 }
 
-// writeBack is step 10: everything recovery rebuilt becomes durable. Recovery
-// stores only to the metadata block (resetLists, the list heads), to free
-// blocks of superblocks below the used watermark (sweepSmall) and to those
-// superblocks' descriptors (sweepUnit, retireDesc, the list pushes). The
-// first two are contiguous, so two ranges cover it, and the cost follows the
-// heap's contents, not its capacity.
-func (h *Heap) writeBack() {
-	n := uint64(h.usedDescs())
-	h.flushRange(0, MetaBytes+n*SuperblockBytes)
-	h.flushRange(h.lay.descOff(0), n*DescBytes)
-	h.fence()
+// writeBack is step 10: everything recovery rebuilt becomes durable, behind
+// one fence. The sweep's workers have already flushed what they stored to —
+// the free-chain links of partial superblocks and the descriptors they
+// rewrote — each line once; what is left are the metadata lines of
+// resetLists and the list heads: the free-list head and the class records'
+// reserved slots in [0, offRoots), and the shard heads. No clean line is
+// written back, so the cost follows what recovery rebuilt, not the heap's
+// capacity or its used watermark.
+func (g *GC) writeBack() {
+	g.flush(0, offRoots)
+	g.flush(offShardHeads, MaxShards*shardSetBytes)
+	g.h.fence()
+}
+
+// flush writes back the lines overlapping [off, off+n) and tallies them;
+// Config.NoFlush disables both, as it does h.flush.
+func (g *GC) flush(off, n uint64) {
+	if !g.h.cfg.NoFlush {
+		g.h.region.FlushRange(off, n)
+		g.stats.Flushes += (off+n-1)/pmem.LineBytes - off/pmem.LineBytes + 1
+	}
 }
 
 // resetLists clears the superblock free list and every partial-list shard
@@ -436,6 +468,7 @@ func (g *GC) sweepUnit(first, count uint32) {
 		// unitLen had to clamp has torn metadata and is freed.
 		if numSB == uint64(count) && g.marked(h.lay.sbOff(first)) {
 			r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
+			g.flush(d, DescBytes) // the run's other descriptors are not written
 			g.stats.LargeRuns++
 			return
 		}
@@ -453,46 +486,86 @@ func (g *GC) sweepUnit(first, count uint32) {
 	}
 }
 
-// retire returns count superblocks starting at first to the free list.
+// retire returns count superblocks starting at first to the free list and
+// writes back their descriptors.
 func (g *GC) retire(first, count uint32) {
 	for i := first; i < first+count; i++ {
 		g.h.retireDesc(i)
+		g.flush(g.h.lay.descOff(i), DescBytes)
 	}
 	g.stats.FreeSuperblocks += uint64(count)
 }
 
-// sweepSmall rebuilds the block free chain and anchor of a small-class
-// superblock, keeping exactly the traced blocks allocated (steps 6–8).
+// sweepSmall rebuilds the anchor of a small-class superblock, keeping exactly
+// the traced blocks allocated (steps 6–8). It counts the free blocks first:
+// a superblock with none free gets only its anchor, one with all free is
+// retired, and only a partial one has its free chain rewritten.
 func (g *GC) sweepSmall(i uint32, c int, bs uint64) {
 	h, r := g.h, g.h.region
 	d := h.lay.descOff(i)
 	sb := h.lay.sbOff(i)
 	total := uint32(SuperblockBytes / bs)
 
-	var chainHead uint64 // next-field encoding: index+1, 0 = nil
-	nFree := uint32(0)
-	for b := total; b > 0; b-- {
-		off := sb + uint64(b-1)*bs
-		if g.marked(off) {
-			continue
-		}
-		r.Store(off, chainHead)
-		chainHead = uint64(b-1) + 1
-		nFree++
-	}
+	nFree := total - g.marks(sb, uint64(total)*bs)
 	switch {
 	case nFree == total:
 		g.retire(i, 1)
+		return
 	case nFree == 0:
 		r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
 		g.stats.FullSBs++
 	default:
-		r.Store(d+dOffAnchor, packAnchor(statePartial, uint32(chainHead-1), nFree))
+		r.Store(d+dOffAnchor, packAnchor(statePartial, g.chain(sb, bs, total), nFree))
 		// Deterministic shard placement (index mod shard count): the
 		// per-shard membership does not depend on the worker count.
 		h.pushPartial(c, h.partialShardOf(i), i)
 		g.stats.PartialSBs++
 	}
+	g.flush(d, DescBytes)
+}
+
+// marks counts the marked blocks among the first n bytes of the superblock
+// at sb. Only a block's first word is ever marked (blockInfo), so that is the
+// population count of the bitmap over those bytes, whose bits start on a word.
+func (g *GC) marks(sb, n uint64) uint32 {
+	w, _ := g.bit(sb)
+	count := 0
+	for k := n / 8; k > 0; k -= min(k, 64) {
+		word := atomic.LoadUint64(&g.visited[w])
+		if k < 64 {
+			word &= 1<<k - 1
+		}
+		count += bits.OnesCount64(word)
+		w++
+	}
+	return uint32(count)
+}
+
+// chain links the free blocks of the superblock at sb into its block free
+// chain, lowest first, and returns the first one's index. It stores from the
+// top block down, so the lines it stores to come in descending order: each is
+// written back once, when the walk leaves it. There is at least one free
+// block.
+func (g *GC) chain(sb, bs uint64, total uint32) uint32 {
+	r := g.h.region
+	var next uint64   // next-field encoding: index+1, 0 = nil
+	line := uint64(0) // the line last stored to; 0 (the metadata's) = none yet
+	for b := total; b > 0; b-- {
+		off := sb + uint64(b-1)*bs
+		if g.marked(off) {
+			continue
+		}
+		if l := off / pmem.LineBytes; l != line {
+			if line != 0 {
+				g.flush(line*pmem.LineBytes, pmem.LineBytes)
+			}
+			line = l
+		}
+		r.Store(off, next)
+		next = uint64(b)
+	}
+	g.flush(line*pmem.LineBytes, pmem.LineBytes)
+	return uint32(next - 1)
 }
 
 // ----------------------------------------------------------------------

@@ -50,10 +50,11 @@ func (p *tracePool) take(g *GC) bool {
 	defer p.mu.Unlock()
 	p.waiting++
 	for len(p.items) == 0 {
-		if p.waiting == p.workers {
+		if p.waiting >= p.workers {
 			// Everyone is idle and the pool is empty, so nobody is left to
-			// donate: trace done. waiting stays at workers, which tells
-			// every worker this wakes the same.
+			// donate: trace done. waiting stays at (or, once leave has
+			// run, above) workers, which tells every worker this wakes
+			// the same.
 			p.cond.Broadcast()
 			return false
 		}
@@ -64,4 +65,15 @@ func (p *tracePool) take(g *GC) bool {
 	g.pending = append(g.pending, p.items[k:]...)
 	p.items = p.items[:k]
 	return true
+}
+
+// leave takes a worker that has stopped out of the count, so that if it
+// stopped by panicking the others still see the trace end (each re-raises
+// the panic once they have). After a normal end every worker is waiting
+// already, and waiting ≥ workers keeps it ended.
+func (p *tracePool) leave() {
+	p.mu.Lock()
+	p.workers--
+	p.mu.Unlock()
+	p.cond.Broadcast()
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pmem"
 	"repro/internal/pptr"
@@ -57,7 +59,9 @@ func partialMembership(h *Heap) string {
 // recoverAtEveryWorkerCount builds the same crashed heap once per worker
 // count (build must be deterministic and register the root filters),
 // recovers it with that many workers, and requires a clean CheckInvariants
-// and counters and partial-list membership identical to the one-worker run.
+// and counters and partial-list membership identical to the one-worker run,
+// with exactly the traced blocks left allocated (CheckInvariants walks each
+// chain only as far as its anchor's count, so a count off by one shows here).
 // check, if not nil, asserts the scenario's own expectations on every run.
 func recoverAtEveryWorkerCount(t *testing.T, build func(t *testing.T) *Heap, check func(t *testing.T, h *Heap, s RecoveryStats)) {
 	t.Helper()
@@ -69,8 +73,12 @@ func recoverAtEveryWorkerCount(t *testing.T, build func(t *testing.T) *Heap, che
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if _, err := h.CheckInvariants(); err != nil {
+		chk, err := h.CheckInvariants()
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if chk.AllocatedBlks != stats.ReachableBlocks {
+			t.Fatalf("workers=%d: %d blocks allocated after recovery, %d traced", workers, chk.AllocatedBlks, stats.ReachableBlocks)
 		}
 		if stats.TraceWork == 0 || stats.SweepUnits == 0 {
 			t.Fatalf("workers=%d: work counters not recorded: %+v", workers, stats)
@@ -398,34 +406,111 @@ func TestRecoverWritesEverythingBack(t *testing.T) {
 	}
 }
 
-// TestRecoverFlushesFollowUsedWatermark: what recovery writes back is the
-// metadata block, the superblocks below the used watermark and their
-// descriptors — the same contents cost the same flushes in a heap eight
-// times the capacity.
-func TestRecoverFlushesFollowUsedWatermark(t *testing.T) {
+// TestRecoverFlushesWhatItWrote: recovery writes back exactly the lines it
+// stored to, each once — no clean line, and no dirty line left behind it —
+// behind one fence, so what it costs follows what it rebuilt: the same zoo
+// in a 16 MB and a 128 MB heap costs the same flushes, under 2,000 (every
+// line below the used watermark would be 50,224). With Config.NoFlush it
+// flushes and fences nothing.
+func TestRecoverFlushesWhatItWrote(t *testing.T) {
 	var flushes [2]uint64
 	for i, sbRegion := range []uint64{16 << 20, 128 << 20} {
-		h, _, err := Open("", zooConfig(sbRegion, pmem.ModeFast))
+		h, _, err := Open("", zooConfig(sbRegion, pmem.ModeCrashSim))
 		if err != nil {
 			t.Fatal(err)
 		}
 		populateZoo(t, h)
-		h2 := reattachZoo(t, h.Region()) // never closed: dirty, as after a kill
-		used := uint64(h2.usedDescs())
-		before := h2.Region().Stats()
-		if _, err := h2.Recover(); err != nil {
+		region := h.Region()
+		if err := region.Crash(); err != nil {
 			t.Fatal(err)
 		}
-		after := h2.Region().Stats()
+		h2 := reattachZoo(t, region)
+		before := region.Stats()
+		stats, err := h2.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := region.Stats()
 		flushes[i] = after.Flushes - before.Flushes
-		if want := (MetaBytes + used*SuperblockBytes + used*DescBytes) / pmem.LineBytes; flushes[i] != want {
-			t.Errorf("SBRegion %d MB, %d superblocks used: recovery issued %d flushes, want %d", sbRegion>>20, used, flushes[i], want)
+		if back := after.LinesBack - before.LinesBack; flushes[i] != back {
+			t.Errorf("SBRegion %d MB: recovery flushed %d lines, %d of them dirty", sbRegion>>20, flushes[i], back)
+		}
+		if stats.Flushes != flushes[i] {
+			t.Errorf("SBRegion %d MB: RecoveryStats.Flushes = %d, the region counted %d", sbRegion>>20, stats.Flushes, flushes[i])
+		}
+		if n := region.DirtyLines(); n != 0 {
+			t.Errorf("SBRegion %d MB: %d lines still dirty after recovery", sbRegion>>20, n)
 		}
 		if after.Fences-before.Fences != 1 {
 			t.Errorf("SBRegion %d MB: recovery issued %d fences, want 1", sbRegion>>20, after.Fences-before.Fences)
 		}
+		if flushes[i] >= 2000 {
+			t.Errorf("SBRegion %d MB: the zoo's recovery issued %d flushes, want fewer than 2000", sbRegion>>20, flushes[i])
+		}
 	}
 	if flushes[0] != flushes[1] {
 		t.Errorf("recovery flushes depend on capacity: %d in 16 MB, %d in 128 MB", flushes[0], flushes[1])
+	}
+
+	cfg := zooConfig(16<<20, pmem.ModeFast)
+	cfg.NoFlush = true
+	h, _, err := Open("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populateZoo(t, h)
+	h2, _, err := Attach(h.Region(), cfg) // never closed: dirty, as after a kill
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h2.Region().Stats()
+	stats, err := h2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := h2.Region().Stats()
+	if stats.Flushes != 0 || after.Flushes != before.Flushes || after.Fences != before.Fences {
+		t.Errorf("NoFlush recovery: %d flushes tallied, %d issued, %d fences", stats.Flushes, after.Flushes-before.Flushes, after.Fences-before.Fences)
+	}
+}
+
+// TestRecoverParallelRaisesAWorkersPanic: a panic on one of several workers
+// (here a filter's, mid-trace) reaches RecoverParallel's caller once the
+// other workers have stopped, as it would with one worker; the workers it
+// left waiting on the trace pool do not wait for it forever.
+func TestRecoverParallelRaisesAWorkersPanic(t *testing.T) {
+	cfg := Config{SBRegion: 8 << 20, GrowthChunk: 1 << 20}
+	h, _, err := Open("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildList(t, h, h.NewHandle(), 2000, 0)
+	h2, _, err := Attach(h.Region(), cfg) // never closed: dirty, as after a kill
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visits atomic.Int64
+	var boom Filter
+	boom = func(g *GC, off uint64) {
+		if visits.Add(1) == 1000 {
+			panic("boom")
+		}
+		if to, ok := pptr.Unpack(off, g.h.region.Load(off)); ok {
+			g.Visit(to, boom)
+		}
+	}
+	h2.GetRoot(0, boom)
+	raised := make(chan any, 1)
+	go func() {
+		defer func() { raised <- recover() }()
+		h2.RecoverParallel(4)
+	}()
+	select {
+	case p := <-raised:
+		if p != "boom" {
+			t.Fatalf("RecoverParallel(4) raised %v, want the filter's panic", p)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("RecoverParallel(4) still running a minute after a worker panicked")
 	}
 }
