@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/sizeclass"
 )
 
 // Factory builds a fresh allocator with roughly the given heap size.
@@ -226,9 +225,6 @@ func Churn(hd alloc.Handle, n int, size uint64) {
 		hd.Free(hd.Malloc(size))
 	}
 }
-
-// RoundFor mirrors what a workload can assume about block capacity.
-func RoundFor(size uint64) uint64 { return sizeclass.Round(size) }
 
 // Crasher simulates a power failure at a chosen store. Installed as a
 // region's pmem.Config.StoreHook (Hook), it panics at the n-th store after

@@ -44,7 +44,7 @@ func runAtomicWord(pass *Pass) {
 		method string
 	}
 	// Keys are "receiver|offset": the same offset on two different Regions
-	// (resize's old-to-new copy loop) is not a mix.
+	// (a loop copying one region into another) is not a mix.
 	atomicUses := map[string]use{} // region+offset text -> first atomic access
 	rawUses := map[string]use{}    // region+offset text -> first byte access
 

@@ -111,3 +111,21 @@ func BenchmarkFlushClean(b *testing.B) {
 		r.Flush(64)
 	}
 }
+
+// BenchmarkNewCrashSimRegion is what a crash test pays for its medium: a
+// 64 MB crash-sim region, one line stored and flushed per 64 KB, a crash, and
+// the region dropped.
+func BenchmarkNewCrashSimRegion(b *testing.B) {
+	const size = 64 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewRegion(size, Config{Mode: ModeCrashSim})
+		for off := uint64(0); off < size; off += 64 << 10 {
+			r.Store(off, off|1)
+			r.Flush(off)
+		}
+		if err := r.Crash(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 )
 
 // File persistence models the DAX file that names a persistent segment in
@@ -70,6 +71,7 @@ func (r *Region) Save(w io.Writer) error {
 		img = r.shadow
 	}
 	_, err := w.Write(img)
+	runtime.KeepAlive(r) // the shadow's mapping must outlive the Write
 	return err
 }
 
@@ -136,7 +138,13 @@ func loadRegion(rd io.Reader, cfg Config, fileSize int64) (*Region, error) {
 	if _, err := io.ReadFull(rd, r.bytes); err != nil {
 		return nil, fmt.Errorf("%w: truncated image: %v", ErrBadImage, err)
 	}
-	copy(r.shadow, r.bytes)
+	// The shadow starts zero: copying only the lines that are not leaves a
+	// mostly empty image's shadow mostly untouched.
+	for l := uint64(0); r.shadow != nil && l < size/LineBytes; l++ {
+		if [LineWords]uint64(r.words[l*LineWords:]) != ([LineWords]uint64{}) {
+			copy(r.shadow[l*LineBytes:], r.bytes[l*LineBytes:(l+1)*LineBytes])
+		}
+	}
 	return r, nil
 }
 

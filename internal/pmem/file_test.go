@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // refImage is the image format spelled out with encoding/binary, independent
@@ -286,5 +288,48 @@ func TestReplMetaRoundTrip(t *testing.T) {
 	}
 	if id, off, _ := ReadImageMeta(path); id != 0xabcdef01 || off != 99000 {
 		t.Fatalf("online ReadImageMeta = (%#x, %d), want fence-time value 99000", id, off)
+	}
+}
+
+// TestLoadRegionMostlyZeroImage: a crash-sim image that is mostly zero lines
+// loads into a shadow holding exactly its flushed words — so a crash right
+// after the load changes nothing — and the load touches only the shadow
+// pages under a non-zero line.
+func TestLoadRegionMostlyZeroImage(t *testing.T) {
+	const size, stride = 4 << 20, 256 << 10
+	r := NewRegion(size, Config{Mode: ModeCrashSim})
+	want := map[uint64]uint64{}
+	for off := uint64(0); off < size; off += stride {
+		r.Store(off, off|1)
+		r.Flush(off)
+		want[off] = off | 1
+		r.Store(off+LineBytes, 7) // never flushed: not in the image
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := LoadRegion(&buf, Config{Mode: ModeCrashSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := make([]byte, size/os.Getpagesize())
+	if _, _, errno := syscall.Syscall(syscall.SYS_MINCORE, uintptr(unsafe.Pointer(&r2.shadow[0])), size, uintptr(unsafe.Pointer(&vec[0]))); errno != 0 {
+		t.Fatal("mincore:", errno)
+	}
+	resident := 0
+	for _, v := range vec {
+		resident += int(v & 1)
+	}
+	if resident > len(want) {
+		t.Fatalf("loading %d non-zero lines touched %d shadow pages", len(want), resident)
+	}
+	if err := r2.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	for off := uint64(0); off < size; off += WordBytes {
+		if got := r2.Load(off); got != want[off] {
+			t.Fatalf("word %#x = %#x after load and crash, want %#x", off, got, want[off])
+		}
 	}
 }

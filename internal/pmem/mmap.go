@@ -103,3 +103,22 @@ func (r *Region) Sync() error {
 	}
 	return nil
 }
+
+// demandZero returns n zero bytes in a private anonymous mapping: outside the
+// Go heap, so nothing clears or scans them, and the kernel supplies a page
+// only when it is first touched. The mapping is released when owner becomes
+// unreachable; a caller that uses the bytes after its last use of owner must
+// runtime.KeepAlive(owner).
+func demandZero[T any](owner *T, n uint64) ([]byte, error) {
+	m, err := syscall.Mmap(-1, 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
+	if err != nil {
+		return nil, fmt.Errorf("pmem: mapping %d zero bytes: %w", n, err)
+	}
+	runtime.AddCleanup(owner, func(m []byte) { _ = syscall.Munmap(m) }, m)
+	return m, nil
+}
+
+// lineFlags views b, 4-byte aligned, as per-line flags.
+func lineFlags(b []byte) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
+}

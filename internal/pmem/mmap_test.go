@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // mapTemp maps a fresh file of the given region size under the test's
@@ -279,5 +283,94 @@ func TestSnapshotRefusesTheMappedFile(t *testing.T) {
 	r.Store(8, 43) // the mapping is still the file
 	if r2, err := MapFile(path, 0, Config{}); err != nil || r2.Load(8) != 43 {
 		t.Fatalf("the heap file after a backup: %v", err)
+	}
+}
+
+// span is an address range [lo, hi) of this process.
+type span struct{ lo, hi uintptr }
+
+func spanOf[T any](s []T) span {
+	lo := uintptr(unsafe.Pointer(&s[0]))
+	return span{lo, lo + uintptr(len(s))*unsafe.Sizeof(s[0])}
+}
+
+// mapped reports whether one mapping in /proc/self/maps covers s. Adjacent
+// anonymous mappings merge into one line there, so a dropped mapping is told
+// apart by its addresses, not by its size.
+func mapped(t *testing.T, s span) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skip("no /proc/self/maps:", err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		var lo, hi uintptr
+		if _, err := fmt.Sscanf(line, "%x-%x", &lo, &hi); err == nil && lo <= s.lo && s.hi <= hi {
+			return true
+		}
+	}
+	return false
+}
+
+// useCrashSimRegion stores to, flushes, online-saves and crashes a crash-sim
+// region, then drops it. It returns where its shadow and flags were mapped,
+// and the save's barrier flags, each checked to be mapped while in use.
+func useCrashSimRegion(t *testing.T, size uint64, seed int64) (spans []span) {
+	var r *Region
+	r = NewRegion(size, Config{Mode: ModeCrashSim, EvictProb: 0.5, Seed: seed, SnapshotHook: func(SnapshotPhase) {
+		if tr := r.snap.Load(); tr != nil && len(spans) == 1 {
+			spans = append(spans, spanOf(tr.dirty))
+			if !mapped(t, spans[1]) {
+				t.Error("an online save's barrier flags are not mapped during the save")
+			}
+		}
+	}})
+	spans = append(spans, span{spanOf(r.shadow).lo, spanOf(r.dirty).hi})
+	for off := uint64(0); off < size; off += 4096 + LineBytes {
+		r.Store(off, uint64(seed)+off|1)
+		if off%3 == 0 {
+			r.Flush(off)
+		}
+	}
+	var q quiesceFence
+	if _, err := r.SaveFileOnline(filepath.Join(t.TempDir(), "heap.img"), q.fence); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if !mapped(t, spans[0]) {
+		t.Fatal("a live crash-sim region's shadow is not mapped")
+	}
+	return spans
+}
+
+// TestDroppedCrashSimRegionIsUnmapped: a crash-sim region's shadow and flags,
+// and an online save's barrier flags, are mappings outside the Go heap, and
+// each is given back once its owner is unreachable.
+func TestDroppedCrashSimRegionIsUnmapped(t *testing.T) {
+	const size = 8<<20 + 5*LineBytes // not a whole number of pages
+	var spans []span
+	for seed := int64(1); seed <= 3; seed++ {
+		spans = append(spans, useCrashSimRegion(t, size, seed)...)
+	}
+	if len(spans) != 6 {
+		t.Fatalf("found %d mappings, want a region's and a save's for each of 3 regions", len(spans))
+	}
+	for try := 1; ; try++ {
+		runtime.GC() // cleanups run after the cycle, on their own goroutine
+		left := 0
+		for _, s := range spans {
+			if mapped(t, s) {
+				left++
+			}
+		}
+		if left == 0 {
+			return
+		}
+		if try == 100 {
+			t.Fatalf("%d of %d dropped mappings are still mapped after %d collections", left, len(spans), try)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -16,12 +16,20 @@
 // paper: what the experiments measure is how often each allocator flushes,
 // fences and synchronizes, and whether recovery reconstructs exactly the
 // reachable blocks — properties of the algorithms, not of the DIMM. See
-// DESIGN.md ("Substitutions").
+// DESIGN.md ("The medium").
 //
 // Two modes are provided. ModeFast keeps only the volatile image and counts
 // flushes/fences (optionally charging a configurable latency for each), for
 // performance experiments. ModeCrashSim additionally maintains the shadow
 // image and dirty-line tracking, for crash-injection and recovery testing.
+//
+// Where each image lives. The volatile image is a Go slice (NewRegion) or a
+// MAP_SHARED file (MapFile): the race detector sees every byte accessor of a
+// slice, and the protocols built on a Region lean on that. The shadow and
+// the dirty flags are pmem's alone — written by one copier and under
+// atomics — so they share one private anonymous mapping that the kernel
+// fills with zeros a page at a time, on first touch: crash simulation costs
+// the pages that are written back, not the region's size.
 //
 // The event counters (Stats) are striped by calling goroutine and stay exact:
 // threads sharing a Region do not slow each other down by being counted.
@@ -38,6 +46,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,12 +146,17 @@ type statStripe struct {
 // it after an atomic load of that word, and must not mix the two kinds on a
 // contended location (ralloc-vet's atomicword polices the split).
 type Region struct {
-	words  []uint64 // volatile image, word view: Load/Store/CAS/Add
-	bytes  []byte   // the same memory, byte view: every bulk path
-	shadow []byte   // persistent image (ModeCrashSim only)
-	dirty  []uint32 // per-line dirty flags (ModeCrashSim only)
-	size   uint64   // bytes
-	cfg    Config
+	words []uint64 // volatile image, word view: Load/Store/CAS/Add
+	bytes []byte   // the same memory, byte view: every bulk path
+	size  uint64   // bytes
+	cfg   Config
+
+	// shadow (the persistent image) and dirty (per-line flags) are
+	// ModeCrashSim's, both in one demand-zero mapping: untouched lines cost
+	// no memory. It is unmapped when the Region becomes unreachable, so a
+	// method that uses either after its last use of r keeps r alive.
+	shadow []byte
+	dirty  []uint32
 
 	// mapped and file are MapFile's: the whole MAP_SHARED file, bytes being
 	// mapped[imageHeaderLen:], and which file that is.
@@ -195,7 +209,8 @@ func (r *Region) ReplMeta() (id, off uint64) {
 
 // NewRegion creates a Region of the given size in bytes (rounded up to a
 // whole number of cache lines). The region starts zeroed, and — in crash-sim
-// mode — fully persistent (the shadow is also zero).
+// mode — fully persistent (the shadow is also zero). It panics if a crash-sim
+// region's shadow cannot be mapped.
 func NewRegion(size uint64, cfg Config) *Region {
 	if size == 0 {
 		panic("pmem: zero-sized region")
@@ -217,8 +232,11 @@ func newRegion(backing []byte, cfg Config) *Region {
 		stats: new([obs.Stripes]statStripe),
 	}
 	if cfg.Mode == ModeCrashSim {
-		r.shadow = make([]byte, size)
-		r.dirty = make([]uint32, size/LineBytes)
+		m, err := demandZero(r, size+size/LineBytes*4)
+		if err != nil {
+			panic(err)
+		}
+		r.shadow, r.dirty = m[:size:size], lineFlags(m[size:])
 		r.wb = new([wbStripes]sync.Mutex)
 		seed := cfg.Seed
 		if seed == 0 {
@@ -363,6 +381,7 @@ func (r *Region) markDirty(off uint64) {
 	if r.dirty != nil {
 		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
 	}
+	runtime.KeepAlive(r)
 }
 
 // markDirtyRange flags every line overlapping [off, off+n), after the stores.
@@ -370,6 +389,7 @@ func (r *Region) markDirtyRange(off, n uint64) {
 	if r.dirty != nil && n != 0 {
 		markLines(r.dirty, off, n)
 	}
+	runtime.KeepAlive(r)
 }
 
 // markLines sets the flag of every line overlapping the non-empty [off, off+n).
@@ -478,6 +498,7 @@ func (r *Region) DirtyLines() int {
 			n++
 		}
 	}
+	runtime.KeepAlive(r)
 	return n
 }
 

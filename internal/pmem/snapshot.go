@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -40,7 +41,9 @@ import (
 // during serving — so it recovers through the normal dirty → Recover path.
 
 // snapTracker is the write barrier's state, armed for the duration of one
-// online snapshot.
+// online snapshot. Its flags are a demand-zero mapping (demandZero) that
+// lives as long as the tracker: a mutator that loaded the tracker before the
+// save disarmed it may still be marking, so the save never unmaps it itself.
 type snapTracker struct {
 	dirty []uint32 // per-line: set by mutators after the store, cleared by the copier before the re-read
 }
@@ -51,6 +54,7 @@ type snapTracker struct {
 func (r *Region) snapMark(off uint64) {
 	if t := r.snap.Load(); t != nil {
 		atomic.StoreUint32(&t.dirty[off/LineBytes], 1)
+		runtime.KeepAlive(t)
 	}
 }
 
@@ -58,6 +62,7 @@ func (r *Region) snapMark(off uint64) {
 func (r *Region) snapMarkRange(off, n uint64) {
 	if t := r.snap.Load(); t != nil && n != 0 {
 		markLines(t.dirty, off, n)
+		runtime.KeepAlive(t)
 	}
 }
 
@@ -150,7 +155,12 @@ func (r *Region) SaveFileOnline(path string, fence func(cut func() error) error)
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	lines := r.size / LineBytes
-	o := &onlineSave{r: r, t: &snapTracker{dirty: make([]uint32, lines)}, buf: make([]byte, snapMaxRunLines*LineBytes)}
+	o := &onlineSave{r: r, t: new(snapTracker), buf: make([]byte, snapMaxRunLines*LineBytes)}
+	m, err := demandZero(o.t, lines*4)
+	if err != nil {
+		return o.st, err
+	}
+	o.t.dirty = lineFlags(m)
 	// Arm before the first line is read so no concurrent store can slip
 	// between read and barrier. The deferred cleanup covers every failure,
 	// a SnapshotHook panic (crash injection) in any phase or out of fence

@@ -289,3 +289,21 @@ func TestOnlineSnapshotFenceMustCut(t *testing.T) {
 		t.Fatal("write barrier left armed")
 	}
 }
+
+// TestOnlineSaveAllocatesLittle: an online save's write barrier is a
+// demand-zero mapping, not a flag per line on the Go heap — 4 MB of garbage
+// per save of a 64 MB region.
+func TestOnlineSaveAllocatesLittle(t *testing.T) {
+	r := NewRegion(64<<20, Config{})
+	path := filepath.Join(t.TempDir(), "heap.img")
+	var q quiesceFence
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := r.SaveFileOnline(path, q.fence); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("an online save of a 64 MB region allocated %d bytes of Go heap, want under 1 MB", n)
+	}
+}

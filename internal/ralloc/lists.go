@@ -104,8 +104,7 @@ func (h *Heap) retireDesc(idx uint32) {
 // remapShards redistributes every partial list built under an oldShards
 // geometry onto the current h.shards geometry (descriptor index mod shard
 // count). The caller must hold the heap quiescent with trustworthy lists
-// (clean attach or resize); a dirty heap's lists are rebuilt by recovery
-// instead.
+// (a clean attach); a dirty heap's lists are rebuilt by recovery instead.
 func (h *Heap) remapShards(oldShards uint32) {
 	for c := 1; c <= sizeclass.NumClasses; c++ {
 		var descs []uint32
