@@ -24,8 +24,9 @@ import (
 // under each of the four restarts — the recovery trace carrying the store's
 // attach, or a walk after it, at one worker and at four. Every restart must
 // also keep Len equal to the records the chains hold, leak no block, pass
-// CheckInvariants, survive a full active-expiry drain unchanged and empty to
-// Len 0 under FLUSHALL. When the undo journal rolled a unit back, the latest
+// CheckInvariants, survive a full active-expiry drain unchanged, pop and push
+// back both ends of every list and a field of every hash unchanged, and empty
+// to Len 0 under FLUSHALL. When the undo journal rolled a unit back, the latest
 // such image is crashed again at every store of its replay, and must restart
 // to the state before the unit. sweepScript is the whole driver; the scripts
 // are every write command's sample (persistwrite_test.go), the journal's units
@@ -120,37 +121,18 @@ func (sw *sweeper) open(region *pmem.Region, mode restartMode) *crashEnv {
 	return sw.start(heap, dirty, mode)
 }
 
-// start is what cluster.openShard and the server do at a start: recover if
-// dirty, create or attach the store, build the server — which replays the
+// start is what cluster.openShard and the server do at a start: create the
+// store on a fresh heap or attach it, build the server — which replays the
 // journal.
 func (sw *sweeper) start(heap *ralloc.Heap, dirty bool, mode restartMode) *crashEnv {
 	sw.t.Helper()
-	a := heap.AsAllocator()
-	root := heap.GetRoot(kvstore.RootStore, nil)
-	e := &crashEnv{sw: sw, heap: heap}
-	switch {
-	case root == 0:
+	a, e := heap.AsAllocator(), &crashEnv{sw: sw, heap: heap}
+	if heap.GetRoot(kvstore.RootStore, nil) == 0 {
+		var root uint64
 		e.st, root = kvstore.Open(a, a.NewHandle(), 64)
 		heap.SetRoot(kvstore.RootStore, root)
-	case !dirty:
-		e.st = kvstore.Attach(a, root)
-	default:
-		var at *kvstore.Attaching
-		if mode.fused {
-			at = kvstore.BeginAttach(a, root, 0)
-			heap.GetRoot(kvstore.RootStore, at.Filter())
-		} else {
-			heap.GetRoot(kvstore.RootStore, kvstore.Filter(a, root))
-		}
-		heap.GetRoot(kvstore.RootJournal, ralloc.LeafFilter)
-		if _, err := heap.RecoverParallel(mode.workers); err != nil {
-			sw.t.Fatal(err)
-		}
-		if at != nil {
-			e.st = at.Finish()
-		} else {
-			e.st = kvstore.Attach(a, root)
-		}
+	} else {
+		e.st = attachStore(sw.t, heap, dirty, mode, 0)
 	}
 	e.st.SetClock(sw.clock)
 	if sw.replay != 0 {
@@ -160,6 +142,33 @@ func (sw *sweeper) start(heap *ralloc.Heap, dirty bool, mode restartMode) *crash
 	e.srv = New(a, e.st, Config{})
 	e.ctx = &Ctx{s: e.srv, hd: a.NewHandle(), w: newRespWriter(io.Discard), cs: &connState{}}
 	return e
+}
+
+// attachStore attaches the store of a heap that has one, with a byte budget
+// of bound (0: none): a clean heap is walked, a dirty one recovered as mode
+// says, the journal's block kept for the server's replay.
+func attachStore(t *testing.T, heap *ralloc.Heap, dirty bool, mode restartMode, bound uint64) *kvstore.Store {
+	t.Helper()
+	a := heap.AsAllocator()
+	root := heap.GetRoot(kvstore.RootStore, nil)
+	if !dirty {
+		return kvstore.AttachBounded(a, root, bound)
+	}
+	var at *kvstore.Attaching
+	if mode.fused {
+		at = kvstore.BeginAttach(a, root, bound)
+		heap.GetRoot(kvstore.RootStore, at.Filter())
+	} else {
+		heap.GetRoot(kvstore.RootStore, kvstore.Filter(a, root))
+	}
+	heap.GetRoot(kvstore.RootJournal, ralloc.LeafFilter)
+	if _, err := heap.RecoverParallel(mode.workers); err != nil {
+		t.Fatal(err)
+	}
+	if at == nil {
+		return kvstore.AttachBounded(a, root, bound)
+	}
+	return at.Finish()
 }
 
 // image closes a live heap and returns its image.
@@ -273,14 +282,34 @@ func (e *crashEnv) dump(t *testing.T, where string) string {
 				pairs[i] = fmt.Sprintf("%q=%q", fields[i], values[i])
 			}
 			sort.Strings(pairs)
-			fmt.Fprintf(&b, " %v", pairs)
+			n, _ := e.st.HLen(key)
+			fmt.Fprintf(&b, " %d %v", n, pairs)
 		case kvstore.TypeList:
 			elems, _ := e.st.LRange(key, 0, -1)
-			fmt.Fprintf(&b, " %q", elems)
+			n, _ := e.st.LLen(key)
+			fmt.Fprintf(&b, " %d %q", n, elems)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// touch pushes onto and pops both ends of every list, and sets and deletes a
+// field of every hash: whatever words a restart repaired, every path must
+// work on them, and leave the keys as they were.
+func (e *crashEnv) touch(t *testing.T) {
+	t.Helper()
+	var script [][]string
+	e.st.Scan(func(k []byte, typ kvstore.Type) bool {
+		switch key := string(k); typ {
+		case kvstore.TypeList:
+			script = append(script, []string{"LPUSH", key, "post"}, []string{"RPUSH", key, "post"}, []string{"LPOP", key}, []string{"RPOP", key})
+		case kvstore.TypeHash:
+			script = append(script, []string{"HSET", key, "post", "post"}, []string{"HDEL", key, "post"})
+		}
+		return true
+	})
+	e.play(t, script)
 }
 
 // leaks closes the heap (every cache goes back) and reports the blocks that
@@ -325,6 +354,10 @@ func (sw *sweeper) restarts(t *testing.T, where string, img []byte, want ...stri
 		}
 		if drained := e.dump(t, fmt.Sprintf("%s, %v, drained", where, mode)); drained != got {
 			t.Fatalf("%s, %v: the active-expiry drain changed the keys\n--- before\n%s--- after\n%s", where, mode, got, drained)
+		}
+		e.touch(t)
+		if touched := e.dump(t, fmt.Sprintf("%s, %v, touched", where, mode)); touched != got {
+			t.Fatalf("%s, %v: popping and pushing back changed the keys\n--- before\n%s--- after\n%s", where, mode, got, touched)
 		}
 		e.play(t, [][]string{{"FLUSHALL"}})
 		if n, walked := e.st.Len(), e.records(); n != 0 || walked != 0 {

@@ -19,18 +19,8 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/kvstore"
-	"repro/internal/ralloc"
 	"repro/internal/resp"
 )
-
-// journalHeap returns the heap whose journal root serves a's shard, nil when a
-// has no root slots (a comparator allocator): its units run unjournaled.
-func journalHeap(a alloc.Allocator) *ralloc.Heap {
-	if h, ok := a.(interface{ Heap() *ralloc.Heap }); ok {
-		return h.Heap()
-	}
-	return nil
-}
 
 // atomically runs run — unit's commands, whose stripes the caller holds —
 // journaled (the block from hd) if unit is more than one structure operation.
@@ -46,7 +36,7 @@ func (sh *shard) atomically(hd alloc.Handle, unit []queuedCmd, run func()) bool 
 			}
 		}
 	}
-	if sh.journal == nil || flushAll || ops < 2 {
+	if flushAll || ops < 2 {
 		run()
 		return true
 	}
@@ -115,9 +105,6 @@ func appendBeforeImage(dst []byte, st *kvstore.Store, key []byte) []byte {
 // replayJournal undoes the unit a crash cut short on sh, if any: the published
 // commands run straight through their handlers — no locks, nothing propagated.
 func (s *Server) replayJournal(sh *shard) {
-	if sh.journal == nil {
-		return
-	}
 	block, img := sh.journal.RootBytes(kvstore.RootJournal)
 	if block == 0 {
 		return

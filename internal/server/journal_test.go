@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/kvstore"
 )
 
@@ -133,4 +134,15 @@ func TestJournalOutOfMemoryAppliesNothing(t *testing.T) {
 			t.Fatal("the refused EXEC left the connection in a transaction")
 		}
 	}
+}
+
+// TestNewShardedWantsARallocHeap: every shard's units are journaled, so a
+// backend whose allocator has no Ralloc heap behind it is refused at once.
+func TestNewShardedWantsARallocHeap(t *testing.T) {
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "is not a Ralloc heap's") {
+			t.Fatalf("NewSharded over a foreign allocator: recovered %v", r)
+		}
+	}()
+	NewSharded([]ShardBackend{{Alloc: struct{ alloc.Allocator }{}}}, Config{})
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -42,7 +41,6 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 		t.Skip("skipping subprocess e2e in -short mode")
 	}
 	dir := t.TempDir()
-	bin := serveBinary(t)
 
 	type node struct {
 		heap, sock string
@@ -50,32 +48,12 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	a := node{filepath.Join(dir, "a.heap"), filepath.Join(dir, "a.sock")}
 	b := node{filepath.Join(dir, "b.heap"), filepath.Join(dir, "b.sock")}
 
-	serve := func(n node, extra ...string) *exec.Cmd {
-		args := []string{"-heap", n.heap, "-unix", n.sock, "-heapmb", "64", "-buckets", "8192"}
+	serve := func(n node, extra ...string) *proc {
+		args := []string{"-heap", n.heap, "-heapmb", "64", "-buckets", "8192"}
 		if clusterShards > 1 {
 			args = append(args, "-cluster-shards", strconv.Itoa(clusterShards))
 		}
-		args = append(args, extra...)
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting ralloc-serve: %v", err)
-		}
-		return cmd
-	}
-	dialRetry := func(n node) *Client {
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			c, err := DialTimeout("unix", n.sock, time.Second)
-			if err == nil {
-				return c
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("server on %s did not come up: %v", n.sock, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+		return startProc(t, n.sock, append(args, extra...)...)
 	}
 	writeBatch := func(c *Client, prefix string, n int) {
 		t.Helper()
@@ -106,7 +84,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	if clusterShards == 1 {
 		// -boundmb and -replicaof are mutually exclusive (evictions are
 		// not replicated): the binary must refuse the combination at startup.
-		bad := exec.Command(bin, "-heap", filepath.Join(dir, "bad.heap"), "-unix",
+		bad := exec.Command(serveBinary(t), "-heap", filepath.Join(dir, "bad.heap"), "-unix",
 			filepath.Join(dir, "bad.sock"), "-boundmb", "8", "-replicaof", a.sock)
 		if out, err := bad.CombinedOutput(); err == nil {
 			t.Fatalf("-boundmb with -replicaof was accepted:\n%s", out)
@@ -161,22 +139,12 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	}
 
 	primary := serve(a)
-	defer func() {
-		if primary.Process != nil {
-			primary.Process.Kill()
-		}
-	}()
-	pc := dialRetry(a)
+	pc := primary.dial(t)
 	writeBatch(pc, "batch-a", 2000)
 	bump(pc, 25)
 
 	replica := serve(b, "-replicaof", a.sock)
-	defer func() {
-		if replica.Process != nil {
-			replica.Process.Kill()
-		}
-	}()
-	rc := dialRetry(b)
+	rc := replica.dial(t)
 	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
 		t.Fatalf("WAIT for replica attach = %d, %v", n, err)
 	}
@@ -195,14 +163,12 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 		t.Fatalf("WAIT before the clean restart = %d, %v", n, err)
 	}
 	rc.Close()
-	if err := replica.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	waitExit(t, replica, 15*time.Second)
+	replica.signal(syscall.SIGTERM)
+	replica.exit()
 	writeBatch(pc, "batch-b", 1000)
 	bump(pc, 25)
 	replica = serve(b, "-replicaof", a.sock)
-	rc = dialRetry(b)
+	rc = replica.dial(t)
 	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
 		t.Fatalf("WAIT after the clean restart = %d, %v", n, err)
 	}
@@ -219,20 +185,12 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	bumpSend(pc, 200)
 	time.Sleep(5 * time.Millisecond)
 	rc.Close()
-	if err := replica.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	replica.Wait()
+	replica.kill(t)
 	bumpRecv(pc, 200)
 	bump(pc, 25)
 
 	replica2 := serve(b, "-replicaof", a.sock)
-	defer func() {
-		if replica2.Process != nil {
-			replica2.Process.Kill()
-		}
-	}()
-	rc2 := dialRetry(b)
+	rc2 := replica2.dial(t)
 	if n, err := pc.Wait(1, 15*time.Second); err != nil || n < 1 {
 		t.Fatalf("WAIT after replica restart = %d, %v", n, err)
 	}
@@ -245,10 +203,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 
 	// Failover: SIGKILL the primary, promote the replica, write through it.
 	pc.Close()
-	if err := primary.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	primary.Wait()
+	primary.kill(t)
 	if err := rc2.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -261,12 +216,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	// fresh stream ID besides): it re-bootstraps from the new primary's
 	// checkpoint — converging on batch C, which it was dead for.
 	old := serve(a, "-replicaof", b.sock)
-	defer func() {
-		if old.Process != nil {
-			old.Process.Kill()
-		}
-	}()
-	oc := dialRetry(a)
+	oc := old.dial(t)
 	if n, err := rc2.Wait(1, 15*time.Second); err != nil || n < 1 {
 		t.Fatalf("WAIT for rejoined node = %d, %v", n, err)
 	}
@@ -292,7 +242,7 @@ func runE2EReplicationFailover(t *testing.T, clusterShards int) {
 	// Clean shutdown everywhere: the rejoined replica drains first, then
 	// the primary.
 	oc.Do("SHUTDOWN")
-	waitExit(t, old, 15*time.Second)
+	old.exit()
 	rc2.Do("SHUTDOWN")
-	waitExit(t, replica2, 15*time.Second)
+	replica2.exit()
 }

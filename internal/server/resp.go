@@ -5,7 +5,7 @@
 // per-connection goroutines and request pipelining. The entire dataset lives
 // in the recoverable ralloc heap, so a crashed server restarts through Open →
 // Recover, kvstore's attach riding the trace, and keeps serving — see
-// crash_test.go and cmd/ralloc-serve.
+// killdriver_test.go and cmd/ralloc-serve.
 //
 // This file is the connection's two ends: the command reader (internal/resp
 // framing plus the two leniencies a client connection gets) and the reply

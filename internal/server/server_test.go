@@ -8,11 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
@@ -37,16 +35,6 @@ func saveUnderFence(cut func() error) func(func(func() error) error) (Checkpoint
 	return func(fence func(cut func() error) error) (CheckpointStats, error) {
 		return CheckpointStats{}, fence(cut)
 	}
-}
-
-// persistOnSave makes SAVE write back every line of h's region under the
-// fence, so an in-process SAVE → Region.Crash() keeps exactly the state the
-// fence saw — what SaveFileOnline + kill + LoadFile does across processes.
-func persistOnSave(a alloc.Allocator, st *kvstore.Store, h *ralloc.Heap) []ShardBackend {
-	return []ShardBackend{{Alloc: a, Store: st, CheckpointOnline: saveUnderFence(func() error {
-		h.Region().Persist()
-		return nil
-	})}}
 }
 
 // startServerSave is startServer with SAVE enabled: cut (when non-nil) runs
@@ -384,212 +372,6 @@ func TestShutdownCommandNotifiesOwner(t *testing.T) {
 	case <-ch:
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnShutdown not invoked")
-	}
-}
-
-func TestSaveCheckpointAndReopenAfterKill(t *testing.T) {
-	// File-backed server: SAVE is the boundary. A subsequent hard stop (no
-	// Close) must restart dirty and recover to exactly the checkpointed
-	// state — writes acked after it are gone.
-	dir := t.TempDir()
-	heapPath := filepath.Join(dir, "kv.heap")
-	cfg := ralloc.Config{SBRegion: 32 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}
-	h, dirty, err := ralloc.Open(heapPath, cfg)
-	if err != nil || dirty {
-		t.Fatalf("open: %v dirty=%v", err, dirty)
-	}
-	a := h.AsAllocator()
-	st, root := kvstore.Open(a, a.NewHandle(), 1024)
-	h.SetRoot(0, root)
-	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
-	sock := filepath.Join(dir, "s.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := c.Set(fmt.Sprintf("ck-%04d", i), fmt.Sprintf("v-%04d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
-		t.Fatalf("SAVE = %+v, %v", rp, err)
-	}
-	// Post-checkpoint writes are lost by the kill — that is the model.
-	if err := c.Set("after-save", "lost"); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	srv.Abort() // no heap.Close(): the on-disk image keeps dirty=1
-
-	h2, dirty, err := ralloc.Open(heapPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dirty {
-		t.Fatal("killed server's image reported clean")
-	}
-	a2 := h2.AsAllocator()
-	h2.GetRoot(0, kvstore.Filter(a2, root))
-	if _, err := h2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := kvstore.Attach(a2, root)
-	if st2.Len() != 500 {
-		t.Fatalf("recovered %d records, want 500", st2.Len())
-	}
-	for i := 0; i < 500; i++ {
-		v, ok, _ := st2.GetBytes([]byte(fmt.Sprintf("ck-%04d", i)))
-		if !ok || string(v) != fmt.Sprintf("v-%04d", i) {
-			t.Fatalf("ck-%04d = (%q,%v)", i, v, ok)
-		}
-	}
-	if _, ok, _ := st2.GetBytes([]byte("after-save")); ok {
-		t.Fatal("post-checkpoint write survived the kill (checkpoint not the boundary?)")
-	}
-}
-
-// hasLatencyEvent reports whether a LATENCY LATEST reply names the event.
-func hasLatencyEvent(rp Reply, event string) bool {
-	for _, row := range rp.Elems {
-		if len(row.Elems) > 0 && string(row.Elems[0].Bulk) == event {
-			return true
-		}
-	}
-	return false
-}
-
-func TestOnlineSaveUnderTrafficAndReopenAfterKill(t *testing.T) {
-	// The online checkpoint's contract under real traffic: SAVE runs while
-	// writers keep writing, and the published image is a consistent state
-	// no older than the moment SAVE was issued. So every write acked
-	// before SAVE must recover; writes racing the copy may or may not,
-	// but nothing may be torn.
-	dir := t.TempDir()
-	heapPath := filepath.Join(dir, "kv.heap")
-	cfg := ralloc.Config{SBRegion: 32 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}
-	h, dirty, err := ralloc.Open(heapPath, cfg)
-	if err != nil || dirty {
-		t.Fatalf("open: %v dirty=%v", err, dirty)
-	}
-	a := h.AsAllocator()
-	st, root := kvstore.Open(a, a.NewHandle(), 1024)
-	h.SetRoot(0, root)
-	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
-	sock := filepath.Join(dir, "s.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-
-	const writers = 4
-	var acked [writers]atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := Dial("unix", sock)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := c.Set(fmt.Sprintf("w%d-%06d", g, i), fmt.Sprintf("v%d-%06d", g, i)); err != nil {
-					select {
-					case <-stop: // server shut down under us: fine
-					default:
-						t.Errorf("writer %d: %v", g, err)
-					}
-					return
-				}
-				acked[g].Add(1)
-			}
-		}(g)
-	}
-	// Let the writers build up state so the copy phases race real stores.
-	for {
-		var total uint64
-		for g := range acked {
-			total += acked[g].Load()
-		}
-		if total >= 2000 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The floor: everything acked before SAVE is issued must survive.
-	var floor [writers]uint64
-	for g := range acked {
-		floor[g] = acked[g].Load()
-	}
-	cs, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp, err := cs.Do("SAVE"); err != nil || rp.Str != "OK" {
-		t.Fatalf("SAVE = %+v, %v", rp, err)
-	}
-	// The fence and copy telemetry must show an online run.
-	rp, err := cs.Do("INFO", "persistence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := string(rp.Bulk)
-	for _, want := range []string{"checkpoints:1", "checkpoint_errors:0",
-		"last_checkpoint_fence_us:", "checkpoint_lines_copied:", "checkpoint_lines_recopied:"} {
-		if !strings.Contains(info, want) {
-			t.Fatalf("INFO persistence missing %q:\n%s", want, info)
-		}
-	}
-	if rp, err := cs.Do("LATENCY", "LATEST"); err != nil || !hasLatencyEvent(rp, "checkpoint-fence") {
-		t.Fatalf("LATENCY LATEST lacks checkpoint-fence event: %+v, %v", rp, err)
-	}
-	cs.Close()
-
-	close(stop)
-	wg.Wait()
-	srv.Abort() // kill: no clean Close, the image on disk is the checkpoint
-
-	h2, dirty, err := ralloc.Open(heapPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dirty {
-		t.Fatal("killed server's image reported clean")
-	}
-	a2 := h2.AsAllocator()
-	h2.GetRoot(0, kvstore.Filter(a2, root))
-	if _, err := h2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := kvstore.Attach(a2, root)
-	for g := 0; g < writers; g++ {
-		for i := uint64(0); i < floor[g]; i++ {
-			k := fmt.Sprintf("w%d-%06d", g, i)
-			v, ok, _ := st2.GetBytes([]byte(k))
-			if !ok {
-				t.Fatalf("pre-SAVE acked key %s missing after recovery", k)
-			}
-			if want := fmt.Sprintf("v%d-%06d", g, i); string(v) != want {
-				t.Fatalf("%s = %q, want %q (torn image?)", k, v, want)
-			}
-		}
 	}
 }
 

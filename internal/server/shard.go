@@ -122,7 +122,7 @@ type shard struct {
 	st    *kvstore.Store
 	be    ShardBackend
 	locks shardlock.Locks
-	// journal.go: the heap with the undo journal's root (nil: none), its mutex.
+	// journal.go: the heap with the undo journal's root, its mutex.
 	journal   *ralloc.Heap
 	journalMu sync.Mutex
 
@@ -139,14 +139,20 @@ type shard struct {
 }
 
 // NewSharded creates a server over N shard backends forming one keyspace.
-// len(backends) must be in [1, slot.MaxShards].
+// len(backends) must be in [1, slot.MaxShards], and each backend's allocator
+// a Ralloc heap's (ralloc.Heap.AsAllocator): its root slots hold the undo
+// journal.
 func NewSharded(backends []ShardBackend, cfg Config) *Server {
 	if len(backends) == 0 || len(backends) > slot.MaxShards {
 		panic(fmt.Sprintf("server: shard count %d outside [1, %d]", len(backends), slot.MaxShards))
 	}
 	s := newServer(cfg)
 	for i, be := range backends {
-		sh := &shard{idx: i, a: be.Alloc, st: be.Store, be: be, journal: journalHeap(be.Alloc)}
+		h, ok := be.Alloc.(interface{ Heap() *ralloc.Heap })
+		if !ok {
+			panic(fmt.Sprintf("server: shard %d's allocator %T is not a Ralloc heap's", i, be.Alloc))
+		}
+		sh := &shard{idx: i, a: be.Alloc, st: be.Store, be: be, journal: h.Heap()}
 		s.shards = append(s.shards, sh)
 		s.locksAll = append(s.locksAll, &sh.locks)
 		s.replayJournal(sh)

@@ -3,9 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"net"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,160 +249,5 @@ func TestExpiryCycleLooksAtABoundedShareOfTheMap(t *testing.T) {
 	}
 	if _, n := st.ExpiredCandidates(sample, math.MaxInt); n < 100_000 {
 		t.Fatalf("an unbounded round looked at %d marked buckets: it stopped before a lap", n)
-	}
-}
-
-// TestTTLStressRaceRestart is the -race satellite: concurrent SET / GET /
-// PSETEX / PEXPIRE / DEL traffic against a live active-expiry cycle, a SAVE
-// checkpoint in the middle, then an in-process kill -9 (Abort + simulated
-// power loss) and an AttachBounded restart. Invariants: the data race
-// detector stays quiet, every acknowledged immortal SET survives, and every
-// key whose TTL elapsed before the crash stays dead after recovery.
-func TestTTLStressRaceRestart(t *testing.T) {
-	const (
-		writers = 4
-		bound   = 48 << 20
-	)
-	cfg := ralloc.Config{
-		SBRegion: 64 << 20,
-		Pmem:     pmem.Config{Mode: pmem.ModeCrashSim},
-	}
-	h, _, err := ralloc.Open("", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := h.AsAllocator()
-	st, root := kvstore.OpenBounded(a, a.NewHandle(), 4096, bound)
-	h.SetRoot(0, root)
-	srv := NewSharded(persistOnSave(a, st, h), Config{
-		ActiveExpiryInterval: time.Millisecond,
-		ActiveExpirySample:   64,
-	})
-	sock := filepath.Join(t.TempDir(), "ttlrace.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-
-	stableAcked := make([]int, writers) // highest immortal index acked per writer
-	volAcked := make([]int, writers)    // highest short-TTL index acked per writer
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			stableAcked[g], volAcked[g] = -1, -1
-			c, err := Dial("unix", sock)
-			if err != nil {
-				t.Errorf("writer %d: %v", g, err)
-				return
-			}
-			defer c.Close()
-			for i := 0; ; i++ {
-				// Immortal record: must survive the crash.
-				if err := c.Set(fmt.Sprintf("st%d-%06d", g, i), fmt.Sprintf("sv%d-%06d", g, i)); err != nil {
-					return
-				}
-				stableAcked[g] = i
-				// Short-TTL record: dead well before the post-crash check.
-				if err := c.PSetEx(fmt.Sprintf("vol%d-%06d", g, i), int64(1+i%20), "tmp"); err != nil {
-					return
-				}
-				volAcked[g] = i
-				// Churn: reads, TTL rewrites and deletes racing the cycle.
-				c.Get(fmt.Sprintf("vol%d-%06d", g, i/2))
-				if i%3 == 0 {
-					c.PExpire(fmt.Sprintf("vol%d-%06d", g, i/2), int64(1+i%5))
-				}
-				if i%5 == 0 {
-					c.Do("DEL", fmt.Sprintf("vol%d-%06d", (g+1)%writers, i/3))
-				}
-			}
-		}(g)
-	}
-
-	// Mid-run checkpoint through the quiesce barrier, with the expiry cycle
-	// live on the other side of it.
-	time.Sleep(150 * time.Millisecond)
-	if err := srv.Save(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(150 * time.Millisecond)
-	srv.Abort()
-	wg.Wait()
-	for g := range stableAcked {
-		if stableAcked[g] < 10 {
-			t.Fatalf("writer %d acked only %d sets; traffic too thin", g, stableAcked[g])
-		}
-	}
-	if err := h.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: recover, AttachBounded, serve again with the cycle running.
-	h2, dirty, err := ralloc.Attach(h.Region(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dirty {
-		t.Fatal("crashed heap attached clean")
-	}
-	a2 := h2.AsAllocator()
-	h2.GetRoot(0, kvstore.Filter(a2, root))
-	if _, err := h2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := kvstore.AttachBounded(a2, root, bound)
-	if !st2.Bounded() {
-		t.Fatal("restart lost the bound")
-	}
-	srv2 := New(a2, st2, Config{
-		ActiveExpiryInterval: time.Millisecond,
-		ActiveExpirySample:   64,
-	})
-	sock2 := filepath.Join(t.TempDir(), "ttlrace2.sock")
-	l2, err := net.Listen("unix", sock2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Serve(l2)
-	defer srv2.Shutdown(time.Second)
-
-	c, err := Dial("unix", sock2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Every acknowledged immortal SET survived.
-	for g := 0; g < writers; g++ {
-		for i := 0; i <= stableAcked[g]; i++ {
-			v, ok, err := c.Get(fmt.Sprintf("st%d-%06d", g, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok || v != fmt.Sprintf("sv%d-%06d", g, i) {
-				t.Fatalf("acked immortal SET st%d-%06d lost: (%q,%v)", g, i, v, ok)
-			}
-		}
-	}
-	// Every short-TTL record is long past its ≤20ms deadline (wall time):
-	// none may be resurrected, whether or not its corpse was reclaimed.
-	for g := 0; g < writers; g++ {
-		for i := 0; i <= volAcked[g]; i++ {
-			key := fmt.Sprintf("vol%d-%06d", g, i)
-			if v, ok, _ := c.Get(key); ok {
-				t.Fatalf("expired key %s resurrected as %q after restart", key, v)
-			}
-			if n, err := c.PTTL(key); err != nil || n != -2 {
-				t.Fatalf("PTTL %s = %d, %v", key, n, err)
-			}
-		}
-	}
-	if err := c.Set("post", "alive"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h2.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

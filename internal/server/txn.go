@@ -17,7 +17,7 @@ package server
 //     barrier, so a SAVE image never holds a torn transaction.
 //   - An EXEC of more than one write runs under its shard's undo journal
 //     (journal.go), so a kill mid-EXEC restarts with the transaction wholly
-//     absent (txn_e2e_test.go, journal_test.go) — unless it queues FLUSHALL.
+//     absent (killdriver_test.go, journal_test.go) — unless it queues FLUSHALL.
 //
 // With more than one shard a transaction is additionally confined to one
 // shard, enforced at queue time: the first keyed command fixes the
