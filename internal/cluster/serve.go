@@ -200,7 +200,7 @@ func (c *Cluster) persistenceRows() []obs.Row {
 			obs.Row{Key: "recovery_sweep_units", Val: rs.SweepUnits},
 			obs.Row{Key: "recovery_trace_us", Val: rs.TraceTime},
 			obs.Row{Key: "recovery_sweep_us", Val: rs.SweepTime},
-			obs.Row{Key: "recovery_flushes", Val: rs.Flushes},
+			obs.Row{Key: "recovery_flushes", Val: rs.Flushes}, // retired descriptors, a line each
 			obs.Row{Key: "recovery_total_us", Val: rs.Duration})
 	}
 	return rows

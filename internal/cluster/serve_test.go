@@ -296,12 +296,10 @@ func TestServedLifecycle(t *testing.T) {
 	if got := c.HeapInfo(); !strings.HasSuffix(got, "heap_dirty_at_open:true\r\n") {
 		t.Fatalf("heap section after crash: %q", got)
 	}
-	// Recovery writes back the lines it stored to, not every line below the
-	// used watermark.
-	used, _ := strconv.ParseUint(infoFields(t, c.HeapInfo())["sb_used_bytes"], 10, 64)
-	usedLines := (ralloc.MetaBytes + used + used/ralloc.SuperblockBytes*ralloc.DescBytes) / 64
-	if n, err := strconv.ParseUint(p["recovery_flushes"], 10, 64); err != nil || n == 0 || n >= usedLines {
-		t.Fatalf("recovery_flushes %q, want more than 0 and fewer than the %d used lines", p["recovery_flushes"], usedLines)
+	// Recovery writes back the descriptors it retired, one line each, and
+	// nothing else it rebuilt.
+	if n, err := strconv.ParseUint(p["recovery_flushes"], 10, 64); err != nil || n == 0 || n != c.RecStats.FreeSuperblocks {
+		t.Fatalf("recovery_flushes %q, want the %d superblocks recovery retired", p["recovery_flushes"], c.RecStats.FreeSuperblocks)
 	}
 	ev := obs.NewEvents()
 	c.RecordStartup(ev)

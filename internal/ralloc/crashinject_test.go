@@ -194,9 +194,9 @@ func TestRecoverSurvivesACrashAtEveryStore(t *testing.T) {
 			}
 			// recoverAll recovers the crashed image uncut and checks the heap
 			// it rebuilt; it returns the counters and how many stores
-			// recovery made. It leaves no line dirty
-			// (TestRecoverWritesEverythingBack), so the image it leaves is
-			// also the one a crash straight after it would.
+			// recovery made. It writes back only the descriptors it retires,
+			// so the crash after a cut recovery also drops the lists, anchors
+			// and chains recoverAll rebuilt.
 			recoverAll := func() (RecoveryStats, int) {
 				t.Helper()
 				h := attach()

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/pmem"
 	"repro/internal/pptr"
 	"repro/internal/sizeclass"
 )
@@ -19,12 +18,19 @@ import (
 // superblock's persisted size class, a single pointer suffices to tell how
 // much memory it keeps alive.
 //
-// There is one engine, (*Heap).gc — one trace, one sweep, one write-back of
-// exactly the lines recovery stored to — behind four entry points: Trace
-// (the trace alone, read-only), Recover (drop the lost thread caches, one
-// worker), RecoverParallel(w) (the same with w workers, §6.4's future work)
-// and Manager.Collect (shared.go, §4.5.2: one worker, live processes' caches
-// pinned, handles kept).
+// Recovery's output is as transient as the metadata normal operation writes
+// (lists.go): the heap stays dirty until a clean Close persists the region,
+// so a later crash runs recovery again, which rebuilds anchors, chains and
+// list heads from scratch. Recovery writes back only what the next trace and
+// sweep read: the class, block size and run length of each descriptor it
+// retires (a stale run length would make the next sweep free a superblock
+// since handed to a size class), behind one fence.
+//
+// There is one engine, (*Heap).gc — one trace, one sweep, one fence — behind
+// four entry points: Trace (the trace alone, read-only), Recover (drop the
+// lost thread caches, one worker), RecoverParallel(w) (the same with w
+// workers, §6.4's future work) and Manager.Collect (shared.go, §4.5.2: one
+// worker, live processes' caches pinned, handles kept).
 // Recover uses one worker on purpose: the serving stack's parallelism is
 // across shards (cluster.Open recovers each shard heap on its own goroutine),
 // and one worker already overlaps its misses — drain scans in batches.
@@ -304,7 +310,7 @@ type RecoveryStats struct {
 	LargeRuns       uint64
 	TraceWork       uint64 // pointer candidates examined + words scanned (trace)
 	SweepUnits      uint64 // superblocks/runs processed by the sweep
-	Flushes         uint64 // lines written back: each line recovery stored to, once
+	Flushes         uint64 // lines written back: the descriptors the sweep retired
 	TraceTime       time.Duration
 	SweepTime       time.Duration
 	Duration        time.Duration
@@ -332,7 +338,7 @@ func (s *RecoveryStats) Add(o RecoveryStats) {
 // allocator metadata so that all and only the reachable blocks are allocated
 // — the recoverability criterion. Filters must have been registered (via
 // GetRoot) beforehand. The heap stays dirty until a clean Close, so a crash
-// during recovery simply causes recovery to run again.
+// during or after recovery simply causes recovery to run again.
 func (h *Heap) Recover() (RecoveryStats, error) {
 	return h.RecoverParallel(1)
 }
@@ -350,8 +356,8 @@ func (h *Heap) RecoverParallel(workers int) (RecoveryStats, error) {
 
 // gc is the recovery engine, steps 3–10 of §4.5: trace, reset the global
 // lists, sweep every used superblock keeping exactly the traced blocks,
-// write everything back. pin, if not nil, marks blocks that are allocated
-// although no persistent root reaches them, before the roots are traced.
+// fence. pin, if not nil, marks blocks that are allocated although no
+// persistent root reaches them, before the roots are traced.
 func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	start := time.Now()
 	gcs := h.trace(workers, pin)
@@ -360,7 +366,7 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	// Step 3, on the sweep side of the timestamp.
 	h.resetLists()
 	h.sweep(gcs)
-	gcs[0].writeBack()
+	h.fence() // step 10: the retired descriptors are durable
 
 	var stats RecoveryStats
 	for _, g := range gcs {
@@ -371,29 +377,6 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	stats.SweepTime = end.Sub(traceDone)
 	stats.Duration = end.Sub(start)
 	return stats
-}
-
-// writeBack is step 10: everything recovery rebuilt becomes durable, behind
-// one fence. The sweep's workers have already flushed what they stored to —
-// the free-chain links of partial superblocks and the descriptors they
-// rewrote — each line once; what is left are the metadata lines of
-// resetLists and the list heads: the free-list head and the class records'
-// reserved slots in [0, offRoots), and the shard heads. No clean line is
-// written back, so the cost follows what recovery rebuilt, not the heap's
-// capacity or its used watermark.
-func (g *GC) writeBack() {
-	g.flush(0, offRoots)
-	g.flush(offShardHeads, MaxShards*shardSetBytes)
-	g.h.fence()
-}
-
-// flush writes back the lines overlapping [off, off+n) and tallies them;
-// Config.NoFlush disables both, as it does h.flush.
-func (g *GC) flush(off, n uint64) {
-	if !g.h.cfg.NoFlush {
-		g.h.region.FlushRange(off, n)
-		g.stats.Flushes += (off+n-1)/pmem.LineBytes - off/pmem.LineBytes + 1
-	}
 }
 
 // resetLists clears the superblock free list and every partial-list shard
@@ -468,7 +451,6 @@ func (g *GC) sweepUnit(first, count uint32) {
 		// unitLen had to clamp has torn metadata and is freed.
 		if numSB == uint64(count) && g.marked(h.lay.sbOff(first)) {
 			r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
-			g.flush(d, DescBytes) // the run's other descriptors are not written
 			g.stats.LargeRuns++
 			return
 		}
@@ -487,13 +469,17 @@ func (g *GC) sweepUnit(first, count uint32) {
 }
 
 // retire returns count superblocks starting at first to the free list and
-// writes back their descriptors.
+// writes back their descriptors, one line each.
 func (g *GC) retire(first, count uint32) {
+	h := g.h
 	for i := first; i < first+count; i++ {
-		g.h.retireDesc(i)
-		g.flush(g.h.lay.descOff(i), DescBytes)
+		h.retireDesc(i)
+		h.flush(h.lay.descOff(i))
 	}
 	g.stats.FreeSuperblocks += uint64(count)
+	if !h.cfg.NoFlush {
+		g.stats.Flushes += uint64(count)
+	}
 }
 
 // sweepSmall rebuilds the anchor of a small-class superblock, keeping exactly
@@ -521,7 +507,6 @@ func (g *GC) sweepSmall(i uint32, c int, bs uint64) {
 		h.pushPartial(c, h.partialShardOf(i), i)
 		g.stats.PartialSBs++
 	}
-	g.flush(d, DescBytes)
 }
 
 // marks counts the marked blocks among the first n bytes of the superblock
@@ -542,29 +527,19 @@ func (g *GC) marks(sb, n uint64) uint32 {
 }
 
 // chain links the free blocks of the superblock at sb into its block free
-// chain, lowest first, and returns the first one's index. It stores from the
-// top block down, so the lines it stores to come in descending order: each is
-// written back once, when the walk leaves it. There is at least one free
-// block.
+// chain, lowest first, and returns the first one's index. Like every chain,
+// it is transient: nothing is written back. There is at least one free block.
 func (g *GC) chain(sb, bs uint64, total uint32) uint32 {
 	r := g.h.region
-	var next uint64   // next-field encoding: index+1, 0 = nil
-	line := uint64(0) // the line last stored to; 0 (the metadata's) = none yet
+	var next uint64 // next-field encoding: index+1, 0 = nil
 	for b := total; b > 0; b-- {
 		off := sb + uint64(b-1)*bs
 		if g.marked(off) {
 			continue
 		}
-		if l := off / pmem.LineBytes; l != line {
-			if line != 0 {
-				g.flush(line*pmem.LineBytes, pmem.LineBytes)
-			}
-			line = l
-		}
 		r.Store(off, next)
 		next = uint64(b)
 	}
-	g.flush(line*pmem.LineBytes, pmem.LineBytes)
 	return uint32(next - 1)
 }
 

@@ -10,7 +10,9 @@ import (
 // live in the metadata region and carry ABA counters (pptr.PackHead); the
 // links are the descriptors' nextFree / nextPartial fields, stored as
 // index+1 with 0 meaning nil. All of this state is transient: it is
-// reconstructed wholesale by recovery, so none of it is ever flushed.
+// reconstructed wholesale by recovery, so none of it is ever flushed — not
+// by normal operation, and not by recovery either, whose rebuilt lists,
+// anchors and chains a crash after it leaves to the next recovery (gc.go).
 
 // pushDesc pushes descriptor idx onto the list with head word at headOff,
 // linking through the descriptor field at offset linkOff.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/alloc"
@@ -124,7 +125,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[net.Conn]*drainState
 	handles   [][]alloc.Handle // pool of per-shard handle vectors: bounds handle count by peak concurrency
 	closed    bool
 
@@ -204,7 +205,7 @@ func newServer(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
 		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		conns:     make(map[net.Conn]*drainState),
 		start:     time.Now(),
 		slow:      obs.NewSlowLog(cfg.SlowlogMaxLen),
 		events:    obs.NewEvents(),
@@ -436,7 +437,8 @@ func (s *Server) handleConn(c net.Conn) {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 	}
-	if !s.trackConn(c) {
+	ds := s.trackConn(c)
+	if ds == nil {
 		c.Close()
 		return
 	}
@@ -467,6 +469,9 @@ func (s *Server) handleConn(c net.Conn) {
 	// dispatches so the steady-state pipeline allocates nothing.
 	ctx := &Ctx{s: s, hds: hds, hd: hds[0], w: w, cs: &connState{}}
 	for {
+		if !r.buffered() && !ds.await(c, r) {
+			return
+		}
 		args, err := r.ReadCommand()
 		if err != nil {
 			var pe resp.Error
@@ -510,16 +515,83 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// trackConn registers a live connection for Shutdown to drain; it reports
-// false (without registering) when the server is already closed.
-func (s *Server) trackConn(c net.Conn) bool {
+// trackConn registers a live connection for Shutdown to drain; it returns
+// nil (without registering) when the server is already closed.
+func (s *Server) trackConn(c net.Conn) *drainState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
+		return nil
+	}
+	s.conns[c] = &drainState{}
+	return s.conns[c]
+}
+
+// drainState tells a graceful stop whether a connection's handler waits
+// between commands with nothing buffered (idle), and tells the handler the
+// drain deadline, zero until the stop begins; mu orders the two.
+type drainState struct {
+	mu      sync.Mutex
+	idle    bool
+	drainBy time.Time
+}
+
+// await waits for the next command with nothing buffered and reports whether
+// there is one. Once a graceful stop has begun, a connection between commands
+// closes at once unless its client had already sent more, which is served
+// until the drain deadline.
+func (ds *drainState) await(c net.Conn, r *respReader) bool {
+	by := ds.waiting(true)
+	if by.IsZero() {
+		_, err := r.d.Peek()
+		if by = ds.waiting(false); by.IsZero() {
+			return err == nil
+		}
+	}
+	if !r.buffered() && !unread(c) {
 		return false
 	}
-	s.conns[c] = struct{}{}
-	return true
+	c.SetReadDeadline(by) // stop may have moved it to now
+	_, err := r.d.Peek()
+	return err == nil
+}
+
+// waiting marks whether the handler is about to wait between commands (only
+// before a stop) and returns the drain deadline.
+func (ds *drainState) waiting(idle bool) time.Time {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ds.idle = idle && ds.drainBy.IsZero()
+	return ds.drainBy
+}
+
+// stop arms the connection's drain deadline, cutting a wait between commands
+// short.
+func (ds *drainState) stop(c net.Conn, deadline time.Time) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ds.drainBy = deadline
+	if ds.idle {
+		deadline = time.Now()
+	}
+	c.SetReadDeadline(deadline)
+}
+
+// unread reports, without waiting, whether the client has sent bytes not yet
+// read (a non-blocking peek); a connection that is not a socket is taken to
+// have some.
+func unread(c net.Conn) bool {
+	sc, ok := c.(syscall.Conn)
+	if !ok {
+		return true
+	}
+	n := 0
+	if raw, err := sc.SyscallConn(); err == nil {
+		raw.Control(func(fd uintptr) {
+			n, _, _ = syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		})
+	}
+	return n > 0
 }
 
 func (s *Server) untrackConn(c net.Conn) {
@@ -592,9 +664,10 @@ func (s *Server) LatencySnapshot() obs.HistSnapshot {
 }
 
 // Shutdown gracefully drains the server: listeners close immediately, each
-// connection's in-flight commands are answered, and connections finish when
-// their read side goes idle past the deadline. Connections still open after
-// 2×timeout are force-closed. Safe to call more than once.
+// connection's in-flight commands — everything its client sent before the
+// stop — are answered, and a connection closes once it is idle between
+// commands, or when its read side stays idle past the deadline. Connections
+// still open after 2×timeout are force-closed. Safe to call more than once.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	s.beginClose(deadline, true)
@@ -636,8 +709,10 @@ func (s *Server) Abort() {
 
 // beginClose marks the server closed under the mutex: the expiry cycle is
 // stopped, listeners close, and — when armConns is set (graceful Shutdown) —
-// each open connection's read deadline is moved up so blocked readers wake.
-// A connection mid-command still gets its replies written first.
+// each open connection's read deadline is moved up to deadline, or to now
+// for one idle between commands, which then closes unless its client had
+// already sent more (drainState). A connection mid-command still gets
+// its replies written first.
 func (s *Server) beginClose(deadline time.Time, armConns bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -649,8 +724,8 @@ func (s *Server) beginClose(deadline time.Time, armConns bool) {
 		l.Close()
 	}
 	if armConns {
-		for c := range s.conns {
-			c.SetReadDeadline(deadline)
+		for c, ds := range s.conns {
+			ds.stop(c, deadline)
 		}
 	}
 }

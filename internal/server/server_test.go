@@ -360,6 +360,52 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesIdleClients: a graceful stop does not wait out its drain
+// timeout for clients idle between commands, over a unix socket or TCP; a
+// command a client sent just before the stop is still answered.
+func TestShutdownClosesIdleClients(t *testing.T) {
+	ts := startServer(t, Config{}, 0)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ts.srv.Serve(l)
+	idle := []*Client{dial(t, ts), dial(t, ts)}
+	tc, err := Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	idle = append(idle, tc)
+	// Round-trip once so each connection is accepted and served.
+	for _, c := range idle {
+		if _, err := c.Do("PING"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := idle[0]
+	late.Send("SET", "late", "v")
+	if err := late.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := ts.srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d >= 500*time.Millisecond {
+		t.Fatalf("Shutdown with idle clients took %v", d)
+	}
+	if rp, err := late.Recv(); err != nil || rp.Str != "OK" {
+		t.Fatalf("SET sent before the stop = %+v, %v", rp, err)
+	}
+	for i, c := range idle {
+		c.c.SetReadDeadline(time.Now().Add(time.Second))
+		if rp, err := c.Recv(); err == nil {
+			t.Fatalf("client %d read %+v after Shutdown, want the connection closed", i, rp)
+		}
+	}
+}
+
 func TestShutdownCommandNotifiesOwner(t *testing.T) {
 	ch := make(chan struct{}, 1)
 	ts := startServer(t, Config{OnShutdown: func() { ch <- struct{}{} }}, 0)
