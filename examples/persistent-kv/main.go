@@ -1,6 +1,6 @@
 // Persistent key-value store: a memcached-like store whose contents survive
-// process restarts via the heap's DAX-file image, including restarts after
-// a crash (dirty heap → recovery).
+// process restarts in the heap's file, mapped as ralloc-serve maps its heap,
+// including restarts after a crash (dirty heap → recovery).
 //
 //	go run ./examples/persistent-kv            # first run: creates the store
 //	go run ./examples/persistent-kv            # second run: reopens it
@@ -23,7 +23,7 @@ func main() {
 	path := filepath.Join(os.TempDir(), "ralloc-example-kv.heap")
 	cfg := ralloc.Config{
 		SBRegion: 64 << 20,
-		Pmem:     pmem.Config{Mode: pmem.ModeCrashSim},
+		Pmem:     pmem.Config{Mode: pmem.ModeFast},
 	}
 	heap, dirty, err := ralloc.Open(path, cfg)
 	if err != nil {
@@ -71,7 +71,7 @@ func main() {
 	}
 	fmt.Printf("this is run #%d; store holds %d records\n", runs, store.Len())
 
-	// Clean shutdown writes the heap back to its file.
+	// Clean shutdown syncs the mapped heap to its file, marked clean.
 	if err := heap.Close(); err != nil {
 		log.Fatal(err)
 	}

@@ -122,6 +122,8 @@ func Open(path string, cfg Config) (h *Heap, dirty bool, err error) {
 	if path != "" && cfg.Pmem.Mode == pmem.ModeFast {
 		region, err = pmem.MapFile(path, lay.total, cfg.Pmem)
 	} else if _, statErr := os.Stat(path); path != "" && statErr == nil {
+		// A crash-sim heap with a file: only benchmark/'s in-process rows
+		// and the pmem, ralloc and cluster unit tests still open one.
 		region, err = pmem.LoadFile(path, cfg.Pmem)
 	}
 	switch {
@@ -451,7 +453,7 @@ func (h *Heap) Close() error {
 	switch {
 	case h.region.Mapped():
 		err = syncRegion(h.region)
-	case h.path != "":
+	case h.path != "": // a crash-sim heap with a file: benchmark/ and unit tests only
 		err = h.region.SaveFile(h.path)
 	}
 	if err != nil {

@@ -17,16 +17,18 @@ import (
 )
 
 // shardedEnv is an in-process N-shard server on a unix socket, each shard a
-// full heap + store, with file-backed online checkpoints when paths are set.
+// full heap + store on a crash-sim region, with online checkpoints to files
+// when paths are set.
 type shardedEnv struct {
 	heaps []*ralloc.Heap
-	paths []string
+	paths []string // the images SAVE writes, "<heap path>.save"
 	srv   *Server
 	sock  string
 }
 
-// startSharded builds an N-shard server. filed gives each shard an image
-// file in a temp dir (RegionBackend), so SAVE works end to end.
+// startSharded builds an N-shard server. filed gives each shard a heap path
+// in a temp dir (RegionBackend), so SAVE writes its backup there end to end;
+// the heaps themselves stay pathless, for a test to crash.
 // snapHook, when non-nil, supplies a per-shard pmem snapshot hook (crash
 // injection); it may return nil for shards that get none.
 func startSharded(t *testing.T, n int, cfg Config, filed bool, snapHook func(shard int) func(pmem.SnapshotPhase)) *shardedEnv {
@@ -60,7 +62,7 @@ func startShardedSized(t *testing.T, n int, sbRegion uint64, cfg Config, filed b
 		path := ""
 		if filed {
 			path = filepath.Join(dir, fmt.Sprintf("shard%d.heap", i))
-			e.paths = append(e.paths, path)
+			e.paths = append(e.paths, path+".save")
 		}
 		backends[i] = RegionBackend(a, st, h.Region(), path, cfg.ReplBacklogBytes > 0)
 	}

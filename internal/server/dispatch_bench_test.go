@@ -11,7 +11,7 @@ import (
 )
 
 // Dispatch benchmark: the registry pipeline (lookup → arity → KeySpec key
-// extraction → ordered stripe locks → middleware → handler) on the pipelined
+// extraction → ordered stripe locks → stats → handler) on the pipelined
 // GET/SET hot path, command vectors prebuilt so only dispatch + execution
 // are measured. The ledger row for the same path over the wire is
 // benchmark/'s server.get_p16 / server.set_p16.

@@ -72,7 +72,7 @@ var fuzzSeedCommands = []string{
 	// splits and the stream desynchronizes (errorBody pins the fix).
 	"*1\r\n$7\r\nBAD\r\nXY\r\n",
 	"*2\r\n$7\r\nCOMMAND\r\n$6\r\nNO\r\nPE\r\n",
-	// Empty multibulks (skipped iteratively, must terminate).
+	// Empty multibulks: each read returns none, and the reads terminate.
 	"*0\r\n*0\r\n*-1\r\n*0\r\nPING\r\n",
 	// Truncated at every interesting boundary.
 	"*2\r\n$3\r\nGE",
@@ -105,8 +105,11 @@ func FuzzReadCommand(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newRespReader(bytes.NewReader(data))
+		src := bytes.NewReader(data)
+		r := newRespReader(src)
+		unread := func() int { return src.Len() + r.d.Reader().Buffered() }
 		for i := 0; i < 64; i++ {
+			before := unread()
 			args, err := r.ReadCommand()
 			if err != nil {
 				// Errors must be clean: EOFs or protocol errors only.
@@ -116,10 +119,11 @@ func FuzzReadCommand(f *testing.F) {
 				}
 				return
 			}
-			// The contract execute() relies on: at least one argument,
-			// every argument within the advertised bounds.
-			if len(args) == 0 {
-				t.Fatal("ReadCommand returned an empty command")
+			// The contract handleConn relies on: every argument within the
+			// advertised bounds, and a command with none (*0, *-1, a blank
+			// inline line) consumed its bytes, so skipping it moves on.
+			if len(args) == 0 && unread() >= before {
+				t.Fatal("ReadCommand returned an empty command and consumed nothing")
 			}
 			if len(args) > resp.MaxArgs {
 				t.Fatalf("ReadCommand returned %d args (max %d)", len(args), resp.MaxArgs)
@@ -184,6 +188,9 @@ func FuzzDispatch(f *testing.F) {
 			args, err := r.ReadCommand()
 			if err != nil {
 				break
+			}
+			if len(args) == 0 { // skipped, as handleConn does
+				continue
 			}
 			quit := fuzzServer.srv.dispatch(ctx, args)
 			scribble(args) // the reader's next command overwrites them: nothing may still look

@@ -35,10 +35,12 @@ import (
 // must serve a transaction and both ends of every list, and hold the same
 // state across a clean stop and start. A row kills one of two servers: the
 // real ralloc-serve on a mapped heap file by SIGKILL (proc), or a server in
-// this process on a strict crash-sim heap by Abort and a power failure
-// (memServer), which restarts through the crash sweep's attach (attachStore)
-// — or, when the heap has a file, by Abort alone, the restart loading the
-// last SAVE's image (cutAtSave).
+// this process (memServer), which restarts through the crash sweep's attach
+// (attachStore): on a strict crash-sim heap killed by Abort and a power
+// failure, or — when the heap has a file — on the mapped file ralloc-serve
+// runs, killed by Abort alone. A file row's kill is judged twice: the live
+// file against the whole history, then the last SAVE's backup restored over
+// it against the history cut at that SAVE (cutAtSave).
 
 // TestCrashRestartUnderLiveTraffic: SETs and overwrites on a bounded store,
 // killed in process mid-traffic.
@@ -71,15 +73,21 @@ func TestE2ETTLSIGKILLRestart(t *testing.T) { runKillRow(t, ttlRow) }
 // with no SAVE: the undo journal must roll a cut unit back.
 func TestE2ETxnSIGKILLMidExec(t *testing.T) { runKillRow(t, unitRow) }
 
-// TestSaveCheckpointAndReopenAfterKill: on a crash-sim heap with a file, 500
-// SETs, a SAVE and one SET more, then a kill: the restart loads the SAVE's
-// image, which holds the 500 and not the one after.
+// TestSaveCheckpointAndReopenAfterKill: on a mapped heap file, 500 SETs, a
+// SAVE and one SET more, then a kill: the heap holds all 501, and the SAVE's
+// backup restored over it holds the 500 and not the one after.
 func TestSaveCheckpointAndReopenAfterKill(t *testing.T) { runKillRow(t, saveRow) }
 
 // TestOnlineSaveUnderTrafficAndReopenAfterKill: four clients SET while one of
-// them SAVEs, then a kill: the image holds every write answered before the
+// them SAVEs, then a kill: the backup holds every write answered before the
 // SAVE was sent, and of the writes that raced its copy a prefix per client.
 func TestOnlineSaveUnderTrafficAndReopenAfterKill(t *testing.T) { runKillRow(t, onlineSaveRow) }
+
+// TestTornCheckpointRejectedPreviousImageRecovers: two clients pipeline SETs
+// 8 deep, one with a SAVE among them, then a kill. Every file row's restore
+// first copies a torn half of the backup over the heap, which must fail to
+// open with ErrBadImage; the whole backup then restores every key it holds.
+func TestTornCheckpointRejectedPreviousImageRecovers(t *testing.T) { runKillRow(t, tornRow) }
 
 // killRow is one kill test.
 type killRow struct {
@@ -90,7 +98,7 @@ type killRow struct {
 	depth     int                                       // the ops a client pipelines
 	after     time.Duration                             // the kill comes this long after the scripts end, or after they start if they do not end
 	kills     int                                       // kills and restarts; 0: one
-	file      bool                                      // in process, the heap has a file: a restart loads the last SAVE's image
+	file      bool                                      // in process, the heap is a mapped file: judged live, then restored from the last SAVE's backup
 	expire    time.Duration                             // the active expiry cycle's period; 0: the binary's default, none in process
 	bound     uint64                                    // in process, the store's byte budget; 0: none
 	seed      uint64
@@ -123,6 +131,8 @@ var unitRow = killRow{clients: 6, script: unitScript, depth: 16, after: 100 * ti
 var saveRow = killRow{inProcess: true, file: true, clients: 1, script: saveScript, ops: 502, depth: 1, seed: 7}
 
 var onlineSaveRow = killRow{inProcess: true, file: true, clients: 4, script: saveScript, ops: 2000, depth: 1, seed: 8}
+
+var tornRow = killRow{inProcess: true, file: true, clients: 2, script: saveScript, ops: 1000, depth: 8, seed: 9}
 
 func one(cmd ...string) [][]string { return [][]string{cmd} }
 
@@ -255,6 +265,14 @@ func runKillRow(t *testing.T, r killRow) {
 	for range max(r.kills, 1) {
 		r.traffic(t, srv, hist, rngs)
 		if r.file {
+			// The heap file holds every op the server ran. Then the server
+			// is killed again, and the backup is restored over the heap.
+			srv.restart(t, true)
+			c := srv.dial(t)
+			t.Logf("the heap file holds the first %v ops of each client", verify(t, c, hist))
+			c.Close()
+			srv.kill(t)
+			srv.(*memServer).restoreSave(t)
 			cutAtSave(hist)
 		}
 		srv.restart(t, true)
@@ -861,8 +879,9 @@ func show(r read) string {
 }
 
 // memServer is a server in this process on a strict crash-sim heap, killed
-// by Abort and a power failure. With a file (path), SAVE writes the image a
-// restart loads, and the kill is the Abort alone.
+// by Abort and a power failure; or, with a file (path), on the file mapped in
+// ModeFast as ralloc-serve runs it, killed by Abort alone. SAVE then writes
+// the backup "<path>.save".
 type memServer struct {
 	row        killRow
 	cfg        ralloc.Config
@@ -877,7 +896,7 @@ func newMemServer(t *testing.T, r killRow) *memServer {
 	s := &memServer{row: r, sock: filepath.Join(dir, "kv.sock"),
 		cfg: ralloc.Config{SBRegion: 32 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}}
 	if r.file {
-		s.path = filepath.Join(dir, "kv.heap")
+		s.path, s.cfg.Pmem.Mode = filepath.Join(dir, "kv.heap"), pmem.ModeFast
 	}
 	h, dirty, err := ralloc.Open(s.path, s.cfg)
 	if err != nil || dirty {
@@ -929,7 +948,27 @@ func (s *memServer) kill(t *testing.T) {
 	}
 }
 
-// restart attaches the heap, or opens its file — recovering a dirty one as
+// restoreSave is the operator's restore of a backup, the server stopped: a
+// torn copy of "<path>.save" over the heap must not open, and the whole copy
+// then replaces the heap.
+func (s *memServer) restoreSave(t *testing.T) {
+	t.Helper()
+	backup, err := os.ReadFile(s.path + ".save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path, backup[:len(backup)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ralloc.Open(s.path, s.cfg); !errors.Is(err, pmem.ErrBadImage) {
+		t.Fatalf("a torn backup opened: %v, want %v", err, pmem.ErrBadImage)
+	}
+	if err := os.WriteFile(s.path, backup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restart attaches the heap, or maps its file — recovering a dirty one as
 // the crash sweep's restartModes[seed%4] does — with the row's budget, and
 // serves it.
 func (s *memServer) restart(t *testing.T, dirty bool) {

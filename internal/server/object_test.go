@@ -298,7 +298,7 @@ func TestObjectTxn(t *testing.T) {
 	}
 }
 
-// TestObjectCommandStats: the stats middleware attributes object-command
+// TestObjectCommandStats: the stats layer attributes object-command
 // calls and their WRONGTYPE errors like any registry command.
 func TestObjectCommandStats(t *testing.T) {
 	ts := startServer(t, Config{}, 0)

@@ -18,7 +18,7 @@ import (
 // This file is the command-table API: every command the server speaks is a
 // Command value in the registry (see commands.go), and dispatch is a small
 // declarative pipeline — lookup → arity validation → KeySpec-driven key
-// extraction → deadlock-ordered striped-lock acquisition → middleware →
+// extraction → deadlock-ordered striped-lock acquisition → stats →
 // handler — instead of a monolithic switch where every case hand-rolls its
 // own checks. The table is also the single source of truth for COMMAND
 // introspection, the README command reference (TestREADMECommandTable), the
@@ -112,9 +112,9 @@ func (ks KeySpec) keys(dst [][]byte, args [][]byte) [][]byte {
 	return dst
 }
 
-// Ctx carries one command invocation through the middleware chain to its
-// handler: the server, the connection's allocation handle and reply writer,
-// the parsed argument vector (args[0] is the command name as sent), and the
+// Ctx carries one command invocation through dispatch to its handler: the
+// server, the connection's allocation handle and reply writer, the parsed
+// argument vector (args[0] is the command name as sent), and the
 // connection's transaction state. One Ctx is reused per connection, so
 // handlers must not retain it.
 type Ctx struct {
@@ -163,12 +163,6 @@ type Ctx struct {
 // every key lock the command's KeySpec declares is held; the handler only
 // does the command's own work and writes exactly one reply.
 type Handler func(*Ctx)
-
-// Middleware wraps a command's handler at server construction time. The
-// built-in stats layer (per-command call/latency/error counters, surfaced
-// as INFO commandstats — see boundCmd.invoke) is innermost; Config.Middleware
-// entries wrap outside it in slice order.
-type Middleware func(*Command, Handler) Handler
 
 // Command is one registry entry: everything the dispatch pipeline needs to
 // run the command without the command's handler restating it.
@@ -221,8 +215,8 @@ const (
 )
 
 // boundCmd is a registry entry bound to one server: the immutable Command
-// plus this server's counters, its middleware-wrapped handler, and the
-// precomputed lock mode.
+// plus this server's counters, its handler (a write command's wrapped in the
+// replication tap when replicating), and the precomputed lock mode.
 type boundCmd struct {
 	cmd      *Command
 	stats    cmdStats
@@ -246,16 +240,16 @@ func lockModeOf(c *Command) uint8 {
 	}
 }
 
-// invoke is the innermost, built-in layer of the middleware chain, inlined
-// rather than closure-wrapped because it sits on the pipelined hot path: it
+// invoke is the stats layer around every handler, inlined rather than
+// closure-wrapped because it sits on the pipelined hot path: it
 // times every invocation into the command's histogram (two reads of the
 // monotonic clock, as offsets from the server's start, plus two atomic adds)
 // and counts error replies. Error detection piggybacks on the reply writer: any
 // handler that writes an error reply bumps w.errs. Executions at or over
 // the server's slowlog/latency thresholds take the slow path — by
 // definition not hot — which reads the wall clock and appends to the slow log
-// ring and the LATENCY event timeline. Config.Middleware layers wrap outside
-// this, in bc.run.
+// ring and the LATENCY event timeline. The replication tap, when there is
+// one, is inside this, in bc.run.
 func (bc *boundCmd) invoke(ctx *Ctx) {
 	e0 := ctx.w.errs
 	t0 := time.Since(ctx.s.start)
@@ -339,20 +333,20 @@ func CommandTableMarkdown() string {
 }
 
 // bindCommands builds the per-server dispatch table: every registry entry
-// wrapped in any Config.Middleware (the built-in stats layer is
-// boundCmd.invoke, innermost).
+// with its counters (boundCmd.invoke), and when replicating a write
+// command's handler wrapped in the tap, the server's only wrap.
 func (s *Server) bindCommands() {
 	s.cmds = make(map[string]*boundCmd, len(commandTable))
 	for name, c := range commandTable {
-		bc := &boundCmd{cmd: c, lockMode: lockModeOf(c), oneOp: math.MaxInt}
-		if c.Flags&FlagWrite != 0 && c.Arity < 0 {
-			bc.oneOp = -c.Arity
+		bc := &boundCmd{cmd: c, run: c.Handler, lockMode: lockModeOf(c), oneOp: math.MaxInt}
+		if c.Flags&FlagWrite != 0 {
+			if c.Arity < 0 {
+				bc.oneOp = -c.Arity
+			}
+			if s.repl != nil {
+				bc.run = s.repl.tap(c.Handler)
+			}
 		}
-		h := c.Handler
-		for i := len(s.cfg.Middleware) - 1; i >= 0; i-- {
-			h = s.cfg.Middleware[i](c, h)
-		}
-		bc.run = h
 		s.cmds[name] = bc
 	}
 }
@@ -444,7 +438,7 @@ func (s *Server) lookup(ctx *Ctx, name []byte) *boundCmd {
 }
 
 // dispatch is the pipeline the switch used to be: lookup, arity, transaction
-// queueing, key-lock acquisition, middleware, handler. It reports whether
+// queueing, key-lock acquisition, stats, handler. It reports whether
 // the connection must close (SHUTDOWN).
 func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 	// Drop the references dispatch parks in ctx before returning, on every
@@ -559,8 +553,7 @@ func (s *Server) dispatch(ctx *Ctx, args [][]byte) (quit bool) {
 
 // The invoke* helpers release dispatch's barrier and stripe locks via defer
 // (open-coded, so they stay off the benchmark gate's 5% budget): a panicking
-// handler — or a panicking Config.Middleware layer supplied by the embedder
-// — must fail one connection, not leave its shard's locks held and wedge
+// handler must fail one connection, not leave its shard's locks held and wedge
 // every future writer (and SAVE fence) behind a dead connection.
 func invokeBarrier(ctx *Ctx, bc *boundCmd, sh *shard) {
 	defer sh.locks.Exec.RUnlock()

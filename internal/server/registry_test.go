@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -127,17 +126,18 @@ func TestErrorReplySanitized(t *testing.T) {
 // no server lock held — the process doesn't wedge every future writer on
 // those stripes, or every future SAVE, on its way to fail-stop.
 func TestPanicReleasesLocks(t *testing.T) {
-	boom := func(c *Command, h Handler) Handler {
-		return func(ctx *Ctx) {
+	e := newBenchEnv(t, Config{})
+	for _, bc := range e.srv.cmds {
+		run := bc.run
+		bc.run = func(ctx *Ctx) {
 			for _, a := range ctx.args[1:] {
 				if string(a) == "PANIC" {
-					panic("middleware kaboom")
+					panic("handler kaboom")
 				}
 			}
-			h(ctx)
+			run(ctx)
 		}
 	}
-	e := newBenchEnv(t, Config{Middleware: []Middleware{boom}})
 
 	run := func(cs *connState, args ...string) (panicked bool) {
 		bargs := make([][]byte, len(args))
@@ -165,7 +165,7 @@ func TestPanicReleasesLocks(t *testing.T) {
 	cs := &connState{}
 	run(cs, "MULTI")
 	if run(cs, "SET", "pk", "PANIC") {
-		t.Fatal("queueing panicked — middleware must not run at queue time")
+		t.Fatal("queueing panicked — a handler must not run at queue time")
 	}
 	if !run(cs, "EXEC") {
 		t.Fatal("EXEC did not panic")
@@ -294,7 +294,7 @@ func TestInfoCommandStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One error reply, attributed to INCR by the stats middleware.
+	// One error reply, attributed to INCR by the stats layer.
 	if rp, _ := c.Do("INCR", "cs-0"); rp.Kind != '-' {
 		t.Fatalf("INCR on text = %+v", rp)
 	}
@@ -343,44 +343,6 @@ func TestInfoCommandStats(t *testing.T) {
 	}
 	if rp, _ := c.Do("INFO"); !strings.Contains(string(rp.Bulk), "# Server") {
 		t.Fatalf("INFO = %+v", rp)
-	}
-}
-
-// TestConfigMiddleware proves the dispatch pipeline's extension point: a
-// Config.Middleware wraps every command handler, sees the *Command (so it
-// can filter on flags), and runs inside the key locks like the handler.
-func TestConfigMiddleware(t *testing.T) {
-	var writes, total atomic.Int64
-	mw := func(c *Command, next Handler) Handler {
-		return func(ctx *Ctx) {
-			total.Add(1)
-			if c.Flags&FlagWrite != 0 {
-				writes.Add(1)
-			}
-			next(ctx)
-		}
-	}
-	ts := startServer(t, Config{Middleware: []Middleware{mw}}, 0)
-	c := dial(t, ts)
-	if err := c.Set("mw-k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get("mw-k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Do("PING"); err != nil {
-		t.Fatal(err)
-	}
-	// Queued transaction commands run through the same chain at EXEC.
-	if _, err := c.Txn([]string{"SET", "mw-t", "v"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := writes.Load(); got != 2 {
-		t.Fatalf("middleware saw %d writes, want 2", got)
-	}
-	// SET + GET + PING + MULTI + EXEC + queued SET = 6 invocations.
-	if got := total.Load(); got != 6 {
-		t.Fatalf("middleware saw %d invocations, want 6", got)
 	}
 }
 

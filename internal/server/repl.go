@@ -1,7 +1,7 @@
 package server
 
 // Replication: the server side of internal/repl. A primary taps every
-// successful write-flagged command into a repl.Feed (the tap middleware runs
+// successful write-flagged command into a repl.Feed (the tap runs
 // while the command's stripe locks are still held, so feed order equals
 // execution order for conflicting keys; a fresh primary's feed only counts
 // until its first full resync, see newReplState and retain), serves PSYNC by
@@ -117,17 +117,14 @@ func randomReplID() uint64 {
 	return id
 }
 
-// tap is the propagation middleware, appended innermost (directly around the
-// handler) for write-flagged commands only. It runs with the command's
-// stripe locks held. Error replies propagate nothing; successful executions
-// append the executed args — or the handler's clock-free rewrite (ctx.prop)
-// — as one feed entry. Entries applied from the replication link are
-// re-appended verbatim by the link itself (offset parity), so the tap backs
-// off when ctx.fromLink.
-func (rs *replState) tap(c *Command, next Handler) Handler {
-	if c.Flags&FlagWrite == 0 {
-		return next
-	}
+// tap wraps a write command's handler (bindCommands), directly, so it
+// observes exactly the handler's success or error. It runs with the
+// command's stripe locks held. Error replies propagate nothing; successful
+// executions append the executed args — or the handler's clock-free rewrite
+// (ctx.prop) — as one feed entry. Entries applied from the replication link
+// are re-appended verbatim by the link itself (offset parity), so the tap
+// backs off when ctx.fromLink.
+func (rs *replState) tap(next Handler) Handler {
 	return func(ctx *Ctx) {
 		ctx.prop = nil
 		e0 := ctx.w.errs

@@ -5,14 +5,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
 	"repro/internal/ralloc"
@@ -20,113 +21,54 @@ import (
 	"repro/internal/resp"
 )
 
-// replNode is one file-backed, replication-enabled server in-process — the
-// test-harness equivalent of a ralloc-serve process, including the replica
-// bootstrap (image download / probe) that normally runs before the heap
-// opens.
+// replNode is one replication-enabled server in this process on a mapped
+// heap file, opened and closed the way ralloc-serve opens and closes one:
+// the replica bootstrap, cluster.Open, RegionBackend.
 type replNode struct {
-	dir      string
-	heapPath string
-	sock     string
-	heap     *ralloc.Heap
-	st       *kvstore.Store
-	srv      *Server
-	resync   chan struct{}
-	stopped  bool
+	sock string
+	clus *cluster.Cluster
+	st   *kvstore.Store
+	srv  *Server
 }
 
 // openReplNode starts a node in dir (primary when replicaOf is empty). A
-// replica bootstraps first: no local image downloads one; an existing image
-// probes the primary and re-downloads only when its stamped offset is no
-// longer covered. Reopening a dir whose heap was abandoned (killNode)
-// replays the crash-recovery path, exactly like a SIGKILL'd ralloc-serve.
+// replica bootstraps first (cluster.BootstrapReplica): it resumes from the
+// position a clean stop stamped in the heap, and downloads fresh images
+// otherwise. Reopening a dir whose server was killed (killNode) maps the
+// heap the kill left and recovers it, as after a SIGKILL'd ralloc-serve.
 func openReplNode(t *testing.T, dir, replicaOf string, tweak func(*Config)) *replNode {
 	t.Helper()
-	heapPath := filepath.Join(dir, "kv.heap")
-	sock := filepath.Join(dir, "kv.sock")
+	base := filepath.Join(dir, "kv.heap")
 	if replicaOf != "" {
-		var id, off uint64
-		if _, err := os.Stat(heapPath); err == nil {
-			if id, off, err = pmem.ReadImageMeta(heapPath); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, _, _, err := repl.Sync(replicaOf, []string{heapPath}, id, off); err != nil {
-			t.Fatalf("replica sync: %v", err)
+		if err := cluster.BootstrapReplica(io.Discard, base, 1, replicaOf); err != nil {
+			t.Fatalf("replica bootstrap: %v", err)
 		}
 	}
-	heap, dirty, err := ralloc.Open(heapPath, ralloc.Config{
-		SBRegion: 64 << 20,
-		Pmem:     pmem.Config{Mode: pmem.ModeCrashSim},
-	})
+	clus, err := cluster.Open(base, cluster.Config{Shards: 1, Buckets: 1024,
+		Ralloc: ralloc.Config{SBRegion: 16 << 20, Pmem: pmem.Config{Mode: pmem.ModeFast}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := heap.AsAllocator()
-	var st *kvstore.Store
-	root := heap.GetRoot(0, nil)
-	switch {
-	case root == 0:
-		st, root = kvstore.Open(a, a.NewHandle(), 1024)
-		heap.SetRoot(0, root)
-	case dirty:
-		heap.GetRoot(0, kvstore.Filter(a, root))
-		if _, err := heap.Recover(); err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-		st = kvstore.Attach(a, root)
-	default:
-		st = kvstore.Attach(a, root)
-	}
-	n := &replNode{dir: dir, heapPath: heapPath, sock: sock, heap: heap, st: st,
-		resync: make(chan struct{}, 1)}
-	cfg := Config{
-		ReplBacklogBytes: 1 << 20,
-		ReplicaOf:        replicaOf,
-		OnFullResyncNeeded: func() {
-			select {
-			case n.resync <- struct{}{}:
-			default:
-			}
-		},
-	}
-	cfg.ReplID, cfg.ReplOffset = heap.Region().ReplMeta()
+	cfg := Config{ReplBacklogBytes: 1 << 20, ReplicaOf: replicaOf}
+	cfg.ReplID, cfg.ReplOffset = clus.Shards[0].Heap.Region().ReplMeta()
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	n.srv = NewSharded([]ShardBackend{RegionBackend(a, st, heap.Region(), heapPath, true)}, cfg)
-	os.Remove(sock)
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go n.srv.Serve(l)
-	t.Cleanup(func() {
-		if !n.stopped {
-			n.srv.Shutdown(2 * time.Second)
-		}
-	})
-	return n
+	srv, sock := serveCluster(t, clus, cfg)
+	return &replNode{sock: sock, clus: clus, st: clus.Shards[0].Store, srv: srv}
 }
 
-// killNode is SIGKILL in-process: hard-stop the server and abandon the heap
-// without closing it, so the on-disk image stays whatever the last
-// checkpoint wrote. The dir can then be reopened through the recovery path.
-func killNode(n *replNode) {
-	n.stopped = true
-	n.srv.Abort()
-}
+// killNode is SIGKILL in process: the server stops dead and the heap is left
+// open, its file holding every entry the node applied and no feed position.
+func killNode(n *replNode) { n.srv.Abort() }
 
-// stopNode is a clean shutdown: drain, stamp the final feed position, save
-// the image.
+// stopNode is ralloc-serve's clean stop: drain, stamp the feed position the
+// node stopped at, close the heap.
 func stopNode(t *testing.T, n *replNode) {
 	t.Helper()
-	n.stopped = true
 	n.srv.Shutdown(2 * time.Second)
-	if id, off := n.srv.ReplMeta(); id != 0 {
-		n.heap.Region().SetReplMeta(id, off)
-	}
-	if err := n.heap.Close(); err != nil {
+	n.clus.StampReplMeta(n.srv.ReplMeta())
+	if err := n.clus.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -440,7 +382,6 @@ func TestShutdownAbortsPSync(t *testing.T) {
 	c.Close()
 	done := make(chan error, 1)
 	go func() { done <- primary.srv.Shutdown(5 * time.Second) }()
-	primary.stopped = true
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, _, err = repl.ReadEntry(br)
@@ -508,51 +449,89 @@ func TestFailoverPromote(t *testing.T) {
 	}
 }
 
-// TestReplicaKillPartialResync: SIGKILL-equivalent on the replica, with the
-// backlog still covering its checkpoint offset — the restarted replica
-// resumes with a partial resync (no image download) and converges on
-// everything written while it was down.
-func TestReplicaKillPartialResync(t *testing.T) {
+// TestReplicaKillRedownloadsImage: a replica killed mid-feed restarts with
+// a heap holding every entry it applied and no position to resume from, so
+// it downloads a fresh image and converges; no INCR is applied twice.
+func TestReplicaKillRedownloadsImage(t *testing.T) {
+	if fulls, _ := replicaRestart(t, killNode); fulls != 1 {
+		t.Fatalf("the killed replica's restart took %d full resyncs, want 1", fulls)
+	}
+}
+
+// TestReplicaStopPartialResync: a replica stopped cleanly mid-feed resumes
+// from the position its stop stamped, by partial resync over the writes it
+// missed; no INCR is applied twice.
+func TestReplicaStopPartialResync(t *testing.T) {
+	stop := func(n *replNode) { stopNode(t, n) }
+	if fulls, partials := replicaRestart(t, stop); fulls != 0 || partials == 0 {
+		t.Fatalf("the stopped replica's restart took %d full and %d partial resyncs, want 0 and some", fulls, partials)
+	}
+}
+
+// replicaRestart feeds INCRs to a replica, takes it down with down while a
+// batch of them is in flight, and restarts it while more come: every INCR
+// the primary answered must be applied on the replica exactly once. It
+// returns the full and partial resyncs the restart took.
+func replicaRestart(t *testing.T, down func(*replNode)) (fulls, partials uint64) {
+	t.Helper()
 	primary := openReplNode(t, t.TempDir(), "", nil)
 	c := dialNode(t, primary)
 	rdir := t.TempDir()
 	replica := openReplNode(t, rdir, primary.sock, nil)
 
-	for i := 0; i < 50; i++ {
-		if err := c.Set(fmt.Sprintf("pr-%03d", i), "v1"); err != nil {
+	const counters = 4
+	send := func(n int) {
+		t.Helper()
+		for i := range n * counters {
+			if err := c.Send("INCR", fmt.Sprintf("ctr-%d", i%counters)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := c.Wait(1, 5*time.Second); err != nil || n < 1 {
-		t.Fatalf("WAIT = %d, %v", n, err)
-	}
-	killNode(replica)
-
-	// Writes the dead replica misses — well inside the 1 MiB backlog.
-	for i := 0; i < 50; i++ {
-		if err := c.Set(fmt.Sprintf("pr-%03d", i), "v2"); err != nil {
-			t.Fatal(err)
+	recv := func(n int) {
+		t.Helper()
+		for range n * counters {
+			if rp, err := c.Recv(); err != nil || rp.Err() != nil {
+				t.Fatalf("INCR = %+v, %v", rp, err)
+			}
 		}
 	}
-
-	fulls0 := primary.srv.repl.fullSyncs.Load()
-	replica2 := openReplNode(t, rdir, primary.sock, nil)
-	rc := dialNode(t, replica2)
-	if n, err := c.Wait(1, 10*time.Second); err != nil || n < 1 {
-		t.Fatalf("WAIT after restart = %d, %v", n, err)
-	}
-	for _, i := range []int{0, 25, 49} {
-		v, ok, err := rc.Get(fmt.Sprintf("pr-%03d", i))
-		if err != nil || !ok || v != "v2" {
-			t.Fatalf("restarted replica pr-%03d = (%q,%v,%v), want v2", i, v, ok, err)
+	wait := func(what string) {
+		t.Helper()
+		if n, err := c.Wait(1, 10*time.Second); err != nil || n < 1 {
+			t.Fatalf("WAIT %s = %d, %v", what, n, err)
 		}
 	}
-	if fulls := primary.srv.repl.fullSyncs.Load(); fulls != fulls0 {
-		t.Fatalf("restart took a full resync (%d -> %d): partial coverage was lost", fulls0, fulls)
+	send(25)
+	recv(25)
+	wait("before the restart")
+
+	_, applied := replica.srv.ReplMeta()
+	send(200)
+	waitFor(t, 10*time.Second, "the replica to apply part of the batch", func() bool {
+		_, off := replica.srv.ReplMeta()
+		return off > applied
+	})
+	down(replica)
+	recv(200)
+	send(25) // missed while the replica is down
+	recv(25)
+
+	fulls0, partials0 := primary.srv.repl.fullSyncs.Load(), primary.srv.repl.partialSyncs.Load()
+	rc := dialNode(t, openReplNode(t, rdir, primary.sock, nil))
+	send(25) // after the restart
+	recv(25)
+	wait("after the restart")
+	for i := range counters {
+		key := fmt.Sprintf("ctr-%d", i)
+		if v, ok, err := rc.Get(key); err != nil || !ok || v != "275" {
+			t.Fatalf("restarted replica %s = (%q,%v,%v), want 275: each of the primary's INCRs once", key, v, ok, err)
+		}
 	}
-	if primary.srv.repl.partialSyncs.Load() < 2 {
-		t.Fatal("expected at least two partial resyncs (initial attach + restart)")
-	}
+	return primary.srv.repl.fullSyncs.Load() - fulls0, primary.srv.repl.partialSyncs.Load() - partials0
 }
 
 // TestReplicaKillFullRebootstrap: same kill, but the primary's backlog is

@@ -41,29 +41,23 @@ func newRespReader(r io.Reader) *respReader {
 // ReadCommand reads one client command: either a RESP array of bulk strings
 // (what real clients send) or an inline command (a plain text line, for
 // telnet/netcat debugging). The arguments are views of the reader's storage,
-// valid until the next ReadCommand: whoever keeps one copies it. Empty
-// commands (*0, *-1, blank inline lines) are skipped iteratively — never
-// recursively, so a stream of them cannot grow the stack.
+// valid until the next ReadCommand: whoever keeps one copies it. An empty
+// command (*0, *-1, a blank inline line) returns no arguments and no error,
+// without reading on: the caller skips it, and the replies it already wrote
+// are not held back waiting for more input.
 func (r *respReader) ReadCommand() ([][]byte, error) {
-	for {
-		first, err := r.d.Peek()
-		if err != nil {
-			return nil, err
-		}
-		var args [][]byte
-		if first[0] == '*' {
-			args, err = r.d.ReadCommand()
-		} else {
-			args, err = r.readInline()
-		}
-		if err != nil || len(args) > 0 {
-			return args, err
-		}
+	first, err := r.d.Peek()
+	if err != nil {
+		return nil, err
 	}
+	if first[0] == '*' {
+		return r.d.ReadCommand()
+	}
+	return r.readInline()
 }
 
 // readInline parses a whitespace-separated plain-text command line into
-// views of the line; a blank line returns (nil, nil) for the caller to skip.
+// views of the line; a blank line has none.
 func (r *respReader) readInline() ([][]byte, error) {
 	line, err := resp.ReadLine(r.d.Reader())
 	return bytes.Fields(line), err
@@ -75,8 +69,8 @@ func (r *respReader) readInline() ([][]byte, error) {
 func (r *respReader) buffered() bool { return r.d.Reader().Buffered() > 0 }
 
 // respWriter encodes RESP2 replies. errs counts error replies written — the
-// stats middleware diffs it around a handler call to attribute errors to
-// commands without the handler reporting them separately.
+// stats layer (boundCmd.invoke) diffs it around a handler call to attribute
+// errors to commands without the handler reporting them separately.
 type respWriter struct {
 	bw   *bufio.Writer
 	errs uint64

@@ -76,11 +76,6 @@ type Config struct {
 	// shard (default 20, Redis-like), and 20 times it how many stamped
 	// buckets the cycle looks at, bounding the barrier hold time.
 	ActiveExpirySample int
-	// Middleware wraps every command handler at construction time, outside
-	// the built-in stats middleware, in slice order (first entry outermost).
-	// Use it for cross-cutting concerns — auditing, slowlog-style tracing —
-	// without touching the command table.
-	Middleware []Middleware
 
 	// ReplBacklogBytes enables replication with a backlog ring of that
 	// capacity. Replication is on when this is positive, ReplicaOf is set,
@@ -177,9 +172,9 @@ type Server struct {
 
 	unitsUndone atomic.Uint64 // units rolled back at start (journal.go)
 
-	// cmds is the registry bound to this server: each table entry wrapped
-	// in the stats middleware (plus Config.Middleware) with its own
-	// counters. Built once in New; read-only afterwards.
+	// cmds is the registry bound to this server: each table entry with its
+	// own counters, a write command's handler wrapped in the replication
+	// tap when replicating. Built once in New; read-only afterwards.
 	cmds map[string]*boundCmd
 
 	// repl is the replication state (feed, senders, link); nil when
@@ -226,10 +221,6 @@ func (s *Server) finishInit() {
 	}
 	if replWanted {
 		s.repl = newReplState(s)
-		// The tap goes last in Middleware so it wraps innermost — directly
-		// around the handler, inside the embedder's layers — and therefore
-		// observes exactly the handler's success or error.
-		s.cfg.Middleware = append(append([]Middleware{}, cfg.Middleware...), s.repl.tap)
 	}
 	s.bindCommands()
 	s.stats = s.statTable()
@@ -481,8 +472,11 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			return
 		}
-		s.commands.Add(1)
-		quit := s.dispatch(ctx, args)
+		quit := false
+		if len(args) > 0 { // an empty command runs nothing, but may end a batch
+			s.commands.Add(1)
+			quit = s.dispatch(ctx, args)
+		}
 		if ctx.hijack != nil {
 			// PSYNC: hand the raw connection to the replication sender. The
 			// conn stays tracked (Shutdown's force-close still reaches it)

@@ -3,8 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -192,6 +192,29 @@ func TestInlineCommands(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "+OK\r\n$5\r\nworks\r\n") {
 		t.Fatalf("inline replies = %q", got)
+	}
+}
+
+// TestEmptyCommandEndsTheBatch: an empty command (*0, *-1, a blank inline
+// line) last in a write runs nothing and is not answered, and the replies
+// before it go out with no further input from the client.
+func TestEmptyCommandEndsTheBatch(t *testing.T) {
+	ts := startServer(t, Config{}, 0)
+	for _, wire := range []string{"PING\r\n*0\r\n", "PING\r\n*-1\r\n", "PING\r\n\r\n", "PING\r\n  \r\n"} {
+		conn, err := net.Dial("unix", ts.sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(wire)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		buf := make([]byte, 64)
+		n, err := io.ReadAtLeast(conn, buf, len("+PONG\r\n"))
+		if err != nil || string(buf[:n]) != "+PONG\r\n" {
+			t.Fatalf("%q answered %q, %v; want +PONG alone within 1s", wire, buf[:n], err)
+		}
+		conn.Close()
 	}
 }
 
@@ -439,75 +462,5 @@ func TestSaveFailureDoesNotStampSuccess(t *testing.T) {
 		if !strings.Contains(info, want) {
 			t.Fatalf("INFO persistence after failed SAVE missing %q:\n%s", want, info)
 		}
-	}
-}
-
-func TestTornCheckpointRejectedPreviousImageRecovers(t *testing.T) {
-	// End to end: a checkpoint file torn on disk (bit rot, partial copy)
-	// must refuse to load as ErrBadImage — and the previous intact image
-	// must still bring the server back.
-	dir := t.TempDir()
-	heapPath := filepath.Join(dir, "kv.heap")
-	cfg := ralloc.Config{SBRegion: 32 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}}
-	h, _, err := ralloc.Open(heapPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := h.AsAllocator()
-	st, root := kvstore.Open(a, a.NewHandle(), 1024)
-	h.SetRoot(0, root)
-	srv := NewSharded([]ShardBackend{RegionBackend(a, st, h.Region(), heapPath, false)}, Config{})
-	sock := filepath.Join(dir, "s.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	c, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := c.Set(fmt.Sprintf("k-%03d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rp, err := c.Do("SAVE"); err != nil || rp.Str != "OK" {
-		t.Fatalf("SAVE = %+v, %v", rp, err)
-	}
-	c.Close()
-	srv.Abort()
-
-	good, err := os.ReadFile(heapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the published file the way a crashed copy would.
-	if err := os.WriteFile(heapPath, good[:len(good)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ralloc.Open(heapPath, cfg); !errors.Is(err, pmem.ErrBadImage) {
-		t.Fatalf("torn image: err = %v, want ErrBadImage", err)
-	}
-	// Restore the intact previous image (the operator's backup / the
-	// not-yet-renamed old file): the server comes back with its data.
-	if err := os.WriteFile(heapPath, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h2, dirty, err := ralloc.Open(heapPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dirty {
-		t.Fatal("expected dirty image after kill")
-	}
-	a2 := h2.AsAllocator()
-	h2.GetRoot(0, kvstore.Filter(a2, root))
-	if _, err := h2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := kvstore.Attach(a2, root)
-	if st2.Len() != 100 {
-		t.Fatalf("recovered %d records, want 100", st2.Len())
 	}
 }

@@ -61,20 +61,19 @@ type CheckpointStats = pmem.SnapshotStats
 // touches only its own file. The image captures the volatile words at the
 // cut-over fence — with the shard's commands drained, exactly the state every
 // acknowledged write reached (the heap's dirty flag rides along still set, so
-// the image recovers like a killed heap). A slice-backed region snapshots to
-// path, the image its next start loads; a mapped region is path, and
-// snapshots to "<path>.save": a backup against power failure, and the image a
-// replica downloads. An empty path is a volatile heap: SAVE refuses. replicated
-// adds the two replication hooks: the feed position is stamped into the image
-// header inside every fence, and full resyncs stream the image file.
+// the image recovers like a killed heap). path names the heap's file, which
+// the heap itself is (a mapped region, as ralloc-serve opens it); SAVE never
+// writes it but "<path>.save": a backup against power failure, and the image
+// a replica downloads. An empty path is a volatile heap: SAVE refuses.
+// replicated adds the two replication hooks: the feed position is stamped
+// into the image header inside every fence, and full resyncs stream the image
+// file.
 func RegionBackend(a alloc.Allocator, st *kvstore.Store, region *pmem.Region, path string, replicated bool) ShardBackend {
 	be := ShardBackend{Alloc: a, Store: st}
 	if path == "" {
 		return be
 	}
-	if region.Mapped() {
-		path += ".save"
-	}
+	path += ".save"
 	be.CheckpointOnline = func(fence func(cut func() error) error) (CheckpointStats, error) {
 		return region.SaveFileOnline(path, fence)
 	}

@@ -215,9 +215,8 @@ func cmdExec(ctx *Ctx) {
 }
 
 // execQueue runs the queued commands under the shard's checkpoint barrier
-// and the union stripes, unlocking via defer: a panicking handler (or
-// embedder-supplied middleware) must not leave the shard's locks held after
-// the panic is recovered upstream.
+// and the union stripes, unlocking via defer: a panicking handler must not
+// leave the shard's locks held after the panic is recovered upstream.
 func execQueue(ctx *Ctx, sh *shard, queue []queuedCmd, stripes []int) {
 	defer sh.locks.Exec.RUnlock()
 	sh.locks.LockStripes(stripes)
