@@ -15,10 +15,11 @@
 // bits plus sign; we reserve 44 bits for the two's-complement delta and 20
 // bits for the magic pattern.
 //
-// The package also provides the ABA-counted list heads used by Ralloc's
-// Treiber stacks (§4.2: "The head of both partial lists and the superblock
-// free list have 34 bits devoted to a counter"), and counter-tagged absolute
-// offsets used by the lock-free application data structures.
+// The package also provides the ABA-counted list heads of Ralloc's partial
+// lists (§4.2: "The head of both partial lists and the superblock free list
+// have 34 bits devoted to a counter"; free superblocks are a bitmap here), and
+// counter-tagged absolute offsets used by the lock-free application data
+// structures.
 package pptr
 
 // Layout of an off-holder word:
@@ -93,12 +94,12 @@ func IsOffHolder(v uint64) bool {
 // ----------------------------------------------------------------------
 // ABA-counted descriptor-index heads (Ralloc metadata lists).
 //
-// Ralloc's superblock free list and per-class partial lists are Treiber
-// stacks whose nodes are descriptors. A head word packs a monotonically
-// increasing counter with the descriptor index; the counter defeats the ABA
-// problem on the head CAS. With 64 KB superblocks and a 1 TB region there
-// are at most 2^24 descriptors, so we give the index 25 bits (shifted by
-// one so 0 can mean "empty") and the counter the remaining 39.
+// Ralloc's per-class partial lists are Treiber stacks whose nodes are
+// descriptors. A head word packs a monotonically increasing counter with the
+// descriptor index; the counter defeats the ABA problem on the head CAS. With
+// 64 KB superblocks and a 1 TB region there are at most 2^24 descriptors, so
+// we give the index 25 bits (shifted by one so 0 can mean "empty") and the
+// counter the remaining 39.
 
 const (
 	headIdxBits = 25

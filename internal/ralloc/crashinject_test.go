@@ -16,11 +16,14 @@ import (
 // operation boundaries. Recovery must still satisfy recoverability from
 // whatever survived write-back.
 
-// runWithCrashAt builds a heap, durably constructs a base list, then runs a
-// mutation phase with the hook armed to blow up at the k-th store. It
-// returns the heap (post-simulated-crash) and how many nodes had been
-// durably attached to root 1 before the explosion.
-func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
+// runWithCrashAt builds a heap, durably constructs a base list and roots a
+// 3-superblock run, then runs a mutation phase with the hook armed to blow up
+// at the k-th store. The phase begins with a large free (the rooted run,
+// unrooted first) and a large malloc served from the freed run (2
+// superblocks in its place, rooted in turn), then churns. It returns the heap
+// (post-simulated-crash), how many nodes had been durably attached to root 1
+// before the explosion, and the run's offset.
+func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int, uint64) {
 	t.Helper()
 	var crash alloctest.Crasher
 	cfg := Config{
@@ -39,10 +42,28 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 	}
 	hd := h.NewHandle()
 	buildList(t, h, hd, 50, 0) // durable base structure on root 0
+	r := h.Region()
+	// rootRun roots the block at off of n superblocks, holding n.
+	rootRun := func(off, n uint64) {
+		r.Store(off, n)
+		r.Flush(off)
+		r.Fence()
+		h.SetRoot(2, off)
+	}
+	run := hd.Malloc(3 * SuperblockBytes)
+	if run == 0 {
+		t.Fatal("large OOM")
+	}
+	rootRun(run, 3)
 
 	attached := 0
 	crash.At(k, func() {
-		r := h.Region()
+		h.SetRoot(2, 0)
+		hd.Free(run)
+		if b := hd.Malloc(2 * SuperblockBytes); b != run {
+			panic(fmt.Sprintf("a 2-superblock run at %#x, not in the freed run at %#x", b, run))
+		}
+		rootRun(run, 2)
 		var prev uint64
 		for i := 0; i < 200; i++ {
 			// Churn: allocate, sometimes free.
@@ -68,22 +89,27 @@ func runWithCrashAt(t *testing.T, k int, evict float64) (*Heap, int) {
 	if err := h.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}
-	return h, attached
+	return h, attached, run
 }
 
 func TestCrashInjectionSweep(t *testing.T) {
 	// Crash after 1, 2, 3, ... stores into the mutation phase, covering
-	// every store boundary of the first operations and then coarser
-	// strides deep into the phase. Each crash point is recovered once per
-	// worker count, with the same checks and the same counters.
-	points := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 30, 50,
-		80, 100, 130, 210, 340, 550, 890, 900, 1440, 2330}
+	// every store boundary of the first operations — the large free and
+	// the large malloc take the first 23 — and then coarser strides deep
+	// into the phase. Each crash point is recovered once per worker count,
+	// with the same checks and the same counters.
+	var points []int
+	for k := 1; k <= 24; k++ {
+		points = append(points, k)
+	}
+	points = append(points, 30, 50, 80, 100, 130, 210, 340, 550, 890, 900, 1440, 2330)
 	for _, k := range points {
 		var want RecoveryStats
 		for _, workers := range workerCounts {
-			h, attached := runWithCrashAt(t, k, 0)
+			h, attached, run := runWithCrashAt(t, k, 0)
 			h.GetRoot(0, nil)
 			h.GetRoot(1, nil)
+			h.GetRoot(2, LeafFilter)
 			stats, err := h.RecoverParallel(workers)
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
@@ -113,6 +139,14 @@ func TestCrashInjectionSweep(t *testing.T) {
 						k, workers, i, got, want)
 				}
 			}
+			// Root 2 holds the 3-superblock run or the 2-superblock one in
+			// its place, whole, or nothing.
+			if b := h.GetRoot(2, LeafFilter); b != 0 {
+				idx, _ := h.lay.descIndexOf(b)
+				if n := r.Load(h.lay.descOff(idx) + dOffNumSB); b != run || r.Load(b) != n {
+					t.Fatalf("k=%d workers=%d: root 2 holds %#x, a run of %d superblocks holding %d", k, workers, b, n, r.Load(b))
+				}
+			}
 			// Allocator must be fully consistent and usable.
 			if _, err := h.CheckInvariants(); err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
@@ -131,7 +165,7 @@ func TestCrashInjectionWithEviction(t *testing.T) {
 	// Same sweep, but half the unflushed lines happen to persist —
 	// recovery must cope with *more* than the program flushed, too.
 	for _, k := range []int{3, 17, 64, 257, 1025} {
-		h, _ := runWithCrashAt(t, k, 0.5)
+		h, _, _ := runWithCrashAt(t, k, 0.5)
 		h.GetRoot(0, nil)
 		h.GetRoot(1, nil)
 		if _, err := h.Recover(); err != nil {

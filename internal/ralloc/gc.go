@@ -14,7 +14,7 @@ import (
 // Recovery (§4.5) employs a tracing garbage collector to identify all blocks
 // reachable from the persistent roots, then reconstructs every piece of
 // transient metadata: anchors, block free chains, partial lists and the
-// superblock free list. Because the size of every block is determined by its
+// free-superblock index. Because the size of every block is determined by its
 // superblock's persisted size class, a single pointer suffices to tell how
 // much memory it keeps alive.
 //
@@ -304,7 +304,7 @@ func (h *Heap) Trace() (blocks, bytes uint64) {
 type RecoveryStats struct {
 	ReachableBlocks uint64
 	ReachableBytes  uint64
-	FreeSuperblocks uint64 // retired to the superblock free list
+	FreeSuperblocks uint64 // retired: marked free in the index
 	PartialSBs      uint64
 	FullSBs         uint64
 	LargeRuns       uint64
@@ -379,21 +379,6 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 	return stats
 }
 
-// resetLists clears the superblock free list and every partial-list shard
-// slot — all MaxShards of them, not just the active h.shards, so that stale
-// heads left by a crashed session that ran with a larger shard count can
-// never leak descriptors into a later remap.
-func (h *Heap) resetLists() {
-	r := h.region
-	r.Store(offFreeHead, pptr.HeadNil)
-	for c := 0; c <= sizeclass.NumClasses; c++ {
-		r.Store(classEntryOff(c)+8, pptr.HeadNil) // reserved pre-v2 slot
-		for s := uint32(0); s < MaxShards; s++ {
-			r.Store(partialHeadOff(c, s), pptr.HeadNil)
-		}
-	}
-}
-
 // unitLen returns how many of the n used descriptors the sweep unit starting
 // at descriptor i spans: the length of a large run headed there, else 1.
 // numSB is a persistent word that a torn write or a hostile image can set to
@@ -406,10 +391,7 @@ func (h *Heap) unitLen(i, n uint32) uint32 {
 	if r.Load(d+dOffClass) != 0 || r.Load(d+dOffBlockSize) == 0 || numSB == 0 {
 		return 1
 	}
-	if numSB > uint64(n-i) {
-		return n - i
-	}
-	return uint32(numSB)
+	return uint32(min(numSB, uint64(n-i)))
 }
 
 // sweep performs steps 6–9: one cheap scan partitions the used descriptors
@@ -436,40 +418,42 @@ func (h *Heap) sweep(gcs []*GC) {
 	})
 }
 
-// sweepUnit classifies the unit of count descriptors starting at first and
-// rebuilds its metadata (steps 6–9); count > 1 only for a large run.
-func (g *GC) sweepUnit(first, count uint32) {
-	h, r := g.h, g.h.region
-	g.stats.SweepUnits++
-	d := h.lay.descOff(first)
-	cls := r.Load(d + dOffClass)
-	bs := r.Load(d + dOffBlockSize)
-	numSB := r.Load(d + dOffNumSB)
+// unitClass classifies the unit of count descriptors at first by its
+// persisted descriptor: 0 is a large run whose head claims exactly count
+// superblocks, c > 0 a superblock formatted for class c (block size bs), and
+// -1 a free one: never formatted, an orphaned continuation (a crash between
+// persisting a run's body and its head, or mid-freeLarge), or torn.
+func (h *Heap) unitClass(first, count uint32) (c int, bs uint64) {
+	r, d := h.region, h.lay.descOff(first)
+	cls, bs := r.Load(d+dOffClass), r.Load(d+dOffBlockSize)
 	switch {
-	case cls == 0 && bs > 0 && numSB > 0:
-		// Large run: kept whole if its head was traced, else freed. A run
-		// unitLen had to clamp has torn metadata and is freed.
-		if numSB == uint64(count) && g.marked(h.lay.sbOff(first)) {
-			r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
-			g.stats.LargeRuns++
-			return
-		}
-		g.retire(first, count)
-	case cls == contClass:
-		// Orphaned continuation (crash between persisting the run body
-		// and its head, or mid-freeLarge).
-		g.retire(first, 1)
+	case cls == 0 && bs > 0 && r.Load(d+dOffNumSB) == uint64(count):
+		return 0, bs
 	case cls >= 1 && cls <= sizeclass.NumClasses && bs == sizeclass.ClassToSize(int(cls)):
-		g.sweepSmall(first, int(cls), bs)
+		return int(cls), bs
+	}
+	return -1, 0
+}
+
+// sweepUnit rebuilds the metadata of the unit of count descriptors starting
+// at first (steps 6–9); count > 1 only for a large run. A large run is kept
+// whole if its head was traced, else freed.
+func (g *GC) sweepUnit(first, count uint32) {
+	h := g.h
+	g.stats.SweepUnits++
+	switch c, bs := h.unitClass(first, count); {
+	case c == 0 && g.marked(h.lay.sbOff(first)):
+		h.region.Store(h.lay.descOff(first)+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
+		g.stats.LargeRuns++
+	case c > 0:
+		g.sweepSmall(first, c, bs)
 	default:
-		// Never initialized, or stale/torn metadata with no reachable
-		// blocks: plain free superblock.
-		g.retire(first, 1)
+		g.retire(first, count)
 	}
 }
 
-// retire returns count superblocks starting at first to the free list and
-// writes back their descriptors, one line each.
+// retire marks count superblocks starting at first free and writes back
+// their descriptors, one line each.
 func (g *GC) retire(first, count uint32) {
 	h := g.h
 	for i := first; i < first+count; i++ {
@@ -549,40 +533,23 @@ func (g *GC) chain(sb, bs uint64, total uint32) uint32 {
 // HeapCheck describes an allocator-metadata consistency snapshot. The heap
 // must be quiescent (no concurrent operations).
 type HeapCheck struct {
-	FreeListLen    int
-	PartialLens    [sizeclass.NumClasses + 1]int
-	FreeBlocks     uint64 // blocks on superblock-internal chains
-	AllocatedBlks  uint64 // blocks not on any chain (allocated or cached)
-	UsedSuperblcks uint32
+	FreeSuperblocks int // set bits of the free-superblock index
+	PartialLens     [sizeclass.NumClasses + 1]int
+	FreeBlocks      uint64 // blocks on superblock-internal chains
+	AllocatedBlks   uint64 // blocks not on any chain (allocated or cached)
+	UsedSuperblcks  uint32
 }
 
 // CheckInvariants walks all allocator metadata and verifies structural
 // invariants: anchors agree with their chains, chain entries are in-bounds
-// and distinct, and no superblock appears on two lists. It returns the
+// and distinct, no superblock appears on two lists, and the free index marks
+// exactly the unformatted superblocks below the watermark. It returns the
 // snapshot and the first violation found, if any. Quiescence is required.
 func (h *Heap) CheckInvariants() (HeapCheck, error) {
 	r := h.region
 	var chk HeapCheck
 	n := h.usedDescs()
 	chk.UsedSuperblcks = n
-
-	onFree := make(map[uint32]bool)
-	_, idx, ok := pptr.UnpackHead(r.Load(offFreeHead))
-	for ok {
-		if onFree[idx] {
-			return chk, fmt.Errorf("superblock %d appears twice on the free list", idx)
-		}
-		if idx >= n {
-			return chk, fmt.Errorf("free list contains out-of-range superblock %d", idx)
-		}
-		onFree[idx] = true
-		chk.FreeListLen++
-		next := r.Load(h.lay.descOff(idx) + dOffNextFree)
-		if next == 0 {
-			break
-		}
-		idx = uint32(next - 1)
-	}
 
 	onPartial := make(map[uint32]int)
 	for c := 1; c <= sizeclass.NumClasses; c++ {
@@ -597,9 +564,6 @@ func (h *Heap) CheckInvariants() (HeapCheck, error) {
 				if prev, dup := onPartial[idx]; dup {
 					return chk, fmt.Errorf("superblock %d on partial lists %d and %d", idx, prev, c)
 				}
-				if onFree[idx] {
-					return chk, fmt.Errorf("superblock %d on both free and partial lists", idx)
-				}
 				if cls := r.Load(h.lay.descOff(idx) + dOffClass); cls != uint64(c) {
 					return chk, fmt.Errorf("superblock %d has class %d but is on partial list %d", idx, cls, c)
 				}
@@ -611,6 +575,16 @@ func (h *Heap) CheckInvariants() (HeapCheck, error) {
 				}
 				idx = uint32(next - 1)
 			}
+		}
+	}
+
+	// A partial list's members have its class, so none is unformatted.
+	for i := uint32(0); i < h.lay.maxDescs; i++ {
+		unformatted := i < n && h.unformatted(i)
+		if free := h.free[i/64].Load()>>(i%64)&1 != 0; free != unformatted {
+			return chk, fmt.Errorf("superblock %d: marked free %v, unformatted below the watermark %v", i, free, unformatted)
+		} else if free {
+			chk.FreeSuperblocks++
 		}
 	}
 

@@ -270,7 +270,7 @@ func TestRecoverLargeBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chk.FreeListLen == 0 {
+	if chk.FreeSuperblocks == 0 {
 		t.Fatal("leaked large run was not reclaimed")
 	}
 }

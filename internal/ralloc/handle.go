@@ -151,23 +151,15 @@ partial:
 		}
 	}
 
-	// 2. Free superblock.
-	if idx, ok := h.popDesc(offFreeHead, dOffNextFree); ok {
-		hd.initSuperblock(idx, c)
-		sc.refillBlocks.Add(uint64(sizeclass.BlocksPerSuperblock(c, SuperblockBytes)))
-		return true
-	}
-
-	// 3. Expand the used space of the superblock region.
-	first, count, ok := h.grow(SuperblockBytes)
+	// 2. A free superblock, else 3. one from expanding the used space.
+	idx, ok := h.take(1)
 	if !ok {
-		return false
+		if idx, ok = h.grow(1); !ok {
+			return false
+		}
+		sc.grows.Add(1)
 	}
-	sc.grows.Add(1)
-	for i := first + count; i > first+1; i-- {
-		h.pushDesc(offFreeHead, dOffNextFree, i-1)
-	}
-	hd.initSuperblock(first, c)
+	hd.initSuperblock(idx, c)
 	sc.refillBlocks.Add(uint64(sizeclass.BlocksPerSuperblock(c, SuperblockBytes)))
 	return true
 }
@@ -272,7 +264,7 @@ func (hd *Handle) returnAll() {
 // descriptor's anchor, and performs the resulting state transition:
 // FULL→PARTIAL descriptors are pushed to the freeing handle's home shard of
 // the class's partial list; a superblock that becomes entirely free is
-// retired to the superblock free list if it was FULL (possible for any class
+// retired to the free index if it was FULL (possible for any class
 // now that a batch can return a full superblock's worth at once), or lazily
 // when later fetched from the partial list (§4.4). The group's internal links are written once, outside the retry
 // loop; only the tail link is rewritten per CAS attempt, so a group of n
@@ -336,26 +328,22 @@ func (h *Heap) freeBatch(c int, shard uint32, blocks []uint64) {
 
 // ----------------------------------------------------------------------
 // Large allocations (§4.4): any request above the largest size class is
-// rounded up to a whole number of superblocks and satisfied by expanding the
-// used space (or, for a single superblock, by reusing a free one). The run
-// length and actual size are persisted in the first descriptor.
+// rounded up to a whole number of superblocks and satisfied by the lowest run
+// of that many free superblocks, or else by expanding the used space. The
+// run length and actual size are persisted in the first descriptor.
 
 func (h *Heap) mallocLarge(size uint64) uint64 {
-	k := (size + SuperblockBytes - 1) / SuperblockBytes
-	if k == 1 {
-		if idx, ok := h.popDesc(offFreeHead, dOffNextFree); ok {
-			h.initLarge(idx, 1, size)
-			return h.lay.sbOff(idx)
+	if size > h.lay.sbSize {
+		return 0 // and the round-up below cannot wrap
+	}
+	k := uint32((size + SuperblockBytes - 1) / SuperblockBytes)
+	first, ok := h.take(k)
+	if !ok {
+		if first, ok = h.grow(k); !ok {
+			return 0
 		}
 	}
-	first, count, ok := h.grow(k * SuperblockBytes)
-	if !ok {
-		return 0
-	}
-	for i := first + count; i > first+uint32(k); i-- {
-		h.pushDesc(offFreeHead, dOffNextFree, i-1)
-	}
-	h.initLarge(first, uint32(k), size)
+	h.initLarge(first, k, size)
 	return h.lay.sbOff(first)
 }
 
@@ -385,9 +373,9 @@ func (h *Heap) initLarge(first, k uint32, size uint64) {
 	h.fence()
 }
 
-// freeLarge splits a large block into its constituent superblocks and pushes
-// them onto the superblock free list (§4.4). The run markers are cleared
-// persistently first so that a crash cannot misread a half-freed run.
+// freeLarge splits a large block into its constituent superblocks and marks
+// them free (§4.4). The run markers are cleared persistently first so that a
+// crash cannot misread a half-freed run.
 func (h *Heap) freeLarge(idx uint32, off uint64) {
 	r := h.region
 	d := h.lay.descOff(idx)
@@ -406,11 +394,10 @@ func (h *Heap) freeLarge(idx uint32, off uint64) {
 		h.flush(di)
 	}
 	h.fence()
-	for i := uint32(k); i > 0; i-- {
-		di := idx + i - 1
-		h.region.Store(h.lay.descOff(di)+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
-		h.pushDesc(offFreeHead, dOffNextFree, di)
+	for i := idx; i < idx+uint32(k); i++ {
+		r.Store(h.lay.descOff(i)+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
 	}
+	h.release(idx, uint32(k))
 }
 
 // Stats returns the handle's operation counters (mallocs, frees, cache

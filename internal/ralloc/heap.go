@@ -86,9 +86,12 @@ type Heap struct {
 	shardMask uint32 // shards - 1
 	nextShard atomic.Uint32
 
-	// stats are the per-shard slow-path telemetry counters (stats.go).
-	// Fixed-size so no (re)allocation is needed across setShards; only
-	// the first `shards` entries are written.
+	// free is the free-superblock index (lists.go): bit i is set exactly
+	// when superblock i is free. It is volatile, rebuilt at every attach.
+	free []atomic.Uint64
+
+	// stats are the per-shard slow-path telemetry counters (stats.go);
+	// only the first `shards` entries are written.
 	stats [MaxShards]shardCounters
 
 	mu      sync.Mutex // guards handles and filters
@@ -138,15 +141,15 @@ func Open(path string, cfg Config) (h *Heap, dirty bool, err error) {
 	}
 	// A new region, or a mapped one without the heap magic, which initialize
 	// stores last: a kill cut its creation short and it is formatted again.
-	h = &Heap{region: region, cfg: cfg, lay: lay, path: path}
-	h.setShards(uint32(cfg.Shards))
+	h = newHeap(region, cfg, lay, path)
 	h.initialize()
 	return h, false, nil
 }
 
-func (h *Heap) setShards(n uint32) {
-	h.shards = n
-	h.shardMask = n - 1
+func newHeap(region *pmem.Region, cfg Config, lay layout, path string) *Heap {
+	n := uint32(cfg.Shards)
+	return &Heap{region: region, cfg: cfg, lay: lay, path: path, shards: n, shardMask: n - 1,
+		free: make([]atomic.Uint64, (lay.maxDescs+63)/64)}
 }
 
 // Attach re-attaches to an existing region (for example after a simulated
@@ -161,9 +164,8 @@ func attach(region *pmem.Region, cfg Config, path string) (*Heap, bool, error) {
 	if region.Load(offMagic) != heapMagic {
 		return nil, false, fmt.Errorf("ralloc: region does not contain a Ralloc heap")
 	}
-	version := region.Load(offVersion)
-	if version != heapVersion {
-		return nil, false, fmt.Errorf("ralloc: heap version %d, want %d", version, heapVersion)
+	if v := region.Load(offVersion); v != heapVersion {
+		return nil, false, fmt.Errorf("ralloc: heap version %d, want %d", v, heapVersion)
 	}
 	sbSize := region.Load(offSBSize)
 	lay, err := computeLayout(sbSize)
@@ -179,28 +181,13 @@ func attach(region *pmem.Region, cfg Config, path string) (*Heap, bool, error) {
 		return nil, false, fmt.Errorf("ralloc: corrupt used watermark %d in heap image (superblock region is %d)", used, lay.sbSize)
 	}
 	cfg.SBRegion = sbSize
-	h := &Heap{region: region, cfg: cfg, lay: lay, path: path}
-	h.setShards(uint32(cfg.Shards))
+	h := newHeap(region, cfg, lay, path)
 	wasDirty := region.Load(offDirty) != 0
-	stored := region.Load(offShards)
-	if stored < 1 || stored > MaxShards || stored&(stored-1) != 0 {
-		return nil, false, fmt.Errorf("ralloc: corrupt shard count %d in heap image", stored)
-	}
-	// Set the dirty indicator for this session (cleared again by Close)
-	// *before* touching the lists below: a crash mid-remap must trigger
-	// recovery on the next attach, not leak the descriptors in flight.
+	// Dirty until Close; the lists are rebuilt here for a clean image, and
+	// by the mandatory Recover for a dirty one.
 	h.setDirty(1)
-	// Reconcile the configured shard count with the geometry the stored
-	// lists were built under. A clean image's lists are remapped in place;
-	// a dirty image's lists are transient garbage that the mandatory
-	// Recover rebuilds under the new count anyway.
-	if uint32(stored) != h.shards {
-		if !wasDirty {
-			h.remapShards(uint32(stored))
-		}
-		region.Store(offShards, uint64(h.shards))
-		h.flush(offShards)
-		h.fence()
+	if !wasDirty {
+		h.relist()
 	}
 	return h, wasDirty, nil
 }
@@ -210,7 +197,6 @@ func (h *Heap) initialize() {
 	r := h.region
 	r.Store(offSBSize, h.lay.sbSize)
 	r.Store(offSBUsed, 0)
-	r.Store(offShards, uint64(h.shards))
 	h.resetLists()
 	for c := 0; c <= sizeclass.NumClasses; c++ {
 		r.Store(classEntryOff(c), sizeclass.ClassToSize(c))
@@ -350,35 +336,27 @@ func (h *Heap) RootBytes(i int) (block uint64, b []byte) {
 // ----------------------------------------------------------------------
 // Growth of the used superblock region (§4.3).
 
-// grow expands the used watermark by at least want bytes (rounded up to the
-// growth chunk when possible) and returns the index of the first new
-// superblock and the number of superblocks obtained. ok=false means the heap
-// is exhausted.
-func (h *Heap) grow(want uint64) (first uint32, count uint32, ok bool) {
-	r := h.region
+// grow expands the used watermark by at least k superblocks (rounded up to
+// the growth chunk when possible), marks those past the first k free, and
+// returns the index of the first. ok=false means the heap is exhausted.
+func (h *Heap) grow(k uint32) (first uint32, ok bool) {
+	r, want := h.region, uint64(k)*SuperblockBytes
 	for {
 		used := r.Load(offSBUsed)
 		remaining := h.lay.sbSize - used
 		if remaining < want {
-			return 0, 0, false
+			return 0, false
 		}
-		take := h.cfg.GrowthChunk
-		if take < want {
-			take = want
-		}
-		if take > remaining {
-			take = remaining
-			if take < want {
-				return 0, 0, false
-			}
-		}
+		take := min(max(h.cfg.GrowthChunk, want), remaining)
 		if r.CAS(offSBUsed, used, used+take) {
 			// Persist the watermark before any block in the new
 			// space can be handed out (§4.3: "with an explicit
 			// flush and fence").
 			h.flush(offSBUsed)
 			h.fence()
-			return uint32(used / SuperblockBytes), uint32(take / SuperblockBytes), true
+			first = uint32(used / SuperblockBytes)
+			h.release(first+k, uint32(take/SuperblockBytes)-k)
+			return first, true
 		}
 	}
 }

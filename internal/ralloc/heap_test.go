@@ -1,6 +1,7 @@
 package ralloc
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -169,7 +170,7 @@ func TestDrainAndRefillThroughPartialList(t *testing.T) {
 
 func TestSuperblockRetirement(t *testing.T) {
 	// Freeing everything must eventually retire superblocks to the free
-	// list so another class can reuse them.
+	// index so another class can reuse them.
 	h := testHeap(t, Config{})
 	hd := h.NewHandle()
 	var offs []uint64
@@ -220,18 +221,29 @@ func TestLargeAllocation(t *testing.T) {
 	}
 }
 
+// TestLargeSingleSuperblockReuse: the superblocks of a freed large block serve
+// the next large request, of one superblock or of many, so a Malloc/Free loop
+// of any large size runs on a 64 MB heap in the space its first cycle took.
 func TestLargeSingleSuperblockReuse(t *testing.T) {
-	h := testHeap(t, Config{})
-	hd := h.NewHandle()
-	a := hd.Malloc(20_000) // one superblock
-	hd.Free(a)
-	used := h.SBUsed()
-	b := hd.Malloc(20_000)
-	if b == 0 {
-		t.Fatal("OOM")
-	}
-	if h.SBUsed() != used {
-		t.Fatal("single-superblock large allocation did not reuse the free list")
+	for _, size := range []uint64{20_000, 128 << 10, 1 << 20, 3 << 20} {
+		h := testHeap(t, Config{SBRegion: 64 << 20, GrowthChunk: 4 << 20})
+		hd := h.NewHandle()
+		var used uint64
+		for i := 0; i < 10_000; i++ {
+			off := hd.Malloc(size)
+			if off == 0 {
+				t.Fatalf("size %d: cycle %d returned 0", size, i)
+			}
+			if i == 0 {
+				used = h.SBUsed()
+			} else if h.SBUsed() != used {
+				t.Fatalf("size %d: cycle %d grew the heap from %d to %d bytes instead of reusing the freed run", size, i, used, h.SBUsed())
+			}
+			hd.Free(off)
+		}
+		if _, err := h.CheckInvariants(); err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
 	}
 }
 
@@ -247,8 +259,8 @@ func TestLargeFreeSplitsIntoSuperblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chk.FreeListLen < 3 {
-		t.Fatalf("free list has %d superblocks after freeing a 3-superblock run", chk.FreeListLen)
+	if chk.FreeSuperblocks < 3 {
+		t.Fatalf("%d superblocks free after freeing a 3-superblock run", chk.FreeSuperblocks)
 	}
 	// The freed superblocks are reusable for small classes.
 	for i := 0; i < 3*1024; i++ {
@@ -285,8 +297,14 @@ func TestOOMReturnsNil(t *testing.T) {
 func TestOOMLarge(t *testing.T) {
 	h := testHeap(t, Config{SBRegion: 4 * SuperblockBytes, GrowthChunk: SuperblockBytes})
 	hd := h.NewHandle()
-	if off := hd.Malloc(16 * SuperblockBytes); off != 0 {
-		t.Fatalf("oversized large alloc succeeded: %#x", off)
+	// The second size would wrap to a run of 0 superblocks if rounded up.
+	for _, size := range []uint64{16 * SuperblockBytes, math.MaxUint64 - 100} {
+		if off := hd.Malloc(size); off != 0 {
+			t.Fatalf("oversized large alloc of %d succeeded: %#x", size, off)
+		}
+		if h.SBUsed() != 0 {
+			t.Fatalf("oversized large alloc of %d grew the heap to %d bytes", size, h.SBUsed())
+		}
 	}
 }
 
@@ -479,6 +497,19 @@ func TestCloseReopenFile(t *testing.T) {
 	h.Region().Store(off, 0x600D)
 	h.Region().Flush(off)
 	h.SetRoot(0, off)
+	// A superblock of 1 KB blocks emptied while on its partial list, which
+	// a refill would retire when it popped it (§4.4).
+	var kb []uint64
+	for i := 0; i < 64; i++ {
+		kb = append(kb, hd.Malloc(1024))
+	}
+	emptied, _ := h.lay.descIndexOf(kb[0])
+	for _, half := range [][]uint64{kb[:32], kb[32:]} {
+		for _, b := range half {
+			hd.Free(b)
+		}
+		hd.Flush()
+	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +527,14 @@ func TestCloseReopenFile(t *testing.T) {
 	}
 	if v := h2.Region().Load(got); v != 0x600D {
 		t.Fatalf("data = %#x, want 0x600D", v)
+	}
+	// The clean reopen retires the emptied superblock.
+	chk, err := h2.CheckInvariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := chk.PartialLens[sizeclass.SizeToClass(1024)]; n != 0 || !freeBit(h2, emptied) {
+		t.Fatalf("emptied superblock %d not retired at reopen (%d superblocks on its class's partial lists)", emptied, n)
 	}
 	// Clean restart: allocation works without recovery.
 	if h2.NewHandle().Malloc(64) == 0 {

@@ -5,9 +5,9 @@
 // (paper Fig. 2):
 //
 //   - the metadata region (fixed size): dirty indicator, superblock-region
-//     size and used watermark, the superblock free-list head, one record per
-//     size class (block size), 1024 persistent roots, and the sharded
-//     partial-list heads (one head word per size class per shard);
+//     size and used watermark, one record per size class (block size), 1024
+//     persistent roots, and the sharded partial-list heads (one head word per
+//     size class per shard);
 //   - the descriptor region: one 64-byte descriptor per superblock, the
 //     locus of synchronization for that superblock;
 //   - the superblock region: an array of 64 KB superblocks holding the
@@ -17,9 +17,11 @@
 // region's used watermark, each superblock's size class and block size (once,
 // when the superblock is initialized for a class), the persistent roots, and
 // the dirty indicator — the bold fields of Fig. 2. Everything else (anchors,
-// list links, thread caches) is transient and reconstructed by post-crash
-// garbage collection: one recovery engine (gc.go) behind four entry points —
-// Trace, Recover, RecoverParallel and Manager.Collect.
+// list links, thread caches) is transient, and the free superblocks are a
+// volatile bitmap outside the region. Post-crash garbage collection rebuilds
+// it all: one recovery engine (gc.go) behind four entry points — Trace,
+// Recover, RecoverParallel and Manager.Collect. A clean attach rebuilds the
+// lists with one scan of the descriptors (relist, lists.go).
 package ralloc
 
 import "fmt"
@@ -38,7 +40,10 @@ const (
 	heapMagic = 0x0031434C4C4152
 	// heapVersion is bumped on incompatible layout changes.
 	// v2: partial-list heads moved from the size-class records into the
-	// sharded head array at offShardHeads; shard count stored at offShards.
+	// sharded head array at offShardHeads. Words 40 and 48 of the metadata,
+	// where earlier builds kept the superblock free-list head and the shard
+	// count, are unused and ignored, as is each size-class record's second
+	// word.
 	// v3: dstruct hash-map nodes grew a third header word (the expiration
 	// stamp), shifting key/value offsets — a v2 image's records would be
 	// silently misread, so it must be rejected here instead.
@@ -55,17 +60,14 @@ const (
 
 // Metadata-region field offsets (bytes from the start of the region).
 const (
-	offMagic    = 0
-	offVersion  = 8
-	offDirty    = 16 // dirty indicator (robust-mutex stand-in)
-	offSBSize   = 24 // max size of the superblock region
-	offSBUsed   = 32 // bytes of the superblock region in use  [flushed]
-	offFreeHead = 40 // superblock free-list head (ABA-counted)
-
-	offShards = 48 // partial-list shard count the stored lists were built for
+	offMagic   = 0
+	offVersion = 8
+	offDirty   = 16 // dirty indicator (robust-mutex stand-in)
+	offSBSize  = 24 // max size of the superblock region
+	offSBUsed  = 32 // bytes of the superblock region in use  [flushed]
 
 	offClasses      = 64 // 40 size-class records
-	classEntryBytes = 16 // blockSize, reserved (pre-v2 partial head)
+	classEntryBytes = 16 // blockSize, unused word
 	offRoots        = offClasses + 40*classEntryBytes
 	// roots occupy NumRoots*8 = 8192 bytes; offRoots+8192 = 8896.
 
@@ -82,12 +84,12 @@ const (
 //
 // Persisted fields (flushed before the superblock is used): class, blockSize
 // and numSB — they share the descriptor's single cache line, so persisting
-// them costs one flush. anchor, nextFree and nextPartial are transient.
+// them costs one flush. anchor and nextPartial are transient; word 24 is
+// unused.
 const (
 	dOffAnchor      = 0  // packed state/avail/count, updated with CAS
 	dOffClass       = 8  // size-class index; 0 = large; contClass = run body
 	dOffBlockSize   = 16 // block size in bytes (actual size for large)
-	dOffNextFree    = 24 // next descriptor index+1 on the superblock free list
 	dOffNextPartial = 32 // next descriptor index+1 on a partial list
 	dOffNumSB       = 40 // for large runs: number of superblocks (first desc)
 )

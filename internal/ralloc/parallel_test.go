@@ -445,10 +445,10 @@ func TestRecoverWritesEverythingBack(t *testing.T) {
 // TestRecoverFlushesWhatItWrote: recovery writes back exactly the
 // descriptors it retired — one line each, the lines the next sweep reads —
 // and nothing else it rebuilt, behind one fence. The retired descriptors are
-// the free list it leaves, so the count is checked against that list, the
-// engine's tally and the region's own counters (every line it flushed was
-// dirty); the same zoo in a 16 MB and a 128 MB heap costs the same. With
-// Config.NoFlush it flushes and fences nothing.
+// the free superblocks it leaves, so the count is checked against the free
+// index, the engine's tally and the region's own counters (every line it
+// flushed was dirty); the same zoo in a 16 MB and a 128 MB heap costs the
+// same. With Config.NoFlush it flushes and fences nothing.
 func TestRecoverFlushesWhatItWrote(t *testing.T) {
 	var flushes [2]uint64
 	for i, sbRegion := range []uint64{16 << 20, 128 << 20} {
@@ -473,8 +473,8 @@ func TestRecoverFlushesWhatItWrote(t *testing.T) {
 			t.Fatal(err)
 		}
 		flushes[i] = after.Flushes - before.Flushes
-		if retired := uint64(chk.FreeListLen); flushes[i] != retired || stats.FreeSuperblocks != retired {
-			t.Errorf("SBRegion %d MB: recovery flushed %d lines and tallied %d retired superblocks; the free list holds %d", sbRegion>>20, flushes[i], stats.FreeSuperblocks, retired)
+		if retired := uint64(chk.FreeSuperblocks); flushes[i] != retired || stats.FreeSuperblocks != retired {
+			t.Errorf("SBRegion %d MB: recovery flushed %d lines and tallied %d retired superblocks; the free index marks %d", sbRegion>>20, flushes[i], stats.FreeSuperblocks, retired)
 		}
 		if back := after.LinesBack - before.LinesBack; flushes[i] != back {
 			t.Errorf("SBRegion %d MB: recovery flushed %d lines, %d of them dirty", sbRegion>>20, flushes[i], back)
@@ -514,10 +514,11 @@ func TestRecoverFlushesWhatItWrote(t *testing.T) {
 
 // TestRecoverRetiredRunStaysRetired pins the write-back recovery cannot do
 // without. A leaked 4-superblock large run is retired by recovery; normal
-// operation then formats its continuation superblocks for a size class (the
-// free list is LIFO, so they come back before the run's head) and roots
-// blocks there. Were the head's retired descriptor not durable, a crash would
-// leave it claiming the whole run, and the next recovery would free the
+// operation then formats its continuation superblocks for a size class and
+// roots blocks there, while the run's head stays free and unformatted (its
+// index bit is held here, as by a handle that has claimed the head and not
+// yet formatted it). Were the head's retired descriptor not durable, a crash
+// would leave it claiming the whole run, and the next recovery would free the
 // superblocks holding those reachable blocks.
 func TestRecoverRetiredRunStaysRetired(t *testing.T) {
 	h, _, err := Open("", zooConfig(16<<20, pmem.ModeCrashSim))
@@ -537,6 +538,9 @@ func TestRecoverRetiredRunStaysRetired(t *testing.T) {
 	if _, err := h2.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	if got, ok := h2.take(1); !ok || got != head {
+		t.Fatalf("the lowest free superblock is %d (%v), not the run's head %d", got, ok, head)
+	}
 
 	// 4 KB blocks until 8 land in the run's continuations, each linked to
 	// the one before and written back: the list on root 0 reaches them all.
@@ -550,7 +554,7 @@ func TestRecoverRetiredRunStaysRetired(t *testing.T) {
 		}
 		switch idx, _ := h2.lay.descIndexOf(b); {
 		case idx == head:
-			t.Fatal("the run's head was reused before its continuations")
+			t.Fatal("the run's head was formatted while its bit was held")
 		case idx > head && idx < head+4:
 			inRun++
 		}

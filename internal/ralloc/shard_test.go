@@ -22,8 +22,10 @@ import (
 // with every free remote: goroutines pass each allocated batch one position
 // around a ring, so blocks are always freed by a different handle than the
 // one that allocated them, exercising freeBatch splices and partial-list
-// pushes/steals across shards. Run under -race this doubles as a data-race
-// check on the sharded head words.
+// pushes/steals across shards. A one-superblock and a four-superblock large
+// size make the goroutines race for runs in the free index too, in a smaller
+// batch so that the ring's live set fits the heap. Run under -race this
+// doubles as a data-race check on the sharded head words and the index.
 func TestShardedChurnRace(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := Config{
@@ -37,8 +39,9 @@ func TestShardedChurnRace(t *testing.T) {
 			goroutines = 8
 			iters      = 300
 			batch      = 32
+			largeBatch = 4
 		)
-		sizes := []uint64{16, 64, 192, 1024}
+		sizes := []uint64{16, 64, 192, 1024, 20_000, 200_000}
 		chans := make([]chan []uint64, goroutines)
 		for i := range chans {
 			chans[i] = make(chan []uint64, 1)
@@ -51,8 +54,11 @@ func TestShardedChurnRace(t *testing.T) {
 				hd := h.NewHandle()
 				rng := rand.New(rand.NewSource(int64(id)*7919 + 1))
 				for it := 0; it < iters; it++ {
-					out := make([]uint64, batch)
 					size := sizes[rng.Intn(len(sizes))]
+					out := make([]uint64, batch)
+					if sizeclass.SizeToClass(size) == 0 {
+						out = out[:largeBatch]
+					}
 					for i := range out {
 						out[i] = hd.Malloc(size)
 						if out[i] == 0 {
@@ -83,7 +89,7 @@ func TestShardedChurnRace(t *testing.T) {
 }
 
 // descAccounting verifies that after recovery every used descriptor is
-// accounted for exactly once: on the superblock free list, on exactly one
+// accounted for exactly once: marked in the free index, on exactly one
 // partial-list shard of its class, FULL off-list, or part of a live large
 // run. CheckInvariants already rejects duplicates and cross-list membership;
 // this adds the "nothing lost" direction.
@@ -96,8 +102,8 @@ func descAccounting(t *testing.T, h *Heap) {
 	n := h.usedDescs()
 
 	onFree := make(map[uint32]bool)
-	for _, idx := range listMembers(h, offFreeHead, dOffNextFree) {
-		onFree[uint32(idx)] = true
+	for i := uint32(0); i < n; i++ {
+		onFree[i] = freeBit(h, i)
 	}
 	onPartial := make(map[uint32]bool)
 	for c := 1; c <= sizeclass.NumClasses; c++ {
@@ -141,9 +147,9 @@ func descAccounting(t *testing.T, h *Heap) {
 			}
 			accounted++
 			i++
-		default: // uninitialized: must be on the free list
+		default: // uninitialized: must be in the free index
 			if !onFree[i] {
-				t.Fatalf("desc %d free but lost from the superblock free list", i)
+				t.Fatalf("desc %d free but lost from the free index", i)
 			}
 			accounted++
 			i++
@@ -153,6 +159,9 @@ func descAccounting(t *testing.T, h *Heap) {
 		t.Fatalf("accounted %d of %d used descriptors", accounted, n)
 	}
 }
+
+// freeBit reports whether superblock i is marked free in the heap's index.
+func freeBit(h *Heap, i uint32) bool { return h.free[i/64].Load()>>(i%64)&1 != 0 }
 
 // shardedCrashHeap builds a heap holding a durable reachable list plus
 // leaked small blocks and a leaked large run, then simulates a crash.

@@ -102,31 +102,17 @@ func (h *Heap) ShardStats() []ShardStats {
 	return out
 }
 
-// partialLenBounded walks shard s's per-class partial lists under the
-// global walk cap.
+// partialLenBounded counts shard s's partial-list descriptors, walking at
+// most partialWalkCap links in all, so it is safe during concurrent mutation
+// (the count is approximate; the walk always ends).
 func (h *Heap) partialLenBounded(s uint32) int {
-	n, budget := 0, partialWalkCap
-	for c := 1; c <= sizeclass.NumClasses && budget > 0; c++ {
-		got := h.listLenBounded(partialHeadOff(c, s), dOffNextPartial, budget)
-		n += got
-		budget -= got
-	}
-	return n
-}
-
-// listLenBounded walks a descriptor list under an iteration cap, so it is
-// safe to call during concurrent mutation (the count is approximate; the
-// walk always ends).
-func (h *Heap) listLenBounded(headOff, linkOff uint64, max int) int {
 	n := 0
-	_, idx, ok := pptr.UnpackHead(h.region.Load(headOff))
-	for ok && n < max {
-		n++
-		next := h.region.Load(h.lay.descOff(idx) + linkOff)
-		if next == 0 {
-			break
+	for c := 1; c <= sizeclass.NumClasses; c++ {
+		_, idx, ok := pptr.UnpackHead(h.region.Load(partialHeadOff(c, s)))
+		for ; ok && n < partialWalkCap; n++ {
+			next := h.region.Load(h.lay.descOff(idx) + dOffNextPartial)
+			idx, ok = uint32(next-1), next != 0
 		}
-		idx = uint32(next - 1)
 	}
 	return n
 }

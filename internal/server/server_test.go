@@ -311,6 +311,30 @@ func TestEvictionOverNetwork(t *testing.T) {
 	}
 }
 
+// TestLargeValuesReuseFreedSpace: the space a freed large block held serves
+// the next large block, so on a 64 MB heap a key overwritten with a 100 KB
+// value a thousand times, and then a list grown by 2,000 three-element
+// RPUSHes (each journals the whole list, a before-image a little larger than
+// the last), never run out of memory.
+func TestLargeValuesReuseFreedSpace(t *testing.T) {
+	ts := startServer(t, Config{}, 0)
+	c := dial(t, ts)
+	for i := 0; i < 1000; i++ {
+		if err := c.Set("big", strings.Repeat(string(rune('a'+i%26)), 100<<10)); err != nil {
+			t.Fatalf("SET %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		e := fmt.Sprintf("element-%07d", i)
+		if n, err := c.intReply("RPUSH", "list", e, e, e); err != nil || n != int64(3*i+3) {
+			t.Fatalf("RPUSH %d = %d, %v", i, n, err)
+		}
+	}
+	if _, err := ts.heap.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMaxConnsBlocksExcessConnections(t *testing.T) {
 	ts := startServer(t, Config{MaxConns: 1}, 0)
 	c1 := dial(t, ts)
