@@ -335,15 +335,18 @@ func BenchmarkExtensionParallelRecovery(b *testing.B) {
 
 // BenchmarkMallocFreePair: the single-threaded fast path per allocator —
 // the microcosm of the whole paper: ralloc ≈ lrmalloc despite persistence.
+// loads/op counts the region words a pair reads (ralloc's Free reads none).
 func BenchmarkMallocFreePair(b *testing.B) {
 	forEachAllocator(b, bench.AllocNames, 64<<20, func(b *testing.B, a alloc.Allocator) {
 		hd := a.NewHandle()
 		warm := hd.Malloc(64)
 		hd.Free(warm)
+		loads := a.Region().Stats().Loads
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			hd.Free(hd.Malloc(64))
 		}
+		b.ReportMetric(float64(a.Region().Stats().Loads-loads)/float64(b.N), "loads/op")
 	})
 }
 

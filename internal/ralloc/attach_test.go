@@ -108,3 +108,96 @@ func TestTraceIsReadOnly(t *testing.T) {
 		t.Fatal("list damaged")
 	}
 }
+
+// TestFreeBeforeRecoverPanics: on a dirty heap not yet recovered the class
+// mirror reads 0 everywhere, which is also what a large run's head reads, so
+// a Free of a small block reaches freeLarge. The descriptor must refuse it
+// there before anything is cleared: recovery still finds the block.
+func TestFreeBeforeRecoverPanics(t *testing.T) {
+	h := crashHeap(t, 0)
+	b := h.NewHandle().Malloc(64)
+	if b != h.lay.sbOff(0) {
+		t.Fatalf("first block at %#x, want the start of superblock 0", b)
+	}
+	h.SetRoot(0, b)
+	if err := h.Region().Crash(); err != nil {
+		t.Fatal(err)
+	}
+	h2, dirty, err := Attach(h.Region(), Config{})
+	if err != nil || !dirty {
+		t.Fatalf("attach: dirty=%v err=%v", dirty, err)
+	}
+	r, d := h2.Region(), h2.lay.descOff(0)
+	before, after := make([]byte, DescBytes), make([]byte, DescBytes)
+	r.ReadBytes(d, before)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Free of a small block before Recover did not panic")
+			}
+		}()
+		h2.NewHandle().Free(b)
+	}()
+	if r.ReadBytes(d, after); string(after) != string(before) {
+		t.Fatalf("the refused Free changed descriptor 0: %x -> %x", before, after)
+	}
+	h2.GetRoot(0, LeafFilter)
+	stats, err := h2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk, err := h2.CheckInvariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ReachableBlocks != 1 || chk.AllocatedBlks != 1 {
+		t.Fatalf("after recovery %d blocks reachable, %d allocated; want 1 and 1", stats.ReachableBlocks, chk.AllocatedBlks)
+	}
+}
+
+// TestCleanAttachReadsEachDescriptorOnce: relist reads a used descriptor's
+// class, block size and run length as one group, plus a small superblock's
+// anchor: at most four loads a used superblock, whatever it holds.
+func TestCleanAttachReadsEachDescriptorOnce(t *testing.T) {
+	h, _, err := Open("", Config{SBRegion: 32 << 20, GrowthChunk: 1 << 20, Pmem: pmem.Config{Mode: pmem.ModeCrashSim}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd := h.NewHandle()
+	var keep []uint64
+	for i := 0; i < 6000; i++ {
+		size := []uint64{16, 64, 320, 2048}[i%4]
+		if i%100 == 0 {
+			size = 3 * SuperblockBytes
+		}
+		b := hd.Malloc(size)
+		if b == 0 {
+			t.Fatal("OOM")
+		}
+		if i%3 == 0 {
+			hd.Free(b)
+		} else {
+			keep = append(keep, b)
+		}
+	}
+	for _, b := range keep[:len(keep)/2] {
+		hd.Free(b)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(h.usedDescs())
+	before := h.Region().Stats().Loads
+	h2, dirty, err := Attach(h.Region(), Config{})
+	if err != nil || dirty {
+		t.Fatalf("attach: dirty=%v err=%v", dirty, err)
+	}
+	loads := h.Region().Stats().Loads - before
+	t.Logf("clean attach of %d used superblocks: %d loads", n, loads)
+	if loads > 4*n+16 {
+		t.Fatalf("clean attach of %d used superblocks made %d loads, want at most 4 a superblock + 16", n, loads)
+	}
+	if _, err := h2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

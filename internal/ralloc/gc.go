@@ -13,10 +13,11 @@ import (
 
 // Recovery (§4.5) employs a tracing garbage collector to identify all blocks
 // reachable from the persistent roots, then reconstructs every piece of
-// transient metadata: anchors, block free chains, partial lists and the
-// free-superblock index. Because the size of every block is determined by its
-// superblock's persisted size class, a single pointer suffices to tell how
-// much memory it keeps alive.
+// transient metadata: anchors, block free chains, partial lists, the
+// free-superblock index and the class mirror. Because the size of every
+// block is determined by its superblock's persisted size class, a single
+// pointer suffices to tell how much memory it keeps alive (the trace reads
+// the descriptor: the mirror is 0 until the sweep writes it).
 //
 // Recovery's output is as transient as the metadata normal operation writes
 // (lists.go): the heap stays dirty until a clean Close persists the region,
@@ -380,18 +381,17 @@ func (h *Heap) gc(workers int, pin func(*GC)) RecoveryStats {
 }
 
 // unitLen returns how many of the n used descriptors the sweep unit starting
-// at descriptor i spans: the length of a large run headed there, else 1.
+// at descriptor i (words d) spans: the length of a large run headed there,
+// else 1.
 // numSB is a persistent word that a torn write or a hostile image can set to
 // anything, so it is compared in 64 bits before narrowing: a run claiming
 // more than the n-i descriptors left is clamped (sweepUnit then frees it),
 // and the result is never 0, so every scan over units advances.
-func (h *Heap) unitLen(i, n uint32) uint32 {
-	r, d := h.region, h.lay.descOff(i)
-	numSB := r.Load(d + dOffNumSB)
-	if r.Load(d+dOffClass) != 0 || r.Load(d+dOffBlockSize) == 0 || numSB == 0 {
+func (d desc) unitLen(i, n uint32) uint32 {
+	if !d.largeHead() {
 		return 1
 	}
-	return uint32(min(numSB, uint64(n-i)))
+	return uint32(min(d.numSB, uint64(n-i)))
 }
 
 // sweep performs steps 6–9: one cheap scan partitions the used descriptors
@@ -400,9 +400,10 @@ func (h *Heap) unitLen(i, n uint32) uint32 {
 // same lock-free CASes used during normal operation.
 func (h *Heap) sweep(gcs []*GC) {
 	n := h.usedDescs()
-	units := make([]uint32, 0, n+1) // first descriptor of each unit, then n
-	for i := uint32(0); i < n; i += h.unitLen(i, n) {
-		units = append(units, i)
+	// The first descriptor of each unit, then n; and that descriptor's words.
+	units, descs := make([]uint32, 0, n+1), make([]desc, 0, n)
+	for i := uint32(0); i < n; i += descs[len(descs)-1].unitLen(i, n) {
+		units, descs = append(units, i), append(descs, h.loadDesc(i))
 	}
 	units = append(units, n)
 
@@ -413,40 +414,39 @@ func (h *Heap) sweep(gcs []*GC) {
 			if int(u) >= len(units)-1 {
 				return
 			}
-			g.sweepUnit(units[u], units[u+1]-units[u])
+			g.sweepUnit(units[u], units[u+1]-units[u], descs[u])
 		}
 	})
 }
 
-// unitClass classifies the unit of count descriptors at first by its
-// persisted descriptor: 0 is a large run whose head claims exactly count
-// superblocks, c > 0 a superblock formatted for class c (block size bs), and
-// -1 a free one: never formatted, an orphaned continuation (a crash between
-// persisting a run's body and its head, or mid-freeLarge), or torn.
-func (h *Heap) unitClass(first, count uint32) (c int, bs uint64) {
-	r, d := h.region, h.lay.descOff(first)
-	cls, bs := r.Load(d+dOffClass), r.Load(d+dOffBlockSize)
+// unitClass classifies the unit of count descriptors whose first
+// descriptor's words are d: 0 is a large run whose head claims exactly count
+// superblocks, c > 0 a superblock formatted for class c, and -1 a free one:
+// never formatted, an orphaned continuation (a crash between persisting a
+// run's body and its head, or mid-freeLarge), or torn.
+func (d desc) unitClass(count uint32) int {
 	switch {
-	case cls == 0 && bs > 0 && r.Load(d+dOffNumSB) == uint64(count):
-		return 0, bs
-	case cls >= 1 && cls <= sizeclass.NumClasses && bs == sizeclass.ClassToSize(int(cls)):
-		return int(cls), bs
+	case d.largeHead() && d.numSB == uint64(count):
+		return 0
+	case d.cls >= 1 && d.cls <= sizeclass.NumClasses && d.bs == sizeclass.ClassToSize(int(d.cls)):
+		return int(d.cls)
 	}
-	return -1, 0
+	return -1
 }
 
 // sweepUnit rebuilds the metadata of the unit of count descriptors starting
-// at first (steps 6–9); count > 1 only for a large run. A large run is kept
-// whole if its head was traced, else freed.
-func (g *GC) sweepUnit(first, count uint32) {
+// at first, whose words are d (steps 6–9); count > 1 only for a large run. A
+// large run is kept whole if its head was traced, else freed.
+func (g *GC) sweepUnit(first, count uint32, d desc) {
 	h := g.h
 	g.stats.SweepUnits++
-	switch c, bs := h.unitClass(first, count); {
+	switch c := d.unitClass(count); {
 	case c == 0 && g.marked(h.lay.sbOff(first)):
 		h.region.Store(h.lay.descOff(first)+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
+		h.mirror(first, count, 0)
 		g.stats.LargeRuns++
 	case c > 0:
-		g.sweepSmall(first, c, bs)
+		g.sweepSmall(first, c, d.bs)
 	default:
 		g.retire(first, count)
 	}
@@ -477,6 +477,7 @@ func (g *GC) sweepSmall(i uint32, c int, bs uint64) {
 	total := uint32(SuperblockBytes / bs)
 
 	nFree := total - g.marks(sb, uint64(total)*bs)
+	h.mirror(i, 1, c) // retire clears it again
 	switch {
 	case nFree == total:
 		g.retire(i, 1)
@@ -542,8 +543,9 @@ type HeapCheck struct {
 
 // CheckInvariants walks all allocator metadata and verifies structural
 // invariants: anchors agree with their chains, chain entries are in-bounds
-// and distinct, no superblock appears on two lists, and the free index marks
-// exactly the unformatted superblocks below the watermark. It returns the
+// and distinct, no superblock appears on two lists, the free index marks
+// exactly the unformatted superblocks below the watermark, and the class
+// mirror matches every descriptor (0 above the watermark). It returns the
 // snapshot and the first violation found, if any. Quiescence is required.
 func (h *Heap) CheckInvariants() (HeapCheck, error) {
 	r := h.region
@@ -579,25 +581,38 @@ func (h *Heap) CheckInvariants() (HeapCheck, error) {
 	}
 
 	// A partial list's members have its class, so none is unformatted.
+	// Nothing above the watermark is formatted: its class mirror reads 0.
 	for i := uint32(0); i < h.lay.maxDescs; i++ {
-		unformatted := i < n && h.unformatted(i)
+		unformatted := i < n && h.loadDesc(i).unformatted()
 		if free := h.free[i/64].Load()>>(i%64)&1 != 0; free != unformatted {
 			return chk, fmt.Errorf("superblock %d: marked free %v, unformatted below the watermark %v", i, free, unformatted)
 		} else if free {
 			chk.FreeSuperblocks++
 		}
+		if i >= n && h.class[i] != 0 {
+			return chk, fmt.Errorf("superblock %d above the watermark: class mirror %d", i, h.class[i])
+		}
 	}
 
 	for i := uint32(0); i < n; i++ {
-		d := h.lay.descOff(i)
-		cls := r.Load(d + dOffClass)
-		bs := r.Load(d + dOffBlockSize)
-		if cls == 0 || cls == contClass {
-			if cls == 0 && bs > 0 {
-				// Allocated large run head.
-				chk.AllocatedBlks++
-				i += h.unitLen(i, n) - 1
+		d, w := h.lay.descOff(i), h.loadDesc(i)
+		cls, bs := w.cls, w.bs
+		if cls == 0 && bs > 0 {
+			// Allocated large run head: mirrored 0, then contClass.
+			chk.AllocatedBlks++
+			k := w.unitLen(i, n)
+			for j, want := i, uint8(0); j < i+k; j, want = j+1, contClass {
+				if h.class[j] != want {
+					return chk, fmt.Errorf("superblock %d of the run at %d: class mirror %d, want %d", j, i, h.class[j], want)
+				}
 			}
+			i += k - 1
+			continue
+		}
+		if uint64(h.class[i]) != cls {
+			return chk, fmt.Errorf("superblock %d: class mirror %d, descriptor class %d", i, h.class[i], cls)
+		}
+		if cls == 0 || cls == contClass {
 			continue
 		}
 		if cls > sizeclass.NumClasses {

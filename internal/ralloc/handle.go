@@ -54,7 +54,8 @@ func (hd *Handle) Malloc(size uint64) uint64 {
 // Free deallocates a block previously returned by Malloc. Small blocks go
 // to the thread cache; when the cache overflows, blocks are pushed back to
 // their superblocks' free chains in per-superblock batches (drain →
-// flushBlocks).
+// flushBlocks). The class comes from Heap.class, not the descriptor, so the
+// fast path reads no persistent word (lists.go says why that is safe).
 func (hd *Handle) Free(off uint64) {
 	if off == 0 {
 		return
@@ -66,17 +67,14 @@ func (hd *Handle) Free(off uint64) {
 	if !ok {
 		panic(fmt.Sprintf("ralloc: Free(%#x) outside the superblock region", off))
 	}
-	d := h.lay.descOff(idx)
-	cls := h.region.Load(d + dOffClass)
-	switch cls {
-	case 0:
+	c := int(h.class[idx])
+	switch {
+	case c == 0:
 		h.freeLarge(idx, off)
 		return
-	case contClass:
+	case c == contClass:
 		panic(fmt.Sprintf("ralloc: Free(%#x) points into the middle of a large run", off))
-	}
-	c := int(cls)
-	if bs := h.region.Load(d + dOffBlockSize); bs == 0 || (off-h.lay.sbOff(idx))%bs != 0 {
+	case (off-h.lay.sbOff(idx))%sizeclass.ClassToSize(c) != 0:
 		panic(fmt.Sprintf("ralloc: Free(%#x) is not a block boundary", off))
 	}
 	tc := &hd.cache[c]
@@ -131,7 +129,7 @@ partial:
 			}
 			// The chain of `count` blocks from `avail` is now
 			// privately owned: walk it into the cache.
-			blockSize := r.Load(d + dOffBlockSize)
+			blockSize := sizeclass.ClassToSize(c)
 			sb := h.lay.sbOff(idx)
 			tc := &hd.cache[c]
 			bi := avail
@@ -172,15 +170,12 @@ partial:
 // slow path.
 func (hd *Handle) initSuperblock(idx uint32, c int) {
 	h := hd.heap
-	r := h.region
 	d := h.lay.descOff(idx)
 	blockSize := sizeclass.ClassToSize(c)
-	r.Store(d+dOffClass, uint64(c))
-	r.Store(d+dOffBlockSize, blockSize)
-	r.Store(d+dOffNumSB, 1)
+	h.storeDesc(idx, desc{uint64(c), blockSize, 1})
 	h.flush(d)
 	h.fence()
-	r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
+	h.region.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
 
 	sb := h.lay.sbOff(idx)
 	total := sizeclass.BlocksPerSuperblock(c, SuperblockBytes)
@@ -227,16 +222,9 @@ func (hd *Handle) flushBlocks(c int, blocks []uint64) {
 	// order, so the runs are long in practice; an interleaved cache only
 	// degrades toward the per-block path, never below it.
 	start := 0
-	cur, ok := h.lay.descIndexOf(blocks[0])
-	if !ok {
-		panic(fmt.Sprintf("ralloc: Free(%#x) outside the superblock region", blocks[0]))
-	}
+	cur, _ := h.lay.descIndexOf(blocks[0])
 	for i := 1; i < len(blocks); i++ {
-		idx, ok := h.lay.descIndexOf(blocks[i])
-		if !ok {
-			panic(fmt.Sprintf("ralloc: Free(%#x) outside the superblock region", blocks[i]))
-		}
-		if idx != cur {
+		if idx, _ := h.lay.descIndexOf(blocks[i]); idx != cur {
 			h.freeBatch(c, hd.shard, blocks[start:i])
 			start, cur = i, idx
 		}
@@ -268,28 +256,18 @@ func (hd *Handle) returnAll() {
 // now that a batch can return a full superblock's worth at once), or lazily
 // when later fetched from the partial list (§4.4). The group's internal links are written once, outside the retry
 // loop; only the tail link is rewritten per CAS attempt, so a group of n
-// blocks costs n+1 stores and one successful CAS instead of n.
+// blocks costs n+1 stores and one successful CAS instead of n. Free checked
+// each block against its superblock's class c, which gives their size.
 func (h *Heap) freeBatch(c int, shard uint32, blocks []uint64) {
 	r := h.region
 	sc := &h.stats[shard&h.shardMask]
 	sc.freeBatches.Add(1)
 	sc.freeBlocks.Add(uint64(len(blocks)))
-	idx, ok := h.lay.descIndexOf(blocks[0])
-	if !ok {
-		panic(fmt.Sprintf("ralloc: Free(%#x) outside the superblock region", blocks[0]))
-	}
+	idx, _ := h.lay.descIndexOf(blocks[0])
 	d := h.lay.descOff(idx)
 	sb := h.lay.sbOff(idx)
-	blockSize := r.Load(d + dOffBlockSize)
-	if blockSize == 0 {
-		panic(fmt.Sprintf("ralloc: Free(%#x) is not a block boundary", blocks[0]))
-	}
+	blockSize := sizeclass.ClassToSize(c)
 	total := uint32(SuperblockBytes / blockSize)
-	for _, b := range blocks {
-		if b < sb || b >= sb+SuperblockBytes || (b-sb)%blockSize != 0 {
-			panic(fmt.Sprintf("ralloc: Free(%#x) is not a block boundary", b))
-		}
-	}
 	for i := 0; i+1 < len(blocks); i++ {
 		r.Store(blocks[i], (blocks[i+1]-sb)/blockSize+1)
 	}
@@ -355,9 +333,7 @@ func (h *Heap) initLarge(first, k uint32, size uint64) {
 	r := h.region
 	for i := first + 1; i < first+k; i++ {
 		d := h.lay.descOff(i)
-		r.Store(d+dOffClass, contClass)
-		r.Store(d+dOffBlockSize, 0)
-		r.Store(d+dOffNumSB, 0)
+		h.storeDesc(i, desc{cls: contClass})
 		r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
 		h.flush(d)
 	}
@@ -365,9 +341,7 @@ func (h *Heap) initLarge(first, k uint32, size uint64) {
 		h.fence()
 	}
 	d := h.lay.descOff(first)
-	r.Store(d+dOffClass, 0)
-	r.Store(d+dOffBlockSize, size)
-	r.Store(d+dOffNumSB, uint64(k))
+	h.storeDesc(first, desc{0, size, uint64(k)})
 	r.Store(d+dOffAnchor, packAnchor(stateFull, anchorAvailNone, 0))
 	h.flush(d)
 	h.fence()
@@ -375,29 +349,27 @@ func (h *Heap) initLarge(first, k uint32, size uint64) {
 
 // freeLarge splits a large block into its constituent superblocks and marks
 // them free (§4.4). The run markers are cleared persistently first so that a
-// crash cannot misread a half-freed run.
+// crash cannot misread a half-freed run. Heap.class reads 0 for a free
+// superblock too, and for all of them before Recover: the descriptor must
+// confirm the head before anything is cleared.
 func (h *Heap) freeLarge(idx uint32, off uint64) {
-	r := h.region
-	d := h.lay.descOff(idx)
 	if off != h.lay.sbOff(idx) {
 		panic(fmt.Sprintf("ralloc: Free(%#x) is not the start of a large block", off))
 	}
-	k := r.Load(d + dOffNumSB)
-	if k == 0 {
+	d := h.loadDesc(idx)
+	if !d.largeHead() {
 		panic(fmt.Sprintf("ralloc: Free(%#x): block is not allocated", off))
 	}
-	for i := uint32(0); i < uint32(k); i++ {
-		di := h.lay.descOff(idx + i)
-		r.Store(di+dOffClass, 0)
-		r.Store(di+dOffBlockSize, 0)
-		r.Store(di+dOffNumSB, 0)
-		h.flush(di)
+	k := uint32(d.numSB)
+	for i := idx; i < idx+k; i++ {
+		h.storeDesc(i, desc{})
+		h.flush(h.lay.descOff(i))
 	}
 	h.fence()
-	for i := idx; i < idx+uint32(k); i++ {
-		r.Store(h.lay.descOff(i)+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
+	for i := idx; i < idx+k; i++ {
+		h.region.Store(h.lay.descOff(i)+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
 	}
-	h.release(idx, uint32(k))
+	h.release(idx, k)
 }
 
 // Stats returns the handle's operation counters (mallocs, frees, cache

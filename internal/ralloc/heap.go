@@ -87,8 +87,10 @@ type Heap struct {
 	nextShard atomic.Uint32
 
 	// free is the free-superblock index (lists.go): bit i is set exactly
-	// when superblock i is free. It is volatile, rebuilt at every attach.
-	free []atomic.Uint64
+	// when superblock i is free; class[i] mirrors descriptor i's class.
+	// Both are volatile, rebuilt at every attach.
+	free  []atomic.Uint64
+	class []uint8
 
 	// stats are the per-shard slow-path telemetry counters (stats.go);
 	// only the first `shards` entries are written.
@@ -149,7 +151,7 @@ func Open(path string, cfg Config) (h *Heap, dirty bool, err error) {
 func newHeap(region *pmem.Region, cfg Config, lay layout, path string) *Heap {
 	n := uint32(cfg.Shards)
 	return &Heap{region: region, cfg: cfg, lay: lay, path: path, shards: n, shardMask: n - 1,
-		free: make([]atomic.Uint64, (lay.maxDescs+63)/64)}
+		free: make([]atomic.Uint64, (lay.maxDescs+63)/64), class: make([]uint8, lay.maxDescs)}
 }
 
 // Attach re-attaches to an existing region (for example after a simulated

@@ -131,6 +131,22 @@ func TestMallocFastPathNoFlush(t *testing.T) {
 	}
 }
 
+// TestFreeReadsNoPersistentWord: Free takes a block's class from the
+// volatile mirror, so after warm-up a malloc/free pair reads nothing from
+// the region (the descriptor's class and block size were two loads a Free).
+func TestFreeReadsNoPersistentWord(t *testing.T) {
+	h := testHeap(t, Config{})
+	hd := h.NewHandle()
+	hd.Free(hd.Malloc(64))
+	before := h.Region().Stats().Loads
+	for i := 0; i < 1000; i++ {
+		hd.Free(hd.Malloc(64))
+	}
+	if d := h.Region().Stats().Loads - before; d != 0 {
+		t.Fatalf("1000 malloc/free pairs made %d region loads, want 0", d)
+	}
+}
+
 func TestColdMallocFlushesLittle(t *testing.T) {
 	// Even including slow paths, 10k 64 B allocations touch ~10
 	// superblocks: the flush count must stay tiny (one per superblock

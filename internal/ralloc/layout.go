@@ -17,11 +17,13 @@
 // region's used watermark, each superblock's size class and block size (once,
 // when the superblock is initialized for a class), the persistent roots, and
 // the dirty indicator — the bold fields of Fig. 2. Everything else (anchors,
-// list links, thread caches) is transient, and the free superblocks are a
-// volatile bitmap outside the region. Post-crash garbage collection rebuilds
-// it all: one recovery engine (gc.go) behind four entry points — Trace,
-// Recover, RecoverParallel and Manager.Collect. A clean attach rebuilds the
-// lists with one scan of the descriptors (relist, lists.go).
+// list links, thread caches) is transient, and two volatile indexes outside
+// the region stand beside the descriptors: a bitmap of the free superblocks
+// and a byte per superblock mirroring its class, which Free reads instead of
+// the descriptor. Post-crash garbage collection rebuilds it all: one
+// recovery engine (gc.go) behind four entry points — Trace, Recover,
+// RecoverParallel and Manager.Collect. A clean attach rebuilds the lists and
+// both indexes with one scan of the descriptors (relist, lists.go).
 package ralloc
 
 import "fmt"

@@ -14,7 +14,9 @@ import (
 // as index+1 (0 = nil), never flushed. The free superblocks are the set bits
 // of Heap.free, a volatile bitmap in place of §4.2's superblock free list: a
 // large run needs k contiguous free superblocks, which a bitmap finds and
-// coalesces and a stack does not.
+// coalesces and a stack does not. Heap.class mirrors each descriptor's class
+// for Free: it changes only at a format or a retire, by the superblock's
+// owner, and a block is freed after its format and before any retire.
 
 // pushPartial pushes descriptor idx onto class c's partial list in shard s.
 func (h *Heap) pushPartial(c int, s uint32, idx uint32) {
@@ -80,19 +82,37 @@ func (h *Heap) popPartial(c int, home uint32) (uint32, bool) {
 // available for any size class or run (§4.4). The caller must own the
 // superblock (state EMPTY and off every list).
 func (h *Heap) retireDesc(idx uint32) {
-	r, d := h.region, h.lay.descOff(idx)
-	r.Store(d+dOffClass, 0)
-	r.Store(d+dOffBlockSize, 0)
-	r.Store(d+dOffNumSB, 0)
-	r.Store(d+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
+	h.storeDesc(idx, desc{})
+	h.region.Store(h.lay.descOff(idx)+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
 	h.release(idx, 1)
 }
 
-// unformatted reports whether descriptor i's class, size and run length are 0.
-func (h *Heap) unformatted(i uint32) bool {
-	r, d := h.region, h.lay.descOff(i)
-	return r.Load(d+dOffClass)|r.Load(d+dOffBlockSize)|r.Load(d+dOffNumSB) == 0
+// desc is a descriptor's persisted words: class, block size, run length.
+type desc struct{ cls, bs, numSB uint64 }
+
+// storeDesc stores descriptor idx's persisted words and mirrors its class in
+// h.class. The caller flushes.
+func (h *Heap) storeDesc(idx uint32, w desc) {
+	r, d := h.region, h.lay.descOff(idx)
+	r.Store(d+dOffClass, w.cls)
+	r.Store(d+dOffBlockSize, w.bs)
+	r.Store(d+dOffNumSB, w.numSB)
+	h.class[idx] = uint8(w.cls)
 }
+
+// loadDesc reads descriptor i's persisted words as one counted group.
+func (h *Heap) loadDesc(i uint32) desc {
+	d := h.lay.descOff(i)
+	offs, w := [3]uint64{d + dOffClass, d + dOffBlockSize, d + dOffNumSB}, [3]uint64{}
+	h.region.LoadEach(offs[:], w[:])
+	return desc{w[0], w[1], w[2]}
+}
+
+// largeHead reports whether d heads an allocated large run.
+func (d desc) largeHead() bool { return d.cls == 0 && d.bs > 0 && d.numSB > 0 }
+
+// unformatted reports whether d's class, size and run length are 0.
+func (d desc) unformatted() bool { return d.cls|d.bs|d.numSB == 0 }
 
 // release marks the k superblocks from first free.
 func (h *Heap) release(first, k uint32) {
@@ -158,20 +178,25 @@ func (h *Heap) claim(first, k uint32) bool {
 // intact, in one scan of the descriptors classified as the sweep does: a
 // partial superblock goes on its class's list in its deterministic shard, an
 // empty one left on a list (to be retired lazily) is retired, a free one is
-// marked free. Nothing is flushed: after a crash, recovery rebuilds them.
+// marked free, a kept one is mirrored. Nothing is flushed: after a crash,
+// recovery rebuilds them.
 func (h *Heap) relist() {
 	h.resetLists()
 	n := h.usedDescs()
 	for i := uint32(0); i < n; {
-		k := h.unitLen(i, n)
-		switch c, _ := h.unitClass(i, k); {
-		case c < 0 && h.unformatted(i): // k is 1
+		d := h.loadDesc(i)
+		k := d.unitLen(i, n)
+		switch c := d.unitClass(k); {
+		case c < 0 && d.unformatted(): // k is 1
 			h.release(i, 1)
 		case c < 0:
 			for j := i; j < i+k; j++ {
 				h.retireDesc(j)
 			}
-		case c > 0:
+		case c == 0:
+			h.mirror(i, k, 0)
+		default:
+			h.mirror(i, 1, c)
 			switch st, _, _ := unpackAnchor(h.region.Load(h.lay.descOff(i) + dOffAnchor)); st {
 			case statePartial:
 				h.pushPartial(c, h.partialShardOf(i), i)
@@ -180,6 +205,14 @@ func (h *Heap) relist() {
 			}
 		}
 		i += k
+	}
+}
+
+// mirror records a kept unit in h.class: class c, then a run's body.
+func (h *Heap) mirror(first, count uint32, c int) {
+	h.class[first] = uint8(c)
+	for j := first + 1; j < first+count; j++ {
+		h.class[j] = contClass
 	}
 }
 
